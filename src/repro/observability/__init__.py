@@ -39,6 +39,7 @@ from repro.observability.export import (
 )
 from repro.observability.metrics import (
     LATENCY_BUCKETS,
+    REQUEST_LATENCY_BUCKETS,
     SIZE_BUCKETS,
     Counter,
     Gauge,
@@ -111,6 +112,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
+    "REQUEST_LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "chrome_trace",
     "write_chrome_trace",

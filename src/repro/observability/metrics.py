@@ -26,6 +26,29 @@ LATENCY_BUCKETS = (
     1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0,
 )
 
+
+def log_linear_buckets(lo_exp: int, hi_exp: int) -> tuple:
+    """Edges from ``10**lo_exp`` to ``10**hi_exp``, linear inside each
+    decade: mantissa 1–2 in steps of 0.1, 2–5 in steps of 0.2, 5–10 in
+    steps of 0.5 (35 edges a decade).  No bucket is wider than 10 % of
+    its lower edge, so an upper-edge quantile overstates by under 10 %.
+    """
+    edges = [
+        float(f"{m}e{k - 1}")  # parsed, not multiplied: exact decimals
+        for k in range(lo_exp, hi_exp)
+        for start, stop, step in ((10, 20, 1), (20, 50, 2), (50, 100, 5))
+        for m in range(start, stop, step)
+    ]
+    edges.append(float(f"1e{hi_exp}"))
+    return tuple(edges)
+
+
+#: Request-latency buckets (seconds): 100us .. 100s at ~10 % resolution.
+#: A cache hit (~20 ms) and a full mesh (seconds) both need two
+#: significant digits; the decade edges above cannot tell 6 ms from
+#: 10 ms.
+REQUEST_LATENCY_BUCKETS = log_linear_buckets(-4, 2)
+
 #: Default size buckets (counts): cavity sizes, ball sizes, PEL donations.
 SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 

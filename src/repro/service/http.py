@@ -19,6 +19,9 @@ Routes
                                   image store; ``wait``/
                                   ``wait_timeout`` long-poll,
                                   ``return_mesh`` inlines the result
+                                  (both together answer a cache hit in
+                                  this one request — what
+                                  :meth:`HttpClient.mesh` sends)
 ``GET /v1/jobs/<id>``             job status; ``?wait=S`` long-polls,
                                   ``?result=1`` inlines a DONE mesh
                                   (the response carries an ``ETag`` —
@@ -42,6 +45,13 @@ Versioning: every response carries ``X-Repro-Protocol``; a request may
 send the same header and is rejected with 400 on a mismatch — the
 HTTP spelling of the NDJSON ``hello`` negotiation, sharing
 :data:`~repro.service.protocol.PROTOCOL_VERSION`.
+
+A response that carries a mesh does not serialise it again: the disk
+artifact is already the ``"result"`` member byte for byte
+(:func:`~repro.service.cache.mesh_json_bytes` produces both), so the
+socket handler splices the cached file into the envelope
+(:meth:`MeshGateway.handle_wire`) and writes status line, headers and
+body to a ``TCP_NODELAY`` socket in one ``send``.
 
 The **image store** makes repeat traffic cheap: every uploaded image
 is retained in a byte-bounded LRU under its content key
@@ -69,8 +79,10 @@ import numpy as np
 
 from repro.api import MeshRequest, MeshResult
 from repro.imaging.image import SegmentedImage
+from repro.observability.metrics import REQUEST_LATENCY_BUCKETS
+from repro.service.cache import mesh_json_bytes
 from repro.service.client import Client, request_wire_params
-from repro.service.jobs import JobState, ServiceError, TERMINAL_STATES
+from repro.service.jobs import Job, JobState, ServiceError, TERMINAL_STATES
 from repro.service.keys import image_content_key
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -92,6 +104,9 @@ STATE_STATUS = {
     JobState.TIMED_OUT: 504,
     JobState.REJECTED: 429,
 }
+
+#: Wire names of the states a job can never leave.
+TERMINAL_NAMES = frozenset(s.value for s in TERMINAL_STATES)
 
 #: Cap on one long-poll block (seconds); clients loop for longer waits.
 MAX_WAIT = 60.0
@@ -204,12 +219,20 @@ def etag_matches(header: str, etag: str) -> bool:
 
 
 # -- gateway (transport-free request handling) -------------------------
+#: What a route answers: status, JSON-safe body, extra headers and — when
+#: the body is to carry a mesh — the ``DONE`` job whose result the
+#: caller attaches as ``"result"``: a dict from :meth:`MeshGateway.handle`,
+#: the cached wire bytes from :meth:`MeshGateway.handle_wire`.
+Answer = Tuple[int, Dict[str, Any], Dict[str, str], Optional[Job]]
+
+
 class MeshGateway:
     """Routing/translation between HTTP semantics and a service.
 
     Deliberately transport-free — ``handle`` maps (method, path,
     query, body) to (status, body, headers) — so tests exercise every
-    route and status code without opening a socket.
+    route and status code without opening a socket.  ``handle_wire``
+    is the same call with the body already encoded, for the socket.
     """
 
     def __init__(self, service: MeshingService,
@@ -217,48 +240,88 @@ class MeshGateway:
         self.service = service
         self.images = image_store or ImageStore()
 
-    # -- entry point ---------------------------------------------------
+    # -- entry points --------------------------------------------------
     def handle(self, method: str, path: str,
                query: Optional[Dict[str, str]] = None,
                body: Optional[Dict[str, Any]] = None,
                version: Optional[str] = None,
                if_none_match: Optional[str] = None,
                ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        return self._answer(self._as_dict, method, path, query, body,
+                            version, if_none_match)
+
+    def handle_wire(self, method: str, path: str,
+                    query: Optional[Dict[str, str]] = None,
+                    body: Optional[Dict[str, Any]] = None,
+                    version: Optional[str] = None,
+                    if_none_match: Optional[str] = None,
+                    ) -> Tuple[int, bytes, Dict[str, str]]:
+        """:meth:`handle`, with the body as the UTF-8 JSON to send."""
+        return self._answer(self._as_bytes, method, path, query, body,
+                            version, if_none_match)
+
+    @staticmethod
+    def _as_dict(out: Dict[str, Any],
+                 mesh_job: Optional[Job]) -> Dict[str, Any]:
+        if mesh_job is not None:
+            out["result"] = mesh_job.result.to_dict()
+        return out
+
+    def _as_bytes(self, out: Dict[str, Any],
+                  mesh_job: Optional[Job]) -> bytes:
+        payload = json.dumps(out).encode("utf-8")
+        if mesh_job is None:
+            return payload
+        # ``out`` is never empty here, so the envelope ends in "}".
+        if mesh_job.keys is None:  # uncacheable, or coalescing is off
+            mesh = mesh_json_bytes(mesh_job.result)
+        else:
+            mesh = self.service.cache.mesh_wire_bytes(
+                mesh_job.keys[1], mesh_job.result)
+        return b'%s, "result": %s}' % (payload[:-1], mesh)
+
+    def _answer(self, render, method: str, path: str,
+                query: Optional[Dict[str, str]],
+                body: Optional[Dict[str, Any]],
+                version: Optional[str], if_none_match: Optional[str]):
         reg = self.service.registry
         reg.counter("service.http.requests").inc()
         t0 = time.perf_counter()
         try:
-            status, out, headers = self._route(
+            status, out, headers, mesh_job = self._route(
                 method, path, query or {}, body or {}, version,
                 if_none_match,
             )
+            rendered = render(out, mesh_job)
         except ProtocolError as exc:
-            status, out, headers = 400, {"ok": False, "error": str(exc)}, {}
+            status, headers = 400, {}
+            rendered = render({"ok": False, "error": str(exc)}, None)
         except Exception as exc:  # never kill the connection thread
-            status = 500
-            out = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            headers = {}
-        reg.histogram("service.http.request_seconds").observe(
+            status, headers = 500, {}
+            rendered = render(
+                {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
+                None)
+        reg.histogram("service.http.request_seconds",
+                      REQUEST_LATENCY_BUCKETS).observe(
             time.perf_counter() - t0
         )
         if status >= 400:
             reg.counter("service.http.errors").inc()
-        return status, out, headers
+        return status, rendered, headers
 
     def _route(self, method: str, path: str, query: Dict[str, str],
                body: Dict[str, Any], version: Optional[str],
-               if_none_match: Optional[str] = None,
-               ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+               if_none_match: Optional[str] = None) -> Answer:
         if version is not None and version != str(PROTOCOL_VERSION):
             return 400, {
                 "ok": False, "v": PROTOCOL_VERSION,
                 "error": (f"unsupported protocol version {version!r}; "
                           f"server speaks {PROTOCOL_VERSION}"),
-            }, {}
+            }, {}, None
         if path == "/healthz" and method == "GET":
             return self._healthz()
         if path == "/metricsz" and method == "GET":
-            return 200, self.service.metrics_snapshot(), {}
+            return 200, self.service.metrics_snapshot(), {}, None
         if path == "/v1/mesh" and method == "POST":
             return self._mesh(body)
         if path.startswith("/v1/jobs/"):
@@ -267,10 +330,11 @@ class MeshGateway:
                 return self._job_get(job_id, query, if_none_match)
             if method == "DELETE":
                 return self._job_cancel(job_id)
-        return 404, {"ok": False, "error": f"no route {method} {path}"}, {}
+        return 404, {"ok": False,
+                     "error": f"no route {method} {path}"}, {}, None
 
     # -- routes --------------------------------------------------------
-    def _healthz(self) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _healthz(self) -> Answer:
         closed = self.service._closed
         return (503 if closed else 200), {
             "ok": not closed,
@@ -278,10 +342,9 @@ class MeshGateway:
             "executor": self.service.executor,
             "coalesce": self.service._coalesce is not None,
             "image_store": self.images.stats_snapshot(),
-        }, {}
+        }, {}, None
 
-    def _mesh(self, body: Dict[str, Any],
-              ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _mesh(self, body: Dict[str, Any]) -> Answer:
         params = body.get("params") or {}
         if not isinstance(params, dict):
             raise ProtocolError("'params' must be an object")
@@ -296,16 +359,19 @@ class MeshGateway:
                 "ok": False,
                 "error": f"unknown image key {body.get('image_key')!r}",
                 "unknown_image_key": True,
-            }, {}
+            }, {}, None
         request = MeshRequest(image=image, **params)
+        # 0 is a value here, not an absence: a zero deadline has already
+        # passed and a zero wait_timeout does not block.
         deadline = body.get("deadline")
         job = self.service.submit(
-            request, deadline=float(deadline) if deadline else None
+            request,
+            deadline=float(deadline) if deadline is not None else None,
         )
         if body.get("wait", True) and not job.done:
-            timeout = min(float(body.get("wait_timeout") or MAX_WAIT),
-                          MAX_WAIT)
-            job.wait(timeout)
+            timeout = body.get("wait_timeout")
+            job.wait(MAX_WAIT if timeout is None
+                     else min(max(float(timeout), 0.0), MAX_WAIT))
         return self._job_answer(job, bool(body.get("return_mesh")))
 
     def _image_from(self, body: Dict[str, Any]) -> Optional[SegmentedImage]:
@@ -333,12 +399,11 @@ class MeshGateway:
         return self.images.get(key)
 
     def _job_get(self, job_id: str, query: Dict[str, str],
-                 if_none_match: Optional[str] = None,
-                 ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+                 if_none_match: Optional[str] = None) -> Answer:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"ok": False,
-                         "error": f"unknown job {job_id!r}"}, {}
+                         "error": f"unknown job {job_id!r}"}, {}, None
         wait = query.get("wait")
         if wait is not None and not job.done:
             try:
@@ -350,23 +415,22 @@ class MeshGateway:
         return self._job_answer(job, want_result,
                                 if_none_match=if_none_match)
 
-    def _job_cancel(self, job_id: str,
-                    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _job_cancel(self, job_id: str) -> Answer:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"ok": False,
-                         "error": f"unknown job {job_id!r}"}, {}
+                         "error": f"unknown job {job_id!r}"}, {}, None
         cancelled = self.service.cancel(job_id)
         return 200, {"ok": cancelled, "id": job_id,
-                     "state": job.state.value}, {}
+                     "state": job.state.value}, {}, None
 
-    def _job_answer(self, job, return_mesh: bool,
-                    if_none_match: Optional[str] = None,
-                    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _job_answer(self, job: Job, return_mesh: bool,
+                    if_none_match: Optional[str] = None) -> Answer:
         out = job.summary()
         out["ok"] = job.state in (JobState.QUEUED, JobState.RUNNING,
                                   JobState.DONE)
         headers: Dict[str, str] = {}
+        mesh_job: Optional[Job] = None
         if (return_mesh and job.state is JobState.DONE
                 and job.result is not None):
             etag = job.keys[1] if job.keys is not None else None
@@ -378,21 +442,26 @@ class MeshGateway:
                 if if_none_match and etag_matches(if_none_match, etag):
                     self.service.registry.counter(
                         "service.http.not_modified").inc()
-                    return 304, {}, headers
-            out["result"] = job.result.to_dict()
+                    return 304, {}, headers, None
+            mesh_job = job
         status = STATE_STATUS[job.state]
         if job.state is JobState.REJECTED:
             if self.service._closed:
                 status = 503  # shutting down: back off for good
             else:
                 headers["Retry-After"] = "1"
-        return status, out, headers
+        return status, out, headers, mesh_job
 
 
 # -- the server --------------------------------------------------------
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-mesh"
+    #: TCP_NODELAY on every accepted connection.  A response is one
+    #: write (see :meth:`_send`), so there is nothing for Nagle to
+    #: merge — it could only hold a short tail segment back until the
+    #: client's delayed ACK (~40 ms) released it.
+    disable_nagle_algorithm = True
 
     def log_message(self, *args) -> None:  # quiet by default
         pass
@@ -402,7 +471,7 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         body: Dict[str, Any] = {}
-        status_override: Optional[Tuple[int, Dict[str, Any]]] = None
+        refusal: Optional[Tuple[int, str]] = None
         if method == "POST":
             try:
                 length = int(self.headers.get("Content-Length") or 0)
@@ -411,10 +480,7 @@ class _Handler(BaseHTTPRequestHandler):
             if length > MAX_BODY_BYTES:
                 # Drain nothing: answer and drop the connection.
                 self.close_connection = True
-                status_override = (413, {
-                    "ok": False,
-                    "error": f"body over {MAX_BODY_BYTES} bytes",
-                })
+                refusal = (413, f"body over {MAX_BODY_BYTES} bytes")
             else:
                 raw = self.rfile.read(length) if length else b""
                 try:
@@ -422,22 +488,24 @@ class _Handler(BaseHTTPRequestHandler):
                     if not isinstance(body, dict):
                         raise ValueError("body must be a JSON object")
                 except ValueError as exc:
-                    status_override = (
-                        400, {"ok": False, "error": f"bad JSON body: {exc}"}
-                    )
-        if status_override is not None:
-            status, out = status_override
+                    refusal = (400, f"bad JSON body: {exc}")
+        if refusal is not None:
+            status, error = refusal
+            payload = json.dumps({"ok": False, "error": error}).encode()
             headers: Dict[str, str] = {}
         else:
-            status, out, headers = gateway.handle(
+            status, payload, headers = gateway.handle_wire(
                 method, parsed.path, query, body,
                 version=self.headers.get(PROTOCOL_HEADER),
                 if_none_match=self.headers.get("If-None-Match"),
             )
         # A 304 must not carry a body (RFC 7232); everything else is
         # JSON.
-        payload = (b"" if status == 304
-                   else json.dumps(out).encode("utf-8"))
+        self._send(status, b"" if status == 304 else payload, headers)
+
+    def _send(self, status: int, payload: bytes,
+              headers: Dict[str, str]) -> None:
+        """Status line, headers and body in a single socket write."""
         self.send_response(status)
         self.send_header(PROTOCOL_HEADER, str(PROTOCOL_VERSION))
         if payload:
@@ -445,9 +513,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for name, value in headers.items():
             self.send_header(name, value)
-        self.end_headers()
+        # end_headers() writes the header block to ``wfile``; catch it
+        # in memory so head and body reach the socket together.
+        sock_writer, self.wfile = self.wfile, io.BytesIO()
         try:
-            self.wfile.write(payload)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = sock_writer
+        try:
+            self.wfile.write(head + payload)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-write
 
@@ -583,22 +658,35 @@ class HttpClient(Client):
     def mesh(self, request: MeshRequest,
              deadline: Optional[float] = None,
              timeout: Optional[float] = None) -> MeshResult:
-        job_id = self.submit(request, deadline=deadline)
-        summary = self.wait(job_id, timeout=timeout)
-        state = summary.get("state")
-        if state not in (s.value for s in TERMINAL_STATES):
+        """One ``POST`` that submits, waits and carries the mesh back:
+        a cache hit is a single round trip.  Only a job still running
+        when the gateway's long-poll cap (or ``timeout``) cuts the POST
+        short falls back to the :meth:`wait` loop and a result fetch.
+        """
+        end = (time.monotonic() + timeout
+               if timeout is not None else None)
+        _, out = self._post_mesh(request, deadline, wait=True,
+                                 wait_timeout=timeout, return_mesh=True)
+        job_id = out.get("id")
+        if not job_id:
+            raise ServiceError(out.get("error", "submit failed"))
+        if out.get("state") not in TERMINAL_NAMES:
+            out = self.wait(job_id, timeout=(
+                end - time.monotonic() if end is not None else None))
+        state = out.get("state")
+        if state not in TERMINAL_NAMES:
             raise ServiceError(f"timed out waiting for {job_id}")
         if state != "DONE":
-            detail = (f": {summary['error']}"
-                      if summary.get("error") else "")
+            detail = f": {out['error']}" if out.get("error") else ""
             raise ServiceError(f"{job_id} finished {state}{detail}")
-        status, out, _ = self._request(
-            "GET", f"/v1/jobs/{job_id}?result=1"
-        )
-        if status != 200 or "result" not in out:
-            raise ServiceError(
-                f"{job_id} result unavailable (status {status})"
+        if "result" not in out:
+            status, out, _ = self._request(
+                "GET", f"/v1/jobs/{job_id}?result=1"
             )
+            if status != 200 or "result" not in out:
+                raise ServiceError(
+                    f"{job_id} result unavailable (status {status})"
+                )
         return MeshResult.from_dict(out["result"])
 
     def submit(self, request: MeshRequest,
@@ -611,7 +699,6 @@ class HttpClient(Client):
 
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> Dict[str, Any]:
-        terminal = {s.value for s in TERMINAL_STATES}
         end = (time.monotonic() + timeout
                if timeout is not None else None)
         while True:
@@ -624,7 +711,7 @@ class HttpClient(Client):
             if status == 404:
                 raise ServiceError(out.get("error",
                                            f"unknown job {job_id!r}"))
-            if out.get("state") in terminal:
+            if out.get("state") in TERMINAL_NAMES:
                 return out
             if end is not None and time.monotonic() >= end:
                 return out

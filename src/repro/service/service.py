@@ -27,8 +27,9 @@ import os
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Deque, Dict, Optional, Tuple, Type
 
 from repro.api import MESHER_NAMES, MeshRequest, MeshResult, get_mesher
 from repro.imaging import edt as edt_module
@@ -54,6 +55,11 @@ from repro.service.queue import JobQueue
 
 #: Valid values of :attr:`ServiceConfig.executor`.
 EXECUTORS = ("thread", "process")
+
+#: Terminal jobs kept answerable by id (status polls, result fetches);
+#: older ones are forgotten and answer as unknown ids do.  Each retained
+#: job pins its request image and its result.
+RETAINED_TERMINAL_JOBS = 128
 
 
 @dataclass
@@ -156,6 +162,8 @@ class MeshingService:
             CoalesceRegistry(self) if cfg.coalesce else None
         )
         self._jobs: Dict[str, Job] = {}
+        #: terminal submitted jobs, oldest first (see :meth:`_retire`)
+        self._retired: Deque[Job] = deque()
         self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._meshers: Dict[str, object] = {}
@@ -266,6 +274,7 @@ class MeshingService:
             if job_id in self._jobs and not self._jobs[job_id].done:
                 raise ValueError(f"job id {job_id!r} already active")
             self._jobs[job_id] = job
+        job.add_done_callback(self._retire)
         reg = self.registry
         reg.counter("service.jobs.submitted").inc()
         if self._coalesce is not None and not self._closed:
@@ -290,6 +299,24 @@ class MeshingService:
     def job(self, job_id: str) -> Optional[Job]:
         with self._jobs_lock:
             return self._jobs.get(job_id)
+
+    def _retire(self, job: Job) -> None:
+        """Done-callback of every submitted job: forget the oldest
+        terminal jobs beyond :data:`RETAINED_TERMINAL_JOBS`, each with
+        its ``<id>/s<k>`` sub-jobs.  Only terminal jobs are ever
+        queued here, so a job in flight — and with it the parent of
+        any live sub-job — is never dropped."""
+        with self._jobs_lock:
+            self._retired.append(job)
+            while len(self._retired) > RETAINED_TERMINAL_JOBS:
+                old = self._retired.popleft()
+                if self._jobs.get(old.id) is not old:
+                    continue  # its id was resubmitted since
+                del self._jobs[old.id]
+                prefix = f"{old.id}/s"
+                for sub_id in [k for k in self._jobs
+                               if k.startswith(prefix)]:
+                    del self._jobs[sub_id]
 
     def _register_subjob(self, sub_id: str, parent: Job) -> Optional[Job]:
         """Record one shard of ``parent`` as a visible sub-job.

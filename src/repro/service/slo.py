@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.observability.metrics import LATENCY_BUCKETS, MetricsRegistry
+from repro.observability.metrics import (
+    MetricsRegistry,
+    REQUEST_LATENCY_BUCKETS,
+)
 
 #: The tiers, cheapest first.  Order matters only for reporting.
 TIERS = ("memory_hit", "disk_hit", "coalesced", "block_hit", "full_mesh")
@@ -47,7 +50,8 @@ class SLOTracker:
         # full table (zero rows included), not just tiers already hit.
         self._latency = {
             tier: registry.histogram(
-                f"service.slo.{tier}.latency_seconds", LATENCY_BUCKETS
+                f"service.slo.{tier}.latency_seconds",
+                REQUEST_LATENCY_BUCKETS,
             )
             for tier in TIERS
         }

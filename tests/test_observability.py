@@ -171,6 +171,28 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
+    def test_log_linear_buckets_resolve_ten_percent(self):
+        from repro.observability.metrics import REQUEST_LATENCY_BUCKETS
+        edges = REQUEST_LATENCY_BUCKETS
+        assert edges[0] == 1e-4 and edges[-1] == 100.0
+        assert list(edges) == sorted(set(edges))
+        widths = [(hi - lo) / lo for lo, hi in zip(edges, edges[1:])]
+        assert max(widths) <= 0.10 + 1e-9
+
+    def test_slo_percentiles_tell_20ms_from_30ms(self):
+        """A hit population around 20 ms with a 30 ms tail: the decade
+        edges read both as 0.05; these must be within 10 %."""
+        from repro.service.slo import SLOTracker
+        slo = SLOTracker(MetricsRegistry())
+        for i in range(900):
+            slo.observe("memory_hit", 0.020 + 1e-5 * (i % 41 - 20))
+        for i in range(100):
+            slo.observe("memory_hit", 0.030 + 1e-5 * (i % 41 - 20))
+        tier = slo.snapshot()["tiers"]["memory_hit"]
+        assert tier["p50_seconds"] == pytest.approx(0.020, rel=0.10)
+        assert tier["p95_seconds"] == pytest.approx(0.030, rel=0.10)
+        assert tier["p99_seconds"] == pytest.approx(0.030, rel=0.10)
+
     def test_snapshot_json_safe(self):
         reg = MetricsRegistry()
         reg.counter("a").inc()

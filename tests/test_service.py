@@ -372,6 +372,57 @@ class TestCancelRace:
 
 
 # ---------------------------------------------------------------------------
+# job retention
+# ---------------------------------------------------------------------------
+
+class TestJobRetention:
+    def test_thousand_hits_leave_a_bounded_registry(self, image):
+        from repro.service.service import RETAINED_TERMINAL_JOBS
+
+        request = MeshRequest(image=image, delta=3.0, mesher="sequential")
+        with MeshingService(ServiceConfig(n_workers=2)) as service:
+            first = service.submit(request)
+            assert first.wait(60.0)
+            for _ in range(1000):
+                service.mesh(request, timeout=60.0)
+            last = service.submit(request)
+            assert last.wait(60.0)
+            # Nothing is in flight, so the bound is exactly N.
+            assert len(service._jobs) <= RETAINED_TERMINAL_JOBS
+            assert service.job(first.id) is None  # forgotten, as unknown
+            assert service.job(last.id) is last
+
+    def test_running_job_and_its_subjobs_outlive_newer_hits(
+            self, image, template_result):
+        from repro.service.service import RETAINED_TERMINAL_JOBS
+
+        gate = threading.Event()
+        service = MeshingService(ServiceConfig(n_workers=2)).start()
+        service.register_mesher(
+            "fake", FakeMesher(template_result, block_event=gate))
+        try:
+            parent = service.submit(fake_request(image))
+            sub = service._register_subjob(f"{parent.id}/s0", parent)
+            request = MeshRequest(image=image, delta=3.0,
+                                  mesher="sequential")
+            for _ in range(RETAINED_TERMINAL_JOBS + 10):
+                service.mesh(request, timeout=60.0)
+            # Older than every retained job, but not terminal.
+            assert service.job(parent.id) is parent
+            assert service.job(sub.id) is sub
+            gate.set()
+            assert parent.wait(10.0)
+            for _ in range(RETAINED_TERMINAL_JOBS + 10):
+                service.mesh(request, timeout=60.0)
+            # The sub-job never finished; it goes with its parent.
+            assert service.job(parent.id) is None
+            assert service.job(sub.id) is None
+        finally:
+            gate.set()
+            service.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # facade semantics
 # ---------------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from the outside, like a deployment would.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -18,7 +19,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.api import MeshRequest
+from repro.api import MeshRequest, MeshResult
+from repro.core.extract import ExtractedMesh
 from repro.imaging import sphere_phantom
 from repro.service import (
     HttpClient,
@@ -34,6 +36,7 @@ from repro.service.http import (
     ImageStore,
     MeshGateway,
     PROTOCOL_HEADER,
+    _Handler,
     decode_image_b64,
     encode_image_b64,
     etag_matches,
@@ -219,6 +222,24 @@ class TestGatewayRoutes:
         rejected = next(r for r in results if r[0] == 429)
         assert rejected[1]["state"] == "REJECTED"
         assert rejected[2].get("Retry-After") == "1"
+
+    def test_zero_wait_timeout_does_not_block(self, image, template_block):
+        service, gate = template_block
+        gw = MeshGateway(service)
+        t0 = time.monotonic()
+        status, out, _ = gw.handle(
+            "POST", "/v1/mesh",
+            body=mesh_body(image, wait_timeout=0,
+                           params={"mesher": "fake"}))
+        # 0 used to read as "unset" and wait out the gated mesher.
+        assert time.monotonic() - t0 < 5.0
+        assert status == 202 and out["state"] in ("QUEUED", "RUNNING")
+
+    def test_zero_deadline_has_already_passed(self, gateway, image):
+        status, out, _ = gateway.handle(
+            "POST", "/v1/mesh", body=mesh_body(image, deadline=0))
+        # 0 used to read as "no deadline" and answer 200 DONE.
+        assert status == 504 and out["state"] == "TIMED_OUT"
 
     def test_metricsz_has_slo_section(self, gateway, image):
         gateway.handle("POST", "/v1/mesh", body=mesh_body(image))
@@ -461,6 +482,295 @@ class TestHttpServerAndClient:
                 gate.set()
                 for c in clients:
                     c.close()
+
+
+# ---------------------------------------------------------------------------
+# transport: one write per response, one request per hit
+# ---------------------------------------------------------------------------
+
+def post(url, body, timeout=60.0):
+    """Raw ``POST /v1/mesh``: (status, body bytes, headers)."""
+    req = urllib.request.Request(
+        url + "/v1/mesh", data=json.dumps(body).encode(), method="POST")
+    with urllib.request.urlopen(req, timeout=timeout) as resp:
+        return resp.status, resp.read(), resp.headers
+
+
+def big_result(n_vertices=4000):
+    """A MeshResult whose JSON is over 200 KB (content is arbitrary)."""
+    rng = np.random.default_rng(0)
+    n_tets = n_vertices // 2
+    mesh = ExtractedMesh(
+        vertices=rng.random((n_vertices, 3)),
+        tets=rng.integers(0, n_vertices, (n_tets, 4)),
+        tet_labels=np.ones(n_tets, dtype=np.int32),
+        boundary_faces=rng.integers(0, n_vertices, (100, 3)),
+        boundary_labels=np.ones((100, 2), dtype=np.int32),
+    )
+    return MeshResult(mesh=mesh, mesher="big",
+                      timings={"wall_seconds": 0.0})
+
+
+class Canned:
+    """Overlay mesher returning one prepared result, maybe late."""
+
+    def __init__(self, result, delay=0.0):
+        self.result = result
+        self.delay = delay
+
+    def mesh(self, request):
+        time.sleep(self.delay)
+        return self.result
+
+
+@pytest.fixture()
+def wire_log(monkeypatch):
+    """What each accepted connection looks like from the server side:
+    its ``TCP_NODELAY`` flag and the size of every socket write."""
+    log = {"nodelay": [], "writes": []}
+
+    class CountingWriter:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def write(self, data):
+            log["writes"].append(len(data))
+            return self.inner.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    plain_setup = _Handler.setup
+
+    def setup(handler):
+        plain_setup(handler)
+        log["nodelay"].append(handler.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        handler.wfile = CountingWriter(handler.wfile)
+
+    monkeypatch.setattr(_Handler, "setup", setup)
+    return log
+
+
+class CountingClient(HttpClient):
+    def __init__(self, *args, **kwargs):
+        self.calls = []
+        super().__init__(*args, **kwargs)
+
+    def _request(self, method, path, body=None):
+        self.calls.append((method, path))
+        return super()._request(method, path, body)
+
+
+class TestTransport:
+    def test_nodelay_and_a_single_write_per_response(
+            self, service, image, wire_log):
+        service.register_mesher("big", Canned(big_result()))
+        with MeshHTTPServer(service) as server:
+            with urllib.request.urlopen(server.url + "/healthz",
+                                        timeout=10) as resp:
+                small = resp.read()
+            _, big, _ = post(server.url, mesh_body(
+                image, return_mesh=True, params={"mesher": "big"}))
+        assert len(small) < 1000 and len(big) > 200_000
+        # urllib opens one connection per request.
+        assert len(wire_log["nodelay"]) == 2 and all(wire_log["nodelay"])
+        # Head and body together, whatever the size.
+        assert len(wire_log["writes"]) == 2
+        assert wire_log["writes"][0] > len(small)
+        assert wire_log["writes"][1] > len(big)
+
+    def test_memory_hit_is_one_request(self, service, image):
+        request = MeshRequest(image=image, delta=3.0, mesher="sequential")
+        with MeshHTTPServer(service) as server:
+            with CountingClient(*server.address) as client:
+                cold = client.mesh(request)
+                del client.calls[:]
+                warm = client.mesh(request)
+                assert client.calls == [("POST", "/v1/mesh")]
+        np.testing.assert_array_equal(warm.mesh.tets, cold.mesh.tets)
+
+    def test_zero_timeout_times_out_promptly(self, image, template_block):
+        service, gate = template_block
+        with MeshHTTPServer(service) as server:
+            with connect(server.url) as client:
+                t0 = time.monotonic()
+                with pytest.raises(ServiceError,
+                                   match="timed out waiting"):
+                    client.mesh(MeshRequest(image=image, mesher="fake"),
+                                timeout=0)
+                assert time.monotonic() - t0 < 5.0
+
+    def test_slow_job_falls_back_to_the_wait_loop(
+            self, service, image, monkeypatch):
+        """A POST cut short by the long-poll cap hands over to
+        ``wait()`` + ``?result=1``; the mesh still arrives."""
+        from repro.api import mesh as run_mesh
+        from repro.service import http as http_mod
+
+        template = run_mesh(MeshRequest(image=image, delta=3.0,
+                                        mesher="sequential"))
+        monkeypatch.setattr(http_mod, "MAX_WAIT", 0.1)
+        service.register_mesher("fake", Canned(template, delay=0.5))
+        with MeshHTTPServer(service) as server:
+            with CountingClient(*server.address) as client:
+                result = client.mesh(
+                    MeshRequest(image=image, mesher="fake"), timeout=30.0)
+                paths = [path for _, path in client.calls]
+        assert result.n_tets == template.n_tets
+        assert any("?wait=" in p for p in paths)
+        assert paths[-1].endswith("?result=1")
+
+
+# ---------------------------------------------------------------------------
+# wire bytes: the disk artifact is the response's "result"
+# ---------------------------------------------------------------------------
+
+def assert_body_is_job_result(service, raw):
+    out = json.loads(raw)
+    job = service.job(out["id"])
+    assert out["state"] == "DONE" and out["ok"] is True
+    assert out["result"] == job.result.to_dict()
+    return job
+
+
+class TestWireBytes:
+    @pytest.fixture()
+    def serialisations(self, monkeypatch):
+        """Every call of the one mesh-JSON producer, by the cache."""
+        from repro.service import cache as cache_mod
+        calls = []
+        plain = cache_mod.mesh_json_bytes
+
+        def counted(result):
+            calls.append(result)
+            return plain(result)
+
+        monkeypatch.setattr(cache_mod, "mesh_json_bytes", counted)
+        return calls
+
+    def test_every_tier_answers_the_jobs_own_result(
+            self, image, tmp_path, serialisations):
+        body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
+        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
+        with MeshingService(config) as service:
+            with MeshHTTPServer(service) as server:
+                fresh = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+                memory = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+        assert (fresh.tier, memory.tier) == ("full_mesh", "memory_hit")
+        with MeshingService(config) as service:  # cold memory, warm disk
+            with MeshHTTPServer(service) as server:
+                disk = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+                again = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+        assert (disk.tier, again.tier) == ("disk_hit", "memory_hit")
+        assert disk.result.to_dict() == fresh.result.to_dict()
+        # Serialised once, by the put; each hit sent the file instead.
+        assert len(serialisations) == 1
+
+    def test_coalesced_follower_answers_the_leaders_result(
+            self, image, tmp_path):
+        service = MeshingService(ServiceConfig(
+            n_workers=2, cache_dir=str(tmp_path))).start()
+        started, gate = threading.Event(), threading.Event()
+
+        class Gated:
+            def mesh(self, request):
+                started.set()
+                gate.wait(10.0)
+                from repro.api import mesh as run_mesh
+                return run_mesh(MeshRequest(image=request.image,
+                                            delta=3.0,
+                                            mesher="sequential"))
+
+        service.register_mesher("fake", Gated())
+        body = mesh_body(image, return_mesh=True,
+                         params={"mesher": "fake"})
+        bodies = []
+        try:
+            with MeshHTTPServer(service) as server:
+                threads = [threading.Thread(
+                    target=lambda: bodies.append(post(server.url, body)[1]))
+                    for _ in range(2)]
+                threads[0].start()
+                assert started.wait(10.0)
+                threads[1].start()
+                end = time.monotonic() + 10.0
+                while (time.monotonic() < end and service.registry.counter(
+                        "service.coalesce.followers").value < 1):
+                    time.sleep(0.005)
+                gate.set()
+                for t in threads:
+                    t.join(30.0)
+                assert len(bodies) == 2
+                jobs = [assert_body_is_job_result(service, raw)
+                        for raw in bodies]
+            assert sorted(j.tier for j in jobs) == ["coalesced",
+                                                    "full_mesh"]
+            assert jobs[0].result is jobs[1].result
+        finally:
+            gate.set()
+            service.shutdown()
+
+    @pytest.mark.parametrize("damage", ["truncate", "overwrite"])
+    def test_damaged_artifact_is_caught_not_served(
+            self, image, tmp_path, damage):
+        body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
+        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
+        with MeshingService(config) as service:
+            with MeshHTTPServer(service) as server:
+                job = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+                path = service.cache._path("mesh", job.keys[1], ".json")
+                good = path.read_bytes()
+                if damage == "truncate":
+                    path.write_bytes(good[:len(good) // 2])
+                else:  # same length, still JSON, another mesh
+                    path.write_bytes(good.replace(b"1", b"2"))
+                # The mesh is memory-resident: only the file is bad.
+                hit = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+                assert hit.tier == "memory_hit"
+                assert service.cache.stats["corrupt"] == 1
+                assert not path.exists()
+                # Later hits serialise; they do not count it again.
+                assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+                assert service.cache.stats["corrupt"] == 1
+                # The next put restores the artifact, byte for byte.
+                service.cache.put_mesh(job.keys[1], job.result)
+                assert path.read_bytes() == good
+                assert post(server.url, body)[1].endswith(
+                    b', "result": ' + good + b"}")
+
+    def test_memory_only_cache_serves_correctly(self, service, image):
+        assert service.cache.root is None
+        body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
+        with MeshHTTPServer(service) as server:
+            for tier in ("full_mesh", "memory_hit"):
+                job = assert_body_is_job_result(
+                    service, post(server.url, body)[1])
+                assert job.tier == tier
+
+    def test_post_etag_revalidates_with_empty_304(self, image, tmp_path):
+        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
+        with MeshingService(config) as service:
+            with MeshHTTPServer(service) as server:
+                _, raw, headers = post(server.url, mesh_body(
+                    image, return_mesh=True, params={"delta": 3.0}))
+                etag = headers["ETag"]
+                req = urllib.request.Request(
+                    server.url + f"/v1/jobs/{json.loads(raw)['id']}"
+                    "?result=1", headers={"If-None-Match": etag})
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(req, timeout=10)
+                assert err.value.code == 304
+                assert err.value.headers["ETag"] == etag
+                assert err.value.headers["Content-Length"] == "0"
+                assert err.value.read() == b""
 
 
 # ---------------------------------------------------------------------------
