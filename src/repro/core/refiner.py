@@ -4,7 +4,12 @@ This is the single-threaded reference implementation of the paper's
 refinement loop: seed a Poor Element List with the virtual bounding
 volume's elements, then repeatedly pop an element, apply the first
 applicable rule (R1-R6 via :meth:`RefineDomain.refine_tet`), and queue
-any newly created poor elements, until no rule applies anywhere.
+every element the operation created, until no rule applies anywhere.
+The PEL holds *candidates*, not verdicts: a tet born during refinement
+is judged once, by ``refine_tet`` when it is popped (most die in a
+later cavity before their turn), so ``n_operations`` counts pops,
+including the ones no rule applied to.  ``RefineDomain.is_poor`` only
+screens the mesh that exists before the loop starts.
 
 With an :class:`~repro.observability.Observability` bundle attached the
 refiner feeds the run's metrics registry (operation / rule counters,
@@ -61,10 +66,10 @@ class SequentialRefiner:
         self.obs = obs
         #: ``seed_filter(live_tet_ids) -> bool mask``: restricts the
         #: initial PEL seed scan to a region of interest (the seam-local
-        #: stitch).  Tets created *during* refinement are still screened
-        #: unconditionally — rule side effects stay local to the seeds'
-        #: cavities, so the restriction is only about skipping the
-        #: per-tet scalar screen on already-refined bulk.
+        #: stitch).  Tets created *during* refinement are always queued
+        #: — rule side effects stay local to the seeds' cavities, so the
+        #: restriction is only about skipping the per-tet scalar screen
+        #: on already-refined bulk.
         self.seed_filter = seed_filter
         # Predicate-filter counters are process-wide; snapshot so the
         # published kernel stats cover exactly this run.
@@ -146,7 +151,7 @@ class SequentialRefiner:
             if result.skipped:
                 continue
             for nt in result.new_tets:
-                if domain.tri.mesh.is_live(nt) and domain.is_poor(nt):
+                if mesh_store.is_live(nt):
                     pel.push(nt)
 
         self.stats.wall_time = time.perf_counter() - t_start

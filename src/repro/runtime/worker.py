@@ -101,16 +101,13 @@ def refinement_worker(ctx: ExecutionContext, env: WorkerEnv) -> None:
             # thread is the vertex's home.
             domain.vertex_creator[result.inserted_vertex] = ctx.thread_id
 
-        # Classify the new elements while the operation's locks are still
-        # held (commit releases them): classifying after release would
-        # race with concurrent mutations of the fresh region and could
-        # silently drop a bad element from every PEL.
-        poor = []
+        # Every live new element is a candidate; refine_tet judges it
+        # when it is popped.  Liveness is read while the operation's
+        # locks are still held (commit releases them), so no peer can
+        # have recycled a slot yet.
+        born = []
         if not result.skipped:
-            poor = [
-                nt for nt in result.new_tets
-                if mesh.is_live(nt) and domain.is_poor(nt)
-            ]
+            born = [nt for nt in result.new_tets if mesh.is_live(nt)]
 
         ctx.stats.n_rollbacks += result.r6_conflicts
         ctx.commit_operation(env.cost_of(result, elapsed, ctx))
@@ -131,7 +128,7 @@ def refinement_worker(ctx: ExecutionContext, env: WorkerEnv) -> None:
                 tracer.complete(result.rule, t_op0, ctx.now() - t_op0, tid)
         env.cm.on_success(ctx)
 
-        if not poor:
+        if not born:
             continue
         if my_pel.live_count >= env.give_threshold:
             beggar = env.bl.pop_beggar(ctx.thread_id)
@@ -145,10 +142,10 @@ def refinement_worker(ctx: ExecutionContext, env: WorkerEnv) -> None:
                 surplus = (my_pel.live_count - env.give_threshold) // 2
                 donation = my_pel.take_oldest(max(1, surplus))
                 if donation:
-                    for nt in poor:
+                    for nt in born:
                         my_pel.push(nt)
                 else:
-                    donation = poor
+                    donation = born
                 for nt in donation:
                     env.pels[beggar].push(nt)
                 pl = env.placement
@@ -168,5 +165,5 @@ def refinement_worker(ctx: ExecutionContext, env: WorkerEnv) -> None:
                                        to=beggar, n=len(donation))
                 env.bl.wake(beggar)
                 continue
-        for nt in poor:
+        for nt in born:
             my_pel.push(nt)
