@@ -85,6 +85,11 @@ class MeshRequest:
     #: blocks whose crop bytes changed.  No effect when ``shards <= 1``.
     incremental: bool = True
     # -- guard rails ----------------------------------------------------
+    #: upper bound on refinement *pops*; exceeding it raises.  Every tet
+    #: a cavity creates is queued and judged once when popped, so pops
+    #: that apply no rule count too (``stats["operations"]``,
+    #: ``rule_counts["none"]``): a mesh needs about 20-50 % more
+    #: operations than when new tets were screened at birth.
     max_operations: Optional[int] = None
     timeout: Optional[float] = None
     # -- observability --------------------------------------------------

@@ -169,23 +169,21 @@ class RefineDomain:
         wrong and would make every remote circumball look like it crosses
         the surface.
         """
-        return math.dist(p, self._nearest_surface_site(p))
+        return math.dist(p, self.oracle.nearest_surface_voxel(p))
 
-    def _nearest_surface_site(self, p: Sequence[float]):
-        """World center of the surface voxel the EDT maps ``p``'s voxel to."""
-        image = self.image
-        i, j, k = image.voxel_of(p)
-        flat = int(self.oracle.edt.feature[i, j, k])
-        sh = image.shape
-        si, rem = divmod(flat, sh[1] * sh[2])
-        sj, sk = divmod(rem, sh[2])
-        return image.voxel_center((si, sj, sk))
+    def _ball_reaches_site(self, c, r: float, site) -> bool:
+        """Conservative circumball-vs-isosurface test, given the surface
+        site nearest to the center ``c``."""
+        return r == math.inf or math.dist(c, site) <= r + self._surface_slack
 
-    def ball_intersects_surface(self, c, r: float) -> bool:
-        """Conservative circumball-vs-isosurface intersection test."""
-        if r == math.inf:
-            return True
-        return self.surface_distance(c) <= r + self._surface_slack
+    def _r1_blocked_near(self, site) -> bool:
+        """R1 is blocked without asking the oracle: the candidate ``z``
+        lies within one voxel diagonal of ``site``, so an isosurface
+        vertex within ``delta - slack`` of ``site`` is within ``delta``
+        of ``z``.  Blocking is permanent — isosurface samples are never
+        removed."""
+        reach = self.delta - self._surface_slack
+        return reach > 0.0 and self.iso_grid.any_within(site, reach)
 
     def point_inside_object(self, p) -> bool:
         return self.image.label_at(p) != 0
@@ -194,11 +192,14 @@ class RefineDomain:
     # classification
     # ------------------------------------------------------------------
     def is_poor(self, t: int, se: Optional[float] = None) -> bool:
-        """Cheap filter: could any rule apply to live tet ``t``?
+        """Seed screen: could any rule apply to live tet ``t``?
 
-        Used when deciding whether a freshly created element goes on a
-        Poor Element List.  May rarely report True for an element whose
-        R1 insertion is delta-blocked; the apply step re-checks.
+        Decides which tets of a mesh that exists *before* a refinement
+        loop starts (bounding simplex, bulk-loaded stitch points) are
+        pushed on a Poor Element List.  Tets born during refinement are
+        not screened: they are all queued and :meth:`refine_tet` judges
+        each one when it is popped.  Conservative — it may report True
+        for an element whose R1 insertion is delta-blocked.
 
         ``se`` optionally supplies the tet's shortest edge length when
         the caller already computed it — the seeding pass screens all
@@ -207,21 +208,11 @@ class RefineDomain:
         per-tet value down here instead of recomputing it scalar-wise.
         """
         c, r = self.circumball(t)
-        if self.ball_intersects_surface(c, r):
+        site = self.oracle.nearest_surface_voxel(c)
+        if self._ball_reaches_site(c, r, site):
             if r > 2.0 * self.delta:
                 return True  # R2 will fire regardless of R1's sample check
-            # R1: blocked if an isosurface vertex already sits within
-            # delta of the candidate z (within one voxel of the nearest
-            # surface site q).  Blocking is permanent — isosurface
-            # samples are never removed — so a tet rejected here never
-            # needs re-queueing for R1/R2.
-            slack = self._surface_slack
-            if not (
-                self.delta > slack
-                and self.iso_grid.any_within(
-                    self._nearest_surface_site(c), self.delta - slack
-                )
-            ):
+            if not self._r1_blocked_near(site):
                 return True
         if self.point_inside_object(c):
             if r > self.sf(c):
@@ -272,11 +263,13 @@ class RefineDomain:
     # operations
     # ------------------------------------------------------------------
     def refine_tet(self, t: int, touch: TouchFn = None) -> OperationResult:
-        """Apply the first applicable rule to live tet ``t``.
+        """Judge live tet ``t``: apply the first applicable rule.
 
-        Returns an :class:`OperationResult`; ``skipped`` is set when no
-        rule applies (the element became acceptable) or a degenerate
-        insertion had to be abandoned.  Rollback signals from ``touch``
+        The one verdict a tet born during refinement ever gets (the
+        loops call this once per pop).  Returns an
+        :class:`OperationResult`; ``skipped`` is set when no rule
+        applies (``rule="none"``) or a degenerate insertion had to be
+        abandoned.  Rollback signals from ``touch``
         propagate to the caller before any mutation.
         """
         mesh = self.tri.mesh
@@ -295,22 +288,11 @@ class RefineDomain:
             if mesh.tet_verts_arr[t].tolist() != verts:
                 raise RollbackSignal(owner=-1)
         c, r = self.circumball(t)
-        intersects = self.ball_intersects_surface(c, r)
+        site = self.oracle.nearest_surface_voxel(c)
 
         # ---- R1 ----
-        if intersects:
-            # Cheap pre-check: the candidate z lies within one voxel
-            # diagonal of the nearest surface-voxel center q, so an
-            # isosurface vertex within (delta - slack) of q blocks R1
-            # without paying for the ray march.
-            slack = self._surface_slack
-            skip_march = (
-                self.delta > slack
-                and self.iso_grid.any_within(
-                    self._nearest_surface_site(c), self.delta - slack
-                )
-            )
-            if not skip_march:
+        if self._ball_reaches_site(c, r, site):
+            if not self._r1_blocked_near(site):
                 z = self.oracle.closest_surface_point(c)
                 if z is not None and not self.iso_grid.any_within(z, self.delta):
                     return self._insert_point(

@@ -382,7 +382,10 @@ def mesh_block(image: SegmentedImage, block: Block, plan: ShardPlan,
 #: Version of the per-block export and stitch-delta artifact formats.
 #: Bump to orphan every cached block / stitch artifact after a semantic
 #: change to ``refine_block``, the export schema, or the stitch protocol.
-BLOCK_FORMAT_VERSION = 1
+#: 2: the surface oracle returns exact voxel-face crossings; seam-local
+#: reuse matches ``removed`` points by exact bytes, so blocks and deltas
+#: recorded under the sampled oracle (1) must not sit beside new ones.
+BLOCK_FORMAT_VERSION = 2
 
 
 def _params_blob(delta: float, radius_edge_bound: float,

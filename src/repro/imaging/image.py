@@ -108,9 +108,11 @@ class SegmentedImage:
 
     def voxel_center(self, idx: Sequence[int]) -> Point:
         """World coordinate of the center of voxel ``idx``."""
-        return tuple(
-            self.origin[i] + (idx[i] + 0.5) * self.spacing[i] for i in range(3)
-        )
+        ox, oy, oz = self.origin
+        sx, sy, sz = self.spacing
+        return (ox + (idx[0] + 0.5) * sx,
+                oy + (idx[1] + 0.5) * sy,
+                oz + (idx[2] + 0.5) * sz)
 
     def label_at(self, p: Sequence[float]) -> int:
         """Label of the voxel containing world point ``p``.

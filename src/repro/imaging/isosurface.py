@@ -6,12 +6,12 @@ Implements the Section 3 machinery:
   different label (image-boundary foreground voxels count: the outside
   is background);
 * *closest isosurface point* — given a point ``p``, the EDT feature
-  transform yields the nearest surface voxel ``q``; the segment ``p-q``
-  (extended through ``q``) is marched in small intervals and the exact
-  crossing is refined by bisection between the two differing labels
-  (paper's interpolation step [57]);
+  transform yields the nearest surface voxel ``q``; the ray from ``p``
+  through ``q`` is walked voxel by voxel (Amanatides-Woo) and the first
+  voxel face across which the label changes is the isosurface — the
+  crossing is the exact point where the ray pierces that face;
 * *surface centers* — the intersection of a Voronoi edge ``V(f)`` with
-  the isosurface, computed by the same march/bisection along the edge.
+  the isosurface, computed by the same traversal along the edge.
 """
 
 from __future__ import annotations
@@ -80,47 +80,47 @@ class SurfaceOracle:
             self.edt = euclidean_feature_transform(
                 self.surface_mask, image.spacing
             )
-        self._march_step = 0.25 * image.min_spacing
 
     # ------------------------------------------------------------------
     def nearest_surface_voxel(self, p: Sequence[float]) -> Point:
-        """World center of the surface voxel nearest to ``p``."""
-        idx = self.image.voxel_of(p)
-        site = self.edt.nearest_site_index(idx)
-        return self.image.voxel_center(site)
+        """World center of the surface voxel nearest to ``p``: the site
+        the EDT maps ``p``'s (clamped) voxel to."""
+        image = self.image
+        i, j, k = image.voxel_of(p)
+        _, ny, nz = image.shape
+        si, rem = divmod(int(self.edt.feature[i, j, k]), ny * nz)
+        sj, sk = divmod(rem, nz)
+        return image.voxel_center((si, sj, sk))
 
     def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
         """A point on the isosurface close to ``p`` (Section 3's p-hat).
 
-        Marches the ray from ``p`` through the nearest surface voxel and
-        refines the first label crossing by bisection.  Returns ``None``
-        when no crossing is found (degenerate query far outside the
-        image).
+        Walks the ray from ``p`` through the nearest surface voxel and
+        returns its first label crossing.  Returns ``None`` when no
+        crossing is found (degenerate query far outside the image).
         """
         q = self.nearest_surface_voxel(p)
         d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
         length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        overshoot = 2.0 * max(self.image.spacing)
+        sp = self.image.spacing
+        overshoot = 2.0 * max(sp)
         if length == 0.0:
             # p sits exactly on a surface voxel center: a label change
             # lies within one voxel in at least one axis direction (that
             # is what makes the voxel a surface voxel).
-            sp = self.image.spacing
             for axis in range(3):
                 for sign in (1.0, -1.0):
                     d = [0.0, 0.0, 0.0]
                     d[axis] = sign * sp[axis]
-                    hit = self._march_segment(
-                        p, tuple(d), sp[axis] + overshoot, sp[axis]
+                    hit = self._first_crossing(
+                        p, d, 1.0 + overshoot / sp[axis]
                     )
                     if hit is not None:
                         return hit
             return None
         # Extend past q: the actual label interface lies within one voxel
         # of the surface voxel center.
-        return self._march_segment(
-            p, d, length + overshoot, length
-        )
+        return self._first_crossing(p, d, 1.0 + overshoot / length)
 
     def surface_crossing(self, a: Sequence[float], b: Sequence[float]
                          ) -> Optional[Point]:
@@ -132,42 +132,133 @@ class SurfaceOracle:
         surface center ``c_surf(f)`` (rule R3).
         """
         d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if length == 0.0:
+        if d == (0.0, 0.0, 0.0):
             return None
-        return self._march_segment(a, d, length, length)
+        return self._first_crossing(a, d, 1.0)
 
     # ------------------------------------------------------------------
-    def _march_segment(self, a, d, march_length, d_length) -> Optional[Point]:
-        """March from ``a`` along ``d`` (of length ``d_length``) up to
-        ``march_length``, bisecting the first label change."""
-        label_at = self.image.label_at
-        step = self._march_step
-        inv = 1.0 / d_length
-        ux, uy, uz = d[0] * inv, d[1] * inv, d[2] * inv
-        n_steps = max(1, int(math.ceil(march_length / step)))
-        prev_t = 0.0
-        prev_label = label_at(a)
-        for k in range(1, n_steps + 1):
-            t = min(k * step, march_length)
-            pt = (a[0] + ux * t, a[1] + uy * t, a[2] + uz * t)
-            lab = label_at(pt)
-            if lab != prev_label:
-                return self._bisect(a, (ux, uy, uz), prev_t, t, prev_label)
-            prev_t = t
-            prev_label = lab
-        return None
+    def _first_crossing(self, a, d, t_max: float) -> Optional[Point]:
+        """First point of ``a + t*d``, ``0 <= t <= t_max``, where the
+        label changes (``d`` non-zero, any length).
 
-    def _bisect(self, a, u, t_lo, t_hi, lab_lo) -> Point:
-        """Bisection refinement of a label crossing to ~1e-3 voxel."""
-        label_at = self.image.label_at
-        tol = 1e-3 * self.image.min_spacing
-        while t_hi - t_lo > tol:
-            mid = 0.5 * (t_lo + t_hi)
-            pt = (a[0] + u[0] * mid, a[1] + u[1] * mid, a[2] + u[2] * mid)
-            if label_at(pt) == lab_lo:
-                t_lo = mid
-            else:
-                t_hi = mid
-        t = 0.5 * (t_lo + t_hi)
-        return (a[0] + u[0] * t, a[1] + u[1] * t, a[2] + u[2] * t)
+        Amanatides-Woo traversal in voxel coordinates: every voxel the
+        ray crosses is visited once, and the crossing is the exact point
+        on the face between the two differing voxels.  Outside the image
+        is background, so the ray is clipped to the image box before the
+        walk, and a box face is a crossing where foreground touches the
+        border.  Faces reached at the same ``t`` (a ray through a voxel
+        edge or corner) are stepped together: voxels the ray only
+        touches are not visited.
+        """
+        image = self.image
+        ox, oy, oz = image.origin
+        sx, sy, sz = image.spacing
+        nx, ny, nz = image.shape
+        rx, ry, rz = (a[0] - ox) / sx, (a[1] - oy) / sy, (a[2] - oz) / sz
+        vx, vy, vz = d[0] / sx, d[1] / sy, d[2] / sz
+
+        # Clip to the box: the ray is in background until it enters at t.
+        t = 0.0
+        outside = not (0.0 <= rx < nx and 0.0 <= ry < ny and 0.0 <= rz < nz)
+        if outside:
+            t_exit = math.inf
+            for r, v, n in ((rx, vx, nx), (ry, vy, ny), (rz, vz, nz)):
+                if v > 0.0:
+                    t_in, t_out = -r / v, (n - r) / v
+                elif v < 0.0:
+                    t_in, t_out = (n - r) / v, -r / v
+                elif 0.0 <= r < n:
+                    continue
+                else:
+                    return None
+                if t_in > t:
+                    t = t_in
+                if t_out < t_exit:
+                    t_exit = t_out
+            if t >= t_exit or t > t_max:
+                return None
+
+        # Per axis: f is the next face (voxel units), e the face past the
+        # box, st the index step; t? is where the ray reaches face f.
+        if outside:
+            # Rounding can put the entry point a hair beyond a box face
+            # the ray has already passed.
+            i = min(max(math.floor(rx + t * vx), 0), nx - 1)
+            j = min(max(math.floor(ry + t * vy), 0), ny - 1)
+            k = min(max(math.floor(rz + t * vz), 0), nz - 1)
+        else:
+            i, j, k = int(rx), int(ry), int(rz)
+        stx = sty = stz = 0
+        fx, fy, fz = i, j, k
+        ex = ey = ez = -2
+        tx = ty = tz = math.inf
+        if vx > 0.0:
+            stx, fx, ex = 1, i + 1, nx + 1
+        elif vx < 0.0:
+            stx, ex = -1, -1
+        if vy > 0.0:
+            sty, fy, ey = 1, j + 1, ny + 1
+        elif vy < 0.0:
+            sty, ey = -1, -1
+        if vz > 0.0:
+            stz, fz, ez = 1, k + 1, nz + 1
+        elif vz < 0.0:
+            stz, ez = -1, -1
+        if stx:
+            tx = (fx - rx) / vx
+        if sty:
+            ty = (fy - ry) / vy
+        if stz:
+            tz = (fz - rz) / vz
+        ax, ay = stx * ny * nz, sty * nz
+        labels = memoryview(image.labels.reshape(-1))
+        at = (i * ny + j) * nz + k
+        label = labels[at]
+
+        if not outside or label == 0:
+            left_box = False
+            while True:
+                if tx <= ty and tx <= tz:
+                    t = tx
+                    if t > t_max:
+                        return None
+                    fx += stx
+                    at += ax
+                    tx = (fx - rx) / vx
+                    left_box = left_box or fx == ex
+                    if ty == t or tz == t:
+                        continue
+                elif ty <= tz:
+                    t = ty
+                    if t > t_max:
+                        return None
+                    fy += sty
+                    at += ay
+                    ty = (fy - ry) / vy
+                    left_box = left_box or fy == ey
+                    if tz == t:
+                        continue
+                else:
+                    t = tz
+                    if t > t_max:
+                        return None
+                    fz += stz
+                    at += stz
+                    tz = (fz - rz) / vz
+                    left_box = left_box or fz == ez
+                if left_box:
+                    if label == 0:
+                        return None
+                    break
+                if labels[at] != label:
+                    break
+
+        # The crossing: a + t*d, exactly on every face reached at t.
+        px, py, pz = a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]
+        if stx and (fx - stx - rx) / vx == t:
+            px = ox + (fx - stx) * sx
+        if sty and (fy - sty - ry) / vy == t:
+            py = oy + (fy - sty) * sy
+        if stz and (fz - stz - rz) / vz == t:
+            pz = oz + (fz - stz) * sz
+        return (px, py, pz)

@@ -16,8 +16,15 @@ from repro.core import _mesh_image as mesh_image
 from repro.core.domain import RefineDomain, VertexKind
 from repro.core.refiner import SequentialRefiner
 from repro.geometry.quality import radius_edge_ratio, tet_volume
-from repro.imaging import shell_phantom, sphere_phantom, two_spheres_phantom
+from repro.imaging import (
+    abdominal_phantom,
+    near_duplicate_phantom,
+    shell_phantom,
+    sphere_phantom,
+    two_spheres_phantom,
+)
 from repro.metrics import hausdorff_distance, quality_report
+from repro.parallel import _parallel_mesh_image as parallel_mesh_image
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +192,69 @@ class TestDomainInternals:
         # Before refinement the simplex's circumcenter may or may not be
         # inside; extraction must not crash either way.
         assert m.n_tets >= 0
+
+
+def _topology(domain):
+    mesh = domain.tri.mesh
+    return sorted(tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets())
+
+
+PHANTOMS = {
+    "sphere": lambda: (sphere_phantom(16), 2.5),
+    "abdominal": lambda: (abdominal_phantom(24), None),
+    "near_duplicate": lambda: (near_duplicate_phantom(24), 2.0),
+}
+
+
+class TestJudgedAtPop:
+    """The PEL holds candidates and ``refine_tet`` is the only judge of
+    tets born during refinement: nothing may be left for it to do when
+    the loop ends, and the pops it waved through still count."""
+
+    @staticmethod
+    def _assert_fixed_point(domain):
+        before = _topology(domain)
+        for t in list(domain.tri.mesh.live_tets()):
+            result = domain.refine_tet(t)
+            assert result.skipped, (t, result.rule)
+        assert _topology(domain) == before
+
+    @pytest.mark.parametrize("phantom", PHANTOMS)
+    def test_sequential_run_ends_at_a_fixed_point(self, phantom):
+        image, delta = PHANTOMS[phantom]()
+        domain = RefineDomain(image, delta=delta)
+        SequentialRefiner(domain, max_operations=200_000).refine()
+        self._assert_fixed_point(domain)
+
+    @pytest.mark.parametrize("phantom", PHANTOMS)
+    def test_two_thread_run_ends_at_a_fixed_point(self, phantom):
+        image, delta = PHANTOMS[phantom]()
+        res = parallel_mesh_image(image, n_threads=2, delta=delta,
+                                  timeout=240.0)
+        self._assert_fixed_point(res.domain)
+
+    def test_no_op_pops_are_operations(self):
+        image, delta = PHANTOMS["sphere"]()
+        stats = SequentialRefiner(RefineDomain(image, delta=delta)).refine()
+        assert stats.n_operations == sum(stats.rule_counts.values())
+        assert stats.rule_counts["none"] > stats.n_insertions
+
+        # max_operations bounds pops, not insertions: the run needs every
+        # one of its pops, most of which change nothing.
+        exact = SequentialRefiner(RefineDomain(image, delta=delta),
+                                  max_operations=stats.n_operations)
+        assert exact.refine().n_operations == stats.n_operations
+        short = SequentialRefiner(RefineDomain(image, delta=delta),
+                                  max_operations=stats.n_operations - 1)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            short.refine()
+
+    def test_one_thread_is_the_sequential_run(self):
+        image, delta = PHANTOMS["abdominal"]()
+        domain = RefineDomain(image, delta=delta)
+        stats = SequentialRefiner(domain).refine()
+        res = parallel_mesh_image(image, n_threads=1, delta=delta,
+                                  timeout=240.0)
+        assert _topology(res.domain) == _topology(domain)
+        assert res.totals["operations"] == stats.n_operations
+        assert res.totals["insertions"] == stats.n_insertions

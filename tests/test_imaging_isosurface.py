@@ -1,10 +1,16 @@
 """Tests for surface-voxel detection and the SurfaceOracle queries."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from repro.api import MeshRequest, mesh
+from repro.core.domain import VertexKind
 from repro.imaging import (
     SegmentedImage,
     SurfaceOracle,
@@ -13,6 +19,8 @@ from repro.imaging import (
     surface_voxel_mask,
     two_spheres_phantom,
 )
+from repro.metrics import hausdorff_distance
+from repro.metrics.validate import validate_extracted_mesh
 
 
 class TestSurfaceVoxels:
@@ -150,3 +158,163 @@ class TestSurfaceOracle:
             p = tuple(rng.uniform(2, 22, size=3))
             q = oracle.nearest_surface_voxel(p)
             assert oracle.surface_mask[img.voxel_of(q)]
+
+    def test_query_at_surface_voxel_center(self):
+        # Zero-length ray to the nearest site: the crossing is a face of
+        # that voxel, half a voxel away along some axis.
+        lab = np.zeros((5, 5, 5), dtype=np.int16)
+        lab[1:4, 1:4, 1:4] = 1
+        img = SegmentedImage(lab, spacing=(1.0, 1.0, 2.5))
+        oracle = SurfaceOracle(img)
+        p = img.voxel_center((3, 2, 2))
+        assert oracle.nearest_surface_voxel(p) == p
+        assert oracle.closest_surface_point(p) == (4.0, p[1], p[2])
+
+    def test_oracle_copies_and_pickles(self):
+        oracle = SurfaceOracle(sphere_phantom(12))
+        p = (2.25, 6.5, 7.0)
+        expected = oracle.closest_surface_point(p)
+        assert expected is not None
+        for clone in (copy.deepcopy(oracle),
+                      pickle.loads(pickle.dumps(oracle))):
+            assert clone.closest_surface_point(p) == expected
+
+
+# ----------------------------------------------------------------------
+# voxel traversal against dense sampling
+# ----------------------------------------------------------------------
+# Every case lives on a lattice where float arithmetic is exact: spacing
+# and origin are dyadic, the start is on the quarter-voxel lattice and the
+# direction is a small integer vector (voxel units), scaled by a number of
+# quarters.  Two faces are then reached either at exactly the same t or
+# at least 1/36 of the direction vector apart, so the reference — label_at
+# at N midpoints, at least 64 per voxel along the dominant axis, none of
+# which can fall on a voxel face — sees every voxel the ray crosses and
+# none it only touches.
+
+_SPACINGS = [(1.0, 1.0, 1.0), (1.0, 1.0, 2.5), (0.5, 0.75, 2.0)]
+_ORIGINS = [(0.0, 0.0, 0.0), (-3.5, 10.0, 0.25)]
+
+
+@st.composite
+def _ray_cases(draw):
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    size = shape[0] * shape[1] * shape[2]
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=size,
+                               max_size=size).filter(any))
+    else:
+        # one tissue with a few odd voxels: long uniform runs, so rays
+        # also end, leave the box and re-enter before any label changes
+        labels = [draw(st.integers(0, 2))] * size
+        for at in draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                max_size=3)):
+            labels[at] = (labels[at] + draw(st.integers(1, 2))) % 3
+        assume(any(labels))
+    start = tuple(draw(st.integers(-8, 4 * shape[c] + 8)) for c in range(3))
+    direction = tuple(draw(st.integers(-3, 3)) for _ in range(3))
+    return (shape, labels, draw(st.sampled_from(_SPACINGS)),
+            draw(st.sampled_from(_ORIGINS)), start, direction,
+            draw(st.integers(0, 24)))
+
+
+_BLOCK = ((2, 2, 2), [1] * 8)          # foreground on every border
+_CORE = ((3, 3, 3), [0] * 13 + [2] + [0] * 13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ray_cases())
+# starts outside the box and ends inside the foreground
+@example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (-6, 3, 5), (1, 0, 0), 10))
+# starts inside, leaves through a border the foreground touches
+@example(_BLOCK + (_SPACINGS[2], _ORIGINS[0], (2, 2, 2), (3, 1, -2), 8))
+# starts on a voxel face / on the upper box face, going back in
+@example(_CORE + (_SPACINGS[0], _ORIGINS[1], (4, 6, 6), (1, 0, 0), 4))
+@example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (8, 2, 2), (-1, 0, 0), 4))
+# starts at a voxel centre, along the exact diagonal (three-way ties)
+@example(_CORE + (_SPACINGS[0], _ORIGINS[0], (2, 2, 2), (1, 1, 1), 4))
+@example(_CORE + (_SPACINGS[1], _ORIGINS[1], (10, 10, 2), (-1, -1, 1), 6))
+# axis-parallel rays, outside the box all the way
+@example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 2, 2), (0, 0, 1), 24))
+# grazes a box edge from outside
+@example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 4, 2), (1, -1, 0), 8))
+# zero-length segments
+@example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (0, 0, 0), 4))
+@example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (1, 2, 3), 0))
+def test_traversal_matches_dense_sampling(case):
+    shape, labels, spacing, origin, start, direction, quarters = case
+    img = SegmentedImage(np.array(labels, dtype=np.int16).reshape(shape),
+                         spacing=spacing, origin=origin)
+    oracle = SurfaceOracle(img)
+    a = tuple(origin[c] + 0.25 * start[c] * spacing[c] for c in range(3))
+    d = tuple(0.25 * quarters * direction[c] * spacing[c] for c in range(3))
+    b = tuple(a[c] + d[c] for c in range(3))
+    hit = oracle.surface_crossing(a, b)
+    if a == b:
+        assert hit is None
+        return
+
+    n = 16 * quarters * max(abs(x) for x in direction)
+    ts = (np.arange(n) + 0.5) / n
+    sampled = img.labels_at_many(np.array(a) + ts[:, None] * np.array(d))
+    changed = np.flatnonzero(sampled != img.label_at(a))
+    if hit is not None:
+        t_hit = np.dot(np.subtract(hit, a), d) / np.dot(d, d)
+        assert -1e-9 <= t_hit <= 1.0 + 1e-9
+        on_ray = np.array(a) + t_hit * np.array(d)
+        assert np.allclose(hit, on_ray, rtol=0.0, atol=1e-9)
+        # exactly on a voxel face
+        assert any(((hit[c] - origin[c]) / spacing[c]).is_integer()
+                   for c in range(3))
+    if changed.size == 0:
+        # Nothing up to the last midpoint; the end of the segment itself
+        # may still sit on a face.
+        assert hit is None or t_hit > ts[-1] - 1e-9
+        return
+    first = changed[0]
+    assert hit is not None
+    lo = ts[first - 1] if first else 0.0
+    assert lo - 1e-9 <= t_hit <= ts[first] + 1e-9
+
+
+def test_clipped_corner_is_the_first_crossing():
+    # The segment cuts 0.07 voxel off the corner of the one label-2
+    # voxel, between two of the old march's 0.25-voxel samples (which
+    # then reported no crossing at all).
+    lab = np.ones((6, 6, 3), dtype=np.int16)
+    lab[3, 3, 1] = 2
+    img = SegmentedImage(lab)
+    a, b = (2.45, 3.40, 1.5), (3.45, 4.40, 1.5)
+    for k in range(1, 6):       # what the march sampled
+        t = 0.25 * k / math.dist(a, b)
+        assert img.label_at([a[c] + t * (b[c] - a[c]) for c in range(3)]) == 1
+    hit = SurfaceOracle(img).surface_crossing(a, b)
+    assert hit is not None
+    assert hit[0] == 3.0
+    assert hit[1:] == pytest.approx((3.95, 1.5))
+
+
+def test_thin_diagonal_plate_meshes():
+    # One voxel thin, and neighbouring voxels share only an edge: every
+    # ray towards it clips corners.
+    n, delta = 16, 1.0
+    lab = np.zeros((n, n, n), dtype=np.int16)
+    for i in range(3, n - 3):
+        lab[i, i, 3:n - 3] = 1
+    img = SegmentedImage(lab)
+    res = mesh(MeshRequest(image=img, delta=delta, mesher="sequential",
+                           max_operations=100_000))
+    assert res.ok and res.n_tets > 100
+    assert validate_extracted_mesh(res.mesh) == []
+    # Theorem 1: voxel-order Hausdorff distance, delta-dense sample.
+    oracle = SurfaceOracle(img)
+    assert hausdorff_distance(res.mesh, img, oracle) < 3.0
+    domain = res.extras["domain"]
+    samples = np.array([domain.tri.point(v)
+                        for v, kind in domain.vertex_kind.items()
+                        if kind == VertexKind.ISOSURFACE])
+    for idx in np.argwhere(oracle.surface_mask)[::7]:
+        z = oracle.closest_surface_point(img.voxel_center(idx))
+        assert z is not None
+        gap = np.linalg.norm(samples - np.array(z), axis=1).min()
+        assert gap <= 2.0 * delta + 2.0 * img.min_spacing
