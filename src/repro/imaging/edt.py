@@ -67,8 +67,10 @@ class EDTResult:
 
     def nearest_site_index(self, idx: Sequence[int]) -> Tuple[int, int, int]:
         """Nearest site voxel (3-index) for voxel ``idx``."""
-        flat = int(self.feature[tuple(idx)])
-        return tuple(int(x) for x in np.unravel_index(flat, self.shape))
+        _, ny, nz = self.shape
+        i, rem = divmod(int(self.feature[idx[0], idx[1], idx[2]]), ny * nz)
+        j, k = divmod(rem, nz)
+        return (i, j, k)
 
 
 def _scan_line_lists(f_in: list, feat_in: list, w2: float):

@@ -86,11 +86,9 @@ class SurfaceOracle:
         """World center of the surface voxel nearest to ``p``: the site
         the EDT maps ``p``'s (clamped) voxel to."""
         image = self.image
-        i, j, k = image.voxel_of(p)
-        _, ny, nz = image.shape
-        si, rem = divmod(int(self.edt.feature[i, j, k]), ny * nz)
-        sj, sk = divmod(rem, nz)
-        return image.voxel_center((si, sj, sk))
+        return image.voxel_center(
+            self.edt.nearest_site_index(image.voxel_of(p))
+        )
 
     def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
         """A point on the isosurface close to ``p`` (Section 3's p-hat).
@@ -177,10 +175,6 @@ class SurfaceOracle:
                     t_exit = t_out
             if t >= t_exit or t > t_max:
                 return None
-
-        # Per axis: f is the next face (voxel units), e the face past the
-        # box, st the index step; t? is where the ray reaches face f.
-        if outside:
             # Rounding can put the entry point a hair beyond a box face
             # the ray has already passed.
             i = min(max(math.floor(rx + t * vx), 0), nx - 1)
@@ -188,28 +182,24 @@ class SurfaceOracle:
             k = min(max(math.floor(rz + t * vz), 0), nz - 1)
         else:
             i, j, k = int(rx), int(ry), int(rz)
-        stx = sty = stz = 0
-        fx, fy, fz = i, j, k
-        ex = ey = ez = -2
-        tx = ty = tz = math.inf
+
+        # Per axis: st is the index step, f the next face (voxel units),
+        # e the face past the box, t? where the ray reaches face f.
         if vx > 0.0:
             stx, fx, ex = 1, i + 1, nx + 1
-        elif vx < 0.0:
-            stx, ex = -1, -1
+        else:
+            stx, fx, ex = (-1 if vx < 0.0 else 0), i, -1
         if vy > 0.0:
             sty, fy, ey = 1, j + 1, ny + 1
-        elif vy < 0.0:
-            sty, ey = -1, -1
+        else:
+            sty, fy, ey = (-1 if vy < 0.0 else 0), j, -1
         if vz > 0.0:
             stz, fz, ez = 1, k + 1, nz + 1
-        elif vz < 0.0:
-            stz, ez = -1, -1
-        if stx:
-            tx = (fx - rx) / vx
-        if sty:
-            ty = (fy - ry) / vy
-        if stz:
-            tz = (fz - rz) / vz
+        else:
+            stz, fz, ez = (-1 if vz < 0.0 else 0), k, -1
+        tx = (fx - rx) / vx if stx else math.inf
+        ty = (fy - ry) / vy if sty else math.inf
+        tz = (fz - rz) / vz if stz else math.inf
         ax, ay = stx * ny * nz, sty * nz
         labels = memoryview(image.labels.reshape(-1))
         at = (i * ny + j) * nz + k
