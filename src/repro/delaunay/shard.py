@@ -25,11 +25,13 @@ repair-the-interfaces template of Garner et al. (PAPERS.md):
    ``bw_insert_many`` C kernel), replays rule R6 in the interface
    bands — circumcenter vertices within ``2*delta`` of a seam-band
    isosurface sample are deleted via ``remove_vertex`` (the
-   ``bw_remove`` kernel) — and then runs the sequential refiner to
-   completion.  The refiner's vectorized radius-edge screen seeds its
-   Poor Element List from *all* live tets, so the final mesh satisfies
-   every rule the unsharded mesh satisfies; away from the seams the
-   point set is already refined and the screen admits (almost) nothing.
+   ``bw_remove`` kernel) — and then runs the sequential refiner seeded
+   from the ``2*delta`` shell at the ownership boundaries only.  Each
+   block already refined its own interior to completion and insertions
+   whose cavities are separated are independent (Spielman–Teng–Üngör,
+   PAPERS.md), so those verdicts survive the merge; a global
+   radius-edge screen over the finished mesh stands guard and sends
+   any offender through unrestricted repair passes.
 
 Everything here is deterministic: blocks are visited in index order,
 points in per-shard insertion order, and R6 victims in sorted-id
@@ -66,10 +68,9 @@ MIN_CORE_VOXELS = 4
 #: decompose identically (see :func:`_median_cut`).
 CUT_QUANTUM = 2
 
-#: Cap on post-stitch quality passes.  Each pass re-seeds the refiner
-#: from every live tet and runs to convergence; the loop exits as soon
-#: as a pass makes no insertions or removals, so the cap only guards
-#: against a pathological mutate/skip ping-pong.
+#: Cap on the stitch's retry passes (see :func:`_retry_passes`); they
+#: end on their own, so the cap only guards against a pathological
+#: mutate/skip ping-pong.
 _MAX_QUALITY_ROUNDS = 8
 
 
@@ -98,6 +99,13 @@ class Block:
     own_lo: Vec3f
     own_hi: Vec3f
     occupancy: int
+
+    @property
+    def crop_voxels(self) -> int:
+        """Size of the sub-image the shard meshes; its refine time
+        follows this, not ``occupancy``."""
+        return math.prod(
+            hi - lo for lo, hi in zip(self.crop_lo, self.crop_hi))
 
     def owns(self, p: Sequence[float]) -> bool:
         return (
@@ -453,13 +461,6 @@ def plan_content_key(image: SegmentedImage, plan: ShardPlan, *,
 # stitching
 # ---------------------------------------------------------------------------
 
-#: Above this changed-block fraction the seam-local path stops paying
-#: for itself — most seams need re-refinement anyway — so the stitch
-#: falls back to the full reload-and-re-refine (which also refreshes
-#: the stitch-delta artifact for the next request).
-INCREMENTAL_MAX_CHANGED_FRACTION = 0.5
-
-
 @dataclass
 class IncrementalStitch:
     """Warm-start context one :func:`stitch` call consumes and refills.
@@ -469,16 +470,17 @@ class IncrementalStitch:
     exports (``points``/``kinds``, insertion order) and the
     block-exported points it *removed* (``removed``).  ``changed``
     lists the block indices whose content key differs from the record
-    the delta was computed under.  After the stitch, ``export`` holds
-    the refreshed delta and ``mode`` names the path that ran
-    (``"full"``, ``"seam_local"``, or ``"seam_local+repair"``).
+    the delta was computed under; it is read only next to a ``prev`` (a
+    stitch without one treats every block as changed).  After the
+    stitch, ``export`` holds the refreshed delta and ``mode`` says how
+    it ended: ``"seam_local"``, or ``"seam_local+repair"`` when the
+    acceptance screen found offenders and the repair passes ran.
     """
 
     block_keys: List[str]
     prev: Optional[Dict[str, np.ndarray]] = None
     changed: List[int] = field(default_factory=list)
-    threshold: float = INCREMENTAL_MAX_CHANGED_FRACTION
-    mode: str = "full"
+    mode: str = "seam_local"
     export: Optional[Dict[str, np.ndarray]] = None
 
 
@@ -536,6 +538,11 @@ def _changed_holes(image: SegmentedImage, plan: ShardPlan,
         if all(lo[d] < hi[d] for d in range(3)):
             holes.append((lo, hi))
     return holes
+
+
+def _in_shell(pts: np.ndarray, boxes, holes) -> np.ndarray:
+    """Row mask: point inside the seed region, ``boxes`` minus ``holes``."""
+    return _in_boxes(pts, boxes) & ~_in_boxes(pts, holes)
 
 
 def _row_bytes(arr: np.ndarray) -> List[bytes]:
@@ -607,98 +614,53 @@ def _export_delta(domain, block_pts: np.ndarray) -> Dict[str, np.ndarray]:
     }
 
 
-def stitch(image: SegmentedImage, plan: ShardPlan,
-           shard_points: List[Dict[str, np.ndarray]], *,
-           radius_edge_bound: float = 2.0,
-           planar_angle_bound_deg: float = 30.0,
-           max_operations: Optional[int] = None,
-           obs=None,
-           inc: Optional[IncrementalStitch] = None):
-    """Merge shard point clouds into one refined global mesh.
+def _load_set(block_pts: np.ndarray, block_kinds: np.ndarray,
+              prev: Optional[Dict[str, np.ndarray]], boxes):
+    """The points one stitch bulk-loads: ``(points, kinds, reused,
+    dropped)``.
 
-    ``shard_points[i]`` is block ``i``'s ``{"points", "kinds"}`` export.
-    Returns ``(MeshingResult, stitch_stats)``.
-
-    With an :class:`IncrementalStitch` context carrying a previous
-    stitch delta whose changed fraction is under the threshold, the
-    stitch runs **seam-local**: the previous run's Steiner points
-    outside the changed blocks' influence boxes are bulk-loaded
-    alongside the block exports, R6 replay and refinement seeding are
-    restricted to those boxes, and a global vectorized radius-edge
-    screen guards the result (any inside-object violation triggers
-    unrestricted repair passes).  Otherwise the classic full path runs:
-    load every owned point, replay R6 in every seam band, re-refine
-    globally.
+    Without a previous delta that is the block exports as they are.
+    With one, the delta is replayed outside the changed ``boxes``: its
+    Steiner points there are appended (``reused`` of them) and the block
+    points its purge removed there are left out (``dropped``), so the
+    unchanged seams load already stitched.
     """
-    from repro.core import MeshingResult, extract_mesh
-    from repro.core.domain import RefineDomain, VertexKind
-    from repro.core.refiner import SequentialRefiner
-
-    tracer = obs.tracer if obs is not None else None
-    t0 = time.perf_counter()
-    domain = RefineDomain(
-        image, delta=plan.delta, radius_edge_bound=radius_edge_bound,
-        planar_angle_bound_deg=planar_angle_bound_deg,
-    )
-    tri = domain.tri
-
-    # -- assemble the load set -----------------------------------------
-    block_pts = np.concatenate([
-        np.asarray(out["points"], dtype=np.float64).reshape(-1, 3)
-        for out in shard_points
-    ]) if shard_points else np.zeros((0, 3), dtype=np.float64)
-    block_kinds = np.concatenate([
-        np.asarray(out["kinds"], dtype=np.int8).reshape(-1)
-        for out in shard_points
-    ]) if shard_points else np.zeros(0, dtype=np.int8)
-
-    seam_local = (
-        inc is not None and inc.prev is not None
-        and len(inc.changed) <= inc.threshold * plan.n_blocks
-    )
-    boxes = None
-    holes = None
-    reused = 0
+    if prev is None:
+        return block_pts, block_kinds, 0, 0
+    prev_pts = np.asarray(prev["points"], dtype=np.float64).reshape(-1, 3)
+    keep = ~_in_boxes(prev_pts, boxes)
+    extra_pts = prev_pts[keep]
+    extra_kinds = np.asarray(prev["kinds"], dtype=np.int8).reshape(-1)[keep]
+    removed_pts = np.asarray(
+        prev["removed"], dtype=np.float64).reshape(-1, 3)
+    removed_set = set(_row_bytes(removed_pts[~_in_boxes(removed_pts, boxes)]))
     dropped = 0
-    if seam_local:
-        boxes = _changed_boxes(image, plan, inc.changed)
-        holes = _changed_holes(image, plan, inc.changed)
-        prev_pts = np.asarray(
-            inc.prev["points"], dtype=np.float64).reshape(-1, 3)
-        keep = ~_in_boxes(prev_pts, boxes)
-        extra_pts = prev_pts[keep]
-        extra_kinds = np.asarray(
-            inc.prev["kinds"], dtype=np.int8).reshape(-1)[keep]
-        removed_pts = np.asarray(
-            inc.prev["removed"], dtype=np.float64).reshape(-1, 3)
-        removed_pts = removed_pts[~_in_boxes(removed_pts, boxes)]
-        reused = int(len(extra_pts))
-        if len(removed_pts):
-            removed_set = set(_row_bytes(removed_pts))
-            keep_rows = np.array(
-                [b not in removed_set for b in _row_bytes(block_pts)],
-                dtype=bool,
-            )
-            dropped = int((~keep_rows).sum())
-            load_pts = np.concatenate([block_pts[keep_rows], extra_pts])
-            load_kinds = np.concatenate(
-                [block_kinds[keep_rows], extra_kinds])
-        else:
-            load_pts = np.concatenate([block_pts, extra_pts])
-            load_kinds = np.concatenate([block_kinds, extra_kinds])
-    else:
-        load_pts, load_kinds = block_pts, block_kinds
+    if removed_set:
+        keep_rows = np.array(
+            [b not in removed_set for b in _row_bytes(block_pts)],
+            dtype=bool,
+        )
+        dropped = int((~keep_rows).sum())
+        block_pts, block_kinds = block_pts[keep_rows], block_kinds[keep_rows]
+    return (np.concatenate([block_pts, extra_pts]),
+            np.concatenate([block_kinds, extra_kinds]),
+            int(len(extra_pts)), dropped)
 
-    # -- bulk load: one batched bw_insert_many sweep in block order ----
+
+def _bulk_load(domain, load_pts: np.ndarray, load_kinds: np.ndarray):
+    """One batched ``bw_insert_many`` sweep, in load-set order; returns
+    ``(inserted, duplicates, iso_loaded)`` with ``iso_loaded`` the
+    ``(vertex, point)`` pairs of the isosurface samples."""
+    from repro.core.domain import VertexKind
+
     points: List[Tuple[float, float, float]] = list(
         map(tuple, load_pts.tolist())
     )
-    kinds: List[int] = load_kinds.tolist()
-    vids = tri.insert_many(points)
+    vids = domain.tri.insert_many(points)
     inserted = 0
     duplicates = 0
     iso_loaded: List[Tuple[int, Tuple[float, float, float]]] = []
-    for vid, kind, p in zip(vids, kinds, points):
+    for vid, kind, p in zip(vids, load_kinds.tolist(), points):
         if vid is None:
             duplicates += 1
             continue
@@ -711,51 +673,117 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
         else:
             domain.cc_grid.add(vid, p)
     domain.n_insertions += inserted
+    return inserted, duplicates, iso_loaded
+
+
+def _seed_filter(tri, boxes, holes):
+    """``seed_filter`` for the refiner: live tets with a vertex in the
+    seed shell.  The scalar rule checks over a complete mesh are the
+    dominant cost of seeding, and outside the shell every tet was
+    already judged — by its block's refiner or by the previous stitch."""
+    def seed_filter(live: np.ndarray) -> np.ndarray:
+        mesh = tri.mesh
+        pts = mesh.coords[mesh.tet_verts_arr[live].ravel()]
+        return _in_shell(pts, boxes, holes).reshape(-1, 4).any(axis=1)
+    return seed_filter
+
+
+def _retry_passes(domain, rstats, max_operations: Optional[int],
+                  seed_filter, skipped: int) -> int:
+    """Fresh refiner passes while the last one left skips behind.
+
+    The bulk load makes transiently degenerate cavities far likelier
+    than a from-scratch run, and the refiner drops (counts as skipped) a
+    tet whose insertion raises mid-pass even though the rule applies
+    again once the neighbourhood changes.  A pass without skips judged
+    every tet it saw and is at its fixed point, so nothing follows it;
+    a pass that changed nothing ends the retries too.  Returns the
+    number of passes that changed the mesh.
+    """
+    from repro.core.refiner import SequentialRefiner
+
+    rounds = 0
+    while skipped and rounds < _MAX_QUALITY_ROUNDS:
+        before = domain.n_insertions + domain.n_removals
+        skip_before = domain.n_skipped
+        extra = SequentialRefiner(
+            domain, max_operations=max_operations, seed_filter=seed_filter
+        ).refine()
+        rstats.n_operations += extra.n_operations
+        skipped = domain.n_skipped - skip_before
+        if domain.n_insertions + domain.n_removals == before:
+            break
+        rounds += 1
+    return rounds
+
+
+def stitch(image: SegmentedImage, plan: ShardPlan,
+           shard_points: List[Dict[str, np.ndarray]], *,
+           radius_edge_bound: float = 2.0,
+           planar_angle_bound_deg: float = 30.0,
+           max_operations: Optional[int] = None,
+           obs=None,
+           inc: Optional[IncrementalStitch] = None):
+    """Merge shard point clouds into one refined global mesh.
+
+    ``shard_points[i]`` is block ``i``'s ``{"points", "kinds"}`` export.
+    Returns ``(MeshingResult, stitch_stats)``.
+
+    Every stitch is seam-seeded.  The block exports are bulk-loaded —
+    together with the previous delta's Steiner points outside the
+    changed blocks' influence boxes, when ``inc`` carries one — and the
+    blocks' interiors are kept as their own refiners left them: R6
+    replay and refiner seeding are restricted to the influence boxes
+    minus the blocks' deep interiors, the ``2*delta`` shell at the
+    ownership boundaries.  A cold stitch is the case where every block
+    is changed and there is no delta to reuse.  A global vectorized
+    radius-edge screen then guards the result; any inside-object
+    violation triggers unrestricted repair passes.
+    """
+    from repro.core import MeshingResult, extract_mesh
+    from repro.core.domain import RefineDomain
+    from repro.core.refiner import SequentialRefiner
+
+    tracer = obs.tracer if obs is not None else None
+    t0 = time.perf_counter()
+    domain = RefineDomain(
+        image, delta=plan.delta, radius_edge_bound=radius_edge_bound,
+        planar_angle_bound_deg=planar_angle_bound_deg,
+    )
+    tri = domain.tri
+
+    block_pts = np.concatenate([
+        np.asarray(out["points"], dtype=np.float64).reshape(-1, 3)
+        for out in shard_points
+    ]) if shard_points else np.zeros((0, 3), dtype=np.float64)
+    block_kinds = np.concatenate([
+        np.asarray(out["kinds"], dtype=np.int8).reshape(-1)
+        for out in shard_points
+    ]) if shard_points else np.zeros(0, dtype=np.int8)
+    prev = inc.prev if inc is not None else None
+    changed = inc.changed if prev is not None else range(plan.n_blocks)
+    boxes = _changed_boxes(image, plan, changed)
+    holes = _changed_holes(image, plan, changed)
+    load_pts, load_kinds, reused, dropped = _load_set(
+        block_pts, block_kinds, prev, boxes)
+
+    inserted, duplicates, iso_loaded = _bulk_load(domain, load_pts,
+                                                  load_kinds)
     load_seconds = time.perf_counter() - t0
 
     # -- interface-band R6 replay: bw_remove on crowded circumcenters --
     # Each shard applied R6 only against its own isosurface samples; a
     # circumcenter owned by one block can sit within 2*delta of an
-    # isosurface sample owned by its neighbour.  Replay the purge for
-    # isosurface vertices in the seam bands — in seam-local mode only
-    # inside the changed boxes: reused Steiner points already survived
-    # the previous purge, and the block points that purge removed were
-    # dropped through the delta's removed set.
+    # isosurface sample owned by its neighbour.  Only the shell needs
+    # the replay: reused Steiner points already survived the previous
+    # purge, and the block points that purge removed were dropped
+    # through the delta's removed set.
     t1 = time.perf_counter()
-    removed = _replay_r6_bands(domain, plan, image, iso_loaded,
-                               boxes=boxes, holes=holes)
+    removed = _replay_r6_bands(domain, plan, image, iso_loaded, boxes, holes)
     r6_seconds = time.perf_counter() - t1
 
-    # -- local re-refinement until every rule passes -------------------
-    # The refiner seeds its PEL from the vectorized radius-edge screen
-    # plus the scalar rule checks over all live tets; away from the
-    # seams the shards already refined to completion, so the seed is
-    # (nearly) empty there and the work concentrates on the interfaces.
-    # In seam-local mode the seed scan itself is restricted to tets
-    # touching a changed box — the scalar rule checks over a complete
-    # mesh are the dominant stitch cost on a warm cache.
-    seed_filter = None
-    if seam_local:
-        def _quad_in(quads: np.ndarray, box_list) -> np.ndarray:
-            m = np.zeros(quads.shape[:2], dtype=bool)
-            for lo, hi in box_list:
-                inside = np.ones(quads.shape[:2], dtype=bool)
-                for d in range(3):
-                    inside &= ((quads[..., d] >= lo[d])
-                               & (quads[..., d] < hi[d]))
-                m |= inside
-            return m
-
-        def seed_filter(live: np.ndarray) -> np.ndarray:
-            mesh_store = tri.mesh
-            quads = mesh_store.coords[
-                mesh_store.tet_verts_arr[live].ravel()
-            ].reshape(-1, 4, 3)
-            vert_in = _quad_in(quads, boxes)
-            if holes:
-                vert_in &= ~_quad_in(quads, holes)
-            return vert_in.any(axis=1)
-
+    # -- re-refine the shell until every rule passes there -------------
+    seed_filter = _seed_filter(tri, boxes, holes)
     t2 = time.perf_counter()
     skip_snap = domain.n_skipped
     refiner = SequentialRefiner(domain, max_operations=max_operations,
@@ -765,56 +793,19 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
             rstats = refiner.refine()
     else:
         rstats = refiner.refine()
-    # The dense bulk reload makes transiently degenerate cavities far
-    # likelier than during a from-scratch run, and the refiner drops a
-    # tet whose insertion raises mid-pass even though the rule becomes
-    # applicable again once the neighbourhood changes.  Re-run fresh
-    # passes (each re-seeds the PEL from every live tet) until one makes
-    # no insertions or removals, so no inside-object tet escapes the
-    # radius-edge / size screen for lack of a retry.
-    quality_rounds = 0
-    last_skipped = domain.n_skipped - skip_snap
-    while quality_rounds < _MAX_QUALITY_ROUNDS:
-        # Rounds exist to retry tets dropped on transiently degenerate
-        # cavities; the refiner counts those as skips.  In seam-local
-        # mode a pass with no skips therefore already reached the
-        # fixpoint — skip the (full-seed-scan) confirmation round and
-        # let the acceptance screen below stand guard.
-        if seam_local and last_skipped == 0:
-            break
-        before = domain.n_insertions + domain.n_removals
-        skip_before = domain.n_skipped
-        extra = SequentialRefiner(
-            domain, max_operations=max_operations, seed_filter=seed_filter
-        ).refine()
-        rstats.n_operations += extra.n_operations
-        last_skipped = domain.n_skipped - skip_before
-        if domain.n_insertions + domain.n_removals == before:
-            break
-        quality_rounds += 1
+    quality_rounds = _retry_passes(domain, rstats, max_operations,
+                                   seed_filter, domain.n_skipped - skip_snap)
 
-    # -- acceptance screen + repair (seam-local only) ------------------
-    # The warm-started regions were refined under the previous image;
-    # assert the radius-edge bound globally and fall back to
-    # unrestricted passes if anything slipped through the restriction.
-    mode = "seam_local" if seam_local else "full"
-    offenders = 0
-    if seam_local:
-        poor = _radius_edge_offenders(domain, radius_edge_bound)
-        offenders = len(poor)
-        if poor:
-            mode = "seam_local+repair"
-            repair_rounds = 0
-            while repair_rounds < _MAX_QUALITY_ROUNDS:
-                before = domain.n_insertions + domain.n_removals
-                extra = SequentialRefiner(
-                    domain, max_operations=max_operations
-                ).refine()
-                rstats.n_operations += extra.n_operations
-                if domain.n_insertions + domain.n_removals == before:
-                    break
-                repair_rounds += 1
-            quality_rounds += repair_rounds
+    # -- acceptance screen + repair ------------------------------------
+    # Outside the shell the verdicts are the blocks' own (or, for reused
+    # seams, the previous image's); assert the radius-edge bound
+    # globally and run unrestricted passes if anything slipped through.
+    mode = "seam_local"
+    offenders = len(_radius_edge_offenders(domain, radius_edge_bound))
+    if offenders:
+        mode = "seam_local+repair"
+        quality_rounds += _retry_passes(domain, rstats, max_operations,
+                                        None, skipped=1)
     rstats.final_tets = domain.tri.n_tets
     rstats.final_vertices = domain.tri.n_vertices
     rstats.n_insertions = domain.n_insertions
@@ -834,8 +825,7 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
         "refine_operations": rstats.n_operations,
         "quality_rounds": quality_rounds,
         "mode": mode,
-        "changed_blocks": (len(inc.changed) if seam_local
-                           else plan.n_blocks),
+        "changed_blocks": len(changed),
         "reused_points": reused,
         "dropped_points": dropped,
         "screen_offenders": offenders,
@@ -858,12 +848,12 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
 
 
 def _replay_r6_bands(domain, plan: ShardPlan, image: SegmentedImage,
-                     iso_loaded, boxes=None, holes=None) -> int:
+                     iso_loaded, boxes, holes) -> int:
     """R6 for seam-band isosurface vertices; returns removal count.
 
-    ``boxes`` (seam-local mode) restricts the replay to isosurface
-    vertices inside the changed blocks' influence boxes; ``holes``
-    further excludes their deep interior (see :func:`_changed_holes`).
+    ``boxes`` restricts the replay to isosurface vertices inside the
+    changed blocks' influence boxes; ``holes`` further excludes their
+    deep interior (see :func:`_changed_holes`).
     """
     from repro.core.domain import VertexKind
     from repro.delaunay import RemovalError
@@ -876,10 +866,7 @@ def _replay_r6_bands(domain, plan: ShardPlan, image: SegmentedImage,
     near = np.zeros(len(iso_loaded), dtype=bool)
     for axis, w in planes:
         near |= np.abs(pts[:, axis] - w) <= radius
-    if boxes is not None:
-        near &= _in_boxes(pts, boxes)
-        if holes:
-            near &= ~_in_boxes(pts, holes)
+    near &= _in_shell(pts, boxes, holes)
     removed = 0
     tri = domain.tri
     mesh = tri.mesh
@@ -1051,16 +1038,17 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
             "memory_hits": memory_hits,
             "misses": len(miss),
             "stitch_mode": stitch_stats["mode"],
+            # the stitch consumed a previous delta: an incremental one
+            "stitch_hit": inc.prev is not None,
         }
         reg = obs.registry
         reg.counter("shard.cache.block_hits").inc(hits)
         reg.counter("shard.cache.block_misses").inc(len(miss))
-        if inc is not None and inc.prev is not None:
+        if inc.prev is not None:
             reg.counter("shard.cache.stitch_hits").inc()
+            reg.counter("shard.cache.incremental_stitches").inc()
         else:
             reg.counter("shard.cache.stitch_misses").inc()
-        if stitch_stats["mode"] != "full":
-            reg.counter("shard.cache.incremental_stitches").inc()
     return MeshResult(
         mesh=result.mesh,
         mesher=request.resolved_mesher(),

@@ -93,13 +93,18 @@ def pool_runner(pool: ProcessWorkerPool, request,
     Drives up to ``pool.n_workers`` parent threads, each checking out
     worker slots for successive blocks; the first non-retryable error
     stops assignment and re-raises after in-flight shards settle.
+    Blocks are handed out largest crop first (a block's refine time
+    follows its crop volume, and the fan-out ends when the last block
+    does); ``outs`` stays in ``indices`` order.
     """
     def run(plan: shard_mod.ShardPlan, indices=None, keys=None):
         if indices is None:
             indices = range(plan.n_blocks)
         indices = list(indices)
         outs: List[Optional[dict]] = [None] * len(indices)
-        pending = list(enumerate(indices))
+        pending = sorted(
+            enumerate(indices),
+            key=lambda e: (-plan.blocks[e[1]].crop_voxels, e[1]))
         errors: List[BaseException] = []
         lock = threading.Lock()
 
@@ -281,7 +286,7 @@ class ServiceShardRunner:
             reg.counter("shard.cache.block_hits").inc(bc.get("hits", 0))
             reg.counter("shard.cache.block_misses").inc(
                 bc.get("misses", 0))
-            if bc.get("stitch_mode", "full") != "full":
+            if bc.get("stitch_hit"):
                 reg.counter("shard.cache.incremental_stitches").inc()
         stitch = result.stats.get("stitch", {})
         reg.counter("shard.stitch.points").inc(

@@ -17,10 +17,13 @@ The guarantees under test, in rough dependency order:
 * two process pools in one process never sweep each other's arenas.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.api import MeshRequest, mesh
+from repro.core.refiner import SequentialRefiner
 from repro.delaunay import arena as arena_mod
 from repro.delaunay.shard import (
     ShardingUnavailable,
@@ -36,11 +39,19 @@ from repro.imaging import (
     two_spheres_phantom,
 )
 from repro.metrics import quality_report
+from repro.metrics.validate import validate_extracted_mesh
 from repro.service import (
     JobState,
     MeshingService,
     ServiceConfig,
     process_support_available,
+)
+from repro.service.shards import pool_runner
+from tests.data.record_stitch_goldens import (
+    GOLDEN_PATH,
+    KERNEL,
+    cold_mesh,
+    stitch_row,
 )
 
 
@@ -302,7 +313,13 @@ class TestIncrementalStitching:
         bc = cold.stats["block_cache"]
         assert bc["hits"] == 0
         assert bc["misses"] == cold.stats["shards"]
-        assert cold.stats["stitch"]["mode"] == "full"
+        # One stitch path: a cold stitch is the seam-seeded stitch with
+        # every block changed and no previous delta to reuse.
+        stitch = cold.stats["stitch"]
+        assert stitch["mode"] == "seam_local"
+        assert stitch["changed_blocks"] == cold.stats["shards"]
+        assert stitch["reused_points"] == 0
+        assert bc["stitch_hit"] is False
 
     def test_only_changed_blocks_rerun(self, warm_runs):
         _, warm = warm_runs
@@ -320,7 +337,8 @@ class TestIncrementalStitching:
         res = mesh(MeshRequest(image=edited, mesher="sequential",
                                delta=2.0, shards=2, incremental=False))
         assert "block_cache" not in res.stats
-        assert res.stats["stitch"]["mode"] == "full"
+        assert res.stats["stitch"]["mode"] == "seam_local"
+        assert res.stats["stitch"]["reused_points"] == 0
 
     def test_shards_one_identical_to_unsharded_either_flag(self):
         img = sphere_phantom(16)
@@ -372,6 +390,154 @@ class TestServiceIncrementalCounters:
                 assert job.tier == "full_mesh"
             counters = svc.metrics_snapshot()["counters"]
             assert counters.get("shard.cache.block_hits", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# one stitch path: every stitch keeps the blocks' interiors
+# ---------------------------------------------------------------------------
+
+GOLDEN_ROWS = json.loads(GOLDEN_PATH.read_text())[KERNEL]
+
+
+def _case(row):
+    return row["phantom"], row["n"], row["delta"], row["shards"]
+
+
+def _case_id(case):
+    return "{}{}-s{}".format(case[0].removesuffix("_phantom"), case[1],
+                             case[3])
+
+
+#: the two small golden inputs plus a multi-tissue image
+FIXED_POINT_CASES = [_case(row) for row in GOLDEN_ROWS[:2]] + [
+    ("abdominal_phantom", 32, None, 4)]
+
+
+class TestOneStitchPath:
+    @pytest.fixture(scope="class")
+    def cold(self):
+        """Cold sharded meshes by case, each meshed once for the class."""
+        runs = {}
+
+        def get(case):
+            if case not in runs:
+                runs[case] = cold_mesh(*case)
+            return runs[case]
+        return get
+
+    @pytest.mark.parametrize("row", GOLDEN_ROWS,
+                             ids=lambda row: _case_id(_case(row)))
+    def test_cold_stitch_matches_golden(self, cold, row):
+        # The digests were recorded before the stitch stopped re-judging
+        # block interiors; only ``refine_operations`` moved since.
+        case = _case(row)
+        assert stitch_row(*case, result=cold(case)) == row
+
+    @pytest.mark.parametrize("case", FIXED_POINT_CASES, ids=_case_id)
+    def test_cold_stitch_ends_at_a_fixed_point(self, cold, case):
+        # The interiors were never seeded in the stitch, yet no rule
+        # applies anywhere: the blocks' own verdicts survived the merge.
+        res = cold(case)
+        assert res.stats["stitch"]["mode"] == "seam_local"
+        domain = res.extras["domain"]
+        for t in list(domain.tri.mesh.live_tets()):
+            result = domain.refine_tet(t)
+            assert result.skipped, (t, result.rule)
+        before = (domain.n_insertions, domain.n_removals)
+        SequentialRefiner(domain).refine()
+        assert (domain.n_insertions, domain.n_removals) == before
+
+    @pytest.mark.parametrize(
+        "case", [_case(row) for row in GOLDEN_ROWS] + FIXED_POINT_CASES[2:],
+        ids=_case_id)
+    def test_cold_stitch_does_under_half_the_blocks_work(self, cold, case):
+        stats = cold(case).stats
+        block_ops = sum(s["operations"] for s in stats["shard_stats"])
+        assert stats["stitch"]["refine_operations"] < 0.5 * block_ops
+
+    def test_acceptance_screen_catches_an_unseeded_seam(self, monkeypatch):
+        # Holes that swallow every ownership box leave nothing to seed
+        # or replay, so the seam tets go unjudged by the shell passes;
+        # the global screen must notice and the repair must fix it.
+        from repro.delaunay import shard as shard_mod
+
+        monkeypatch.setattr(
+            shard_mod, "_changed_holes",
+            lambda image, plan, changed: [(b.own_lo, b.own_hi)
+                                          for b in plan.blocks])
+        res = cold_mesh("sphere_phantom", 32, None, 2)
+        stitch = res.stats["stitch"]
+        assert stitch["screen_offenders"] > 0
+        assert stitch["mode"] == "seam_local+repair"
+        assert quality_report(res.mesh).max_radius_edge <= 2.0 + 1e-9
+        assert validate_extracted_mesh(res.mesh) == []
+
+    def test_warm_request_with_most_blocks_changed(self):
+        # 3 of 4 blocks changed used to fall back to a full stitch; it
+        # is the same seam-seeded stitch.  The unchanged block's export
+        # is what gets reused: each of its seams borders a changed
+        # block, so no Steiner point of the previous delta lies outside
+        # the influence boxes.
+        from repro.service.cache import ArtifactCache
+
+        img = ball_grid_phantom(48)
+        labels = img.labels.copy()
+        # Block 0's crop is x < 25 and y < 25; one relabelled patch in
+        # each of the other three crops, none inside block 0's.
+        for x, y in ((8, 32), (32, 8), (32, 32)):
+            patch = labels[x:x + 4, y:y + 4, 8:12]
+            assert (patch > 0).any()
+            patch[patch > 0] = patch[patch > 0] % 3 + 1
+        edited = type(img)(labels, spacing=img.spacing, origin=img.origin)
+        cache = ArtifactCache(root=None)
+
+        def run(image):
+            return mesh_sharded(
+                MeshRequest(image=image, mesher="sequential", delta=2.0,
+                            shards=4),
+                block_cache=cache,
+            )
+        run(img)
+        warm = run(edited)
+        bc, stitch = warm.stats["block_cache"], warm.stats["stitch"]
+        assert (bc["hits"], bc["misses"]) == (1, 3)
+        assert bc["stitch_hit"] is True
+        assert stitch["changed_blocks"] == 3
+        assert stitch["mode"].startswith("seam_local")
+        counters = warm.metrics["counters"]
+        assert counters["shard.cache.incremental_stitches"] == 1
+        assert validate_extracted_mesh(warm.mesh) == []
+        assert quality_report(warm.mesh).max_radius_edge <= 2.0 + 1e-9
+
+
+class TestFanOutOrder:
+    def test_largest_crop_is_handed_out_first(self):
+        img = ball_grid_phantom(48)
+        plan = decompose(img, 4, delta=2.0)
+        assert [b.crop_voxels for b in plan.blocks] == \
+            [30000, 39600, 39600, 52272]
+
+        class OneSlotPool:
+            n_workers = 1
+
+            def run_shard(self, request, plan, block, deadline=None,
+                          content_key=None):
+                return {"arrays": {}, "stats": {"index": block.index}}
+
+        started = []
+
+        def hook(event, block, info):
+            if event == "start":
+                started.append(block.index)
+
+        run = pool_runner(OneSlotPool(), MeshRequest(image=img), hook=hook)
+        outs = run(plan, [0, 1, 2, 3])
+        assert started == [3, 1, 2, 0]  # by crop, ties by index
+        assert [o["stats"]["index"] for o in outs] == [0, 1, 2, 3]
+        started.clear()
+        outs = run(plan, [0, 2])  # a warm request's misses
+        assert started == [2, 0]
+        assert [o["stats"]["index"] for o in outs] == [0, 2]
 
 
 # ---------------------------------------------------------------------------
