@@ -46,6 +46,7 @@ default serial runner) and the service's process-pool fan-out
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import time
@@ -644,7 +645,7 @@ def _load_set(block_pts: np.ndarray, block_kinds: np.ndarray,
         block_pts, block_kinds = block_pts[keep_rows], block_kinds[keep_rows]
     return (np.concatenate([block_pts, extra_pts]),
             np.concatenate([block_kinds, extra_kinds]),
-            int(len(extra_pts)), dropped)
+            len(extra_pts), dropped)
 
 
 def _bulk_load(domain, load_pts: np.ndarray, load_kinds: np.ndarray):
@@ -744,13 +745,11 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
     from repro.core.domain import RefineDomain
     from repro.core.refiner import SequentialRefiner
 
-    tracer = obs.tracer if obs is not None else None
     t0 = time.perf_counter()
     domain = RefineDomain(
         image, delta=plan.delta, radius_edge_bound=radius_edge_bound,
         planar_angle_bound_deg=planar_angle_bound_deg,
     )
-    tri = domain.tri
 
     block_pts = np.concatenate([
         np.asarray(out["points"], dtype=np.float64).reshape(-1, 3)
@@ -783,15 +782,13 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
     r6_seconds = time.perf_counter() - t1
 
     # -- re-refine the shell until every rule passes there -------------
-    seed_filter = _seed_filter(tri, boxes, holes)
+    seed_filter = _seed_filter(domain.tri, boxes, holes)
     t2 = time.perf_counter()
     skip_snap = domain.n_skipped
     refiner = SequentialRefiner(domain, max_operations=max_operations,
                                 obs=obs, seed_filter=seed_filter)
-    if tracer is not None and tracer.enabled:
-        with tracer.span("shard.stitch.refine"):
-            rstats = refiner.refine()
-    else:
+    with (obs.tracer.span("shard.stitch.refine") if obs is not None
+          else contextlib.nullcontext()):
         rstats = refiner.refine()
     quality_rounds = _retry_passes(domain, rstats, max_operations,
                                    seed_filter, domain.n_skipped - skip_snap)
@@ -804,6 +801,7 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
     offenders = len(_radius_edge_offenders(domain, radius_edge_bound))
     if offenders:
         mode = "seam_local+repair"
+        # skipped=1: the first unrestricted pass is owed to the screen.
         quality_rounds += _retry_passes(domain, rstats, max_operations,
                                         None, skipped=1)
     rstats.final_tets = domain.tri.n_tets

@@ -408,9 +408,9 @@ def _case_id(case):
                              case[3])
 
 
-#: the two small golden inputs plus a multi-tissue image
-FIXED_POINT_CASES = [_case(row) for row in GOLDEN_ROWS[:2]] + [
-    ("abdominal_phantom", 32, None, 4)]
+GOLDEN_CASES = [_case(row) for row in GOLDEN_ROWS]
+#: a multi-tissue image next to the single- and few-label goldens
+ABDOMINAL = ("abdominal_phantom", 32, None, 4)
 
 
 class TestOneStitchPath:
@@ -433,7 +433,8 @@ class TestOneStitchPath:
         case = _case(row)
         assert stitch_row(*case, result=cold(case)) == row
 
-    @pytest.mark.parametrize("case", FIXED_POINT_CASES, ids=_case_id)
+    @pytest.mark.parametrize("case", GOLDEN_CASES[:2] + [ABDOMINAL],
+                             ids=_case_id)
     def test_cold_stitch_ends_at_a_fixed_point(self, cold, case):
         # The interiors were never seeded in the stitch, yet no rule
         # applies anywhere: the blocks' own verdicts survived the merge.
@@ -447,9 +448,8 @@ class TestOneStitchPath:
         SequentialRefiner(domain).refine()
         assert (domain.n_insertions, domain.n_removals) == before
 
-    @pytest.mark.parametrize(
-        "case", [_case(row) for row in GOLDEN_ROWS] + FIXED_POINT_CASES[2:],
-        ids=_case_id)
+    @pytest.mark.parametrize("case", GOLDEN_CASES + [ABDOMINAL],
+                             ids=_case_id)
     def test_cold_stitch_does_under_half_the_blocks_work(self, cold, case):
         stats = cold(case).stats
         block_ops = sum(s["operations"] for s in stats["shard_stats"])
