@@ -16,21 +16,11 @@ Two halves, both one-line CI gates:
   when the machine has ≥2 usable CPUs — on a single-CPU runner the
   comparison is recorded but advisory (process workers cannot beat
   threads without parallelism; the GIL is the thing being escaped).
-* **HTTP gateway + coalescing** (``--http-bench``): a duplicate-burst
-  gate plus a zipfian request mix driven through a real
-  :class:`~repro.service.MeshHTTPServer` with concurrent
-  :class:`~repro.service.HttpClient` workers, written to
-  ``BENCH_http.json``.  The burst gate counts *mesh runs*, not wall
-  time: K identical cold requests must collapse to one run with
-  coalescing on and fan out to K independent runs with it off, an
-  amplification of K ≥ 5x.  Run counting makes the gate deterministic
-  on any machine, so it is always enforced.
 
 Exit code 0 iff every assertion (and any enforced gate) holds::
 
     PYTHONPATH=src python benchmarks/service_workload.py
     PYTHONPATH=src python benchmarks/service_workload.py --executor-bench
-    PYTHONPATH=src python benchmarks/service_workload.py --http-bench
 
 Keep the replay fast (< ~1 min on a laptop): it is a smoke gate on
 service semantics under concurrency, not a throughput benchmark.
@@ -42,35 +32,25 @@ import argparse
 import json
 import os
 import pathlib
-import random
 import sys
 import tempfile
-import threading
 import time
 
 from repro.api import MeshRequest
 from repro.imaging import sphere_phantom
 from repro.service import (
     JobState,
-    MeshHTTPServer,
     MeshingService,
     ServiceConfig,
     TransientMeshError,
-    connect,
     process_support_available,
 )
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 DEFAULT_BENCH = RESULTS_DIR / "BENCH_service.json"
-DEFAULT_HTTP_BENCH = RESULTS_DIR / "BENCH_http.json"
 
 #: required process-over-thread throughput on a multi-core machine.
 GATE_SPEEDUP = 1.5
-
-#: required duplicate-burst work amplification (independent mesh runs
-#: over coalesced mesh runs).  Counted in runs, not seconds, so it is
-#: deterministic and enforced everywhere.
-GATE_COALESCE = 5.0
 
 FAILURES = []
 
@@ -281,291 +261,27 @@ def executor_bench(out_path: pathlib.Path, n_jobs: int,
               f"{speedup:.2f}x")
 
 
-class TemplateMesher:
-    """Returns a canned result; counts calls, optional gate/delay.
-
-    A canned mesh keeps the benchmark about *service* mechanics —
-    coalescing, cache tiers, the HTTP transport — rather than meshing
-    speed, and the gate makes in-flight overlap deterministic.
-    """
-
-    name = "canned"
-
-    def __init__(self, result, gate=None, delay=0.0):
-        self.result = result
-        self.gate = gate
-        self.delay = delay
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def mesh(self, request):
-        with self._lock:
-            self.calls += 1
-        if self.gate is not None:
-            self.gate.wait(30.0)
-        if self.delay:
-            time.sleep(self.delay)
-        return self.result
-
-
-def _duplicate_burst(template, image, k: int, coalesce: bool) -> dict:
-    """Submit ``k`` identical cold requests; return the run count."""
-    gate = threading.Event()
-    mesher = TemplateMesher(template, gate=gate)
-    tmp = tempfile.mkdtemp(prefix="repro-httpbench-burst-")
-    service = MeshingService(ServiceConfig(
-        n_workers=k, queue_capacity=k + 2, cache_dir=tmp,
-        coalesce=coalesce)).start()
-    service.register_mesher("canned", mesher)
-    try:
-        jobs = [service.submit(MeshRequest(image=image, delta=3.0,
-                                           mesher="canned"))
-                for _ in range(k)]
-        # Hold the gate until every run that is going to happen has
-        # claimed a worker — one with coalescing, k without.  Nothing
-        # can finish early and turn a duplicate into a cache hit, so
-        # the run count (the thing the gate measures) is exact.
-        expected = 1 if coalesce else k
-        end = time.monotonic() + 30.0
-        while mesher.calls < expected and time.monotonic() < end:
-            time.sleep(0.005)
-        gate.set()
-        for job in jobs:
-            job.wait(120.0)
-        counters = service.metrics_snapshot()["counters"]
-        return {
-            "k": k,
-            "coalesce": coalesce,
-            "mesh_runs": mesher.calls,
-            "jobs_done": sum(j.state is JobState.DONE for j in jobs),
-            "followers": counters.get("service.coalesce.followers", 0),
-        }
-    finally:
-        gate.set()
-        service.shutdown()
-
-
-def _zipf_sequence(n_requests: int, n_ranks: int) -> list:
-    """Deterministic zipfian rank sequence (weight 1/(rank+1))."""
-    weights = [1.0 / (r + 1) for r in range(n_ranks)]
-    total = sum(weights)
-    counts = [max(1, round(n_requests * w / total)) for w in weights]
-    seq = [r for r, c in enumerate(counts) for _ in range(c)]
-    seq = seq[:n_requests] + [0] * (n_requests - len(seq))
-    random.Random(20260808).shuffle(seq)
-    return seq
-
-
-def _rank_request(image, rank: int) -> MeshRequest:
-    return MeshRequest(image=image, delta=2.5 + 0.25 * rank,
-                       mesher="canned")
-
-
-def _http_zipfian(template, image, cache_dir: str, n_requests: int,
-                  n_ranks: int, n_clients: int) -> dict:
-    """Drive a zipfian mix through the HTTP gateway; return metrics."""
-    mesher = TemplateMesher(template, delay=0.05)
-    service = MeshingService(ServiceConfig(
-        n_workers=4, queue_capacity=n_requests + 4,
-        cache_dir=cache_dir)).start()
-    service.register_mesher("canned", mesher)
-    server = MeshHTTPServer(service).start()
-    work = _zipf_sequence(n_requests, n_ranks)
-    lock = threading.Lock()
-    errors = []
-
-    def drain():
-        client = connect(server.url, timeout=60.0)
-        try:
-            while True:
-                with lock:
-                    if not work:
-                        return
-                    rank = work.pop()
-                try:
-                    result = client.mesh(_rank_request(image, rank),
-                                         timeout=120.0)
-                    if result.n_tets <= 0:
-                        errors.append(f"rank {rank}: empty mesh")
-                except Exception as exc:  # collected, not raised
-                    errors.append(f"rank {rank}: {exc!r}")
-        finally:
-            client.close()
-
-    threads = [threading.Thread(target=drain, name=f"http-client-{i}")
-               for i in range(n_clients)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    seconds = time.perf_counter() - t0
-    snap = service.metrics_snapshot()
-    images = server.gateway.images.stats_snapshot()
-    server.close()
-    service.shutdown()
-    slo = snap["slo"]
-    fanout = snap["histograms"].get("service.coalesce.fanout", {})
-    return {
-        "requests": n_requests,
-        "distinct": n_ranks,
-        "clients": n_clients,
-        "seconds": seconds,
-        "errors": errors,
-        "mesh_runs": mesher.calls,
-        "executor": service.executor,
-        "hit_rate": slo["hit_rate"],
-        "tiers": slo["tiers"],
-        "coalesce_fanout": {"count": fanout.get("count", 0),
-                            "sum": fanout.get("sum", 0)},
-        "image_store": images,
-    }
-
-
-def _http_disk_pass(template, image, cache_dir: str,
-                    n_ranks: int) -> dict:
-    """Fresh service over the warmed cache dir: every key a disk hit."""
-    mesher = TemplateMesher(template)
-    service = MeshingService(ServiceConfig(
-        n_workers=2, queue_capacity=n_ranks + 2,
-        cache_dir=cache_dir)).start()
-    service.register_mesher("canned", mesher)
-    server = MeshHTTPServer(service).start()
-    errors = []
-    client = connect(server.url, timeout=60.0)
-    try:
-        for rank in range(n_ranks):
-            try:
-                client.mesh(_rank_request(image, rank), timeout=120.0)
-            except Exception as exc:
-                errors.append(f"rank {rank}: {exc!r}")
-    finally:
-        client.close()
-        snap = service.metrics_snapshot()
-        server.close()
-        service.shutdown()
-    slo = snap["slo"]
-    return {
-        "requests": n_ranks,
-        "errors": errors,
-        "mesh_runs": mesher.calls,
-        "disk_hits": slo["tiers"]["disk_hit"]["requests"],
-        "p99_seconds": slo["tiers"]["disk_hit"]["p99_seconds"],
-    }
-
-
-def http_bench(out_path: pathlib.Path, n_requests: int = 48,
-               n_ranks: int = 6, n_clients: int = 6) -> None:
-    from repro.api import mesh as api_mesh
-    image = sphere_phantom(12)
-    template = api_mesh(MeshRequest(image=image, delta=3.0,
-                                    mesher="sequential"))
-
-    k = 8
-    print(f"http bench 1/3: duplicate burst, {k} identical requests")
-    on = _duplicate_burst(template, image, k, coalesce=True)
-    off = _duplicate_burst(template, image, k, coalesce=False)
-    amplification = (off["mesh_runs"] / on["mesh_runs"]
-                     if on["mesh_runs"] else 0.0)
-    print(f"  coalesce on : {on['mesh_runs']} mesh run(s), "
-          f"{on['followers']} follower(s)")
-    print(f"  coalesce off: {off['mesh_runs']} mesh run(s)")
-    print(f"  amplification: {amplification:.1f}x "
-          f"(required {GATE_COALESCE}x, enforced)")
-    check("coalesced burst runs exactly once",
-          on["mesh_runs"] == 1 and on["jobs_done"] == k,
-          f"{on['mesh_runs']} runs, {on['jobs_done']} done")
-    check("coalesced burst counts k-1 followers",
-          on["followers"] == k - 1, str(on["followers"]))
-    check("disabled coalescing runs k independent jobs",
-          off["mesh_runs"] == k and off["followers"] == 0,
-          f"{off['mesh_runs']} runs")
-    passed = amplification >= GATE_COALESCE
-    check(f"duplicate-burst amplification >= {GATE_COALESCE}x", passed,
-          f"{amplification:.1f}x")
-
-    print(f"http bench 2/3: zipfian mix over the gateway "
-          f"({n_requests} requests, {n_ranks} keys, {n_clients} clients)")
-    cache_dir = tempfile.mkdtemp(prefix="repro-httpbench-zipf-")
-    zipf = _http_zipfian(template, image, cache_dir, n_requests,
-                         n_ranks, n_clients)
-    hot = zipf["tiers"]
-    print(f"  {zipf['seconds']:.2f}s, hit rate {zipf['hit_rate']:.2f}, "
-          f"{zipf['mesh_runs']} mesh runs, "
-          f"coalesced {hot['coalesced']['requests']}, "
-          f"memory hits {hot['memory_hit']['requests']}")
-    check("zipfian requests all succeeded", not zipf["errors"],
-          "; ".join(zipf["errors"][:3]))
-    check("each distinct key meshed exactly once",
-          zipf["mesh_runs"] == n_ranks, str(zipf["mesh_runs"]))
-    served = (hot["coalesced"]["requests"]
-              + hot["memory_hit"]["requests"])
-    check("every duplicate served by coalescing or memory tier",
-          served == n_requests - n_ranks,
-          f"{served} vs {n_requests - n_ranks}")
-    check("zipfian hit rate >= 0.8", zipf["hit_rate"] >= 0.8,
-          f"{zipf['hit_rate']:.2f}")
-
-    print("http bench 3/3: disk-tier pass (fresh service, same cache)")
-    disk = _http_disk_pass(template, image, cache_dir, n_ranks)
-    print(f"  {disk['disk_hits']} disk hit(s), 0 expected mesh runs "
-          f"(got {disk['mesh_runs']})")
-    check("disk pass requests all succeeded", not disk["errors"],
-          "; ".join(disk["errors"][:3]))
-    check("warm cache dir serves every key from disk",
-          disk["disk_hits"] == n_ranks and disk["mesh_runs"] == 0,
-          f"{disk['disk_hits']} hits, {disk['mesh_runs']} runs")
-
-    doc = {
-        "schema": 1,
-        "cpus": usable_cpus(),
-        "executor": zipf["executor"],
-        "duplicate_burst": {
-            "k": k,
-            "runs_coalesced": on["mesh_runs"],
-            "runs_independent": off["mesh_runs"],
-            "followers": on["followers"],
-            "amplification": amplification,
-            "gate": {"required": GATE_COALESCE, "enforced": True,
-                     "passed": passed},
-        },
-        "zipfian": zipf,
-        "disk": disk,
-    }
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"  -> {out_path}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--executor-bench", action="store_true",
                         help="run the thread-vs-process comparison and "
                              "write BENCH_service.json")
-    parser.add_argument("--http-bench", action="store_true",
-                        help="run the duplicate-burst + zipfian HTTP "
-                             "gateway benchmark and write BENCH_http.json")
     parser.add_argument("--skip-replay", action="store_true",
-                        help="with --executor-bench/--http-bench: skip "
-                             "the workload replay half")
+                        help="with --executor-bench: skip the workload "
+                             "replay half")
     parser.add_argument("--bench-out", default=str(DEFAULT_BENCH),
                         help="output path for BENCH_service.json")
     parser.add_argument("--bench-jobs", type=int, default=8,
                         help="cache-miss jobs per executor in the bench")
     parser.add_argument("--bench-phantom", type=int, default=16,
                         help="phantom edge length for the bench jobs")
-    parser.add_argument("--http-out", default=str(DEFAULT_HTTP_BENCH),
-                        help="output path for BENCH_http.json")
     args = parser.parse_args(argv)
 
-    any_bench = args.executor_bench or args.http_bench
-    if not (any_bench and args.skip_replay):
+    if not (args.executor_bench and args.skip_replay):
         replay()
     if args.executor_bench:
         executor_bench(pathlib.Path(args.bench_out), args.bench_jobs,
                        args.bench_phantom)
-    if args.http_bench:
-        http_bench(pathlib.Path(args.http_out))
 
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")

@@ -10,9 +10,6 @@ makes the drift visible:
 * ``--record-service BENCH_service.json`` does the same for the
   service executor benchmark (thread vs process jobs-per-second) into
   ``benchmarks/results/BENCH_service_history.jsonl``;
-* ``--record-http BENCH_http.json`` does the same for the HTTP
-  gateway benchmark (duplicate-burst amplification, zipfian hit rate)
-  into ``benchmarks/results/BENCH_http_history.jsonl``;
 * the default invocation renders both histories as fixed-width tables
   in ``benchmarks/results/BENCH_trend.txt`` (and to stdout), flagging
   any entry whose speedup dropped more than ``--drift-threshold``
@@ -38,7 +35,6 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 DEFAULT_HISTORY = RESULTS_DIR / "BENCH_kernels_history.jsonl"
 DEFAULT_SERVICE_HISTORY = RESULTS_DIR / "BENCH_service_history.jsonl"
 DEFAULT_SHARD_HISTORY = RESULTS_DIR / "BENCH_shard_history.jsonl"
-DEFAULT_HTTP_HISTORY = RESULTS_DIR / "BENCH_http_history.jsonl"
 DEFAULT_REPORT = RESULTS_DIR / "BENCH_trend.txt"
 
 
@@ -181,92 +177,6 @@ def record_shard(bench_path: pathlib.Path, history_path: pathlib.Path,
     with open(history_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(rec) + "\n")
     return rec
-
-
-def record_http(bench_path: pathlib.Path, history_path: pathlib.Path,
-                label: str):
-    """Append one history record distilled from a BENCH_http.json."""
-    if not bench_path.exists():
-        print(f"warning: no http benchmark results at {bench_path}; "
-              "nothing recorded", file=sys.stderr)
-        return None
-    try:
-        doc = json.loads(bench_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"warning: unreadable http benchmark {bench_path}: {exc}",
-              file=sys.stderr)
-        return None
-    if not isinstance(doc, dict) or not doc:
-        print(f"warning: empty http benchmark {bench_path}; "
-              "nothing recorded", file=sys.stderr)
-        return None
-    burst = doc.get("duplicate_burst", {})
-    zipf = doc.get("zipfian", {})
-    tiers = zipf.get("tiers", {})
-    rec = {
-        "label": label,
-        "schema": doc.get("schema"),
-        "cpus": doc.get("cpus"),
-        "executor": doc.get("executor"),
-        "amplification": burst.get("amplification"),
-        "hit_rate": zipf.get("hit_rate"),
-        "coalesced": tiers.get("coalesced", {}).get("requests"),
-        "memory_p99_seconds":
-            tiers.get("memory_hit", {}).get("p99_seconds"),
-        "full_mesh_p99_seconds":
-            tiers.get("full_mesh", {}).get("p99_seconds"),
-        "disk_p99_seconds": doc.get("disk", {}).get("p99_seconds"),
-        "gate_enforced": bool(burst.get("gate", {}).get("enforced")),
-        "gate_passed": bool(burst.get("gate", {}).get("passed")),
-    }
-    history_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(history_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec) + "\n")
-    return rec
-
-
-def render_http(history: list, drift_threshold: float) -> str:
-    """Fourth report section: HTTP gateway / coalescing trend.
-
-    The amplification gate is counted in mesh runs and so never
-    drifts with machine speed; the drift flag instead watches the
-    zipfian *hit rate* — a drop means duplicates stopped landing on
-    the coalesce/memory tiers.
-    """
-    lines = [
-        "http gateway trend (duplicate-burst amplification, zipfian mix)",
-        "",
-        f"{'label':<24} {'exec':>7} {'amplif':>7} {'hit rate':>9} "
-        f"{'mem p99 s':>10} {'disk p99 s':>11} {'gate':>6}  note",
-        "-" * 88,
-    ]
-    best_rate = max((r.get("hit_rate") or 0.0 for r in history),
-                    default=0.0)
-    for r in history:
-        rate = r.get("hit_rate")
-        note = ""
-        if len(history) == 1:
-            note = "n=1 (no baseline)"
-        elif best_rate > 0 and rate is not None:
-            drop = 1.0 - rate / best_rate
-            if drop > drift_threshold:
-                note = (f"HIT-RATE DRIFT -{drop:.0%} "
-                        f"vs best {best_rate:.2f}")
-        gate = ("pass" if r.get("gate_passed") else "FAIL") \
-            if r.get("gate_enforced") else "n/a"
-        lines.append(
-            f"{str(r.get('label', '?')):<24.24} "
-            f"{str(r.get('executor', '?')):>7.7} "
-            f"{_fmt(r.get('amplification'), 7, 1)} "
-            f"{_fmt(rate, 9, 2)} "
-            f"{_fmt(r.get('memory_p99_seconds'), 10, 4)} "
-            f"{_fmt(r.get('disk_p99_seconds'), 11, 4)} "
-            f"{gate:>6}  {note}"
-        )
-    if not history:
-        lines.append("(no http history recorded yet)")
-    lines.append("")
-    return "\n".join(lines) + "\n"
 
 
 def render_shard(history: list, drift_threshold: float) -> str:
@@ -476,9 +386,6 @@ def main(argv=None) -> int:
     parser.add_argument("--record-shard", metavar="BENCH_SHARD_JSON",
                         help="append this BENCH_shard.json to the shard "
                              "history")
-    parser.add_argument("--record-http", metavar="BENCH_HTTP_JSON",
-                        help="append this BENCH_http.json to the http "
-                             "gateway history")
     parser.add_argument("--label", default="local",
                         help="history label for --record (branch, SHA, ...)")
     parser.add_argument("--rebaseline", default="", metavar="REASON",
@@ -490,8 +397,6 @@ def main(argv=None) -> int:
                         default=str(DEFAULT_SERVICE_HISTORY))
     parser.add_argument("--shard-history",
                         default=str(DEFAULT_SHARD_HISTORY))
-    parser.add_argument("--http-history",
-                        default=str(DEFAULT_HTTP_HISTORY))
     parser.add_argument("-o", "--output", default=str(DEFAULT_REPORT))
     parser.add_argument("--drift-threshold", type=float, default=0.10,
                         help="flag entries this far below the best speedup")
@@ -526,15 +431,6 @@ def main(argv=None) -> int:
             print(f"recorded shard {rec['label']}: speedup "
                   f"{sp if sp is not None else 'n/a'}")
 
-    http_history_path = pathlib.Path(args.http_history)
-    if args.record_http:
-        rec = record_http(pathlib.Path(args.record_http),
-                          http_history_path, args.label)
-        if rec is not None:
-            amp = rec["amplification"]
-            print(f"recorded http {rec['label']}: amplification "
-                  f"{amp if amp is not None else 'n/a'}")
-
     report = render(load_history(history_path), args.drift_threshold)
     service_history = load_history(service_history_path)
     if service_history:
@@ -544,10 +440,6 @@ def main(argv=None) -> int:
     if shard_history:
         report += "\n" + render_shard(shard_history,
                                       args.drift_threshold)
-    http_history = load_history(http_history_path)
-    if http_history:
-        report += "\n" + render_http(http_history,
-                                     args.drift_threshold)
     out = pathlib.Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report)

@@ -11,10 +11,9 @@ Runs entirely in-process (no sockets, no subprocesses):
 4. drive the async submit/wait/cancel path;
 5. print the ``service.*`` metrics that observed all of it.
 
-The out-of-process equivalents are ``repro serve`` (NDJSON on stdio
-or ``--socket /tmp/repro.sock`` + ``connect("unix://...")``) and the
-HTTP gateway (``repro serve --http HOST:PORT`` +
-``connect("http://host:port")``).
+The out-of-process equivalent is the same client over HTTP:
+``repro serve --http HOST:PORT`` in one process,
+``connect("http://host:port")`` in the other.
 
 Usage::
 

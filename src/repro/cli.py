@@ -4,9 +4,8 @@ Commands
 --------
 ``phantom``   generate a synthetic segmented image (.npz)
 ``mesh``      image-to-mesh conversion (any mesher, via ``repro.api``)
-``serve``     long-running meshing service (NDJSON on stdio or a
-              Unix socket, or the HTTP gateway via ``--http``;
-              see ``repro.service``)
+``serve``     long-running meshing service behind the HTTP gateway
+              (see ``repro.service``)
 ``simulate``  parallel refinement on the simulated cc-NUMA machine
 ``report``    quality/fidelity report of a stored image + parameters
 ``show``      ASCII view of an image slice
@@ -181,9 +180,12 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import MeshingService, ServiceConfig
-    from repro.service.frontend import UnixSocketFrontend, serve_stdio
+    from repro.service import MeshHTTPServer, MeshingService, ServiceConfig
 
+    host, _, port = args.http.rpartition(":")
+    if not port.isdigit():
+        print(f"--http wants HOST:PORT, got {args.http!r}", file=sys.stderr)
+        return EXIT_BAD_ARGS
     config = ServiceConfig(
         n_workers=args.workers,
         queue_capacity=args.queue_capacity,
@@ -203,41 +205,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("process executor unavailable (no shared memory); "
               "falling back to threads", file=sys.stderr)
     try:
-        if args.http:
-            from repro.service.http import MeshHTTPServer
-
-            host, _, port = args.http.rpartition(":")
-            if not port.isdigit():
-                print(f"--http wants HOST:PORT, got {args.http!r}",
-                      file=sys.stderr)
-                return EXIT_BAD_ARGS
-            server = MeshHTTPServer(service, host=host or "127.0.0.1",
-                                    port=int(port))
-            print(f"serving http on {server.url} "
-                  f"({args.workers} {service.executor} workers)",
-                  file=sys.stderr, flush=True)
-            try:
-                server.serve_forever()
-                code = EXIT_OK
-            except KeyboardInterrupt:
-                code = EXIT_OK
-            finally:
-                server.close()
-        elif args.socket:
-            print(f"serving on unix socket {args.socket} "
-                  f"({args.workers} {service.executor} workers)",
-                  file=sys.stderr)
-            frontend = UnixSocketFrontend(service, args.socket)
-            try:
-                code = frontend.serve_forever()
-            except KeyboardInterrupt:
-                frontend.stop()
-                code = EXIT_OK
-        else:
-            try:
-                code = serve_stdio(service)
-            except KeyboardInterrupt:
-                code = EXIT_OK
+        server = MeshHTTPServer(service, host=host or "127.0.0.1",
+                                port=int(port))
+        print(f"serving http on {server.url} "
+              f"({args.workers} {service.executor} workers)",
+              file=sys.stderr, flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.close()
     finally:
         service.shutdown(wait=False)
         if getattr(args, "metrics_out", None):
@@ -247,7 +225,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service.obs.write_trace(args.trace_out,
                                     process_name="repro-serve")
             print(f"wrote trace {args.trace_out}", file=sys.stderr)
-    return code
+    return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -368,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the meshing service (NDJSON jobs on stdio or a "
-             "socket, or HTTP via --http)",
+        help="run the meshing service behind the HTTP gateway",
     )
     p.add_argument("--workers", type=int, default=4,
                    help="worker threads/processes (default 4)")
@@ -383,12 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist the content-addressed artifact cache "
                         "here (default: in-memory only)")
-    p.add_argument("--socket", default=None, metavar="PATH",
-                   help="serve a Unix domain socket instead of stdio")
-    p.add_argument("--http", default=None, metavar="HOST:PORT",
-                   help="serve the HTTP gateway (POST /v1/mesh, "
-                        "GET /v1/jobs/<id>, /healthz, /metricsz) "
-                        "instead of stdio")
+    p.add_argument("--http", default="127.0.0.1:8080",
+                   metavar="HOST:PORT",
+                   help="where the HTTP gateway listens (POST /v1/mesh, "
+                        "GET /v1/jobs/<id>, /healthz, /metricsz); "
+                        "default %(default)s, port 0 picks a free one")
     p.add_argument("--no-coalesce", action="store_true",
                    help="run identical concurrent requests as "
                         "independent jobs instead of coalescing them "

@@ -29,14 +29,11 @@ follow-on work — I2M inside clinical pipelines — makes explicit):
   p50/p95/p99 latency for memory-hit / disk-hit / coalesced /
   full-mesh);
 * :mod:`repro.service.client` — :func:`connect`, the one client entry
-  point for every transport, returning a uniform :class:`Client`;
-* :mod:`repro.service.protocol` / :mod:`repro.service.frontend` —
-  the versioned ``repro serve`` wire protocol over stdio or a Unix
-  socket;
-* :mod:`repro.service.http` — the HTTP gateway (``repro serve
-  --http``): ``POST /v1/mesh``, ``GET /v1/jobs/<id>``, ``/healthz``,
-  ``/metricsz``, plus :class:`HttpClient`, what
-  ``connect("http://host:port")`` returns.
+  point (in-process or HTTP), returning a uniform :class:`Client`;
+* :mod:`repro.service.http` — the one wire: the HTTP gateway behind
+  ``repro serve`` (``POST /v1/mesh``, ``GET /v1/jobs/<id>``,
+  ``/healthz``, ``/metricsz``), the versioned request schema, and
+  :class:`HttpClient`, what ``connect("http://host:port")`` returns.
 
 Quickstart::
 
@@ -49,16 +46,14 @@ Quickstart::
         result = client.mesh(MeshRequest(image=image, delta=2.0))
         again = client.mesh(MeshRequest(image=image, delta=2.0))  # cache hit
 
-The same two calls work against a remote server: replace the
-``connect(config=...)`` with ``connect("/run/repro.sock")`` or
-``connect("http://127.0.0.1:8080")``.
+The same two calls work against a ``repro serve`` process: replace the
+``connect(config=...)`` with ``connect("http://127.0.0.1:8080")``.
 """
 
 from repro.service.cache import ArtifactCache, EDTCacheAdapter
 from repro.service.client import (
     Client,
     InProcessClient,
-    SocketClient,
     connect,
 )
 from repro.service.coalesce import CoalesceRegistry
@@ -66,6 +61,7 @@ from repro.service.http import (
     HttpClient,
     ImageStore,
     MeshHTTPServer,
+    PROTOCOL_VERSION,
     decode_image_b64,
     encode_image_b64,
 )
@@ -85,7 +81,6 @@ from repro.service.pool import (
     WorkerPool,
     process_support_available,
 )
-from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.queue import JobQueue
 from repro.service.service import EXECUTORS, MeshingService, ServiceConfig
 from repro.service.slo import SLOTracker
@@ -111,7 +106,6 @@ __all__ = [
     "SLOTracker",
     "ServiceConfig",
     "ServiceError",
-    "SocketClient",
     "TERMINAL_STATES",
     "TransientMeshError",
     "WorkerCrashed",

@@ -1,4 +1,4 @@
-"""One client API for every transport: ``repro.service.connect()``.
+"""One client API for both transports: ``repro.service.connect()``.
 
 :func:`connect` is the single documented entry point for talking to a
 meshing service.  The ``target`` picks the transport; the object that
@@ -13,11 +13,7 @@ comes back always implements the same :class:`Client` interface —
     with connect(config=ServiceConfig(n_workers=4)) as client:
         result = client.mesh(MeshRequest(image=image, delta=2.0))
 
-    # same calls over a Unix socket (`repro serve --socket PATH`)
-    with connect("/run/repro.sock") as client:
-        result = client.mesh(MeshRequest(image=image, delta=2.0))
-
-    # or over the HTTP gateway (`repro serve --http HOST:PORT`)
+    # same calls over the HTTP gateway (`repro serve --http HOST:PORT`)
     with connect("http://127.0.0.1:8080") as client:
         result = client.mesh(MeshRequest(image=image, delta=2.0))
 
@@ -26,58 +22,30 @@ Target forms:
 ========================= =========================================
 ``None``                    in-process service (from ``config``, or
                             borrow an already-running ``service``)
-``"/path/to.sock"``         Unix-socket NDJSON (``unix://`` prefix
-                            also accepted)
 ``"http://host:port"``      the HTTP gateway
                             (:class:`repro.service.http.HttpClient`)
-``"scheme://..."``          anything else → error
+anything else               ``ValueError``
 ========================= =========================================
 
-Across transports, ``submit`` returns the job **id** (a string) and
+On both transports ``submit`` returns the job **id** (a string) and
 ``wait``/``status`` return the JSON-safe job summary dict — the
-lowest common denominator every transport can honour.  ``mesh``
-always returns a full :class:`~repro.api.MeshResult`.  The in-process
-client additionally exposes ``.service`` (and ``job(id)``) for
-callers that want the richer :class:`~repro.service.jobs.Job`
-objects; the socket client exposes ``request()`` for raw protocol
-access.
+lowest common denominator both can honour.  ``mesh`` always returns a
+full :class:`~repro.api.MeshResult`.  The in-process client
+additionally exposes ``.service`` (and ``job(id)``) for callers that
+want the richer :class:`~repro.service.jobs.Job` objects.
 
-Remote clients negotiate the protocol version on connect (the
-``hello`` op over the socket, the ``X-Repro-Protocol`` header over
-HTTP) and refuse to proceed against a server speaking a different
-version.
+The HTTP client checks the protocol version on connect (the
+``X-Repro-Protocol`` header) and refuses to proceed against a server
+speaking a different version.
 """
 
 from __future__ import annotations
 
-import json
-import socket
 from typing import Any, Dict, Optional, Union
 
 from repro.api import MeshRequest, MeshResult
 from repro.service.jobs import Job, ServiceError
-from repro.service.protocol import PROTOCOL_VERSION, REQUEST_PARAMS
 from repro.service.service import MeshingService, ServiceConfig
-
-
-def request_wire_params(request: MeshRequest) -> Dict[str, Any]:
-    """The request's non-default :data:`REQUEST_PARAMS` as a wire
-    ``params`` object (shared by the socket and HTTP clients).
-
-    Raises :class:`ServiceError` for requests that cannot cross a
-    process boundary (live ``size_function`` callables).
-    """
-    if request.size_function is not None:
-        raise ServiceError(
-            "size_function requests cannot cross the wire"
-        )
-    params: Dict[str, Any] = {}
-    defaults = MeshRequest.__dataclass_fields__
-    for key in REQUEST_PARAMS:
-        value = getattr(request, key)
-        if value != defaults[key].default:
-            params[key] = value
-    return params
 
 
 class Client:
@@ -184,124 +152,6 @@ class InProcessClient(Client):
         return job
 
 
-class SocketClient(Client):
-    """:class:`Client` over the Unix-socket NDJSON front-end.
-
-    One request-response exchange per call on a persistent
-    connection; the protocol version is negotiated up front.  Stdlib
-    only.
-    """
-
-    def __init__(self, path: str, timeout: Optional[float] = None,
-                 negotiate: bool = True):
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if timeout is not None:
-            self._sock.settimeout(timeout)
-        self._sock.connect(path)
-        self._file = self._sock.makefile("rwb")
-        if negotiate:
-            hello = self.request({"op": "hello", "v": PROTOCOL_VERSION})
-            if not hello.get("ok") or hello.get("v") != PROTOCOL_VERSION:
-                self.close()
-                raise ServiceError(
-                    f"protocol version mismatch: client speaks "
-                    f"{PROTOCOL_VERSION}, server answered {hello!r}"
-                )
-
-    # -- raw protocol --------------------------------------------------
-    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one message, read one response line."""
-        self._file.write(json.dumps(message).encode("utf-8") + b"\n")
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("service closed the connection")
-        return json.loads(line.decode("utf-8"))
-
-    # -- Client interface ----------------------------------------------
-    def mesh(self, request: MeshRequest,
-             deadline: Optional[float] = None,
-             timeout: Optional[float] = None) -> MeshResult:
-        msg = self._message("mesh", request)
-        if deadline is not None:
-            msg["deadline"] = deadline
-        if timeout is not None:
-            msg["wait_timeout"] = timeout
-        msg["return_mesh"] = True
-        out = self.request(msg)
-        if not out.get("ok") or out.get("state") != "DONE":
-            raise ServiceError(
-                f"{out.get('id', '<job>')} finished "
-                f"{out.get('state', 'with error')}"
-                f"{': ' + out['error'] if out.get('error') else ''}"
-            )
-        return MeshResult.from_dict(out["result"])
-
-    def submit(self, request: MeshRequest,
-               deadline: Optional[float] = None) -> str:
-        msg = self._message("submit", request)
-        if deadline is not None:
-            msg["deadline"] = deadline
-        out = self.request(msg)
-        if not out.get("ok"):
-            raise ServiceError(out.get("error", "submit failed"))
-        return out["id"]
-
-    def wait(self, job_id: str,
-             timeout: Optional[float] = None) -> Dict[str, Any]:
-        msg: Dict[str, Any] = {"op": "wait", "id": job_id}
-        if timeout is not None:
-            msg["wait_timeout"] = timeout
-        return self.request(msg)
-
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return self.request({"op": "status", "id": job_id})
-
-    def cancel(self, job_id: str) -> bool:
-        return bool(self.request({"op": "cancel", "id": job_id}).get("ok"))
-
-    def metrics(self) -> Dict[str, Any]:
-        out = self.request({"op": "metrics"})
-        return out.get("metrics", out)
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
-
-    # -- convenience ---------------------------------------------------
-    def mesh_path(self, image_path: str,
-                  params: Optional[Dict[str, Any]] = None,
-                  **options: Any) -> Dict[str, Any]:
-        """Synchronous mesh of an on-disk ``.npz`` image; raw response.
-
-        The efficient remote form — the volume stays off the wire.
-        """
-        msg: Dict[str, Any] = {"op": "mesh", "image_path": image_path}
-        if params:
-            msg["params"] = params
-        msg.update(options)
-        return self.request(msg)
-
-    @staticmethod
-    def _message(op: str, request: MeshRequest) -> Dict[str, Any]:
-        """Encode a MeshRequest as a wire message (image inlined)."""
-        image = request.image
-        params = request_wire_params(request)
-        msg: Dict[str, Any] = {
-            "op": op,
-            "image": {
-                "labels": image.labels.tolist(),
-                "spacing": list(image.spacing),
-                "origin": list(image.origin),
-            },
-        }
-        if params:
-            msg["params"] = params
-        return msg
-
-
 def connect(target: Union[None, str, MeshingService] = None, *,
             config: Optional[ServiceConfig] = None,
             service: Optional[MeshingService] = None,
@@ -309,41 +159,28 @@ def connect(target: Union[None, str, MeshingService] = None, *,
     """Open a :class:`Client` on ``target`` (see module docstring).
 
     ``target=None`` builds an in-process service from ``config`` (or
-    borrows ``service``); a path string connects to a Unix-socket
-    server; ``http://host:port`` connects to the HTTP gateway; other
-    URL schemes are rejected.
+    borrows ``service``); ``http://host:port`` connects to the HTTP
+    gateway; anything else is rejected.
     """
     if isinstance(target, MeshingService):
         return InProcessClient(service=target)
     if target is None:
         return InProcessClient(config=config, service=service)
-    if not isinstance(target, str):
-        target = str(target)
-    if "://" in target:
-        scheme, _, rest = target.partition("://")
-        if scheme == "http":
-            from repro.service.http import HttpClient
+    scheme, _, rest = str(target).partition("://")
+    host, _, port = rest.rstrip("/").rpartition(":")
+    if scheme != "http" or not host or not port.isdigit():
+        raise ValueError(
+            f"target must be None (in-process) or http://host:port, "
+            f"got {target!r}"
+        )
+    from repro.service.http import HttpClient
 
-            host, _, port = rest.rstrip("/").rpartition(":")
-            if not host or not port.isdigit():
-                raise ValueError(
-                    f"http target must be http://host:port, got {target!r}"
-                )
-            return HttpClient(host, int(port), timeout=timeout)
-        if scheme != "unix":
-            raise ValueError(
-                f"unsupported transport {scheme!r} in {target!r}; "
-                "use in-process (None), unix://, or http://"
-            )
-        target = rest
-    return SocketClient(target, timeout=timeout)
+    return HttpClient(host, int(port), timeout=timeout)
 
 
 __all__ = [
     "Client",
     "InProcessClient",
     "ServiceError",
-    "SocketClient",
     "connect",
-    "request_wire_params",
 ]

@@ -41,10 +41,19 @@ Status mapping: job state → HTTP status (:data:`STATE_STATUS`):
 down), ``FAILED`` 500, ``TIMED_OUT`` 504.  Bodies are always JSON and
 always carry ``ok``.
 
-Versioning: every response carries ``X-Repro-Protocol``; a request may
-send the same header and is rejected with 400 on a mismatch — the
-HTTP spelling of the NDJSON ``hello`` negotiation, sharing
-:data:`~repro.service.protocol.PROTOCOL_VERSION`.
+Versioning: every response carries ``X-Repro-Protocol``
+(:data:`PROTOCOL_VERSION`); a request may send the same header and is
+rejected with 400 on a mismatch.  :class:`HttpClient` checks it once,
+on connect.
+
+The request schema lives here and nowhere else: the params a body may
+set and their JSON types (:data:`REQUEST_PARAMS`), the three ways to
+name the image, the version check.  Whatever a client got wrong —
+unknown or wrong-typed param, a value :meth:`MeshRequest.validate
+<repro.api.MeshRequest.validate>` refuses, a malformed image, a
+non-numeric ``deadline`` — raises :class:`ProtocolError` and answers
+400 with the field named; 500 is kept for server faults and for a job
+that ran and ``FAILED``.
 
 A response that carries a mesh does not serialise it again: the disk
 artifact is already the ``"result"`` member byte for byte
@@ -81,18 +90,38 @@ from repro.api import MeshRequest, MeshResult
 from repro.imaging.image import SegmentedImage
 from repro.observability.metrics import REQUEST_LATENCY_BUCKETS
 from repro.service.cache import mesh_json_bytes
-from repro.service.client import Client, request_wire_params
+from repro.service.client import Client
 from repro.service.jobs import Job, JobState, ServiceError, TERMINAL_STATES
 from repro.service.keys import image_content_key
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    REQUEST_PARAMS,
-)
 from repro.service.service import MeshingService
+
+#: Version of the request/response schema this build speaks.
+PROTOCOL_VERSION = 1
 
 #: Request/response header carrying the protocol version.
 PROTOCOL_HEADER = "X-Repro-Protocol"
+
+_NUMBER = (int, float)
+_NULL = type(None)
+
+#: The :class:`~repro.api.MeshRequest` knobs a body's ``params`` may
+#: set, each with the JSON types it accepts (``null`` where the knob's
+#: default is ``None``).
+REQUEST_PARAMS = {
+    "mesher": str,
+    "delta": _NUMBER + (_NULL,),
+    "radius_edge_bound": _NUMBER,
+    "planar_angle_bound_deg": _NUMBER,
+    "n_threads": int,
+    "cm": str,
+    "lb": str,
+    "hyperthreading": bool,
+    "seed": int,
+    "max_operations": (int, _NULL),
+    "timeout": _NUMBER + (_NULL,),
+    "shards": (int, str, _NULL),
+    "incremental": bool,
+}
 
 #: HTTP status answering each job state.
 STATE_STATUS = {
@@ -116,6 +145,41 @@ MAX_BODY_BYTES = 128 * 1024 * 1024
 
 #: Default byte budget of the gateway image store.
 IMAGE_STORE_BYTES = 256 * 1024 * 1024
+
+
+class ProtocolError(ValueError):
+    """A request the client got wrong; answered 400, never 500."""
+
+
+def request_wire_params(request: MeshRequest) -> Dict[str, Any]:
+    """The request's non-default :data:`REQUEST_PARAMS` as a body's
+    ``params`` object.
+
+    Raises :class:`ServiceError` for requests that cannot cross a
+    process boundary (live ``size_function`` callables).
+    """
+    if request.size_function is not None:
+        raise ServiceError(
+            "size_function requests cannot cross the wire"
+        )
+    params: Dict[str, Any] = {}
+    defaults = MeshRequest.__dataclass_fields__
+    for key in REQUEST_PARAMS:
+        value = getattr(request, key)
+        if value != defaults[key].default:
+            params[key] = value
+    return params
+
+
+def _seconds(fields: Dict[str, Any], name: str) -> Optional[float]:
+    """The optional ``name`` field as float seconds (absent → None)."""
+    value = fields.get(name)
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            f"{name!r} must be a number of seconds, got {value!r}"
+        ) from None
 
 
 # -- image transport ---------------------------------------------------
@@ -353,6 +417,15 @@ class MeshGateway:
             raise ProtocolError(
                 f"unknown params: {', '.join(sorted(unknown))}"
             )
+        for name, value in params.items():
+            if not isinstance(value, REQUEST_PARAMS[name]):
+                raise ProtocolError(
+                    f"param {name!r} has the wrong type: {value!r}"
+                )
+        # 0 is a value here, not an absence: a zero deadline has already
+        # passed and a zero wait_timeout does not block.
+        deadline = _seconds(body, "deadline")
+        timeout = _seconds(body, "wait_timeout")
         image = self._image_from(body)
         if image is None:
             return 404, {
@@ -360,18 +433,14 @@ class MeshGateway:
                 "error": f"unknown image key {body.get('image_key')!r}",
                 "unknown_image_key": True,
             }, {}, None
-        request = MeshRequest(image=image, **params)
-        # 0 is a value here, not an absence: a zero deadline has already
-        # passed and a zero wait_timeout does not block.
-        deadline = body.get("deadline")
-        job = self.service.submit(
-            request,
-            deadline=float(deadline) if deadline is not None else None,
-        )
+        try:
+            job = self.service.submit(MeshRequest(image=image, **params),
+                                      deadline=deadline)
+        except ValueError as exc:  # MeshRequest.validate said no
+            raise ProtocolError(f"bad params: {exc}") from None
         if body.get("wait", True) and not job.done:
-            timeout = body.get("wait_timeout")
             job.wait(MAX_WAIT if timeout is None
-                     else min(max(float(timeout), 0.0), MAX_WAIT))
+                     else min(max(timeout, 0.0), MAX_WAIT))
         return self._job_answer(job, bool(body.get("return_mesh")))
 
     def _image_from(self, body: Dict[str, Any]) -> Optional[SegmentedImage]:
@@ -384,17 +453,20 @@ class MeshGateway:
         if inline is not None:
             if not isinstance(inline, dict) or "labels" not in inline:
                 raise ProtocolError("inline image needs a 'labels' array")
-            image = SegmentedImage(
-                np.asarray(inline["labels"], dtype=np.int16),
-                spacing=tuple(inline.get("spacing", (1.0, 1.0, 1.0))),
-                origin=tuple(inline.get("origin", (0.0, 0.0, 0.0))),
-            )
+            try:
+                image = SegmentedImage(
+                    np.asarray(inline["labels"], dtype=np.int16),
+                    spacing=tuple(inline.get("spacing", (1.0, 1.0, 1.0))),
+                    origin=tuple(inline.get("origin", (0.0, 0.0, 0.0))),
+                )
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"bad inline 'image': {exc}") from None
             self.images.put(image)
             return image
         key = body.get("image_key")
-        if not key:
+        if not key or not isinstance(key, str):
             raise ProtocolError(
-                "body carries none of image_b64 / image / image_key"
+                "body needs one of image_b64 / image / image_key (a string)"
             )
         return self.images.get(key)
 
@@ -404,13 +476,9 @@ class MeshGateway:
         if job is None:
             return 404, {"ok": False,
                          "error": f"unknown job {job_id!r}"}, {}, None
-        wait = query.get("wait")
+        wait = _seconds(query, "wait")
         if wait is not None and not job.done:
-            try:
-                seconds = float(wait)
-            except ValueError:
-                raise ProtocolError(f"bad wait value {wait!r}") from None
-            job.wait(min(max(seconds, 0.0), MAX_WAIT))
+            job.wait(min(max(wait, 0.0), MAX_WAIT))
         want_result = query.get("result") in ("1", "true", "yes")
         return self._job_answer(job, want_result,
                                 if_none_match=if_none_match)
@@ -473,14 +541,18 @@ class _Handler(BaseHTTPRequestHandler):
         body: Dict[str, Any] = {}
         refusal: Optional[Tuple[int, str]] = None
         if method == "POST":
+            declared = self.headers.get("Content-Length") or "0"
             try:
-                length = int(self.headers.get("Content-Length") or 0)
+                length = int(declared)
             except ValueError:
-                length = 0
-            if length > MAX_BODY_BYTES:
+                length = -1
+            if length < 0:
+                refusal = (400, f"bad Content-Length {declared!r}")
+            elif length > MAX_BODY_BYTES:
+                refusal = (413, f"body over {MAX_BODY_BYTES} bytes")
+            if refusal is not None:
                 # Drain nothing: answer and drop the connection.
                 self.close_connection = True
-                refusal = (413, f"body over {MAX_BODY_BYTES} bytes")
             else:
                 raw = self.rfile.read(length) if length else b""
                 try:
@@ -769,8 +841,12 @@ __all__ = [
     "MeshGateway",
     "MeshHTTPServer",
     "PROTOCOL_HEADER",
+    "PROTOCOL_VERSION",
+    "ProtocolError",
+    "REQUEST_PARAMS",
     "STATE_STATUS",
     "decode_image_b64",
     "encode_image_b64",
     "etag_matches",
+    "request_wire_params",
 ]

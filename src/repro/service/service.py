@@ -241,8 +241,7 @@ class MeshingService:
 
     # -- submission ----------------------------------------------------
     def submit(self, request: MeshRequest,
-               deadline: Optional[float] = None,
-               job_id: Optional[str] = None) -> Job:
+               deadline: Optional[float] = None) -> Job:
         """Queue one request; returns its :class:`Job` immediately.
 
         ``deadline`` is seconds-from-now; it covers queue wait *and*
@@ -267,13 +266,10 @@ class MeshingService:
         abs_deadline = (
             time.monotonic() + deadline if deadline is not None else None
         )
-        if job_id is None:
-            job_id = f"job-{next(self._ids):06d}"
-        job = Job(job_id, request, deadline=abs_deadline)
+        job = Job(f"job-{next(self._ids):06d}", request,
+                  deadline=abs_deadline)
         with self._jobs_lock:
-            if job_id in self._jobs and not self._jobs[job_id].done:
-                raise ValueError(f"job id {job_id!r} already active")
-            self._jobs[job_id] = job
+            self._jobs[job.id] = job
         job.add_done_callback(self._retire)
         reg = self.registry
         reg.counter("service.jobs.submitted").inc()

@@ -36,6 +36,7 @@ from repro.service.http import (
     ImageStore,
     MeshGateway,
     PROTOCOL_HEADER,
+    ProtocolError,
     _Handler,
     decode_image_b64,
     encode_image_b64,
@@ -78,7 +79,6 @@ class TestImageCodec:
         assert clone.origin == image.origin
 
     def test_bad_payload_is_protocol_error(self):
-        from repro.service.protocol import ProtocolError
         with pytest.raises(ProtocolError):
             decode_image_b64("not base64 at all!!!")
 
@@ -135,6 +135,39 @@ class TestGatewayRoutes:
         assert status == 200
         assert out["state"] == "DONE" and out["ok"] is True
         assert out["result"]["mesh"]["tets"]
+
+    def test_mesh_inline_image_200(self, gateway, image):
+        status, out, _ = gateway.handle("POST", "/v1/mesh", body={
+            "image": {"labels": image.labels.tolist(),
+                      "spacing": list(image.spacing)},
+            "params": {"mesher": "sequential", "delta": 3.0}})
+        assert status == 200 and out["ok"] is True
+        assert out["state"] == "DONE" and out["n_tets"] > 0
+
+    @pytest.mark.parametrize("field,body", [
+        ("image", {"image": {"labels": [[[0, 1], [1]]]}}),
+        ("delta", {"params": {"delta": "x"}}),
+        ("delta", {"params": {"delta": -1.0}}),
+        ("deadline", {"deadline": "soon"}),
+        ("wait_timeout", {"wait_timeout": "x"}),
+        ("image_key", {"image_key": [1]}),
+    ])
+    def test_malformed_request_is_400_not_500(
+            self, service, image, field, body):
+        """The client's mistake, named — through the gateway and over
+        a real socket; 500 stays for server faults and FAILED jobs."""
+        if not field.startswith("image"):  # the rest need a good image
+            body = mesh_body(image, **body)
+        status, out, _ = MeshGateway(service).handle(
+            "POST", "/v1/mesh", body=body)
+        assert status == 400 and out["ok"] is False
+        assert field in out["error"]
+        with MeshHTTPServer(service) as server:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(server.url, body)
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["ok"] is False
+        assert service.job("job-000001") is None  # nothing was queued
 
     def test_mesh_unknown_params_400(self, gateway, image):
         status, out, _ = gateway.handle(
@@ -448,6 +481,52 @@ class TestHttpServerAndClient:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=10)
             assert err.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_bad_content_length_refused_not_raised(
+            self, service, length, capfd):
+        with MeshHTTPServer(service) as server:
+            with socket.create_connection(server.address, 10) as sock:
+                sock.sendall(b"POST /v1/mesh HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: " + length.encode()
+                             + b"\r\n\r\n")
+                reply = sock.makefile("rb").read()  # server closes
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b'"ok": false' in reply
+            with urllib.request.urlopen(server.url + "/healthz",
+                                        timeout=10) as resp:
+                assert resp.status == 200
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_bad_body_leaves_the_connection_usable(self, service, image):
+        with MeshHTTPServer(service) as server:
+            with HttpClient(*server.address) as client:
+                sock = client._conn.sock
+                client._conn.request("POST", "/v1/mesh", body=b"{not json")
+                reply = client._conn.getresponse()
+                assert reply.status == 400
+                assert json.loads(reply.read())["ok"] is False
+                result = client.mesh(MeshRequest(
+                    image=image, delta=3.0, mesher="sequential"))
+                assert result.mesh.n_tets > 0
+                assert client._conn.sock is sock  # never re-opened
+
+    def test_second_client_is_a_cache_hit_with_the_same_mesh(
+            self, service, image):
+        request = MeshRequest(image=image, delta=3.0, mesher="sequential")
+        with MeshHTTPServer(service) as server:
+            with connect(server.url) as one, connect(server.url) as two:
+                cold = one.mesh(request)
+                summary = two.wait(two.submit(request), timeout=60.0)
+                assert summary["cache_hit"] is True
+                assert summary["n_tets"] == cold.n_tets
+                warm = two.mesh(request)
+                counters = two.metrics()["counters"]
+        np.testing.assert_array_equal(warm.mesh.tets, cold.mesh.tets)
+        np.testing.assert_array_equal(warm.mesh.vertices,
+                                      cold.mesh.vertices)
+        assert counters["service.cache.hit"] == 2
+        assert counters["service.cache.miss"] == 1
 
     def test_concurrent_http_duplicates_coalesce(self, service, image):
         """The burst crosses the real transport: identical concurrent
