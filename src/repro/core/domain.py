@@ -30,9 +30,12 @@ Rule summary (priority order):
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.pointgrid import PointGrid
 from repro.core.sizing import SizeFunction, unconstrained
@@ -44,6 +47,12 @@ from repro.delaunay import (
     RollbackSignal,
     Triangulation3D,
 )
+from repro.delaunay.mesh import FACE_OPPOSITE
+from repro.geometry.batch import (
+    circumballs_many,
+    shortest_edges_many,
+    triangle_min_angles_many,
+)
 from repro.geometry.predicates import circumcenter_tet
 from repro.geometry.quality import (
     shortest_edge,
@@ -53,6 +62,13 @@ from repro.imaging.image import SegmentedImage
 from repro.imaging.isosurface import SurfaceOracle
 
 TouchFn = Optional[Callable[[int], None]]
+
+# Room the screen leaves wherever its float arithmetic is not the
+# judge's own (numpy's root of a sum of squares against ``math.dist``,
+# its arc cosine against ``math.acos``): a tie goes to "maybe" and
+# ``refine_tet`` decides.
+_TIE = 1e-12
+_ANGLE_TIE_DEG = 1e-9
 
 
 class VertexKind(IntEnum):
@@ -116,14 +132,25 @@ class RefineDomain:
             sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]
         )
 
-        self.vertex_kind: Dict[int, VertexKind] = {
-            v: VertexKind.BOX for v in self.tri.box_vertices
-        }
+        # Vertex bookkeeping — the kind of every vertex (as a dict and,
+        # for the screen's face tests, an int8 array indexed by vertex
+        # id) and the two proximity grids.  ``register_vertex`` and
+        # ``forget_vertex`` are the only writers.
+        self.vertex_kind: Dict[int, VertexKind] = {}
+        self._kind_arr = np.full(256, VertexKind.CIRCUMCENTER, dtype=np.int8)
         self.iso_grid = PointGrid(cell=self.delta)
         self.cc_grid = PointGrid(cell=2.0 * self.delta)
+        for v in self.tri.box_vertices:
+            self.register_vertex(v, self.tri.mesh.points[v], VertexKind.BOX)
 
-        # circumball cache: tet id -> (epoch, center, radius)
-        self._cc_cache: Dict[int, Tuple[int, Tuple[float, float, float], float]] = {}
+        # The circumball store: row ``t`` is ``(cx, cy, cz, r, epoch)``
+        # of tet slot ``t``, current while ``epoch`` is the slot's.  The
+        # scalar ``circumball`` and the batch screen both read and fill
+        # it, so they cannot disagree on a centre or a radius.  A row is
+        # written in one piece; the lock keeps a growing copy from
+        # tearing a row another thread is writing.
+        self._cc = np.full((1024, 5), -1.0)
+        self._cc_lock = threading.Lock()
 
         # counters consumed by benchmarks / EXPERIMENTS.md
         self.n_insertions = 0
@@ -137,17 +164,21 @@ class RefineDomain:
     # geometric helpers
     # ------------------------------------------------------------------
     def circumball(self, t: int) -> Tuple[Tuple[float, float, float], float]:
-        """Cached circumcenter + circumradius of live tet ``t``."""
+        """Circumcenter + circumradius of live tet ``t``, through the
+        circumball store."""
         mesh = self.tri.mesh
         epoch = mesh.tet_epoch[t]
-        hit = self._cc_cache.get(t)
-        if hit is not None and hit[0] == epoch:
-            return hit[1], hit[2]
+        store = self._cc
+        if t < len(store):
+            cx, cy, cz, r, stored = store[t].tolist()
+            if stored == epoch:
+                return (cx, cy, cz), r
         pts = mesh.points
         a, b, c, d = (pts[v] for v in mesh.tet_verts_arr[t].tolist())
         try:
             cc = circumcenter_tet(a, b, c, d)
-            r = math.dist(cc, a)
+            dx, dy, dz = cc[0] - a[0], cc[1] - a[1], cc[2] - a[2]
+            r = math.sqrt(dx * dx + dy * dy + dz * dz)
         except ZeroDivisionError:
             cc = (
                 (a[0] + b[0] + c[0] + d[0]) / 4.0,
@@ -155,8 +186,37 @@ class RefineDomain:
                 (a[2] + b[2] + c[2] + d[2]) / 4.0,
             )
             r = math.inf
-        self._cc_cache[t] = (epoch, cc, r)
+        with self._cc_lock:
+            self._cc_rows(t + 1)[t] = (cc[0], cc[1], cc[2], r, epoch)
         return cc, r
+
+    def _cc_rows(self, n: int) -> np.ndarray:
+        """The circumball store with at least ``n`` rows (call with the
+        lock held)."""
+        store = self._cc
+        if len(store) < n:
+            grown = np.full((max(n, 2 * len(store)), 5), -1.0)
+            grown[: len(store)] = store
+            self._cc = store = grown
+        return store
+
+    def circumballs(self, tets: np.ndarray) -> np.ndarray:
+        """The circumball store, made current for the live tets ``tets``
+        (repeats allowed): row ``t`` is ``(cx, cy, cz, r, epoch)``.
+
+        Rows that are stale are computed in one batch, bit-identical to
+        what :meth:`circumball` would have stored.
+        """
+        mesh = self.tri.mesh
+        epoch = np.fromiter(mesh.tet_epoch, np.int64, len(mesh.tet_epoch))
+        with self._cc_lock:
+            store = self._cc_rows(mesh.tet_top)
+            stale = tets[store[tets, 4] != epoch[tets]]
+            if stale.size:
+                quads = mesh.coords[mesh.tet_verts_arr[stale]]
+                store[stale, :3], store[stale, 3] = circumballs_many(quads)
+                store[stale, 4] = epoch[stale]
+        return store
 
     def surface_distance(self, p: Sequence[float]) -> float:
         """Approximate distance from ``p`` to the isosurface.
@@ -176,52 +236,112 @@ class RefineDomain:
         site nearest to the center ``c``."""
         return r == math.inf or math.dist(c, site) <= r + self._surface_slack
 
-    def _r1_blocked_near(self, site) -> bool:
-        """R1 is blocked without asking the oracle: the candidate ``z``
-        lies within one voxel diagonal of ``site``, so an isosurface
-        vertex within ``delta - slack`` of ``site`` is within ``delta``
-        of ``z``.  Blocking is permanent — isosurface samples are never
-        removed."""
-        reach = self.delta - self._surface_slack
-        return reach > 0.0 and self.iso_grid.any_within(site, reach)
-
     def point_inside_object(self, p) -> bool:
         return self.image.label_at(p) != 0
 
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
-    def is_poor(self, t: int, se: Optional[float] = None) -> bool:
-        """Seed screen: could any rule apply to live tet ``t``?
+    def screen(self, tets) -> np.ndarray:
+        """Could a rule apply?  One bool per live tet id in ``tets``.
 
-        Decides which tets of a mesh that exists *before* a refinement
-        loop starts (bounding simplex, bulk-loaded stitch points) are
-        pushed on a Poor Element List.  Tets born during refinement are
-        not screened: they are all queued and :meth:`refine_tet` judges
-        each one when it is popped.  Conservative — it may report True
-        for an element whose R1 insertion is delta-blocked.
+        ``False`` is exact: :meth:`refine_tet` answers ``rule="none"``
+        for that tet now, and keeps answering it while the tet lives —
+        R2/R4/R5 read the tet's own geometry, a blocked R1 stays blocked
+        because isosurface samples are never removed, and R3 can only
+        start to apply when a face neighbour is replaced, in which case
+        the replacement is a new tet that judges the shared facet by the
+        same symmetric test.  ``True`` means "maybe": ``refine_tet``
+        decides, and it remains the only code that applies a rule.
 
-        ``se`` optionally supplies the tet's shortest edge length when
-        the caller already computed it — the seeding pass screens all
-        live tets through the vectorized batch kernel
-        (:func:`repro.geometry.batch.quality_screen`) and hands the
-        per-tet value down here instead of recomputing it scalar-wise.
+        Every test is the judge's own — same circumballs (the shared
+        store), same sites, labels and samples — evaluated as array
+        masks; where the arithmetic differs in the last bit the
+        comparison is widened (``_TIE``).  The one per-tet call left is
+        the surface oracle's ray, asked only for tets no other rule
+        flags.  Reads the mesh without locks, so it must not run while
+        other threads refine.
         """
-        c, r = self.circumball(t)
-        site = self.oracle.nearest_surface_voxel(c)
-        if self._ball_reaches_site(c, r, site):
-            if r > 2.0 * self.delta:
-                return True  # R2 will fire regardless of R1's sample check
-            if not self._r1_blocked_near(site):
-                return True
-        if self.point_inside_object(c):
-            if r > self.sf(c):
-                return True
-            if se is None:
-                se = shortest_edge(*self.tri.tet_points(t))
-            if se == 0.0 or r / se > self.radius_edge_bound:
-                return True
-        return self._restricted_facet_needing_refinement(t) is not None
+        mesh = self.tri.mesh
+        tets = np.asarray(tets, dtype=np.int64)
+        n = len(tets)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        verts = mesh.tet_verts_arr[tets]
+        adj = mesh.tet_adj[tets]
+        has_nbr = adj != HULL
+        # Circumballs, and the label at each centre, once per tet of the
+        # generation or face neighbour of one.  ``slot_label`` has a
+        # spare last entry for HULL (-1) to read.
+        seen = np.zeros(mesh.tet_top, dtype=bool)
+        seen[tets] = True
+        seen[adj[has_nbr]] = True
+        ids = np.flatnonzero(seen)
+        store = self.circumballs(ids)
+        slot_label = np.zeros(mesh.tet_top + 1, dtype=np.int32)
+        slot_label[ids] = self.image.labels_at_many(store[ids, :3])
+        c = store[tets, :3]
+        r = store[tets, 3]
+        label = slot_label[tets]
+        inside = label != 0
+
+        # ---- R2, and R1's precondition ----
+        site = self.oracle.nearest_surface_voxels(c)
+        d = c - site
+        gap = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+                      + d[:, 2] * d[:, 2])
+        reaches = (r == np.inf) | (
+            gap <= (r + self._surface_slack) * (1.0 + _TIE))
+        maybe = reaches & (r > 2.0 * self.delta)
+
+        # ---- R4 ----
+        rows = np.flatnonzero(inside & ~maybe)
+        se = shortest_edges_many(mesh.coords[verts[rows]])
+        maybe[rows[(se == 0.0) | (
+            r[rows] >= self.radius_edge_bound * se * (1.0 - _TIE))]] = True
+
+        # ---- R3 ----
+        ti, fi = np.nonzero(has_nbr & (slot_label[adj] != label[:, None]))
+        if ti.size:
+            face = verts[ti[:, None], FACE_OPPOSITE[fi]]
+            kinds = self._kinds(mesh.coords.shape[0])
+            wanted = (kinds[face] != VertexKind.ISOSURFACE).any(axis=1)
+            rest = np.flatnonzero(~wanted)
+            wanted[rest] = triangle_min_angles_many(
+                mesh.coords[face[rest]]
+            ) < self.planar_angle_bound + _ANGLE_TIE_DEG
+            maybe[ti[wanted]] = True
+
+        # ---- R5 ----
+        rows = np.flatnonzero(inside & ~maybe)
+        if rows.size:
+            sf = self.sf
+            size = np.array([sf(p) for p in map(tuple, c[rows].tolist())])
+            maybe[rows[r[rows] > size]] = True
+
+        # ---- R1 ----
+        rows = np.flatnonzero(reaches & ~maybe)
+        closest = self.oracle.closest_surface_point
+        found = [(i, z) for i, z in zip(
+            rows.tolist(), map(closest, map(tuple, c[rows].tolist()))
+        ) if z is not None]
+        if found:
+            rows = np.array([i for i, _ in found])
+            blocked = self.iso_grid.any_within_many(
+                np.array([z for _, z in found]), self.delta)
+            maybe[rows[~blocked]] = True
+        return maybe
+
+    def _kinds(self, n: int) -> np.ndarray:
+        """The int8 vertex-kind array with at least ``n`` entries; a
+        vertex nobody registered reads as a circumcenter."""
+        kinds = self._kind_arr
+        if len(kinds) < n:
+            grown = np.full(max(n, 2 * len(kinds)),
+                            VertexKind.CIRCUMCENTER, dtype=np.int8)
+            grown[: len(kinds)] = kinds
+            self._kind_arr = kinds = grown
+        return kinds
 
     def _restricted_facet_needing_refinement(
         self, t: int, touch: TouchFn = None
@@ -265,8 +385,9 @@ class RefineDomain:
     def refine_tet(self, t: int, touch: TouchFn = None) -> OperationResult:
         """Judge live tet ``t``: apply the first applicable rule.
 
-        The one verdict a tet born during refinement ever gets (the
-        loops call this once per pop).  Returns an
+        The only code that inserts or removes for a rule.  The worker
+        loops call it once per pop; the sequential refiner calls it for
+        the tets :meth:`screen` could not rule out.  Returns an
         :class:`OperationResult`; ``skipped`` is set when no rule
         applies (``rule="none"``) or a degenerate insertion had to be
         abandoned.  Rollback signals from ``touch``
@@ -292,12 +413,11 @@ class RefineDomain:
 
         # ---- R1 ----
         if self._ball_reaches_site(c, r, site):
-            if not self._r1_blocked_near(site):
-                z = self.oracle.closest_surface_point(c)
-                if z is not None and not self.iso_grid.any_within(z, self.delta):
-                    return self._insert_point(
-                        z, VertexKind.ISOSURFACE, "R1", hint=t, touch=touch
-                    )
+            z = self.oracle.closest_surface_point(c)
+            if z is not None and not self.iso_grid.any_within(z, self.delta):
+                return self._insert_point(
+                    z, VertexKind.ISOSURFACE, "R1", hint=t, touch=touch
+                )
             # ---- R2 ----
             if r > 2.0 * self.delta:
                 return self._insert_circumcenter(t, c, "R2", touch=touch)
@@ -364,28 +484,28 @@ class RefineDomain:
             return OperationResult(rule=rule, skipped=True,
                                    skip_reason=str(exc))
         self.n_insertions += 1
-        self.vertex_kind[v] = kind
-        if kind == VertexKind.ISOSURFACE:
-            self.iso_grid.add(v, p)
-        else:
-            self.cc_grid.add(v, p)
+        self.register_vertex(v, p, kind)
         result = OperationResult(rule=rule, inserted_vertex=v,
                                  new_tets=list(new_tets),
                                  killed_tets=list(killed))
         # ---- R6: purge circumcenters crowding a new isosurface vertex ----
         if kind == VertexKind.ISOSURFACE and self.enable_r6:
-            self._apply_r6(p, v, result, touch)
+            self.apply_r6(p, v, result, touch)
         return result
 
-    def _apply_r6(self, z, z_vid: int, result: OperationResult,
-                  touch: TouchFn) -> None:
+    def apply_r6(self, z, z_vid: int, result: OperationResult,
+                 touch: TouchFn = None) -> None:
+        """Rule R6 for isosurface vertex ``z_vid`` at ``z``: remove the
+        circumcenter vertices within ``2*delta`` and record it on
+        ``result``.  Runs inside every isosurface insertion; the stitch
+        calls it for the samples a bulk load brought in."""
         victims = [
             v for v in self.cc_grid.query_ball(z, 2.0 * self.delta)
             if v != z_vid
         ]
         for v in victims:
             if not self.tri.mesh.alive_vertex[v]:
-                self.cc_grid.remove(v)
+                self.forget_vertex(v)
                 continue
             try:
                 new_tets, killed = self.tri.remove_vertex(v, touch=touch)
@@ -400,8 +520,7 @@ class RefineDomain:
                 result.r6_conflicts += 1
                 continue
             self.n_removals += 1
-            self.cc_grid.remove(v)
-            self.vertex_kind.pop(v, None)
+            self.forget_vertex(v)
             result.removed_vertices.append(v)
             dead = set(killed)
             result.new_tets = [x for x in result.new_tets if x not in dead]
@@ -409,8 +528,22 @@ class RefineDomain:
             result.killed_tets.extend(killed)
 
     # ------------------------------------------------------------------
+    def register_vertex(self, v: int, p, kind: VertexKind) -> None:
+        """Record vertex ``v`` at ``p`` as ``kind``: isosurface samples
+        join the R1 grid, circumcenters the R6 grid."""
+        kind = VertexKind(kind)
+        self.vertex_kind[v] = kind
+        self._kinds(v + 1)[v] = kind
+        if kind == VertexKind.ISOSURFACE:
+            self.iso_grid.add(v, p)
+        elif kind == VertexKind.CIRCUMCENTER:
+            self.cc_grid.add(v, p)
+
     def forget_vertex(self, v: int) -> None:
-        """Drop bookkeeping for a vertex (used by rollback paths)."""
+        """Drop every record of vertex ``v`` (removed, or its slot about
+        to be reused)."""
         self.vertex_kind.pop(v, None)
+        if v < len(self._kind_arr):
+            self._kind_arr[v] = VertexKind.CIRCUMCENTER
         self.iso_grid.remove(v)
         self.cc_grid.remove(v)

@@ -11,12 +11,11 @@ circumcenter) so FE solvers can assign per-tissue material properties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.domain import RefineDomain
-from repro.delaunay.mesh import HULL
+from repro.delaunay.mesh import FACE_OPPOSITE
 
 
 @dataclass
@@ -51,54 +50,43 @@ class ExtractedMesh:
 
 
 def extract_mesh(domain: RefineDomain) -> ExtractedMesh:
-    """Collect the tetrahedra whose circumcenter lies inside the object."""
-    tri = domain.tri
-    mesh = tri.mesh
-    image = domain.image
+    """Collect the tetrahedra whose circumcenter lies inside the object.
 
-    keep: Dict[int, int] = {}  # tet -> label
-    for t in mesh.live_tets():
-        c, _ = domain.circumball(t)
-        lab = image.label_at(c)
-        if lab != 0:
-            keep[t] = lab
+    Tets come out in ascending slot order, vertices numbered by first
+    use, each tet's boundary faces in local-face order — an interface
+    between two tissues once, from the lower tet id.
+    """
+    mesh = domain.tri.mesh
+    live = mesh.live_tet_ids()
+    centers = domain.circumballs(live)[live, :3]
+    labels = domain.image.labels_at_many(centers)
+    kept = live[labels != 0]
+    tet_labels = labels[labels != 0]
+    verts = mesh.tet_verts_arr[kept].astype(np.int64)
 
-    vmap: Dict[int, int] = {}
-    vertices: List[Tuple[float, float, float]] = []
+    used, first_use = np.unique(verts.ravel(), return_index=True)
+    used = used[np.argsort(first_use)]
+    renumber = np.zeros(mesh.coords.shape[0], dtype=np.int64)
+    renumber[used] = np.arange(len(used))
 
-    def remap(v: int) -> int:
-        new = vmap.get(v)
-        if new is None:
-            new = len(vertices)
-            vmap[v] = new
-            vertices.append(mesh.points[v])
-        return new
-
-    tets = []
-    tet_labels = []
-    boundary_faces = []
-    boundary_labels = []
-    for t, lab in keep.items():
-        tets.append([remap(v) for v in mesh.tet_verts_arr[t].tolist()])
-        tet_labels.append(lab)
-        adj = mesh.tet_adj[t]
-        for i in range(4):
-            nbr = adj[i]
-            nbr_lab = 0
-            if nbr != HULL and nbr in keep:
-                nbr_lab = keep[nbr]
-            if nbr_lab == lab:
-                continue
-            if nbr_lab != 0 and nbr < t:
-                continue  # internal interface emitted once, from the lower id
-            face = mesh.face_opposite(t, i)
-            boundary_faces.append([remap(v) for v in face])
-            boundary_labels.append((lab, nbr_lab))
+    # label per slot, 0 for discarded tets; HULL (-1) reads the spare
+    # last entry, so the hull counts as background.
+    slot_label = np.zeros(mesh.tet_top + 1, dtype=np.int32)
+    slot_label[kept] = tet_labels
+    adj = mesh.tet_adj[kept]
+    nbr_label = slot_label[adj]
+    own_label = tet_labels[:, None]
+    emit = (nbr_label != own_label) & ~(
+        (nbr_label != 0) & (adj < kept[:, None]))
+    ti, fi = np.nonzero(emit)
+    faces = verts[ti[:, None], FACE_OPPOSITE[fi]]
 
     return ExtractedMesh(
-        vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-        tets=np.asarray(tets, dtype=np.int64).reshape(-1, 4),
-        tet_labels=np.asarray(tet_labels, dtype=np.int32),
-        boundary_faces=np.asarray(boundary_faces, dtype=np.int64).reshape(-1, 3),
-        boundary_labels=np.asarray(boundary_labels, dtype=np.int32).reshape(-1, 2),
+        vertices=mesh.coords[used],
+        tets=renumber[verts],
+        tet_labels=tet_labels,
+        boundary_faces=renumber[faces].reshape(-1, 3),
+        boundary_labels=np.stack(
+            [tet_labels[ti], nbr_label[ti, fi]], axis=1
+        ).astype(np.int32).reshape(-1, 2),
     )

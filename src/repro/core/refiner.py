@@ -1,23 +1,29 @@
 """Sequential Delaunay refinement for smooth surfaces (Section 3).
 
 This is the single-threaded reference implementation of the paper's
-refinement loop: seed a Poor Element List with the virtual bounding
-volume's elements, then repeatedly pop an element, apply the first
-applicable rule (R1-R6 via :meth:`RefineDomain.refine_tet`), and queue
-every element the operation created, until no rule applies anywhere.
-The PEL holds *candidates*, not verdicts: a tet born during refinement
-is judged once, by ``refine_tet`` when it is popped (most die in a
-later cavity before their turn), so ``n_operations`` counts pops,
-including the ones no rule applied to.  ``RefineDomain.is_poor`` only
-screens the mesh that exists before the loop starts.
+refinement loop, walked a generation at a time.  A FIFO Poor Element
+List is already a schedule of rounds — a tet born while generation *g*
+is processed is popped in generation *g+1* — so the refiner keeps the
+generations explicit: the live tets of one generation go through
+:meth:`RefineDomain.screen` in one vectorised pass, the ones it rules
+out are done (``rule="none"``, no Python per tet), and the scalar
+:meth:`RefineDomain.refine_tet` — the only code that applies a rule —
+judges the rest in their FIFO order, skipping those an earlier
+operation of the same generation killed.  The tets those operations
+create are the next generation; the run ends when a generation is
+empty, which is when no rule applies anywhere.
+
+``n_operations`` counts tets judged: every tet the screen ruled out
+plus every ``refine_tet`` call.
 
 With an :class:`~repro.observability.Observability` bundle attached the
 refiner feeds the run's metrics registry (operation / rule counters,
-cavity-size histogram, per-operation latency histogram) and, when
-tracing is enabled, emits one complete-span trace event per operation —
-the same event stream the parallel and simulated refiners produce, so
-one Chrome-trace viewer serves every backend.  Without a bundle the
-per-operation cost is a single ``None`` check.
+cavity-size histogram, per-call latency histogram) and, when tracing is
+enabled, emits one ``screen`` span per generation and one complete-span
+event per ``refine_tet`` call — the same event stream the parallel and
+simulated refiners produce, so one Chrome-trace viewer serves every
+backend.  Without a bundle the per-operation cost is a single ``None``
+check.
 """
 
 from __future__ import annotations
@@ -64,12 +70,12 @@ class SequentialRefiner:
         self.max_operations = max_operations
         self.stats = RefineStats()
         self.obs = obs
-        #: ``seed_filter(live_tet_ids) -> bool mask``: restricts the
-        #: initial PEL seed scan to a region of interest (the seam-local
-        #: stitch).  Tets created *during* refinement are always queued
-        #: — rule side effects stay local to the seeds' cavities, so the
-        #: restriction is only about skipping the per-tet scalar screen
-        #: on already-refined bulk.
+        #: ``seed_filter(live_tet_ids) -> bool mask``: restricts
+        #: generation 0 to a region of interest (the seam-local stitch).
+        #: Tets created *during* refinement always join the next
+        #: generation — rule side effects stay local to the seeds'
+        #: cavities, so the restriction is only about not re-judging
+        #: already-refined bulk.
         self.seed_filter = seed_filter
         # Predicate-filter counters are process-wide; snapshot so the
         # published kernel stats cover exactly this run.
@@ -87,72 +93,79 @@ class SequentialRefiner:
         # Hoist the instruments out of the loop: the hot path pays one
         # method call per counter, never a registry lookup.
         tracer = None
-        ops_counter = rules_counters = cavity_hist = op_hist = None
+        ops_counter = none_counter = gen_counter = None
+        rules_counters = cavity_hist = op_hist = None
         if obs is not None:
             tracer = obs.tracer
             reg = obs.registry
             ops_counter = reg.counter("refine.operations")
+            gen_counter = reg.counter("refine.generations")
+            none_counter = reg.counter("refine.screened_none")
             cavity_hist = reg.histogram(
                 "refine.cavity_size", SIZE_BUCKETS,
                 help="new tets created per operation",
             )
             op_hist = reg.histogram(
-                "refine.op_seconds", help="wall time per operation",
+                "refine.op_seconds", help="wall time per refine_tet call",
             )
-            rules_counters = {}
+            rules_counters = {"none": reg.counter("refine.rule.none")}
             if tracer.enabled:
                 tracer.begin("refine", 0, 0.0)
 
-        # Seed the PEL through the vectorized quality screen: one batch
-        # gather computes every live tet's shortest edge, so is_poor's
-        # radius-edge branch never runs the scalar kernel here.
-        from repro.geometry.batch import quality_screen
-
         mesh_store = domain.tri.mesh
-        live = mesh_store.live_tet_ids()
-        if self.seed_filter is not None and live.size:
-            live = live[np.asarray(self.seed_filter(live), dtype=bool)]
-        _, short_edges = quality_screen(
-            mesh_store.coords, mesh_store.tet_verts_arr, live
-        )
-        for t, se in zip(live.tolist(), short_edges.tolist()):
-            if domain.is_poor(t, se=se):
-                pel.push(t)
-
-        ops = 0
-        while True:
-            t = pel.pop()
-            if t is None:
-                break
-            t_op0 = time.perf_counter()
-            result = domain.refine_tet(t)
-            ops += 1
-            if self.max_operations is not None and ops > self.max_operations:
-                raise RuntimeError(
-                    f"refinement exceeded {self.max_operations} operations"
-                )
-            self._record(result)
+        rule_counts = self.stats.rule_counts
+        # Generation 0: the mesh that exists before the loop starts.
+        tets = mesh_store.live_tet_ids()
+        if self.seed_filter is not None and tets.size:
+            tets = tets[np.asarray(self.seed_filter(tets), dtype=bool)]
+        while tets.size:
+            t_gen0 = time.perf_counter()
+            maybe = tets[domain.screen(tets)].tolist()
+            n_none = len(tets) - len(maybe)
+            self.stats.n_operations += n_none
+            if n_none:
+                rule_counts["none"] = rule_counts.get("none", 0) + n_none
+            self._check_budget()
             if obs is not None:
-                dt_op = time.perf_counter() - t_op0
-                ops_counter.inc()
-                op_hist.observe(dt_op)
-                if not result.skipped:
-                    cavity_hist.observe(len(result.new_tets))
-                rc = rules_counters.get(result.rule)
-                if rc is None:
-                    rc = rules_counters[result.rule] = obs.registry.counter(
-                        f"refine.rule.{result.rule}"
-                    )
-                rc.inc()
+                gen_counter.inc()
+                ops_counter.inc(n_none)
+                none_counter.inc(n_none)
+                rules_counters["none"].inc(n_none)
                 if tracer.enabled:
                     tracer.complete(
-                        result.rule, t_op0 - t_start, dt_op, 0
+                        "screen", t_gen0 - t_start,
+                        time.perf_counter() - t_gen0, 0,
+                        n=len(tets), n_maybe=len(maybe),
                     )
-            if result.skipped:
-                continue
-            for nt in result.new_tets:
-                if mesh_store.is_live(nt):
-                    pel.push(nt)
+
+            epoch = mesh_store.tet_epoch
+            for t, t_epoch in zip(maybe, [epoch[t] for t in maybe]):
+                if not mesh_store.is_live(t) or epoch[t] != t_epoch:
+                    continue        # killed earlier in this generation
+                t_op0 = time.perf_counter()
+                result = domain.refine_tet(t)
+                self._record(result)
+                self._check_budget()
+                if obs is not None:
+                    dt_op = time.perf_counter() - t_op0
+                    ops_counter.inc()
+                    op_hist.observe(dt_op)
+                    if not result.skipped:
+                        cavity_hist.observe(len(result.new_tets))
+                    rc = rules_counters.get(result.rule)
+                    if rc is None:
+                        rc = rules_counters[result.rule] = reg.counter(
+                            f"refine.rule.{result.rule}"
+                        )
+                    rc.inc()
+                    if tracer.enabled:
+                        tracer.complete(
+                            result.rule, t_op0 - t_start, dt_op, 0
+                        )
+                if not result.skipped:
+                    for nt in result.new_tets:
+                        pel.push(nt)
+            tets = pel.drain()
 
         self.stats.wall_time = time.perf_counter() - t_start
         self.stats.final_tets = domain.tri.n_tets
@@ -188,3 +201,10 @@ class SequentialRefiner:
         self.stats.n_operations += 1
         rc = self.stats.rule_counts
         rc[result.rule] = rc.get(result.rule, 0) + 1
+
+    def _check_budget(self) -> None:
+        if (self.max_operations is not None
+                and self.stats.n_operations > self.max_operations):
+            raise RuntimeError(
+                f"refinement exceeded {self.max_operations} operations"
+            )

@@ -61,6 +61,10 @@ from repro.delaunay.arena import current_arena
 HULL = -1  # adjacency marker: face on the convex hull (virtual box surface)
 DEAD = -2  # adjacency marker used transiently for invalidated slots
 
+#: Row ``i``: local vertex indices of the face opposite local vertex
+#: ``i``, in :meth:`MeshArrays.face_opposite`'s order (batch callers).
+FACE_OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
 Point = Tuple[float, float, float]
 
 _INIT_V_CAP = 256

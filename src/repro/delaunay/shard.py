@@ -666,13 +666,9 @@ def _bulk_load(domain, load_pts: np.ndarray, load_kinds: np.ndarray):
             duplicates += 1
             continue
         inserted += 1
-        k = VertexKind(kind)
-        domain.vertex_kind[vid] = k
-        if k == VertexKind.ISOSURFACE:
-            domain.iso_grid.add(vid, p)
+        domain.register_vertex(vid, p, kind)
+        if kind == VertexKind.ISOSURFACE:
             iso_loaded.append((vid, p))
-        else:
-            domain.cc_grid.add(vid, p)
     domain.n_insertions += inserted
     return inserted, duplicates, iso_loaded
 
@@ -853,8 +849,7 @@ def _replay_r6_bands(domain, plan: ShardPlan, image: SegmentedImage,
     changed blocks' influence boxes; ``holes`` further excludes their
     deep interior (see :func:`_changed_holes`).
     """
-    from repro.core.domain import VertexKind
-    from repro.delaunay import RemovalError
+    from repro.core.domain import OperationResult
 
     planes = plan.seam_planes(image)
     if not planes or not iso_loaded:
@@ -865,31 +860,12 @@ def _replay_r6_bands(domain, plan: ShardPlan, image: SegmentedImage,
     for axis, w in planes:
         near |= np.abs(pts[:, axis] - w) <= radius
     near &= _in_shell(pts, boxes, holes)
-    removed = 0
-    tri = domain.tri
-    mesh = tri.mesh
+    purged = OperationResult(rule="R6")
+    alive = domain.tri.mesh.alive_vertex
     for (vid, p), hit in zip(iso_loaded, near.tolist()):
-        if not hit or not mesh.alive_vertex[vid]:
-            continue
-        victims = sorted(
-            v for v in domain.cc_grid.query_ball(p, radius) if v != vid
-        )
-        for v in victims:
-            if not mesh.alive_vertex[v]:
-                domain.cc_grid.remove(v)
-                continue
-            if domain.vertex_kind.get(v) != VertexKind.CIRCUMCENTER:
-                continue
-            try:
-                tri.remove_vertex(v)
-            except RemovalError:
-                domain.n_skipped += 1
-                continue
-            domain.n_removals += 1
-            domain.cc_grid.remove(v)
-            domain.vertex_kind.pop(v, None)
-            removed += 1
-    return removed
+        if hit and alive[vid]:
+            domain.apply_r6(p, vid, purged)
+    return len(purged.removed_vertices)
 
 
 # ---------------------------------------------------------------------------

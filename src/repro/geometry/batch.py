@@ -256,7 +256,7 @@ def new_tet_records(quads: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# vectorized quality screen (PEL seeding, Table-6 statistics)
+# vectorized quality measures (rule screen, Table-6 statistics)
 # ---------------------------------------------------------------------------
 
 # The six tet edges (i, j) with their opposite vertex pair (k, l), in
@@ -302,6 +302,79 @@ def circumradii_many(quads: np.ndarray) -> np.ndarray:
     r = np.sqrt((O * O).sum(axis=1))
     r[~ok] = np.inf
     return r
+
+
+def circumballs_many(quads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Circumcentre ``(k, 3)`` and circumradius ``(k,)`` per tet.
+
+    The batch form of :meth:`repro.core.domain.RefineDomain.circumball`
+    and bit-identical to it lane for lane:
+    :func:`repro.geometry.predicates.circumcenter_tet` term for term,
+    the radius as the distance from the centre to the first vertex, and
+    a flat lane (``det == 0``, the scalar's ``ZeroDivisionError``)
+    mapped to its centroid with radius ``inf``.
+    """
+    k = quads.shape[0]
+    if k == 0:
+        return np.empty((0, 3), dtype=np.float64), np.empty(0, np.float64)
+    ax, ay, az = quads[:, 0, 0], quads[:, 0, 1], quads[:, 0, 2]
+    bax, cax, dax = (quads[:, i, 0] - ax for i in (1, 2, 3))
+    bay, cay, day = (quads[:, i, 1] - ay for i in (1, 2, 3))
+    baz, caz, daz = (quads[:, i, 2] - az for i in (1, 2, 3))
+
+    b2 = bax * bax + bay * bay + baz * baz
+    c2 = cax * cax + cay * cay + caz * caz
+    d2 = dax * dax + day * day + daz * daz
+
+    cxdx = cay * daz - caz * day
+    cxdy = caz * dax - cax * daz
+    cxdz = cax * day - cay * dax
+    dxbx = day * baz - daz * bay
+    dxby = daz * bax - dax * baz
+    dxbz = dax * bay - day * bax
+    bxcx = bay * caz - baz * cay
+    bxcy = baz * cax - bax * caz
+    bxcz = bax * cay - bay * cax
+
+    det = 2.0 * (bax * cxdx + bay * cxdy + baz * cxdz)
+    flat = det == 0.0
+    safe = np.where(flat, 1.0, det)
+    cc = np.empty((k, 3), dtype=np.float64)
+    cc[:, 0] = ax + (b2 * cxdx + c2 * dxbx + d2 * bxcx) / safe
+    cc[:, 1] = ay + (b2 * cxdy + c2 * dxby + d2 * bxcy) / safe
+    cc[:, 2] = az + (b2 * cxdz + c2 * dxbz + d2 * bxcz) / safe
+    dx, dy, dz = cc[:, 0] - ax, cc[:, 1] - ay, cc[:, 2] - az
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    if flat.any():
+        q = quads[flat]
+        cc[flat] = (q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]) / 4.0
+        r[flat] = np.inf
+    return cc, r
+
+
+def triangle_min_angles_many(tris: np.ndarray) -> np.ndarray:
+    """Smallest planar angle (degrees) per triangle of a ``(k, 3, 3)``
+    batch: :func:`repro.geometry.quality.triangle_min_angle` with the
+    same arithmetic up to the arc cosine, whose last bit numpy's SIMD
+    kernels and ``math.acos`` do not share — callers comparing against a
+    bound must leave that much room.  A zero-length edge gives 0.
+    """
+    k = tris.shape[0]
+    if k == 0:
+        return np.empty(0, dtype=np.float64)
+    best = np.full(k, np.inf)
+    for i in range(3):
+        u = tris[:, (i + 1) % 3] - tris[:, i]
+        v = tris[:, (i + 2) % 3] - tris[:, i]
+        lu = np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2])
+        lv = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+        dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+        denom = lu * lv
+        ok = (lu != 0.0) & (lv != 0.0)
+        cosang = np.clip(dot / np.where(ok, denom, 1.0), -1.0, 1.0)
+        best = np.minimum(best, np.where(ok, np.degrees(np.arccos(cosang)),
+                                         0.0))
+    return best
 
 
 def radius_edge_many(quads: np.ndarray) -> np.ndarray:
@@ -356,11 +429,10 @@ def quality_screen(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Radius-edge ratios and shortest edges for tets of the SoA store.
 
-    The Poor Element List seeding screen: one gather plus two
-    vectorized kernels replaces the per-tet scalar
-    ``shortest_edge`` / ``circumradius_tet`` pair (the refinement
-    driver still applies the surface/sizing rules per element — those
-    depend on EDT queries that have no batch form).
+    One gather plus two vectorized kernels in place of the per-tet
+    scalar ``shortest_edge`` / ``circumradius_tet`` pair: the stitch's
+    radius-edge acceptance screen.  (The refinement rules have their
+    own batch form, :meth:`repro.core.domain.RefineDomain.screen`.)
     """
     tet_ids = np.asarray(tet_ids)
     if tet_ids.size == 0:

@@ -142,15 +142,13 @@ class SegmentedImage:
     def labels_at_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`label_at` for an ``(n, 3)`` array of points."""
         pts = np.asarray(pts, dtype=float)
+        shape = np.array(self.shape)
         rel = (pts - np.array(self.origin)) / np.array(self.spacing)
-        idx = np.floor(rel).astype(np.int64)
-        in_bounds = np.all(
-            (rel >= 0) & (idx < np.array(self.shape)), axis=1
-        )
-        idx_clamped = np.clip(idx, 0, np.array(self.shape) - 1)
-        out = self.labels[
-            idx_clamped[:, 0], idx_clamped[:, 1], idx_clamped[:, 2]
-        ].astype(np.int32)
+        in_bounds = np.all((rel >= 0) & (rel < shape), axis=1)
+        # Only in-bounds rows are cast: a far-away point must not wrap
+        # around into the volume.
+        idx = np.where(in_bounds[:, None], rel, 0.0).astype(np.int64)
+        out = self.labels[idx[:, 0], idx[:, 1], idx[:, 2]].astype(np.int32)
         out[~in_bounds] = 0
         return out
 

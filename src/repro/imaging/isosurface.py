@@ -90,6 +90,19 @@ class SurfaceOracle:
             self.edt.nearest_site_index(image.voxel_of(p))
         )
 
+    def nearest_surface_voxels(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`nearest_surface_voxel` for an ``(n, 3)`` array of
+        points, row for row the same floats: one gather on the feature
+        transform."""
+        image = self.image
+        origin = np.array(image.origin)
+        spacing = np.array(image.spacing)
+        rel = (np.asarray(pts, dtype=np.float64) - origin) / spacing
+        idx = np.clip(rel, 0.0, np.array(image.shape) - 1.0).astype(np.int64)
+        flat = self.edt.feature[idx[:, 0], idx[:, 1], idx[:, 2]]
+        site = np.stack(np.unravel_index(flat, image.shape), axis=1)
+        return origin + (site + 0.5) * spacing
+
     def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
         """A point on the isosurface close to ``p`` (Section 3's p-hat).
 

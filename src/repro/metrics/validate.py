@@ -3,8 +3,9 @@
 A solver consuming PI2M output wants to know the mesh is *conforming*:
 indices in range, no degenerate or inverted elements, every boundary
 face actually a face of exactly one kept tetrahedron per side, and a
-watertight boundary.  :func:`validate_extracted_mesh` returns a list of
-human-readable issues (empty = valid); tests and examples assert on it.
+watertight boundary around every material.
+:func:`validate_extracted_mesh` returns a list of human-readable issues
+(empty = valid); tests and examples assert on it.
 """
 
 from __future__ import annotations
@@ -83,17 +84,23 @@ def validate_extracted_mesh(mesh: ExtractedMesh,
     if missing:
         issues.append(f"{missing} boundary faces are not faces of any tet")
 
-    # watertight boundary: each boundary edge on an even number of faces
-    edges = Counter()
-    for face in mesh.boundary_faces:
-        f = sorted(int(v) for v in face)
-        edges[(f[0], f[1])] += 1
-        edges[(f[0], f[2])] += 1
-        edges[(f[1], f[2])] += 1
-    odd = sum(1 for c in edges.values() if c % 2 != 0)
-    if odd:
-        issues.append(f"{odd} boundary edges with odd face count "
-                      "(boundary not watertight)")
+    # watertight boundary, per material: on the surface of every region
+    # (background included) each edge lies on an even number of faces.
+    # Counted over the whole mesh, an edge where two tissues and the
+    # background meet carries three faces and would read as open.
+    if len(mesh.boundary_labels) == len(mesh.boundary_faces):
+        faces = np.sort(np.asarray(mesh.boundary_faces), axis=1)
+        sides = np.asarray(mesh.boundary_labels)
+        odd = 0
+        for label in np.unique(sides):
+            own = faces[(sides == label).any(axis=1)]
+            edges = np.concatenate([own[:, [0, 1]], own[:, [0, 2]],
+                                    own[:, [1, 2]]])
+            _, counts = np.unique(edges, axis=0, return_counts=True)
+            odd += int((counts % 2).sum())
+        if odd:
+            issues.append(f"{odd} boundary edges with odd face count on "
+                          "a material's surface (boundary not watertight)")
 
     # interior conformity: every internal face shared by exactly 2 tets
     face_count = Counter()

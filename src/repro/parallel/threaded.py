@@ -152,9 +152,9 @@ def _parallel_mesh_image(
 
     mesh = domain.tri.mesh
     pels = [PoorElementList(mesh) for _ in range(n_threads)]
-    for t in mesh.live_tets():
-        if domain.is_poor(t):
-            pels[0].push(t)
+    live = mesh.live_tet_ids()
+    for t in live[domain.screen(live)].tolist():
+        pels[0].push(t)
 
     lock_table: Dict[int, int] = {}
     contexts = [

@@ -97,9 +97,9 @@ def _simulate_parallel_refinement(
     mesh = domain.tri.mesh
     pels = [PoorElementList(mesh) for _ in range(n_threads)]
     # After the sequential virtual-box step only the main thread has work.
-    for t in mesh.live_tets():
-        if domain.is_poor(t):
-            pels[0].push(t)
+    live = mesh.live_tet_ids()
+    for t in live[domain.screen(live)].tolist():
+        pels[0].push(t)
 
     engine = SimEngine(
         n_threads,

@@ -6,8 +6,15 @@ import pytest
 from repro.core import extract_mesh
 from repro.core.domain import RefineDomain
 from repro.core.refiner import SequentialRefiner
+from repro.delaunay.mesh import HULL
 from repro.geometry.predicates import circumcenter_tet
-from repro.imaging import shell_phantom, sphere_phantom
+from repro.imaging import (
+    abdominal_phantom,
+    ball_grid_phantom,
+    shell_phantom,
+    sphere_phantom,
+)
+from repro.imaging.image import SegmentedImage
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,74 @@ class TestExtraction:
             edges[(f[0], f[2])] += 1
             edges[(f[1], f[2])] += 1
         assert all(c >= 2 for c in edges.values())
+
+
+def _extract_loop(domain):
+    """The per-tet loop ``extract_mesh`` was before it read the batch
+    kernels: scalar circumball + ``label_at`` per live tet, vertices
+    renumbered through a dict in first-use order.  Kept as the reference
+    the array version must reproduce byte for byte."""
+    mesh = domain.tri.mesh
+    keep = {}
+    for t in mesh.live_tets():
+        lab = domain.image.label_at(domain.circumball(t)[0])
+        if lab != 0:
+            keep[t] = lab
+    vmap = {}
+    vertices = []
+
+    def remap(v):
+        if v not in vmap:
+            vmap[v] = len(vertices)
+            vertices.append(mesh.points[v])
+        return vmap[v]
+
+    tets, tet_labels, faces, face_labels = [], [], [], []
+    for t, lab in keep.items():
+        tets.append([remap(v) for v in mesh.tet_verts_arr[t].tolist()])
+        tet_labels.append(lab)
+        for i, nbr in enumerate(mesh.tet_adj[t].tolist()):
+            nbr_lab = keep.get(nbr, 0) if nbr != HULL else 0
+            if nbr_lab == lab or (nbr_lab != 0 and nbr < t):
+                continue
+            faces.append([remap(v) for v in mesh.face_opposite(t, i)])
+            face_labels.append((lab, nbr_lab))
+    return {
+        "vertices": np.asarray(vertices, np.float64).reshape(-1, 3),
+        "tets": np.asarray(tets, np.int64).reshape(-1, 4),
+        "tet_labels": np.asarray(tet_labels, np.int32),
+        "boundary_faces": np.asarray(faces, np.int64).reshape(-1, 3),
+        "boundary_labels": np.asarray(face_labels, np.int32).reshape(-1, 2),
+    }
+
+
+class TestArraysMatchTheLoop:
+    @pytest.mark.parametrize("image, delta", [
+        (shell_phantom(20), 2.5),           # nested tissues
+        (abdominal_phantom(24), None),      # anisotropic, many labels
+        (ball_grid_phantom(24), 2.0),       # disjoint components
+    ], ids=["shell", "abdominal", "ball_grid"])
+    def test_byte_identical_on_a_refined_domain(self, image, delta):
+        domain = RefineDomain(image, delta=delta)
+        SequentialRefiner(domain, max_operations=200_000).refine()
+        got = extract_mesh(domain)
+        assert got.n_tets > 50 and len(got.boundary_faces) > 50
+        for name, want in _extract_loop(domain).items():
+            have = getattr(got, name)
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes(), name
+
+    def test_nothing_inside_gives_empty_arrays(self):
+        # Two blobs in opposite corners: the unrefined bounding simplex
+        # has its circumcenter in the background between them.
+        labels = np.zeros((16, 16, 16), dtype=np.int16)
+        labels[2:5, 2:5, 2:5] = labels[11:14, 11:14, 11:14] = 1
+        domain = RefineDomain(SegmentedImage(labels), delta=2.0)
+        got = extract_mesh(domain)
+        assert got.n_tets == 0 and got.vertices.shape == (0, 3)
+        for name, want in _extract_loop(domain).items():
+            have = getattr(got, name)
+            assert have.dtype == want.dtype and have.shape == want.shape
 
 
 class TestMeshArraysInternals:

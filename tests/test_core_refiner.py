@@ -233,6 +233,28 @@ class TestJudgedAtPop:
                                   timeout=240.0)
         self._assert_fixed_point(res.domain)
 
+    def test_r1_leaves_no_reachable_surface_point_unsampled(self):
+        # delta above the voxel diagonal, anisotropic voxels: the oracle
+        # returns points farther from the EDT site than one diagonal
+        # here, so R1 may only ever be blocked by a sample within delta
+        # of the candidate itself — never by one near the site.
+        domain = RefineDomain(abdominal_phantom(40), delta=3.0)
+        assert domain.delta > domain._surface_slack
+        SequentialRefiner(domain, max_operations=200_000).refine()
+        reaching = far = 0
+        for t in domain.tri.mesh.live_tets():
+            c, r = domain.circumball(t)
+            site = domain.oracle.nearest_surface_voxel(c)
+            if not domain._ball_reaches_site(c, r, site):
+                continue
+            reaching += 1
+            z = domain.oracle.closest_surface_point(c)
+            if z is None:
+                continue
+            far += math.dist(z, site) > domain._surface_slack
+            assert domain.iso_grid.any_within(z, domain.delta), (t, z)
+        assert reaching > 1000 and far > 0
+
     def test_no_op_pops_are_operations(self):
         image, delta = PHANTOMS["sphere"]()
         stats = SequentialRefiner(RefineDomain(image, delta=delta)).refine()

@@ -107,9 +107,9 @@ class TestSimulatorLockHygiene:
         cm = make_contention_manager("local", n, shared)
         bl = HierarchicalBeggingList(n, shared, placement)
         pels = [PoorElementList(domain.tri.mesh) for _ in range(n)]
-        for t in domain.tri.mesh.live_tets():
-            if domain.is_poor(t):
-                pels[0].push(t)
+        live = domain.tri.mesh.live_tet_ids()
+        for t in live[domain.screen(live)].tolist():
+            pels[0].push(t)
         engine = SimEngine(n, progress_fn=lambda: shared.successful_ops,
                            stop_fn=lambda: setattr(shared, "done", True))
         env = WorkerEnv(

@@ -6,6 +6,7 @@ import pytest
 from repro.core import _mesh_image as mesh_image
 from repro.core.extract import ExtractedMesh
 from repro.imaging import shell_phantom, sphere_phantom
+from repro.imaging.image import SegmentedImage
 from repro.metrics.validate import validate_extracted_mesh
 
 
@@ -23,6 +24,32 @@ class TestValidator:
         mesh = mesh_image(shell_phantom(20), delta=2.5,
                           max_operations=200_000).mesh
         assert validate_extracted_mesh(mesh) == []
+
+    def test_three_material_junction_is_watertight(self):
+        # Two tissues side by side in background: along the rim of
+        # their interface three faces meet at an edge, one per pair of
+        # materials.  Every material's own surface is closed.
+        labels = np.zeros((20, 20, 20), dtype=np.int16)
+        labels[4:10, 4:16, 4:16] = 1
+        labels[10:16, 4:16, 4:16] = 2
+        mesh = mesh_image(SegmentedImage(labels), delta=2.0,
+                          max_operations=200_000).mesh
+        assert set(map(tuple, mesh.boundary_labels.tolist())) >= {
+            (1, 0), (2, 0), (1, 2)}
+        assert validate_extracted_mesh(mesh) == []
+
+        # ... and a face missing from one of them is still caught.
+        interface = np.flatnonzero((mesh.boundary_labels != 0).all(axis=1))
+        keep = np.ones(len(mesh.boundary_faces), dtype=bool)
+        keep[interface[0]] = False
+        holed = ExtractedMesh(
+            vertices=mesh.vertices, tets=mesh.tets,
+            tet_labels=mesh.tet_labels,
+            boundary_faces=mesh.boundary_faces[keep],
+            boundary_labels=mesh.boundary_labels[keep],
+        )
+        assert any("not watertight" in s
+                   for s in validate_extracted_mesh(holed))
 
     def test_detects_out_of_range_index(self, good_mesh):
         broken = ExtractedMesh(

@@ -89,9 +89,6 @@ class ScriptedDomain:
                                    new_tets=list(action[1]))
         return OperationResult(rule="none", skipped=True)
 
-    def is_poor(self, t):
-        return True
-
 
 def make_env(mesh, domain, n_threads=1, cm="local"):
     shared = SharedState(n_threads)
