@@ -394,7 +394,10 @@ def mesh_block(image: SegmentedImage, block: Block, plan: ShardPlan,
 #: 2: the surface oracle returns exact voxel-face crossings; seam-local
 #: reuse matches ``removed`` points by exact bytes, so blocks and deltas
 #: recorded under the sampled oracle (1) must not sit beside new ones.
-BLOCK_FORMAT_VERSION = 2
+#: 3: R1 is blocked only by a sample within delta of its own candidate
+#: (the near-site shortcut is gone) and the stitch's R6 replay purges in
+#: the domain's order, so a block or delta may hold other points.
+BLOCK_FORMAT_VERSION = 3
 
 
 def _params_blob(delta: float, radius_edge_bound: float,

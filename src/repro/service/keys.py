@@ -26,7 +26,12 @@ from repro.imaging.image import SegmentedImage
 
 #: Bump to invalidate every cached mesh after a format/semantic change.
 #: v2: ``shards`` joined the canonical params (domain-sharded meshing).
-CACHE_FORMAT_VERSION = 3
+#: v3: ``incremental`` joined them, and sharded results carry
+#: ``block_cache`` stats (per-block caching, seam-local stitching).
+#: v4: the refiner judges a generation at a time behind the screen and
+#: R1 lost its near-site shortcut — ``operations`` counts tets judged,
+#: and meshes move where delta exceeds the voxel diagonal.
+CACHE_FORMAT_VERSION = 4
 
 
 def image_content_key(image: SegmentedImage) -> str:

@@ -3,8 +3,9 @@
 The arenas replace the global commit lock, so these tests hammer the
 allocator from many threads and then check the merged end state: mesh
 invariants hold, no allocator slot is leaked or double-freed, and the
-single-thread schedule still reproduces the sequential refiner's mesh
-bit-for-bit (the arena fast path must be invisible at one thread).
+single-thread schedule ends where the rules say it must, with the same
+mesh on either kernel (the arena fast path must be invisible at one
+thread).
 """
 
 import hashlib
@@ -16,10 +17,12 @@ import sys
 import pytest
 
 from repro import _accel
+from repro.core import extract_mesh
 from repro.core.domain import RefineDomain
 from repro.core.refiner import SequentialRefiner
 from repro.imaging import ball_grid_phantom, sphere_phantom
 from repro.metrics import quality_report
+from repro.metrics.validate import validate_extracted_mesh
 from repro.parallel.threaded import _parallel_mesh_image
 
 
@@ -101,26 +104,46 @@ class TestBallGridStress:
 
 
 class TestSingleThreadParity:
-    """One thread + arenas must be indistinguishable from the
-    sequential refiner: identical topology, identical allocator end
-    state (tail trimmed, free lists whole)."""
+    """One thread + arenas is a deterministic run of the worker loop: it
+    ends at a fixed point of the rules with a canonical allocator state
+    (tail trimmed, free lists whole), and is the same mesh with and
+    without the accelerator.  The sequential refiner walks generations
+    behind a screen and is no longer the same schedule by construction,
+    so it is held to the same contract, not to the same topology."""
 
-    def test_matches_sequential_refiner(self):
+    @staticmethod
+    def _assert_fixed_point(domain):
+        before = _topo_hash(domain.tri.mesh)
+        for t in list(domain.tri.mesh.live_tets()):
+            assert domain.refine_tet(t).skipped
+        assert _topo_hash(domain.tri.mesh) == before
+
+    def test_one_thread_and_sequential_end_canonical(self):
         res = _parallel_mesh_image(sphere_phantom(12), n_threads=1,
                                    delta=3.0, seed=0, timeout=240.0)
-        threaded_hash = _topo_hash(res.domain.tri.mesh)
-        _assert_no_leaked_slots(res.domain.tri.mesh)
-
         dom = RefineDomain(sphere_phantom(12), delta=3.0)
         SequentialRefiner(dom).refine()
-        assert threaded_hash == _topo_hash(dom.tri.mesh)
+        for domain in (res.domain, dom):
+            _assert_no_leaked_slots(domain.tri.mesh)
+            self._assert_fixed_point(domain)
+            mesh = extract_mesh(domain)
+            assert validate_extracted_mesh(mesh) == []
+            assert quality_report(mesh).max_radius_edge <= 2.0 + 1e-9
+
+        again = _parallel_mesh_image(sphere_phantom(12), n_threads=1,
+                                     delta=3.0, seed=0, timeout=240.0)
+        assert _topo_hash(again.domain.tri.mesh) == \
+            _topo_hash(res.domain.tri.mesh)
 
     @pytest.mark.skipif(
         not _accel.AVAILABLE, reason="C accelerator unavailable"
     )
-    def test_matches_sequential_without_accel(self):
-        """Same parity holds on the pure-Python path (REPRO_ACCEL=0):
+    def test_one_thread_run_is_the_same_without_accel(self):
+        """The one-thread mesh does not depend on the kernel: the
+        pure-Python path (REPRO_ACCEL=0) builds the same topology, so
         the arena protocol is not an accelerator artifact."""
+        res = _parallel_mesh_image(sphere_phantom(12), n_threads=1,
+                                   delta=3.0, seed=0, timeout=240.0)
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, REPRO_ACCEL="0", PYTHONPATH=src)
         proc = subprocess.run(
@@ -128,7 +151,8 @@ class TestSingleThreadParity:
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "OK"
+        assert proc.stdout.strip().splitlines()[-1] == \
+            _topo_hash(res.domain.tri.mesh)
 
 
 _PARITY_SNIPPET = """
@@ -137,8 +161,6 @@ from repro import _accel
 assert _accel.bw_insert is None, "REPRO_ACCEL=0 must disable the accel"
 from repro.imaging import sphere_phantom
 from repro.parallel.threaded import _parallel_mesh_image
-from repro.core.domain import RefineDomain
-from repro.core.refiner import SequentialRefiner
 
 def topo_hash(mesh):
     tets = sorted(tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets())
@@ -147,10 +169,7 @@ def topo_hash(mesh):
 
 res = _parallel_mesh_image(sphere_phantom(12), n_threads=1, delta=3.0,
                            seed=0, timeout=240.0)
-dom = RefineDomain(sphere_phantom(12), delta=3.0)
-SequentialRefiner(dom).refine()
-assert topo_hash(res.domain.tri.mesh) == topo_hash(dom.tri.mesh)
-print("OK")
+print(topo_hash(res.domain.tri.mesh))
 """
 
 
