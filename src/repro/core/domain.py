@@ -71,6 +71,16 @@ _TIE = 1e-12
 _ANGLE_TIE_DEG = 1e-9
 
 
+def _grown(arr: np.ndarray, n: int, fill) -> np.ndarray:
+    """``arr`` itself when it has ``n`` rows, else a copy of at least
+    twice the length, padded with ``fill``."""
+    if len(arr) >= n:
+        return arr
+    out = np.full((max(n, 2 * len(arr)),) + arr.shape[1:], fill, arr.dtype)
+    out[: len(arr)] = arr
+    return out
+
+
 class VertexKind(IntEnum):
     """Paper Section 3: vertices are isosurface samples, circumcenters,
     or surface-centers; the auxiliary bounding-simplex corners are BOX."""
@@ -138,6 +148,7 @@ class RefineDomain:
         # ``forget_vertex`` are the only writers.
         self.vertex_kind: Dict[int, VertexKind] = {}
         self._kind_arr = np.full(256, VertexKind.CIRCUMCENTER, dtype=np.int8)
+        self._array_lock = threading.Lock()
         self.iso_grid = PointGrid(cell=self.delta)
         self.cc_grid = PointGrid(cell=2.0 * self.delta)
         for v in self.tri.box_vertices:
@@ -147,10 +158,10 @@ class RefineDomain:
         # of tet slot ``t``, current while ``epoch`` is the slot's.  The
         # scalar ``circumball`` and the batch screen both read and fill
         # it, so they cannot disagree on a centre or a radius.  A row is
-        # written in one piece; the lock keeps a growing copy from
-        # tearing a row another thread is writing.
+        # written in one piece; the lock (shared with the kind array)
+        # keeps a growing copy from tearing or losing a row another
+        # thread is writing.
         self._cc = np.full((1024, 5), -1.0)
-        self._cc_lock = threading.Lock()
 
         # counters consumed by benchmarks / EXPERIMENTS.md
         self.n_insertions = 0
@@ -186,19 +197,10 @@ class RefineDomain:
                 (a[2] + b[2] + c[2] + d[2]) / 4.0,
             )
             r = math.inf
-        with self._cc_lock:
-            self._cc_rows(t + 1)[t] = (cc[0], cc[1], cc[2], r, epoch)
+        with self._array_lock:
+            self._cc = store = _grown(self._cc, t + 1, -1.0)
+            store[t] = (cc[0], cc[1], cc[2], r, epoch)
         return cc, r
-
-    def _cc_rows(self, n: int) -> np.ndarray:
-        """The circumball store with at least ``n`` rows (call with the
-        lock held)."""
-        store = self._cc
-        if len(store) < n:
-            grown = np.full((max(n, 2 * len(store)), 5), -1.0)
-            grown[: len(store)] = store
-            self._cc = store = grown
-        return store
 
     def circumballs(self, tets: np.ndarray) -> np.ndarray:
         """The circumball store, made current for the live tets ``tets``
@@ -208,9 +210,9 @@ class RefineDomain:
         what :meth:`circumball` would have stored.
         """
         mesh = self.tri.mesh
-        epoch = np.fromiter(mesh.tet_epoch, np.int64, len(mesh.tet_epoch))
-        with self._cc_lock:
-            store = self._cc_rows(mesh.tet_top)
+        epoch = mesh.tet_epochs()
+        with self._array_lock:
+            self._cc = store = _grown(self._cc, mesh.tet_top, -1.0)
             stale = tets[store[tets, 4] != epoch[tets]]
             if stale.size:
                 quads = mesh.coords[mesh.tet_verts_arr[stale]]
@@ -264,8 +266,7 @@ class RefineDomain:
         """
         mesh = self.tri.mesh
         tets = np.asarray(tets, dtype=np.int64)
-        n = len(tets)
-        if n == 0:
+        if tets.size == 0:
             return np.zeros(0, dtype=bool)
         verts = mesh.tet_verts_arr[tets]
         adj = mesh.tet_adj[tets]
@@ -321,27 +322,20 @@ class RefineDomain:
 
         # ---- R1 ----
         rows = np.flatnonzero(reaches & ~maybe)
-        closest = self.oracle.closest_surface_point
-        found = [(i, z) for i, z in zip(
-            rows.tolist(), map(closest, map(tuple, c[rows].tolist()))
-        ) if z is not None]
-        if found:
-            rows = np.array([i for i, _ in found])
+        zs = list(map(self.oracle.closest_surface_point,
+                      map(tuple, c[rows].tolist())))
+        rows = rows[[z is not None for z in zs]]
+        if rows.size:
             blocked = self.iso_grid.any_within_many(
-                np.array([z for _, z in found]), self.delta)
+                np.array([z for z in zs if z is not None]), self.delta)
             maybe[rows[~blocked]] = True
         return maybe
 
     def _kinds(self, n: int) -> np.ndarray:
         """The int8 vertex-kind array with at least ``n`` entries; a
         vertex nobody registered reads as a circumcenter."""
-        kinds = self._kind_arr
-        if len(kinds) < n:
-            grown = np.full(max(n, 2 * len(kinds)),
-                            VertexKind.CIRCUMCENTER, dtype=np.int8)
-            grown[: len(kinds)] = kinds
-            self._kind_arr = kinds = grown
-        return kinds
+        self._kind_arr = _grown(self._kind_arr, n, VertexKind.CIRCUMCENTER)
+        return self._kind_arr
 
     def _restricted_facet_needing_refinement(
         self, t: int, touch: TouchFn = None
@@ -533,7 +527,8 @@ class RefineDomain:
         join the R1 grid, circumcenters the R6 grid."""
         kind = VertexKind(kind)
         self.vertex_kind[v] = kind
-        self._kinds(v + 1)[v] = kind
+        with self._array_lock:
+            self._kinds(v + 1)[v] = kind
         if kind == VertexKind.ISOSURFACE:
             self.iso_grid.add(v, p)
         elif kind == VertexKind.CIRCUMCENTER:
@@ -543,7 +538,7 @@ class RefineDomain:
         """Drop every record of vertex ``v`` (removed, or its slot about
         to be reused)."""
         self.vertex_kind.pop(v, None)
-        if v < len(self._kind_arr):
-            self._kind_arr[v] = VertexKind.CIRCUMCENTER
+        with self._array_lock:
+            self._kinds(v + 1)[v] = VertexKind.CIRCUMCENTER
         self.iso_grid.remove(v)
         self.cc_grid.remove(v)

@@ -60,8 +60,8 @@ def extract_mesh(domain: RefineDomain) -> ExtractedMesh:
     live = mesh.live_tet_ids()
     centers = domain.circumballs(live)[live, :3]
     labels = domain.image.labels_at_many(centers)
-    kept = live[labels != 0]
-    tet_labels = labels[labels != 0]
+    inside = labels != 0
+    kept, tet_labels = live[inside], labels[inside]
     verts = mesh.tet_verts_arr[kept].astype(np.int64)
 
     used, first_use = np.unique(verts.ravel(), return_index=True)
@@ -85,8 +85,6 @@ def extract_mesh(domain: RefineDomain) -> ExtractedMesh:
         vertices=mesh.coords[used],
         tets=renumber[verts],
         tet_labels=tet_labels,
-        boundary_faces=renumber[faces].reshape(-1, 3),
-        boundary_labels=np.stack(
-            [tet_labels[ti], nbr_label[ti, fi]], axis=1
-        ).astype(np.int32).reshape(-1, 2),
+        boundary_faces=renumber[faces],
+        boundary_labels=np.stack([tet_labels[ti], nbr_label[ti, fi]], axis=1),
     )

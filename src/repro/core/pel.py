@@ -71,8 +71,8 @@ class PoorElementList:
         ).reshape(-1, 2).T
         items.clear()
         mesh = self._mesh
-        now = np.fromiter(mesh.tet_epoch, np.int64, len(mesh.tet_epoch))
-        live = (mesh.tet_verts_arr[tets, 0] >= 0) & (now[tets] == epochs)
+        live = (mesh.tet_verts_arr[tets, 0] >= 0) & (
+            mesh.tet_epochs()[tets] == epochs)
         return tets[live]
 
     def take_oldest(self, k: int) -> list:

@@ -50,9 +50,10 @@ class PointGrid:
         self._where: Dict[int, Tuple[int, int, int]] = {}
         # Batch side: the points in insertion order (``None`` after a
         # removal — rebuilt from the cells on the next batch query) and
-        # the table sorted by cell key that covers the first ``n`` rows.
+        # the ``(keys, points)`` table, sorted by cell key, that covers
+        # the first ``len(keys)`` of them.
         self._rows: Optional[List[Point]] = []
-        self._table: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _key(self, p: Sequence[float]) -> Tuple[int, int, int]:
         c = self.cell
@@ -76,8 +77,9 @@ class PointGrid:
         pt = (p[0], p[1], p[2])
         self._cells.setdefault(key, {})[vid] = pt
         self._where[vid] = key
-        if self._rows is not None:
-            self._rows.append(pt)
+        rows = self._rows       # a concurrent remove() may drop the list
+        if rows is not None:
+            rows.append(pt)
 
     def remove(self, vid: int) -> None:
         """Forget vertex ``vid``; unknown ids are ignored."""
@@ -145,16 +147,16 @@ class PointGrid:
             self._rows = [q for cell in self._cells.values()
                           for q in cell.values()]
         rows = self._rows
-        n = 0 if self._table is None else self._table[0]
+        n = 0 if self._table is None else len(self._table[0])
         if self._table is None or n < len(rows):
-            new = np.array(rows[n:], dtype=np.float64).reshape(-1, 3)
-            new_keys = _pack(np.floor(new / self.cell).astype(np.int64))
+            points = np.array(rows[n:], dtype=np.float64).reshape(-1, 3)
+            keys = _pack(np.floor(points / self.cell).astype(np.int64))
             if n:
-                new = np.concatenate([self._table[2], new])
-                new_keys = np.concatenate([self._table[1], new_keys])
-            order = np.argsort(new_keys, kind="stable")
-            self._table = (len(rows), new_keys[order], new[order])
-        return self._table[1], self._table[2]
+                keys = np.concatenate([self._table[0], keys])
+                points = np.concatenate([self._table[1], points])
+            order = np.argsort(keys, kind="stable")
+            self._table = (keys[order], points[order])
+        return self._table
 
     def any_within_many(self, pts: np.ndarray, radius: float) -> np.ndarray:
         """:meth:`any_within` for an ``(m, 3)`` array of query points.

@@ -34,7 +34,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.domain import OperationResult, RefineDomain
+from repro.core.domain import RefineDomain
 from repro.core.pel import PoorElementList
 from repro.observability import Observability
 from repro.observability.metrics import SIZE_BUCKETS
@@ -113,7 +113,6 @@ class SequentialRefiner:
                 tracer.begin("refine", 0, 0.0)
 
         mesh_store = domain.tri.mesh
-        rule_counts = self.stats.rule_counts
         # Generation 0: the mesh that exists before the loop starts.
         tets = mesh_store.live_tet_ids()
         if self.seed_filter is not None and tets.size:
@@ -122,10 +121,8 @@ class SequentialRefiner:
             t_gen0 = time.perf_counter()
             maybe = tets[domain.screen(tets)].tolist()
             n_none = len(tets) - len(maybe)
-            self.stats.n_operations += n_none
             if n_none:
-                rule_counts["none"] = rule_counts.get("none", 0) + n_none
-            self._check_budget()
+                self._record("none", n_none)
             if obs is not None:
                 gen_counter.inc()
                 ops_counter.inc(n_none)
@@ -144,8 +141,7 @@ class SequentialRefiner:
                     continue        # killed earlier in this generation
                 t_op0 = time.perf_counter()
                 result = domain.refine_tet(t)
-                self._record(result)
-                self._check_budget()
+                self._record(result.rule)
                 if obs is not None:
                     dt_op = time.perf_counter() - t_op0
                     ops_counter.inc()
@@ -197,14 +193,13 @@ class SequentialRefiner:
             STATS.delta_since(self._predicates_before),
         )
 
-    def _record(self, result: OperationResult) -> None:
-        self.stats.n_operations += 1
-        rc = self.stats.rule_counts
-        rc[result.rule] = rc.get(result.rule, 0) + 1
-
-    def _check_budget(self) -> None:
+    def _record(self, rule: str, n: int = 1) -> None:
+        """Count ``n`` judged tets under ``rule``, against the budget."""
+        s = self.stats
+        s.n_operations += n
+        s.rule_counts[rule] = s.rule_counts.get(rule, 0) + n
         if (self.max_operations is not None
-                and self.stats.n_operations > self.max_operations):
+                and s.n_operations > self.max_operations):
             raise RuntimeError(
                 f"refinement exceeded {self.max_operations} operations"
             )

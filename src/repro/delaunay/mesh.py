@@ -663,6 +663,11 @@ class MeshArrays:
     def is_live(self, t: int) -> bool:
         return 0 <= t < self.tet_top and self.tet_verts_arr[t, 0] >= 0
 
+    def tet_epochs(self) -> np.ndarray:
+        """``tet_epoch`` as an int64 array (a snapshot, for batch
+        validation of ``(tet, epoch)`` references)."""
+        return np.fromiter(self.tet_epoch, np.int64, len(self.tet_epoch))
+
     def live_tets(self) -> Iterator[int]:
         """Iterate ids of all live tetrahedra (snapshot at call time)."""
         live = self.tet_verts_arr[: self.tet_top, 0] >= 0

@@ -12,7 +12,6 @@ from repro.imaging import (
     abdominal_phantom,
     ball_grid_phantom,
     shell_phantom,
-    sphere_phantom,
 )
 from repro.imaging.image import SegmentedImage
 
