@@ -12,10 +12,20 @@ paths:
 * ``batch``   — ``insert_many`` batched insertion vs the scalar accel
   loop (amortised ctypes crossings).
 
-and writes ``BENCH_kernels.json`` (default:
-``benchmarks/results/BENCH_kernels.json``, schema 2) holding the
-throughputs, the committed pre-overhaul baseline, and the
-accel/python speedups for every workload.
+Uniform random points are not what the service inserts, so a fourth
+workload replays its traffic:
+
+* ``voxel_face`` — the final vertex set of one ``abdominal_phantom(32)``
+  refinement (isosurface samples on axis-aligned voxel faces, the
+  circumcenters between them) inserted one by one in timestamp order,
+  then every circumcenter removed; on both kernels, with the share of
+  attempts the C kernel handed back (and why) and the seconds of Python
+  glue per second spent inside C.
+
+plus the thread-scaling workload, and writes ``BENCH_kernels.json``
+(default: ``benchmarks/results/BENCH_kernels.json``, schema 3) holding
+the throughputs, the machine's CPU count, the committed pre-overhaul
+baseline, and the accel/python speedups for every workload.
 
 ``--check-regression`` turns the run into a CI gate.  Absolute
 throughput is machine-dependent, so the gate is ratio-based: the
@@ -42,8 +52,10 @@ import time
 from contextlib import contextmanager
 
 from repro import _accel
+from repro.api import MeshRequest, mesh
+from repro.core.domain import RefineDomain, VertexKind
 from repro.delaunay import RemovalError, Triangulation3D
-from repro.imaging import ball_grid_phantom
+from repro.imaging import abdominal_phantom, ball_grid_phantom
 from repro.parallel.threaded import _parallel_mesh_image
 
 # Every ctypes entry point the kernel dispatches on.  Disabling the
@@ -54,15 +66,40 @@ _HANDLE_NAMES = ("bw_insert", "bw_commit", "bw_insert_many", "bw_remove")
 
 
 @contextmanager
-def _accel_disabled():
+def _handles_replaced(replace):
+    """Every entry point ``h`` is ``replace(h)`` while the block runs."""
     saved = {name: getattr(_accel, name) for name in _HANDLE_NAMES}
-    for name in _HANDLE_NAMES:
-        setattr(_accel, name, None)
+    for name, handle in saved.items():
+        setattr(_accel, name, replace(handle))
     try:
         yield
     finally:
         for name, handle in saved.items():
             setattr(_accel, name, handle)
+
+
+def _accel_disabled():
+    return _handles_replaced(lambda handle: None)
+
+
+@contextmanager
+def _c_seconds():
+    """Yields a one-item list: the seconds spent inside the C entry
+    points while the block runs."""
+    spent = [0.0]
+
+    def timed(fn):
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[0] += time.perf_counter() - t0
+        return call
+
+    with _handles_replaced(timed):
+        yield spent
+
 
 # Throughput of the pre-overhaul pure-Python kernel on the reference
 # machine (committed with the kernel overhaul PR; the "before" column
@@ -105,6 +142,11 @@ REMOVE_SEED = 21
 REMOVE_N_POINTS = 250
 REMOVE_COUNT = 80
 REMOVE_SHUFFLE_SEED = 5
+
+# Voxel-face workload: the image whose refinement is replayed, and the
+# largest share of attempts the C kernel may hand back to Python.
+VOXEL_FACE_N = 32
+VOXEL_FACE_MAX_RETRY_SHARE = 0.01
 
 DEFAULT_OUTPUT = (
     pathlib.Path(__file__).parent / "results" / "BENCH_kernels.json"
@@ -253,6 +295,106 @@ def _measure_threaded(img, n_threads, repeats, global_lock=False):
     }
 
 
+def _voxel_face_workload():
+    """The service's traffic: what one refinement left behind.
+
+    Returns ``(new_tri, points, is_circumcenter)``: a factory of empty
+    triangulations in the refiner's own box, and the live vertices of a
+    sequential ``abdominal_phantom(VOXEL_FACE_N)`` mesh in
+    insertion-timestamp order."""
+    image = abdominal_phantom(VOXEL_FACE_N)
+    domain = mesh(MeshRequest(image=image, mesher="sequential")
+                  ).extras["domain"]
+    store = domain.tri.mesh
+    live = sorted((v for v in range(4, len(store.points))
+                   if store.alive_vertex[v]),
+                  key=store.timestamps.__getitem__)
+
+    def new_tri():
+        return RefineDomain(image, delta=domain.delta,
+                            oracle=domain.oracle).tri
+
+    return (new_tri, [store.points[v] for v in live],
+            [domain.vertex_kind[v] == VertexKind.CIRCUMCENTER for v in live])
+
+
+def _voxel_face_pass(workload):
+    """One timed replay: insert everything, remove the circumcenters."""
+    new_tri, points, is_circumcenter = workload
+    tri = new_tri()
+    t0 = time.perf_counter()
+    verts, hint = [], None
+    for p in points:
+        v, new_tets, _ = tri.insert_point(p, hint)
+        verts.append(v)
+        hint = new_tets[0]
+    t1 = time.perf_counter()
+    removed = 0
+    for v, doomed in zip(verts, is_circumcenter):
+        if doomed:
+            try:
+                tri.remove_vertex(v)
+            except RemovalError:
+                continue
+            removed += 1
+    t2 = time.perf_counter()
+    return tri, removed, t1 - t0, t2 - t1
+
+
+def _voxel_face_kernel(workload, repeats):
+    """Best-of-``repeats`` rates of the voxel-face replay on whichever
+    kernel is enabled."""
+    best_insert = best_remove = float("inf")
+    for _ in range(repeats):
+        tri, removed, dt_insert, dt_remove = _voxel_face_pass(workload)
+        best_insert = min(best_insert, dt_insert)
+        best_remove = min(best_remove, dt_remove)
+    return tri, {
+        "inserts_per_second": round(len(workload[1]) / best_insert, 1),
+        "removals_per_second": round(removed / best_remove, 1),
+        "removed": removed,
+        "n_tets": tri.n_tets,
+    }
+
+
+def _voxel_face_section(fast, accel_available):
+    workload = _voxel_face_workload()
+    repeats = 2 if fast else 4
+    with _accel_disabled():
+        _, python = _voxel_face_kernel(workload, repeats)
+    section = {
+        "workload": {"image": f"abdominal_phantom({VOXEL_FACE_N})",
+                     "n_points": len(workload[1]),
+                     "n_circumcenters": sum(workload[2]),
+                     "repeats": repeats},
+        "python": python,
+        "accel": None,
+    }
+    if not accel_available:
+        return section
+    tri, accel = _voxel_face_kernel(workload, repeats)
+    c = tri.counters
+    retried = c.accel_retries + c.accel_remove_retries
+    accel["accel_retry_share"] = round(
+        retried / (retried + c.accel_inserts + c.accel_removals), 5)
+    accel["retry_reasons"] = {
+        reason: n for reason, n in c.accel_retry_reasons.items() if n}
+    # One more pass with a clock around every C call: what is left of
+    # the wall time is the Python around them.
+    with _c_seconds() as spent:
+        _, _, dt_insert, dt_remove = _voxel_face_pass(workload)
+    accel["python_seconds_per_c_second"] = round(
+        (dt_insert + dt_remove - spent[0]) / spent[0], 2)
+    section["accel"] = accel
+    section["same_mesh"] = (accel["n_tets"] == python["n_tets"]
+                            and accel["removed"] == python["removed"])
+    section["insert_speedup"] = round(
+        accel["inserts_per_second"] / python["inserts_per_second"], 2)
+    section["removal_speedup"] = round(
+        accel["removals_per_second"] / python["removals_per_second"], 2)
+    return section
+
+
 def _thread_scaling_section(fast):
     img = ball_grid_phantom(20, side=2)
     repeats = 1 if fast else 2
@@ -348,11 +490,15 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
             "reference_speedup": BATCH_REFERENCE_SPEEDUP,
         }
 
+    # --- the service's traffic: voxel-face points ---------------------
+    voxel_face = _voxel_face_section(fast, accel_available)
+
     # --- thread-scaling workload (per-thread commit arenas) ----------
     thread_scaling = _thread_scaling_section(fast)
 
     doc = {
         "schema": 3,
+        "cpus": os.cpu_count() or 1,
         "workload": {
             "name": "insert-uniform-box",
             "seed": SEED,
@@ -379,6 +525,7 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         "reference_speedup": REFERENCE_SPEEDUP,
         "removal": removal,
         "batch": batch,
+        "voxel_face": voxel_face,
         "thread_scaling": thread_scaling,
     }
 
@@ -400,6 +547,19 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     else:
         print("accel path  : unavailable (no C compiler or REPRO_NO_ACCEL)")
         print(f"removal     : {py_rps:>10,.1f} removals/s (python only)")
+    for kernel in ("python", "accel"):
+        vf = voxel_face[kernel]
+        if vf is None:
+            continue
+        extra = ""
+        if kernel == "accel":
+            extra = (f"  retry share {vf['accel_retry_share']:.4f} "
+                     f"{vf['retry_reasons']}, "
+                     f"{vf['python_seconds_per_c_second']:.1f} s of Python "
+                     "per s of C")
+        print(f"voxel faces : {vf['inserts_per_second']:>10,.1f} inserts/s "
+              f"{vf['removals_per_second']:,.1f} removals/s ({kernel})"
+              + extra)
     ts = thread_scaling
     row = "  ".join(
         f"{n}t {ts['threads'][str(n)]['operations_per_second']:,.0f} op/s"
@@ -462,6 +622,14 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
                   f"is below the gate {batch_floor:.2f}x "
                   f"(80% of reference {BATCH_REFERENCE_SPEEDUP}x)",
                   file=sys.stderr)
+            failed = True
+        # Counts, not timings: the same on every machine.
+        share = voxel_face["accel"]["accel_retry_share"]
+        if share >= VOXEL_FACE_MAX_RETRY_SHARE or not voxel_face["same_mesh"]:
+            print(f"REGRESSION: voxel-face replay hands {share:.4f} of its "
+                  f"attempts back to Python (limit "
+                  f"{VOXEL_FACE_MAX_RETRY_SHARE}), same mesh on both "
+                  f"kernels: {voxel_face['same_mesh']}", file=sys.stderr)
             failed = True
         if failed:
             return 1

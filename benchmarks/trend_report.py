@@ -68,6 +68,7 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
               "nothing recorded", file=sys.stderr)
         return None
     accel = doc.get("accel_path", {})
+    voxel_face = doc.get("voxel_face", {}).get("accel") or {}
     rec = {
         "label": label,
         **({"rebaseline": rebaseline} if rebaseline else {}),
@@ -86,6 +87,12 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
             doc.get("thread_scaling", {}).get("speedup_4_over_1"),
         "commit_wait_share_4":
             doc.get("thread_scaling", {}).get("commit_wait_share_4"),
+        # since PR 18: the machine, and the voxel-face replay
+        "cpus": doc.get("cpus"),
+        "voxel_face_inserts_per_second": voxel_face.get("inserts_per_second"),
+        "voxel_face_removals_per_second":
+            voxel_face.get("removals_per_second"),
+        "voxel_face_accel_retry_share": voxel_face.get("accel_retry_share"),
     }
     history_path.parent.mkdir(parents=True, exist_ok=True)
     with open(history_path, "a", encoding="utf-8") as fh:

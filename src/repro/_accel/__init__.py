@@ -4,13 +4,21 @@ When a C compiler is available, :data:`bw_insert`, :data:`bw_commit`,
 :data:`bw_insert_many` and :data:`bw_remove` hold ctypes handles to the
 kernels in ``bw_kernel.c`` (compiled once, cached by source hash);
 otherwise they are ``None`` and the pure-Python kernels run unchanged.
-The C routines drive whole hot-loop bodies (walk, cavity search,
-validation, commit; batched insertion; gift-wrap hole filling) directly
-on the mesh's struct-of-arrays buffers.  On any inconclusive floating
-point filter they return *without mutating anything* and the caller
-re-runs the Python filtered/exact path, so meshes are bit-identical
-with and without the accelerator — the C path is purely an execution
-strategy, never a semantic change.
+The C routines drive whole operations (walk, cavity search, validation,
+commit; batched insertion; a sequential vertex removal from ball to
+commit) directly on the mesh's struct-of-arrays buffers.  A commit owns
+the tet rows, the adjacency and the ``v2t`` anchors; the vertex store,
+the free lists, the per-slot epochs and the vertex grid stay with the
+Python caller.  On any inconclusive floating point filter the routines
+return *without mutating anything* and the caller re-runs the Python
+filtered/exact path, so meshes are bit-identical with and without the
+accelerator — the C path is purely an execution strategy, never a
+semantic change.  One exact zero needs no exact arithmetic and is
+concluded in C: four points sharing a coordinate bit for bit (samples
+on one axis-aligned voxel face) have orientation 0, and the C consumers
+decide it as the Python kernel does.  Every RETRY carries a reason
+(:data:`RETRY_REASONS`), counted per triangulation and published as
+``kernel.accel_retry.<reason>``.
 
 Set ``REPRO_ACCEL=0`` (or the older ``REPRO_NO_ACCEL=1``) to disable
 the accelerator (e.g. to benchmark the pure-Python kernel, or to rule
@@ -38,8 +46,22 @@ ERR_DUP = 2
 ERR_FACE = 3
 ERR_CLOSED = 4
 
-# bw_remove returns a fill-tet count >= 0 or this retry sentinel.
+# bw_remove returns a fill-tet count > 0 or this retry sentinel.
 REMOVE_RETRY = -1
+
+# Why a kernel returned RETRY, indexed by the BW_WHY_* code it leaves in
+# out_i (keep in sync with bw_kernel.c).
+RETRY_REASONS = (
+    "other",            # dead or cycling walk, stale anchor, error status
+    "walk_filter",      # orientation filter during point location
+    "insphere_filter",  # insphere filter (cavity search, apex sweep)
+    "orient_filter",    # orientation filter (validation, fill)
+    "free_window",      # needs free-list entries below the window
+    "growth",           # needs array growth
+    "scratch",          # scratch, hash table or record overflow
+    "removal_tie",      # removal: degenerate sweep or refused fill
+)
+_WHY_SCRATCH = RETRY_REASONS.index("scratch")
 
 _SRC = Path(__file__).with_name("bw_kernel.c")
 
@@ -58,7 +80,8 @@ _FSTK_CAP = 8192
 _REC_CAP = 1 << 16
 
 # Vertex removal: advancing-front entry slots (9 ints each), fill-tet
-# capacity, and the largest link the C path accepts.
+# capacity, and the largest link the C path accepts (its face keys pack
+# three link positions of 12 bits).  Balls are capped by _SCRATCH_CAP.
 _ENT_CAP = 8192
 _FILL_CAP = 2048
 _LINK_CAP = 4096
@@ -124,10 +147,10 @@ def _handle(lib, name: str, nargs: int):
 
 
 _LIB = _load()
-bw_insert = _handle(_LIB, "bw_insert", 16)
-bw_commit = _handle(_LIB, "bw_commit", 14)
-bw_insert_many = _handle(_LIB, "bw_insert_many", 19)
-bw_remove = _handle(_LIB, "bw_remove", 9)
+bw_insert = _handle(_LIB, "bw_insert", 17)
+bw_commit = _handle(_LIB, "bw_commit", 15)
+bw_insert_many = _handle(_LIB, "bw_insert_many", 20)
+bw_remove = _handle(_LIB, "bw_remove", 22)
 AVAILABLE = bw_insert is not None
 
 
@@ -146,9 +169,9 @@ class AccelScratch:
         "cav", "bnd", "newt", "stk", "ekey", "estamp", "eval_", "pairs",
         "free_top", "in_f", "in_i", "out_i", "tag",
         "fstk", "fwin", "rec", "pts",
-        "faces", "link", "ents", "cand", "fill", "canon",
-        "_coords", "_tv", "_adj", "_args", "_args_commit", "_args_many",
-        "_args_remove",
+        "faces", "link", "ents", "cand", "fill", "canon", "mate", "ext",
+        "_coords", "_tv", "_adj", "_v2t", "_args", "_args_commit",
+        "_args_many", "_args_remove",
     )
 
     def __init__(self) -> None:
@@ -175,9 +198,12 @@ class AccelScratch:
         self.cand = None
         self.fill = None
         self.canon = None
+        self.mate = None
+        self.ext = None
         self._coords = None
         self._tv = None
         self._adj = None
+        self._v2t = None
         self._args = None
         self._args_commit = None
         self._args_many = None
@@ -187,7 +213,9 @@ class AccelScratch:
         coords = mesh.coords
         tv = mesh.tet_verts_arr
         adj = mesh.tet_adj
-        if coords is self._coords and tv is self._tv and adj is self._adj:
+        v2t = mesh.v2t
+        if (coords is self._coords and tv is self._tv and adj is self._adj
+                and v2t is self._v2t):
             return
         cap_t = adj.shape[0]
         if self.tag is None or self.tag.shape[0] < cap_t:
@@ -197,17 +225,18 @@ class AccelScratch:
         self._coords = coords
         self._tv = tv
         self._adj = adj
+        self._v2t = v2t
         p = ctypes.c_void_p
         self._args = tuple(
             p(arr.ctypes.data)
-            for arr in (coords, tv, adj, self.tag, self.free_top,
+            for arr in (coords, tv, adj, v2t, self.tag, self.free_top,
                         self.cav, self.bnd, self.newt, self.stk,
                         self.ekey, self.estamp, self.eval_, self.pairs,
                         self.in_f, self.in_i, self.out_i)
         )
         self._args_commit = tuple(
             p(arr.ctypes.data)
-            for arr in (coords, tv, adj, self.free_top, self.cav,
+            for arr in (coords, tv, adj, v2t, self.free_top, self.cav,
                         self.bnd, self.newt, self.ekey, self.estamp,
                         self.eval_, self.pairs, self.in_f, self.in_i,
                         self.out_i)
@@ -264,6 +293,7 @@ class AccelScratch:
         ncav = len(cavity)
         nb = len(boundary_codes)
         if ncav > _SCRATCH_CAP or nb > _SCRATCH_CAP:
+            self.out_i[:4] = (0, 0, 0, _WHY_SCRATCH)
             return RETRY
         self._bind(mesh)
         self.cav[:ncav] = cavity
@@ -295,8 +325,9 @@ class AccelScratch:
             p = ctypes.c_void_p
             self._args_many = tuple(
                 p(arr.ctypes.data)
-                for arr in (self._coords, self._tv, self._adj, self.tag,
-                            self.free_top, self.cav, self.bnd, self.newt,
+                for arr in (self._coords, self._tv, self._adj, self._v2t,
+                            self.tag, self.free_top, self.cav, self.bnd,
+                            self.newt,
                             self.stk, self.ekey, self.estamp, self.eval_,
                             self.pairs, self.fstk, self.fwin, self.rec,
                             self.pts, self.in_i, self.out_i)
@@ -309,7 +340,8 @@ class AccelScratch:
         ``points`` is a sequence of (x, y, z); at most ``_BATCH_CAP``
         are attempted.  Returns the ``out_i`` array (``n_done``,
         ``n_gens``, rng state, last located tet, counter totals, record
-        length, live/tail totals); replay records are in ``self.rec``.
+        length, live/tail totals, stop reason); replay records are in
+        ``self.rec``.
         """
         self._bind(mesh)
         self._bind_many()
@@ -353,36 +385,42 @@ class AccelScratch:
             self.cand = np.empty(_LINK_CAP, dtype=np.int32)
             self.fill = np.empty(4 * _FILL_CAP, dtype=np.int32)
             self.canon = np.empty(4 * _FILL_CAP, dtype=np.int32)
-            self.faces = np.empty(5 * _ENT_CAP, dtype=np.int32)
+            self.mate = np.empty(4 * _FILL_CAP, dtype=np.int32)
+            self.faces = np.empty(5 * _SCRATCH_CAP, dtype=np.int32)
+            self.ext = np.empty(2 * _SCRATCH_CAP, dtype=np.int32)
             self.link = np.empty(_LINK_CAP, dtype=np.int32)
         if self._args_remove is None:
             p = ctypes.c_void_p
             self._args_remove = tuple(
                 p(arr.ctypes.data)
-                for arr in (self._coords, self.faces, self.link, self.ents,
-                            self.cand, self.fill, self.canon, self.in_i,
-                            self.out_i)
+                for arr in (self._coords, self._tv, self._adj, self._v2t,
+                            self.tag, self.free_top, self.cav, self.stk,
+                            self.faces, self.link, self.ents, self.cand,
+                            self.fill, self.canon, self.newt, self.mate,
+                            self.ext, self.ekey, self.estamp, self.eval_,
+                            self.in_i, self.out_i)
             )
 
-    def remove(self, mesh, faces_flat, link_sorted, n_ball) -> int:
-        """Run the gift-wrap hole-filling kernel.
+    def remove(self, mesh, v, gen, n_free_total) -> int:
+        """Run one C vertex removal (sequential path).
 
-        ``faces_flat`` is ``nh*5`` ints ([template0..3, slot] per hole
-        face in insertion order), ``link_sorted`` the sorted link vertex
-        ids.  Returns the fill-tet count (rows in ``self.fill``) or
-        ``REMOVE_RETRY``; never mutates the mesh.
+        Returns the fill-tet count — the mesh arrays are committed, the
+        new tet ids are ``self.newt[:n]``, the ball's ``self.cav[:out_i[0]]``
+        — or ``REMOVE_RETRY`` with nothing mutated and the reason in
+        ``out_i[5]``.
         """
-        nh = len(faces_flat) // 5
-        nl = len(link_sorted)
-        if nh > _ENT_CAP or nl > _LINK_CAP:
-            return REMOVE_RETRY
         self._bind_remove(mesh)
-        self.faces[:5 * nh] = faces_flat
-        self.link[:nl] = link_sorted
+        n_avail = self._fill_window(mesh, n_free_total)
         in_i = self.in_i
-        in_i[0] = nh
-        in_i[1] = nl
-        in_i[2] = n_ball
-        in_i[3] = _ENT_CAP
-        in_i[4] = _FILL_CAP
+        in_i[0] = v
+        in_i[1] = gen
+        in_i[2] = mesh.tet_top
+        in_i[3] = self._adj.shape[0]
+        in_i[4] = n_avail
+        in_i[5] = n_free_total
+        in_i[6] = _SCRATCH_CAP
+        in_i[7] = _LINK_CAP
+        in_i[8] = _ENT_CAP
+        in_i[9] = _FILL_CAP
+        in_i[10] = _TABLE_CAP
         return bw_remove(*self._args_remove)

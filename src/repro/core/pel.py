@@ -15,10 +15,7 @@ below a threshold, default 5).
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 from typing import Deque, Optional, Tuple
-
-import numpy as np
 
 from repro.delaunay.mesh import MeshArrays
 
@@ -54,26 +51,6 @@ class PoorElementList:
                 return t
         self.live_count = 0
         return None
-
-    def drain(self) -> np.ndarray:
-        """Empty the list; returns its live tets, oldest first.
-
-        With every new element pushed as it is born, what one drain
-        returns is one FIFO generation: the elements created while the
-        previous drain's were being refined.
-        """
-        items = self._items
-        self.live_count = 0
-        if not items:
-            return np.empty(0, dtype=np.int64)
-        tets, epochs = np.fromiter(
-            chain.from_iterable(items), np.int64, 2 * len(items)
-        ).reshape(-1, 2).T
-        items.clear()
-        mesh = self._mesh
-        live = (mesh.tet_verts_arr[tets, 0] >= 0) & (
-            mesh.tet_epochs()[tets] == epochs)
-        return tets[live]
 
     def take_oldest(self, k: int) -> list:
         """Remove and return up to ``k`` live tets from the cold end.

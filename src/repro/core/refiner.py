@@ -10,8 +10,9 @@ out are done (``rule="none"``, no Python per tet), and the scalar
 :meth:`RefineDomain.refine_tet` — the only code that applies a rule —
 judges the rest in their FIFO order, skipping those an earlier
 operation of the same generation killed.  The tets those operations
-create are the next generation; the run ends when a generation is
-empty, which is when no rule applies anywhere.
+create are the next generation — the ids born, each once, at its last
+birth, if the slot is still live — and the run ends when a generation
+is empty, which is when no rule applies anywhere.
 
 ``n_operations`` counts tets judged: every tet the screen ruled out
 plus every ``refine_tet`` call.
@@ -35,7 +36,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.domain import RefineDomain
-from repro.core.pel import PoorElementList
 from repro.observability import Observability
 from repro.observability.metrics import SIZE_BUCKETS
 
@@ -58,6 +58,23 @@ class RefineStats:
         return self.final_tets / self.wall_time if self.wall_time > 0 else 0.0
 
 
+def next_generation(mesh, born) -> np.ndarray:
+    """The live tets among ``born`` — ids in birth order, a recycled
+    slot once per birth — each once, where it was last born.
+
+    A live slot's current incarnation is its last birth, so this is the
+    set a ``(tet, epoch)`` list would validate, in the same order,
+    without an epoch read per tet.
+    """
+    ids = np.asarray(born, dtype=np.int64)
+    if ids.size == 0:
+        return ids
+    # np.unique keeps first occurrences: run it on the reversed births.
+    _, first = np.unique(ids[::-1], return_index=True)
+    ids = ids[np.sort(ids.size - 1 - first)]
+    return ids[mesh.tet_verts_arr[ids, 0] >= 0]
+
+
 class SequentialRefiner:
     """Single-threaded PI2M refinement driver."""
 
@@ -66,7 +83,6 @@ class SequentialRefiner:
                  obs: Optional[Observability] = None,
                  seed_filter=None):
         self.domain = domain
-        self.pel = PoorElementList(domain.tri.mesh)
         self.max_operations = max_operations
         self.stats = RefineStats()
         self.obs = obs
@@ -84,7 +100,6 @@ class SequentialRefiner:
     def refine(self) -> RefineStats:
         """Run refinement to completion; returns the statistics."""
         domain = self.domain
-        pel = self.pel
         obs = self.obs
         from repro.geometry.predicates import STATS
         self._predicates_before = STATS.snapshot()
@@ -135,6 +150,7 @@ class SequentialRefiner:
                         n=len(tets), n_maybe=len(maybe),
                     )
 
+            born = []
             epoch = mesh_store.tet_epoch
             for t, t_epoch in zip(maybe, [epoch[t] for t in maybe]):
                 if not mesh_store.is_live(t) or epoch[t] != t_epoch:
@@ -159,9 +175,8 @@ class SequentialRefiner:
                             result.rule, t_op0 - t_start, dt_op, 0
                         )
                 if not result.skipped:
-                    for nt in result.new_tets:
-                        pel.push(nt)
-            tets = pel.drain()
+                    born.extend(result.new_tets)
+            tets = next_generation(mesh_store, born)
 
         self.stats.wall_time = time.perf_counter() - t_start
         self.stats.final_tets = domain.tri.n_tets

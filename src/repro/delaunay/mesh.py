@@ -638,6 +638,26 @@ class MeshArrays:
         arena.live_delta += k
         return tids
 
+    def bump_slots(self, tids: Sequence[int]) -> None:
+        """The Python half of an allocation the C kernel committed on
+        the shared tail: every recycled slot in ``tids`` gets its epoch
+        bumped and its cached circumsphere dropped, every fresh one
+        (they arrive in tail order) an entry in both lists, and
+        ``tet_top`` follows.  Not for arena runs, whose chunks are
+        pre-extended."""
+        epoch = self.tet_epoch
+        ccs = self.tet_cc
+        top = len(epoch)
+        for t in tids:
+            if t < top:
+                epoch[t] += 1
+                ccs[t] = None
+            else:
+                epoch.append(0)
+                ccs.append(None)
+                top += 1
+        self.tet_top = top
+
     def kill_tet(self, t: int) -> None:
         self.tet_verts_arr[t] = -1
         arena = self.current_alloc_arena()

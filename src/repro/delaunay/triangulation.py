@@ -134,6 +134,7 @@ class KernelCounters:
         "commits", "commit_wait_seconds", "commit_work_seconds",
         "rollbacks_optimistic", "rollbacks_contention",
         "rollbacks_validation",
+        "accel_retry_reasons",
     )
 
     def __init__(self) -> None:
@@ -141,9 +142,21 @@ class KernelCounters:
             setattr(self, name, 0)
         self.commit_wait_seconds = 0.0
         self.commit_work_seconds = 0.0
+        #: every attempt the C kernels handed to the Python path
+        #: (``accel_retries`` + ``accel_remove_retries``), by the reason
+        #: the kernel gave
+        self.accel_retry_reasons = dict.fromkeys(_accel.RETRY_REASONS, 0)
+
+    def note_retry(self, why) -> None:
+        """Count one RETRY under the kernel's ``BW_WHY_*`` code."""
+        self.accel_retry_reasons[_accel.RETRY_REASONS[int(why)]] += 1
 
     def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        """Flat name -> number; reasons read ``accel_retry.<reason>``."""
+        snap = {name: getattr(self, name) for name in self.__slots__}
+        for reason, n in snap.pop("accel_retry_reasons").items():
+            snap[f"accel_retry.{reason}"] = n
+        return snap
 
     @property
     def mean_walk_length(self) -> float:
@@ -277,9 +290,6 @@ class Triangulation3D:
         # then commit lock-free in C).  Enabled by the threaded driver.
         self._two_phase = False
         self._tls = threading.local()
-        # Scratch used by remove_vertex to pass the ball volume to the
-        # fill verification.
-        self._pending_ball_volume = 0.0
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -696,10 +706,11 @@ class Triangulation3D:
         """One C-kernel insert attempt; ``None`` means "retry in Python".
 
         The C routine does the walk, cavity search, validation and the
-        mesh-array commit; this glue reproduces the Python-side
-        bookkeeping (scalar mirrors, free lists, v2t anchors, counters,
-        vertex grid) in exactly the order the Python kernel would, so
-        the two paths are indistinguishable afterwards.
+        mesh-array commit (rows, adjacency, ``v2t`` anchors); this glue
+        reproduces the Python-side bookkeeping (scalar mirrors, free
+        lists, epochs, the new vertex's own anchor, counters, vertex
+        grid) in exactly the order the Python kernel would, so the two
+        paths are indistinguishable afterwards.
         """
         mesh = self.mesh
         acc = self._acc
@@ -719,14 +730,14 @@ class Triangulation3D:
         # coordinates are passed separately).
         vnew = free_v[-1] if free_v else len(mesh.points)
         gen = next(self._cav_gen)
-        tail = mesh.tet_top
         status = acc.insert(mesh, px, py, pz, seed, self._walk_state, gen,
                             vnew, len(free_t))
         counters = self.counters
+        out = acc.out_i
         if status == _accel.RETRY:
             counters.accel_retries += 1
+            counters.note_retry(out[9])
             return None
-        out = acc.out_i
         # The walk succeeded for every non-RETRY status: commit its
         # state and counters exactly as locate() would have.
         counters.locate_calls += 1
@@ -760,27 +771,13 @@ class Triangulation3D:
         consumed = int(out[2])
         cavity = acc.cav[:ncav].tolist()
         new_tets = acc.newt[:nb].tolist()
-        rows = mesh.tet_verts_arr[acc.newt[:nb]].tolist()
         mesh.add_vertex((px, py, pz))  # allocates exactly vnew
+        # Every new tet names vnew and the last one wins; the kernel
+        # anchored the other vertices.
+        mesh.v2t[vnew] = new_tets[-1]
         if consumed:
             del free_t[-consumed:]
-        epoch = mesh.tet_epoch
-        ccs = mesh.tet_cc
-        v2t = mesh.v2t
-        for j in range(nb):
-            t = new_tets[j]
-            row = rows[j]
-            if t < tail:  # recycled slot
-                epoch[t] += 1
-                ccs[t] = None
-            else:  # fresh slots arrive in sequential tail order
-                epoch.append(0)
-                ccs.append(None)
-            v2t[row[0]] = t
-            v2t[row[1]] = t
-            v2t[row[2]] = t
-            v2t[row[3]] = t
-        mesh.tet_top = tail + int(out[3])
+        mesh.bump_slots(new_tets)
         free_t.extend(cavity)
         mesh.n_live_tets += nb - ncav
         self._vgrid[self._grid_key(px, py, pz)] = vnew
@@ -1047,6 +1044,7 @@ class Triangulation3D:
         stats.orient3d_filtered += n_o
         if status == _accel.RETRY:
             counters.accel_retries += 1
+            counters.note_retry(out[3])
             return None
         if status == _accel.ERR_FACE:
             raise InsertionError(
@@ -1060,36 +1058,21 @@ class Triangulation3D:
         ncav = len(cavity)
         consumed = int(out[0])
         new_tets = acc.newt[:nb].tolist()
-        rows = mesh.tet_verts_arr[acc.newt[:nb]].tolist()
         mesh.add_vertex((px, py, pz))  # allocates exactly vnew
+        mesh.v2t[vnew] = new_tets[-1]  # the kernel anchored the others
         if consumed:
             del free_t[-consumed:]
-        ccs = mesh.tet_cc
-        v2t = mesh.v2t
-        for j in range(nb):
-            t = new_tets[j]
-            row = rows[j]
-            if arena is not None:
-                # Epochs were pre-bumped; every slot (window pop or
-                # chunk slot) already has an epoch/cc entry.
-                ccs[t] = None
-            elif t < tail:  # recycled slot
-                epoch[t] += 1
-                ccs[t] = None
-            else:
-                epoch.append(0)
-                ccs.append(None)
-            v2t[row[0]] = t
-            v2t[row[1]] = t
-            v2t[row[2]] = t
-            v2t[row[3]] = t
+        free_t.extend(cavity)
         if arena is None:
-            mesh.tet_top = tail + int(out[1])
-            free_t.extend(cavity)
+            mesh.bump_slots(new_tets)
             mesh.n_live_tets += nb - ncav
         else:
+            # Epochs were pre-bumped; every slot (window pop or chunk
+            # slot) already has an epoch/cc entry.
+            ccs = mesh.tet_cc
+            for t in new_tets:
+                ccs[t] = None
             arena.tet_cursor = tail + int(out[1])
-            free_t.extend(cavity)
             arena.live_delta += nb - ncav
         self._vgrid[self._grid_key(px, py, pz)] = vnew
         if len(mesh.points) > self._vgrid_cap:
@@ -1149,8 +1132,8 @@ class Triangulation3D:
         directly on the mesh arrays, maintaining its own free-list
         stack; this glue replays the per-insert records to bring the
         Python-side bookkeeping (points, timestamps, epochs, free
-        lists, v2t anchors, vertex grid, counters) to exactly the state
-        a scalar loop would have produced.  Batch and scalar paths may
+        lists, vertex grid, counters) to exactly the state a scalar loop
+        would have produced.  Batch and scalar paths may
         locate through different seed tets, but cavity membership is
         predicate-determined, so the resulting topology is identical.
         """
@@ -1186,6 +1169,7 @@ class Triangulation3D:
         counters.walk_steps += int(out[4])
         if n_done == 0:
             counters.accel_retries += 1
+            counters.note_retry(out[11])
             return 0
         self._last_located = int(out[3])
         counters.locate_calls += n_done
@@ -1196,12 +1180,12 @@ class Triangulation3D:
         counters.accel_batch_inserts += n_done
         rec = acc.rec
         pos = 0
-        epoch = mesh.tet_epoch
-        ccs = mesh.tet_cc
-        v2t = mesh.v2t
-        tail = mesh.tet_top
         gk = self._grid_key
         vgrid = self._vgrid
+        # The kernel anchored every vertex, the batch's own included
+        # (later inserts re-anchor earlier ones); add_vertex resets the
+        # anchor of the slot it hands out, so those are put back after.
+        anchors = mesh.v2t[v_base:v_base + n_done].copy()
         for k in range(n_done):
             p = points[start + k]
             vnew = mesh.add_vertex(
@@ -1215,31 +1199,16 @@ class Triangulation3D:
             pos += ncav
             newt = rec[pos:pos + nb].tolist()
             pos += nb
-            rows = rec[pos:pos + 4 * nb].tolist()
-            pos += 4 * nb
             if consumed:
                 del free_t[-consumed:]
-            for j in range(nb):
-                t = newt[j]
-                if t < tail:  # recycled slot
-                    epoch[t] += 1
-                    ccs[t] = None
-                else:  # fresh slots arrive in sequential tail order
-                    epoch.append(0)
-                    ccs.append(None)
-                    tail = t + 1
-                b = 4 * j
-                v2t[rows[b]] = t
-                v2t[rows[b + 1]] = t
-                v2t[rows[b + 2]] = t
-                v2t[rows[b + 3]] = t
+            mesh.bump_slots(newt)
             free_t.extend(cav)
             mesh.n_live_tets += nb - ncav
             vgrid[gk(p[0], p[1], p[2])] = vnew
             if len(mesh.points) > self._vgrid_cap:
                 self._regrid()
             results.append(vnew)
-        mesh.tet_top = tail
+        mesh.v2t[v_base:v_base + n_done] = anchors
         return n_done
 
     def _insert_point_py(self, p: Sequence[float],
@@ -1389,12 +1358,23 @@ class Triangulation3D:
         circumsphere contains ``v``; the selection is verified to tile the
         hole exactly before any mutation happens, and
         :class:`RemovalError` is raised otherwise.
+
+        Dispatch: a sequential removal (no ``touch`` callback) is one
+        operation of the compiled C kernel when available — same ball,
+        fill, verification, slots and adjacency as the code below — and
+        runs here, with nothing mutated, whenever the kernel cannot
+        conclude (tests/test_kernel_ties.py holds the two to one mesh
+        store).
         """
         mesh = self.mesh
         if self.is_box_vertex(v):
             raise RemovalError("virtual box corners cannot be removed")
         if not mesh.alive_vertex[v]:
             raise RemovalError(f"vertex {v} is not alive")
+        if touch is None and _accel.bw_remove is not None:
+            result = self._remove_vertex_c(v)
+            if result is not None:
+                return result
         pts = mesh.points
         p = pts[v]
 
@@ -1427,44 +1407,27 @@ class Triangulation3D:
                     link_seen.add(w)
                     link.append(w)
 
-        self._pending_ball_volume = self._abs_volume_sum(
+        ball_volume = self._abs_volume_sum(
             mesh.tet_verts_arr[np.asarray(ball, dtype=np.int64)]
         )
-        # Fill strategies, all verified against the hole boundary before
-        # any mutation:
-        #  0. the C gift-wrap kernel (sequential path only): identical
-        #     decisions to strategy 1 when every filter is conclusive,
-        #     RETRY into the Python strategies otherwise;
+        # Fill strategies, both verified against the hole boundary
+        # before any mutation:
         #  1. boundary-conforming Delaunay gift-wrapping (advancing front
         #     seeded with the hole's own boundary faces, min-id tie-break);
         #  2. fallback: local Delaunay triangulation of the link replayed
         #     in global insertion-timestamp order (the paper's approach).
         fill = None
         errors = []
-        if touch is None and _accel.bw_remove is not None:
-            candidate = self._fill_hole_c(link, hole_faces, ball)
-            if candidate is None:
-                self.counters.accel_remove_retries += 1
-            else:
-                try:
-                    self._verify_fill(candidate, hole_faces)
-                except RemovalError as exc:
-                    errors.append(f"_fill_hole_c: {exc}")
-                    self.counters.accel_remove_retries += 1
-                else:
-                    fill = candidate
-                    self.counters.accel_removals += 1
-        if fill is None:
-            for strategy in (self._fill_hole_giftwrap,
-                             self._fill_hole_local_dt):
-                try:
-                    candidate = strategy(p, link, hole_faces, ball)
-                    self._verify_fill(candidate, hole_faces)
-                except RemovalError as exc:
-                    errors.append(f"{strategy.__name__}: {exc}")
-                    continue
-                fill = candidate
-                break
+        for strategy in (self._fill_hole_giftwrap,
+                         self._fill_hole_local_dt):
+            try:
+                candidate = strategy(p, link, hole_faces, ball)
+                self._verify_fill(candidate, hole_faces, ball_volume)
+            except RemovalError as exc:
+                errors.append(f"{strategy.__name__}: {exc}")
+                continue
+            fill = candidate
+            break
         if fill is None:
             raise RemovalError(
                 "ball re-triangulation failed (" + "; ".join(errors) + ")"
@@ -1550,41 +1513,55 @@ class Triangulation3D:
     # ------------------------------------------------------------------
     # hole-filling strategies for vertex removal
     # ------------------------------------------------------------------
-    def _fill_hole_c(self, link, hole_faces, ball):
-        """C gift-wrap fill; ``None`` means "run the Python strategies".
+    def _remove_vertex_c(self, v: int
+                         ) -> Optional[Tuple[List[int], List[int]]]:
+        """One C-kernel removal; ``None`` means "run the Python path".
 
-        Marshals the hole boundary (in ``hole_faces`` insertion order —
-        the order ``_fill_hole_giftwrap``'s dict front replicates) and
-        the sorted link into the accelerator scratch and runs the
-        advancing-front kernel.  Every conclusive decision it makes is
-        identical to the Python strategy's exact arithmetic; any
-        inconclusive filter, cospherical tie or degeneracy returns the
-        retry sentinel with nothing mutated.  The caller still runs
-        ``_verify_fill`` on the result, so the C path sits behind the
-        same safety net as the Python strategies.
+        The C routine collects the ball, fills the hole, verifies the
+        fill (face pairing, boundary equality, volume) and only then
+        commits rows, adjacency and ``v2t`` anchors; any inconclusive
+        filter, cospherical tie, refused fill or capacity limit returns
+        the retry sentinel with nothing mutated.  This glue keeps what
+        the Python commit would have done beside the arrays: the free
+        lists (the ball's slots pushed in ball order, the fill's popped
+        LIFO), the epochs, the vertex itself, the grid and the counters.
         """
         mesh = self.mesh
         acc = self._acc
         if acc is None:
             acc = self._acc = _accel.AccelScratch()
-        tva = mesh.tet_verts_arr
-        faces_flat: List[int] = []
-        for t, li in hole_faces.values():
-            faces_flat.extend(tva[t].tolist())
-            faces_flat.append(li)
-        n = acc.remove(mesh, faces_flat, sorted(link), len(ball))
+        free_t = mesh._free_tets
+        n_fill = acc.remove(mesh, v, next(self._cav_gen), len(free_t))
         out = acc.out_i
-        n_o = int(out[0])
-        n_i = int(out[1])
+        n_o = int(out[3])
+        n_i = int(out[4])
         stats = STATS
         stats.orient3d_calls += n_o
         stats.orient3d_filtered += n_o
         stats.insphere_calls += n_i
         stats.insphere_filtered += n_i
-        if n < 0:
+        counters = self.counters
+        if n_fill < 0:
+            counters.accel_remove_retries += 1
+            counters.note_retry(out[5])
             return None
-        flat = acc.fill[:4 * n].tolist()
-        return [tuple(flat[4 * j:4 * j + 4]) for j in range(n)]
+        counters.accel_removals += 1
+        n_ball = int(out[0])
+        ball = acc.cav[:n_ball].tolist()
+        new_tets = acc.newt[:n_fill].tolist()
+        consumed = int(out[1])
+        if n_fill < n_ball:
+            free_t.extend(ball[:n_ball - n_fill])
+        elif consumed:
+            del free_t[-consumed:]
+        mesh.bump_slots(new_tets)
+        mesh.n_live_tets += n_fill - n_ball
+        p = mesh.points[v]
+        mesh.kill_vertex(v)
+        gkey = self._grid_key(p[0], p[1], p[2])
+        if self._vgrid.get(gkey) == v:
+            del self._vgrid[gkey]
+        return new_tets, ball
 
     def _fill_hole_giftwrap(self, p, link, hole_faces, ball):
         """Delaunay gift-wrapping of the removal ball.
@@ -1737,8 +1714,9 @@ class Triangulation3D:
             raise RemovalError("no local tetrahedra conflict with the vertex")
         return fill
 
-    def _verify_fill(self, fill, hole_faces) -> None:
-        """Check that ``fill`` tiles the removal ball exactly.
+    def _verify_fill(self, fill, hole_faces, ball_volume: float) -> None:
+        """Check that ``fill`` tiles the removal ball (of volume
+        ``ball_volume``) exactly.
 
         Face-pairing check: every face appears at most twice, the faces
         appearing once are exactly the hole boundary.  A volume check
@@ -1759,7 +1737,6 @@ class Triangulation3D:
         fill_volume = self._abs_volume_sum(
             np.asarray(fill, dtype=np.int64)
         )
-        ball_volume = self._pending_ball_volume
         if abs(fill_volume - ball_volume) > 1e-6 * max(1.0, ball_volume):
             raise RemovalError("fill volume does not match ball volume")
 

@@ -188,11 +188,18 @@ class SurfaceOracle:
                     t_exit = t_out
             if t >= t_exit or t > t_max:
                 return None
-            # Rounding can put the entry point a hair beyond a box face
-            # the ray has already passed.
-            i = min(max(math.floor(rx + t * vx), 0), nx - 1)
-            j = min(max(math.floor(ry + t * vy), 0), ny - 1)
-            k = min(max(math.floor(rz + t * vz), 0), nz - 1)
+            # The voxel entered: an entry point on a voxel face belongs
+            # to the voxel the ray is heading into, so a descending axis
+            # takes the voxel below an integer coordinate.  Rounding can
+            # put the entry point a hair beyond a box face the ray has
+            # already passed, hence the clamp.
+            x, y, z = rx + t * vx, ry + t * vy, rz + t * vz
+            i = math.ceil(x) - 1 if vx < 0.0 else math.floor(x)
+            j = math.ceil(y) - 1 if vy < 0.0 else math.floor(y)
+            k = math.ceil(z) - 1 if vz < 0.0 else math.floor(z)
+            i = min(max(i, 0), nx - 1)
+            j = min(max(j, 0), ny - 1)
+            k = min(max(k, 0), nz - 1)
         else:
             i, j, k = int(rx), int(ry), int(rz)
 

@@ -110,7 +110,9 @@ def publish_kernel_stats(registry: "MetricsRegistry", counters,
     counters), e.g. ``STATS.delta_since(before)``.  Everything lands
     under ``kernel.*`` so ``--metrics-out`` JSON captures the filter hit
     rate, the exact-fallback fraction, mean walk length and mean cavity
-    size alongside the run-level gauges.
+    size alongside the run-level gauges — and, beside
+    ``kernel.accel_retries``, why the C kernels handed work back
+    (``kernel.accel_retry.<reason>``).
     """
     for name, value in counters.snapshot().items():
         registry.gauge(f"kernel.{name}").set(value)
@@ -167,6 +169,10 @@ def kernel_report(counters, predicate_delta: Dict[str, int]) -> str:
         f"  ({counters.accel_batch_calls} crossings)",
         f"accelerated removals    {counters.accel_removals:>10}"
         f"  (retries {counters.accel_remove_retries})",
+        "  retried because       " + (", ".join(
+            f"{reason} {n}"
+            for reason, n in counters.accel_retry_reasons.items() if n
+        ) or "-"),
         f"two-phase commits       {counters.commits:>10}"
         f"  (work {counters.mean_commit_seconds * 1e6:.1f} us"
         f", wait {counters.mean_commit_wait_seconds * 1e6:.1f} us)",

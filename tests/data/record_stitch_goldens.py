@@ -6,15 +6,24 @@ boundary faces, the fields ``benchmarks.e2e.checks.mesh_digest`` hashes —
 and the stitch's ``refine_operations``.  A change to the stitch that only
 saves work moves the operation counts and leaves every digest alone.
 The file has one section per kernel (``accel`` / ``python``): both build
-the same tets over the same points, but they recycle vertex ids in a
-different order, so the byte digests and a handful of pops differ.  A run
-reads and writes the section of the kernel ``REPRO_ACCEL`` selected.
+the same tets over the same points, but the bulk load goes through
+``bw_insert_many`` on one and point by point on the other, so walks start
+from different seed tets, a sample lying exactly on a face is located in
+the other of the two tets sharing it, the cavity's depth-first order —
+and with it the new tet ids and every id recycled downstream — differs:
+the byte digests and a handful of judged tets move, the geometry does
+not.  ``geometry_digest`` says so in every row: it hashes the sorted
+vertex coordinates and the sorted (tet as coordinates, label) set, blind
+to numbering, and must be equal across the two sections — which is also
+how a re-record of one section proves it moved ids only.  A run reads
+and writes the section of the kernel ``REPRO_ACCEL`` selected.
 
     python tests/data/record_stitch_goldens.py            # rewrite the rows
     python tests/data/record_stitch_goldens.py --check    # exit 1 on a diff
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -48,6 +57,18 @@ def cold_mesh(phantom: str, n: int, delta, shards: int):
     ))
 
 
+def geometry_digest(mesh) -> str:
+    """Digest of ``mesh`` as geometry, whatever the numbering: its
+    sorted vertex coordinates and its sorted (tet as sorted coordinate
+    tuples, label) set."""
+    coords = [tuple(v) for v in mesh.vertices.tolist()]
+    tets = sorted(
+        (tuple(sorted(coords[v] for v in tet)), label)
+        for tet, label in zip(mesh.tets.tolist(), mesh.tet_labels.tolist()))
+    return hashlib.blake2b(repr((sorted(coords), tets)).encode(),
+                           digest_size=16).hexdigest()
+
+
 def stitch_row(phantom: str, n: int, delta, shards: int, result=None) -> dict:
     """The golden row for one case, as ``tests/test_shard.py`` reads it."""
     if result is None:
@@ -60,6 +81,7 @@ def stitch_row(phantom: str, n: int, delta, shards: int, result=None) -> dict:
         "mesh_vertices": result.n_vertices,
         "mesh_tets": result.n_tets,
         "mesh_digest": mesh_digest(result.mesh),
+        "geometry_digest": geometry_digest(result.mesh),
         "refine_operations": result.stats["stitch"]["refine_operations"],
     }
 
@@ -81,11 +103,26 @@ def main() -> int:
             print(f"recorded {old}\nderived  {new}")
         print(f"{KERNEL}: {len(rows) - len(stale)} of {len(rows)} "
               "stitch rows match")
-        return 1 if stale or len(recorded) != len(rows) else 0
+        return 1 if (stale or len(recorded) != len(rows)
+                     or geometry_differs(golden)) else 0
     golden[KERNEL] = rows
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(rows)} {KERNEL} stitch rows in {GOLDEN_PATH.name}")
-    return 0
+    return 1 if geometry_differs(golden) else 0
+
+
+def geometry_differs(golden: dict) -> bool:
+    """Print and report the cases whose ``geometry_digest`` is not the
+    same in every section of ``golden``."""
+    by_case = {}
+    for rows in golden.values():
+        for row in rows:
+            case = (row["phantom"], row["n"], row["delta"], row["shards"])
+            by_case.setdefault(case, set()).add(row.get("geometry_digest"))
+    split = [case for case, digests in by_case.items() if len(digests) > 1]
+    for case in split:
+        print(f"geometry differs between kernels: {case}")
+    return bool(split)
 
 
 if __name__ == "__main__":

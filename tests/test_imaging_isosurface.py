@@ -238,6 +238,10 @@ _CORE = ((3, 3, 3), [0] * 13 + [2] + [0] * 13)
 @example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 2, 2), (0, 0, 1), 24))
 # grazes a box edge from outside
 @example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 4, 2), (1, -1, 0), 8))
+# enters the box on a voxel corner, descending in x: the voxel entered
+# is the background one below the corner, not the foreground one above
+@example(((4, 1, 3), [0] * 5 + [1] + [0] * 6, _SPACINGS[0], _ORIGINS[0],
+          (5, -1, 5), (-1, 1, 3), 2))
 # zero-length segments
 @example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (0, 0, 0), 4))
 @example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (1, 2, 3), 0))

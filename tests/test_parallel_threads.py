@@ -14,7 +14,8 @@ import sys
 import pytest
 
 from repro import _accel
-from repro.imaging import shell_phantom, sphere_phantom
+from repro.delaunay.triangulation import RemovalError, Triangulation3D
+from repro.imaging import abdominal_phantom, shell_phantom, sphere_phantom
 from repro.metrics import quality_report
 from repro.parallel import _parallel_mesh_image as parallel_mesh_image
 
@@ -63,6 +64,28 @@ class TestParallelThreads:
         assert res.totals["operations"] > 0
         assert res.wall_time > 0
         assert len(res.thread_stats) == 4
+
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    def test_no_fill_refused_for_its_volume(self, monkeypatch, n_threads):
+        # The ball's volume travels with the call.  While it lived on
+        # the triangulation, two workers removing disjoint balls
+        # overwrote each other's and correct fills were refused (16-36 a
+        # run on this image), leaving the R6 victim in place.
+        refused = []
+        verify = Triangulation3D._verify_fill
+
+        def recording(tri, *args):
+            try:
+                verify(tri, *args)
+            except RemovalError as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(Triangulation3D, "_verify_fill", recording)
+        res = parallel_mesh_image(abdominal_phantom(40), n_threads=n_threads,
+                                  timeout=240.0)
+        assert res.domain.n_removals > 0
+        assert [m for m in refused if "volume" in m] == []
 
 
 def _topo_hash(mesh):
