@@ -545,7 +545,7 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
               f" inserts/s vs scalar accel ({batch_speedup:.2f}x, "
               f"{batch['ctypes_crossings']} crossings)")
     else:
-        print("accel path  : unavailable (no C compiler or REPRO_NO_ACCEL)")
+        print("accel path  : unavailable (no C compiler or REPRO_ACCEL=0)")
         print(f"removal     : {py_rps:>10,.1f} removals/s (python only)")
     for kernel in ("python", "accel"):
         vf = voxel_face[kernel]

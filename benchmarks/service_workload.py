@@ -43,7 +43,6 @@ from repro.service import (
     MeshingService,
     ServiceConfig,
     TransientMeshError,
-    process_support_available,
 )
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -91,9 +90,7 @@ def replay() -> None:
     cfg = ServiceConfig(n_workers=4, queue_capacity=8,
                         cache_dir=tmp, max_retries=2, retry_backoff=0.01)
     service = MeshingService(cfg).start()
-    print(f"executor: {service.executor}"
-          + (" (fell back from process)" if service.executor_fallback
-             else ""))
+    print(f"executor: {service.executor}")
     from repro.api import get_mesher
     service.register_mesher("flaky", FlakyOnce(get_mesher("sequential")))
 
@@ -205,8 +202,6 @@ def _timed_batch(executor: str, n_workers: int, n_jobs: int,
         done = sum(j.state is JobState.DONE for j in jobs)
         return {
             "executor": service.executor,
-            "requested_executor": executor,
-            "fallback": service.executor_fallback,
             "n_workers": n_workers,
             "jobs": n_jobs,
             "jobs_done": done,
@@ -220,7 +215,7 @@ def _timed_batch(executor: str, n_workers: int, n_jobs: int,
 def executor_bench(out_path: pathlib.Path, n_jobs: int,
                    phantom_n: int) -> None:
     cpus = usable_cpus()
-    enforced = cpus >= 2 and process_support_available()
+    enforced = cpus >= 2
     print(f"executor bench: {n_jobs} CPU-bound misses, 4 workers, "
           f"{cpus} usable CPU(s), gate "
           f"{'ENFORCED' if enforced else 'advisory'}")
@@ -230,8 +225,7 @@ def executor_bench(out_path: pathlib.Path, n_jobs: int,
           f"({thread['jobs_per_second']:.2f} jobs/s)")
     process = _timed_batch("process", 4, n_jobs, phantom_n, 1.0)
     print(f"  process: {process['seconds']:.2f}s "
-          f"({process['jobs_per_second']:.2f} jobs/s)"
-          + (" [fell back to threads]" if process["fallback"] else ""))
+          f"({process['jobs_per_second']:.2f} jobs/s)")
 
     speedup = (process["jobs_per_second"] / thread["jobs_per_second"]
                if thread["jobs_per_second"] > 0 else 0.0)

@@ -126,7 +126,6 @@ def record_service(bench_path: pathlib.Path, history_path: pathlib.Path,
             doc.get("thread", {}).get("jobs_per_second"),
         "process_jobs_per_second":
             doc.get("process", {}).get("jobs_per_second"),
-        "process_fallback": bool(doc.get("process", {}).get("fallback")),
         "speedup": doc.get("speedup_process_over_thread"),
         "gate_enforced": bool(gate.get("enforced")),
         "gate_passed": bool(gate.get("passed")),
@@ -259,9 +258,7 @@ def render_service(history: list, drift_threshold: float) -> str:
     best = max((r.get("speedup") or 0.0 for r in enforced), default=0.0)
     for r in history:
         speedup = r.get("speedup")
-        if r.get("process_fallback"):
-            note = "process fell back to threads"
-        elif not r.get("gate_enforced"):
+        if not r.get("gate_enforced"):
             note = "single CPU: advisory"
         elif len(enforced) == 1:
             note = "n=1 (no baseline)"

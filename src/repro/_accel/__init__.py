@@ -20,9 +20,8 @@ decide it as the Python kernel does.  Every RETRY carries a reason
 (:data:`RETRY_REASONS`), counted per triangulation and published as
 ``kernel.accel_retry.<reason>``.
 
-Set ``REPRO_ACCEL=0`` (or the older ``REPRO_NO_ACCEL=1``) to disable
-the accelerator (e.g. to benchmark the pure-Python kernel, or to rule
-it out while debugging).  Compile and load failures degrade silently to
+Set ``REPRO_ACCEL=0`` to disable the accelerator (e.g. to benchmark
+the pure-Python kernel, or to rule it out while debugging).  Compile and load failures degrade silently to
 the Python path.
 """
 
@@ -88,8 +87,6 @@ _LINK_CAP = 4096
 
 
 def _disabled() -> bool:
-    if os.environ.get("REPRO_NO_ACCEL"):
-        return True
     return os.environ.get("REPRO_ACCEL", "").strip() == "0"
 
 

@@ -184,7 +184,9 @@ class MeshResult:
     the run's metrics-registry snapshot; ``timings`` always contains
     ``wall_seconds`` and, for simulated runs, ``virtual_seconds``.
     ``extras`` carries live objects (domain, thread stats, the
-    ``Observability`` bundle) and is dropped by :meth:`to_dict`.
+    ``Observability`` bundle) on what :func:`mesh` returns; it is
+    dropped by :meth:`to_dict`, and a result a
+    :class:`~repro.service.MeshingService` hands out or stores has none.
     """
 
     mesh: ExtractedMesh

@@ -201,9 +201,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         incremental=not getattr(args, "no_incremental", False),
     )
     service = MeshingService(config).start()
-    if service.executor_fallback:
-        print("process executor unavailable (no shared memory); "
-              "falling back to threads", file=sys.stderr)
     try:
         server = MeshHTTPServer(service, host=host or "127.0.0.1",
                                 port=int(port))
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executor", choices=("thread", "process"),
                    default=None,
                    help="run meshing in worker threads (default) or in "
-                        "spawned processes over shared-memory arenas; "
+                        "spawned processes that answer over a pipe; "
                         "also settable via REPRO_EXECUTOR")
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="admission queue bound; overflow is REJECTED")

@@ -1,482 +1,24 @@
-"""Named shared-memory arenas for zero-copy mesh storage across processes.
+"""What is left of the shared-memory result transport: a leak check.
 
-A :class:`SharedArena` is a family of ``multiprocessing.shared_memory``
-segments under one *arena name*:
-
-* the **manifest** segment (the arena name itself) holds a small
-  segment table — ``tag -> (segment name, shape, dtype, fill)`` — plus
-  a generation counter, serialized as length-prefixed JSON;
-* each **column** lives in its own data segment (``<name>-s<k>``) and
-  is exposed as a numpy ndarray view over the mapped buffer.
-
-The segment table is the growth handshake: shared-memory segments
-cannot be resized in place, so :meth:`realloc` allocates a fresh
-segment, copies the old rows, publishes the new entry in the manifest
-(bumping the generation), and unlinks the old segment immediately — the
-old mapping stays valid for any array views still alive in this
-process, but the *name* is gone, so a crashed process can never leak
-it.  A peer that wants the current columns re-reads the manifest (one
-small read) and re-attaches whatever segments changed; in the meshing
-service the re-read is synchronized by the worker's completion message,
-so attachers never race a writer.
-
-:class:`~repro.delaunay.mesh.MeshArrays` allocates its SoA columns
-through an arena when one is ambient (:func:`arena_scope`), which is
-how worker processes mesh directly into shared memory: the numpy views
-are ordinary aligned C-contiguous arrays, so the C accelerator binds
-its per-call pointers to the mapped buffers exactly as it does for
-heap-backed arrays — per process, per segment generation.
-
-Lifecycle discipline (and why there are no leaks):
-
-* the *creator* (a worker process) allocates and writes;
-* the *owner* (the service, in the parent process) attaches after the
-  worker's completion handshake, copies what it needs, then calls
-  :meth:`unlink_all`;
-* if the creator dies mid-job, the owner calls :func:`reclaim`, which
-  unlinks every segment listed in the manifest **and** sweeps
-  ``/dev/shm`` for stragglers matching the arena's name (covers a
-  crash between "segment created" and "manifest published").
-
-Segments are explicitly *unregistered* from Python's
-``resource_tracker``: the tracker assumes exactly one owner per
-segment and double-unlinks (with warnings) under our create-in-child /
-reclaim-in-parent split.  Ownership here is managed by the service, not
-the tracker.
+Workers answer over their pipe and nothing in ``src`` creates a
+shared-memory segment.  This module exists only because
+``benchmarks/e2e/runner.py`` imports it and calls :func:`orphaned`
+around every run, and a change that touches the service may not edit
+the benchmark it is judged by; the ``benchmark`` PR that drops that
+call deletes this file.
 """
 
-from __future__ import annotations
+import os
 
-import contextlib
-import json
-import struct
-import threading
-from typing import Dict, Iterator, Optional, Tuple
-
-import numpy as np
-
-try:  # pragma: no cover - import guard for exotic platforms
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
-    resource_tracker = None
-
-#: Every arena segment name starts with this; leak checks and the
-#: /dev/shm sweep key on it.
+#: Prefix of every segment name the removed transport created.
 ARENA_PREFIX = "repro-arena-"
-
-_MANIFEST_CAP = 1 << 16  # 64 KiB of JSON: hundreds of columns, plenty
-_HEADER = struct.Struct("<QQ")  # (payload length, generation)
-
-
-class ArenaError(RuntimeError):
-    """Shared-memory arena creation/attach/consistency failure."""
-
-
-def available() -> bool:
-    """True iff named shared memory actually works on this host
-    (probes with a real segment; /dev/shm may be absent or full)."""
-    if shared_memory is None:
-        return False
-    try:
-        probe = shared_memory.SharedMemory(create=True, size=16)
-    except (OSError, ValueError):
-        return False
-    _untrack(probe)
-    try:
-        probe.close()
-        _unlink(probe)
-    except OSError:  # pragma: no cover - probe cleanup is best-effort
-        pass
-    return True
-
-
-def _untrack(shm) -> None:
-    """Opt this segment out of resource_tracker auto-cleanup; the
-    arena owner unlinks explicitly (see module docstring)."""
-    if resource_tracker is None:  # pragma: no cover
-        return
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def _unlink(shm) -> None:
-    """Unlink a segment we untracked: re-register first so the
-    tracker's UNREGISTER sent by ``unlink()`` finds its entry instead
-    of logging a KeyError traceback."""
-    if resource_tracker is not None:
-        try:
-            resource_tracker.register(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover
-            pass
-    shm.unlink()
-
-
-def _open(name: str, size: int = 0, create: bool = False):
-    shm = shared_memory.SharedMemory(
-        name=name, create=create, size=size if create else 0
-    )
-    _untrack(shm)
-    return shm
-
-
-class _Column:
-    __slots__ = ("tag", "seg", "shm", "array", "shape", "dtype", "fill")
-
-    def __init__(self, tag, seg, shm, array, shape, dtype, fill):
-        self.tag = tag
-        self.seg = seg
-        self.shm = shm
-        self.array = array
-        self.shape = tuple(shape)
-        self.dtype = np.dtype(dtype)
-        self.fill = fill
-
-
-class SharedArena:
-    """One named family of shared-memory segments (see module docstring).
-
-    Create with :meth:`create` in the writing process, :meth:`attach`
-    in a reader.  Not thread-safe for concurrent writers (the meshing
-    worker is single-threaded per job); attach-after-handshake is safe.
-    """
-
-    def __init__(self, name: str, manifest, *, owner: bool):
-        self.name = name
-        self._manifest = manifest
-        self._owner = owner
-        self._columns: Dict[str, _Column] = {}
-        self._retired: list = []  # unlinked-but-mapped old generations
-        self._gen = 0
-        self._next_seg = 0
-        self._next_mesh = 0
-        self._closed = False
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def create(cls, name: str) -> "SharedArena":
-        if shared_memory is None:
-            raise ArenaError("multiprocessing.shared_memory unavailable")
-        if not name.startswith(ARENA_PREFIX):
-            raise ArenaError(f"arena name must start with {ARENA_PREFIX!r}")
-        try:
-            manifest = _open(name, _MANIFEST_CAP, create=True)
-        except FileExistsError:
-            raise ArenaError(f"arena {name!r} already exists") from None
-        except (OSError, ValueError) as exc:
-            raise ArenaError(f"cannot create arena {name!r}: {exc}") from None
-        arena = cls(name, manifest, owner=True)
-        arena._publish()
-        return arena
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedArena":
-        if shared_memory is None:
-            raise ArenaError("multiprocessing.shared_memory unavailable")
-        try:
-            manifest = _open(name)
-        except (OSError, ValueError) as exc:
-            raise ArenaError(f"cannot attach arena {name!r}: {exc}") from None
-        arena = cls(name, manifest, owner=False)
-        arena.refresh()
-        return arena
-
-    # -- manifest (the segment table) ----------------------------------
-    def table(self) -> Dict[str, dict]:
-        """Current segment table, ``tag -> column description``."""
-        return {
-            tag: {
-                "seg": col.seg,
-                "shape": list(col.shape),
-                "dtype": col.dtype.str,
-                "fill": col.fill,
-            }
-            for tag, col in self._columns.items()
-        }
-
-    def _publish(self) -> None:
-        """Write the segment table into the manifest segment."""
-        self._gen += 1
-        payload = json.dumps({
-            "v": 1,
-            "gen": self._gen,
-            "next_seg": self._next_seg,
-            "columns": self.table(),
-        }).encode("utf-8")
-        if len(payload) > _MANIFEST_CAP - _HEADER.size:
-            raise ArenaError("segment table exceeds manifest capacity")
-        buf = self._manifest.buf
-        # Payload first, then the header that makes it visible: a reader
-        # (or reclaim) that wins a race sees either the old table or the
-        # new one, never a torn payload.
-        buf[_HEADER.size:_HEADER.size + len(payload)] = payload
-        buf[:_HEADER.size] = _HEADER.pack(len(payload), self._gen)
-
-    @staticmethod
-    def _read_manifest(manifest) -> dict:
-        buf = manifest.buf
-        length, gen = _HEADER.unpack_from(buf, 0)
-        if length == 0 or length > _MANIFEST_CAP - _HEADER.size:
-            raise ArenaError("manifest empty or corrupt")
-        doc = json.loads(bytes(buf[_HEADER.size:_HEADER.size + length]))
-        if doc.get("gen") != gen:
-            raise ArenaError("manifest generation mismatch (torn write)")
-        return doc
-
-    def refresh(self) -> None:
-        """Re-read the segment table and (re-)map changed segments —
-        the attacher's half of the growth handshake."""
-        doc = self._read_manifest(self._manifest)
-        self._gen = int(doc.get("gen", 0))
-        self._next_seg = int(doc.get("next_seg", 0))
-        fresh: Dict[str, _Column] = {}
-        for tag, entry in doc["columns"].items():
-            old = self._columns.get(tag)
-            if old is not None and old.seg == entry["seg"]:
-                fresh[tag] = old
-                continue
-            shm = _open(entry["seg"])
-            shape = tuple(entry["shape"])
-            dtype = np.dtype(entry["dtype"])
-            array = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-            fresh[tag] = _Column(tag, entry["seg"], shm, array,
-                                 shape, dtype, entry.get("fill"))
-        retired = [c for t, c in self._columns.items()
-                   if t not in fresh or fresh[t] is not c]
-        self._retired.extend(retired)
-        self._columns = fresh
-
-    # -- allocation ----------------------------------------------------
-    def _new_segment(self, nbytes: int):
-        seg = f"{self.name}-s{self._next_seg}"
-        self._next_seg += 1
-        try:
-            return seg, _open(seg, max(1, nbytes), create=True)
-        except (OSError, ValueError) as exc:
-            raise ArenaError(
-                f"cannot allocate {nbytes} bytes for {seg!r}: {exc}"
-            ) from None
-
-    def alloc(self, tag: str, shape: Tuple[int, ...], dtype,
-              fill=None) -> np.ndarray:
-        """New shared column ``tag``; returns the ndarray view."""
-        if tag in self._columns:
-            raise ArenaError(f"column {tag!r} already allocated")
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        seg, shm = self._new_segment(nbytes)
-        array = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        if fill is not None:
-            array[...] = fill
-        # Segments arrive zero-filled (ftruncate), so fill=None == zeros.
-        self._columns[tag] = _Column(tag, seg, shm, array, shape, dtype,
-                                     fill)
-        self._publish()
-        return array
-
-    def realloc(self, tag: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """Grow column ``tag`` to ``shape``: fresh segment, rows copied,
-        extension filled, manifest republished, old segment unlinked."""
-        col = self._columns.get(tag)
-        if col is None:
-            raise ArenaError(f"column {tag!r} not allocated")
-        dtype = col.dtype
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        seg, shm = self._new_segment(nbytes)
-        array = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        if col.fill is not None:
-            array[...] = col.fill
-        n = min(shape[0], col.shape[0])
-        array[:n] = col.array[:n]
-        self._columns[tag] = _Column(tag, seg, shm, array, shape, dtype,
-                                     col.fill)
-        self._publish()
-        # The old name dies now (no leak window); the mapping survives
-        # for any live views and is dropped at close().
-        try:
-            _unlink(col.shm)
-        except OSError:
-            pass
-        self._retired.append(col)
-        return array
-
-    def get(self, tag: str) -> np.ndarray:
-        """The current ndarray view of column ``tag`` (attach side)."""
-        col = self._columns.get(tag)
-        if col is None:
-            raise ArenaError(f"no column {tag!r} in arena {self.name!r}")
-        return col.array
-
-    def tags(self) -> Tuple[str, ...]:
-        return tuple(self._columns)
-
-    def new_mesh_id(self) -> int:
-        """Distinct namespace id per MeshArrays sharing this arena."""
-        mid = self._next_mesh
-        self._next_mesh += 1
-        return mid
-
-    @property
-    def nbytes(self) -> int:
-        return sum(
-            int(np.prod(c.shape, dtype=np.int64)) * c.dtype.itemsize
-            for c in self._columns.values()
-        )
-
-    # -- teardown ------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mappings (does not remove the segments).
-
-        Columns whose ndarray views are still referenced elsewhere keep
-        their mapping alive (``BufferError`` is swallowed); the memory
-        goes when the views die or the process exits.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for col in list(self._columns.values()) + self._retired:
-            col.array = None
-            with contextlib.suppress(BufferError, OSError):
-                col.shm.close()
-        with contextlib.suppress(BufferError, OSError):
-            self._manifest.close()
-
-    def unlink_all(self) -> None:
-        """Remove every segment of this arena from the system."""
-        for col in list(self._columns.values()):
-            with contextlib.suppress(OSError):
-                _unlink(col.shm)
-        with contextlib.suppress(OSError):
-            _unlink(self._manifest)
-        self.close()
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def reclaim(name: str) -> int:
-    """Best-effort removal of every segment of arena ``name``.
-
-    Safe to call on a live, dead, or never-created arena; used by the
-    service when a worker process crashes or is killed mid-job.
-    Returns the number of segments unlinked.
-    """
-    if shared_memory is None:
-        return 0
-    removed = 0
-    segs = []
-    try:
-        manifest = _open(name)
-    except (OSError, ValueError):
-        manifest = None
-    if manifest is not None:
-        try:
-            doc = SharedArena._read_manifest(manifest)
-            segs = [e["seg"] for e in doc.get("columns", {}).values()]
-        except (ArenaError, Exception):
-            segs = []
-    for seg in segs:
-        try:
-            shm = _open(seg)
-        except (OSError, ValueError):
-            continue
-        with contextlib.suppress(OSError):
-            _unlink(shm)
-            removed += 1
-        with contextlib.suppress(BufferError, OSError):
-            shm.close()
-    if manifest is not None:
-        with contextlib.suppress(OSError):
-            _unlink(manifest)
-            removed += 1
-        with contextlib.suppress(BufferError, OSError):
-            manifest.close()
-    # Sweep stragglers: segments created after the last manifest publish
-    # (crash inside alloc/realloc) are reachable only by name pattern.
-    removed += _sweep(name + "-s")
-    return removed
-
-
-def sweep(prefix: str) -> int:
-    """Unlink every shared-memory segment whose name starts with
-    ``prefix`` (Linux ``/dev/shm`` only).  The process pool calls this
-    at shutdown with its own pid-scoped prefix as a final backstop."""
-    return _sweep(prefix)
-
-
-def _sweep(prefix: str) -> int:
-    """Unlink /dev/shm entries starting with ``prefix`` (Linux only)."""
-    import os
-
-    removed = 0
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return 0
-    for entry in entries:
-        if not entry.startswith(prefix):
-            continue
-        try:
-            shm = _open(entry)
-        except (OSError, ValueError):
-            continue
-        with contextlib.suppress(OSError):
-            _unlink(shm)
-            removed += 1
-        with contextlib.suppress(BufferError, OSError):
-            shm.close()
-    return removed
 
 
 def orphaned(prefix: str = ARENA_PREFIX) -> list:
-    """Names of shared-memory segments currently matching ``prefix``
-    (leak checks in tests; Linux ``/dev/shm`` only, else empty)."""
-    import os
-
+    """Names under ``/dev/shm`` starting with ``prefix`` (``[]`` where
+    there is no ``/dev/shm``)."""
     try:
         return sorted(e for e in os.listdir("/dev/shm")
                       if e.startswith(prefix))
     except OSError:
         return []
-
-
-# ---------------------------------------------------------------------------
-# ambient arena: how MeshArrays finds its allocator
-# ---------------------------------------------------------------------------
-
-_ambient = threading.local()
-
-
-def current_arena() -> Optional[SharedArena]:
-    """The arena new :class:`MeshArrays` instances allocate from, if
-    one is in scope on this thread."""
-    return getattr(_ambient, "arena", None)
-
-
-@contextlib.contextmanager
-def arena_scope(arena: Optional[SharedArena]) -> Iterator[None]:
-    """Make ``arena`` ambient for MeshArrays built in this block."""
-    prev = getattr(_ambient, "arena", None)
-    _ambient.arena = arena
-    try:
-        yield
-    finally:
-        _ambient.arena = prev
-
-
-__all__ = [
-    "ARENA_PREFIX",
-    "ArenaError",
-    "SharedArena",
-    "arena_scope",
-    "available",
-    "current_arena",
-    "orphaned",
-    "reclaim",
-    "sweep",
-]

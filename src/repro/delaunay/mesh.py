@@ -56,8 +56,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.delaunay.arena import current_arena
-
 HULL = -1  # adjacency marker: face on the convex hull (virtual box surface)
 DEAD = -2  # adjacency marker used transiently for invalidated slots
 
@@ -218,42 +216,17 @@ class MeshArrays:
         "_free_verts",
         "_clock",
         "n_live_tets",
-        "_arena",
-        "_akey",
         "_alloc_lock",
         "_resize_gate",
         "_alloc_tls",
         "_arenas_on",
     )
 
-    def __init__(self, arena=None) -> None:
-        # SoA columns live either on the heap (default) or inside a
-        # shared-memory arena (explicit argument, or ambient via
-        # arena_scope) — same dtypes, shapes and growth policy either
-        # way, so every consumer including the C accelerator is
-        # storage-agnostic.
-        if arena is None:
-            arena = current_arena()
-        self._arena = arena
-        if arena is not None:
-            self._akey = f"m{arena.new_mesh_id()}"
-            self.coords = arena.alloc(
-                f"{self._akey}:coords", (_INIT_V_CAP, 3), np.float64)
-            self.tet_verts_arr = arena.alloc(
-                f"{self._akey}:tet_verts", (_INIT_T_CAP, 4), np.int32,
-                fill=-1)
-            self.tet_adj = arena.alloc(
-                f"{self._akey}:tet_adj", (_INIT_T_CAP, 4), np.int32,
-                fill=HULL)
-            self.v2t = arena.alloc(
-                f"{self._akey}:v2t", (_INIT_V_CAP,), np.int32, fill=HULL)
-        else:
-            self._akey = None
-            self.coords = np.zeros((_INIT_V_CAP, 3), dtype=np.float64)
-            self.tet_verts_arr = np.full((_INIT_T_CAP, 4), -1,
-                                         dtype=np.int32)
-            self.tet_adj = np.full((_INIT_T_CAP, 4), HULL, dtype=np.int32)
-            self.v2t = np.full(_INIT_V_CAP, HULL, dtype=np.int32)
+    def __init__(self) -> None:
+        self.coords = np.zeros((_INIT_V_CAP, 3), dtype=np.float64)
+        self.tet_verts_arr = np.full((_INIT_T_CAP, 4), -1, dtype=np.int32)
+        self.tet_adj = np.full((_INIT_T_CAP, 4), HULL, dtype=np.int32)
+        self.v2t = np.full(_INIT_V_CAP, HULL, dtype=np.int32)
         self.points: List[Point] = []
         self.timestamps: List[int] = []
         self.alive_vertex: List[bool] = []
@@ -285,11 +258,6 @@ class MeshArrays:
     # ------------------------------------------------------------------
     def _grow_verts(self) -> None:
         cap = self.coords.shape[0] * 2
-        if self._arena is not None:
-            self.coords = self._arena.realloc(
-                f"{self._akey}:coords", (cap, 3))
-            self.v2t = self._arena.realloc(f"{self._akey}:v2t", (cap,))
-            return
         old = self.coords
         grown = np.zeros((cap, 3), dtype=np.float64)
         grown[: old.shape[0]] = old
@@ -302,12 +270,6 @@ class MeshArrays:
         cap = self.tet_adj.shape[0]
         while cap < need:
             cap *= 2
-        if self._arena is not None:
-            self.tet_verts_arr = self._arena.realloc(
-                f"{self._akey}:tet_verts", (cap, 4))
-            self.tet_adj = self._arena.realloc(
-                f"{self._akey}:tet_adj", (cap, 4))
-            return
         tv = np.full((cap, 4), -1, dtype=np.int32)
         tv[: self.tet_verts_arr.shape[0]] = self.tet_verts_arr
         self.tet_verts_arr = tv

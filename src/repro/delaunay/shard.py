@@ -189,8 +189,7 @@ def resolve_delta(image: SegmentedImage, delta: Optional[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def decompose(image: SegmentedImage, n_shards: int,
-              delta: Optional[float] = None,
-              band_voxels: Optional[int] = None) -> ShardPlan:
+              delta: Optional[float] = None) -> ShardPlan:
     """Split the image into at most ``n_shards`` occupied blocks.
 
     Recursive bisection of the foreground bounding box: repeatedly
@@ -202,8 +201,7 @@ def decompose(image: SegmentedImage, n_shards: int,
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     d = resolve_delta(image, delta)
-    band = ((band_voxels,) * 3 if band_voxels is not None
-            else band_width_voxels(image, d))
+    band = band_width_voxels(image, d)
     mask = image.labels > 0
     fg = np.argwhere(mask)
     if fg.size == 0:

@@ -16,6 +16,8 @@ import numpy as np
 
 Point = Tuple[float, float, float]
 
+_MAX_LABEL = int(np.iinfo(np.int16).max)
+
 
 class SegmentedImage:
     """A 3D multi-label segmented image.
@@ -23,7 +25,9 @@ class SegmentedImage:
     Parameters
     ----------
     labels:
-        Integer array of shape ``(nx, ny, nz)``; 0 is background.
+        Integer array of shape ``(nx, ny, nz)``; 0 is background, tissue
+        labels are 1..32767 (stored as ``int16``); anything outside
+        raises ``ValueError``.
     spacing:
         Physical voxel size per axis (supports anisotropy, e.g. CT slices).
     origin:
@@ -39,6 +43,15 @@ class SegmentedImage:
             raise ValueError(f"labels must be 3D, got shape {labels.shape}")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError("labels must be an integer array")
+        if labels.size:
+            # The int16 cast below wraps silently: 70000 would become
+            # tissue 4464, and a negative label is neither background
+            # nor tissue.
+            lo, hi = int(labels.min()), int(labels.max())
+            if lo < 0 or hi > _MAX_LABEL:
+                raise ValueError(
+                    f"labels must lie in [0, {_MAX_LABEL}] (0 is "
+                    f"background), got min {lo}, max {hi}")
         self.labels = np.ascontiguousarray(labels, dtype=np.int16)
         self.spacing = tuple(float(s) for s in spacing)
         if any(s <= 0 for s in self.spacing):

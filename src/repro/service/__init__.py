@@ -10,11 +10,10 @@ follow-on work — I2M inside clinical pipelines — makes explicit):
   (backpressure → ``REJECTED``, never silent drops);
 * :mod:`repro.service.pool` — claiming worker threads with deadline,
   bounded retry and crash containment, plus the **process executor**:
-  spawned worker processes meshing into shared-memory arenas
-  (:mod:`repro.delaunay.arena`), with crash detection, deadline kills
-  and arena reclamation;
+  spawned worker processes that take a payload and answer with the
+  result over one pipe, with crash detection and deadline kills;
 * :mod:`repro.service.procworker` — the worker-process side (payload
-  rebuild, arena publish, plugin meshers);
+  rebuild, the reply, plugin meshers);
 * :mod:`repro.service.cache` / :mod:`repro.service.keys` —
   content-addressed artifact store (meshes by
   ``hash(image, canonical params)``, EDT feature transforms by image
@@ -79,7 +78,6 @@ from repro.service.pool import (
     RemoteMeshError,
     WorkerCrashed,
     WorkerPool,
-    process_support_available,
 )
 from repro.service.queue import JobQueue
 from repro.service.service import EXECUTORS, MeshingService, ServiceConfig
@@ -115,6 +113,5 @@ __all__ = [
     "decode_image_b64",
     "encode_image_b64",
     "image_content_key",
-    "process_support_available",
     "request_key",
 ]

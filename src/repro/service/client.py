@@ -141,7 +141,9 @@ class InProcessClient(Client):
         return self.service.job(job_id)
 
     def result(self, job_id: str) -> Optional[MeshResult]:
-        """The finished job's full result, if it is DONE."""
+        """The finished job's result, if it is DONE: the five plain
+        fields, no ``extras`` (``repro.api.mesh`` gives the live
+        domain)."""
         job = self.service.job(job_id)
         return job.result if job is not None else None
 

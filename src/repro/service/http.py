@@ -455,7 +455,7 @@ class MeshGateway:
                 raise ProtocolError("inline image needs a 'labels' array")
             try:
                 image = SegmentedImage(
-                    np.asarray(inline["labels"], dtype=np.int16),
+                    inline["labels"],
                     spacing=tuple(inline.get("spacing", (1.0, 1.0, 1.0))),
                     origin=tuple(inline.get("origin", (0.0, 0.0, 0.0))),
                 )

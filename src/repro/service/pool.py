@@ -10,23 +10,21 @@ one poisoned request cannot take a worker slot out of service.
 :class:`ProcessWorkerPool` adds the process executor underneath that
 same thread pool: the claiming thread checks out a worker *slot* — a
 lazily-spawned OS process paired over a duplex pipe — ships the job's
-payload, and blocks on the reply while the child meshes into a
-shared-memory arena (:mod:`repro.delaunay.arena`).  The parent keeps
-everything stateful (cache lookups, the CAS claim, retry/backoff,
-metrics); the child holds no job state a crash could lose, and the
-parent picks the arena *name* before the child exists, so cleanup
-after a dead worker is a by-name :func:`~repro.delaunay.arena.reclaim`
-— no handshake required with a corpse.
+payload, and blocks on the reply while the child meshes; the result
+comes back over the same pipe (:mod:`repro.service.procworker`).  The
+parent keeps everything stateful (cache lookups, the CAS claim,
+retry/backoff, metrics); the child holds no job state a crash could
+lose and nothing outside its own address space, so a dead worker
+leaves nothing to clean up.
 
 Failure taxonomy seen by the service:
 
 * :class:`DeadlineKilled` — the job's deadline passed while the child
-  meshed; the child is killed (``SIGKILL``), the arena reclaimed, the
-  job concluded ``TIMED_OUT``.  Threads cannot do this: a wedged
-  C-level mesher is unkillable in-process, a worker process is not.
+  meshed; the child is killed (``SIGKILL``) and the job concluded
+  ``TIMED_OUT``.  Threads cannot do this: a wedged C-level mesher is
+  unkillable in-process, a worker process is not.
 * :class:`WorkerCrashed` — the child died mid-job (OOM kill,
-  segfault, ``os._exit``); arena reclaimed, job ``FAILED``, slot
-  respawned on next use.
+  segfault, ``os._exit``); job ``FAILED``, slot respawned on next use.
 * :class:`~repro.service.jobs.TransientMeshError` — re-raised
   verbatim in the parent so the bounded-retry path applies unchanged.
 * :class:`RemoteMeshError` — any other child-side exception, carrying
@@ -35,17 +33,12 @@ Failure taxonomy seen by the service:
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-import os
 import threading
 import time
 import traceback
 from typing import Callable, FrozenSet, List, Optional
 
-import numpy as np
-
-from repro.delaunay import arena as arena_mod
 from repro.service import procworker
 from repro.service.jobs import Job, JobState, TransientMeshError
 from repro.service.queue import JobQueue
@@ -137,18 +130,6 @@ class RemoteMeshError(RuntimeError):
     process; the message is the remote traceback."""
 
 
-def process_support_available() -> bool:
-    """True iff the process executor can run here: working named
-    shared memory and a spawnable interpreter."""
-    if not arena_mod.available():
-        return False
-    try:
-        multiprocessing.get_context("spawn")
-    except ValueError:  # pragma: no cover
-        return False
-    return True
-
-
 class _WorkerSlot:
     """One lazily-spawned worker process + its parent-side pipe end."""
 
@@ -196,20 +177,17 @@ class _WorkerSlot:
             proc.join(5.0)
         self.discard()
 
-    def run(self, payload: dict, deadline: Optional[float],
-            arena_name: Optional[str]):
+    def run(self, payload: dict, deadline: Optional[float]):
         """Ship one job, await the reply, materialise the result."""
         self.ensure_started()
-        body = dict(payload)
-        body["arena"] = arena_name
         try:
-            self.conn.send(("run", body))
+            self.conn.send(("run", payload))
         except (BrokenPipeError, OSError) as exc:
             self.kill()
             raise WorkerCrashed(f"worker pipe broken at send: {exc}")
         kind, reply = self._await_reply(deadline)
         if kind == "ok":
-            return self._collect(arena_name, reply)
+            return self._collect(reply)
         if kind == "transient":
             raise TransientMeshError(reply)
         raise RemoteMeshError(reply)
@@ -247,27 +225,13 @@ class _WorkerSlot:
                 )
 
     @staticmethod
-    def _collect(arena_name: Optional[str], reply: dict):
+    def _collect(reply: dict):
         from repro.api import MeshResult
         from repro.core.extract import ExtractedMesh
 
-        meta = reply["meta"]
-        # The reply names its own result columns; legacy mesh replies
-        # without a field list carry the fixed extracted-mesh set.
-        fields = tuple(meta.get("fields") or procworker.RESULT_FIELDS)
-        if reply["transport"] == "pipe":
-            arrays = reply["arrays"]
-        else:
-            att = arena_mod.SharedArena.attach(arena_name)
-            try:
-                arrays = {
-                    field: np.array(att.get(f"res:{field}"), copy=True)
-                    for field in fields
-                }
-            finally:
-                att.close()
+        meta, arrays = reply["meta"], reply["arrays"]
         if meta.get("kind") == "shard":
-            return {"arrays": arrays, "stats": meta.get("stats", {})}
+            return {"arrays": arrays, "stats": meta["stats"]}
         return MeshResult(
             mesh=ExtractedMesh(**arrays),
             mesher=meta["mesher"],
@@ -281,15 +245,8 @@ class ProcessWorkerPool:
     """N worker-process slots checked out by the service's threads.
 
     Slots spawn lazily (a thread-only workload never pays process
-    startup) and respawn lazily after a crash or deadline kill.  The
-    pool owns arena naming — ``repro-arena-<pid>-p<k>-w<slot>-<seq>``,
-    where ``p<k>`` is a per-pool token — and guarantees reclamation in
-    every outcome via ``finally``.  The token keeps two pools in one
-    process (a service pool plus a shard pool, or nested services)
-    from sweeping each other's live arenas at shutdown.
+    startup) and respawn lazily after a crash or deadline kill.
     """
-
-    _POOL_IDS = itertools.count(1)
 
     def __init__(self, n_workers: int, cache_dir: Optional[str] = None,
                  plugins: Optional[tuple] = None,
@@ -298,7 +255,6 @@ class ProcessWorkerPool:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
         self.name = name
-        self._token = f"{os.getpid()}-p{next(ProcessWorkerPool._POOL_IDS)}"
         self._ctx = multiprocessing.get_context("spawn")
         specs = (plugins if plugins is not None
                  else procworker.plugin_specs_from_env())
@@ -312,7 +268,6 @@ class ProcessWorkerPool:
         self._slots = [_WorkerSlot(self, i) for i in range(n_workers)]
         self._free: List[_WorkerSlot] = list(self._slots)
         self._cond = threading.Condition()
-        self._seq = itertools.count(1)
         self._closed = False
 
     # -- routing -------------------------------------------------------
@@ -343,13 +298,9 @@ class ProcessWorkerPool:
         :class:`RemoteMeshError` (see module docstring).
         """
         slot = self._checkout()
-        arena_name = self._arena_name(slot)
         try:
-            payload = procworker.build_payload(request)
-            return slot.run(payload, deadline, arena_name)
+            return slot.run(procworker.build_payload(request), deadline)
         finally:
-            if arena_name is not None:
-                arena_mod.reclaim(arena_name)
             self._checkin(slot)
 
     def run_shard(self, request, plan, block,
@@ -359,30 +310,15 @@ class ProcessWorkerPool:
 
         Returns ``{"arrays": {"points", "kinds"}, "stats": {...}}``
         (see :func:`repro.delaunay.shard.refine_block`).  Failure
-        taxonomy is identical to :meth:`run`; the shard's arena is
-        reclaimed by name in every outcome, including a worker crash.
+        taxonomy is identical to :meth:`run`.
         """
         slot = self._checkout()
-        arena_name = self._arena_name(slot)
         try:
             payload = procworker.build_shard_payload(
                 request, plan, block, content_key=content_key)
-            return slot.run(payload, deadline, arena_name)
+            return slot.run(payload, deadline)
         finally:
-            if arena_name is not None:
-                arena_mod.reclaim(arena_name)
             self._checkin(slot)
-
-    def _arena_name(self, slot: _WorkerSlot) -> Optional[str]:
-        if not arena_mod.available():
-            return None
-        return (f"{arena_mod.ARENA_PREFIX}{self._token}"
-                f"-w{slot.idx}-{next(self._seq)}")
-
-    @property
-    def arena_prefix(self) -> str:
-        """Every arena this pool names starts with this prefix."""
-        return f"{arena_mod.ARENA_PREFIX}{self._token}-"
 
     def _checkout(self) -> _WorkerSlot:
         with self._cond:
@@ -401,7 +337,7 @@ class ProcessWorkerPool:
 
     # -- lifecycle -----------------------------------------------------
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop every worker process and sweep this pool's arenas.
+        """Stop every worker process.
 
         Call after the claiming threads have drained (no job in
         flight): live workers get a polite ``exit`` message, then the
@@ -421,11 +357,6 @@ class ProcessWorkerPool:
                     pass
             slot.proc.join(max(0.1, deadline - time.monotonic()))
             slot.kill()
-        # Crash windows can leave segments between "created" and
-        # "reclaimed"; sweep everything *this pool* could have named —
-        # scoped by the pool token, so a second pool's live arenas in
-        # the same process survive this shutdown.
-        arena_mod.sweep(self.arena_prefix)
 
     @property
     def alive_workers(self) -> int:

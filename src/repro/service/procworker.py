@@ -2,23 +2,13 @@
 
 :func:`worker_main` is the entry point a spawned worker runs: a loop
 over a duplex pipe, one ``("run", body)`` message per job.  For each
-job the worker
-
-1. rebuilds the :class:`~repro.api.MeshRequest` from the picklable
-   payload (the label volume, spacing/origin and the flat param dict);
-2. creates the shared-memory arena whose *name* the parent chose (the
-   parent never creates it — that way a worker crash leaves nothing
-   the parent cannot reclaim by name), and meshes inside
-   :func:`~repro.delaunay.arena.arena_scope`, so every ``MeshArrays``
-   column the triangulation allocates lives in shared memory;
-3. publishes the extracted result arrays into the arena under
-   ``res:*`` tags and answers with a small JSON-safe meta message —
-   the big arrays never cross the pipe; the parent attaches the arena,
-   copies them out, and unlinks every segment.
-
-When shared memory is unavailable (or arena creation fails at
-runtime), the worker degrades to ``transport="pipe"`` and sends the
-arrays pickled — slower, never wrong.
+job the worker rebuilds the :class:`~repro.api.MeshRequest` (or the
+block crop) from the picklable payload, meshes on its own heap, and
+answers ``("ok", {"meta", "arrays"})`` over the same pipe: ``meta`` is
+the JSON-safe part of the result (mesher, stats, metrics, timings),
+``arrays`` the result's ndarrays, pickled — 0.8 ms for a 0.26 MB mesh,
+linear in its size like the meshing itself.  Live objects (the domain,
+the ``Observability`` bundle) never leave the worker.
 
 Extra meshers come from the ``REPRO_WORKER_PLUGINS`` environment
 variable: a comma-separated list of ``module:callable`` specs, each
@@ -39,9 +29,8 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.delaunay import arena as arena_mod
-
-#: result-array tags published into the arena (``res:<field>``).
+#: the :class:`~repro.core.extract.ExtractedMesh` arrays a mesh reply
+#: carries.
 RESULT_FIELDS = (
     "vertices", "tets", "tet_labels", "boundary_faces", "boundary_labels",
 )
@@ -147,133 +136,66 @@ def rebuild_request(body: Dict[str, Any]):
     from repro.imaging.image import SegmentedImage
 
     image = SegmentedImage(
-        np.asarray(body["labels"], dtype=np.int16),
+        body["labels"],
         spacing=tuple(body["spacing"]),
         origin=tuple(body["origin"]),
     )
     return MeshRequest(image=image, **body["params"])
 
 
-def _publish_result(arena, result) -> None:
-    """Copy the extracted mesh arrays into ``res:*`` arena columns."""
-    m = result.mesh
-    for field in RESULT_FIELDS:
-        arr = np.ascontiguousarray(getattr(m, field))
-        arena.alloc(f"res:{field}", arr.shape, arr.dtype)[...] = arr
-
-
-def _result_meta(result) -> Dict[str, Any]:
-    return {
-        "mesher": result.mesher,
-        "stats": dict(result.stats),
-        "metrics": dict(result.metrics),
-        "timings": dict(result.timings),
-    }
-
-
-def _pipe_arrays(result) -> Dict[str, np.ndarray]:
-    m = result.mesh
-    return {f: np.ascontiguousarray(getattr(m, f)) for f in RESULT_FIELDS}
-
-
-def _run_shard(body: Dict[str, Any]) -> tuple:
-    """Run one shard job: crop arrives pre-cut, refine, export points.
-
-    The exported arrays are tiny next to a full mesh, but they still
-    ride the arena when one is available — same transport, same
-    reclaim-by-name crash story as whole-mesh jobs.
-    """
+def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
+    """One shard job: the crop arrives pre-cut; refine, export points."""
     from repro.delaunay.shard import refine_block
     from repro.imaging.image import SegmentedImage
-    from repro.service.jobs import TransientMeshError
 
     if body.get("fault") == "exit":  # deterministic crash-test seam
         import os
         os._exit(3)
-    arena_name: Optional[str] = body.get("arena")
-    arena = None
-    try:
-        sub = SegmentedImage(
-            np.asarray(body["labels"], dtype=np.int16),
-            spacing=tuple(body["spacing"]),
-            origin=tuple(body["origin"]),
-        )
-        if arena_name is not None:
-            try:
-                arena = arena_mod.SharedArena.create(arena_name)
-            except arena_mod.ArenaError:
-                arena = None
-        if arena is not None:
-            with arena_mod.arena_scope(arena):
-                arrays, stats = refine_block(
-                    sub, body["own_lo"], body["own_hi"], **body["params"]
-                )
-        else:
-            arrays, stats = refine_block(
-                sub, body["own_lo"], body["own_hi"], **body["params"]
-            )
-        if body.get("content_key"):
-            stats["content_key"] = body["content_key"]
-        fields = tuple(arrays)
-        meta = {"kind": "shard", "fields": list(fields), "stats": stats}
-        if arena is not None:
-            for field in fields:
-                arr = np.ascontiguousarray(arrays[field])
-                arena.alloc(f"res:{field}", arr.shape, arr.dtype)[...] = arr
-            del arrays
-            arena.close()
-            return ("ok", {"transport": "arena", "meta": meta})
-        return ("ok", {"transport": "pipe", "meta": meta,
-                       "arrays": arrays})
-    except TransientMeshError as exc:
-        if arena is not None:
-            arena.unlink_all()
-        return ("transient", str(exc))
-    except BaseException:
-        if arena is not None:
-            arena.unlink_all()
-        return ("error", traceback.format_exc())
+    sub = SegmentedImage(
+        body["labels"],
+        spacing=tuple(body["spacing"]),
+        origin=tuple(body["origin"]),
+    )
+    arrays, stats = refine_block(
+        sub, body["own_lo"], body["own_hi"], **body["params"]
+    )
+    if body.get("content_key"):
+        stats["content_key"] = body["content_key"]
+    return {"meta": {"kind": "shard", "stats": stats}, "arrays": arrays}
+
+
+def _run_mesh(body: Dict[str, Any], meshers: Dict[str, Any]
+              ) -> Dict[str, Any]:
+    from repro.api import get_mesher
+
+    request = rebuild_request(body)
+    name = request.resolved_mesher()
+    mesher = meshers.get(name)
+    if mesher is None:
+        mesher = get_mesher(name)
+    result = mesher.mesh(request)
+    return {
+        "meta": {
+            "mesher": result.mesher,
+            "stats": dict(result.stats),
+            "metrics": dict(result.metrics),
+            "timings": dict(result.timings),
+        },
+        "arrays": {f: np.ascontiguousarray(getattr(result.mesh, f))
+                   for f in RESULT_FIELDS},
+    }
 
 
 def _run_one(body: Dict[str, Any], meshers: Dict[str, Any]) -> tuple:
-    from repro.api import get_mesher
     from repro.service.jobs import TransientMeshError
 
-    if body.get("kind") == "shard":
-        return _run_shard(body)
-    arena_name: Optional[str] = body.get("arena")
-    arena = None
     try:
-        request = rebuild_request(body)
-        name = request.resolved_mesher()
-        mesher = meshers.get(name)
-        if mesher is None:
-            mesher = get_mesher(name)
-        if arena_name is not None:
-            try:
-                arena = arena_mod.SharedArena.create(arena_name)
-            except arena_mod.ArenaError:
-                arena = None  # degrade to pipe transport
-        if arena is not None:
-            with arena_mod.arena_scope(arena):
-                result = mesher.mesh(request)
-        else:
-            result = mesher.mesh(request)
-        meta = _result_meta(result)
-        if arena is not None:
-            _publish_result(arena, result)
-            del result  # drop MeshArrays views before unmapping
-            arena.close()
-            return ("ok", {"transport": "arena", "meta": meta})
-        return ("ok", {"transport": "pipe", "meta": meta,
-                       "arrays": _pipe_arrays(result)})
+        if body.get("kind") == "shard":
+            return ("ok", _run_shard(body))
+        return ("ok", _run_mesh(body, meshers))
     except TransientMeshError as exc:
-        if arena is not None:
-            arena.unlink_all()
         return ("transient", str(exc))
     except BaseException:
-        if arena is not None:
-            arena.unlink_all()
         return ("error", traceback.format_exc())
 
 

@@ -28,8 +28,8 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, Optional
 
 from repro.api import MESHER_NAMES, MeshRequest, MeshResult, get_mesher
 from repro.imaging import edt as edt_module
@@ -49,7 +49,6 @@ from repro.service.pool import (
     ProcessWorkerPool,
     WorkerCrashed,
     WorkerPool,
-    process_support_available,
 )
 from repro.service.queue import JobQueue
 
@@ -61,6 +60,16 @@ EXECUTORS = ("thread", "process")
 #: job pins its request image and its result.
 RETAINED_TERMINAL_JOBS = 128
 
+#: Entry bound of the in-memory artifact LRU (beside the optional byte
+#: budget, :attr:`ServiceConfig.memory_cache_bytes`).
+MEMORY_CACHE_ENTRIES = 64
+
+#: Exceptions a mesher may raise to ask for a bounded retry.
+TRANSIENT_EXCEPTIONS = (TransientMeshError,)
+
+#: Ceiling of the exponential retry backoff, seconds.
+RETRY_BACKOFF_CAP = 2.0
+
 
 @dataclass
 class ServiceConfig:
@@ -70,31 +79,23 @@ class ServiceConfig:
     queue_capacity: int = 64
     #: artifact directory; ``None`` keeps the cache in memory only.
     cache_dir: Optional[str] = None
-    memory_cache_entries: int = 64
     #: byte budget for the in-memory artifact LRU (``None`` = entry
     #: count only); in-flight jobs pin their keys against eviction.
     memory_cache_bytes: Optional[int] = None
     #: retry budget for :class:`TransientMeshError` failures.
     max_retries: int = 2
     retry_backoff: float = 0.05
-    retry_backoff_cap: float = 2.0
     #: default per-job deadline in seconds (``None`` = no deadline).
     default_deadline: Optional[float] = None
     #: install the process-wide EDT cache hook for this service's life.
     install_edt_cache: bool = True
     tracing: bool = False
-    transient_exceptions: Tuple[Type[BaseException], ...] = (
-        TransientMeshError,
-    )
     #: cap on any request's shard count (``None`` = the request's own
     #: resolved value stands); applied at submit time, before cache
     #: keys are computed.
     max_shards: Optional[int] = None
     #: re-runs granted to a crashed / transiently-failed shard.
     shard_retries: int = 1
-    #: interface-band width override in voxels (``None`` = derived
-    #: from delta; see :func:`repro.delaunay.shard.band_width_voxels`).
-    shard_band_voxels: Optional[int] = None
     #: incremental sharded meshing: content-address per-block exports
     #: in the artifact cache and warm-start the stitch from the
     #: previous run's delta (see :mod:`repro.delaunay.shard`).  The
@@ -107,8 +108,7 @@ class ServiceConfig:
     #: ``"thread"`` or ``"process"``; ``None`` reads the
     #: ``REPRO_EXECUTOR`` environment variable and defaults to
     #: ``"thread"``.  ``"process"`` runs CPU-bound meshing in spawned
-    #: worker processes over shared-memory arenas and silently falls
-    #: back to threads when shared memory is unavailable.
+    #: worker processes that answer over a pipe.
     executor: Optional[str] = None
 
     def resolved_executor(self) -> str:
@@ -137,7 +137,7 @@ class MeshingService:
         self.registry = self.obs.registry
         self.tracer = self.obs.tracer
         self.cache = ArtifactCache(
-            cfg.cache_dir, memory_entries=cfg.memory_cache_entries,
+            cfg.cache_dir, memory_entries=MEMORY_CACHE_ENTRIES,
             max_bytes=cfg.memory_cache_bytes
         )
         self.queue = JobQueue(cfg.queue_capacity)
@@ -145,18 +145,10 @@ class MeshingService:
             self.queue, self._process, cfg.n_workers,
             on_crash=self._count_crash,
         )
-        # Executor resolution: the claiming threads above always exist;
-        # "process" adds worker processes underneath them, unless
-        # shared memory is unusable here — then we degrade to threads
-        # and say so in the metrics rather than failing to start.
-        requested = cfg.resolved_executor()
+        # The claiming threads above always exist; "process" adds
+        # worker processes underneath them (see :meth:`start`).
+        self.executor = cfg.resolved_executor()
         self._proc_pool: Optional[ProcessWorkerPool] = None
-        if requested == "process" and not process_support_available():
-            requested = "thread"
-            self.executor_fallback = True
-        else:
-            self.executor_fallback = False
-        self.executor = requested
         self.slo = SLOTracker(self.registry)
         self._coalesce: Optional[CoalesceRegistry] = (
             CoalesceRegistry(self) if cfg.coalesce else None
@@ -207,7 +199,7 @@ class MeshingService:
             self.pool.join(timeout)
         if self._proc_pool is not None:
             # After pool.join no job is in flight, so every slot is
-            # idle: polite exits, then kills, then an arena sweep.
+            # idle: polite exits, then kills.
             self._proc_pool.shutdown()
         if self.config.install_edt_cache and self._edt_adapter is not None:
             # Only restore if the hook is still ours (a nested service
@@ -455,7 +447,7 @@ class MeshingService:
                 job.attempts += 1
                 try:
                     result = self._execute(job)
-                except cfg.transient_exceptions as exc:
+                except TRANSIENT_EXCEPTIONS:
                     if (job.attempts > cfg.max_retries
                             or job.expired()):
                         job.finish(
@@ -467,7 +459,7 @@ class MeshingService:
                     reg.counter("service.jobs.retries").inc()
                     backoff = min(
                         cfg.retry_backoff * (2.0 ** (job.attempts - 1)),
-                        cfg.retry_backoff_cap,
+                        RETRY_BACKOFF_CAP,
                     )
                     if job.deadline is not None:
                         backoff = min(
@@ -537,6 +529,11 @@ class MeshingService:
                 reg.counter("service.cache.miss").inc()
             t0 = time.perf_counter()
             result = self._run_mesher(job, request)
+            # A service result is the five plain fields whichever path
+            # produced it: the live domain an in-process mesher or a
+            # stitch hands back would otherwise stay reachable from
+            # the cache entry and the retained job.
+            result = replace(result, extras={})
             bc = result.stats.get("block_cache") if result.stats else None
             job.tier = (
                 "block_hit" if bc and bc.get("hits", 0) > 0

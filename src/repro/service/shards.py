@@ -5,9 +5,9 @@ module supplies its ``runner`` — the thing that turns "mesh every
 block" into parallel work:
 
 * :func:`run_local` serves ``repro.api.mesh`` directly: it spins up a
-  private :class:`~repro.service.pool.ProcessWorkerPool` when process
-  support exists and the machine has more than one CPU, otherwise
-  meshes the blocks serially in-process (same result, no speedup).
+  private :class:`~repro.service.pool.ProcessWorkerPool` when the
+  machine has more than one CPU, otherwise meshes the blocks serially
+  in-process (same result, no speedup).
 * :class:`ServiceShardRunner` serves :class:`~repro.service.service
   .MeshingService`: blocks fan out over the service's existing process
   pool as **sub-jobs** (ids ``<job>/s<block>``, visible through the
@@ -30,11 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.delaunay import shard as shard_mod
 from repro.service.jobs import JobState, TransientMeshError
-from repro.service.pool import (
-    ProcessWorkerPool,
-    WorkerCrashed,
-    process_support_available,
-)
+from repro.service.pool import ProcessWorkerPool, WorkerCrashed
 
 #: events a fan-out reports: ``hook(event, block, info)`` with events
 #: ``"start"``, ``"done"``, ``"retry"``, ``"fail"``.
@@ -49,8 +45,7 @@ def _run_one_shard(pool: ProcessWorkerPool, request, plan, block,
 
     ``DeadlineKilled`` is never retried (the parent deadline already
     passed); a crashed or transiently-failed shard re-runs on a fresh
-    worker slot — its arena was reclaimed by name in ``run_shard``'s
-    ``finally``, so nothing of the dead attempt leaks.
+    worker slot.
     """
     attempt = 0
     while True:
@@ -213,7 +208,7 @@ def run_local(request):
         return None
     pool: Optional[ProcessWorkerPool] = None
     runner: Optional[shard_mod.ShardRunner] = None
-    if process_support_available() and (os.cpu_count() or 1) > 1:
+    if (os.cpu_count() or 1) > 1:
         pool = ProcessWorkerPool(
             min(plan.n_blocks, os.cpu_count() or 1), name="mesh-shard"
         )
@@ -251,9 +246,7 @@ class ServiceShardRunner:
         try:
             plan = shard_mod.decompose(
                 request.image, request.resolved_shards(),
-                delta=request.delta,
-                band_voxels=svc.config.shard_band_voxels,
-            )
+                delta=request.delta)
         except ValueError:
             return None
         if plan.n_blocks < 2:

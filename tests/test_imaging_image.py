@@ -23,6 +23,27 @@ class TestSegmentedImage:
         with pytest.raises(ValueError):
             SegmentedImage(np.zeros((4, 4, 4), dtype=float))
 
+    @pytest.mark.parametrize("dtype,value", [
+        (np.int32, 70000),    # would wrap to tissue 4464
+        (np.uint16, 40000),   # would wrap to -25536
+        (np.int16, -5),       # neither background nor tissue
+        (np.int64, 2 ** 40),
+    ])
+    def test_rejects_labels_outside_int16_tissue_range(self, dtype, value):
+        lab = np.zeros((4, 4, 4), dtype=dtype)
+        lab[1, 2, 3] = value
+        with pytest.raises(ValueError, match=rf"\[0, 32767\].*{value}"):
+            SegmentedImage(lab)
+
+    def test_accepts_the_whole_label_range_from_any_int_dtype(self):
+        lab = np.zeros((4, 4, 4), dtype=np.uint64)
+        lab[1, 2, 3] = 32767
+        img = SegmentedImage(lab)
+        assert img.labels.dtype == np.int16
+        assert img.labels[1, 2, 3] == 32767
+        assert SegmentedImage(np.zeros((0, 4, 4), dtype=np.int32)).shape \
+            == (0, 4, 4)
+
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             SegmentedImage(np.zeros((4, 4, 4), dtype=np.int16), spacing=(0, 1, 1))

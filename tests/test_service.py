@@ -392,6 +392,39 @@ class TestJobRetention:
             assert service.job(first.id) is None  # forgotten, as unknown
             assert service.job(last.id) is last
 
+    def test_no_domain_outlives_its_job(self, image):
+        """Retained jobs and resident cache entries hold results, and a
+        result is five plain fields: the refiner's live domain (about
+        4 MB behind a 0.3 MB mesh) goes when its run ends."""
+        import gc
+
+        from repro.core import RefineDomain
+        from repro.imaging import two_spheres_phantom
+
+        def domains():
+            gc.collect()
+            return [o for o in gc.get_objects()
+                    if isinstance(o, RefineDomain)]
+
+        before = domains()  # other tests' fixtures; held, so ids stay
+        pair = two_spheres_phantom(16)
+        with MeshingService(ServiceConfig(
+                n_workers=2, executor="thread",
+                memory_cache_bytes=200_000)) as service:
+            jobs = [service.submit(MeshRequest(
+                image=image, delta=3.0 + 0.01 * i, mesher="sequential"))
+                for i in range(12)]
+            jobs += [service.submit(MeshRequest(
+                image=pair, delta=2.0 + 0.01 * i, mesher="sequential",
+                shards=2)) for i in range(6)]
+            for job in jobs:
+                assert job.wait(120.0) and job.state is JobState.DONE
+            assert jobs[-1].result.stats["shards"] == 2
+            leaked = [d for d in domains()
+                      if not any(d is b for b in before)]
+            assert leaked == []
+            assert all(service.job(j.id) is j for j in jobs)
+
     def test_running_job_and_its_subjobs_outlive_newer_hits(
             self, image, template_result):
         from repro.service.service import RETAINED_TERMINAL_JOBS

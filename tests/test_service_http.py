@@ -61,6 +61,18 @@ def gateway(service):
     return MeshGateway(service)
 
 
+def npz_b64(labels):
+    """An ``image_b64`` payload around any label array — what a client
+    that never built a :class:`SegmentedImage` can send."""
+    import base64
+    import io
+
+    buf = io.BytesIO()
+    np.savez_compressed(buf, labels=labels, spacing=np.ones(3),
+                        origin=np.zeros(3))
+    return base64.b64encode(buf.getvalue()).decode("ascii")
+
+
 def mesh_body(image, wait=True, **extra):
     body = {"image_b64": encode_image_b64(image), "wait": wait}
     body.update(extra)
@@ -151,6 +163,12 @@ class TestGatewayRoutes:
         ("deadline", {"deadline": "soon"}),
         ("wait_timeout", {"wait_timeout": "x"}),
         ("image_key", {"image_key": [1]}),
+        # A label int16 cannot hold is refused, never wrapped into
+        # another tissue (70000 -> 4464, uint16 40000 -> -25536).
+        ("image", {"image": {"labels": [[[0, 70000]]]}}),
+        ("image", {"image": {"labels": [[[0, -1]]]}}),
+        ("image_b64", {"image_b64": npz_b64(
+            np.full((4, 4, 4), 40000, dtype=np.uint16))}),
     ])
     def test_malformed_request_is_400_not_500(
             self, service, image, field, body):

@@ -12,9 +12,8 @@ The guarantees under test, in rough dependency order:
 * the stitched mesh satisfies the same radius-edge bound the unsharded
   mesh does (the paper's quality guarantee survives stitching);
 * the service fans a sharded job out as ``<job>/s<k>`` sub-jobs over
-  the process pool, re-runs a crashed shard without failing the job,
-  and leaves no orphaned arena behind;
-* two process pools in one process never sweep each other's arenas.
+  the process pool and re-runs a crashed shard without failing the
+  job.
 """
 
 import json
@@ -40,12 +39,7 @@ from repro.imaging import (
 )
 from repro.metrics import quality_report
 from repro.metrics.validate import validate_extracted_mesh
-from repro.service import (
-    JobState,
-    MeshingService,
-    ServiceConfig,
-    process_support_available,
-)
+from repro.service import JobState, MeshingService, ServiceConfig
 from repro.service.shards import pool_runner
 from tests.data.record_stitch_goldens import (
     GOLDEN_PATH,
@@ -577,12 +571,6 @@ class TestShardRequest:
 # service fan-out (process executor)
 # ---------------------------------------------------------------------------
 
-needs_processes = pytest.mark.skipif(
-    not process_support_available(),
-    reason="process executor unavailable (no shared memory / spawn)",
-)
-
-
 def _service_config(tmp_path, **kw):
     kw.setdefault("n_workers", 2)
     kw.setdefault("executor", "process")
@@ -590,7 +578,6 @@ def _service_config(tmp_path, **kw):
     return ServiceConfig(**kw)
 
 
-@needs_processes
 class TestServiceShardedJobs:
     def test_sharded_job_end_to_end(self, tmp_path):
         img = two_spheres_phantom(24)
@@ -649,7 +636,6 @@ class TestServiceShardedJobs:
 
         monkeypatch.setattr(procworker, "build_shard_payload", sabotaged)
         with MeshingService(_service_config(tmp_path)) as svc:
-            prefix = svc._proc_pool.arena_prefix
             job = svc.submit(
                 MeshRequest(image=img, mesher="sequential", shards=4)
             )
@@ -658,8 +644,7 @@ class TestServiceShardedJobs:
             snap = svc.metrics_snapshot()
             assert snap["counters"]["service.shard.crashes"] >= 1
             assert snap["counters"]["service.shard.reruns"] >= 1
-            # The dead shard's arena was reclaimed by name.
-            assert arena_mod.orphaned(prefix) == []
+            assert arena_mod.orphaned() == []
 
     def test_exhausted_retries_fail_job(self, tmp_path, monkeypatch):
         from repro.service import procworker
@@ -687,42 +672,3 @@ class TestServiceShardedJobs:
             assert sub is not None and sub.state is JobState.FAILED
             snap = svc.metrics_snapshot()
             assert snap["counters"]["service.shard.failed"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# arena hygiene across pools
-# ---------------------------------------------------------------------------
-
-@needs_processes
-class TestMultiPoolArenaHygiene:
-    def test_pools_have_distinct_prefixes(self):
-        from repro.service.pool import ProcessWorkerPool
-
-        a = ProcessWorkerPool(1)
-        b = ProcessWorkerPool(1)
-        try:
-            assert a.arena_prefix != b.arena_prefix
-            assert a.arena_prefix.startswith(arena_mod.ARENA_PREFIX)
-        finally:
-            a.shutdown()
-            b.shutdown()
-
-    def test_shutdown_sweeps_only_own_arenas(self):
-        from repro.service.pool import ProcessWorkerPool
-
-        a = ProcessWorkerPool(1)
-        b = ProcessWorkerPool(1)
-        survivor = None
-        try:
-            survivor = arena_mod.SharedArena.create(
-                f"{b.arena_prefix}manual-0"
-            )
-            survivor.alloc("x", (8,), np.float64)
-            a.shutdown()  # must not reclaim b's arena
-            att = arena_mod.SharedArena.attach(survivor.name)
-            att.close()
-        finally:
-            if survivor is not None:
-                survivor.unlink_all()
-            b.shutdown()
-        assert arena_mod.orphaned(b.arena_prefix) == []
