@@ -224,7 +224,7 @@ class TestShmHygiene:
             late.wait(240.0)
             assert crash.state is JobState.FAILED
             assert late.state is JobState.TIMED_OUT
-        assert arena_mod.orphaned() == []
+        assert arena_mod.orphaned(_my_arena_prefix()) == []
         assert sorted(os.listdir("/dev/shm")) == before
 
 

@@ -17,6 +17,7 @@ The guarantees under test, in rough dependency order:
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -644,7 +645,8 @@ class TestServiceShardedJobs:
             snap = svc.metrics_snapshot()
             assert snap["counters"]["service.shard.crashes"] >= 1
             assert snap["counters"]["service.shard.reruns"] >= 1
-            assert arena_mod.orphaned() == []
+            assert arena_mod.orphaned(
+                f"{arena_mod.ARENA_PREFIX}{os.getpid()}-") == []
 
     def test_exhausted_retries_fail_job(self, tmp_path, monkeypatch):
         from repro.service import procworker
