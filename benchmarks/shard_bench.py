@@ -24,8 +24,9 @@ only that block's seams are stitched again.  The incremental request
 is held against the *unsharded* mesh of the same displaced frame —
 what a caller would pay without the block cache — and must beat it by
 ``>= 1.1x`` (enforced on any CPU count: both sides are one process's
-serial work, so the ratio does not scale with it).  The ratio over the cold sharded request is recorded too, but
-gates nothing: a faster cold stitch lowers it with no warm-path change.
+serial work, so the ratio does not scale with it).  The ratio over the
+cold sharded request is recorded too, but gates nothing: a faster cold
+stitch lowers it with no warm-path change.
 
 Exit code 0 iff every enforced check holds::
 

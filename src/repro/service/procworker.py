@@ -131,33 +131,31 @@ def build_shard_payload(request, plan, block,
     }
 
 
-def rebuild_request(body: Dict[str, Any]):
-    from repro.api import MeshRequest
+def _image(body: Dict[str, Any]):
     from repro.imaging.image import SegmentedImage
 
-    image = SegmentedImage(
+    return SegmentedImage(
         body["labels"],
         spacing=tuple(body["spacing"]),
         origin=tuple(body["origin"]),
     )
-    return MeshRequest(image=image, **body["params"])
+
+
+def rebuild_request(body: Dict[str, Any]):
+    from repro.api import MeshRequest
+
+    return MeshRequest(image=_image(body), **body["params"])
 
 
 def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
     """One shard job: the crop arrives pre-cut; refine, export points."""
     from repro.delaunay.shard import refine_block
-    from repro.imaging.image import SegmentedImage
 
     if body.get("fault") == "exit":  # deterministic crash-test seam
         import os
         os._exit(3)
-    sub = SegmentedImage(
-        body["labels"],
-        spacing=tuple(body["spacing"]),
-        origin=tuple(body["origin"]),
-    )
     arrays, stats = refine_block(
-        sub, body["own_lo"], body["own_hi"], **body["params"]
+        _image(body), body["own_lo"], body["own_hi"], **body["params"]
     )
     if body.get("content_key"):
         stats["content_key"] = body["content_key"]
