@@ -151,21 +151,11 @@ def replay() -> None:
     check("no worker crashed the pool", g.get("service.workers.alive") == 4,
           str(g.get("service.workers.alive")))
     if service.executor == "process":
-        # Remote jobs compute the EDT in worker processes; the parent
-        # only computes when a job runs inline (overlay mesher) and the
-        # shared disk cache misses.
-        check("parent-side EDT computes <= 1",
-              (g.get("edt.cache.computes") or 0) <= 1,
-              str(g.get("edt.cache.computes")))
         check("jobs ran remotely", c.get("service.jobs.remote", 0) >= 1,
               str(c.get("service.jobs.remote")))
         check("no worker process crashed",
               c.get("service.worker.crashes", 0) == 0,
               str(c.get("service.worker.crashes")))
-    else:
-        check("EDT computed once per image",
-              g.get("edt.cache.computes") == 1,
-              str(g.get("edt.cache.computes")))
     books = (c.get("service.jobs.completed", 0)
              + c.get("service.jobs.failed", 0)
              + c.get("service.jobs.rejected", 0)

@@ -171,7 +171,7 @@ def run(out_path: pathlib.Path, phantom_n: int, shards: int) -> None:
         n_workers=n_workers, cache_dir=tmp, executor="process",
     )).start()
     try:
-        # Warmup off the clock: spawn workers, prime imports and EDT.
+        # Warmup off the clock: spawn workers, prime imports.
         service.mesh(MeshRequest(image=ball_grid_phantom(16),
                                  mesher="sequential"))
         plain_s, plain_job = _timed_job(service, MeshRequest(

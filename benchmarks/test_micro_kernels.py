@@ -5,14 +5,14 @@ These are conventional pytest-benchmark measurements (multiple rounds):
 * Bowyer-Watson insertion throughput;
 * vertex removal throughput (the operation no other parallel Delaunay
   refiner supports);
-* the EDT pre-processing step, sequential vs thread-parallel;
+* the EDT pre-processing step;
 * the try-lock primitive (the paper's Section 4.2 atomic-builtin note).
 
 ``test_bench_insertion_json_artifact`` additionally runs the insertion
 workload through both kernel paths (pure Python and the C accelerator)
-via :mod:`benchmarks.kernel_bench` and publishes the before/after
-numbers as ``benchmarks/results/BENCH_kernels.json`` — the artifact the
-CI bench job uploads and gates on.
+via :mod:`benchmarks.kernel_bench` and checks the document it writes;
+the committed ``benchmarks/results/BENCH_kernels.json`` is a perf record
+that only ``python benchmarks/kernel_bench.py`` replaces.
 """
 
 import json
@@ -23,10 +23,7 @@ import pytest
 
 from repro.delaunay import Triangulation3D
 from repro.imaging import sphere_phantom
-from repro.imaging.edt import (
-    euclidean_feature_transform,
-    euclidean_feature_transform_parallel,
-)
+from repro.imaging.edt import euclidean_feature_transform
 
 
 @pytest.mark.benchmark(group="kernel-insert")
@@ -48,14 +45,15 @@ def test_bench_insertion_throughput(benchmark):
     assert n_tets > 1000
 
 
-def test_bench_insertion_json_artifact(results_dir):
+def test_bench_insertion_json_artifact(tmp_path):
     """Before/after insertion throughput as a machine-readable artifact."""
     from benchmarks import kernel_bench
 
-    out = results_dir / "BENCH_kernels.json"
+    out = tmp_path / "BENCH_kernels.json"
     assert kernel_bench.run(fast=True, output=out) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 3
+    assert doc["cpus"] >= 1
     assert doc["python_path"]["inserts_per_second"] > 0
     if doc["accel_path"]["available"]:
         assert doc["accel_path"]["inserts_per_second"] > \
@@ -98,19 +96,7 @@ def test_bench_edt_sequential(benchmark):
 
     mask = surface_voxel_mask(img)
     res = benchmark(euclidean_feature_transform, mask, img.spacing)
-    assert np.isfinite(res.dist2).all()
-
-
-@pytest.mark.benchmark(group="kernel-edt")
-def test_bench_edt_parallel(benchmark):
-    img = sphere_phantom(48)
-    from repro.imaging.isosurface import surface_voxel_mask
-
-    mask = surface_voxel_mask(img)
-    res = benchmark(
-        euclidean_feature_transform_parallel, mask, img.spacing, 4
-    )
-    assert np.isfinite(res.dist2).all()
+    assert mask.reshape(-1)[res.feature.reshape(-1)].all()
 
 
 @pytest.mark.benchmark(group="kernel-locks")

@@ -6,8 +6,8 @@ Runs entirely in-process (no sockets, no subprocesses):
    with a disk-backed artifact cache;
 2. mesh a phantom cold, then warm — the second call is served from the
    content-addressed cache, topology-identical and ~100x faster;
-3. mesh the *same image* with different parameters — the mesh cache
-   misses but the EDT feature transform is reused;
+3. mesh the *same image* with different parameters — a different
+   request key, so the mesh cache misses and the image is meshed again;
 4. drive the async submit/wait/cancel path;
 5. print the ``service.*`` metrics that observed all of it.
 
@@ -49,8 +49,7 @@ def main() -> None:
 
         # -- 3: same image, new params --------------------------------
         finer = client.mesh(MeshRequest(image=image, delta=2.0))
-        print(f"finer delta: {finer.n_tets} tets "
-              f"(mesh cache miss, EDT reused)")
+        print(f"finer delta: {finer.n_tets} tets (mesh cache miss)")
 
         # -- 4: async jobs --------------------------------------------
         job_ids = [client.submit(MeshRequest(image=image,
@@ -70,8 +69,6 @@ def main() -> None:
                  "service.jobs.cancelled", "service.cache.hit",
                  "service.cache.miss")
         print("counters:", {k: snap["counters"].get(k, 0) for k in picks})
-        print("edt computes (one per distinct image):",
-              snap["gauges"]["edt.cache.computes"])
 
 
 if __name__ == "__main__":

@@ -134,8 +134,6 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
     image = _load_image(args.image)
     mesher = args.mesher.replace("-", "_")
-    if mesher == "auto" and args.threads > 1:
-        mesher = "threaded"
     result = mesh(_build_request(args, image, mesher))
     _export_observability(result, args)
 
@@ -317,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="surface sampling parameter (default 2 voxels)")
     p.add_argument("--threads", type=int, default=1,
-                   help="real threads (1 = sequential)")
+                   help="real threads of --mesher threaded")
     p.add_argument("--mesher", default="auto", choices=MESHER_CHOICES,
-                   help="which mesher to run (default: sequential, or "
-                        "threaded when --threads > 1)")
+                   help="which mesher to run (default: sequential)")
     p.add_argument("--cm", default="local",
                    choices=["aggressive", "random", "global", "local"])
     p.add_argument("-o", "--output", default=None,

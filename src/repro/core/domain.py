@@ -115,14 +115,11 @@ class RefineDomain:
         radius_edge_bound: float = 2.0,
         planar_angle_bound_deg: float = 30.0,
         oracle: Optional[SurfaceOracle] = None,
-        edt_workers: int = 1,
         enable_r6: bool = True,
     ):
         self.enable_r6 = enable_r6
         self.image = image
-        self.oracle = oracle if oracle is not None else SurfaceOracle(
-            image, n_workers=edt_workers
-        )
+        self.oracle = oracle if oracle is not None else SurfaceOracle(image)
         # "delta values equal to multiples of the voxel size is sufficient"
         self.delta = float(delta) if delta is not None else 2.0 * image.min_spacing
         if self.delta <= 0:

@@ -7,9 +7,8 @@ provides everything the refinement needs from the imaging side:
   labels with anisotropic spacing and world-coordinate transforms;
 * synthetic multi-label phantoms standing in for the IRCAD / SPL atlases
   the paper uses (which cannot be redistributed);
-* an exact Euclidean Distance Transform with a nearest-surface-voxel
-  feature transform (the paper's parallel Maurer filter [56]), including
-  a thread-parallel variant;
+* the exact Euclidean feature transform: the nearest surface voxel of
+  every voxel (the paper's Maurer filter [56]);
 * isosurface geometry: surface-voxel detection, closest-isosurface-point
   queries and Voronoi-edge surface-center computation (Section 3).
 """

@@ -1,66 +1,36 @@
-"""Exact Euclidean distance transform with a feature transform.
+"""Exact Euclidean feature transform of a site mask.
 
 The refinement needs, for any point, the *surface voxel closest to it*
 (Section 3: "the EDT returns the surface voxel q which is closest to
 p").  The paper uses the parallel Maurer filter of Staubs et al. [56];
-we implement the same dimension-by-dimension exact-EDT family using the
-Felzenszwalb-Huttenlocher lower-envelope scan per axis, extended to
-carry the argmin voxel index (the feature transform) and to support
-anisotropic voxel spacing.
-
-Two drivers are provided:
-
-* :func:`euclidean_feature_transform` — sequential;
-* :func:`euclidean_feature_transform_parallel` — the same passes with the
-  independent 1D scans distributed over a thread pool, matching the
-  row-parallel structure of the Maurer filter (each pass is
-  embarrassingly parallel across lines).  CPython threads only overlap
-  in numpy kernels, so the speedup is modest; the *structure* is what
-  the paper's pre-processing step prescribes, and the simulator charges
-  it as the linearly-scaling phase the paper reports.
-
-When scipy is importable (the normal case — it is a dependency of the
-imaging stack) both drivers delegate to ``scipy.ndimage``'s exact EDT
-and rebuild ``dist2``/``feature`` from the returned nearest-site
-indices, which is orders of magnitude faster than the Python scan at
-clinical volume sizes.  Set ``REPRO_EDT=python`` to force the reference
-implementation.
-
-Both drivers consult an optional process-wide *feature-transform cache*
-(:func:`set_feature_transform_cache`), keyed by the content of the site
-mask and the voxel spacing.  The meshing service installs one so that
-requests sharing an image never recompute the EDT; outside the service
-the hook is a no-op.  Per-key in-flight locks guarantee at most one
-compute per distinct mask even under concurrent callers, and the
-module-level :data:`CACHE_STATS` counters (hits / misses / computes)
-feed the service's ``edt.*`` metrics.
+here the exact, anisotropic transform is ``scipy.ndimage``'s, and the
+result keeps the one thing the refiner reads: the nearest site of every
+voxel, as a flat index.  Distances are not stored; a caller that wants
+one computes it from the site and the spacing.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+from scipy import ndimage
 
-_INF = math.inf
+#: ``feature`` is int32: the largest mask whose flat indices fit.
+_MAX_VOXELS = 2**31 - 1
 
 
 @dataclass
 class EDTResult:
-    """Squared distances and nearest-site indices for every voxel.
+    """Nearest-site index for every voxel.
 
-    ``feature[i, j, k]`` is the flat index (C order) of the nearest site
-    voxel; ``dist2`` is the squared anisotropic Euclidean distance
-    between voxel centers.  ``shape`` and ``spacing`` echo the input.
+    ``feature[i, j, k]`` is the flat index (C order, int32) of the site
+    voxel nearest to voxel ``(i, j, k)`` in the anisotropic Euclidean
+    metric between voxel centers; equidistant sites resolve to one of
+    them.  ``shape`` and ``spacing`` echo the input.
     """
 
-    dist2: np.ndarray
     feature: np.ndarray
     shape: Tuple[int, int, int]
     spacing: Tuple[float, float, float]
@@ -73,344 +43,27 @@ class EDTResult:
         return (i, j, k)
 
 
-def _scan_line_lists(f_in: list, feat_in: list, w2: float):
-    """One 1D lower-envelope pass over plain Python lists.
-
-    ``f_in`` holds the current squared distances along the line,
-    ``feat_in`` the carried feature ids.  Returns ``(out_f, out_feat)``
-    where ``out_f[i]`` is ``min_j (i-j)^2 * w2 + f_in[j]`` and
-    ``out_feat[i]`` the feature of the minimising ``j``, or ``None``
-    when no site reaches the line yet (distances stay infinite).
-    Classic Felzenszwalb-Huttenlocher parabolas.
-    """
-    n = len(f_in)
-    finite = [q for q in range(n) if f_in[q] != _INF]
-    if not finite:
-        return None
-
-    m = len(finite)
-    v = [0] * m          # parabola vertex positions
-    z = [0.0] * (m + 1)  # envelope breakpoints
-    k = 0
-    v[0] = finite[0]
-    z[0] = -_INF
-    z[1] = _INF
-    inv2w2 = 1.0 / (2.0 * w2)
-    for qi in range(1, m):
-        q = finite[qi]
-        fq_lift = f_in[q] + q * q * w2
-        while True:
-            p = v[k]
-            s = (fq_lift - (f_in[p] + p * p * w2)) * inv2w2 / (q - p)
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = _INF
-
-    out_f = [0.0] * n
-    out_feat = [0] * n
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        p = v[k]
-        out_f[q] = (q - p) * (q - p) * w2 + f_in[p]
-        out_feat[q] = feat_in[p]
-    return out_f, out_feat
-
-
-def _scan_line(f: np.ndarray, feat: np.ndarray, w2: float) -> None:
-    """In-place 1D envelope pass on numpy line views (scalar shim)."""
-    out = _scan_line_lists(f.tolist(), feat.tolist(), w2)
-    if out is None:
-        return
-    f[:] = out[0]
-    feat[:] = out[1]
-
-
-def _pass_axis(dist2: np.ndarray, feat: np.ndarray, axis: int, w: float,
-               pool: Optional[ThreadPoolExecutor]) -> None:
-    """Run the 1D envelope scan over every line along ``axis``.
-
-    Lines are batched per 2D slab: one ``.tolist()`` and one write-back
-    covers a whole plane of lines, amortising the numpy boxing overhead
-    that a per-line conversion pays ``shape[u] * shape[v]`` times.  The
-    per-line arithmetic (``_scan_line_lists``) is unchanged, so results
-    are bit-identical to the row-at-a-time formulation.
-    """
-    w2 = w * w
-    # Fix one non-scan dimension per slab, chosen so the scan axis is
-    # the slab's *last* dimension whenever possible (tolist() rows are
-    # then the scan lines).  Only axis 0 needs a transpose.  Basic
-    # slicing keeps views, so the write-back mutates the real arrays.
-    fix_dim = 0 if axis == 2 else 2
-    transpose = axis == 0
-    n_slabs = dist2.shape[fix_dim]
-
-    def run(lo: int, hi: int) -> None:
-        key = [slice(None)] * 3
-        for u in range(lo, hi):
-            key[fix_dim] = u
-            skey = tuple(key)
-            slab_d = dist2[skey]
-            slab_f = feat[skey]
-            rows_d = (slab_d.T if transpose else slab_d).tolist()
-            rows_f = (slab_f.T if transpose else slab_f).tolist()
-            changed = False
-            for r in range(len(rows_d)):
-                out = _scan_line_lists(rows_d[r], rows_f[r], w2)
-                if out is not None:
-                    rows_d[r], rows_f[r] = out
-                    changed = True
-            if not changed:
-                continue  # no sites reach this slab; leave it infinite
-            if transpose:
-                slab_d[:] = np.asarray(rows_d, dtype=np.float64).T
-                slab_f[:] = np.asarray(rows_f, dtype=np.int64).T
-            else:
-                slab_d[:] = rows_d
-                slab_f[:] = rows_f
-
-    if pool is None:
-        run(0, n_slabs)
-    else:
-        n_chunks = pool._max_workers * 4
-        step = max(1, (n_slabs + n_chunks - 1) // n_chunks)
-        futures = [
-            pool.submit(run, lo, min(lo + step, n_slabs))
-            for lo in range(0, n_slabs, step)
-        ]
-        for fut in futures:
-            fut.result()
-
-
-def _feature_transform(sites: np.ndarray, spacing, pool) -> EDTResult:
-    sites = np.asarray(sites, dtype=bool)
-    if sites.ndim != 3:
-        raise ValueError("sites mask must be 3D")
-    shape = sites.shape
-    dist2 = np.where(sites, 0.0, _INF)
-    feat = np.where(
-        sites, np.arange(sites.size, dtype=np.int64).reshape(shape), -1
-    )
-    for axis in range(3):
-        _pass_axis(dist2, feat, axis, float(spacing[axis]), pool)
-    return EDTResult(
-        dist2=dist2,
-        feature=feat,
-        shape=tuple(shape),
-        spacing=tuple(float(s) for s in spacing),
-    )
-
-
-# ---------------------------------------------------------------------------
-# scipy fast path
-# ---------------------------------------------------------------------------
-
-try:  # scipy is already a hard dependency of the repo's imaging stack
-    from scipy import ndimage as _ndimage
-except ImportError:  # pragma: no cover - degraded environments only
-    _ndimage = None
-
-
-def _use_scipy() -> bool:
-    """Whether the scipy-backed transform should run.
-
-    ``REPRO_EDT=python`` forces the pure-Python lower-envelope scan
-    (useful for benchmarking the reference implementation or chasing a
-    suspected backend discrepancy); anything else uses scipy when
-    importable.
-    """
-    return (
-        _ndimage is not None
-        and os.environ.get("REPRO_EDT", "").lower() != "python"
-    )
-
-
-def _feature_transform_scipy(sites: np.ndarray, spacing) -> EDTResult:
-    """scipy.ndimage-backed exact EDT with the same result contract.
-
-    ``distance_transform_edt(~sites, return_indices=True)`` yields the
-    3-index of the nearest site per voxel; ``dist2`` is rebuilt from
-    those indices in float64 (exact squared anisotropic distance — no
-    sqrt/square round-trip) and ``feature`` is the C-order flat index.
-    Semantics match the pure-Python scan exactly except that equidistant
-    ties may resolve to a different, equally-nearest site.
-    """
-    sites = np.asarray(sites, dtype=bool)
-    if sites.ndim != 3:
-        raise ValueError("sites mask must be 3D")
-    shape = sites.shape
-    idx = _ndimage.distance_transform_edt(
-        ~sites,
-        sampling=[float(s) for s in spacing],
-        return_distances=False,
-        return_indices=True,
-    )
-    dist2 = np.zeros(shape, dtype=np.float64)
-    for axis in range(3):
-        coord = np.arange(shape[axis], dtype=np.float64).reshape(
-            [-1 if a == axis else 1 for a in range(3)]
-        )
-        d = (idx[axis].astype(np.float64) - coord) * float(spacing[axis])
-        dist2 += d * d
-    feature = np.ravel_multi_index(tuple(idx), shape).astype(np.int64)
-    return EDTResult(
-        dist2=dist2,
-        feature=feature,
-        shape=tuple(shape),
-        spacing=tuple(float(s) for s in spacing),
-    )
-
-
-def _compute_transform(sites: np.ndarray, spacing, pool) -> EDTResult:
-    if _use_scipy():
-        return _feature_transform_scipy(sites, spacing)
-    return _feature_transform(sites, spacing, pool)
-
-
-# ---------------------------------------------------------------------------
-# feature-transform cache hook
-# ---------------------------------------------------------------------------
-
-class EDTCacheStats:
-    """Process-wide counters for the feature-transform cache hook."""
-
-    __slots__ = ("_lock", "hits", "misses", "computes")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.computes = 0
-
-    def _inc(self, field: str) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "computes": self.computes,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.computes = 0
-
-
-#: Hit/miss/compute counters; the meshing service republishes them as
-#: ``edt.cache.*`` metrics.  ``computes`` counts every full transform,
-#: cached or not, so "EDT ran exactly once" is directly assertable.
-CACHE_STATS = EDTCacheStats()
-
-_CACHE: Optional[object] = None  # get(key)->Optional[EDTResult], put(key, r)
-_CACHE_GUARD = threading.Lock()
-_INFLIGHT: Dict[str, threading.Lock] = {}
-
-
-def set_feature_transform_cache(cache: Optional[object]) -> Optional[object]:
-    """Install (or clear, with ``None``) the process-wide EDT cache.
-
-    ``cache`` needs two methods: ``get(key) -> Optional[EDTResult]`` and
-    ``put(key, result) -> None``.  Returns the previously installed
-    cache so callers can restore it.
-    """
-    global _CACHE
-    with _CACHE_GUARD:
-        previous = _CACHE
-        _CACHE = cache
-        return previous
-
-
-def feature_transform_key(sites: np.ndarray,
-                          spacing: Sequence[float]) -> str:
-    """Content key of one feature-transform problem.
-
-    Hashes the site mask bytes, its shape and the spacing — everything
-    that determines the transform's output (the worker count does not).
-    """
-    sites = np.ascontiguousarray(np.asarray(sites, dtype=bool))
-    h = hashlib.blake2b(digest_size=20)
-    h.update(repr(sites.shape).encode())
-    h.update(repr(tuple(float(s) for s in spacing)).encode())
-    h.update(sites.tobytes())
-    return h.hexdigest()
-
-
-def _inflight_lock(key: str) -> threading.Lock:
-    with _CACHE_GUARD:
-        lock = _INFLIGHT.get(key)
-        if lock is None:
-            lock = _INFLIGHT[key] = threading.Lock()
-        return lock
-
-
-def _compute_via_cache(sites: np.ndarray, spacing: Sequence[float],
-                       compute: Callable[[], EDTResult]) -> EDTResult:
-    cache = _CACHE
-    if cache is None:
-        CACHE_STATS._inc("computes")
-        return compute()
-    key = feature_transform_key(sites, spacing)
-    hit = cache.get(key)
-    if hit is not None:
-        CACHE_STATS._inc("hits")
-        return hit
-    # Serialise concurrent computes of the same mask: the loser of the
-    # race finds the winner's artifact on the double-check.
-    with _inflight_lock(key):
-        hit = cache.get(key)
-        if hit is not None:
-            CACHE_STATS._inc("hits")
-            return hit
-        CACHE_STATS._inc("misses")
-        CACHE_STATS._inc("computes")
-        result = compute()
-        cache.put(key, result)
-    with _CACHE_GUARD:
-        _INFLIGHT.pop(key, None)
-    return result
-
-
 def euclidean_feature_transform(
     sites: np.ndarray, spacing: Sequence[float] = (1.0, 1.0, 1.0)
 ) -> EDTResult:
-    """Exact anisotropic EDT + feature transform of a boolean site mask.
+    """Exact anisotropic feature transform of a boolean 3D site mask.
 
-    Raises ``ValueError`` when the mask contains no sites.
+    Raises ``ValueError`` when the mask is not 3D, has more than
+    2**31 - 1 voxels or contains no sites.
     """
-    if not np.any(sites):
+    sites = np.asarray(sites, dtype=bool)
+    if sites.ndim != 3:
+        raise ValueError("sites mask must be 3D")
+    if sites.size > _MAX_VOXELS:
+        raise ValueError(
+            f"sites mask has {sites.size} voxels; the feature transform "
+            f"indexes at most {_MAX_VOXELS} (2**31 - 1)"
+        )
+    if not sites.any():
         raise ValueError("feature transform of an empty site mask")
-    return _compute_via_cache(
-        sites, spacing, lambda: _compute_transform(sites, spacing, pool=None)
+    spacing = tuple(float(s) for s in spacing)
+    idx = ndimage.distance_transform_edt(
+        ~sites, sampling=spacing, return_distances=False, return_indices=True
     )
-
-
-def euclidean_feature_transform_parallel(
-    sites: np.ndarray,
-    spacing: Sequence[float] = (1.0, 1.0, 1.0),
-    n_workers: int = 4,
-) -> EDTResult:
-    """Thread-parallel variant: each axis pass fans its independent 1D
-    scans out over ``n_workers`` threads (the Maurer-filter structure)."""
-    if not np.any(sites):
-        raise ValueError("feature transform of an empty site mask")
-    if n_workers <= 1:
-        return euclidean_feature_transform(sites, spacing)
-
-    def compute() -> EDTResult:
-        if _use_scipy():
-            # scipy's C kernel beats any thread fan-out of the Python
-            # scan; both drivers share it so seq == par bit-for-bit.
-            return _feature_transform_scipy(sites, spacing)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return _feature_transform(sites, spacing, pool)
-
-    return _compute_via_cache(sites, spacing, compute)
+    feature = np.ravel_multi_index(tuple(idx), sites.shape).astype(np.int32)
+    return EDTResult(feature=feature, shape=sites.shape, spacing=spacing)

@@ -10,6 +10,7 @@ background; any positive label is a tissue.  Voxel centers sit at
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -54,9 +55,14 @@ class SegmentedImage:
                     f"background), got min {lo}, max {hi}")
         self.labels = np.ascontiguousarray(labels, dtype=np.int16)
         self.spacing = tuple(float(s) for s in spacing)
+        self.origin = tuple(float(o) for o in origin)
+        # ``nan <= 0`` is false, and JSON input can carry NaN/Infinity.
+        for name, value in (("spacing", self.spacing),
+                            ("origin", self.origin)):
+            if not all(math.isfinite(x) for x in value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        self.origin = tuple(float(o) for o in origin)
         self.shape = self.labels.shape
 
     # ------------------------------------------------------------------

@@ -21,11 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.imaging.edt import (
-    EDTResult,
-    euclidean_feature_transform,
-    euclidean_feature_transform_parallel,
-)
+from repro.imaging.edt import EDTResult, euclidean_feature_transform
 from repro.imaging.image import SegmentedImage
 
 Point = Tuple[float, float, float]
@@ -67,19 +63,14 @@ class SurfaceOracle:
     time per query.
     """
 
-    def __init__(self, image: SegmentedImage, n_workers: int = 1):
+    def __init__(self, image: SegmentedImage):
         self.image = image
         self.surface_mask = surface_voxel_mask(image)
         if not self.surface_mask.any():
             raise ValueError("image has no surface voxels (empty foreground?)")
-        if n_workers > 1:
-            self.edt: EDTResult = euclidean_feature_transform_parallel(
-                self.surface_mask, image.spacing, n_workers=n_workers
-            )
-        else:
-            self.edt = euclidean_feature_transform(
-                self.surface_mask, image.spacing
-            )
+        self.edt: EDTResult = euclidean_feature_transform(
+            self.surface_mask, image.spacing
+        )
 
     # ------------------------------------------------------------------
     def nearest_surface_voxel(self, p: Sequence[float]) -> Point:

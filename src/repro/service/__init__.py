@@ -16,8 +16,8 @@ follow-on work — I2M inside clinical pipelines — makes explicit):
   rebuild, the reply, plugin meshers);
 * :mod:`repro.service.cache` / :mod:`repro.service.keys` —
   content-addressed artifact store (meshes by
-  ``hash(image, canonical params)``, EDT feature transforms by image
-  hash) with an in-memory LRU over an atomic-write disk layout;
+  ``hash(image, canonical params)``, block exports and stitch deltas
+  by content) with an in-memory LRU over an atomic-write disk layout;
 * :mod:`repro.service.service` — :class:`MeshingService`, the
   orchestrator, feeding ``service.*`` metrics and per-job trace spans;
   pick the executor with ``ServiceConfig(executor="thread"|"process")``;
@@ -49,7 +49,7 @@ The same two calls work against a ``repro serve`` process: replace the
 ``connect(config=...)`` with ``connect("http://127.0.0.1:8080")``.
 """
 
-from repro.service.cache import ArtifactCache, EDTCacheAdapter
+from repro.service.cache import ArtifactCache
 from repro.service.client import (
     Client,
     InProcessClient,
@@ -88,7 +88,6 @@ __all__ = [
     "Client",
     "CoalesceRegistry",
     "DeadlineKilled",
-    "EDTCacheAdapter",
     "EXECUTORS",
     "HttpClient",
     "ImageStore",

@@ -1,7 +1,7 @@
 """Content-addressed artifact cache: disk store with an in-memory LRU.
 
-Two artifact kinds live here, both addressed by the keys of
-:mod:`repro.service.keys`:
+Three artifact kinds live here, addressed by the keys of
+:mod:`repro.service.keys` and :mod:`repro.delaunay.shard`:
 
 * **meshes** — a finished :class:`~repro.api.MeshResult`, stored as the
   JSON document of ``MeshResult.to_dict`` (exact round-trip of the
@@ -10,9 +10,8 @@ Two artifact kinds live here, both addressed by the keys of
   *is* the wire body: :func:`mesh_json_bytes` is the only producer of
   mesh JSON bytes, and :meth:`ArtifactCache.mesh_wire_bytes` hands the
   HTTP gateway the file itself instead of serialising the mesh again;
-* **EDT feature transforms** — an
-  :class:`~repro.imaging.edt.EDTResult`, stored as a compressed
-  ``.npz`` (the arrays dominate; JSON would be ~6x the bytes).
+* **block exports** and **stitch deltas** — the shard layer's dicts of
+  arrays, stored as compressed ``.npz``.
 
 Reads check the in-memory LRU first, then disk; disk hits are promoted
 into the LRU.  Writes go to a temp file in the same directory and are
@@ -37,7 +36,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.api import MeshResult
-from repro.imaging.edt import EDTResult
 
 
 def mesh_json_bytes(result: MeshResult) -> bytes:
@@ -52,7 +50,7 @@ def _stamp(raw: bytes) -> Tuple[int, bytes]:
 
 
 class ArtifactCache:
-    """Disk + LRU store for meshes and EDT feature transforms.
+    """Disk + LRU store for meshes, block exports and stitch deltas.
 
     ``root=None`` keeps everything in memory (tests, short-lived
     services); with a directory, artifacts persist across processes.
@@ -65,8 +63,8 @@ class ArtifactCache:
     an immediate disk round-trip or, with no disk root, a recompute.
 
     Cached objects are shared: two hits on the same key return the same
-    ``MeshResult``/``EDTResult`` instance.  Callers must treat cached
-    artifacts as immutable.
+    ``MeshResult`` (or array dict) instance.  Callers must treat
+    cached artifacts as immutable.
     """
 
     def __init__(self, root: Optional[str] = None,
@@ -124,8 +122,7 @@ class ArtifactCache:
             if holder is None:
                 continue
             for field in ("vertices", "tets", "tet_labels",
-                          "boundary_faces", "boundary_labels",
-                          "dist2", "feature"):
+                          "boundary_faces", "boundary_labels"):
                 arr = getattr(holder, field, None)
                 nbytes = getattr(arr, "nbytes", None)
                 if nbytes is not None:
@@ -299,47 +296,6 @@ class ArtifactCache:
                 self._discard_corrupt(path)
         return mesh_json_bytes(result)
 
-    # -- EDT feature transforms ----------------------------------------
-    def get_edt(self, key: str) -> Optional[EDTResult]:
-        slot = f"edt:{key}"
-        hit = self._mem_get(slot)
-        if hit is not None:
-            self._bump("hits")
-            self._bump("memory_hits")
-            return hit
-        path = self._path("edt", key, ".npz")
-        if path is not None and path.exists():
-            try:
-                with np.load(path) as doc:
-                    result = EDTResult(
-                        dist2=doc["dist2"],
-                        feature=doc["feature"],
-                        shape=tuple(int(x) for x in doc["shape"]),
-                        spacing=tuple(float(x) for x in doc["spacing"]),
-                    )
-            except Exception:
-                self._discard_corrupt(path)
-            else:
-                self._bump("hits")
-                self._mem_put(slot, result)
-                return result
-        self._bump("misses")
-        return None
-
-    def put_edt(self, key: str, result: EDTResult) -> None:
-        self._mem_put(f"edt:{key}", result)
-        path = self._path("edt", key, ".npz")
-        if path is not None:
-            def write(fh) -> None:
-                np.savez_compressed(
-                    fh,
-                    dist2=result.dist2,
-                    feature=result.feature,
-                    shape=np.asarray(result.shape, dtype=np.int64),
-                    spacing=np.asarray(result.spacing, dtype=np.float64),
-                )
-            self._publish(path, write)
-
     # -- shard artifacts: block exports + stitch deltas ----------------
     # Both are plain dicts of ndarrays, stored as compressed npz.  A
     # block export ({"points", "kinds"}) is addressed by
@@ -435,19 +391,3 @@ class ArtifactCache:
                 1 for s, n in self._pins.items() if n > 0
             )
             return snap
-
-
-class EDTCacheAdapter:
-    """The two-method object :mod:`repro.imaging.edt` expects, backed
-    by an :class:`ArtifactCache` (installed/removed by the service)."""
-
-    __slots__ = ("cache",)
-
-    def __init__(self, cache: ArtifactCache):
-        self.cache = cache
-
-    def get(self, key: str) -> Optional[EDTResult]:
-        return self.cache.get_edt(key)
-
-    def put(self, key: str, result: EDTResult) -> None:
-        self.cache.put_edt(key, result)

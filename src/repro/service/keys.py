@@ -1,10 +1,11 @@
 """Content-addressed cache keys for images and mesh requests.
 
-Two keys address the service's artifact cache:
+Two keys:
 
 * the **image key** hashes the voxel content (label bytes, shape,
-  dtype, spacing, origin) — it addresses per-image artifacts, i.e. the
-  EDT feature transform;
+  dtype, spacing, origin) — it names an image on the wire (a client
+  sends ``image_key`` alone once the gateway holds the content) and is
+  one half of the request key;
 * the **request key** hashes the image key together with the request's
   canonical parameter form (:meth:`repro.api.MeshRequest
   .canonical_params`) and a format version — it addresses finished

@@ -248,7 +248,7 @@ class ProcessWorkerPool:
     startup) and respawn lazily after a crash or deadline kill.
     """
 
-    def __init__(self, n_workers: int, cache_dir: Optional[str] = None,
+    def __init__(self, n_workers: int,
                  plugins: Optional[tuple] = None,
                  name: str = "mesh-procworker"):
         if n_workers < 1:
@@ -258,7 +258,7 @@ class ProcessWorkerPool:
         self._ctx = multiprocessing.get_context("spawn")
         specs = (plugins if plugins is not None
                  else procworker.plugin_specs_from_env())
-        self._worker_init = {"plugins": specs, "cache_dir": cache_dir}
+        self._worker_init = {"plugins": specs}
         #: mesher names the plugins provide — loaded parent-side only
         #: to learn the *names* (remotability); the instances run in
         #: the workers.

@@ -200,16 +200,6 @@ def _run_one(body: Dict[str, Any], meshers: Dict[str, Any]) -> tuple:
 def worker_main(conn, init: Dict[str, Any]) -> None:
     """Run jobs from ``conn`` until ``("exit",)`` or pipe EOF."""
     meshers = load_plugins(init.get("plugins"))
-    cache_dir = init.get("cache_dir")
-    if cache_dir:
-        # Share the parent's *disk* EDT cache: feature transforms
-        # computed by any process are reused by every other.
-        from repro.imaging import edt as edt_module
-        from repro.service.cache import ArtifactCache, EDTCacheAdapter
-
-        edt_module.set_feature_transform_cache(
-            EDTCacheAdapter(ArtifactCache(cache_dir, memory_entries=8))
-        )
     while True:
         try:
             msg = conn.recv()

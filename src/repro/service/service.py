@@ -11,10 +11,7 @@ into a long-running, observable system:
   budget;
 * results are content-addressed: a finished mesh is stored under
   ``hash(image bytes, canonical MeshParams)`` and an identical future
-  request returns it in O(hash); the EDT feature transform is cached
-  per *image*, so requests that share an image but differ in mesh
-  parameters still skip the EDT (the hook of
-  :mod:`repro.imaging.edt` is installed for the service's lifetime);
+  request returns it in O(hash);
 * every stage feeds ``service.*`` metrics in the service's
   :class:`~repro.observability.MetricsRegistry` and, when tracing is
   enabled, emits one span per job.
@@ -32,9 +29,8 @@ from dataclasses import dataclass, replace
 from typing import Deque, Dict, Optional
 
 from repro.api import MESHER_NAMES, MeshRequest, MeshResult, get_mesher
-from repro.imaging import edt as edt_module
 from repro.observability import Observability, ObservabilityConfig
-from repro.service.cache import ArtifactCache, EDTCacheAdapter
+from repro.service.cache import ArtifactCache
 from repro.service.coalesce import CoalesceRegistry
 from repro.service.jobs import (
     Job,
@@ -87,8 +83,6 @@ class ServiceConfig:
     retry_backoff: float = 0.05
     #: default per-job deadline in seconds (``None`` = no deadline).
     default_deadline: Optional[float] = None
-    #: install the process-wide EDT cache hook for this service's life.
-    install_edt_cache: bool = True
     tracing: bool = False
     #: cap on any request's shard count (``None`` = the request's own
     #: resolved value stands); applied at submit time, before cache
@@ -161,32 +155,22 @@ class MeshingService:
         self._meshers: Dict[str, object] = {}
         self._started = False
         self._closed = False
-        self._edt_hook_prev: Optional[object] = None
-        self._edt_adapter: Optional[EDTCacheAdapter] = None
-        self._edt_stats_at_start = edt_module.CACHE_STATS.snapshot()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "MeshingService":
         if self._started:
             return self
         self._started = True
-        if self.config.install_edt_cache:
-            self._edt_adapter = EDTCacheAdapter(self.cache)
-            self._edt_hook_prev = edt_module.set_feature_transform_cache(
-                self._edt_adapter
-            )
         self.registry.gauge("service.workers").set(self.config.n_workers)
         if self.executor == "process":
-            self._proc_pool = ProcessWorkerPool(
-                self.config.n_workers, cache_dir=self.config.cache_dir,
-            )
+            self._proc_pool = ProcessWorkerPool(self.config.n_workers)
         self.pool.start()
         return self
 
     def shutdown(self, wait: bool = True,
                  timeout: Optional[float] = None) -> None:
         """Stop accepting work; drain (``wait=True``) or cancel what is
-        still queued, join the workers, and restore the EDT hook."""
+        still queued, and join the workers."""
         if self._closed:
             return
         self._closed = True
@@ -201,14 +185,6 @@ class MeshingService:
             # After pool.join no job is in flight, so every slot is
             # idle: polite exits, then kills.
             self._proc_pool.shutdown()
-        if self.config.install_edt_cache and self._edt_adapter is not None:
-            # Only restore if the hook is still ours (a nested service
-            # may have replaced it and will restore its own previous).
-            current = edt_module.set_feature_transform_cache(
-                self._edt_hook_prev
-            )
-            if current is not self._edt_adapter:
-                edt_module.set_feature_transform_cache(current)
 
     def __enter__(self) -> "MeshingService":
         return self.start()
@@ -578,11 +554,7 @@ class MeshingService:
 
     # -- reporting -----------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Registry snapshot with live queue/cache/EDT gauges folded in.
-
-        EDT counters are deltas since this service started (the hook's
-        stats are process-wide).
-        """
+        """Registry snapshot with live queue/cache gauges folded in."""
         reg = self.registry
         reg.gauge("service.queue.depth").set(len(self.queue))
         reg.gauge("service.workers.alive").set(self.pool.alive_workers)
@@ -595,11 +567,6 @@ class MeshingService:
             )
             reg.gauge("service.procworkers.spawned").set(
                 self._proc_pool.spawned_total
-            )
-        edt_now = edt_module.CACHE_STATS.snapshot()
-        for name in ("hits", "misses", "computes"):
-            reg.gauge(f"edt.cache.{name}").set(
-                edt_now[name] - self._edt_stats_at_start[name]
             )
         cache_stats = self.cache.stats_snapshot()
         for name, value in cache_stats.items():

@@ -69,10 +69,12 @@ class TestProtocolConformance:
 class TestMeshRequest:
     def test_auto_resolution(self, image):
         assert MeshRequest(image=image).resolved_mesher() == "sequential"
-        assert MeshRequest(image=image,
-                           n_threads=4).resolved_mesher() == "threaded"
-        assert MeshRequest(image=image, mesher="simulated",
-                           n_threads=4).resolved_mesher() == "simulated"
+        auto = MeshRequest(image=image, n_threads=4)
+        assert auto.resolved_mesher() == "sequential"
+        assert auto.canonical_params()["mesher"] == "sequential"
+        for name in ("threaded", "simulated"):
+            assert MeshRequest(image=image, mesher=name,
+                               n_threads=4).resolved_mesher() == name
 
     def test_validate_rejects_bad_requests(self, image):
         with pytest.raises(ValueError):

@@ -54,8 +54,13 @@ class TestMeshCommand:
 
     def test_threaded_mesh(self, img_path, capsys):
         assert main(["mesh", img_path, "--delta", "3.0",
-                     "--threads", "2"]) == 0
+                     "--mesher", "threaded", "--threads", "2"]) == 0
         assert "rollbacks" in capsys.readouterr().out
+
+    def test_threads_alone_stay_sequential(self, img_path, capsys):
+        assert main(["mesh", img_path, "--delta", "3.0",
+                     "--threads", "2"]) == 0
+        assert "rules=" in capsys.readouterr().out
 
 
 class TestSimulateCommand:

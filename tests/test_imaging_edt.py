@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from repro.imaging.edt import (
-    euclidean_feature_transform,
-    euclidean_feature_transform_parallel,
-)
+from repro.imaging.edt import euclidean_feature_transform
 
 
 def brute_force(sites, spacing):
@@ -27,13 +24,22 @@ def brute_force(sites, spacing):
     return out
 
 
+def dist2_from(res):
+    """Squared distance of every voxel to the site ``res.feature`` names."""
+    site = np.stack(np.unravel_index(res.feature, res.shape), axis=-1)
+    voxel = np.stack(np.indices(res.shape), axis=-1)
+    d = (site - voxel) * np.asarray(res.spacing)
+    return (d * d).sum(axis=-1)
+
+
 class TestEDTSmall:
     def test_single_site(self):
         sites = np.zeros((5, 5, 5), dtype=bool)
         sites[2, 2, 2] = True
         res = euclidean_feature_transform(sites)
-        assert res.dist2[2, 2, 2] == 0
-        assert res.dist2[0, 0, 0] == pytest.approx(12.0)
+        dist2 = dist2_from(res)
+        assert dist2[2, 2, 2] == 0
+        assert dist2[0, 0, 0] == pytest.approx(12.0)
         assert res.nearest_site_index((0, 0, 0)) == (2, 2, 2)
         assert res.nearest_site_index((4, 4, 4)) == (2, 2, 2)
 
@@ -56,15 +62,34 @@ class TestEDTSmall:
     def test_all_sites_zero_distance(self):
         sites = np.ones((4, 4, 4), dtype=bool)
         res = euclidean_feature_transform(sites)
-        assert (res.dist2 == 0).all()
+        assert (dist2_from(res) == 0).all()
 
     def test_anisotropic_spacing(self):
         sites = np.zeros((5, 5, 5), dtype=bool)
         sites[2, 2, 2] = True
         res = euclidean_feature_transform(sites, spacing=(1.0, 2.0, 3.0))
-        assert res.dist2[1, 2, 2] == pytest.approx(1.0)
-        assert res.dist2[2, 1, 2] == pytest.approx(4.0)
-        assert res.dist2[2, 2, 1] == pytest.approx(9.0)
+        dist2 = dist2_from(res)
+        assert dist2[1, 2, 2] == pytest.approx(1.0)
+        assert dist2[2, 1, 2] == pytest.approx(4.0)
+        assert dist2[2, 2, 1] == pytest.approx(9.0)
+
+    def test_feature_is_the_only_volume(self):
+        sites = np.zeros((6, 5, 4), dtype=bool)
+        sites[1, 2, 3] = True
+        res = euclidean_feature_transform(sites, spacing=(1.0, 2.0, 3.0))
+        assert res.feature.dtype == np.int32
+        assert res.feature.shape == res.shape == (6, 5, 4)
+        assert res.feature.flags.c_contiguous
+        volumes = [name for name, value in vars(res).items()
+                   if np.size(value) >= sites.size]
+        assert volumes == ["feature"]
+
+    def test_mask_beyond_int32_raises_before_any_scan(self):
+        # A broadcast view: 2**31 voxels backed by one byte, so the
+        # check has to come before anything reads or copies the mask.
+        sites = np.broadcast_to(np.zeros(1, dtype=bool), (2048, 2048, 512))
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            euclidean_feature_transform(sites)
 
 
 class TestEDTAgainstReferences:
@@ -77,7 +102,9 @@ class TestEDTAgainstReferences:
             sites[0, 0, 0] = True
         res = euclidean_feature_transform(sites, spacing)
         ref = brute_force(sites, spacing)
-        np.testing.assert_allclose(res.dist2, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            dist2_from(res), ref, rtol=1e-12, atol=1e-12
+        )
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_matches_scipy(self, seed):
@@ -90,7 +117,7 @@ class TestEDTAgainstReferences:
         # scipy computes distance from non-sites to sites via EDT of ~sites
         ref = ndimage.distance_transform_edt(~sites, sampling=spacing)
         np.testing.assert_allclose(
-            np.sqrt(res.dist2), ref, rtol=1e-9, atol=1e-9
+            np.sqrt(dist2_from(res)), ref, rtol=1e-9, atol=1e-9
         )
 
     def test_feature_is_argmin(self):
@@ -100,6 +127,7 @@ class TestEDTAgainstReferences:
             sites[1, 1, 1] = True
         spacing = (1.0, 2.0, 0.5)
         res = euclidean_feature_transform(sites, spacing)
+        dist2 = dist2_from(res)
         w = np.array(spacing)
         site_idx = np.argwhere(sites)
         for idx in [(0, 0, 0), (7, 7, 7), (3, 4, 5), (6, 1, 2)]:
@@ -107,29 +135,7 @@ class TestEDTAgainstReferences:
             d_claimed = (((nearest - np.array(idx)) * w) ** 2).sum()
             d_all = (((site_idx - np.array(idx)) * w) ** 2).sum(axis=1)
             assert d_claimed == pytest.approx(d_all.min())
-            assert d_claimed == pytest.approx(res.dist2[idx])
-
-
-class TestEDTParallel:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_matches_sequential(self, workers):
-        rng = np.random.default_rng(11)
-        sites = rng.random((12, 11, 10)) < 0.08
-        if not sites.any():
-            sites[2, 2, 2] = True
-        spacing = (1.0, 0.9, 1.7)
-        seq = euclidean_feature_transform(sites, spacing)
-        par = euclidean_feature_transform_parallel(
-            sites, spacing, n_workers=workers
-        )
-        np.testing.assert_array_equal(seq.dist2, par.dist2)
-        np.testing.assert_array_equal(seq.feature, par.feature)
-
-    def test_single_worker_falls_back(self):
-        sites = np.zeros((4, 4, 4), dtype=bool)
-        sites[1, 1, 1] = True
-        res = euclidean_feature_transform_parallel(sites, n_workers=1)
-        assert res.dist2[1, 1, 1] == 0
+            assert d_claimed == pytest.approx(dist2[idx])
 
 
 @settings(max_examples=20, deadline=None)
@@ -143,4 +149,6 @@ def test_edt_matches_scipy_property(seed):
     spacing = tuple(float(x) for x in rng.uniform(0.3, 2.5, size=3))
     res = euclidean_feature_transform(sites, spacing)
     ref = ndimage.distance_transform_edt(~sites, sampling=spacing)
-    np.testing.assert_allclose(np.sqrt(res.dist2), ref, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(
+        np.sqrt(dist2_from(res)), ref, rtol=1e-9, atol=1e-9
+    )

@@ -1,5 +1,7 @@
 """Tests for SegmentedImage and the synthetic phantoms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestSegmentedImage:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             SegmentedImage(np.zeros((4, 4, 4), dtype=np.int16), spacing=(0, 1, 1))
+
+    @pytest.mark.parametrize("field", ["spacing", "origin"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_geometry(self, field, value):
+        # ``nan <= 0`` is false, so the positivity check lets it by.
+        lab = np.zeros((4, 4, 4), dtype=np.int16)
+        with pytest.raises(ValueError, match=rf"{field} must be finite.*"
+                                             rf"{value}"):
+            SegmentedImage(lab, **{field: (1.0, value, 1.0)})
 
     def test_bounds(self):
         img = SegmentedImage(

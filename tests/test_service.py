@@ -141,37 +141,32 @@ class TestArtifactCacheRoundTrip:
 
 class TestArtifactCacheByteBudget:
     @staticmethod
-    def _edt(n):
-        from repro.imaging.edt import EDTResult
-
-        return EDTResult(
-            dist2=np.zeros((n, n, n)),
-            feature=np.zeros((n, n, n, 3), dtype=np.int32),
-            shape=(n, n, n), spacing=(1.0, 1.0, 1.0),
-        )
+    def _block(n):
+        return {"points": np.zeros((n, n, n)),
+                "kinds": np.zeros((n, n, n, 3), dtype=np.int32)}
 
     def test_byte_bound_evicts_cold_entries(self):
         from repro.service.cache import ArtifactCache
 
         cache = ArtifactCache(max_bytes=4_000_000, memory_entries=1000)
         for i in range(10):
-            cache.put_edt(f"k{i}", self._edt(32))  # ~640 KiB each
+            cache.put_block(f"k{i}", self._block(32))  # ~640 KiB each
         snap = cache.stats_snapshot()
         assert snap["bytes_held"] <= 4_000_000
         assert snap["evictions"] > 0
-        assert cache.get_edt("k0") is None      # coldest: evicted
-        assert cache.get_edt("k9") is not None  # hottest: resident
+        assert cache.get_block("k0") is None      # coldest: evicted
+        assert cache.get_block("k9") is not None  # hottest: resident
 
     def test_pinned_entries_survive_pressure(self):
         from repro.service.cache import ArtifactCache
 
         cache = ArtifactCache(max_bytes=1_500_000, memory_entries=1000)
-        cache.put_edt("keep", self._edt(32))
-        cache.pin("edt:keep")
+        cache.put_block("keep", self._block(32))
+        cache.pin("block:keep")
         for i in range(10):
-            cache.put_edt(f"x{i}", self._edt(32))
-        assert cache.get_edt("keep") is not None
-        cache.unpin("edt:keep")
+            cache.put_block(f"x{i}", self._block(32))
+        assert cache.get_block("keep") is not None
+        cache.unpin("block:keep")
         snap = cache.stats_snapshot()
         assert snap["pinned"] == 0
 
@@ -179,11 +174,11 @@ class TestArtifactCacheByteBudget:
         from repro.service.cache import ArtifactCache
 
         cache = ArtifactCache(max_bytes=700_000, memory_entries=1000)
-        cache.pin("edt:mine")
-        cache.put_edt("other", self._edt(32))
-        cache.put_edt("mine", self._edt(32))  # over budget on arrival
-        assert cache.get_edt("mine") is not None
-        cache.unpin("edt:mine")
+        cache.pin("block:mine")
+        cache.put_block("other", self._block(32))
+        cache.put_block("mine", self._block(32))  # over budget on arrival
+        assert cache.get_block("mine") is not None
+        cache.unpin("block:mine")
 
     def test_service_exposes_cache_gauges(self, image):
         with connect(config=ServiceConfig(
@@ -195,39 +190,6 @@ class TestArtifactCacheByteBudget:
             # job released its pin.
             assert snap["gauges"]["service.cache.evictions"] >= 1
             assert snap["gauges"]["service.cache.bytes_held"] == 0
-
-
-class TestEDTSharedAcrossRequests:
-    def test_edt_computed_once_for_two_param_sets(self, image):
-        """Same image, different delta: mesh cache misses twice but the
-        feature transform is computed exactly once.
-
-        Pinned to the thread executor: "computed once" is a
-        *per-process* invariant.  With process workers the EDT is
-        computed (and cached) inside the worker; the cross-process
-        version of this guarantee needs a shared ``cache_dir`` and is
-        covered by the process-executor suite.
-        """
-        with connect(config=ServiceConfig(n_workers=1,
-                                         executor="thread")) as client:
-            client.mesh(MeshRequest(image=image, delta=3.0,
-                                    mesher="sequential"))
-            client.mesh(MeshRequest(image=image, delta=4.0,
-                                    mesher="sequential"))
-            snap = client.metrics()
-        assert snap["counters"]["service.cache.miss"] == 2
-        assert snap["gauges"]["edt.cache.computes"] == 1
-        assert snap["gauges"]["edt.cache.hits"] >= 1
-
-    def test_edt_hook_restored_after_shutdown(self, image):
-        from repro.imaging import edt as edt_module
-        before = edt_module.set_feature_transform_cache(None)
-        edt_module.set_feature_transform_cache(before)
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
-        service.shutdown()
-        after = edt_module.set_feature_transform_cache(None)
-        edt_module.set_feature_transform_cache(after)
-        assert after is before
 
 
 # ---------------------------------------------------------------------------

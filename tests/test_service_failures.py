@@ -22,7 +22,6 @@ import pytest
 
 from repro.api import MeshRequest, mesh
 from repro.imaging import sphere_phantom
-from repro.imaging.edt import EDTResult
 from repro.service import (
     ArtifactCache,
     JobState,
@@ -221,21 +220,17 @@ class TestCorruptArtifacts:
         assert cache.stats_snapshot()["corrupt"] == 1
         assert not path.exists()  # corrupt artifact unlinked
 
-    def test_truncated_edt_npz_is_a_miss(self, tmp_path):
+    def test_truncated_block_npz_is_a_miss(self, tmp_path):
         cache = ArtifactCache(str(tmp_path / "c"))
         key = "cd" + "0" * 38
-        edt = EDTResult(
-            dist2=np.ones((4, 4, 4)),
-            feature=np.zeros((4, 4, 4, 3), dtype=np.int32),
-            shape=(4, 4, 4), spacing=(1.0, 1.0, 1.0),
-        )
-        cache.put_edt(key, edt)
-        path = tmp_path / "c" / "edt" / "cd" / f"{key}.npz"
+        cache.put_block(key, {"points": np.ones((4, 3)),
+                              "kinds": np.zeros(4, dtype=np.int8)})
+        path = tmp_path / "c" / "block" / "cd" / f"{key}.npz"
         assert path.exists()
         path.write_bytes(path.read_bytes()[:20])
 
         cold = ArtifactCache(str(tmp_path / "c"))  # bypass the LRU
-        assert cold.get_edt(key) is None
+        assert cold.get_block(key) is None
         assert cold.stats_snapshot()["corrupt"] == 1
         assert not path.exists()
 

@@ -187,6 +187,23 @@ class TestGatewayRoutes:
         assert json.loads(err.value.read())["ok"] is False
         assert service.job("job-000001") is None  # nothing was queued
 
+    @pytest.mark.parametrize("field", ["spacing", "origin"])
+    def test_non_finite_inline_geometry_is_400(self, service, field):
+        """``json.loads`` reads the bare NaN a client's ``json.dumps``
+        writes; it is refused at the door, not failed in the kernel."""
+        raw = (b'{"image": {"labels": [[[0, 1]]], "%s": [NaN, 1, 1]},'
+               b' "params": {"mesher": "sequential"}}' % field.encode())
+        with MeshHTTPServer(service) as server:
+            req = urllib.request.Request(
+                server.url + "/v1/mesh", data=raw, method="POST")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert error.startswith("bad inline 'image': " + field)
+        assert "nan" in error
+        assert service.job("job-000001") is None  # nothing was queued
+
     def test_mesh_unknown_params_400(self, gateway, image):
         status, out, _ = gateway.handle(
             "POST", "/v1/mesh",
