@@ -18,7 +18,6 @@ that only ``python benchmarks/kernel_bench.py`` replaces.
 import json
 import random
 
-import numpy as np
 import pytest
 
 from repro.delaunay import Triangulation3D

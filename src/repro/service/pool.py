@@ -248,8 +248,7 @@ class ProcessWorkerPool:
     startup) and respawn lazily after a crash or deadline kill.
     """
 
-    def __init__(self, n_workers: int,
-                 plugins: Optional[tuple] = None,
+    def __init__(self, n_workers: int, plugins: Optional[tuple] = None,
                  name: str = "mesh-procworker"):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
