@@ -104,15 +104,17 @@ def _assert_shape(rows, expect_knee=True):
     # scale-sensitivity ablation quantifies this.  EXPERIMENTS.md.)
     rate1 = by_threads[1]["rate"]
     assert max(by_threads[t]["rate"] for t in (128, 144, 160, 176)) > 1.2 * rate1
-    # The paper's knee — the per-thread rate does not improve past the
-    # 144-thread mark (hop count jumps to 5, switch congestion).  Rates
-    # are run-to-run noisy at this scale, so the assertion is on
-    # normalized (per-thread) throughput with slack; the printed table
-    # carries the exact numbers.
+    # The paper's knee — past 8 blades (128 threads) placements pay 5
+    # fat-tree hops and switch congestion (``simnuma/costmodel.py``), so
+    # the per-thread rate of every larger run stays at or below the
+    # 128-thread one.  A run is deterministic (virtual time, fixed
+    # seed) but a single row can move by tens of percent when a commit
+    # changes the operation schedule, hence the 10 % slack and a
+    # comparison against the boundary row, not between two rows past it.
     if expect_knee:
-        per_thread_144 = by_threads[144]["rate"] / 144
-        per_thread_176 = by_threads[176]["rate"] / 176
-        assert per_thread_176 <= 1.10 * per_thread_144
+        per_thread_128 = by_threads[128]["rate"] / 128
+        for t in (144, 160, 176):
+            assert by_threads[t]["rate"] / t <= 1.10 * per_thread_128, t
     # Efficiency declines toward the top end.
     assert by_threads[176]["efficiency"] <= 1.1 * by_threads[64]["efficiency"]
     # Overhead per thread grows with the thread count (not weak-constant,

@@ -413,6 +413,32 @@ class SimulatedMesher:
         )
 
 
+def _run_baseline(name: str, obs: Observability, mesher, t0: float,
+                  **extra_stats) -> MeshResult:
+    """Refine ``mesher`` and build its ``MeshResult``: rate over the
+    mesher's own ``stats.wall_time``, ``wall_seconds`` since ``t0``."""
+    with obs.tracer.span(f"{name}.refine"):
+        extracted = mesher.refine()
+    wall = time.perf_counter() - t0
+    s = mesher.stats
+    rate = extracted.n_tets / s.wall_time if s.wall_time > 0 else 0.0
+    reg = obs.registry
+    reg.counter("refine.operations").inc(s.n_operations)
+    reg.counter("refine.insertions").inc(s.n_insertions)
+    reg.gauge("run.elements").set(extracted.n_tets)
+    reg.gauge("run.wall_seconds").set(wall)
+    reg.gauge("run.elements_per_second").set(rate)
+    return MeshResult(
+        mesh=extracted,
+        mesher=name,
+        stats={"operations": s.n_operations, "insertions": s.n_insertions,
+               "elements_per_second": rate, **extra_stats},
+        metrics=obs.snapshot(),
+        timings={"wall_seconds": wall, "refine_seconds": s.wall_time},
+        extras={"obs": obs, "raw": mesher},
+    )
+
+
 class CGALLikeAdapter:
     """The isosurface-based CGAL-Mesh_3-style baseline (Table 6)."""
 
@@ -422,38 +448,12 @@ class CGALLikeAdapter:
         from repro.baselines.cgal_like import CGALLikeMesher
 
         obs = Observability.from_config(request.observability)
-        mesher = CGALLikeMesher(
+        t0 = time.perf_counter()
+        return _run_baseline(self.name, obs, CGALLikeMesher(
             request.image,
             facet_angle_deg=request.planar_angle_bound_deg,
             cell_radius_edge=request.radius_edge_bound,
-        )
-        t0 = time.perf_counter()
-        with obs.tracer.span("cgal_like.refine"):
-            extracted = mesher.refine()
-        wall = time.perf_counter() - t0
-        s = mesher.stats
-        reg = obs.registry
-        reg.counter("refine.operations").inc(s.n_operations)
-        reg.counter("refine.insertions").inc(s.n_insertions)
-        reg.gauge("run.elements").set(extracted.n_tets)
-        reg.gauge("run.wall_seconds").set(wall)
-        reg.gauge("run.elements_per_second").set(
-            extracted.n_tets / wall if wall > 0 else 0.0
-        )
-        return MeshResult(
-            mesh=extracted,
-            mesher=self.name,
-            stats={
-                "operations": s.n_operations,
-                "insertions": s.n_insertions,
-                "elements_per_second": (
-                    extracted.n_tets / wall if wall > 0 else 0.0
-                ),
-            },
-            metrics=obs.snapshot(),
-            timings={"wall_seconds": wall, "refine_seconds": s.wall_time},
-            extras={"obs": obs, "raw": mesher},
-        )
+        ), t0)
 
 
 class TetGenLikeAdapter:
@@ -461,8 +461,9 @@ class TetGenLikeAdapter:
 
     TetGen receives *the surface PI2M recovers* as its PLC (the paper's
     exact setup), so this adapter first runs a sequential PI2M pass to
-    produce the boundary triangulation, then fills and refines the
-    volume.  Region seeds are label centroids of the input image.
+    produce the boundary triangulation (``timings["plc_seconds"]``, not
+    charged to the filler's rate), then fills and refines the volume.
+    Region seeds are label centroids of the input image.
     """
 
     name = "tetgen_like"
@@ -482,51 +483,27 @@ class TetGenLikeAdapter:
                 planar_angle_bound_deg=request.planar_angle_bound_deg,
                 max_operations=request.max_operations,
             )
+        plc_seconds = time.perf_counter() - t0
         seeds = _region_seeds(request.image)
         if plc.mesh.n_tets == 0 or not seeds:
-            wall = time.perf_counter() - t0
             return MeshResult(
                 mesh=plc.mesh,
                 mesher=self.name,
                 stats={"operations": 0, "insertions": 0,
                        "plc_elements": plc.mesh.n_tets},
                 metrics=obs.snapshot(),
-                timings={"wall_seconds": wall},
+                timings={"wall_seconds": plc_seconds, "plc_seconds": plc_seconds},
                 extras={"obs": obs},
             )
-        mesher = TetGenLikeMesher(
+        result = _run_baseline(self.name, obs, TetGenLikeMesher(
             plc.mesh.vertices,
             plc.mesh.boundary_faces,
             seeds,
             radius_edge_bound=request.radius_edge_bound,
-        )
-        with obs.tracer.span("tetgen_like.refine"):
-            extracted = mesher.refine()
-        wall = time.perf_counter() - t0
-        s = mesher.stats
-        reg = obs.registry
-        reg.counter("refine.operations").inc(s.n_operations)
-        reg.counter("refine.insertions").inc(s.n_insertions)
-        reg.gauge("run.elements").set(extracted.n_tets)
-        reg.gauge("run.wall_seconds").set(wall)
-        reg.gauge("run.elements_per_second").set(
-            extracted.n_tets / wall if wall > 0 else 0.0
-        )
-        return MeshResult(
-            mesh=extracted,
-            mesher=self.name,
-            stats={
-                "operations": s.n_operations,
-                "insertions": s.n_insertions,
-                "plc_vertices": int(len(plc.mesh.vertices)),
-                "elements_per_second": (
-                    extracted.n_tets / wall if wall > 0 else 0.0
-                ),
-            },
-            metrics=obs.snapshot(),
-            timings={"wall_seconds": wall, "refine_seconds": s.wall_time},
-            extras={"obs": obs, "raw": mesher, "plc": plc},
-        )
+        ), t0, plc_vertices=int(len(plc.mesh.vertices)))
+        result.timings["plc_seconds"] = plc_seconds
+        result.extras["plc"] = plc
+        return result
 
 
 def _region_seeds(image: SegmentedImage

@@ -1,19 +1,23 @@
-"""Baseline meshers for the paper's Table 6 comparison.
+"""Baseline meshers for the paper's Table 6 comparison, as rule sets.
 
 * :mod:`repro.baselines.cgal_like` — an isosurface-based restricted
-  Delaunay refiner in the style of CGAL's Mesh_3 (facet criteria first,
-  then cell criteria; insertions only, no removals);
+  Delaunay refiner in the style of CGAL's Mesh_3;
 * :mod:`repro.baselines.tetgen_like` — a PLC-based mesher in the style
-  of TetGen: it takes the triangulated isosurface recovered by PI2M as
-  input (exactly the paper's setup), tetrahedralises its vertex set and
-  refines the volume on radius-edge quality only (TetGen has no boundary
-  planar-angle control, which is why its dihedral angles trail in
-  Table 6).
+  of TetGen, fed the triangulated isosurface PI2M recovers (exactly the
+  paper's setup).
 
-Both baselines run on this repository's own Delaunay kernel, so the
-comparison measures *algorithm structure*, not kernel implementation
-differences — the same spirit as the paper's observation that all three
-meshers share the Bowyer-Watson insertion kernel.
+**Shared with PI2M**, one owner each: the Delaunay kernel, the
+generation walk (:class:`~repro.core.refiner.SequentialRefiner` drives
+a baseline through ``screen`` / ``refine_tet`` and three counters,
+exactly as it drives a ``RefineDomain``), the circumball store
+(:class:`~repro.core.domain.CircumballStore`), the label-only ray traversal
+(:class:`~repro.imaging.isosurface.LabelRays`) and the extractor's
+assembly (:func:`~repro.core.extract.assemble_mesh`).  **Each mesher's
+own:** its rules, its use of the image (CGAL-like marches dual segments
+and builds no distance transform; TetGen-like never sees the image) and
+its removals (none: both insert only).  So the comparison measures
+*algorithm structure*, the same spirit as the paper's observation that
+all three meshers share the Bowyer-Watson insertion kernel.
 """
 
 from repro.baselines.cgal_like import CGALLikeMesher

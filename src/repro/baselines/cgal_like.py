@@ -1,53 +1,90 @@
-"""CGAL-Mesh_3-style isosurface-based baseline.
+"""CGAL-Mesh_3-style isosurface-based baseline, as a rule set.
 
-Restricted Delaunay refinement with CGAL's criteria set:
+Restricted Delaunay refinement with CGAL's criteria:
 
 * facet criteria — minimum facet angle (default 30 degrees), facet
   distance (the facet's surface center may not be farther than
   ``facet_distance`` from the facet circumcenter), facet size;
 * cell criteria — radius-edge bound (default 2) and cell size.
 
-Like Mesh_3 (and unlike PI2M) the refinement is insertion-only, scans
-facet work before cell work, and computes every surface intersection by
-marching the dual segment without a distance-transform accelerator —
+What is shared with PI2M is listed in :mod:`repro.baselines`.  This
+mesher's own: the rules — facets before cells, insertions only (no R6
+removals, no vertex kinds) — and how it finds the surface: every
+intersection is the dual segment of a restricted facet marched through
+the voxel labels, and no distance transform is ever built.  Those are
 the structural differences the paper's Table 6 speed comparison
 reflects.
+
+The walk judges a tet once, in the generation after its birth, so a
+facet must get the same verdict from either side: its two tets carry
+different labels, and the dual segment is marched from the circumcentre
+with the *lower* one over face vertices in id order — the surface
+center, and with it every facet criterion, is a function of the facet
+alone.  A tet its own refinement point left standing is handed back to
+the walk with the tets born.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.extract import ExtractedMesh
-from repro.delaunay import (
-    HULL,
-    InsertionError,
-    PointLocationError,
-    Triangulation3D,
-)
-from repro.geometry.predicates import circumcenter_tet
+from repro.core.domain import _TIE, CircumballStore, OperationResult
+from repro.core.extract import ExtractedMesh, extract_mesh
+from repro.core.refiner import RefineStats, SequentialRefiner
+from repro.delaunay import HULL, InsertionError, PointLocationError, Triangulation3D
+from repro.geometry.batch import shortest_edges_many
+from repro.geometry.predicates import circumcenter_tri
 from repro.geometry.quality import shortest_edge, triangle_min_angle
 from repro.imaging.image import SegmentedImage
+from repro.imaging.isosurface import LabelRays
+
+class InsertOnlyRules:
+    """What a baseline puts under the generation walk besides its
+    ``screen`` / ``refine_tet``: the triangulation, the circumball
+    store, the three counters the walk reads, and the one operation
+    either baseline performs."""
+
+    def __init__(self, lo, hi, max_operations: int, **box):
+        self.tri = Triangulation3D(lo, hi, **box)
+        self.max_operations = max_operations
+        self._balls = CircumballStore(self.tri.mesh)
+        self.circumball = self._balls.ball
+        self.circumballs = self._balls.balls
+        self.n_insertions = self.n_removals = self.n_skipped = 0
+        self.stats = RefineStats()
+
+    def refine(self) -> ExtractedMesh:
+        """Bulk-load the initial points, walk to the fixed point,
+        extract the mesh; ``stats.wall_time`` covers load and walk."""
+        t0 = time.perf_counter()
+        inserted = self.tri.insert_many(self._initial_points())
+        self.n_insertions += sum(v is not None for v in inserted)
+        self.stats = SequentialRefiner(
+            self, max_operations=self.max_operations).refine()
+        self.stats.wall_time = time.perf_counter() - t0
+        return self.extract()
+
+    def _insert(self, p, t: int, rule: str) -> OperationResult:
+        """Insert ``p`` for tet ``t`` under ``rule``.  An abandoned
+        insertion is a skip; ``t`` rides along with the tets born (the
+        walk drops it if the insertion killed it)."""
+        try:
+            _, new_tets, _ = self.tri.insert_point(p, hint=t)
+        except (InsertionError, PointLocationError) as exc:
+            self.n_skipped += 1
+            return OperationResult(rule=rule, skipped=True, skip_reason=str(exc))
+        self.n_insertions += 1
+        return OperationResult(rule=rule, new_tets=[*new_tets, t])
 
 
-@dataclass
-class BaselineStats:
-    wall_time: float = 0.0
-    n_insertions: int = 0
-    n_operations: int = 0
-
-    @property
-    def tets_per_second(self) -> float:
-        return 0.0  # overwritten by callers that know the final count
-
-
-class CGALLikeMesher:
+class CGALLikeMesher(InsertOnlyRules):
     """Isosurface-based restricted-Delaunay mesher (Mesh_3 style)."""
+
+    extract = extract_mesh  # PI2M's own: circumcenter inside the object
 
     def __init__(
         self,
@@ -60,216 +97,100 @@ class CGALLikeMesher:
         n_initial_points: int = 24,
         max_operations: int = 2_000_000,
     ):
+        super().__init__(*image.foreground_bounds(), max_operations,
+                         margin=2.0 * max(image.spacing))
         self.image = image
         self.facet_angle = facet_angle_deg
-        self.facet_distance = (
-            facet_distance if facet_distance is not None
-            else 1.5 * image.min_spacing
-        )
+        self.facet_distance = (1.5 * image.min_spacing if facet_distance is None
+                               else facet_distance)
         self.facet_size = facet_size if facet_size is not None else math.inf
         self.cell_radius_edge = cell_radius_edge
         self.cell_size = cell_size if cell_size is not None else math.inf
         self.n_initial_points = n_initial_points
-        self.max_operations = max_operations
+        self.surface_crossing = LabelRays(image).surface_crossing
 
-        lo, hi = image.foreground_bounds()
-        self.tri = Triangulation3D(lo, hi, margin=2.0 * max(image.spacing))
-        self._cc_cache: Dict[int, Tuple[int, Tuple[float, float, float], float]] = {}
-        self.stats = BaselineStats()
-
-    # ------------------------------------------------------------------
-    # oracle without EDT: pure segment marching (Mesh_3's structure)
-    # ------------------------------------------------------------------
-    def _segment_crossing(self, a, b):
-        """First label change on segment a-b, bisected; None otherwise."""
-        label_at = self.image.label_at
-        step = 0.4 * self.image.min_spacing
-        d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        length = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-        if length == 0:
-            return None
-        ux, uy, uz = d[0] / length, d[1] / length, d[2] / length
-        n = max(1, int(math.ceil(length / step)))
-        prev_lab = label_at(a)
-        prev_t = 0.0
-        for k in range(1, n + 1):
-            t = min(k * step, length)
-            lab = label_at((a[0] + ux * t, a[1] + uy * t, a[2] + uz * t))
-            if lab != prev_lab:
-                lo_t, hi_t = prev_t, t
-                tol = 1e-3 * self.image.min_spacing
-                while hi_t - lo_t > tol:
-                    mid = 0.5 * (lo_t + hi_t)
-                    m_lab = label_at(
-                        (a[0] + ux * mid, a[1] + uy * mid, a[2] + uz * mid)
-                    )
-                    if m_lab == prev_lab:
-                        lo_t = mid
-                    else:
-                        hi_t = mid
-                t_hit = 0.5 * (lo_t + hi_t)
-                return (a[0] + ux * t_hit, a[1] + uy * t_hit, a[2] + uz * t_hit)
-            prev_lab = lab
-            prev_t = t
-        return None
-
-    # ------------------------------------------------------------------
-    def _circumball(self, t: int):
-        mesh = self.tri.mesh
-        epoch = mesh.tet_epoch[t]
-        hit = self._cc_cache.get(t)
-        if hit is not None and hit[0] == epoch:
-            return hit[1], hit[2]
-        pts = mesh.points
-        a, b, c, d = (pts[v] for v in mesh.tet_verts_arr[t].tolist())
-        try:
-            cc = circumcenter_tet(a, b, c, d)
-            r = math.dist(cc, a)
-        except ZeroDivisionError:
-            cc = tuple((a[i] + b[i] + c[i] + d[i]) / 4.0 for i in range(3))
-            r = math.inf
-        self._cc_cache[t] = (epoch, cc, r)
-        return cc, r
-
-    def _initial_surface_points(self) -> List[Tuple[float, float, float]]:
-        """Scan rays through the volume to seed the surface (Mesh_3's
-        initial-point construction)."""
-        lo, hi = self.image.foreground_bounds()
-        center = tuple(0.5 * (lo[i] + hi[i]) for i in range(3))
-        pts = []
+    def _initial_points(self) -> List[Tuple[float, float, float]]:
+        """Scan rays from the centre of the volume to seed the surface
+        (Mesh_3's initial-point construction)."""
+        lo, hi = map(np.array, self.image.foreground_bounds())
+        center, reach = 0.5 * (lo + hi), float((hi - lo).max())
         rng = np.random.default_rng(1234)
-        tries = 0
-        while len(pts) < self.n_initial_points and tries < 40 * self.n_initial_points:
-            tries += 1
+        pts = []
+        for _ in range(40 * self.n_initial_points):
             u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            far = tuple(
-                center[i] + u[i] * max(hi[j] - lo[j] for j in range(3))
-                for i in range(3)
-            )
-            hit = self._segment_crossing(center, far)
+            hit = self.surface_crossing(
+                tuple(center), tuple(center + u * (reach / np.linalg.norm(u))))
             if hit is not None:
                 pts.append(hit)
+                if len(pts) == self.n_initial_points:
+                    break
         return pts
 
     # ------------------------------------------------------------------
-    def refine(self) -> ExtractedMesh:
-        """Run refinement to completion and extract the mesh."""
-        t0 = time.perf_counter()
-        # Batched insertion: one ctypes crossing carries runs of sample
-        # points through the C kernel (scalar fallback per stopper);
-        # semantically identical to a hint-chained insert_point loop.
-        inserted = self.tri.insert_many(self._initial_surface_points())
-        self.stats.n_insertions += sum(1 for v in inserted if v is not None)
-
-        from collections import deque
-
+    # the rules
+    # ------------------------------------------------------------------
+    def _bad_facet(self, t: int, i: int, lab_t: int):
+        """The surface center of face ``i`` of ``t`` when that facet is
+        restricted and fails a facet criterion, else ``None``."""
         mesh = self.tri.mesh
-        queue = deque((t, mesh.tet_epoch[t]) for t in mesh.live_tets())
-        ops = 0
-        while queue:
-            t, epoch = queue.popleft()
-            if mesh.tet_verts_arr[t, 0] < 0 or mesh.tet_epoch[t] != epoch:
-                continue
-            point = self._refinement_point(t)
-            ops += 1
-            if ops > self.max_operations:
-                raise RuntimeError("cgal_like baseline exceeded max operations")
-            if point is None:
-                continue
-            try:
-                _, new_tets, _ = self.tri.insert_point(point, hint=t)
-            except (InsertionError, PointLocationError):
-                continue
-            self.stats.n_insertions += 1
-            for nt in new_tets:
-                queue.append((nt, mesh.tet_epoch[nt]))
-                for nbr in mesh.tet_adj[nt]:
-                    if nbr != HULL and mesh.is_live(nbr):
-                        queue.append((nbr, mesh.tet_epoch[nbr]))
-        self.stats.n_operations = ops
-        self.stats.wall_time = time.perf_counter() - t0
-        return self.extract()
-
-    def _refinement_point(self, t: int):
-        """First refinement point this element demands, facets first."""
-        mesh = self.tri.mesh
-        pts = mesh.points
-        c_t, r_t = self._circumball(t)
-        lab_t = self.image.label_at(c_t)
-
-        # facet criteria (restricted facets only)
-        adj = mesh.tet_adj[t]
-        for i in range(4):
-            nbr = adj[i]
-            if nbr == HULL:
-                continue
-            c_n, _ = self._circumball(nbr)
-            if self.image.label_at(c_n) == lab_t:
-                continue
-            c_surf = self._segment_crossing(c_t, c_n)
-            if c_surf is None:
-                continue
-            face = mesh.face_opposite(t, i)
-            fa, fb, fc = (pts[w] for w in face)
-            bad_angle = triangle_min_angle(fa, fb, fc) < self.facet_angle
-            from repro.geometry.predicates import circumcenter_tri
-
-            try:
-                fcc = circumcenter_tri(fa, fb, fc)
-            except ZeroDivisionError:
-                return c_surf
-            too_far = math.dist(fcc, c_surf) > self.facet_distance
-            too_big = math.dist(c_surf, fa) > self.facet_size
-            if bad_angle or too_far or too_big:
-                return c_surf
-
-        # cell criteria
-        if lab_t != 0:
-            se = shortest_edge(*self.tri.tet_points(t))
-            if se == 0.0 or r_t / se > self.cell_radius_edge or r_t > self.cell_size:
-                if self.tri.inside_domain(c_t):
-                    return c_t
+        nbr = mesh.tet_adj[t][i]
+        if nbr == HULL:
+            return None
+        c_t, _ = self.circumball(t)
+        c_n, _ = self.circumball(nbr)
+        lab_n = self.image.label_at(c_n)
+        if lab_n == lab_t:
+            return None
+        c_surf = (self.surface_crossing(c_t, c_n) if lab_t < lab_n
+                  else self.surface_crossing(c_n, c_t))
+        if c_surf is None:
+            return None
+        fa, fb, fc = (mesh.points[w] for w in sorted(mesh.face_opposite(t, i)))
+        # The angle first: a flat facet fails it and has no circumcenter.
+        if (triangle_min_angle(fa, fb, fc) < self.facet_angle
+                or math.dist(circumcenter_tri(fa, fb, fc), c_surf)
+                > self.facet_distance
+                or math.dist(c_surf, fa) > self.facet_size):
+            return c_surf
         return None
 
-    # ------------------------------------------------------------------
-    def extract(self) -> ExtractedMesh:
+    def refine_tet(self, t: int) -> OperationResult:
+        """Judge live tet ``t``: its first bad facet, else its cell."""
+        c_t, r_t = self.circumball(t)
+        lab_t = self.image.label_at(c_t)
+        for i in range(4):
+            c_surf = self._bad_facet(t, i, lab_t)
+            if c_surf is not None:
+                return self._insert(c_surf, t, "facet")
+        if lab_t != 0:
+            se = shortest_edge(*self.tri.tet_points(t))
+            if (se == 0.0 or r_t / se > self.cell_radius_edge
+                    or r_t > self.cell_size) and self.tri.inside_domain(c_t):
+                return self._insert(c_t, t, "cell")
+        return OperationResult(rule="none", skipped=True)
+
+    def screen(self, tets) -> np.ndarray:
+        """Could a criterion fail?  One bool per live tet id in ``tets``;
+        ``False`` is exact (``refine_tet`` answers ``"none"``).  The
+        cell criteria are one array mask, widened by a tie; every
+        restricted facet of a tet they pass is put to the judge's own
+        :meth:`_bad_facet` — the one ray per facet a mesher without a
+        distance transform has to walk."""
         mesh = self.tri.mesh
-        keep: Dict[int, int] = {}
-        for t in mesh.live_tets():
-            c, _ = self._circumball(t)
-            lab = self.image.label_at(c)
-            if lab != 0:
-                keep[t] = int(lab)
+        tets = np.asarray(tets, dtype=np.int64)
+        adj = mesh.tet_adj[tets]
+        store, slot_label = self._balls.centre_labels(self.image, tets, adj)
+        r = store[tets, 3]
+        label = slot_label[tets]
+        se = shortest_edges_many(mesh.coords[mesh.tet_verts_arr[tets]])
+        maybe = (label != 0) & (
+            (se == 0.0) | (r > self.cell_size)
+            | (r >= self.cell_radius_edge * se * (1.0 - _TIE)))
 
-        vmap: Dict[int, int] = {}
-        vertices: List[Tuple[float, float, float]] = []
-
-        def remap(v):
-            new = vmap.get(v)
-            if new is None:
-                new = len(vertices)
-                vmap[v] = new
-                vertices.append(mesh.points[v])
-            return new
-
-        tets, labels, bfaces, blabels = [], [], [], []
-        for t, lab in keep.items():
-            tets.append([remap(v) for v in mesh.tet_verts_arr[t].tolist()])
-            labels.append(lab)
-            for i in range(4):
-                nbr = mesh.tet_adj[t][i]
-                nbr_lab = keep.get(nbr, 0) if nbr != HULL else 0
-                if nbr_lab == lab:
-                    continue
-                if nbr_lab != 0 and nbr < t:
-                    continue
-                bfaces.append([remap(v) for v in mesh.face_opposite(t, i)])
-                blabels.append((lab, nbr_lab))
-        return ExtractedMesh(
-            vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-            tets=np.asarray(tets, dtype=np.int64).reshape(-1, 4),
-            tet_labels=np.asarray(labels, dtype=np.int32),
-            boundary_faces=np.asarray(bfaces, dtype=np.int64).reshape(-1, 3),
-            boundary_labels=np.asarray(blabels, dtype=np.int32).reshape(-1, 2),
-        )
+        ti, fi = np.nonzero((adj != HULL) & (slot_label[adj] != label[:, None])
+                            & ~maybe[:, None])
+        for row, i in zip(ti.tolist(), fi.tolist()):
+            if not maybe[row] and self._bad_facet(
+                    int(tets[row]), i, int(label[row])) is not None:
+                maybe[row] = True
+        return maybe

@@ -1,4 +1,4 @@
-"""TetGen-style PLC-based baseline.
+"""TetGen-style PLC-based baseline, as a rule set.
 
 TetGen meshes a piecewise-linear complex: in the paper's Table 6 setup
 it receives *the triangulated isosurfaces recovered by PI2M* and fills
@@ -8,38 +8,38 @@ PI2M's in Table 6).
 
 This implementation mirrors that structure on our kernel:
 
-1. insert every PLC (boundary) vertex — since the PLC is a restricted
-   Delaunay surface, its facets re-appear in the Delaunay triangulation
-   of its vertices;
-2. assign each tetrahedron to a region through user seed points
-   (nearest-seed label at the circumcenter), the same seed mechanism the
-   paper describes (and whose fragility it discusses for Figure 9);
-3. refine: insert circumcenters of interior tetrahedra whose
-   radius-edge ratio exceeds the bound.
+1. bulk-load every PLC (boundary) vertex through ``insert_many`` —
+   since the PLC is a restricted Delaunay surface, its facets re-appear
+   in the Delaunay triangulation of its vertices;
+2. keep the tetrahedra whose circumcenter lies within the PLC's local
+   facet scale of its vertex cloud, and assign each to a region through
+   user seed points (nearest-seed label at the circumcenter), the seed
+   mechanism the paper describes (and whose fragility it discusses for
+   Figure 9);
+3. refine: insert circumcenters of kept tetrahedra whose radius-edge
+   ratio exceeds the bound.
+
+What is shared with PI2M and the CGAL-like baseline is listed in
+:mod:`repro.baselines`.  This mesher's own: the one rule, which reads
+the tet alone — so a tet judged once stays judged and the walk ends at
+a fixed point — and no oracle: it never sees the image.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from repro.baselines.cgal_like import BaselineStats
-from repro.core.extract import ExtractedMesh
-from repro.delaunay import (
-    HULL,
-    InsertionError,
-    PointLocationError,
-    Triangulation3D,
-)
-from repro.geometry.predicates import circumcenter_tet
+from repro.baselines.cgal_like import InsertOnlyRules
+from repro.core.domain import _TIE, OperationResult
+from repro.core.extract import ExtractedMesh, assemble_mesh
+from repro.geometry.batch import shortest_edges_many
 from repro.geometry.quality import shortest_edge
 
 
-class TetGenLikeMesher:
+class TetGenLikeMesher(InsertOnlyRules):
     """PLC-based quality tetrahedralisation (TetGen style)."""
 
     def __init__(
@@ -58,155 +58,73 @@ class TetGenLikeMesher:
         if not self.region_seeds:
             raise ValueError("TetGen-like mesher needs at least one region seed")
         self.radius_edge_bound = radius_edge_bound
-        self.max_operations = max_operations
+        super().__init__(tuple(self.plc_vertices.min(axis=0)),
+                         tuple(self.plc_vertices.max(axis=0)), max_operations)
 
-        lo = self.plc_vertices.min(axis=0)
-        hi = self.plc_vertices.max(axis=0)
-        self.tri = Triangulation3D(tuple(lo), tuple(hi))
-        self._cc_cache: Dict[int, Tuple[int, Tuple[float, float, float], float]] = {}
-        self.stats = BaselineStats()
+        # Interiority: TetGen decides it from the PLC's facets; here the
+        # boundary vertices came from a closed restricted-Delaunay
+        # surface, so a distance-to-vertex-cloud test against the local
+        # facet scale (4 median PLC edges) is a faithful, cheap stand-in.
+        self._plc_tree = cKDTree(self.plc_vertices)
+        edges = (self.plc_vertices[self.plc_faces[:, 0]]
+                 - self.plc_vertices[self.plc_faces[:, 1]])
+        self._interior_probe = 4.0 * float(
+            np.median(np.linalg.norm(edges, axis=1))
+        ) if len(edges) else 1.0
+
+    def _inside_plc(self, p):
+        """Is ``p`` — one point or an ``(n, 3)`` array — inside the PLC
+        vertex cloud's inflated hull?"""
+        return self._plc_tree.query(p)[0] < self._interior_probe
+
+    def _initial_points(self):
+        """Step 1: the PLC vertex set."""
+        return list(map(tuple, self.plc_vertices.tolist()))
 
     # ------------------------------------------------------------------
-    def _circumball(self, t: int):
-        mesh = self.tri.mesh
-        epoch = mesh.tet_epoch[t]
-        hit = self._cc_cache.get(t)
-        if hit is not None and hit[0] == epoch:
-            return hit[1], hit[2]
-        pts = mesh.points
-        a, b, c, d = (pts[v] for v in mesh.tet_verts_arr[t].tolist())
-        try:
-            cc = circumcenter_tet(a, b, c, d)
-            r = math.dist(cc, a)
-        except ZeroDivisionError:
-            cc = tuple((a[i] + b[i] + c[i] + d[i]) / 4.0 for i in range(3))
-            r = math.inf
-        self._cc_cache[t] = (epoch, cc, r)
-        return cc, r
+    # the rule
+    # ------------------------------------------------------------------
+    def refine_tet(self, t: int) -> OperationResult:
+        """Judge live tet ``t``: a kept tet over the radius-edge bound
+        gets its circumcenter."""
+        c, r = self.circumball(t)
+        se = shortest_edge(*self.tri.tet_points(t))
+        if ((se > 0.0 and r / se <= self.radius_edge_bound)
+                or not self._inside_plc(c) or not self.tri.inside_domain(c)):
+            return OperationResult(rule="none", skipped=True)
+        return self._insert(c, t, "radius-edge")
 
-    def _label_of_point(self, p) -> int:
-        """Region label by nearest seed on the same side of the PLC.
+    def screen(self, tets) -> np.ndarray:
+        """Could the rule fire?  One bool per live tet id in ``tets``,
+        ``False`` exact: the radius-edge mask (widened by a tie), then
+        one nearest-PLC-vertex query for the tets it leaves."""
+        mesh = self.tri.mesh
+        tets = np.asarray(tets, dtype=np.int64)
+        store = self.circumballs(tets)
+        se = shortest_edges_many(mesh.coords[mesh.tet_verts_arr[tets]])
+        maybe = (se == 0.0) | (
+            store[tets, 3] >= self.radius_edge_bound * se * (1.0 - _TIE))
+        maybe[maybe] = self._inside_plc(store[tets[maybe], :3])
+        return maybe
+
+    # ------------------------------------------------------------------
+    def extract(self) -> ExtractedMesh:
+        """The kept tets clear of the bounding simplex, each labelled by
+        the seed nearest its circumcenter.
 
         The full point-in-region test walks the PLC; the nearest-seed
         approximation matches how the paper describes computing seeds by
         scanning the image, and is exactly the mechanism whose
         inaccuracy the paper observed in TetGen's colorings (Figure 9).
         """
-        best_label = 0
-        best_d = math.inf
-        for seed, lab in self.region_seeds:
-            d = (
-                (p[0] - seed[0]) ** 2
-                + (p[1] - seed[1]) ** 2
-                + (p[2] - seed[2]) ** 2
-            )
-            if d < best_d:
-                best_d = d
-                best_label = lab
-        return best_label
-
-    def _inside_plc(self, p) -> bool:
-        """Crude interiority: inside the PLC vertex cloud's inflated hull.
-
-        TetGen decides interiority from the PLC's facets; here the
-        boundary vertices came from a closed restricted-Delaunay surface,
-        so a distance-to-vertex-cloud test against the local facet scale
-        is a faithful, cheap stand-in."""
-        d = np.linalg.norm(self.plc_vertices - np.asarray(p), axis=1).min()
-        return bool(d < self._interior_probe)
-
-    # ------------------------------------------------------------------
-    def refine(self) -> ExtractedMesh:
-        t0 = time.perf_counter()
         mesh = self.tri.mesh
-
-        # Step 1: Delaunay triangulation of the PLC vertex set (batched
-        # through the C kernel when available; scalar per stopper).
-        inserted = self.tri.insert_many(
-            [tuple(p) for p in self.plc_vertices]
-        )
-        self.stats.n_insertions += sum(1 for v in inserted if v is not None)
-
-        # Local scale used by interiority probes: median PLC edge length.
-        edges = self.plc_vertices[self.plc_faces[:, 0]] - \
-            self.plc_vertices[self.plc_faces[:, 1]]
-        self._interior_probe = 4.0 * float(
-            np.median(np.linalg.norm(edges, axis=1))
-        ) if len(edges) else 1.0
-
-        # Step 2+3: quality refinement of interior tetrahedra.
-        queue = deque((t, mesh.tet_epoch[t]) for t in mesh.live_tets())
-        ops = 0
-        while queue:
-            t, epoch = queue.popleft()
-            if mesh.tet_verts_arr[t, 0] < 0 or mesh.tet_epoch[t] != epoch:
-                continue
-            ops += 1
-            if ops > self.max_operations:
-                raise RuntimeError("tetgen_like baseline exceeded max operations")
-            c, r = self._circumball(t)
-            if not self._keep_tet(t):
-                continue
-            se = shortest_edge(*self.tri.tet_points(t))
-            if se > 0.0 and r / se <= self.radius_edge_bound:
-                continue
-            if not self.tri.inside_domain(c) or not self._inside_plc(c):
-                continue
-            try:
-                _, new_tets, _ = self.tri.insert_point(c, hint=t)
-            except (InsertionError, PointLocationError):
-                continue
-            self.stats.n_insertions += 1
-            for nt in new_tets:
-                queue.append((nt, mesh.tet_epoch[nt]))
-        self.stats.n_operations = ops
-        self.stats.wall_time = time.perf_counter() - t0
-        return self.extract()
-
-    def _keep_tet(self, t: int) -> bool:
-        c, _ = self._circumball(t)
-        return self._inside_plc(c)
-
-    # ------------------------------------------------------------------
-    def extract(self) -> ExtractedMesh:
-        mesh = self.tri.mesh
-        keep: Dict[int, int] = {}
-        for t in mesh.live_tets():
-            if any(self.tri.is_box_vertex(v) for v in mesh.tet_verts_arr[t].tolist()):
-                continue
-            if not self._keep_tet(t):
-                continue
-            c, _ = self._circumball(t)
-            keep[t] = self._label_of_point(c)
-
-        vmap: Dict[int, int] = {}
-        vertices: List[Tuple[float, float, float]] = []
-
-        def remap(v):
-            new = vmap.get(v)
-            if new is None:
-                new = len(vertices)
-                vmap[v] = new
-                vertices.append(mesh.points[v])
-            return new
-
-        tets, labels, bfaces, blabels = [], [], [], []
-        for t, lab in keep.items():
-            tets.append([remap(v) for v in mesh.tet_verts_arr[t].tolist()])
-            labels.append(lab)
-            for i in range(4):
-                nbr = mesh.tet_adj[t][i]
-                nbr_lab = keep.get(nbr, 0) if nbr != HULL else 0
-                if nbr_lab == lab:
-                    continue
-                if nbr_lab != 0 and nbr < t:
-                    continue
-                bfaces.append([remap(v) for v in mesh.face_opposite(t, i)])
-                blabels.append((lab, nbr_lab))
-        return ExtractedMesh(
-            vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-            tets=np.asarray(tets, dtype=np.int64).reshape(-1, 4),
-            tet_labels=np.asarray(labels, dtype=np.int32),
-            boundary_faces=np.asarray(bfaces, dtype=np.int64).reshape(-1, 3),
-            boundary_labels=np.asarray(blabels, dtype=np.int32).reshape(-1, 2),
-        )
+        live = mesh.live_tet_ids()
+        live = live[~np.isin(mesh.tet_verts_arr[live],
+                             self.tri.box_vertices).any(axis=1)]
+        centers = self.circumballs(live)[live, :3]
+        inside = self._inside_plc(centers)
+        seeds = np.array([s for s, _ in self.region_seeds], dtype=np.float64)
+        labels = np.array([lab for _, lab in self.region_seeds], dtype=np.int32)
+        gap = centers[inside, None, :] - seeds[None, :, :]
+        nearest = (gap * gap).sum(axis=2).argmin(axis=1)
+        return assemble_mesh(mesh, live[inside], labels[nearest])

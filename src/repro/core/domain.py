@@ -104,6 +104,82 @@ class OperationResult:
     r6_conflicts: int = 0  # R6 removals abandoned due to lock conflicts
 
 
+class CircumballStore:
+    """The circumballs of a :class:`~repro.delaunay.mesh.TetMesh`, one
+    store for every rule set over it (PI2M's, the baselines') and their
+    extractions: row ``t`` of ``rows`` is ``(cx, cy, cz, r, epoch)`` of
+    tet slot ``t``, current while ``epoch`` is the slot's.  The scalar
+    and the batch reader fill the same rows, so they cannot disagree on
+    a centre or a radius.  A row is written in one piece; the lock keeps
+    a growing copy from tearing or losing a row another thread is
+    writing."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.rows = np.full((1024, 5), -1.0)
+        self._lock = threading.Lock()
+
+    def ball(self, t: int) -> Tuple[Tuple[float, float, float], float]:
+        """Circumcenter + circumradius of live tet ``t``."""
+        mesh = self.mesh
+        epoch = mesh.tet_epoch[t]
+        store = self.rows
+        if t < len(store):
+            cx, cy, cz, r, stored = store[t].tolist()
+            if stored == epoch:
+                return (cx, cy, cz), r
+        pts = mesh.points
+        a, b, c, d = (pts[v] for v in mesh.tet_verts_arr[t].tolist())
+        try:
+            cc = circumcenter_tet(a, b, c, d)
+            dx, dy, dz = cc[0] - a[0], cc[1] - a[1], cc[2] - a[2]
+            r = math.sqrt(dx * dx + dy * dy + dz * dz)
+        except ZeroDivisionError:
+            cc = (
+                (a[0] + b[0] + c[0] + d[0]) / 4.0,
+                (a[1] + b[1] + c[1] + d[1]) / 4.0,
+                (a[2] + b[2] + c[2] + d[2]) / 4.0,
+            )
+            r = math.inf
+        with self._lock:
+            self.rows = store = _grown(self.rows, t + 1, -1.0)
+            store[t] = (cc[0], cc[1], cc[2], r, epoch)
+        return cc, r
+
+    def balls(self, tets: np.ndarray) -> np.ndarray:
+        """``rows``, made current for the live tets ``tets`` (repeats
+        allowed).
+
+        Rows that are stale are computed in one batch, bit-identical to
+        what :meth:`ball` would have stored.
+        """
+        mesh = self.mesh
+        epoch = mesh.tet_epochs()
+        with self._lock:
+            self.rows = store = _grown(self.rows, mesh.tet_top, -1.0)
+            stale = tets[store[tets, 4] != epoch[tets]]
+            if stale.size:
+                quads = mesh.coords[mesh.tet_verts_arr[stale]]
+                store[stale, :3], store[stale, 3] = circumballs_many(quads)
+                store[stale, 4] = epoch[stale]
+        return store
+
+    def centre_labels(self, image, tets: np.ndarray, adj: np.ndarray):
+        """``(rows, slot_label)`` for a generation ``tets`` and its face
+        neighbours ``adj`` (``-1``: none): the rows made current, and the
+        image label at each circumcentre as a per-slot array whose spare
+        last entry the ``-1`` reads (background)."""
+        top = self.mesh.tet_top
+        seen = np.zeros(top, dtype=bool)
+        seen[tets] = True
+        seen[adj[adj >= 0]] = True
+        ids = np.flatnonzero(seen)
+        store = self.balls(ids)
+        slot_label = np.zeros(top + 1, dtype=np.int32)
+        slot_label[ids] = image.labels_at_many(store[ids, :3])
+        return store, slot_label
+
+
 class RefineDomain:
     """Shared refinement state + the rule engine."""
 
@@ -151,14 +227,11 @@ class RefineDomain:
         for v in self.tri.box_vertices:
             self.register_vertex(v, self.tri.mesh.points[v], VertexKind.BOX)
 
-        # The circumball store: row ``t`` is ``(cx, cy, cz, r, epoch)``
-        # of tet slot ``t``, current while ``epoch`` is the slot's.  The
-        # scalar ``circumball`` and the batch screen both read and fill
-        # it, so they cannot disagree on a centre or a radius.  A row is
-        # written in one piece; the lock (shared with the kind array)
-        # keeps a growing copy from tearing or losing a row another
-        # thread is writing.
-        self._cc = np.full((1024, 5), -1.0)
+        # The circumball store; the scalar and the batch reader are bound
+        # once, so a call is the store's own method, not a delegation.
+        self._balls = CircumballStore(self.tri.mesh)
+        self.circumball = self._balls.ball
+        self.circumballs = self._balls.balls
 
         # counters consumed by benchmarks / EXPERIMENTS.md
         self.n_insertions = 0
@@ -171,51 +244,10 @@ class RefineDomain:
     # ------------------------------------------------------------------
     # geometric helpers
     # ------------------------------------------------------------------
-    def circumball(self, t: int) -> Tuple[Tuple[float, float, float], float]:
-        """Circumcenter + circumradius of live tet ``t``, through the
-        circumball store."""
-        mesh = self.tri.mesh
-        epoch = mesh.tet_epoch[t]
-        store = self._cc
-        if t < len(store):
-            cx, cy, cz, r, stored = store[t].tolist()
-            if stored == epoch:
-                return (cx, cy, cz), r
-        pts = mesh.points
-        a, b, c, d = (pts[v] for v in mesh.tet_verts_arr[t].tolist())
-        try:
-            cc = circumcenter_tet(a, b, c, d)
-            dx, dy, dz = cc[0] - a[0], cc[1] - a[1], cc[2] - a[2]
-            r = math.sqrt(dx * dx + dy * dy + dz * dz)
-        except ZeroDivisionError:
-            cc = (
-                (a[0] + b[0] + c[0] + d[0]) / 4.0,
-                (a[1] + b[1] + c[1] + d[1]) / 4.0,
-                (a[2] + b[2] + c[2] + d[2]) / 4.0,
-            )
-            r = math.inf
-        with self._array_lock:
-            self._cc = store = _grown(self._cc, t + 1, -1.0)
-            store[t] = (cc[0], cc[1], cc[2], r, epoch)
-        return cc, r
-
-    def circumballs(self, tets: np.ndarray) -> np.ndarray:
-        """The circumball store, made current for the live tets ``tets``
-        (repeats allowed): row ``t`` is ``(cx, cy, cz, r, epoch)``.
-
-        Rows that are stale are computed in one batch, bit-identical to
-        what :meth:`circumball` would have stored.
-        """
-        mesh = self.tri.mesh
-        epoch = mesh.tet_epochs()
-        with self._array_lock:
-            self._cc = store = _grown(self._cc, mesh.tet_top, -1.0)
-            stale = tets[store[tets, 4] != epoch[tets]]
-            if stale.size:
-                quads = mesh.coords[mesh.tet_verts_arr[stale]]
-                store[stale, :3], store[stale, 3] = circumballs_many(quads)
-                store[stale, 4] = epoch[stale]
-        return store
+    @property
+    def _cc(self) -> np.ndarray:
+        """The circumball store's rows (see :class:`CircumballStore`)."""
+        return self._balls.rows
 
     def surface_distance(self, p: Sequence[float]) -> float:
         """Approximate distance from ``p`` to the isosurface.
@@ -268,16 +300,7 @@ class RefineDomain:
         verts = mesh.tet_verts_arr[tets]
         adj = mesh.tet_adj[tets]
         has_nbr = adj != HULL
-        # Circumballs, and the label at each centre, once per tet of the
-        # generation or face neighbour of one.  ``slot_label`` has a
-        # spare last entry for HULL (-1) to read.
-        seen = np.zeros(mesh.tet_top, dtype=bool)
-        seen[tets] = True
-        seen[adj[has_nbr]] = True
-        ids = np.flatnonzero(seen)
-        store = self.circumballs(ids)
-        slot_label = np.zeros(mesh.tet_top + 1, dtype=np.int32)
-        slot_label[ids] = self.image.labels_at_many(store[ids, :3])
+        store, slot_label = self._balls.centre_labels(self.image, tets, adj)
         c = store[tets, :3]
         r = store[tets, 3]
         label = slot_label[tets]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.domain import RefineDomain
 from repro.delaunay.mesh import FACE_OPPOSITE
 
 
@@ -49,19 +48,26 @@ class ExtractedMesh:
         return [tuple(self.vertices[v]) for v in self.boundary_faces[i]]
 
 
-def extract_mesh(domain: RefineDomain) -> ExtractedMesh:
-    """Collect the tetrahedra whose circumcenter lies inside the object.
+def extract_mesh(domain) -> ExtractedMesh:
+    """Collect the tetrahedra whose circumcenter lies inside the object,
+    labelled by the tissue there.  ``domain`` is anything with a
+    ``tri``, an ``image`` and the circumball store's ``circumballs``
+    (PI2M's :class:`RefineDomain`, the CGAL-like rule set)."""
+    live = domain.tri.mesh.live_tet_ids()
+    labels = domain.image.labels_at_many(domain.circumballs(live)[live, :3])
+    inside = labels != 0
+    return assemble_mesh(domain.tri.mesh, live[inside], labels[inside])
 
-    Tets come out in ascending slot order, vertices numbered by first
-    use, each tet's boundary faces in local-face order — an interface
+
+def assemble_mesh(mesh, kept: np.ndarray,
+                  tet_labels: np.ndarray) -> ExtractedMesh:
+    """The output mesh of the tet slots ``kept`` (ascending) of ``mesh``
+    with their non-zero ``tet_labels``.
+
+    Tets come out in ``kept`` order, vertices numbered by first use,
+    each tet's boundary faces in local-face order — an interface
     between two tissues once, from the lower tet id.
     """
-    mesh = domain.tri.mesh
-    live = mesh.live_tet_ids()
-    centers = domain.circumballs(live)[live, :3]
-    labels = domain.image.labels_at_many(centers)
-    inside = labels != 0
-    kept, tet_labels = live[inside], labels[inside]
     verts = mesh.tet_verts_arr[kept].astype(np.int64)
 
     used, first_use = np.unique(verts.ravel(), return_index=True)

@@ -307,7 +307,7 @@ def circumradii_many(quads: np.ndarray) -> np.ndarray:
 def circumballs_many(quads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Circumcentre ``(k, 3)`` and circumradius ``(k,)`` per tet.
 
-    The batch form of :meth:`repro.core.domain.RefineDomain.circumball`
+    The batch form of :meth:`repro.core.domain.CircumballStore.ball`
     and bit-identical to it lane for lane:
     :func:`repro.geometry.predicates.circumcenter_tet` term for term,
     the radius as the distance from the centre to the first vertex, and

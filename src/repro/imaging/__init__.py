@@ -15,7 +15,7 @@ provides everything the refinement needs from the imaging side:
 
 from repro.imaging.edt import EDTResult, euclidean_feature_transform
 from repro.imaging.image import SegmentedImage
-from repro.imaging.isosurface import SurfaceOracle, surface_voxel_mask
+from repro.imaging.isosurface import LabelRays, SurfaceOracle, surface_voxel_mask
 from repro.imaging.labelmaps import (
     compactify_labels,
     crop_to_foreground,
@@ -40,6 +40,7 @@ __all__ = [
     "SegmentedImage",
     "EDTResult",
     "euclidean_feature_transform",
+    "LabelRays",
     "SurfaceOracle",
     "surface_voxel_mask",
     "sphere_phantom",

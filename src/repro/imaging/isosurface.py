@@ -55,74 +55,13 @@ def surface_voxel_mask(image: SegmentedImage) -> np.ndarray:
     return fg & differs
 
 
-class SurfaceOracle:
-    """Answers closest-isosurface-point and surface-crossing queries.
-
-    Builds the surface-voxel feature transform once (the paper's EDT
-    pre-processing step) and then answers queries in roughly constant
-    time per query.
-    """
+class LabelRays:
+    """Label-only ray traversal of a segmented image: where a segment
+    first crosses an isosurface, read off the voxel labels alone (no
+    surface mask, no distance transform)."""
 
     def __init__(self, image: SegmentedImage):
         self.image = image
-        self.surface_mask = surface_voxel_mask(image)
-        if not self.surface_mask.any():
-            raise ValueError("image has no surface voxels (empty foreground?)")
-        self.edt: EDTResult = euclidean_feature_transform(
-            self.surface_mask, image.spacing
-        )
-
-    # ------------------------------------------------------------------
-    def nearest_surface_voxel(self, p: Sequence[float]) -> Point:
-        """World center of the surface voxel nearest to ``p``: the site
-        the EDT maps ``p``'s (clamped) voxel to."""
-        image = self.image
-        return image.voxel_center(
-            self.edt.nearest_site_index(image.voxel_of(p))
-        )
-
-    def nearest_surface_voxels(self, pts: np.ndarray) -> np.ndarray:
-        """:meth:`nearest_surface_voxel` for an ``(n, 3)`` array of
-        points, row for row the same floats: one gather on the feature
-        transform."""
-        image = self.image
-        origin = np.array(image.origin)
-        spacing = np.array(image.spacing)
-        rel = (np.asarray(pts, dtype=np.float64) - origin) / spacing
-        idx = np.clip(rel, 0.0, np.array(image.shape) - 1.0).astype(np.int64)
-        flat = self.edt.feature[idx[:, 0], idx[:, 1], idx[:, 2]]
-        site = np.stack(np.unravel_index(flat, image.shape), axis=1)
-        return origin + (site + 0.5) * spacing
-
-    def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
-        """A point on the isosurface close to ``p`` (Section 3's p-hat).
-
-        Walks the ray from ``p`` through the nearest surface voxel and
-        returns its first label crossing.  Returns ``None`` when no
-        crossing is found (degenerate query far outside the image).
-        """
-        q = self.nearest_surface_voxel(p)
-        d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
-        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        sp = self.image.spacing
-        overshoot = 2.0 * max(sp)
-        if length == 0.0:
-            # p sits exactly on a surface voxel center: a label change
-            # lies within one voxel in at least one axis direction (that
-            # is what makes the voxel a surface voxel).
-            for axis in range(3):
-                for sign in (1.0, -1.0):
-                    d = [0.0, 0.0, 0.0]
-                    d[axis] = sign * sp[axis]
-                    hit = self._first_crossing(
-                        p, d, 1.0 + overshoot / sp[axis]
-                    )
-                    if hit is not None:
-                        return hit
-            return None
-        # Extend past q: the actual label interface lies within one voxel
-        # of the surface voxel center.
-        return self._first_crossing(p, d, 1.0 + overshoot / length)
 
     def surface_crossing(self, a: Sequence[float], b: Sequence[float]
                          ) -> Optional[Point]:
@@ -263,3 +202,73 @@ class SurfaceOracle:
         if stz and (fz - stz - rz) / vz == t:
             pz = oz + (fz - stz) * sz
         return (px, py, pz)
+
+
+class SurfaceOracle(LabelRays):
+    """Answers closest-isosurface-point and surface-crossing queries.
+
+    Builds the surface-voxel feature transform once (the paper's EDT
+    pre-processing step) and then answers queries in roughly constant
+    time per query.
+    """
+
+    def __init__(self, image: SegmentedImage):
+        super().__init__(image)
+        self.surface_mask = surface_voxel_mask(image)
+        if not self.surface_mask.any():
+            raise ValueError("image has no surface voxels (empty foreground?)")
+        self.edt: EDTResult = euclidean_feature_transform(
+            self.surface_mask, image.spacing
+        )
+
+    # ------------------------------------------------------------------
+    def nearest_surface_voxel(self, p: Sequence[float]) -> Point:
+        """World center of the surface voxel nearest to ``p``: the site
+        the EDT maps ``p``'s (clamped) voxel to."""
+        image = self.image
+        return image.voxel_center(
+            self.edt.nearest_site_index(image.voxel_of(p))
+        )
+
+    def nearest_surface_voxels(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`nearest_surface_voxel` for an ``(n, 3)`` array of
+        points, row for row the same floats: one gather on the feature
+        transform."""
+        image = self.image
+        origin = np.array(image.origin)
+        spacing = np.array(image.spacing)
+        rel = (np.asarray(pts, dtype=np.float64) - origin) / spacing
+        idx = np.clip(rel, 0.0, np.array(image.shape) - 1.0).astype(np.int64)
+        flat = self.edt.feature[idx[:, 0], idx[:, 1], idx[:, 2]]
+        site = np.stack(np.unravel_index(flat, image.shape), axis=1)
+        return origin + (site + 0.5) * spacing
+
+    def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
+        """A point on the isosurface close to ``p`` (Section 3's p-hat).
+
+        Walks the ray from ``p`` through the nearest surface voxel and
+        returns its first label crossing.  Returns ``None`` when no
+        crossing is found (degenerate query far outside the image).
+        """
+        q = self.nearest_surface_voxel(p)
+        d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
+        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        sp = self.image.spacing
+        overshoot = 2.0 * max(sp)
+        if length == 0.0:
+            # p sits exactly on a surface voxel center: a label change
+            # lies within one voxel in at least one axis direction (that
+            # is what makes the voxel a surface voxel).
+            for axis in range(3):
+                for sign in (1.0, -1.0):
+                    d = [0.0, 0.0, 0.0]
+                    d[axis] = sign * sp[axis]
+                    hit = self._first_crossing(
+                        p, d, 1.0 + overshoot / sp[axis]
+                    )
+                    if hit is not None:
+                        return hit
+            return None
+        # Extend past q: the actual label interface lies within one voxel
+        # of the surface voxel center.
+        return self._first_crossing(p, d, 1.0 + overshoot / length)
