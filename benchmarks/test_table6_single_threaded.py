@@ -6,11 +6,15 @@ dihedral range and Hausdorff distance for the three meshers, with
 TetGen consuming the isosurface triangulation PI2M recovered.
 
 Expected shape: PI2M's rate beats the CGAL-like baseline on both
-inputs (the paper's claim; reported as an expected failure with the
-measured rates where this reproduction does not show it); PI2M/CGAL
-quality is comparable; the TetGen-like baseline's boundary planar
-angles are worse (no boundary planar-angle control).
-Wall-clock times are real (this bench does not use the simulator).
+inputs (the paper's claim, ``test_table6_rate_claim``: a strict
+expected failure on each input where this reproduction misses it, see
+EXPERIMENTS.md); PI2M/CGAL quality is comparable; the TetGen-like
+baseline's boundary planar angles are worse (no boundary planar-angle
+control).
+Wall-clock times are real (this bench does not use the simulator):
+after an untimed warm-up the three meshers are timed in interleaved
+rounds and each keeps its fastest, so neither the process's cold start
+nor a busy spell on the box is charged to one of them.
 """
 
 import time
@@ -25,46 +29,58 @@ from repro.metrics import hausdorff_distance, quality_report
 from repro.reporting import Table
 
 
+ROUNDS = 5
+
+
 def run_one_input(image, label):
     oracle = SurfaceOracle(image)
-    delta = 2.0 * image.min_spacing
-    rows = {}
+    h = image.min_spacing
 
-    t0 = time.perf_counter()
-    pi2m = mesh_image(image, delta=delta)
-    t_pi2m = time.perf_counter() - t0  # includes the EDT, like the paper
-    rows["PI2M"] = (pi2m.mesh, t_pi2m,
-                    hausdorff_distance(pi2m.mesh, image, oracle))
+    def run_pi2m():  # includes the EDT, like the paper
+        return mesh_image(image, delta=2.0 * h).mesh
+
+    # Untimed: the mesh that sizes both baselines, and the process's
+    # cold start (imports, the kernel's first call).
+    pi2m = run_pi2m()
 
     # The paper sets the baselines' sizing "to values that produced
     # meshes of similar size to ours, since generally, meshes with more
     # elements exhibit better quality and fidelity."  Calibrate the
     # CGAL-like parameters the same way: one probe run, then rescale.
     probe = CGALLikeMesher(
-        image,
-        facet_distance=0.8 * image.min_spacing,
-        cell_size=3.5 * image.min_spacing,
-    ).refine()
-    ratio = (probe.n_tets / max(1, pi2m.mesh.n_tets)) ** (1.0 / 3.0)
-    t0 = time.perf_counter()
-    cgal = CGALLikeMesher(
-        image,
-        facet_distance=0.8 * image.min_spacing * ratio,
-        cell_size=3.5 * image.min_spacing * ratio,
-    ).refine()
-    t_cgal = time.perf_counter() - t0
-    rows["CGAL-like"] = (cgal, t_cgal,
-                         hausdorff_distance(cgal, image, oracle))
+        image, facet_distance=0.8 * h, cell_size=3.5 * h).refine()
+    ratio = (probe.n_tets / max(1, pi2m.n_tets)) ** (1.0 / 3.0)
+
+    def run_cgal():
+        return CGALLikeMesher(
+            image,
+            facet_distance=0.8 * h * ratio,
+            cell_size=3.5 * h * ratio,
+        ).refine()
 
     lo, hi = image.foreground_bounds()
     seeds = [(tuple(0.5 * (lo[i] + hi[i]) for i in range(3)), 1)]
-    t0 = time.perf_counter()
-    tg = TetGenLikeMesher(
-        pi2m.mesh.vertices, pi2m.mesh.boundary_faces, seeds
-    ).refine()
-    t_tg = time.perf_counter() - t0
-    rows["TetGen-like"] = (tg, t_tg, None)  # PLC input: no Hausdorff row
-    return rows
+
+    def run_tetgen():
+        return TetGenLikeMesher(
+            pi2m.vertices, pi2m.boundary_faces, seeds).refine()
+
+    # Each round times the three meshers one after the other, so a busy
+    # spell on a shared box falls on all of them; every run of a mesher
+    # builds the same mesh, and its time is its fastest round.
+    best = {}
+    for _ in range(ROUNDS):
+        for name, run in (("PI2M", run_pi2m), ("CGAL-like", run_cgal),
+                          ("TetGen-like", run_tetgen)):
+            t0 = time.perf_counter()
+            mesh = run()
+            seconds = time.perf_counter() - t0
+            if name not in best or seconds < best[name][1]:
+                best[name] = (mesh, seconds)
+    return {name: (mesh, seconds,
+                   None if name == "TetGen-like"  # PLC input: no Hausdorff row
+                   else hausdorff_distance(mesh, image, oracle))
+            for name, (mesh, seconds) in best.items()}
 
 
 def render(rows, label):
@@ -97,10 +113,13 @@ def render(rows, label):
     return table.render(), reports
 
 
+_ROWS = {}  # input -> the rows its table test measured, for the rate claim
+
+
 @pytest.mark.benchmark(group="table6")
 def test_table6_knee(benchmark, knee, results_dir):
-    rows = benchmark.pedantic(run_one_input, args=(knee, "knee"),
-                              rounds=1, iterations=1)
+    rows = _ROWS["knee"] = benchmark.pedantic(
+        run_one_input, args=(knee, "knee"), rounds=1, iterations=1)
     text, reports = render(rows, "knee phantom")
     publish(results_dir, "table6_knee.txt", text)
     _assert_shape(rows, reports)
@@ -108,8 +127,8 @@ def test_table6_knee(benchmark, knee, results_dir):
 
 @pytest.mark.benchmark(group="table6")
 def test_table6_head_neck(benchmark, head_neck, results_dir):
-    rows = benchmark.pedantic(run_one_input, args=(head_neck, "head-neck"),
-                              rounds=1, iterations=1)
+    rows = _ROWS["head_neck"] = benchmark.pedantic(
+        run_one_input, args=(head_neck, "head-neck"), rounds=1, iterations=1)
     text, reports = render(rows, "head-neck phantom")
     publish(results_dir, "table6_head_neck.txt", text)
     _assert_shape(rows, reports)
@@ -127,14 +146,25 @@ def _assert_shape(rows, reports):
     assert reports["TetGen-like"].min_boundary_planar_angle_deg < min(
         reports[n].min_boundary_planar_angle_deg
         for n in ("PI2M", "CGAL-like"))
-    # The paper's claim: PI2M's rate beats CGAL's (by 40-300 %) at
-    # similar mesh sizes.  All three meshers run the same kernel, walk,
-    # circumball store, ray traversal and extractor, so this compares
-    # rule sets.  Where it does not hold the run is reported as an
-    # expected failure carrying the measured rates (EXPERIMENTS.md
-    # records them); it is not loosened to a fraction.
+
+
+# The paper's claim: PI2M's rate beats CGAL's (by 40-300 %) at similar
+# mesh sizes.  All three meshers run the same kernel, walk, circumball
+# store, ray traversal and extractor, so this compares rule sets, and on
+# them the claim is missed on both inputs (EXPERIMENTS.md, Table 6, has
+# the rates; ROADMAP item 5 is the open issue).  The assertion is the
+# claim itself, not a fraction of it; the marker is strict, so the run
+# fails the day an input starts to hold and the marker has to go.
+_MISSED = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="Table 6 rate claim not reproduced on the shared walk")
+
+
+@pytest.mark.parametrize("name", [pytest.param("knee", marks=_MISSED),
+                                  pytest.param("head_neck", marks=_MISSED)])
+def test_table6_rate_claim(name, request):
+    rows = _ROWS.get(name) or run_one_input(request.getfixturevalue(name), name)
     pi2m_rate = rows["PI2M"][0].n_tets / rows["PI2M"][1]
     cgal_rate = rows["CGAL-like"][0].n_tets / rows["CGAL-like"][1]
-    if not pi2m_rate > cgal_rate:
-        pytest.xfail(f"Table 6 rate claim not reproduced: PI2M "
-                     f"{pi2m_rate:.0f} tets/s vs CGAL-like {cgal_rate:.0f}")
+    assert pi2m_rate > cgal_rate, (
+        f"PI2M {pi2m_rate:.0f} tets/s vs CGAL-like {cgal_rate:.0f}")

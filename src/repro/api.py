@@ -413,8 +413,7 @@ class SimulatedMesher:
         )
 
 
-def _run_baseline(name: str, obs: Observability, mesher, t0: float,
-                  **extra_stats) -> MeshResult:
+def _run_baseline(name: str, obs: Observability, mesher, t0: float) -> MeshResult:
     """Refine ``mesher`` and build its ``MeshResult``: rate over the
     mesher's own ``stats.wall_time``, ``wall_seconds`` since ``t0``."""
     with obs.tracer.span(f"{name}.refine"):
@@ -432,7 +431,7 @@ def _run_baseline(name: str, obs: Observability, mesher, t0: float,
         mesh=extracted,
         mesher=name,
         stats={"operations": s.n_operations, "insertions": s.n_insertions,
-               "elements_per_second": rate, **extra_stats},
+               "elements_per_second": rate},
         metrics=obs.snapshot(),
         timings={"wall_seconds": wall, "refine_seconds": s.wall_time},
         extras={"obs": obs, "raw": mesher},
@@ -500,7 +499,8 @@ class TetGenLikeAdapter:
             plc.mesh.boundary_faces,
             seeds,
             radius_edge_bound=request.radius_edge_bound,
-        ), t0, plc_vertices=int(len(plc.mesh.vertices)))
+        ), t0)
+        result.stats["plc_vertices"] = int(len(plc.mesh.vertices))
         result.timings["plc_seconds"] = plc_seconds
         result.extras["plc"] = plc
         return result

@@ -146,10 +146,13 @@ class CGALLikeMesher(InsertOnlyRules):
         if c_surf is None:
             return None
         fa, fb, fc = (mesh.points[w] for w in sorted(mesh.face_opposite(t, i)))
-        # The angle first: a flat facet fails it and has no circumcenter.
-        if (triangle_min_angle(fa, fb, fc) < self.facet_angle
-                or math.dist(circumcenter_tri(fa, fb, fc), c_surf)
-                > self.facet_distance
+        if triangle_min_angle(fa, fb, fc) < self.facet_angle:
+            return c_surf
+        try:
+            fcc = circumcenter_tri(fa, fb, fc)
+        except ZeroDivisionError:  # flat facet an angle bound <= 0 let by
+            return c_surf
+        if (math.dist(fcc, c_surf) > self.facet_distance
                 or math.dist(c_surf, fa) > self.facet_size):
             return c_surf
         return None

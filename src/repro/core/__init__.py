@@ -16,7 +16,6 @@ the parallel refiners use them.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,21 +58,34 @@ def _mesh_image(
     bundle; when given, the domain build / refinement / extraction
     phases are traced and the refiner feeds the metrics registry.
     """
-    span = (obs.tracer.span if obs is not None
-            else lambda name: contextlib.nullcontext())
-    with span("domain_init"):
-        domain = RefineDomain(
-            image,
-            delta=delta,
-            size_function=size_function,
-            radius_edge_bound=radius_edge_bound,
-            planar_angle_bound_deg=planar_angle_bound_deg,
-        )
-    stats = SequentialRefiner(domain, max_operations=max_operations,
-                              obs=obs).refine()
-    with span("extract"):
+    tracer = obs.tracer if obs is not None else None
+    if tracer is not None and tracer.enabled:
+        with tracer.span("domain_init"):
+            domain = _make_domain(image, delta, size_function,
+                                  radius_edge_bound, planar_angle_bound_deg)
+    else:
+        domain = _make_domain(image, delta, size_function,
+                              radius_edge_bound, planar_angle_bound_deg)
+    refiner = SequentialRefiner(domain, max_operations=max_operations,
+                                obs=obs)
+    stats = refiner.refine()
+    if tracer is not None and tracer.enabled:
+        with tracer.span("extract"):
+            mesh = extract_mesh(domain)
+    else:
         mesh = extract_mesh(domain)
     return MeshingResult(mesh=mesh, stats=stats, domain=domain)
+
+
+def _make_domain(image, delta, size_function, radius_edge_bound,
+                 planar_angle_bound_deg) -> RefineDomain:
+    return RefineDomain(
+        image,
+        delta=delta,
+        size_function=size_function,
+        radius_edge_bound=radius_edge_bound,
+        planar_angle_bound_deg=planar_angle_bound_deg,
+    )
 
 
 __all__ = [

@@ -182,6 +182,21 @@ def test_cgal_like_builds_no_distance_transform(sphere, monkeypatch):
     assert res.ok and res.n_tets > 50
 
 
+def test_cgal_like_flat_facet_under_a_zero_angle_bound(sphere, monkeypatch):
+    # A collinear facet passes an angle bound <= 0 and has no
+    # circumcenter: it is refined at its surface center, not raised.
+    mesher = CGALLikeMesher(sphere, facet_angle_deg=0.0, cell_size=6.0)
+    mesher.refine()
+
+    def flat(*face):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr("repro.baselines.cgal_like.circumcenter_tri", flat)
+    hits = [mesher._bad_facet(t, i, sphere.label_at(mesher.circumball(t)[0]))
+            for t in mesher.tri.mesh.live_tets() for i in range(4)]
+    assert any(h is not None for h in hits)
+
+
 def test_tetgen_like_interiority_is_the_brute_force_answer(pi2m_surface):
     mesher = TetGenLikeMesher(pi2m_surface.vertices,
                               pi2m_surface.boundary_faces,
@@ -203,3 +218,4 @@ def test_tetgen_like_rate_is_the_fillers_own(sphere):
     assert res.stats["elements_per_second"] == pytest.approx(
         res.n_tets / t["refine_seconds"])
     assert res.extras["raw"].stats.n_insertions == res.stats["insertions"]
+    assert res.stats["plc_vertices"] == len(res.extras["plc"].mesh.vertices)

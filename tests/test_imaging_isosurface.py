@@ -1,7 +1,6 @@
 """Tests for surface-voxel detection and the SurfaceOracle queries."""
 
 import copy
-import hashlib
 import math
 import pickle
 
@@ -16,7 +15,6 @@ from repro.imaging import (
     LabelRays,
     SegmentedImage,
     SurfaceOracle,
-    abdominal_phantom,
     shell_phantom,
     sphere_phantom,
     surface_voxel_mask,
@@ -284,9 +282,10 @@ def test_traversal_matches_dense_sampling(case):
     d = tuple(0.25 * quarters * direction[c] * spacing[c] for c in range(3))
     b = tuple(a[c] + d[c] for c in range(3))
     hit = oracle.surface_crossing(a, b)
-    # The traversal reads labels only: the image-only base, with no
-    # surface mask or distance transform behind it, is the same method.
-    assert LabelRays(img).surface_crossing(a, b) == hit
+    # The traversal reads labels only: the oracle inherits it from the
+    # image-only base, which builds no surface mask and no transform.
+    assert (SurfaceOracle.surface_crossing is LabelRays.surface_crossing
+            and SurfaceOracle._first_crossing is LabelRays._first_crossing)
     if a == b:
         assert hit is None
         return
@@ -312,24 +311,6 @@ def test_traversal_matches_dense_sampling(case):
     assert hit is not None
     lo = ts[first - 1] if first else 0.0
     assert lo - 1e-9 <= t_hit <= ts[first] + 1e-9
-
-
-def test_traversal_moved_behind_the_base_bit_for_bit():
-    # 3,000 seeded segments through an anisotropic, offset image; the
-    # digest was recorded with ``SurfaceOracle.surface_crossing`` at the
-    # commit before the traversal moved to ``LabelRays``.
-    assert SurfaceOracle.surface_crossing is LabelRays.surface_crossing
-    assert SurfaceOracle._first_crossing is LabelRays._first_crossing
-    img = SegmentedImage(abdominal_phantom(20).labels,
-                         spacing=(1.0, 0.75, 2.5), origin=(-3.5, 10.0, 0.25))
-    lo = np.array(img.origin) - 4.0
-    hi = np.array(img.origin) + np.array(img.shape) * img.spacing + 4.0
-    ends = np.random.default_rng(22).uniform(lo, hi, (3000, 2, 3))
-    crossing = LabelRays(img).surface_crossing
-    hits = [crossing(tuple(a), tuple(b)) for a, b in ends.tolist()]
-    assert sum(h is not None for h in hits) == 1685
-    assert hashlib.sha256(repr(hits).encode()).hexdigest() == (
-        "2ca7264d9f05d5c080313853bb14a5e2da9af7d5d073e2d935c80cfd745cb014")
 
 
 def test_clipped_corner_is_the_first_crossing():
