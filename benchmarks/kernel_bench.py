@@ -22,9 +22,9 @@ workload replays its traffic:
   attempts the C kernel handed back (and why) and the seconds of Python
   glue per second spent inside C.
 
-plus the thread-scaling workload, and writes ``BENCH_kernels.json``
-(default: ``benchmarks/results/BENCH_kernels.json``, schema 3) holding
-the throughputs, the machine's CPU count, the committed pre-overhaul
+It writes ``BENCH_kernels.json`` (default:
+``benchmarks/results/BENCH_kernels.json``, schema 4) holding the
+throughputs, the machine's CPU count, the committed pre-overhaul
 baseline, and the accel/python speedups for every workload.
 
 ``--check-regression`` turns the run into a CI gate.  Absolute
@@ -55,8 +55,7 @@ from repro import _accel
 from repro.api import MeshRequest, mesh
 from repro.core.domain import RefineDomain, VertexKind
 from repro.delaunay import RemovalError, Triangulation3D
-from repro.imaging import abdominal_phantom, ball_grid_phantom
-from repro.parallel.threaded import _parallel_mesh_image
+from repro.imaging import abdominal_phantom
 
 # Every ctypes entry point the kernel dispatches on.  Disabling the
 # accelerator for a measurement must null ALL of them — each call site
@@ -118,21 +117,6 @@ PYTHON_FLOOR_INSERTS_PER_SECOND = 300.0
 REMOVAL_REFERENCE_SPEEDUP = 3.0
 # Batched insert_many vs the scalar accel loop on the reference machine.
 BATCH_REFERENCE_SPEEDUP = 1.2
-# Thread-scaling workload (per-thread commit arenas).  The scaling gate
-# is CPU-scaled: 4 refinement threads must reach 1.5x the single-thread
-# throughput, but only on machines with >= 4 CPUs — below that the GIL
-# plus the core count make the ratio meaningless, so the check runs
-# advisory (reported, never failing).
-THREAD_COUNTS = (1, 2, 4, 8)
-THREAD_SCALING_MIN_SPEEDUP_4 = 1.5
-# The commit-wait comparison is measured, not committed: the same
-# 4-thread workload runs once more with commits re-serialized on the
-# legacy global lock, and the arena run's wait share must not exceed
-# that same-machine baseline by more than this slack.
-WAIT_SHARE_SLACK = 0.05
-THREAD_DELTA = 1.5
-THREAD_SEED = 1
-
 N_POINTS = 400
 SEED = 7
 
@@ -240,61 +224,6 @@ def _measure_removals(repeats, use_accel):
     return n_removed / best, tri
 
 
-@contextmanager
-def _global_lock_commits():
-    """Re-serialize two-phase commits on the legacy global commit lock.
-
-    Bypasses the per-thread arenas (the allocator flag is cleared right
-    after they are built, so every commit falls back to the
-    ``_commit_lock`` path) to measure the pre-arena baseline on this
-    machine instead of trusting a committed reference number.
-    """
-    from repro.delaunay.mesh import MeshArrays
-
-    orig = MeshArrays.begin_thread_arenas
-
-    def patched(self, n):
-        arenas = orig(self, n)
-        self._arenas_on = False
-        return arenas
-
-    MeshArrays.begin_thread_arenas = patched
-    try:
-        yield
-    finally:
-        MeshArrays.begin_thread_arenas = orig
-
-
-def _measure_threaded(img, n_threads, repeats, global_lock=False):
-    """Best-of-``repeats`` threaded refinement of the ball-grid image."""
-    best = None
-    for _ in range(repeats):
-        if global_lock:
-            with _global_lock_commits():
-                res = _parallel_mesh_image(
-                    img, n_threads=n_threads, delta=THREAD_DELTA,
-                    seed=THREAD_SEED, timeout=240.0)
-        else:
-            res = _parallel_mesh_image(
-                img, n_threads=n_threads, delta=THREAD_DELTA,
-                seed=THREAD_SEED, timeout=240.0)
-        if best is None or res.wall_time < best.wall_time:
-            best = res
-    c = best.domain.tri.counters
-    wait = c.commit_wait_seconds
-    work = c.commit_work_seconds
-    share = wait / (wait + work) if (wait + work) > 0 else 0.0
-    return {
-        "operations_per_second": round(
-            best.totals["operations"] / best.wall_time, 1),
-        "tets_per_second": round(best.mesh.n_tets / best.wall_time, 1),
-        "wall_seconds": round(best.wall_time, 3),
-        "commits": c.commits,
-        "commit_wait_share": round(share, 4),
-        "rollbacks": int(best.totals["rollbacks"]),
-    }
-
-
 def _voxel_face_workload():
     """The service's traffic: what one refinement left behind.
 
@@ -395,31 +324,6 @@ def _voxel_face_section(fast, accel_available):
     return section
 
 
-def _thread_scaling_section(fast):
-    img = ball_grid_phantom(20, side=2)
-    repeats = 1 if fast else 2
-    threads = {}
-    for n in THREAD_COUNTS:
-        threads[str(n)] = _measure_threaded(img, n, repeats)
-    baseline4 = _measure_threaded(img, 4, repeats, global_lock=True)
-    t1 = threads["1"]["operations_per_second"]
-    t4 = threads["4"]["operations_per_second"]
-    n_cpus = os.cpu_count() or 1
-    return {
-        "workload": {"name": "ball-grid-2x2x2", "n": 20,
-                     "delta": THREAD_DELTA, "seed": THREAD_SEED,
-                     "repeats": repeats},
-        "cpus": n_cpus,
-        "threads": threads,
-        "global_lock_baseline_4": baseline4,
-        "speedup_4_over_1": round(t4 / t1, 2) if t1 else None,
-        "commit_wait_share_4": threads["4"]["commit_wait_share"],
-        "commit_wait_share_4_global_lock": baseline4["commit_wait_share"],
-        "min_speedup_4_over_1": THREAD_SCALING_MIN_SPEEDUP_4,
-        "gate_enforced": n_cpus >= 4,
-    }
-
-
 def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     repeats = 3 if fast else 7
     points = _workload()
@@ -493,11 +397,8 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     # --- the service's traffic: voxel-face points ---------------------
     voxel_face = _voxel_face_section(fast, accel_available)
 
-    # --- thread-scaling workload (per-thread commit arenas) ----------
-    thread_scaling = _thread_scaling_section(fast)
-
     doc = {
-        "schema": 3,
+        "schema": 4,
         "cpus": os.cpu_count() or 1,
         "workload": {
             "name": "insert-uniform-box",
@@ -526,7 +427,6 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         "removal": removal,
         "batch": batch,
         "voxel_face": voxel_face,
-        "thread_scaling": thread_scaling,
     }
 
     output = pathlib.Path(output)
@@ -560,46 +460,11 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         print(f"voxel faces : {vf['inserts_per_second']:>10,.1f} inserts/s "
               f"{vf['removals_per_second']:,.1f} removals/s ({kernel})"
               + extra)
-    ts = thread_scaling
-    row = "  ".join(
-        f"{n}t {ts['threads'][str(n)]['operations_per_second']:,.0f} op/s"
-        for n in THREAD_COUNTS
-    )
-    print(f"threads     : {row}")
-    print(f"  4t speedup {ts['speedup_4_over_1']}x over 1t "
-          f"(gate {'enforced' if ts['gate_enforced'] else 'advisory'}, "
-          f"{ts['cpus']} cpus); commit-wait share "
-          f"{ts['commit_wait_share_4']:.3f} arenas vs "
-          f"{ts['commit_wait_share_4_global_lock']:.3f} global-lock")
     print(f"wrote {output}")
 
     if not check_regression:
         return 0
 
-    # --- thread-scaling gate (CPU-scaled; advisory below 4 CPUs) -----
-    scaling_failed = False
-    sp4 = ts["speedup_4_over_1"] or 0.0
-    if sp4 < THREAD_SCALING_MIN_SPEEDUP_4:
-        msg = (f"thread scaling: 4-thread speedup {sp4:.2f}x is below "
-               f"{THREAD_SCALING_MIN_SPEEDUP_4}x")
-        if ts["gate_enforced"]:
-            print(f"REGRESSION: {msg}", file=sys.stderr)
-            scaling_failed = True
-        else:
-            print(f"advisory ({ts['cpus']} cpus): {msg}")
-    wait4 = ts["commit_wait_share_4"]
-    wait_base = ts["commit_wait_share_4_global_lock"]
-    if wait4 > wait_base + WAIT_SHARE_SLACK:
-        msg = (f"commit-wait share {wait4:.3f} with arenas exceeds the "
-               f"global-lock baseline {wait_base:.3f} (+{WAIT_SHARE_SLACK} "
-               f"slack)")
-        if ts["gate_enforced"]:
-            print(f"REGRESSION: {msg}", file=sys.stderr)
-            scaling_failed = True
-        else:
-            print(f"advisory ({ts['cpus']} cpus): {msg}")
-    if scaling_failed:
-        return 1
     if accel_available:
         failed = False
         floor = GATE_FRACTION * REFERENCE_SPEEDUP

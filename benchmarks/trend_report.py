@@ -82,11 +82,6 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
         # schema 2: vertex-removal and batched-insertion workloads
         "removal_speedup": doc.get("removal", {}).get("speedup"),
         "batch_speedup": doc.get("batch", {}).get("speedup"),
-        # schema 3: thread-scaling workload (per-thread commit arenas)
-        "threads_speedup_4":
-            doc.get("thread_scaling", {}).get("speedup_4_over_1"),
-        "commit_wait_share_4":
-            doc.get("thread_scaling", {}).get("commit_wait_share_4"),
         # since PR 18: the machine, and the voxel-face replay
         "cpus": doc.get("cpus"),
         "voxel_face_inserts_per_second": voxel_face.get("inserts_per_second"),
@@ -328,9 +323,8 @@ def render(history: list, drift_threshold: float) -> str:
         "kernel benchmark trend (insert-uniform-box)",
         "",
         f"{'label':<24} {'python ips':>12} {'accel ips':>12} "
-        f"{'speedup':>8} {'rm x':>7} {'batch x':>7} {'thr x':>6} "
-        f"{'wait':>6}  note",
-        "-" * 102,
+        f"{'speedup':>8} {'rm x':>7} {'batch x':>7}  note",
+        "-" * 88,
     ]
     window = _baseline_window(history)
     best = max((r.get("speedup") or 0.0 for r in window), default=0.0)
@@ -366,9 +360,7 @@ def render(history: list, drift_threshold: float) -> str:
             f"{_fmt(r.get('python_inserts_per_second'), 12)} "
             f"{_fmt(r.get('accel_inserts_per_second'), 12)} "
             f"{_fmt(speedup, 8, 2)} {_fmt(rm, 7, 2)} "
-            f"{_fmt(r.get('batch_speedup'), 7, 2)} "
-            f"{_fmt(r.get('threads_speedup_4'), 6, 2)} "
-            f"{_fmt(r.get('commit_wait_share_4'), 6, 3)}  {note}"
+            f"{_fmt(r.get('batch_speedup'), 7, 2)}  {note}"
         )
     if not history:
         lines.append("(no history recorded yet)")

@@ -241,12 +241,10 @@ class AccelScratch:
         self._args_many = None  # rebuilt lazily (batch buffers)
         self._args_remove = None
 
-    def _fill_window(self, mesh, n_free_total: int, free_list=None) -> int:
-        if free_list is None:
-            free_list = mesh._free_tets
+    def _fill_window(self, mesh, n_free_total: int) -> int:
         n_avail = n_free_total if n_free_total < _FREE_CAP else _FREE_CAP
         if n_avail:
-            self.free_top[:n_avail] = free_list[-n_avail:][::-1]
+            self.free_top[:n_avail] = mesh._free_tets[-n_avail:][::-1]
         return n_avail
 
     def insert(self, mesh, px, py, pz, seed_tet, rng_state, gen, vnew,
@@ -273,19 +271,12 @@ class AccelScratch:
         return bw_insert(*self._args)
 
     def commit(self, mesh, px, py, pz, gen, vnew, n_free_total,
-               cavity, boundary_codes, tail=None, cap=None,
-               free_list=None) -> int:
-        """Commit a precomputed cavity (two-phase path); BW_* status.
+               cavity, boundary_codes) -> int:
+        """Commit a precomputed cavity (speculative path); BW_* status.
 
         ``cavity`` is the list of cavity tet ids, ``boundary_codes`` the
         ``t*4+i`` codes in the Python kernel's emission order.  Returns
         ``RETRY`` without calling C when the cavity exceeds the scratch.
-
-        ``tail``/``cap``/``free_list`` override where fresh slots come
-        from: per-thread arena commits pass the arena's chunk cursor,
-        chunk end and private free list, so the kernel allocates only
-        from slots this thread owns (it RETRYs instead of writing at or
-        past ``cap``).  Defaults are the mesh-global tail and free list.
         """
         ncav = len(cavity)
         nb = len(boundary_codes)
@@ -299,12 +290,12 @@ class AccelScratch:
         in_f[0] = px
         in_f[1] = py
         in_f[2] = pz
-        n_avail = self._fill_window(mesh, n_free_total, free_list)
+        n_avail = self._fill_window(mesh, n_free_total)
         in_i = self.in_i
         in_i[0] = gen
         in_i[1] = vnew
-        in_i[2] = mesh.tet_top if tail is None else tail
-        in_i[3] = self._adj.shape[0] if cap is None else cap
+        in_i[2] = mesh.tet_top
+        in_i[3] = self._adj.shape[0]
         in_i[4] = n_avail
         in_i[5] = n_free_total
         in_i[6] = _TABLE_CAP

@@ -11,9 +11,9 @@
  *                    ctypes crossing; stops (with progress) at the
  *                    first point it cannot finish conclusively.
  * - bw_commit        validation + closure + commit of a cavity the
- *                    caller already computed (the two-phase speculative
- *                    path: Python acquires every vertex lock first,
- *                    then this commits lock-free).
+ *                    caller already computed (the speculative path:
+ *                    Python grows the cavity under vertex locks, then
+ *                    calls this holding the commit lock).
  * - bw_remove        one sequential vertex removal, start to finish:
  *                    ball, hole boundary, sorted link, gift-wrap fill,
  *                    fill verification, slot allocation, commit.
@@ -530,8 +530,8 @@ int64_t bw_insert(const double *coords, int32_t *tv, int32_t *adj,
     return code;
 }
 
-/* Commit a cavity the caller already computed and lock-validated (the
- * two-phase speculative path).  cav holds ncav cavity tet ids, bnd the
+/* Commit a cavity the caller already computed under vertex locks (the
+ * speculative path).  cav holds ncav cavity tet ids, bnd the
  * nb boundary codes (tt*4+i) in Python's emission order.
  *
  * in_f:  [px, py, pz]

@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.extract import ExtractedMesh
 from repro.imaging.image import SegmentedImage
 from repro.observability import Observability, ObservabilityConfig
+from repro.runtime import CM_NAMES, LB_NAMES
 
 #: Mesher names accepted by :class:`MeshRequest` / :func:`get_mesher`.
 MESHER_NAMES = (
@@ -157,6 +158,11 @@ class MeshRequest:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
         if self.delta is not None and self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        for knob, names in (("cm", CM_NAMES), ("lb", LB_NAMES)):
+            value = getattr(self, knob)
+            if not isinstance(value, str) or value.lower() not in names:
+                raise ValueError(
+                    f"{knob} must be one of {names}, got {value!r}")
         s = self.shards
         if s is not None:
             if s != "auto" and (not isinstance(s, int)
@@ -323,6 +329,8 @@ class ThreadedMesher:
             n_threads=request.n_threads,
             delta=request.delta,
             size_function=request.size_function,
+            radius_edge_bound=request.radius_edge_bound,
+            planar_angle_bound_deg=request.planar_angle_bound_deg,
             cm=request.cm,
             lb=request.lb,
             seed=request.seed,

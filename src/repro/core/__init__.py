@@ -32,6 +32,7 @@ from repro.core.sizing import (
     unconstrained,
 )
 from repro.imaging.image import SegmentedImage
+from repro.observability import NULL_TRACER
 
 
 @dataclass
@@ -58,34 +59,21 @@ def _mesh_image(
     bundle; when given, the domain build / refinement / extraction
     phases are traced and the refiner feeds the metrics registry.
     """
-    tracer = obs.tracer if obs is not None else None
-    if tracer is not None and tracer.enabled:
-        with tracer.span("domain_init"):
-            domain = _make_domain(image, delta, size_function,
-                                  radius_edge_bound, planar_angle_bound_deg)
-    else:
-        domain = _make_domain(image, delta, size_function,
-                              radius_edge_bound, planar_angle_bound_deg)
+    tracer = obs.tracer if obs is not None else NULL_TRACER
+    with tracer.span("domain_init"):
+        domain = RefineDomain(
+            image,
+            delta=delta,
+            size_function=size_function,
+            radius_edge_bound=radius_edge_bound,
+            planar_angle_bound_deg=planar_angle_bound_deg,
+        )
     refiner = SequentialRefiner(domain, max_operations=max_operations,
                                 obs=obs)
     stats = refiner.refine()
-    if tracer is not None and tracer.enabled:
-        with tracer.span("extract"):
-            mesh = extract_mesh(domain)
-    else:
+    with tracer.span("extract"):
         mesh = extract_mesh(domain)
     return MeshingResult(mesh=mesh, stats=stats, domain=domain)
-
-
-def _make_domain(image, delta, size_function, radius_edge_bound,
-                 planar_angle_bound_deg) -> RefineDomain:
-    return RefineDomain(
-        image,
-        delta=delta,
-        size_function=size_function,
-        radius_edge_bound=radius_edge_bound,
-        planar_angle_bound_deg=planar_angle_bound_deg,
-    )
 
 
 __all__ = [

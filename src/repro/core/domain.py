@@ -519,10 +519,14 @@ class RefineDomain:
         ]
         for v in victims:
             if not self.tri.mesh.alive_vertex[v]:
-                self.forget_vertex(v)
-                continue
+                continue  # a peer removed it since the query
             try:
-                new_tets, killed = self.tri.remove_vertex(v, touch=touch)
+                # Forgotten at the commit, before the slot is freed: a
+                # peer thread may be handed the slot, and register its
+                # own vertex there, the moment the removal commits.
+                new_tets, killed = self.tri.remove_vertex(
+                    v, touch=touch,
+                    on_commit=lambda v=v: self.forget_vertex(v))
             except RemovalError:
                 self.n_skipped += 1
                 continue
@@ -534,7 +538,6 @@ class RefineDomain:
                 result.r6_conflicts += 1
                 continue
             self.n_removals += 1
-            self.forget_vertex(v)
             result.removed_vertices.append(v)
             dead = set(killed)
             result.new_tets = [x for x in result.new_tets if x not in dead]

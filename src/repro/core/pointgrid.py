@@ -107,7 +107,9 @@ class PointGrid:
                     cell = cells.get((ix, iy, iz))
                     if not cell:
                         continue
-                    for vid, q in cell.items():
+                    # A copy: refinement threads share the grid, and a
+                    # dict that grows while it is iterated raises.
+                    for vid, q in list(cell.items()):
                         dx = q[0] - p[0]
                         dy = q[1] - p[1]
                         dz = q[2] - p[2]
@@ -129,7 +131,7 @@ class PointGrid:
                     cell = cells.get((ix, iy, iz))
                     if not cell:
                         continue
-                    for vid, q in cell.items():
+                    for vid, q in list(cell.items()):  # see query_ball
                         if vid == exclude:
                             continue
                         dx = q[0] - p[0]

@@ -44,7 +44,10 @@ is already owned by another thread the callback raises
 :class:`RollbackSignal`, the operation unwinds without having mutated
 anything, and the caller rolls back (paper Section 4.2).  All mutation is
 deferred until the read phase has fully succeeded, which is what makes
-rollbacks free of side effects.
+rollbacks free of side effects; it then happens under one commit lock,
+so concurrent operations share the allocator and the scratch buffers
+without racing (their geometry is disjoint: each holds its own
+vertices).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import itertools
 import math
 import threading
 import time
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -85,19 +89,14 @@ class RollbackSignal(Exception):
     """Raised by a touch callback to abort an operation without side effects.
 
     Carries the id of the thread that owns the contended vertex so the
-    contention manager can record the dependency (``conflicting_id``),
-    plus a ``reason`` tag distinguishing lock contention from
-    optimistic-read aborts and post-lock validation failures.  Raisers
-    chain the underlying exception (``raise ... from exc``) so an
-    ``IndexError`` from a torn optimistic read keeps its provenance in
-    tracebacks instead of being masked.
+    contention manager can record the dependency (``conflicting_id``);
+    ``-1`` when the operation lost a race with a commit instead of a
+    lock (the element it read changed under it).
     """
 
-    def __init__(self, owner: int = -1, reason: str = "contention"):
-        super().__init__(
-            f"rollback ({reason}): vertex owned by thread {owner}")
+    def __init__(self, owner: int = -1):
+        super().__init__(f"rollback: vertex owned by thread {owner}")
         self.owner = owner
-        self.reason = reason
 
 
 class PointLocationError(Exception):
@@ -132,8 +131,6 @@ class KernelCounters:
         "accel_batch_calls", "accel_batch_inserts",
         "accel_removals", "accel_remove_retries",
         "commits", "commit_wait_seconds", "commit_work_seconds",
-        "rollbacks_optimistic", "rollbacks_contention",
-        "rollbacks_validation",
         "accel_retry_reasons",
     )
 
@@ -281,15 +278,11 @@ class Triangulation3D:
         self._cav_tag: List[int] = []
         self._cav_gen = itertools.count(2, 2)
         self.counters = KernelCounters()
-        # Lazily allocated scratch for the optional C insertion kernel.
+        # Lazily allocated scratch for the optional C kernels.
         self._acc = None
-        # Serializes mesh mutation when speculative threads commit; the
-        # sequential paths never take it.
+        # Serializes mesh mutation (store, allocator, C scratch) when
+        # speculative threads commit; the sequential paths never take it.
         self._commit_lock = threading.Lock()
-        # Two-phase speculative insertion (acquire all locks up front,
-        # then commit lock-free in C).  Enabled by the threaded driver.
-        self._two_phase = False
-        self._tls = threading.local()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -521,13 +514,28 @@ class Triangulation3D:
         self.counters.cc_computed += 1
         return e
 
+    def _size_cavity_scratch(self) -> None:
+        """Make the cavity tags cover every allocated slot.  A
+        speculative commit calls this before it releases
+        ``_commit_lock``: peers index the shared tags by tet id, and can
+        reach its new slots once its vertex locks are gone."""
+        tag = self._cav_tag
+        short = self.mesh.tet_top - len(tag)
+        if short > 0:
+            tag.extend([0] * (short + 1024))
+
     def compute_cavity(self, p: Sequence[float], hint: Optional[int] = None,
                        touch: TouchFn = None
                        ) -> Tuple[List[int], List[Tuple[int, int]]]:
         """Conflict region of ``p``: cavity tets + boundary (tet, face) pairs.
 
-        Purely a read operation; safe to abandon at any point.  The
-        conflict rule is *strict* (``insphere > 0``): cospherical ties stay
+        Purely a read operation; safe to abandon at any point.  With
+        ``touch``, every vertex of a tet is locked before the tet is
+        tested, so the cavity and its one-ring are frozen by the time
+        this returns (an operation that would change either must lock
+        three vertices held here) and a lost lock unwinds with nothing
+        mutated.  The conflict rule is *strict* (``insphere > 0``):
+        cospherical ties stay
         outside the cavity, which yields degenerate-but-valid new elements
         instead of corrupting the cavity's star-shapedness.  A located tet
         that is not in strict conflict means ``p`` duplicates an existing
@@ -541,16 +549,27 @@ class Triangulation3D:
         """
         mesh = self.mesh
         pts = mesh.points
-        t0 = self.locate(p, hint, touch)
-        tva = mesh.tet_verts_arr
-        v0 = tva[t0].tolist()
+        # The walk takes no lock, so on real threads it can cross a
+        # commit in flight: a face not wired yet, a row naming a vertex
+        # not stored yet, a tet that dies before its vertices are held.
+        # Each is a lost race; the caller retries.
+        try:
+            t0 = self.locate(p, hint)
+        except (IndexError, PointLocationError) as exc:
+            if touch is None:
+                raise
+            raise RollbackSignal(owner=-1) from exc
+        v0 = mesh.tet_verts_arr[t0].tolist()
         if touch is not None:
+            if min(v0) < 0:
+                raise RollbackSignal(owner=-1)
             for v in v0:
                 touch(v)
-            if tva[t0].tolist() != v0:
-                # The seed died between location and locking: treat like
-                # a conflict and let the caller retry the element.
+            if mesh.tet_verts_arr[t0].tolist() != v0:
                 raise RollbackSignal(owner=-1)
+        # Fetched under t0's locks: a growth that replaces the arrays
+        # later copies every row this search reads unchanged.
+        tva = mesh.tet_verts_arr
         px = p[0]
         py = p[1]
         pz = p[2]
@@ -597,9 +616,8 @@ class Triangulation3D:
 
         # Epoch-tagged scratch instead of per-call sets.
         tag = self._cav_tag
-        n_slots = mesh.tet_top
-        if len(tag) < n_slots:
-            tag.extend([0] * (n_slots - len(tag) + 1024))
+        if len(tag) < mesh.tet_top:
+            self._size_cavity_scratch()
             counters.scratch_grows += 1
         else:
             counters.scratch_reuses += 1
@@ -681,25 +699,29 @@ class Triangulation3D:
         face.  Raises :class:`PointLocationError` if ``p`` is outside the
         virtual box.
 
-        Dispatch: sequential inserts (no ``touch`` callback) run through
-        the compiled C kernel when available; any insertion it cannot
-        decide with conclusive floating point filters is retried — with
-        zero mutation having happened — on the pure-Python path below,
-        whose exact-arithmetic fallback always concludes.  Both paths
-        replicate the same traversal and allocation orders, so the
-        resulting meshes are bit-identical (tests/test_kernel_parity.py).
+        Dispatch: a sequential insert (no ``touch`` callback) is one
+        call of the compiled C kernel when available; a speculative one
+        (real threads and the simulator alike) grows its cavity in
+        :meth:`compute_cavity`, locking as it goes, and commits under
+        ``_commit_lock`` through the C commit.  Whatever either C
+        routine cannot decide with conclusive floating point filters is
+        redone — with zero mutation having happened — by the pure-Python
+        code below, whose exact-arithmetic fallback always concludes.
+        All routes replicate the same traversal and allocation orders,
+        so the resulting meshes are bit-identical
+        (tests/test_kernel_parity.py).
         """
         if not self.inside_domain(p):
             raise PointLocationError(
                 f"point {tuple(p)} outside the virtual bounding simplex"
             )
-        if touch is None and _accel.bw_insert is not None:
+        if touch is not None:
+            return self._insert_point_locked(p, hint, touch)
+        if _accel.bw_insert is not None:
             result = self._insert_point_c(p, hint)
             if result is not None:
                 return result
-        elif touch is not None and self._two_phase:
-            return self._insert_point_two_phase(p, hint, touch)
-        return self._insert_point_py(p, hint, touch)
+        return self._insert_point_py(p, hint)
 
     def _insert_point_c(self, p: Sequence[float], hint: Optional[int]
                         ) -> Optional[Tuple[int, List[int], List[int]]]:
@@ -786,256 +808,67 @@ class Triangulation3D:
         return vnew, new_tets, cavity
 
     # ------------------------------------------------------------------
-    # two-phase speculative insertion (threaded fast path)
+    # speculative insertion (the paper's protocol, Section 4.2)
     # ------------------------------------------------------------------
-    def _compute_cavity_optimistic(self, p: Sequence[float],
-                                   hint: Optional[int]):
-        """Lock-free cavity computation for the two-phase threaded path.
-
-        Reads the mesh without holding any vertex lock, recording every
-        vertex seen (the lock set to acquire) and every tet whose
-        in-conflict status was decided, together with the tet's epoch at
-        read time.  The caller acquires all locks, then re-validates
-        each ``(tet, epoch)`` pair: a tet killed since shows a negative
-        row, a recycled slot a bumped epoch — either invalidates the
-        speculation.  Torn reads can only produce a *wrong* cavity,
-        never a crash: rows hold valid vertex ids or ``-1`` at every
-        instant, and any structural inconsistency surfaces as an index
-        or location error mapped to :class:`RollbackSignal`.
-
-        Returns ``(cavity, boundary, vlist, tested)``; ``cavity`` is
-        ``None`` when the located tet is not in strict conflict (a
-        duplicate point — the caller decides after validation whether it
-        was genuine).  The circumsphere cache is deliberately bypassed:
-        writing it without the row locked could publish a stale entry.
+    def _insert_point_locked(self, p: Sequence[float], hint: Optional[int],
+                             touch: TouchFn
+                             ) -> Tuple[int, List[int], List[int]]:
+        """Cavity under vertex locks, then the commit under
+        ``_commit_lock``: in C when the accelerator is loaded, in Python
+        when it is not or the kernel could not conclude — under the same
+        held locks either way, so no half-committed cavity is ever
+        exposed.  The wait for the lock and the work under it are
+        counted apart (``commit_wait_seconds`` / ``commit_work_seconds``).
         """
-        mesh = self.mesh
-        pts = mesh.points
-        tva = mesh.tet_verts_arr
-        tet_adj = mesh.tet_adj
-        epoch = mesh.tet_epoch
-        tls = self._tls
-        tag = getattr(tls, "tag", None)
-        if tag is None:
-            tag = tls.tag = []
-        try:
-            t0 = self.locate(p, hint)
-            n_slots = mesh.tet_top
-            if len(tag) < n_slots:
-                tag.extend([0] * (n_slots - len(tag) + 1024))
-            gen = next(self._cav_gen)
-            genout = gen + 1
-            e0 = epoch[t0]  # epoch before row: recycling bumps the epoch
-            v0 = tva[t0].tolist()
-            # Reject any negative id, not just a dead row: rows are
-            # written front to back, so a torn read of a slot being
-            # populated always shows a -1 suffix.
-            if v0[0] < 0 or v0[1] < 0 or v0[2] < 0 or v0[3] < 0:
-                raise RollbackSignal(owner=-1, reason="optimistic-read")
-            tested = [(t0, e0)]
-            vlist = list(v0)
-            vseen = set(v0)
-            s0 = insphere(pts[v0[0]], pts[v0[1]], pts[v0[2]], pts[v0[3]], p)
-            if s0 <= 0:
-                return None, None, vlist, tested
-            cavity = [t0]
-            tag[t0] = gen
-            boundary: List[Tuple[int, int]] = []
-            stack = [t0]
-            while stack:
-                t = stack.pop()
-                row = tet_adj[t].tolist()
-                for i in range(4):
-                    nbr = row[i]
-                    if nbr < 0:  # HULL
-                        boundary.append((t, i))
-                        continue
-                    if nbr >= len(tag):
-                        tag.extend([0] * (nbr - len(tag) + 1024))
-                    tg = tag[nbr]
-                    if tg == gen:
-                        continue
-                    if tg == genout:
-                        boundary.append((t, i))
-                        continue
-                    e = epoch[nbr]
-                    nverts = tva[nbr].tolist()
-                    if (nverts[0] < 0 or nverts[1] < 0
-                            or nverts[2] < 0 or nverts[3] < 0):
-                        raise RollbackSignal(owner=-1,
-                                             reason="optimistic-read")
-                    tested.append((nbr, e))
-                    for w in nverts:
-                        if w not in vseen:
-                            vseen.add(w)
-                            vlist.append(w)
-                    s = insphere(pts[nverts[0]], pts[nverts[1]],
-                                 pts[nverts[2]], pts[nverts[3]], p)
-                    if s > 0:
-                        tag[nbr] = gen
-                        cavity.append(nbr)
-                        stack.append(nbr)
-                    else:
-                        tag[nbr] = genout
-                        boundary.append((t, i))
-            return cavity, boundary, vlist, tested
-        except (IndexError, PointLocationError) as exc:
-            # Chain the cause: a torn read surfacing as IndexError keeps
-            # its provenance instead of being masked by ``from None``.
-            raise RollbackSignal(owner=-1, reason="optimistic-read") from exc
-
-    def _insert_point_two_phase(self, p: Sequence[float],
-                                hint: Optional[int], touch: TouchFn
-                                ) -> Tuple[int, List[int], List[int]]:
-        """Speculative insertion: optimistic read, acquire-all, commit.
-
-        Phase 1 computes the cavity without holding a single lock, then
-        acquires every vertex lock up front; contention raises
-        :class:`RollbackSignal` from ``touch`` with no lock-state of our
-        own to unwind (the worker releases whatever was acquired).
-        Phase 2 re-validates the recorded ``(tet, epoch)`` pairs — any
-        concurrent conflicting operation must have locked at least three
-        of the vertices we now hold, so a successful validation cannot
-        go stale — and commits, through the C kernel when available (the
-        pre-validated cavity makes the commit a straight-line array
-        transform), falling back to the Python commit on an inconclusive
-        filter.
-
-        With a per-thread allocation arena installed (threaded driver),
-        commits from threads holding disjoint lock sets run concurrently:
-        slot allocation is arena-private and the only shared section is
-        the resize gate's reader entry.  Without an arena (direct
-        two-phase callers), the commit serializes on ``_commit_lock`` as
-        before.
-        """
-        counters = self.counters
-        try:
-            cavity, boundary, vlist, tested = \
-                self._compute_cavity_optimistic(p, hint)
-        except RollbackSignal:
-            counters.rollbacks_optimistic += 1
-            raise
-        try:
-            for v in vlist:
-                touch(v)
-        except RollbackSignal:
-            counters.rollbacks_contention += 1
-            raise
-        mesh = self.mesh
-        tva = mesh.tet_verts_arr
-        epoch = mesh.tet_epoch
-        for t, e in tested:
-            if tva[t, 0] < 0 or epoch[t] != e:
-                counters.rollbacks_validation += 1
-                raise RollbackSignal(owner=-1, reason="validation")
-        if cavity is None:
-            # Validated under locks: the duplicate was genuine.
-            raise InsertionError(
-                f"point {tuple(p)} duplicates an existing vertex"
-            )
-        counters.cavity_calls += 1
-        counters.cavity_tets += len(cavity)
-        arena = mesh.current_alloc_arena()
+        cavity, boundary = self.compute_cavity(p, hint, touch)
         t0 = time.perf_counter()
-        if arena is None:
-            with self._commit_lock:
-                t1 = time.perf_counter()
-                result = None
-                if _accel.bw_commit is not None:
-                    result = self._commit_insertion_c(p, cavity, boundary)
-                if result is None:
-                    result = self._commit_insertion(p, cavity, boundary)
-        else:
-            # Capacity first (chunk refills may grow arrays, which takes
-            # the gate exclusively), then enter the gate shared and
-            # commit concurrently with other arena-backed threads.
-            mesh.ensure_arena_capacity(arena, n_tets=len(boundary),
-                                       n_verts=1)
-            gate = mesh.resize_gate
-            gate.acquire_shared()
+        with self._commit_lock:
             t1 = time.perf_counter()
-            try:
-                result = None
-                if _accel.bw_commit is not None:
-                    result = self._commit_insertion_c(p, cavity, boundary,
-                                                      arena)
-                if result is None:
-                    result = self._commit_insertion(p, cavity, boundary)
-            finally:
-                gate.release_shared()
+            result = None
+            if _accel.bw_commit is not None:
+                result = self._commit_insertion_c(p, cavity, boundary)
+            if result is None:
+                result = self._commit_insertion(p, cavity, boundary)
+            self._size_cavity_scratch()
+        counters = self.counters
         counters.commits += 1
         counters.commit_wait_seconds += t1 - t0
         counters.commit_work_seconds += time.perf_counter() - t1
         return result
 
     def _commit_insertion_c(self, p: Sequence[float], cavity: List[int],
-                            boundary: List[Tuple[int, int]],
-                            arena=None
+                            boundary: List[Tuple[int, int]]
                             ) -> Optional[Tuple[int, List[int], List[int]]]:
-        """Commit a pre-validated cavity through the C kernel.
-
-        Caller holds every vertex lock of the cavity's closure, plus
-        either ``_commit_lock`` (no arena: commits serialized) or a
-        shared hold on the resize gate with ``arena`` installed (slot
-        allocation arena-private, commits concurrent).  Returns ``None``
-        on an inconclusive orientation filter (caller falls back to the
-        Python commit, still under the same locks — no lock is dropped
-        across the retry).  Uses per-thread scratch so concurrent
-        speculative threads never share buffers.
-
-        Arena-mode ordering, load-bearing for lock-free readers: the
-        new vertex's coordinates are published *before* the C kernel
-        writes any row naming it, and the epoch of every slot the kernel
-        may populate is bumped *before* the row write — so an optimistic
-        reader either never sees the new rows or fails validation.
+        """Commit a cavity :meth:`compute_cavity` found through the C
+        kernel (orientation and closure checks, then the mutation
+        burst).  The caller holds ``_commit_lock`` and every vertex lock
+        of the cavity's closure.  ``None`` on an inconclusive
+        orientation filter, with nothing mutated: the caller runs
+        :meth:`_commit_insertion`, still under the same locks.
         """
         mesh = self.mesh
-        tls = self._tls
-        acc = getattr(tls, "acc", None)
+        acc = self._acc
         if acc is None:
-            acc = tls.acc = _accel.AccelScratch()
+            acc = self._acc = _accel.AccelScratch()
         px = float(p[0])
         py = float(p[1])
         pz = float(p[2])
-        nb = len(boundary)
-        epoch = mesh.tet_epoch
-        if arena is None:
-            free_t = mesh._free_tets
-            free_v = mesh._free_verts
-            vnew = free_v[-1] if free_v else len(mesh.points)
-            tail = mesh.tet_top
-            cap = None
+        free_t = mesh._free_tets
+        free_v = mesh._free_verts
+        if free_v:
+            # The kernel writes rows naming the new vertex before
+            # add_vertex below stores it, and the walks of other threads
+            # read rows without a lock.  A recycled slot must not show
+            # them its last owner's coordinates; a fresh one is past the
+            # end of ``points`` until then, which compute_cavity turns
+            # into a rollback.
+            vnew = free_v[-1]
+            mesh.points[vnew] = mesh.coords[vnew] = (px, py, pz)
         else:
-            free_t = arena.free_tets
-            free_v = arena.free_verts
-            vnew = arena.peek_vertex_id()
-            tail = arena.tet_cursor
-            cap = arena.tet_chunk_end
-            # Publish the new vertex's geometry before any row can name
-            # it (the slot already exists: free-list entry or chunk
-            # slot below len(points)).
-            pt = (px, py, pz)
-            c = mesh.coords[vnew]
-            c[0] = px
-            c[1] = py
-            c[2] = pz
-            mesh.points[vnew] = pt
-            # Pre-bump the epoch of every slot the kernel may write:
-            # the free-list window it pops from, and the fresh chunk
-            # range.  Extra bumps on slots it ends up not consuming are
-            # harmless (dead slots; any later allocation bumps again).
-            n_win = len(free_t)
-            if n_win > _accel._FREE_CAP:
-                n_win = _accel._FREE_CAP
-            for t in free_t[len(free_t) - n_win:]:
-                epoch[t] += 1
-            for t in range(tail, tail + nb):
-                epoch[t] += 1
-        gen = next(self._cav_gen)
+            vnew = len(mesh.points)
         codes = [t * 4 + i for t, i in boundary]
-        status = acc.commit(mesh, px, py, pz, gen, vnew, len(free_t),
-                            cavity, codes, tail=tail, cap=cap,
-                            free_list=free_t)
+        status = acc.commit(mesh, px, py, pz, next(self._cav_gen), vnew,
+                            len(free_t), cavity, codes)
         counters = self.counters
         stats = STATS
         out = acc.out_i
@@ -1055,25 +888,15 @@ class Triangulation3D:
                 "degenerate insertion: cavity boundary is not a closed surface"
             )
         counters.accel_inserts += 1
-        ncav = len(cavity)
-        consumed = int(out[0])
-        new_tets = acc.newt[:nb].tolist()
+        new_tets = acc.newt[:len(boundary)].tolist()
         mesh.add_vertex((px, py, pz))  # allocates exactly vnew
         mesh.v2t[vnew] = new_tets[-1]  # the kernel anchored the others
+        consumed = int(out[0])
         if consumed:
             del free_t[-consumed:]
+        mesh.bump_slots(new_tets)
         free_t.extend(cavity)
-        if arena is None:
-            mesh.bump_slots(new_tets)
-            mesh.n_live_tets += nb - ncav
-        else:
-            # Epochs were pre-bumped; every slot (window pop or chunk
-            # slot) already has an epoch/cc entry.
-            ccs = mesh.tet_cc
-            for t in new_tets:
-                ccs[t] = None
-            arena.tet_cursor = tail + int(out[1])
-            arena.live_delta += nb - ncav
+        mesh.n_live_tets += len(boundary) - len(cavity)
         self._vgrid[self._grid_key(px, py, pz)] = vnew
         if len(mesh.points) > self._vgrid_cap:
             self._regrid()
@@ -1223,12 +1046,10 @@ class Triangulation3D:
                           ) -> Tuple[int, List[int], List[int]]:
         """Validate and commit a precomputed cavity (pure Python).
 
-        The tail of the historical ``_insert_point_py``: everything after
-        the cavity search.  Shared by the sequential Python path and the
-        two-phase speculative path (which computes the cavity lock-free,
-        then acquires every vertex lock before calling this).  Raises
-        :class:`InsertionError` with the triangulation untouched when the
-        cavity is degenerate.
+        Everything after the cavity search: the sequential Python
+        path, and the speculative one when the C commit is not loaded
+        or could not conclude.  Raises :class:`InsertionError` with the
+        triangulation untouched when the cavity is degenerate.
         """
         mesh = self.mesh
         nb = len(boundary)
@@ -1347,7 +1168,8 @@ class Triangulation3D:
     # ------------------------------------------------------------------
     # removal
     # ------------------------------------------------------------------
-    def remove_vertex(self, v: int, touch: TouchFn = None
+    def remove_vertex(self, v: int, touch: TouchFn = None,
+                      on_commit: Optional[Callable[[], None]] = None
                       ) -> Tuple[List[int], List[int]]:
         """Remove vertex ``v`` and re-triangulate its ball.
 
@@ -1358,6 +1180,12 @@ class Triangulation3D:
         circumsphere contains ``v``; the selection is verified to tile the
         hole exactly before any mutation happens, and
         :class:`RemovalError` is raised otherwise.
+
+        ``on_commit`` is called once the removal can no longer fail and
+        before ``v``'s slot is freed — inside the commit lock of a
+        speculative removal — which is when a caller keeping records by
+        vertex id must drop them: a peer thread can be handed the slot
+        as soon as the lock is released.
 
         Dispatch: a sequential removal (no ``touch`` callback) is one
         operation of the compiled C kernel when available — same ball,
@@ -1372,7 +1200,7 @@ class Triangulation3D:
         if not mesh.alive_vertex[v]:
             raise RemovalError(f"vertex {v} is not alive")
         if touch is None and _accel.bw_remove is not None:
-            result = self._remove_vertex_c(v)
+            result = self._remove_vertex_c(v, on_commit)
             if result is not None:
                 return result
         pts = mesh.points
@@ -1435,24 +1263,12 @@ class Triangulation3D:
         boundary_faces = set(hole_faces.keys())
 
         # ---- commit ----
-        # Under speculative execution the mutation burst must not race
-        # array growth (and, without a per-thread arena, must not
-        # interleave with another commit at all: the shared free lists
-        # and epoch lists are not safe to mutate from two threads at
-        # once).  With an arena installed, allocation is thread-private
-        # and a shared hold on the resize gate suffices.
-        commit_lock = None
-        gate = None
-        if touch is not None:
-            arena = mesh.current_alloc_arena()
-            if arena is not None:
-                mesh.ensure_arena_capacity(arena, n_tets=len(fill))
-                gate = mesh.resize_gate
-                gate.acquire_shared()
-            else:
-                commit_lock = self._commit_lock
-                commit_lock.acquire()
-        try:
+        # Under speculative execution the mutation burst must not
+        # interleave with another commit: the free lists, the epoch
+        # lists and array growth are not safe from two threads at once.
+        with self._commit_lock if touch is not None else nullcontext():
+            if on_commit is not None:
+                on_commit()
             # Resolve each boundary face's outside neighbor *and* the
             # slot in that neighbor pointing back into the ball before
             # killing any tet: killed slots get recycled by add_tet,
@@ -1468,9 +1284,7 @@ class Triangulation3D:
             mesh.kill_vertex(v)
             gkey = self._grid_key(p[0], p[1], p[2])
             if self._vgrid.get(gkey) == v:
-                # The grid is an advisory hint shared without a lock;
-                # a concurrent regrid may have dropped the key already.
-                self._vgrid.pop(gkey, None)
+                del self._vgrid[gkey]
 
             new_tets: List[int] = []
             face_map: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
@@ -1503,17 +1317,13 @@ class Triangulation3D:
             for nt in new_tets:
                 for w in tva[nt].tolist():
                     v2t[w] = nt
-        finally:
-            if gate is not None:
-                gate.release_shared()
-            if commit_lock is not None:
-                commit_lock.release()
+            self._size_cavity_scratch()
         return new_tets, ball
 
     # ------------------------------------------------------------------
     # hole-filling strategies for vertex removal
     # ------------------------------------------------------------------
-    def _remove_vertex_c(self, v: int
+    def _remove_vertex_c(self, v: int, on_commit=None
                          ) -> Optional[Tuple[List[int], List[int]]]:
         """One C-kernel removal; ``None`` means "run the Python path".
 
@@ -1557,6 +1367,8 @@ class Triangulation3D:
         mesh.bump_slots(new_tets)
         mesh.n_live_tets += n_fill - n_ball
         p = mesh.points[v]
+        if on_commit is not None:
+            on_commit()
         mesh.kill_vertex(v)
         gkey = self._grid_key(p[0], p[1], p[2])
         if self._vgrid.get(gkey) == v:

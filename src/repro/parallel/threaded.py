@@ -14,16 +14,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.domain import RefineDomain
 from repro.core.extract import ExtractedMesh, extract_mesh
-from repro.core.pel import PoorElementList
 from repro.core.sizing import SizeFunction
 from repro.imaging.image import SegmentedImage
-from repro.runtime.begging import BeggingList, HierarchicalBeggingList
-from repro.runtime.contention import make_contention_manager
 from repro.runtime.context import ExecutionContext
 from repro.runtime.placement import Placement, flat_placement
 from repro.runtime.shared import SharedState
 from repro.runtime.stats import OverheadKind, ThreadStats, aggregate
-from repro.runtime.worker import WorkerEnv, refinement_worker
+from repro.runtime.worker import assemble_fleet, refinement_worker
 
 _SPIN_SLEEP = 20e-6  # polite spin granularity
 
@@ -119,6 +116,8 @@ def _parallel_mesh_image(
     n_threads: int = 4,
     delta: Optional[float] = None,
     size_function: Optional[SizeFunction] = None,
+    radius_edge_bound: float = 2.0,
+    planar_angle_bound_deg: float = 30.0,
     cm: str = "local",
     lb: str = "rws",
     placement: Optional[Placement] = None,
@@ -133,28 +132,17 @@ def _parallel_mesh_image(
     :class:`repro.observability.Observability` bundle shared by every
     worker thread (the tracer's ring buffer takes GIL-atomic appends).
     """
-    domain = RefineDomain(image, delta=delta, size_function=size_function)
-    # Real threads use the two-phase insertion protocol: compute the
-    # cavity optimistically without locks, acquire every vertex lock up
-    # front, validate, then commit — through the C kernel when
-    # available.  The protocol is identical with and without the
-    # accelerator (the commit falls back to the Python batch commit), so
-    # REPRO_ACCEL=0 produces the same meshes.
-    domain.tri._two_phase = True
+    domain = RefineDomain(image, delta=delta, size_function=size_function,
+                          radius_edge_bound=radius_edge_bound,
+                          planar_angle_bound_deg=planar_angle_bound_deg)
     if placement is None:
         placement = flat_placement(n_threads)
-    shared = SharedState(n_threads, obs=obs)
-    manager = make_contention_manager(cm, n_threads, shared)
-    if lb == "hws":
-        begging = HierarchicalBeggingList(n_threads, shared, placement)
-    else:
-        begging = BeggingList(n_threads, shared, placement)
-
+    # The real backend charges measured wall time.
+    env = assemble_fleet(domain, n_threads, cm, lb, placement,
+                         cost_of=lambda result, elapsed, ctx: elapsed,
+                         obs=obs)
+    shared = env.shared
     mesh = domain.tri.mesh
-    pels = [PoorElementList(mesh) for _ in range(n_threads)]
-    live = mesh.live_tet_ids()
-    for t in live[domain.screen(live)].tolist():
-        pels[0].push(t)
 
     lock_table: Dict[int, int] = {}
     contexts = [
@@ -162,31 +150,10 @@ def _parallel_mesh_image(
         for tid in range(n_threads)
     ]
 
-    def cost_of(result, elapsed, ctx):
-        return elapsed  # real backend charges measured wall time
-
-    env = WorkerEnv(
-        domain=domain,
-        pels=pels,
-        cm=manager,
-        bl=begging,
-        shared=shared,
-        placement=placement,
-        cost_of=cost_of,
-        obs=obs,
-    )
-
     errors: List[BaseException] = []
-
-    # Per-thread allocation arenas: each worker allocates/recycles mesh
-    # slots from a private slice, so validated commits from threads with
-    # disjoint lock sets proceed concurrently instead of serializing on
-    # the old global commit lock.
-    arenas = mesh.begin_thread_arenas(n_threads)
 
     def guarded_worker(ctx):
         try:
-            mesh.adopt_alloc_arena(arenas[ctx.thread_id])
             refinement_worker(ctx, env)
         except BaseException as exc:  # noqa: BLE001 - re-raised by driver
             errors.append(exc)
@@ -205,24 +172,18 @@ def _parallel_mesh_image(
     for th in threads:
         th.start()
     deadline = None if timeout is None else t0 + timeout
-    try:
-        for th in threads:
-            remaining = (None if deadline is None
-                         else max(0.0, deadline - time.perf_counter()))
-            th.join(remaining)
-            if th.is_alive():
-                shared.done = True
-                for th2 in threads:
-                    th2.join(5.0)
-                raise TimeoutError(
-                    f"parallel refinement exceeded {timeout}s "
-                    f"({mesh.n_live_tets} tets so far)"
-                )
-    finally:
-        # Merge even on timeout/crash: the mesh must be left in the
-        # canonical single-owner state (free lists whole, tail trimmed)
-        # for extraction or post-mortem inspection.
-        mesh.end_thread_arenas(arenas)
+    for th in threads:
+        remaining = (None if deadline is None
+                     else max(0.0, deadline - time.perf_counter()))
+        th.join(remaining)
+        if th.is_alive():
+            shared.done = True
+            for th2 in threads:
+                th2.join(5.0)
+            raise TimeoutError(
+                f"parallel refinement exceeded {timeout}s "
+                f"({mesh.n_live_tets} tets so far)"
+            )
     wall = time.perf_counter() - t0
     if errors:
         raise RuntimeError(

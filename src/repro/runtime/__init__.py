@@ -10,8 +10,14 @@ both execution backends:
   cc-NUMA simulator (the Blacklight stand-in; see DESIGN.md).
 """
 
-from repro.runtime.begging import BeggingList, HierarchicalBeggingList
+from repro.runtime.begging import (
+    LB_NAMES,
+    BeggingList,
+    HierarchicalBeggingList,
+    make_begging_list,
+)
 from repro.runtime.contention import (
+    CM_NAMES,
     AggressiveCM,
     ContentionManager,
     GlobalCM,
@@ -32,6 +38,9 @@ __all__ = [
     "GlobalCM",
     "LocalCM",
     "make_contention_manager",
+    "CM_NAMES",
     "BeggingList",
     "HierarchicalBeggingList",
+    "make_begging_list",
+    "LB_NAMES",
 ]

@@ -189,3 +189,19 @@ class HierarchicalBeggingList(BeggingList):
             + len(self.bl3)
         )
 
+
+_LISTS = {cls.name: cls for cls in (BeggingList, HierarchicalBeggingList)}
+#: The load balancers' names, as a request spells them.
+LB_NAMES = tuple(_LISTS)
+
+
+def make_begging_list(name: str, n_threads: int, shared: SharedState,
+                      placement: Placement) -> BeggingList:
+    """Factory keyed by the load balancers' names."""
+    try:
+        cls = _LISTS[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown load balancer {name!r}; pick from {LB_NAMES}"
+        ) from None
+    return cls(n_threads, shared, placement)

@@ -247,19 +247,19 @@ class LocalCM(ContentionManager):
         return False
 
 
+_MANAGERS = {cls.name: cls
+             for cls in (AggressiveCM, RandomCM, GlobalCM, LocalCM)}
+#: The paper's CM names, as a request spells them.
+CM_NAMES = tuple(_MANAGERS)
+
+
 def make_contention_manager(name: str, n_threads: int, shared: SharedState,
                             **kwargs) -> ContentionManager:
     """Factory keyed by the paper's CM names."""
-    table = {
-        "aggressive": AggressiveCM,
-        "random": RandomCM,
-        "global": GlobalCM,
-        "local": LocalCM,
-    }
     try:
-        cls = table[name.lower()]
+        cls = _MANAGERS[name.lower()]
     except KeyError:
         raise ValueError(
-            f"unknown contention manager {name!r}; pick from {sorted(table)}"
+            f"unknown contention manager {name!r}; pick from {CM_NAMES}"
         ) from None
     return cls(n_threads, shared, **kwargs)

@@ -173,13 +173,9 @@ def kernel_report(counters, predicate_delta: Dict[str, int]) -> str:
             f"{reason} {n}"
             for reason, n in counters.accel_retry_reasons.items() if n
         ) or "-"),
-        f"two-phase commits       {counters.commits:>10}"
+        f"locked commits          {counters.commits:>10}"
         f"  (work {counters.mean_commit_seconds * 1e6:.1f} us"
         f", wait {counters.mean_commit_wait_seconds * 1e6:.1f} us)",
-        f"  rollbacks             "
-        f"optimistic {counters.rollbacks_optimistic}"
-        f"  contention {counters.rollbacks_contention}"
-        f"  validation {counters.rollbacks_validation}",
         f"predicate decisions     {decisions:>10}",
         f"  orient3d/insphere     {o_calls:>6}/{i_calls}"
         f"  cc-entry {cc}  batch {batch}",

@@ -17,8 +17,17 @@ from repro.core.pel import PoorElementList
 from repro.delaunay import RollbackSignal
 from repro.observability import Observability
 from repro.observability.metrics import SIZE_BUCKETS
-from repro.runtime.begging import GIVE_THRESHOLD, BeggingList
-from repro.runtime.contention import ContentionManager, GlobalCM, LocalCM
+from repro.runtime.begging import (
+    GIVE_THRESHOLD,
+    BeggingList,
+    make_begging_list,
+)
+from repro.runtime.contention import (
+    ContentionManager,
+    GlobalCM,
+    LocalCM,
+    make_contention_manager,
+)
 from repro.runtime.context import ExecutionContext
 from repro.runtime.placement import Placement
 from repro.runtime.shared import SharedState
@@ -47,6 +56,27 @@ class WorkerEnv:
         if isinstance(cm, LocalCM):
             return cm.wake_any()
         return False
+
+
+def assemble_fleet(domain: RefineDomain, n_threads: int, cm: str, lb: str,
+                   placement: Placement, cost_of, obs=None) -> WorkerEnv:
+    """What either backend puts under :func:`refinement_worker`: the
+    shared state, the named contention manager and begging list
+    (``ValueError`` on a name :data:`CM_NAMES` / :data:`LB_NAMES` does
+    not hold), one PEL per thread and — after the sequential virtual-box
+    step only the main thread has work — generation 0 of the screen on
+    thread 0's."""
+    shared = SharedState(n_threads, obs=obs)
+    manager = make_contention_manager(cm, n_threads, shared)
+    begging = make_begging_list(lb, n_threads, shared, placement)
+    mesh = domain.tri.mesh
+    pels = [PoorElementList(mesh) for _ in range(n_threads)]
+    live = mesh.live_tet_ids()
+    for t in live[domain.screen(live)].tolist():
+        pels[0].push(t)
+    return WorkerEnv(domain=domain, pels=pels, cm=manager, bl=begging,
+                     shared=shared, placement=placement, cost_of=cost_of,
+                     obs=obs)
 
 
 def refinement_worker(ctx: ExecutionContext, env: WorkerEnv) -> None:

@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.domain import OperationResult, RefineDomain
-from repro.core.pel import PoorElementList
 from repro.core.sizing import SizeFunction
 from repro.imaging.image import SegmentedImage
-from repro.runtime.begging import BeggingList, HierarchicalBeggingList
-from repro.runtime.contention import make_contention_manager
-from repro.runtime.shared import SharedState
 from repro.runtime.stats import ThreadStats, aggregate
-from repro.runtime.worker import WorkerEnv, refinement_worker
+from repro.runtime.worker import assemble_fleet, refinement_worker
 from repro.simnuma.costmodel import BLACKLIGHT, MachineSpec, NumaCostModel
 from repro.simnuma.engine import SimEngine, SimLivelock
 
@@ -85,31 +81,7 @@ def _simulate_parallel_refinement(
         domain = RefineDomain(image, delta=delta, size_function=size_function)
     model = cost_model if cost_model is not None else NumaCostModel(machine=machine)
     placement = machine.placement(n_threads, hyperthreading)
-    shared = SharedState(n_threads, obs=obs)
-    manager = make_contention_manager(cm, n_threads, shared)
-    if lb == "hws":
-        begging = HierarchicalBeggingList(n_threads, shared, placement)
-    elif lb == "rws":
-        begging = BeggingList(n_threads, shared, placement)
-    else:
-        raise ValueError(f"unknown load balancer {lb!r}; pick 'rws' or 'hws'")
-
     mesh = domain.tri.mesh
-    pels = [PoorElementList(mesh) for _ in range(n_threads)]
-    # After the sequential virtual-box step only the main thread has work.
-    live = mesh.live_tet_ids()
-    for t in live[domain.screen(live)].tolist():
-        pels[0].push(t)
-
-    engine = SimEngine(
-        n_threads,
-        seed=seed,
-        progress_fn=lambda: shared.successful_ops,
-        livelock_horizon=livelock_horizon,
-        livelock_event_horizon=livelock_event_horizon,
-        stop_fn=lambda: setattr(shared, "done", True),
-        obs=obs,
-    )
 
     creators = domain.vertex_creator
     service_rate = model.switch_service_rate
@@ -151,18 +123,22 @@ def _simulate_parallel_refinement(
         cycles = model.compute_cycles(result, hyperthreading) + comm_cycles
         return model.seconds(cycles)
 
-    env = WorkerEnv(
-        domain=domain,
-        pels=pels,
-        cm=manager,
-        bl=begging,
-        shared=shared,
-        placement=placement,
-        cost_of=cost_of,
-        obs=obs,
-    )
+    env = assemble_fleet(domain, n_threads, cm, lb, placement,
+                         cost_of=cost_of, obs=obs)
     if give_threshold is not None:
         env.give_threshold = give_threshold
+    shared = env.shared
+    # ``cost_of`` reads the engine's congestion state; it is first
+    # called from a worker, after this line.
+    engine = SimEngine(
+        n_threads,
+        seed=seed,
+        progress_fn=lambda: shared.successful_ops,
+        livelock_horizon=livelock_horizon,
+        livelock_event_horizon=livelock_event_horizon,
+        stop_fn=lambda: setattr(shared, "done", True),
+        obs=obs,
+    )
 
     engine.spawn(refinement_worker, env)
     livelock = False
@@ -186,8 +162,8 @@ def _simulate_parallel_refinement(
         registry.gauge("run.livelock").set(int(livelock))
     return SimulationResult(
         n_threads=n_threads,
-        cm_name=manager.name,
-        lb_name=begging.name,
+        cm_name=env.cm.name,
+        lb_name=env.bl.name,
         hyperthreading=hyperthreading,
         virtual_time=total_time,
         n_elements=mesh.n_live_tets,

@@ -83,6 +83,10 @@ class TestMeshRequest:
             mesh(MeshRequest(image=image, n_threads=0))
         with pytest.raises(ValueError):
             mesh(MeshRequest(image=image, delta=-1.0))
+        for knob in ("cm", "lb"):
+            with pytest.raises(ValueError, match=f"{knob} must be one of"):
+                mesh(MeshRequest(image=image, mesher="threaded",
+                                 **{knob: "bogus"}))
 
     def test_observability_config_defaults_off(self, image):
         req = MeshRequest(image=image)
@@ -145,6 +149,26 @@ class TestImplAndApiAgree:
         new = results["sequential"]
         assert old.mesh.n_tets == new.mesh.n_tets
         np.testing.assert_array_equal(old.mesh.tets, new.mesh.tets)
+
+    def test_threaded_request_carries_its_quality_bounds(self, image):
+        """A threaded request is meshed at the bounds its cache key
+        names; the default request is the mesh it always was."""
+        from repro.metrics import quality_report
+        from repro.parallel import _parallel_mesh_image
+
+        tight = mesh(MeshRequest(image=image, delta=3.0, mesher="threaded",
+                                 n_threads=1, radius_edge_bound=1.6,
+                                 planar_angle_bound_deg=25.0))
+        domain = tight.extras["domain"]
+        assert domain.radius_edge_bound == 1.6
+        assert domain.planar_angle_bound == 25.0
+        assert quality_report(tight.mesh).max_radius_edge <= 1.6 + 1e-6
+
+        default = mesh(MeshRequest(image=image, delta=3.0,
+                                   mesher="threaded", n_threads=1))
+        impl = _parallel_mesh_image(image, n_threads=1, delta=3.0, lb="hws")
+        np.testing.assert_array_equal(default.mesh.tets, impl.mesh.tets)
+        assert quality_report(default.mesh).max_radius_edge > 1.6
 
     def test_simulated_impl_matches_api(self, image, results):
         from repro.simnuma import _simulate_parallel_refinement

@@ -125,7 +125,8 @@ MESHERS = {"cgal_like": _cgal_like, "tetgen_like": _tetgen_like}
 
 def _topology(mesher):
     mesh = mesher.tri.mesh
-    return sorted(tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets())
+    return sorted(tuple(sorted(mesh.tet_verts_arr[t].tolist()))
+                  for t in mesh.live_tets())
 
 
 def _check_screen(mesher, log):

@@ -173,9 +173,10 @@ class TestMeshArraysInternals:
             ball = mesh.incident_tets(v)
             assert ball
             for t in ball:
-                assert v in mesh.tet_verts[t]
+                assert v in mesh.tet_verts_arr[t].tolist()
             # completeness: brute-force scan agrees
-            brute = [t for t in mesh.live_tets() if v in mesh.tet_verts[t]]
+            brute = [t for t in mesh.live_tets()
+                     if v in mesh.tet_verts_arr[t].tolist()]
             assert set(ball) == set(brute)
 
     def test_vertex_recycling(self):

@@ -1,6 +1,8 @@
 """Tests for the spatial hash grid behind the delta-proximity rules."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,46 @@ class TestPointGrid:
         assert sorted(g.query_ball((0.1, 0, 0), 1.0)) == [1]
         assert sorted(g.query_ball((2.5, 0, 0), 3.0)) == [1, 2]
         assert g.query_ball((10, 10, 10), 1.0) == []
+
+    def test_queries_survive_a_thread_adding_to_the_cell(self):
+        """Refinement threads share the grids: one judges a tet (R1's
+        ``any_within``, R6's ``query_ball``) while another registers a
+        vertex in the same cell."""
+        g = PointGrid(10.0)
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            vid = 0
+            while not stop.is_set():
+                for k in range(64):
+                    g.add(vid + k, (1.0 + 0.01 * k, 1.0, 1.0))
+                for k in range(64):
+                    g.remove(vid + k)
+                vid += 64
+
+        def reader():
+            try:
+                for _ in range(3000):
+                    g.any_within((1.0, 1.0, 1.0), 0.001, exclude=-1)
+                    g.query_ball((1.0, 1.0, 1.0), 5.0)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=writer, daemon=True),
+                   threading.Thread(target=reader, daemon=True)]
+        try:
+            for th in threads:
+                th.start()
+            threads[1].join(60.0)
+            stop.set()
+            threads[0].join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
     def test_negative_coordinates(self):
         g = PointGrid(0.7)

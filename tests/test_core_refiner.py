@@ -197,7 +197,8 @@ class TestDomainInternals:
 
 def _topology(domain):
     mesh = domain.tri.mesh
-    return sorted(tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets())
+    return sorted(tuple(sorted(mesh.tet_verts_arr[t].tolist()))
+                  for t in mesh.live_tets())
 
 
 PHANTOMS = {

@@ -113,6 +113,33 @@ class TestRemoval:
         tri.validate_topology()
         assert tri.is_delaunay()
 
+    @pytest.mark.parametrize("touch", [None, lambda w: None],
+                             ids=["sequential", "speculative"])
+    def test_on_commit_runs_before_the_slot_is_freed(self, touch):
+        # Records kept by vertex id are dropped here: once the slot is
+        # on the free list a peer thread's insertion may be handed it.
+        tri, verts = make_mesh(15, seed=9)
+        mesh, v = tri.mesh, verts[3]
+        seen = []
+        tri.remove_vertex(v, touch=touch, on_commit=lambda: seen.append(
+            (mesh.alive_vertex[v], v in mesh._free_verts)))
+        assert seen == [(True, False)]
+        assert mesh._free_verts[-1] == v and not mesh.alive_vertex[v]
+
+    def test_on_commit_not_called_when_nothing_commits(self):
+        tri, verts = make_mesh(15, seed=9)
+        seen = []
+
+        def bomb(w):
+            raise RollbackSignal(owner=1)
+
+        with pytest.raises(RollbackSignal):
+            tri.remove_vertex(verts[3], touch=bomb,
+                              on_commit=lambda: seen.append(1))
+        with pytest.raises(RemovalError):
+            tri.remove_vertex(0, on_commit=lambda: seen.append(1))
+        assert seen == []
+
     def test_interleaved_insert_remove(self):
         tri = Triangulation3D((0, 0, 0), (1, 1, 1))
         rng = random.Random(12)
@@ -136,7 +163,7 @@ class TestRemoval:
         assert set(killed) == set(ball_before)
         for t in new_tets:
             assert tri.mesh.is_live(t)
-            assert verts[5] not in tri.mesh.tet_verts[t]
+            assert verts[5] not in tri.mesh.tet_verts_arr[t].tolist()
 
 
 coords = st.floats(min_value=0.02, max_value=0.98, allow_nan=False)

@@ -27,7 +27,8 @@ from tests.test_kernel_ties import HI, LO, live_vertices, voxel_face_points
 
 def our_tet_set(tri):
     return {
-        tuple(sorted(tri.mesh.tet_verts[t])) for t in tri.mesh.live_tets()
+        tuple(sorted(tri.mesh.tet_verts_arr[t].tolist()))
+        for t in tri.mesh.live_tets()
     }
 
 
@@ -140,7 +141,7 @@ def test_voxel_face_sets_are_as_delaunay_as_qhulls(seed, lattice):
                 + live_vertices(tri)}
     points = list(index_of)
     position = {v: i for i, v in enumerate(index_of.values())}
-    ours = [[position[v] for v in tri.mesh.tet_verts[t]]
+    ours = [[position[v] for v in tri.mesh.tet_verts_arr[t].tolist()]
             for t in tri.mesh.live_tets()]
     qhull = ScipyDelaunay(np.asarray(points)).simplices.tolist()
     bad_ours, vol_ours = sphere_violations(points, ours)

@@ -30,7 +30,8 @@ GOLDEN = json.loads(
 
 def topo_hash(mesh):
     tets = sorted(
-        tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets()
+        tuple(sorted(mesh.tet_verts_arr[t].tolist()))
+        for t in mesh.live_tets()
     )
     blob = ";".join(",".join(map(str, t)) for t in tets).encode()
     return hashlib.sha256(blob).hexdigest()

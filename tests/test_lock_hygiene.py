@@ -4,31 +4,33 @@ import random
 
 import pytest
 
+from repro import _accel
 from repro.delaunay import RollbackSignal, Triangulation3D
 from repro.imaging import sphere_phantom
 from repro.parallel import _parallel_mesh_image as parallel_mesh_image
 from repro.simnuma import SimEngine
 
 
-def _seeded_tri(n=60, seed=3, two_phase=True):
+def _seeded_tri(n=60, seed=3):
     rng = random.Random(seed)
     tri = Triangulation3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     for _ in range(n):
         tri.insert_point(tuple(rng.uniform(0.1, 0.9) for _ in range(3)))
-    tri._two_phase = two_phase
     return tri
 
 
 def _topo(tri):
     mesh = tri.mesh
     return sorted(
-        tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets()
+        tuple(sorted(mesh.tet_verts_arr[t].tolist()))
+        for t in mesh.live_tets()
     )
 
 
 class TestTwoPhaseLockHygiene:
-    """Acquire-all-then-commit: every vertex lock is taken before any
-    mutation, and a C-commit RETRY never drops a held lock."""
+    """Lock, then commit: the cavity grows under ``touch``, every vertex
+    lock is taken before any mutation, and a C-commit RETRY never drops
+    a held lock."""
 
     def test_all_locks_acquired_before_any_mutation(self):
         tri = _seeded_tri()
@@ -86,39 +88,50 @@ class TestTwoPhaseLockHygiene:
         assert _topo(tri) == ref_hash
         tri.validate_topology()
 
+    @pytest.mark.skipif(not _accel.AVAILABLE,
+                        reason="C accelerator unavailable")
+    def test_touch_insert_commits_in_c_same_store_as_python(
+            self, monkeypatch):
+        point = (0.421, 0.537, 0.618)
+        tri = _seeded_tri()
+        inserts = tri.counters.accel_inserts
+        tri.insert_point(point, touch=lambda v: None)
+        assert tri.counters.commits == 1
+        assert tri.counters.accel_inserts == inserts + 1  # bw_commit ran
+
+        # What REPRO_ACCEL=0 leaves of the accelerator: no handle.
+        for name in ("bw_insert", "bw_commit", "bw_insert_many", "bw_remove"):
+            monkeypatch.setattr(_accel, name, None)
+        ref = _seeded_tri()
+        ref.insert_point(point, touch=lambda v: None)
+        assert (ref.counters.commits, ref.counters.accel_inserts) == (1, 0)
+        top = tri.mesh.tet_top
+        assert ref.mesh.tet_top == top
+        assert (ref.mesh.tet_verts_arr[:top].tolist()
+                == tri.mesh.tet_verts_arr[:top].tolist())
+        assert (ref.mesh.tet_adj[:top].tolist()
+                == tri.mesh.tet_adj[:top].tolist())
+        assert ref.mesh._free_tets == tri.mesh._free_tets
+
 
 class TestSimulatorLockHygiene:
     def test_lock_table_empty_after_run(self):
         from repro.core.domain import RefineDomain
-        from repro.core.pel import PoorElementList
-        from repro.runtime.begging import HierarchicalBeggingList
-        from repro.runtime.contention import make_contention_manager
-        from repro.runtime.shared import SharedState
-        from repro.runtime.worker import WorkerEnv, refinement_worker
+        from repro.runtime.worker import assemble_fleet, refinement_worker
         from repro.simnuma.costmodel import BLACKLIGHT, NumaCostModel
 
-        img = sphere_phantom(16)
-        domain = RefineDomain(img, delta=3.0)
+        domain = RefineDomain(sphere_phantom(16), delta=3.0)
         n = 6
-        machine = BLACKLIGHT
         model = NumaCostModel()
-        placement = machine.placement(n)
-        shared = SharedState(n)
-        cm = make_contention_manager("local", n, shared)
-        bl = HierarchicalBeggingList(n, shared, placement)
-        pels = [PoorElementList(domain.tri.mesh) for _ in range(n)]
-        live = domain.tri.mesh.live_tet_ids()
-        for t in live[domain.screen(live)].tolist():
-            pels[0].push(t)
-        engine = SimEngine(n, progress_fn=lambda: shared.successful_ops,
-                           stop_fn=lambda: setattr(shared, "done", True))
-        env = WorkerEnv(
-            domain=domain, pels=pels, cm=cm, bl=bl, shared=shared,
-            placement=placement,
+        env = assemble_fleet(
+            domain, n, "local", "hws", BLACKLIGHT.placement(n),
             cost_of=lambda r, e, ctx: model.seconds(
                 model.compute_cycles(r, False)
             ),
         )
+        shared = env.shared
+        engine = SimEngine(n, progress_fn=lambda: shared.successful_ops,
+                           stop_fn=lambda: setattr(shared, "done", True))
         engine.spawn(refinement_worker, env)
         engine.run()
         # Every lock was released by its operation's release event.

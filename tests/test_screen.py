@@ -59,7 +59,8 @@ PHANTOMS = {
 
 def _topology(domain):
     mesh = domain.tri.mesh
-    return sorted(tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets())
+    return sorted(tuple(sorted(mesh.tet_verts_arr[t].tolist()))
+                  for t in mesh.live_tets())
 
 
 def _topo_digest(domain):
@@ -268,7 +269,8 @@ from repro.imaging import abdominal_phantom
 domain = RefineDomain(abdominal_phantom(24))
 SequentialRefiner(domain).refine()
 mesh = domain.tri.mesh
-tets = sorted(tuple(sorted(mesh.tet_verts[t])) for t in mesh.live_tets())
+tets = sorted(tuple(sorted(mesh.tet_verts_arr[t].tolist()))
+              for t in mesh.live_tets())
 blob = ";".join(",".join(map(str, t)) for t in tets)
 print(hashlib.sha256(blob.encode()).hexdigest())
 """

@@ -169,6 +169,10 @@ class TestGatewayRoutes:
         ("image", {"image": {"labels": [[[0, -1]]]}}),
         ("image_b64", {"image_b64": npz_b64(
             np.full((4, 4, 4), 40000, dtype=np.uint16))}),
+        # Names the runtime does not know: refused at the door, not a
+        # FAILED job on the simulator and a silent ``rws`` on threads.
+        ("cm", {"params": {"mesher": "threaded", "cm": "bogus"}}),
+        ("lb", {"params": {"mesher": "simulated", "lb": "bogus"}}),
     ])
     def test_malformed_request_is_400_not_500(
             self, service, image, field, body):
