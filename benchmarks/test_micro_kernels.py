@@ -51,7 +51,8 @@ def test_bench_insertion_json_artifact(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     assert kernel_bench.run(fast=True, output=out) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
+    assert "thread_scaling" not in doc
     assert doc["cpus"] >= 1
     assert doc["python_path"]["inserts_per_second"] > 0
     if doc["accel_path"]["available"]:

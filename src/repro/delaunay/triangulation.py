@@ -430,8 +430,8 @@ class Triangulation3D:
         counters.seed_scans += 1
         return next(mesh.live_tets())
 
-    def locate(self, p: Sequence[float], hint: Optional[int] = None,
-               touch: TouchFn = None) -> int:
+    def locate(self, p: Sequence[float],
+               hint: Optional[int] = None) -> int:
         """Find a tetrahedron containing ``p`` by a remembering walk."""
         mesh = self.mesh
         pts = mesh.points
@@ -551,14 +551,19 @@ class Triangulation3D:
         pts = mesh.points
         # The walk takes no lock, so on real threads it can cross a
         # commit in flight: a face not wired yet, a row naming a vertex
-        # not stored yet, a tet that dies before its vertices are held.
-        # Each is a lost race; the caller retries.
+        # not stored yet.  A failed walk is repeated with commits shut
+        # out (the holder of ``_commit_lock`` waits for nothing, so
+        # blocking here under vertex locks cannot deadlock): what fails
+        # then is the point's own failure, raised as it is in a
+        # sequential run, and the caller skips the operation instead of
+        # retrying it for ever.
         try:
             t0 = self.locate(p, hint)
-        except (IndexError, PointLocationError) as exc:
+        except (IndexError, PointLocationError):
             if touch is None:
                 raise
-            raise RollbackSignal(owner=-1) from exc
+            with self._commit_lock:
+                t0 = self.locate(p, hint)
         v0 = mesh.tet_verts_arr[t0].tolist()
         if touch is not None:
             if min(v0) < 0:
@@ -1035,10 +1040,10 @@ class Triangulation3D:
         return n_done
 
     def _insert_point_py(self, p: Sequence[float],
-                         hint: Optional[int] = None, touch: TouchFn = None
+                         hint: Optional[int] = None
                          ) -> Tuple[int, List[int], List[int]]:
         """Pure-Python insertion (filtered predicates + exact fallback)."""
-        cavity, boundary = self.compute_cavity(p, hint, touch)
+        cavity, boundary = self.compute_cavity(p, hint)
         return self._commit_insertion(p, cavity, boundary)
 
     def _commit_insertion(self, p: Sequence[float], cavity: List[int],
@@ -1181,9 +1186,9 @@ class Triangulation3D:
         hole exactly before any mutation happens, and
         :class:`RemovalError` is raised otherwise.
 
-        ``on_commit`` is called once the removal can no longer fail and
-        before ``v``'s slot is freed — inside the commit lock of a
-        speculative removal — which is when a caller keeping records by
+        ``on_commit`` is called once the removal can no longer fail.  In
+        a speculative removal that is inside the commit lock, before
+        ``v``'s slot is freed, which is when a caller keeping records by
         vertex id must drop them: a peer thread can be handed the slot
         as soon as the lock is released.
 
@@ -1200,8 +1205,11 @@ class Triangulation3D:
         if not mesh.alive_vertex[v]:
             raise RemovalError(f"vertex {v} is not alive")
         if touch is None and _accel.bw_remove is not None:
-            result = self._remove_vertex_c(v, on_commit)
+            result = self._remove_vertex_c(v)
             if result is not None:
+                # No peer to be handed the slot: after is soon enough.
+                if on_commit is not None:
+                    on_commit()
                 return result
         pts = mesh.points
         p = pts[v]
@@ -1323,7 +1331,7 @@ class Triangulation3D:
     # ------------------------------------------------------------------
     # hole-filling strategies for vertex removal
     # ------------------------------------------------------------------
-    def _remove_vertex_c(self, v: int, on_commit=None
+    def _remove_vertex_c(self, v: int
                          ) -> Optional[Tuple[List[int], List[int]]]:
         """One C-kernel removal; ``None`` means "run the Python path".
 
@@ -1367,8 +1375,6 @@ class Triangulation3D:
         mesh.bump_slots(new_tets)
         mesh.n_live_tets += n_fill - n_ball
         p = mesh.points[v]
-        if on_commit is not None:
-            on_commit()
         mesh.kill_vertex(v)
         gkey = self._grid_key(p[0], p[1], p[2])
         if self._vgrid.get(gkey) == v:

@@ -113,18 +113,25 @@ class TestRemoval:
         tri.validate_topology()
         assert tri.is_delaunay()
 
-    @pytest.mark.parametrize("touch", [None, lambda w: None],
-                             ids=["sequential", "speculative"])
-    def test_on_commit_runs_before_the_slot_is_freed(self, touch):
+    def test_on_commit_runs_before_the_slot_is_freed(self):
         # Records kept by vertex id are dropped here: once the slot is
         # on the free list a peer thread's insertion may be handed it.
         tri, verts = make_mesh(15, seed=9)
         mesh, v = tri.mesh, verts[3]
         seen = []
-        tri.remove_vertex(v, touch=touch, on_commit=lambda: seen.append(
-            (mesh.alive_vertex[v], v in mesh._free_verts)))
-        assert seen == [(True, False)]
+        tri.remove_vertex(v, touch=lambda w: None, on_commit=lambda:
+                          seen.append((mesh.alive_vertex[v],
+                                       v in mesh._free_verts,
+                                       tri._commit_lock.locked())))
+        assert seen == [(True, False, True)]
         assert mesh._free_verts[-1] == v and not mesh.alive_vertex[v]
+
+    def test_on_commit_runs_once_sequentially(self):
+        # No peer can be handed the slot: only "once, on success" holds.
+        tri, verts = make_mesh(15, seed=9)
+        seen = []
+        tri.remove_vertex(verts[3], on_commit=lambda: seen.append(1))
+        assert seen == [1]
 
     def test_on_commit_not_called_when_nothing_commits(self):
         tri, verts = make_mesh(15, seed=9)

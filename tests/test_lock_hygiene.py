@@ -5,7 +5,11 @@ import random
 import pytest
 
 from repro import _accel
-from repro.delaunay import RollbackSignal, Triangulation3D
+from repro.delaunay import (
+    PointLocationError,
+    RollbackSignal,
+    Triangulation3D,
+)
 from repro.imaging import sphere_phantom
 from repro.parallel import _parallel_mesh_image as parallel_mesh_image
 from repro.simnuma import SimEngine
@@ -112,6 +116,40 @@ class TestTwoPhaseLockHygiene:
         assert (ref.mesh.tet_adj[:top].tolist()
                 == tri.mesh.tet_adj[:top].tolist())
         assert ref.mesh._free_tets == tri.mesh._free_tets
+
+    def test_walk_that_crossed_a_commit_is_repeated_with_commits_shut_out(
+            self, monkeypatch):
+        point = (0.421, 0.537, 0.618)
+        ref = _seeded_tri()
+        ref.insert_point(point, touch=lambda v: None)
+
+        tri = _seeded_tri()
+        real_locate = tri.locate
+        held = []
+
+        def locate(p, hint=None):
+            held.append(tri._commit_lock.locked())
+            if len(held) == 1:
+                raise IndexError("row names a vertex not stored yet")
+            return real_locate(p, hint)
+
+        monkeypatch.setattr(tri, "locate", locate)
+        tri.insert_point(point, touch=lambda v: None)
+        assert held == [False, True]
+        assert _topo(tri) == _topo(ref)
+
+    def test_walk_failure_of_the_point_itself_is_not_a_rollback(self):
+        # A worker re-pushes an element on a rollback: a point no walk
+        # can locate must fail as it does sequentially (the rule skips
+        # the operation), or one thread retries it for ever.
+        tri = _seeded_tri()
+        before = _topo(tri)
+        touched = []
+        with pytest.raises(PointLocationError):
+            tri.insert_point((100.0, 100.0, 100.0), touch=touched.append)
+        assert touched == []
+        assert not tri._commit_lock.locked()
+        assert _topo(tri) == before
 
 
 class TestSimulatorLockHygiene:
