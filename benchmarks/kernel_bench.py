@@ -22,8 +22,16 @@ workload replays its traffic:
   attempts the C kernel handed back (and why) and the seconds of Python
   glue per second spent inside C.
 
+The fifth workload is the refiner's other per-tet cost, the surface
+oracle (numpy against Python, no C on either side):
+
+* ``rays`` — the circumcenters one ``abdominal_phantom(32)`` refinement
+  hands to ``SurfaceOracle.closest_surface_points``, answered
+  generation by generation by the batched traversal and, one call a
+  ray, by the scalar ``closest_surface_point`` the judge keeps.
+
 It writes ``BENCH_kernels.json`` (default:
-``benchmarks/results/BENCH_kernels.json``, schema 4) holding the
+``benchmarks/results/BENCH_kernels.json``, schema 5) holding the
 throughputs, the machine's CPU count, the committed pre-overhaul
 baseline, and the accel/python speedups for every workload.
 
@@ -32,7 +40,8 @@ throughput is machine-dependent, so the gate is ratio-based: the
 accel/python speedup measured *on this machine* must stay above 80% of
 the committed reference speedup (a >20% relative throughput drop of the
 fast path fails the job).  On machines without a C compiler the gate
-degrades to checking the pure-Python path against its own floor.
+degrades to checking the pure-Python path against its own floor, and
+the ``rays`` ratio, which needs no compiler.
 
 Usage::
 
@@ -51,11 +60,14 @@ import sys
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro import _accel
 from repro.api import MeshRequest, mesh
 from repro.core.domain import RefineDomain, VertexKind
+from repro.core.refiner import SequentialRefiner
 from repro.delaunay import RemovalError, Triangulation3D
-from repro.imaging import abdominal_phantom
+from repro.imaging import SurfaceOracle, abdominal_phantom
 
 # Every ctypes entry point the kernel dispatches on.  Disabling the
 # accelerator for a measurement must null ALL of them — each call site
@@ -117,6 +129,9 @@ PYTHON_FLOOR_INSERTS_PER_SECOND = 300.0
 REMOVAL_REFERENCE_SPEEDUP = 3.0
 # Batched insert_many vs the scalar accel loop on the reference machine.
 BATCH_REFERENCE_SPEEDUP = 1.2
+# Batched closest-surface-point rays vs one scalar call a ray, on the
+# reference machine when the batch landed.
+RAYS_REFERENCE_SPEEDUP = 2.0
 N_POINTS = 400
 SEED = 7
 
@@ -324,6 +339,70 @@ def _voxel_face_section(fast, accel_available):
     return section
 
 
+def _ray_generations():
+    """The oracle of one ``abdominal_phantom(VOXEL_FACE_N)`` refinement
+    and the circumcenters its screen asked about, one array per
+    generation that asked."""
+    image = abdominal_phantom(VOXEL_FACE_N)
+    oracle = SurfaceOracle(image)
+    batch = oracle.closest_surface_points
+    generations = []
+
+    def recording(points):
+        if len(points):
+            generations.append(np.array(points))
+        return batch(points)
+
+    oracle.closest_surface_points = recording
+    SequentialRefiner(RefineDomain(image, oracle=oracle)).refine()
+    del oracle.closest_surface_points
+    return oracle, generations
+
+
+def _rays_section(fast):
+    oracle, generations = _ray_generations()
+    repeats = 3 if fast else 7
+    best_scalar = best_batch = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scalar = [list(map(oracle.closest_surface_point,
+                           map(tuple, centers.tolist())))
+                  for centers in generations]
+        t1 = time.perf_counter()
+        batched = [oracle.closest_surface_points(centers)
+                   for centers in generations]
+        t2 = time.perf_counter()
+        best_scalar = min(best_scalar, t1 - t0)
+        best_batch = min(best_batch, t2 - t1)
+    n_rays = sum(map(len, generations))
+    same = all(
+        (tuple(row) == expected if found else expected is None)
+        for (hit, z), answers in zip(batched, scalar)
+        for found, row, expected in zip(hit.tolist(), z.tolist(), answers))
+    return {
+        "workload": {"image": f"abdominal_phantom({VOXEL_FACE_N})",
+                     "generations": len(generations), "n_rays": n_rays,
+                     "repeats": repeats},
+        "scalar_rays_per_second": round(n_rays / best_scalar, 1),
+        "batch_rays_per_second": round(n_rays / best_batch, 1),
+        "same_answers": same,
+        "speedup": round(best_scalar / best_batch, 2),
+        "reference_speedup": RAYS_REFERENCE_SPEEDUP,
+    }
+
+
+def _rays_regressed(rays):
+    """Prints why, when the ``rays`` section fails its gate."""
+    floor = GATE_FRACTION * RAYS_REFERENCE_SPEEDUP
+    if rays["speedup"] >= floor and rays["same_answers"]:
+        return False
+    print(f"REGRESSION: batched rays {rays['speedup']:.2f}x over the "
+          f"scalar loop, gate {floor:.2f}x (80% of reference "
+          f"{RAYS_REFERENCE_SPEEDUP}x); same answers: "
+          f"{rays['same_answers']}", file=sys.stderr)
+    return True
+
+
 def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     repeats = 3 if fast else 7
     points = _workload()
@@ -397,8 +476,11 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     # --- the service's traffic: voxel-face points ---------------------
     voxel_face = _voxel_face_section(fast, accel_available)
 
+    # --- the surface oracle: a generation's rays at once --------------
+    rays = _rays_section(fast)
+
     doc = {
-        "schema": 4,
+        "schema": 5,
         "cpus": os.cpu_count() or 1,
         "workload": {
             "name": "insert-uniform-box",
@@ -427,6 +509,7 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         "removal": removal,
         "batch": batch,
         "voxel_face": voxel_face,
+        "rays": rays,
     }
 
     output = pathlib.Path(output)
@@ -460,13 +543,17 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         print(f"voxel faces : {vf['inserts_per_second']:>10,.1f} inserts/s "
               f"{vf['removals_per_second']:,.1f} removals/s ({kernel})"
               + extra)
+    print(f"rays        : {rays['batch_rays_per_second']:>10,.1f} rays/s "
+          f"batched vs {rays['scalar_rays_per_second']:,.1f} scalar "
+          f"({rays['speedup']:.2f}x, {rays['workload']['n_rays']} rays in "
+          f"{rays['workload']['generations']} generations)")
     print(f"wrote {output}")
 
     if not check_regression:
         return 0
 
+    failed = _rays_regressed(rays)
     if accel_available:
-        failed = False
         floor = GATE_FRACTION * REFERENCE_SPEEDUP
         if speedup < floor:
             print(f"REGRESSION: accel/python speedup {speedup:.2f}x is "
@@ -500,14 +587,19 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
             return 1
         print(f"regression gate OK: insert {speedup:.2f}x >= {floor:.2f}x, "
               f"removal {rm_speedup:.2f}x >= {rm_floor:.2f}x, "
-              f"batch {batch_speedup:.2f}x >= {batch_floor:.2f}x")
+              f"batch {batch_speedup:.2f}x >= {batch_floor:.2f}x, "
+              f"rays {rays['speedup']:.2f}x >= "
+              f"{GATE_FRACTION * RAYS_REFERENCE_SPEEDUP:.2f}x")
     else:
         if py_ips < PYTHON_FLOOR_INSERTS_PER_SECOND:
             print(f"REGRESSION: python path {py_ips:.1f} inserts/s is "
                   f"below the floor {PYTHON_FLOOR_INSERTS_PER_SECOND}",
                   file=sys.stderr)
+            failed = True
+        if failed:
             return 1
-        print("regression gate OK (python path only: accel unavailable)")
+        print("regression gate OK (python path and rays only: accel "
+              "unavailable)")
     return 0
 
 

@@ -51,13 +51,16 @@ def test_bench_insertion_json_artifact(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     assert kernel_bench.run(fast=True, output=out) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert "thread_scaling" not in doc
     assert doc["cpus"] >= 1
     assert doc["python_path"]["inserts_per_second"] > 0
     if doc["accel_path"]["available"]:
         assert doc["accel_path"]["inserts_per_second"] > \
             doc["python_path"]["inserts_per_second"]
+    rays = doc["rays"]
+    assert rays["same_answers"] and rays["workload"]["n_rays"] > 1000
+    assert rays["batch_rays_per_second"] > rays["scalar_rays_per_second"]
 
 
 @pytest.mark.benchmark(group="kernel-remove")

@@ -288,10 +288,14 @@ class RefineDomain:
         Every test is the judge's own — same circumballs (the shared
         store), same sites, labels and samples — evaluated as array
         masks; where the arithmetic differs in the last bit the
-        comparison is widened (``_TIE``).  The one per-tet call left is
-        the surface oracle's ray, asked only for tets no other rule
-        flags.  Reads the mesh without locks, so it must not run while
-        other threads refine.
+        comparison is widened (``_TIE``).  R1's closest-point rays are
+        asked only for tets no other rule flags, and all of them in one
+        :meth:`SurfaceOracle.closest_surface_points` call: the batch
+        steps every ray of the generation together, keeps the judge's
+        rule that faces reached at one ``t`` are crossed together, drops
+        finished rays from the arrays, and returns the judge's floats.
+        Reads the mesh without locks, so it must not run while other
+        threads refine.
         """
         mesh = self.tri.mesh
         tets = np.asarray(tets, dtype=np.int64)
@@ -342,12 +346,10 @@ class RefineDomain:
 
         # ---- R1 ----
         rows = np.flatnonzero(reaches & ~maybe)
-        zs = list(map(self.oracle.closest_surface_point,
-                      map(tuple, c[rows].tolist())))
-        rows = rows[[z is not None for z in zs]]
+        hit, z = self.oracle.closest_surface_points(c[rows])
+        rows = rows[hit]
         if rows.size:
-            blocked = self.iso_grid.any_within_many(
-                np.array([z for z in zs if z is not None]), self.delta)
+            blocked = self.iso_grid.any_within_many(z[hit], self.delta)
             maybe[rows[~blocked]] = True
         return maybe
 

@@ -203,6 +203,131 @@ class LabelRays:
             pz = oz + (fz - stz) * sz
         return (px, py, pz)
 
+    def _first_crossings(self, a, d, t_max
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_first_crossing` for ``n`` rays at once: ``(hit, z)``,
+        a bool per ray and an ``(n, 3)`` array whose ``hit`` rows are the
+        scalar's point, float for float (``None`` is ``hit False``, its
+        row NaN).
+
+        The scalar's state is one column per ray — the next-face times
+        ``T``, the next faces ``F``, the flat voxel index, the
+        left-the-box flag — held axis by axis (``(3, n)`` arrays, so
+        every operation runs along a ray-long row), and each iteration
+        steps every live ray across its own earliest face, ties broken
+        x, y, z as the scalar's branches do.  A ray with a second face
+        at that same ``t`` is *pending*: it skips the label test, as the
+        scalar's ``continue`` does, and steps again.  Rays that finish
+        are compacted out, so an iteration costs what the live rays
+        cost.  Only ``+ - * /``, ``floor`` / ``ceil`` and comparisons,
+        each in the scalar's operand order, so the floats are the
+        scalar's.
+        """
+        image = self.image
+        origin = np.array(image.origin)[:, None]
+        spacing = np.array(image.spacing)[:, None]
+        shape = np.array(image.shape, dtype=np.float64)[:, None]
+        strides = np.array([image.shape[1] * image.shape[2],
+                            image.shape[2], 1.0])
+        a = np.asarray(a, dtype=np.float64).reshape(-1, 3).T
+        d = np.asarray(d, dtype=np.float64).reshape(-1, 3).T
+        end = np.array(t_max, dtype=np.float64)
+        n = end.size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (a - origin) / spacing
+            v = d / spacing
+
+            # Clip to the box: an outside ray enters at t, or never
+            # does (and then ends at its first step, from where it is).
+            t = np.zeros(n)
+            entered = np.zeros(n, dtype=bool)
+            in_box = (r >= 0.0) & (r < shape)
+            out = np.flatnonzero(~(in_box[0] & in_box[1] & in_box[2]))
+            if out.size:
+                ro, vo = r[:, out], v[:, out]
+                lo, hi = -ro / vo, (shape - ro) / vo
+                t_in = np.where(vo > 0.0, lo, np.where(vo < 0.0, hi, -np.inf))
+                t_out = np.where(vo > 0.0, hi, np.where(vo < 0.0, lo, np.inf))
+                t_enter = np.zeros(out.size)
+                t_exit = np.full(out.size, np.inf)
+                for c in range(3):
+                    t_enter = np.where(t_in[c] > t_enter, t_in[c], t_enter)
+                    t_exit = np.where(t_out[c] < t_exit, t_out[c], t_exit)
+                beside = ((vo == 0.0) & ~in_box[:, out]).any(axis=0)
+                reaches = ~(beside | (t_enter >= t_exit)
+                            | (t_enter > end[out]))
+                entered[out] = reaches
+                t[out] = np.where(reaches, t_enter, 0.0)
+                end[out[~reaches]] = -np.inf
+
+            # The voxel each ray starts in; an entry point on a voxel
+            # face belongs to the voxel the ray is heading into.
+            up, down = v > 0.0, v < 0.0
+            x = r + t * v
+            voxel = np.where(down & entered, np.ceil(x) - 1.0, np.floor(x))
+            voxel = np.minimum(np.maximum(voxel, 0.0), shape - 1.0)
+            step = np.sign(v)
+            face = voxel + up
+            past = np.where(up, shape + 1.0, -1.0)
+            times = np.where(up | down, (face - r) / v, np.inf)
+            jump = (step * strides[:, None]).astype(np.int64)
+            at = (strides @ voxel).astype(np.int64)
+            labels = image.labels.reshape(-1)
+            label = labels[at]
+
+            # A ray that enters the box straight into foreground has its
+            # crossing at t; every other ray walks.  The per-ray
+            # constants stay whole and are read through ``live``.
+            crossed = entered & (label != 0)
+            live = np.flatnonzero(~crossed)
+            T, F = times[:, live].reshape(-1), face[:, live].reshape(-1)
+            at, end, start = at[live], end[live], label[live]
+            left_box = np.zeros(live.size, dtype=bool)
+            r_, v_, step_, jump_, past_ = (
+                rows.reshape(-1) for rows in (r, v, step, jump, past))
+            row = np.arange(live.size)
+            while live.size:
+                m = live.size
+                tx, ty, tz = by_axis = T.reshape(3, m)
+                axis = np.where((tx <= ty) & (tx <= tz), 0,
+                                np.where(ty <= tz, 1, 2))
+                mine = axis * m + row[:m]           # into T, F
+                theirs = axis * n + live            # into r, v, ...
+                t_now = T[mine]
+                x_now, y_now, z_now = by_axis == t_now
+                pending = (x_now & y_now) | (x_now & z_now) | (y_now & z_now)
+                ended = t_now > end
+                f = F[mine] + step_[theirs]
+                F[mine] = f
+                T[mine] = (f - r_[theirs]) / v_[theirs]
+                at += jump_[theirs]
+                left_box |= f == past_[theirs]
+                # (a ray outside the box reads some voxel: masked below)
+                stop = left_box | (labels.take(at, mode="clip") != start)
+                done = ended | (stop & ~pending)
+                if not done.any():
+                    continue
+                found = np.flatnonzero(
+                    done & ~ended & ~(left_box & (start == 0)))
+                into = live[found]
+                crossed[into] = True
+                t[into] = t_now[found]
+                faces = F.reshape(3, m)
+                face[:, into] = faces[:, found]
+                keep = np.flatnonzero(~done)
+                T = by_axis.take(keep, axis=1).reshape(-1)
+                F = faces.take(keep, axis=1).reshape(-1)
+                live, at, end, start, left_box = (
+                    col[keep] for col in (live, at, end, start, left_box))
+
+            # The crossing: a + t*d, exactly on every face reached at t.
+            on = face - step
+            snap = (step != 0.0) & ((on - r) / v == t)
+            p = np.where(snap, origin + on * spacing, a + t * d)
+        z = np.full((n, 3), np.nan)
+        z[crossed] = p.T[crossed]
+        return crossed, z
+
 
 class SurfaceOracle(LabelRays):
     """Answers closest-isosurface-point and surface-crossing queries.
@@ -272,3 +397,32 @@ class SurfaceOracle(LabelRays):
         # Extend past q: the actual label interface lies within one voxel
         # of the surface voxel center.
         return self._first_crossing(p, d, 1.0 + overshoot / length)
+
+    def closest_surface_points(self, points
+                               ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`closest_surface_point` for an ``(n, 3)`` array of
+        points: ``(hit, z)``, a bool per point and an ``(n, 3)`` array
+        whose ``hit`` rows are the scalar's answer, float for float.
+
+        One feature-transform gather and one batched traversal; a point
+        exactly on a surface voxel center (no direction to walk in) is
+        asked of the scalar.
+        """
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        d = self.nearest_surface_voxels(p) - p
+        length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+                         + d[:, 2] * d[:, 2])
+        overshoot = 2.0 * max(self.image.spacing)
+        centered = np.flatnonzero(length == 0.0)
+        if not centered.size:
+            return self._first_crossings(p, d, 1.0 + overshoot / length)
+        rays = np.flatnonzero(length)
+        hit = np.zeros(len(p), dtype=bool)
+        z = np.full(p.shape, np.nan)
+        hit[rays], z[rays] = self._first_crossings(
+            p[rays], d[rays], 1.0 + overshoot / length[rays])
+        for i in centered.tolist():
+            at = self.closest_surface_point(p[i].tolist())
+            if at is not None:
+                hit[i], z[i] = True, at
+        return hit, z

@@ -26,6 +26,7 @@ Local-CM        semi       deadlock-free and livelock-free (Lemmas 1-2)
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Deque, List, Optional
@@ -183,10 +184,15 @@ class LocalCM(ContentionManager):
         self._busy_wait = [False] * n_threads
         self._cl: List[Deque[int]] = [deque() for _ in range(n_threads)]
         self._mutexes = [None] * n_threads  # created lazily per backend
+        self._mutexes_lock = threading.Lock()
 
     def _mutex(self, ctx: ExecutionContext, i: int):
+        """The one mutex of thread ``i``, made by the first caller's
+        backend; two first callers racing get the same object."""
         if self._mutexes[i] is None:
-            self._mutexes[i] = ctx.make_mutex()
+            with self._mutexes_lock:
+                if self._mutexes[i] is None:
+                    self._mutexes[i] = ctx.make_mutex()
         return self._mutexes[i]
 
     def on_rollback(self, ctx: ExecutionContext, conflicting_id: int) -> None:

@@ -250,38 +250,79 @@ _BLOCK = ((2, 2, 2), [1] * 8)          # foreground on every border
 _CORE = ((3, 3, 3), [0] * 13 + [2] + [0] * 13)
 
 
+_EXAMPLES = [
+    # starts outside the box and ends inside the foreground
+    _BLOCK + (_SPACINGS[1], _ORIGINS[1], (-6, 3, 5), (1, 0, 0), 10),
+    # starts inside, leaves through a border the foreground touches
+    _BLOCK + (_SPACINGS[2], _ORIGINS[0], (2, 2, 2), (3, 1, -2), 8),
+    # starts on a voxel face / on the upper box face, going back in
+    _CORE + (_SPACINGS[0], _ORIGINS[1], (4, 6, 6), (1, 0, 0), 4),
+    _BLOCK + (_SPACINGS[0], _ORIGINS[0], (8, 2, 2), (-1, 0, 0), 4),
+    # starts at a voxel centre, along the exact diagonal (three-way ties)
+    _CORE + (_SPACINGS[0], _ORIGINS[0], (2, 2, 2), (1, 1, 1), 4),
+    _CORE + (_SPACINGS[1], _ORIGINS[1], (10, 10, 2), (-1, -1, 1), 6),
+    # axis-parallel rays, outside the box all the way
+    _BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 2, 2), (0, 0, 1), 24),
+    # grazes a box edge from outside
+    _BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 4, 2), (1, -1, 0), 8),
+    # enters the box on a voxel corner, descending in x: the voxel
+    # entered is the background one below the corner, not the
+    # foreground one above
+    ((4, 1, 3), [0] * 5 + [1] + [0] * 6, _SPACINGS[0], _ORIGINS[0],
+     (5, -1, 5), (-1, 1, 3), 2),
+    # zero-length segments
+    _BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (0, 0, 0), 4),
+    _BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (1, 2, 3), 0),
+]
+
+
+def _with_examples(test):
+    for case in _EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+def _segment(spacing, origin, start, direction, quarters):
+    """The segment of a case as ``(a, d)``, on any image's lattice."""
+    a = tuple(origin[c] + 0.25 * start[c] * spacing[c] for c in range(3))
+    d = tuple(0.25 * quarters * direction[c] * spacing[c] for c in range(3))
+    return a, d
+
+
+def _assert_batch_is_the_scalar(rays, segments):
+    """``_first_crossings`` answers every segment as ``_first_crossing``
+    does: ``None`` is ``hit False``, a point is the same three floats."""
+    t_max = [(1.0, 0.5, 1.75)[n % 3] for n in range(len(segments))]
+    hit, z = rays._first_crossings([a for a, _ in segments],
+                                   [d for _, d in segments], t_max)
+    assert hit.shape == (len(segments),) and z.shape == (len(segments), 3)
+    for n, (a, d) in enumerate(segments):
+        expected = rays._first_crossing(a, d, t_max[n])
+        if expected is None:
+            assert not hit[n]
+        else:
+            assert hit[n] and tuple(z[n].tolist()) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(_ray_cases())
-# starts outside the box and ends inside the foreground
-@example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (-6, 3, 5), (1, 0, 0), 10))
-# starts inside, leaves through a border the foreground touches
-@example(_BLOCK + (_SPACINGS[2], _ORIGINS[0], (2, 2, 2), (3, 1, -2), 8))
-# starts on a voxel face / on the upper box face, going back in
-@example(_CORE + (_SPACINGS[0], _ORIGINS[1], (4, 6, 6), (1, 0, 0), 4))
-@example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (8, 2, 2), (-1, 0, 0), 4))
-# starts at a voxel centre, along the exact diagonal (three-way ties)
-@example(_CORE + (_SPACINGS[0], _ORIGINS[0], (2, 2, 2), (1, 1, 1), 4))
-@example(_CORE + (_SPACINGS[1], _ORIGINS[1], (10, 10, 2), (-1, -1, 1), 6))
-# axis-parallel rays, outside the box all the way
-@example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 2, 2), (0, 0, 1), 24))
-# grazes a box edge from outside
-@example(_BLOCK + (_SPACINGS[0], _ORIGINS[0], (-4, 4, 2), (1, -1, 0), 8))
-# enters the box on a voxel corner, descending in x: the voxel entered
-# is the background one below the corner, not the foreground one above
-@example(((4, 1, 3), [0] * 5 + [1] + [0] * 6, _SPACINGS[0], _ORIGINS[0],
-          (5, -1, 5), (-1, 1, 3), 2))
-# zero-length segments
-@example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (0, 0, 0), 4))
-@example(_BLOCK + (_SPACINGS[1], _ORIGINS[1], (2, 2, 2), (1, 2, 3), 0))
+@_with_examples
 def test_traversal_matches_dense_sampling(case):
     shape, labels, spacing, origin, start, direction, quarters = case
     img = SegmentedImage(np.array(labels, dtype=np.int16).reshape(shape),
                          spacing=spacing, origin=origin)
     oracle = SurfaceOracle(img)
-    a = tuple(origin[c] + 0.25 * start[c] * spacing[c] for c in range(3))
-    d = tuple(0.25 * quarters * direction[c] * spacing[c] for c in range(3))
+    a, d = _segment(spacing, origin, start, direction, quarters)
     b = tuple(a[c] + d[c] for c in range(3))
     hit = oracle.surface_crossing(a, b)
+    # The batched traversal is the scalar one, bit for bit: on this
+    # segment alone, and with every example's segment laid over this
+    # image beside it (rays of all lengths in one batch, so finished
+    # rays are compacted out from under the ones still walking).
+    _assert_batch_is_the_scalar(oracle, [(a, d)])
+    _assert_batch_is_the_scalar(
+        oracle, [(a, d)] + [_segment(spacing, origin, *other[4:])
+                            for other in _EXAMPLES])
     # The traversal reads labels only: the oracle inherits it from the
     # image-only base, which builds no surface mask and no transform.
     assert (SurfaceOracle.surface_crossing is LabelRays.surface_crossing

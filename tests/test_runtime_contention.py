@@ -6,6 +6,8 @@ properties on constructed dependency cycles, and the bookkeeping of all
 four managers.
 """
 
+import threading
+import time
 from collections import deque
 
 import pytest
@@ -226,6 +228,35 @@ class TestLocal:
         for m in cm._mutexes:
             if m is not None:
                 assert not m.held
+
+    def test_racing_first_callers_get_one_mutex(self):
+        # The mutex of an index is made on first use; a backend whose
+        # make_mutex takes a while must not hand two first callers two
+        # different mutexes for it (they would both "hold" it).
+        cm, _ = make("local")
+
+        class SlowContext(FakeContext):
+            def make_mutex(self):
+                time.sleep(0.05)
+                return FakeMutex()
+
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def first_use(k):
+            ctx = SlowContext(k)
+            barrier.wait(timeout=10.0)
+            got[k] = cm._mutex(ctx, 3)
+
+        threads = [threading.Thread(target=first_use, args=(k,))
+                   for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10.0)
+            assert not th.is_alive()
+        assert got[0] is not None and got[0] is got[1]
+        assert got[0] is cm._mutex(FakeContext(0), 3)
 
 
 class TestSharedState:

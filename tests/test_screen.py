@@ -30,6 +30,7 @@ from repro.delaunay.shard import mesh_sharded
 from repro.geometry.batch import circumballs_many, triangle_min_angles_many
 from repro.geometry.quality import triangle_min_angle
 from repro.imaging import (
+    SurfaceOracle,
     abdominal_phantom,
     ball_grid_phantom,
     near_duplicate_phantom,
@@ -47,6 +48,14 @@ def thin_plate_phantom(n=16):
     return SegmentedImage(labels)
 
 
+def anisotropic_phantom():
+    """Two tissues on a grid with three different spacings that does not
+    start at the origin."""
+    return SegmentedImage(near_duplicate_phantom(20).labels,
+                          spacing=(1.0, 1.25, 1.5),
+                          origin=(-3.5, 10.25, 0.125))
+
+
 PHANTOMS = {
     "sphere": lambda: (sphere_phantom(16), 2.5),
     "abdominal": lambda: (abdominal_phantom(24), None),
@@ -54,6 +63,7 @@ PHANTOMS = {
     "ball_grid": lambda: (ball_grid_phantom(24), 2.0),
     "near_duplicate": lambda: (near_duplicate_phantom(24), 2.0),
     "thin_plate": lambda: (thin_plate_phantom(), 1.0),
+    "anisotropic": lambda: (anisotropic_phantom(), 2.0),
 }
 
 
@@ -90,19 +100,46 @@ def _checked_screen(log):
     return checked
 
 
+def _assert_rays_are_the_scalar(oracle, points, hit, z):
+    """``closest_surface_points`` answered ``points`` as the judge's
+    ``closest_surface_point`` does: ``None`` is ``hit False``, a point
+    is the same three floats."""
+    assert hit.shape == (len(points),) and z.shape == (len(points), 3)
+    for p, found, row in zip(points.tolist(), hit.tolist(), z.tolist()):
+        expected = oracle.closest_surface_point(tuple(p))
+        assert (tuple(row) == expected if found else expected is None), p
+
+
+def _checked_rays(log):
+    """``SurfaceOracle.closest_surface_points`` with every row compared
+    to the scalar.  ``log`` collects the batch sizes."""
+    batch = SurfaceOracle.closest_surface_points
+
+    def checked(self, points):
+        hit, z = batch(self, points)
+        _assert_rays_are_the_scalar(self, np.asarray(points), hit, z)
+        log.append(len(points))
+        return hit, z
+
+    return checked
+
+
 class TestSoundness:
     """``screen(t) is False`` implies ``refine_tet(t)`` is a no-op — on
     every generation of a real run, not only on the finished mesh."""
 
     @pytest.mark.parametrize("phantom", PHANTOMS)
     def test_every_generation_of_a_run(self, phantom, monkeypatch):
-        log = []
+        log, rays = [], []
         monkeypatch.setattr(RefineDomain, "screen", _checked_screen(log))
+        monkeypatch.setattr(SurfaceOracle, "closest_surface_points",
+                            _checked_rays(rays))
         image, delta = PHANTOMS[phantom]()
         domain = RefineDomain(image, delta=delta)
         before = _topology(domain)
         stats = SequentialRefiner(domain, max_operations=200_000).refine()
         assert len(log) > 3 and stats.n_insertions > 0
+        assert len(rays) == len(log) and sum(rays) > 100
         assert _topology(domain) != before
         # The last generation is the proof of termination: nothing in
         # it can be refined.
@@ -111,8 +148,10 @@ class TestSoundness:
     def test_every_generation_of_a_stitch(self, monkeypatch):
         # Block refiners and the seam-seeded stitch (seed_filter, a
         # bulk-loaded mesh, neighbours no generation ever held).
-        log = []
+        log, rays = [], []
         monkeypatch.setattr(RefineDomain, "screen", _checked_screen(log))
+        monkeypatch.setattr(SurfaceOracle, "closest_surface_points",
+                            _checked_rays(rays))
         res = mesh_sharded(MeshRequest(
             image=ball_grid_phantom(24), mesher="sequential", delta=2.0,
             shards=2,
@@ -120,6 +159,7 @@ class TestSoundness:
         assert res.stats["stitch"]["mode"] == "seam_local"
         assert res.stats["stitch"]["refine_operations"] > 0
         assert sum(n for n, _ in log) > 1000
+        assert len(rays) == len(log) and sum(rays) > 100
 
     def test_finished_mesh_screens_clean(self):
         image, delta = PHANTOMS["abdominal"]()
@@ -189,6 +229,36 @@ class TestBatchKernels:
         store = domain.circumballs(live)
         assert store[t].tobytes() == row.tobytes()
         assert (store[live, 4] >= 0).all()
+
+    def test_closest_surface_points_is_the_scalar_row_for_row(self):
+        # Off the runs: starts inside, outside and on the faces of the
+        # box, and every voxel center — a surface voxel's center has no
+        # direction to walk in and is asked of the scalar.
+        image = anisotropic_phantom()
+        oracle = SurfaceOracle(image)
+        lo, hi = (np.array(b) for b in image.bounds())
+        rng = np.random.default_rng(11)
+        faces = rng.uniform(lo, hi, size=(60, 3))
+        for n, p in enumerate(faces):
+            p[n % 3] = (lo, hi)[n % 2][n % 3]
+        centers = np.array([image.voxel_center(i)
+                            for i in np.ndindex(*image.shape)])
+        on_surface = np.flatnonzero(oracle.surface_mask)
+        points = np.concatenate([
+            rng.uniform(lo, hi, size=(300, 3)),
+            rng.uniform(lo - 8.0, hi + 8.0, size=(300, 3)),
+            faces, centers])
+        hit, z = oracle.closest_surface_points(points)
+        _assert_rays_are_the_scalar(oracle, points, hit, z)
+        assert hit[len(points) - len(centers) + on_surface].all()
+        assert not hit.all()
+        # One such center alone, and none at all.
+        center = centers[on_surface[:1]]
+        hit, z = oracle.closest_surface_points(center)
+        assert oracle.nearest_surface_voxel(center[0]) == tuple(center[0])
+        _assert_rays_are_the_scalar(oracle, center, hit, z)
+        hit, z = oracle.closest_surface_points(np.zeros((0, 3)))
+        assert hit.shape == (0,) and z.shape == (0, 3)
 
     def test_min_angle_matches_the_scalar(self):
         rng = np.random.default_rng(7)
