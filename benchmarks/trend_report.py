@@ -34,7 +34,6 @@ import sys
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 DEFAULT_HISTORY = RESULTS_DIR / "BENCH_kernels_history.jsonl"
 DEFAULT_SERVICE_HISTORY = RESULTS_DIR / "BENCH_service_history.jsonl"
-DEFAULT_SHARD_HISTORY = RESULTS_DIR / "BENCH_shard_history.jsonl"
 DEFAULT_REPORT = RESULTS_DIR / "BENCH_trend.txt"
 
 
@@ -131,115 +130,6 @@ def record_service(bench_path: pathlib.Path, history_path: pathlib.Path,
     with open(history_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(rec) + "\n")
     return rec
-
-
-def record_shard(bench_path: pathlib.Path, history_path: pathlib.Path,
-                 label: str):
-    """Append one history record distilled from a BENCH_shard.json."""
-    if not bench_path.exists():
-        print(f"warning: no shard benchmark results at {bench_path}; "
-              "nothing recorded", file=sys.stderr)
-        return None
-    try:
-        doc = json.loads(bench_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"warning: unreadable shard benchmark {bench_path}: {exc}",
-              file=sys.stderr)
-        return None
-    if not isinstance(doc, dict) or not doc:
-        print(f"warning: empty shard benchmark {bench_path}; "
-              "nothing recorded", file=sys.stderr)
-        return None
-    gate = doc.get("gate", {})
-    near = doc.get("near_duplicate", {})
-    near_gate = near.get("gate", {})
-    rec = {
-        "label": label,
-        "schema": doc.get("schema"),
-        "cpus": doc.get("cpus"),
-        "blocks": doc.get("workload", {}).get("blocks"),
-        "unsharded_seconds": doc.get("unsharded", {}).get("seconds"),
-        "sharded_seconds": doc.get("sharded", {}).get("seconds"),
-        "speedup": doc.get("speedup_sharded_over_unsharded"),
-        "gate_enforced": bool(gate.get("enforced")),
-        "gate_passed": bool(gate.get("passed")),
-        # schema 3: near-duplicate incremental workload, held against
-        # the unsharded mesh of the same frame
-        "cold_seconds": near.get("cold", {}).get("seconds"),
-        "near_unsharded_seconds":
-            near.get("unsharded", {}).get("seconds"),
-        "incremental_seconds":
-            near.get("incremental", {}).get("seconds"),
-        "block_hits": near.get("incremental", {}).get("block_hits"),
-        "incremental_speedup":
-            near.get("speedup_incremental_over_unsharded"),
-        "incremental_gate_enforced": bool(near_gate.get("enforced")),
-        "incremental_gate_passed": bool(near_gate.get("passed")),
-    }
-    history_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(history_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec) + "\n")
-    return rec
-
-
-def render_shard(history: list, drift_threshold: float) -> str:
-    """Third report section: sharded + incremental meshing trend.
-
-    Two speedups per row: sharded-over-unsharded on the ball grid, and
-    (schema 3) incremental-over-unsharded on the near-duplicate
-    workload, with the block-cache hit count behind it.  Each drifts
-    against the best enforced run of its own kind.
-    """
-    lines = [
-        "domain-sharded meshing trend "
-        "(sharded vs unsharded; incremental vs unsharded)",
-        "",
-        f"{'label':<24} {'cpus':>5} {'plain s':>8} {'shard s':>8} "
-        f"{'speedup':>8} {'incr x':>7} {'hits':>5} {'gate':>9}  note",
-        "-" * 88,
-    ]
-    enforced = [r for r in history if r.get("gate_enforced")]
-    best = max((r.get("speedup") or 0.0 for r in enforced), default=0.0)
-    incr_enforced = [r for r in history
-                     if r.get("incremental_gate_enforced")]
-    best_incr = max((r.get("incremental_speedup") or 0.0
-                     for r in incr_enforced), default=0.0)
-    for r in history:
-        speedup = r.get("speedup")
-        incr = r.get("incremental_speedup")
-        if not r.get("gate_enforced"):
-            note = "few CPUs: advisory"
-        elif len(enforced) == 1:
-            note = "n=1 (no baseline)"
-        elif best > 0 and speedup is not None:
-            drop = 1.0 - speedup / best
-            note = (f"DRIFT -{drop:.0%} vs best {best:.2f}x"
-                    if drop > drift_threshold else "")
-        else:
-            note = ""
-        if (not note and r.get("incremental_gate_enforced")
-                and len(incr_enforced) > 1
-                and best_incr > 0 and incr is not None):
-            drop = 1.0 - incr / best_incr
-            if drop > drift_threshold:
-                note = f"INCR DRIFT -{drop:.0%} vs best {best_incr:.2f}x"
-        incr_ok = (bool(r.get("incremental_gate_passed"))
-                   if r.get("incremental_gate_enforced") else True)
-        gate = ("pass" if (r.get("gate_passed") and incr_ok)
-                else "FAIL") if r.get("gate_enforced") else "n/a"
-        lines.append(
-            f"{str(r.get('label', '?')):<24.24} "
-            f"{_fmt(r.get('cpus'), 5, 0)} "
-            f"{_fmt(r.get('unsharded_seconds'), 8, 2)} "
-            f"{_fmt(r.get('sharded_seconds'), 8, 2)} "
-            f"{_fmt(speedup, 8, 2)} "
-            f"{_fmt(incr, 7, 2)} "
-            f"{_fmt(r.get('block_hits'), 5, 0)} {gate:>9}  {note}"
-        )
-    if not history:
-        lines.append("(no shard history recorded yet)")
-    lines.append("")
-    return "\n".join(lines) + "\n"
 
 
 def render_service(history: list, drift_threshold: float) -> str:
@@ -382,9 +272,6 @@ def main(argv=None) -> int:
     parser.add_argument("--record-service", metavar="BENCH_SERVICE_JSON",
                         help="append this BENCH_service.json to the "
                              "service history")
-    parser.add_argument("--record-shard", metavar="BENCH_SHARD_JSON",
-                        help="append this BENCH_shard.json to the shard "
-                             "history")
     parser.add_argument("--label", default="local",
                         help="history label for --record (branch, SHA, ...)")
     parser.add_argument("--rebaseline", default="", metavar="REASON",
@@ -394,8 +281,6 @@ def main(argv=None) -> int:
     parser.add_argument("--history", default=str(DEFAULT_HISTORY))
     parser.add_argument("--service-history",
                         default=str(DEFAULT_SERVICE_HISTORY))
-    parser.add_argument("--shard-history",
-                        default=str(DEFAULT_SHARD_HISTORY))
     parser.add_argument("-o", "--output", default=str(DEFAULT_REPORT))
     parser.add_argument("--drift-threshold", type=float, default=0.10,
                         help="flag entries this far below the best speedup")
@@ -421,24 +306,11 @@ def main(argv=None) -> int:
             print(f"recorded service {rec['label']}: speedup "
                   f"{sp if sp is not None else 'n/a'}")
 
-    shard_history_path = pathlib.Path(args.shard_history)
-    if args.record_shard:
-        rec = record_shard(pathlib.Path(args.record_shard),
-                           shard_history_path, args.label)
-        if rec is not None:
-            sp = rec["speedup"]
-            print(f"recorded shard {rec['label']}: speedup "
-                  f"{sp if sp is not None else 'n/a'}")
-
     report = render(load_history(history_path), args.drift_threshold)
     service_history = load_history(service_history_path)
     if service_history:
         report += "\n" + render_service(service_history,
                                         args.drift_threshold)
-    shard_history = load_history(shard_history_path)
-    if shard_history:
-        report += "\n" + render_shard(shard_history,
-                                      args.drift_threshold)
     out = pathlib.Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report)

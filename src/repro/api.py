@@ -30,6 +30,7 @@ functions this facade calls.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -79,13 +80,16 @@ class MeshRequest:
     hyperthreading: bool = False
     seed: int = 0
     #: domain sharding: ``None``/1 = off, ``"auto"`` = one shard per
-    #: CPU (capped), N = split the image into up to N blocks meshed in
-    #: parallel workers and stitched (:mod:`repro.delaunay.shard`).
+    #: CPU (capped), N = split the image into up to N blocks, meshed
+    #: one after another by :func:`mesh` or over a service's worker
+    #: processes, and stitched (:mod:`repro.delaunay.shard`).
     shards: Optional[Any] = None
     #: incremental meshing for sharded requests: content-address each
     #: block's refined point set and warm-start the stitch from the
     #: previous run's delta, so near-duplicate images only pay for the
-    #: blocks whose crop bytes changed.  No effect when ``shards <= 1``.
+    #: blocks whose crop bytes changed.  The one switch: ``False`` keeps
+    #: the request away from every block cache.  No effect when
+    #: ``shards <= 1``.
     incremental: bool = True
     # -- guard rails ----------------------------------------------------
     #: upper bound on refinement *pops*; exceeding it raises.  Every tet
@@ -553,21 +557,34 @@ def get_mesher(name: str) -> Mesher:
         ) from None
 
 
+@functools.cache
+def _block_cache():
+    """The process-wide, memory-only block/stitch cache of :func:`mesh`:
+    repeated calls on near-duplicate images in one process get the
+    incremental treatment the service gives, without any disk state."""
+    from repro.service.cache import ArtifactCache
+
+    return ArtifactCache(root=None)
+
+
 def mesh(request: MeshRequest) -> MeshResult:
     """The unified entry point: validate, dispatch, run.
 
     Requests with ``shards`` > 1 route through the domain-sharded path
-    (:mod:`repro.delaunay.shard`); when the image decomposes into a
-    single occupied block — or ``shards`` resolves to 1 — the plain
-    mesher runs, bit-identical to an unsharded request.
+    (:func:`repro.delaunay.shard.mesh_sharded`), whose blocks are meshed
+    in this process — no worker process is ever started here.  When
+    the image decomposes into a single occupied block — or ``shards``
+    resolves to 1 — the plain mesher runs, bit-identical to an
+    unsharded request.
     """
     request.validate()
     if request.resolved_shards() > 1:
-        from repro.service.shards import run_local
+        from repro.delaunay.shard import ShardingUnavailable, mesh_sharded
 
-        result = run_local(request)
-        if result is not None:
-            return result
+        try:
+            return mesh_sharded(request, block_cache=_block_cache())
+        except ShardingUnavailable:
+            pass
     return get_mesher(request.resolved_mesher()).mesh(request)
 
 

@@ -91,7 +91,6 @@ def _build_request(args: argparse.Namespace, image, mesher: str):
         mesher=mesher,
         delta=args.delta,
         shards=getattr(args, "shards", None),
-        incremental=not getattr(args, "no_incremental", False),
         n_threads=getattr(args, "threads", 1),
         cm=getattr(args, "cm", "local"),
         lb=getattr(args, "lb", "hws"),
@@ -196,7 +195,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_retries=args.shard_retries,
         memory_cache_bytes=args.memory_cache_bytes,
         coalesce=not args.no_coalesce,
-        incremental=not getattr(args, "no_incremental", False),
     )
     service = MeshingService(config).start()
     try:
@@ -325,13 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_parse_shards, default=None,
                    metavar="N|auto",
                    help="domain-sharded meshing: partition the image "
-                        "into N blocks meshed in parallel processes "
-                        "and stitched ('auto' sizes to the CPU count; "
+                        "into N blocks, mesh them one after another "
+                        "and stitch ('auto' sizes to the CPU count; "
                         "sequential mesher only)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the per-block content cache for "
-                        "sharded meshing (every block re-meshes even "
-                        "on a near-duplicate image)")
     p.add_argument("--kernel-stats", action="store_true",
                    help="print hot-path kernel statistics (filter hit "
                         "rate, walk lengths, cavity sizes)")
@@ -371,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-retries", type=int, default=1, metavar="N",
                    help="re-runs granted to a crashed/transient shard "
                         "(default 1)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable per-block content caching and "
-                        "seam-local stitching for sharded jobs")
     p.add_argument("--memory-cache-bytes", type=int, default=None,
                    metavar="BYTES",
                    help="bound the in-memory artifact cache by total "

@@ -16,7 +16,7 @@ repair-the-interfaces template of Garner et al. (PAPERS.md):
    dilated by the interface band, so a shard sees the same image
    context any point in its core would see in the unsharded run out to
    the ``2*delta`` influence radius of the refinement rules.
-2. **Mesh blocks** — :func:`mesh_block` runs the ordinary sequential
+2. **Mesh blocks** — :func:`refine_block` runs the ordinary sequential
    refiner on the cropped sub-image (same ``delta``, same bounds) and
    exports the vertices its core *owns*, in insertion order, with
    their :class:`~repro.core.domain.VertexKind`.
@@ -38,10 +38,10 @@ points in per-shard insertion order, and R6 victims in sorted-id
 order, so the same image + the same shard count reproduces the same
 topology on every run.
 
-:func:`mesh_sharded` composes the three stages behind a ``runner``
-callable so the same algorithm serves in-process execution (the
-default serial runner) and the service's process-pool fan-out
-(:mod:`repro.service.shards`).
+:func:`mesh_sharded` is the one coordinator: it decomposes, decides the
+fallback (:class:`ShardingUnavailable`), runs the blocks through a
+``runner`` — :func:`in_process_runner` by default, or the service's
+process-pool fan-out (:mod:`repro.service.shards`) — and stitches.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ _MAX_QUALITY_ROUNDS = 8
 
 
 class ShardingUnavailable(RuntimeError):
-    """The image cannot usefully be sharded (e.g. one occupied block)."""
+    """The image cannot usefully be sharded: an empty foreground, or
+    fewer than two occupied blocks.  The unsharded mesher is then
+    equivalent (and raises the canonical error for an empty image)."""
 
 
 @dataclass(frozen=True)
@@ -366,20 +368,6 @@ def refine_block(sub: SegmentedImage, own_lo: Sequence[float],
         "refine_seconds": rstats.wall_time,
     }
     return {"points": pts, "kinds": kinds}, stats
-
-
-def mesh_block(image: SegmentedImage, block: Block, plan: ShardPlan,
-               *, radius_edge_bound: float = 2.0,
-               planar_angle_bound_deg: float = 30.0,
-               max_operations: Optional[int] = None
-               ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Crop + refine one block of ``image`` (the in-process runner)."""
-    return refine_block(
-        crop_image(image, block), block.own_lo, block.own_hi,
-        delta=plan.delta, radius_edge_bound=radius_edge_bound,
-        planar_angle_bound_deg=planar_angle_bound_deg,
-        max_operations=max_operations,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -829,15 +817,6 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
         "refine_seconds": refine_seconds,
         "seconds": time.perf_counter() - t0,
     }
-    if obs is not None:
-        reg = obs.registry
-        reg.counter("shard.stitch.points").inc(inserted)
-        reg.counter("shard.stitch.duplicates").inc(duplicates)
-        reg.counter("shard.stitch.removed").inc(removed)
-        reg.counter("shard.stitch.refine_operations").inc(
-            rstats.n_operations
-        )
-        reg.gauge("shard.stitch.seconds").set(stitch_stats["seconds"])
     return MeshingResult(mesh=mesh, stats=rstats, domain=domain), \
         stitch_stats
 
@@ -873,32 +852,83 @@ def _replay_r6_bands(domain, plan: ShardPlan, image: SegmentedImage,
 # composition
 # ---------------------------------------------------------------------------
 
-#: ``runner(plan, indices, keys) -> outs`` for the requested block
-#: indices (in order), each ``{"arrays": {"points", "kinds"},
-#: "stats": {...}}``.  ``keys`` aligns with ``plan.blocks`` (not with
-#: ``indices``) and is ``None`` when no block cache is in play.
-ShardRunner = Callable[..., List[Dict[str, Any]]]
+#: ``runner(plan, indices) -> outs`` for the requested block indices (in
+#: order), each ``{"arrays": {"points", "kinds"}, "stats": {...}}``.
+ShardRunner = Callable[[ShardPlan, Sequence[int]], List[Dict[str, Any]]]
+
+#: ``hook(event, block, info)``: what a runner reports per block —
+#: ``"start"`` and ``"done"`` from every runner, ``"retry"`` and
+#: ``"fail"`` from the pool runner (:mod:`repro.service.shards`).
+ShardHook = Callable[[str, Block, Dict[str, Any]], None]
 
 
-def mesh_sharded(request, plan: Optional[ShardPlan] = None,
-                 runner: Optional[ShardRunner] = None, obs=None,
-                 block_cache=None, incremental: Optional[bool] = None):
+def in_process_runner(request, hook: Optional[ShardHook] = None
+                      ) -> ShardRunner:
+    """Mesh the blocks one after another in this process (the default
+    runner of :func:`mesh_sharded`)."""
+    def run(plan: ShardPlan, indices: Sequence[int]):
+        outs = []
+        for i in indices:
+            block = plan.blocks[i]
+            if hook is not None:
+                hook("start", block, {"attempt": 1})
+            t0 = time.perf_counter()
+            arrays, stats = refine_block(
+                crop_image(request.image, block), block.own_lo,
+                block.own_hi, delta=plan.delta,
+                radius_edge_bound=request.radius_edge_bound,
+                planar_angle_bound_deg=request.planar_angle_bound_deg,
+                max_operations=request.max_operations,
+            )
+            if hook is not None:
+                hook("done", block, {
+                    "seconds": time.perf_counter() - t0, "stats": stats,
+                })
+            outs.append({"arrays": arrays, "stats": stats})
+        return outs
+    return run
+
+
+def publish_counters(registry, stats: Dict[str, Any]) -> None:
+    """``shard.stitch.*`` and ``shard.cache.*`` of one sharded result,
+    from its ``stats``, into ``registry`` (the request's or the
+    service's)."""
+    stitch = stats["stitch"]
+    registry.counter("shard.stitch.points").inc(stitch["points_loaded"])
+    registry.counter("shard.stitch.duplicates").inc(stitch["duplicates"])
+    registry.counter("shard.stitch.removed").inc(stitch["band_removed"])
+    registry.counter("shard.stitch.refine_operations").inc(
+        stitch["refine_operations"])
+    registry.histogram("shard.stitch.seconds").observe(stitch["seconds"])
+    bc = stats.get("block_cache")
+    if bc is None:
+        return
+    registry.counter("shard.cache.block_hits").inc(bc["hits"])
+    registry.counter("shard.cache.block_misses").inc(bc["misses"])
+    if bc["stitch_hit"]:
+        registry.counter("shard.cache.stitch_hits").inc()
+        registry.counter("shard.cache.incremental_stitches").inc()
+    else:
+        registry.counter("shard.cache.stitch_misses").inc()
+
+
+def mesh_sharded(request, runner: Optional[ShardRunner] = None,
+                 block_cache=None, obs=None):
     """Decompose, mesh every block, stitch; returns a ``MeshResult``.
 
+    The one sharding coordinator.  Raises :class:`ShardingUnavailable`
+    when the image has no foreground or decomposes into fewer than two
+    occupied blocks; callers fall back to the unsharded mesher.
     ``runner`` maps (plan, block indices) to per-block point exports;
-    ``None`` runs the blocks serially in-process (correctness path —
-    the speedup comes from the service's process-pool runner).  Raises
-    :class:`ShardingUnavailable` when the decomposition yields fewer
-    than two occupied blocks; callers fall back to the unsharded
-    mesher.
+    ``None`` is :func:`in_process_runner`.
 
     With a ``block_cache`` (an :class:`repro.service.cache
-    .ArtifactCache`), block exports are content-addressed by
-    :func:`block_content_key`: only blocks whose crop bytes changed
-    reach the runner, the rest load from the cache.  ``incremental``
-    (``None`` = the request's ``incremental`` flag) additionally
-    warm-starts the stitch from the previous run's delta artifact —
-    see :func:`stitch`.
+    .ArtifactCache`) and ``request.incremental`` set, block exports are
+    content-addressed by :func:`block_content_key`: only blocks whose
+    crop bytes changed reach the runner, the rest load from the cache,
+    and the stitch warm-starts from the previous run's delta artifact —
+    see :func:`stitch`.  ``request.incremental`` False leaves the cache
+    alone.
     """
     from repro.api import MeshResult
     from repro.observability import Observability
@@ -906,15 +936,12 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
     if obs is None:
         obs = Observability.from_config(request.observability)
     t0 = time.perf_counter()
-    if plan is None:
-        tracer = obs.tracer
-        if tracer.enabled:
-            with tracer.span("shard.decompose"):
-                plan = decompose(request.image, request.resolved_shards(),
-                                 delta=request.delta)
-        else:
+    try:
+        with obs.tracer.span("shard.decompose"):
             plan = decompose(request.image, request.resolved_shards(),
                              delta=request.delta)
+    except ValueError as exc:  # no foreground
+        raise ShardingUnavailable(str(exc)) from exc
     if plan.n_blocks < 2:
         raise ShardingUnavailable(
             f"decomposition produced {plan.n_blocks} occupied block(s)"
@@ -926,9 +953,8 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
         planar_angle_bound_deg=request.planar_angle_bound_deg,
         max_operations=request.max_operations,
     )
-    if incremental is None:
-        incremental = bool(getattr(request, "incremental", True))
-    incremental = bool(incremental) and block_cache is not None
+    if not request.incremental:
+        block_cache = None
 
     keys: Optional[List[str]] = None
     outs: List[Optional[dict]] = [None] * plan.n_blocks
@@ -949,35 +975,28 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
     miss = [i for i, o in enumerate(outs) if o is None]
 
     if runner is None:
-        runner = _serial_runner(request)
+        runner = in_process_runner(request)
     t1 = time.perf_counter()
-    fresh = runner(plan, miss, keys) if miss else []
-    shard_seconds = time.perf_counter() - t1
-    if len(fresh) != len(miss) or any(o is None for o in fresh):
-        raise ShardingUnavailable("a shard produced no output")
-    for i, out in zip(miss, fresh):
+    for i, out in zip(miss, runner(plan, miss)):
         outs[i] = out
         if block_cache is not None:
-            out["stats"].setdefault("content_key", keys[i])
+            out["stats"]["content_key"] = keys[i]
             block_cache.put_block(keys[i], out["arrays"])
+    shard_seconds = time.perf_counter() - t1
 
     inc: Optional[IncrementalStitch] = None
     pkey: Optional[str] = None
     if block_cache is not None:
-        # Even with incremental off, export the delta so a later
-        # incremental request can warm-start from this run.
         pkey = plan_content_key(request.image, plan, **params)
         inc = IncrementalStitch(block_keys=keys)
-        if incremental:
-            prev = block_cache.get_stitch(pkey)
-            prev_keys = ([str(k) for k in prev["block_keys"]]
-                         if prev is not None else None)
-            if prev_keys is not None and len(prev_keys) == plan.n_blocks:
-                inc.prev = prev
-                inc.changed = [
-                    i for i in range(plan.n_blocks)
-                    if prev_keys[i] != keys[i]
-                ]
+        prev = block_cache.get_stitch(pkey)
+        prev_keys = ([str(k) for k in prev["block_keys"]]
+                     if prev is not None else None)
+        if prev_keys is not None and len(prev_keys) == plan.n_blocks:
+            inc.prev = prev
+            inc.changed = [
+                i for i in range(plan.n_blocks) if prev_keys[i] != keys[i]
+            ]
 
     result, stitch_stats = stitch(
         request.image, plan, [o["arrays"] for o in outs],
@@ -985,13 +1004,12 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
         planar_angle_bound_deg=request.planar_angle_bound_deg,
         max_operations=request.max_operations, obs=obs, inc=inc,
     )
-    if inc is not None and inc.export is not None:
+    if inc is not None:
         export = dict(inc.export)
         export["block_keys"] = np.asarray(keys)
         block_cache.put_stitch(pkey, export)
 
     wall = time.perf_counter() - t0
-    shard_stats = [o["stats"] for o in outs]
     stats: Dict[str, Any] = {
         "operations": result.stats.n_operations,
         "insertions": (result.stats.n_insertions
@@ -1004,10 +1022,10 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
         ),
         "shards": plan.n_blocks,
         "shard_plan": plan.to_meta(),
-        "shard_stats": shard_stats,
+        "shard_stats": [o["stats"] for o in outs],
         "stitch": stitch_stats,
     }
-    if block_cache is not None:
+    if inc is not None:
         stats["block_cache"] = {
             "hits": hits,
             "memory_hits": memory_hits,
@@ -1016,14 +1034,7 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
             # the stitch consumed a previous delta: an incremental one
             "stitch_hit": inc.prev is not None,
         }
-        reg = obs.registry
-        reg.counter("shard.cache.block_hits").inc(hits)
-        reg.counter("shard.cache.block_misses").inc(len(miss))
-        if inc.prev is not None:
-            reg.counter("shard.cache.stitch_hits").inc()
-            reg.counter("shard.cache.incremental_stitches").inc()
-        else:
-            reg.counter("shard.cache.stitch_misses").inc()
+    publish_counters(obs.registry, stats)
     return MeshResult(
         mesh=result.mesh,
         mesher=request.resolved_mesher(),
@@ -1039,33 +1050,21 @@ def mesh_sharded(request, plan: Optional[ShardPlan] = None,
     )
 
 
-def _serial_runner(request) -> ShardRunner:
-    def run(plan: ShardPlan, indices: Sequence[int], keys=None):
-        outs = []
-        for i in indices:
-            arrays, stats = mesh_block(
-                request.image, plan.blocks[i], plan,
-                radius_edge_bound=request.radius_edge_bound,
-                planar_angle_bound_deg=request.planar_angle_bound_deg,
-                max_operations=request.max_operations,
-            )
-            outs.append({"arrays": arrays, "stats": stats})
-        return outs
-    return run
-
-
 __all__ = [
     "Block",
     "IncrementalStitch",
+    "ShardHook",
     "ShardPlan",
+    "ShardRunner",
     "ShardingUnavailable",
     "band_width_voxels",
     "block_content_key",
     "crop_image",
     "decompose",
-    "mesh_block",
+    "in_process_runner",
     "mesh_sharded",
     "plan_content_key",
+    "publish_counters",
     "refine_block",
     "resolve_delta",
     "stitch",

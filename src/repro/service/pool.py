@@ -303,8 +303,7 @@ class ProcessWorkerPool:
             self._checkin(slot)
 
     def run_shard(self, request, plan, block,
-                  deadline: Optional[float] = None,
-                  content_key: Optional[str] = None) -> dict:
+                  deadline: Optional[float] = None) -> dict:
         """Mesh one decomposition block in a worker process.
 
         Returns ``{"arrays": {"points", "kinds"}, "stats": {...}}``
@@ -313,9 +312,9 @@ class ProcessWorkerPool:
         """
         slot = self._checkout()
         try:
-            payload = procworker.build_shard_payload(
-                request, plan, block, content_key=content_key)
-            return slot.run(payload, deadline)
+            return slot.run(
+                procworker.build_shard_payload(request, plan, block),
+                deadline)
         finally:
             self._checkin(slot)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import importlib
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -93,35 +93,25 @@ def build_payload(request) -> Dict[str, Any]:
     }
 
 
-def build_shard_payload(request, plan, block,
-                        content_key: Optional[str] = None
-                        ) -> Dict[str, Any]:
+def build_shard_payload(request, plan, block) -> Dict[str, Any]:
     """Parent side: the picklable body for one decomposition block.
 
     The label crop happens here (only the block's sub-volume crosses
     the pipe) and every parameter the shard needs arrives resolved —
     ``delta`` in particular, so all shards and the stitch domain agree
-    even when the request left it defaulted.  ``content_key`` (the
-    block's content address, when a block cache is in play) rides as a
-    top-level field — ``params`` must stay exactly ``refine_block``'s
-    keyword arguments — and is echoed back in the shard's stats so the
-    parent can publish the fresh export under it.
+    even when the request left it defaulted.  ``params`` is exactly
+    ``refine_block``'s keyword arguments.
     """
-    image = request.image
-    lo, hi = block.crop_lo, block.crop_hi
-    origin = tuple(
-        image.origin[d] + lo[d] * image.spacing[d] for d in range(3)
-    )
+    from repro.delaunay.shard import crop_image
+
+    sub = crop_image(request.image, block)
     return {
         "kind": "shard",
-        "labels": np.ascontiguousarray(
-            image.labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
-        ),
-        "spacing": tuple(image.spacing),
-        "origin": origin,
+        "labels": sub.labels,
+        "spacing": sub.spacing,
+        "origin": sub.origin,
         "own_lo": tuple(block.own_lo),
         "own_hi": tuple(block.own_hi),
-        "content_key": content_key,
         "params": {
             "delta": plan.delta,
             "radius_edge_bound": request.radius_edge_bound,
@@ -157,8 +147,6 @@ def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
     arrays, stats = refine_block(
         _image(body), body["own_lo"], body["own_hi"], **body["params"]
     )
-    if body.get("content_key"):
-        stats["content_key"] = body["content_key"]
     return {"meta": {"kind": "shard", "stats": stats}, "arrays": arrays}
 
 

@@ -90,11 +90,6 @@ class ServiceConfig:
     max_shards: Optional[int] = None
     #: re-runs granted to a crashed / transiently-failed shard.
     shard_retries: int = 1
-    #: incremental sharded meshing: content-address per-block exports
-    #: in the artifact cache and warm-start the stitch from the
-    #: previous run's delta (see :mod:`repro.delaunay.shard`).  The
-    #: request's own ``incremental`` flag must also be set.
-    incremental: bool = True
     #: coalesce identical in-flight requests onto one mesh run
     #: (:mod:`repro.service.coalesce`); keyed on the content-addressed
     #: request key, so only provably-identical requests join.
@@ -538,12 +533,13 @@ class MeshingService:
         """
         if (request.resolved_shards() > 1
                 and request.resolved_mesher() not in self._meshers):
-            from repro.service.shards import ServiceShardRunner
+            from repro.delaunay.shard import ShardingUnavailable
+            from repro.service.shards import run_sharded_job
 
-            result = ServiceShardRunner(self).run(job, request)
-            if result is not None:
-                return result
-            # One occupied block: the plain path below is equivalent.
+            try:
+                return run_sharded_job(self, job, request)
+            except ShardingUnavailable:
+                pass  # the plain path below is equivalent
         pool = self._proc_pool
         if pool is not None and pool.remotable(request, self._meshers):
             self.registry.counter("service.jobs.remote").inc()

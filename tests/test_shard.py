@@ -13,7 +13,10 @@ The guarantees under test, in rough dependency order:
   mesh does (the paper's quality guarantee survives stitching);
 * the service fans a sharded job out as ``<job>/s<k>`` sub-jobs over
   the process pool and re-runs a crashed shard without failing the
-  job.
+  job;
+* ``repro.api.mesh`` and the service, under either executor, mesh the
+  same bytes through the one coordinator, and ``api.mesh`` starts no
+  process.
 """
 
 import json
@@ -22,6 +25,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import imaging
 from repro.api import MeshRequest, mesh
 from repro.core.refiner import SequentialRefiner
 from repro.delaunay import arena as arena_mod
@@ -131,13 +135,26 @@ class TestDecompose:
         if plan.n_blocks < 2:
             with pytest.raises(ShardingUnavailable):
                 mesh_sharded(
-                    MeshRequest(image=img, mesher="sequential", shards=4),
-                    plan=plan,
-                )
+                    MeshRequest(image=img, mesher="sequential", shards=4))
+
+    def test_empty_foreground_is_unshardable(self):
+        # mesh_sharded is the one place that decides the fallback; the
+        # unsharded mesher then raises its canonical error.
+        img = sphere_phantom(12)
+        empty = type(img)(np.zeros_like(img.labels), spacing=img.spacing,
+                          origin=img.origin)
+        request = MeshRequest(image=empty, mesher="sequential", shards=2)
+        with pytest.raises(ShardingUnavailable):
+            mesh_sharded(request)
+        with pytest.raises(ValueError) as sharded:
+            mesh(request)
+        with pytest.raises(ValueError) as plain:
+            mesh(MeshRequest(image=empty, mesher="sequential"))
+        assert str(sharded.value) == str(plain.value)
 
 
 # ---------------------------------------------------------------------------
-# stitched-mesh properties (serial runner: no processes involved)
+# stitched-mesh properties (in-process runner: no processes involved)
 # ---------------------------------------------------------------------------
 
 class TestStitchedMesh:
@@ -373,13 +390,13 @@ class TestServiceIncrementalCounters:
         img = ball_grid_phantom(24)
         edited = _edited_ball_grid(img)
         config = ServiceConfig(n_workers=1, executor="thread",
-                               cache_dir=str(tmp_path / "cache"),
-                               incremental=False)
+                               cache_dir=str(tmp_path / "cache"))
         with MeshingService(config) as svc:
             for image in (img, edited):
                 job = svc.submit(MeshRequest(image=image,
                                              mesher="sequential",
-                                             delta=2.0, shards=2))
+                                             delta=2.0, shards=2,
+                                             incremental=False))
                 job.wait(300)
                 assert job.state is JobState.DONE, job.error
                 assert job.tier == "full_mesh"
@@ -520,8 +537,7 @@ class TestFanOutOrder:
         class OneSlotPool:
             n_workers = 1
 
-            def run_shard(self, request, plan, block, deadline=None,
-                          content_key=None):
+            def run_shard(self, request, plan, block, deadline=None):
                 return {"arrays": {}, "stats": {"index": block.index}}
 
         started = []
@@ -538,6 +554,67 @@ class TestFanOutOrder:
         outs = run(plan, [0, 2])  # a warm request's misses
         assert started == [2, 0]
         assert [o["stats"]["index"] for o in outs] == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# one coordinator: the api path and the service mesh the same bytes
+# ---------------------------------------------------------------------------
+
+class TestOneCoordinator:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_api_and_service_match_the_golden(self, tmp_path, executor):
+        row = GOLDEN_ROWS[0]
+        phantom, n, delta, shards = _case(row)
+        image = getattr(imaging, phantom)(n)
+
+        def request(**kw):
+            return MeshRequest(image=image, mesher="sequential",
+                               delta=delta, shards=shards, **kw)
+
+        # incremental=False: a warm process-wide block cache would
+        # warm-start the stitch, and a warm mesh is not the cold bytes.
+        via_api = mesh(request(incremental=False))
+        with MeshingService(_service_config(tmp_path,
+                                            executor=executor)) as svc:
+            job = svc.submit(request())
+            job.wait(300)
+            assert job.state is JobState.DONE, job.error
+            # Sub-jobs whichever runner meshed the blocks.
+            for k in range(shards):
+                assert svc.job(f"{job.id}/s{k}").state is JobState.DONE
+            snap = svc.metrics_snapshot()
+        assert snap["histograms"]["service.shard.seconds"]["count"] == shards
+        assert snap["counters"]["shard.stitch.duplicates"] == \
+            via_api.metrics["counters"]["shard.stitch.duplicates"]
+        for result in (via_api, job.result):
+            assert stitch_row(phantom, n, delta, shards,
+                              result=result) == row
+
+    def test_script_without_main_guard(self, tmp_path):
+        # api.mesh meshes the blocks in this process, so a script that
+        # calls it at import time needs no __main__ guard: nothing is
+        # spawned that would re-import it.
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.api import MeshRequest, mesh\n"
+            "from repro.imaging import ball_grid_phantom\n"
+            "r = mesh(MeshRequest(ball_grid_phantom(24), delta=2.0,"
+            " shards=2))\n"
+            "assert r.stats['shards'] == 2, r.stats\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, str(script)], env=env,
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
 
 
 # ---------------------------------------------------------------------------
