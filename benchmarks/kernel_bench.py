@@ -30,8 +30,16 @@ oracle (numpy against Python, no C on either side):
   generation by generation by the batched traversal and, one call a
   ray, by the scalar ``closest_surface_point`` the judge keeps.
 
+The sixth is the refinement rules' δ-proximity queries (C against
+Python):
+
+* ``grid`` — every call one ``abdominal_phantom(32)`` refinement makes
+  on its two point grids (adds, removes, R1's scalar and batched
+  ``any_within``, R6's ``query_ball``), replayed in order on the C grid
+  and on the dict-of-cells reference, answers compared call for call.
+
 It writes ``BENCH_kernels.json`` (default:
-``benchmarks/results/BENCH_kernels.json``, schema 5) holding the
+``benchmarks/results/BENCH_kernels.json``, schema 6) holding the
 throughputs, the machine's CPU count, the committed pre-overhaul
 baseline, and the accel/python speedups for every workload.
 
@@ -41,7 +49,8 @@ accel/python speedup measured *on this machine* must stay above 80% of
 the committed reference speedup (a >20% relative throughput drop of the
 fast path fails the job).  On machines without a C compiler the gate
 degrades to checking the pure-Python path against its own floor, and
-the ``rays`` ratio, which needs no compiler.
+the ``rays`` ratio, which needs no compiler; the ``grid`` ratio is gated
+when the C grid is loaded.
 
 Usage::
 
@@ -65,6 +74,7 @@ import numpy as np
 from repro import _accel
 from repro.api import MeshRequest, mesh
 from repro.core.domain import RefineDomain, VertexKind
+from repro.core.pointgrid import AccelGrid, ReferenceGrid
 from repro.core.refiner import SequentialRefiner
 from repro.delaunay import RemovalError, Triangulation3D
 from repro.imaging import SurfaceOracle, abdominal_phantom
@@ -132,6 +142,12 @@ BATCH_REFERENCE_SPEEDUP = 1.2
 # Batched closest-surface-point rays vs one scalar call a ray, on the
 # reference machine when the batch landed.
 RAYS_REFERENCE_SPEEDUP = 2.0
+# The replayed δ-grid calls on the C grid vs the dict-of-cells
+# reference, on the reference machine (2 vCPUs) when the C grid landed
+# (7.7-8.3x over three runs).
+GRID_REFERENCE_SPEEDUP = 7.5
+GRID_METHODS = ("add", "remove", "any_within", "query_ball",
+                "any_within_many")
 N_POINTS = 400
 SEED = 7
 
@@ -403,6 +419,87 @@ def _rays_regressed(rays):
     return True
 
 
+def _grid_calls():
+    """Every call one ``abdominal_phantom(VOXEL_FACE_N)`` refinement makes
+    on its two δ-grids, in order: ``(cells, [(grid, method, args)])``
+    with ``grid`` 0 for R1's and 1 for R6's."""
+    domain = RefineDomain(abdominal_phantom(VOXEL_FACE_N))
+    grids = (domain.iso_grid, domain.cc_grid)
+    calls = []
+
+    def recording(k, method):
+        fn = getattr(grids[k], method)
+
+        def call(*args):
+            calls.append((k, method, args))
+            return fn(*args)
+        return call
+
+    for k, grid in enumerate(grids):
+        for method in GRID_METHODS:
+            setattr(grid, method, recording(k, method))
+    SequentialRefiner(domain).refine()
+    return tuple(grid.cell for grid in grids), calls
+
+
+def _grid_replay(grid_class, cells, calls):
+    """Seconds to replay ``calls`` on fresh grids of ``grid_class``, and
+    every call's answer."""
+    grids = [grid_class(cell) for cell in cells]
+    bound = [(getattr(grids[k], method), args) for k, method, args in calls]
+    t0 = time.perf_counter()
+    answers = [fn(*args) for fn, args in bound]
+    seconds = time.perf_counter() - t0
+    return seconds, [a.tolist() if isinstance(a, np.ndarray) else a
+                     for a in answers]
+
+
+def _grid_section(fast):
+    cells, calls = _grid_calls()
+    repeats = 3 if fast else 7
+    count = {m: sum(1 for _, method, _ in calls if method == m)
+             for m in GRID_METHODS}
+    n_queries = (count["any_within"] + count["query_ball"] + sum(
+        len(args[0]) for _, method, args in calls
+        if method == "any_within_many"))
+    section = {
+        "workload": {"image": f"abdominal_phantom({VOXEL_FACE_N})",
+                     "calls": count, "n_queries": n_queries,
+                     "repeats": repeats},
+        "reference_queries_per_second": None,
+        "accel_queries_per_second": None,
+        "same_answers": None,
+        "speedup": None,
+        "reference_speedup": GRID_REFERENCE_SPEEDUP,
+    }
+    best, answers = {}, {}
+    for name, grid_class in (("reference", ReferenceGrid),
+                             ("accel", AccelGrid)):
+        if name == "accel" and _accel.grid is None:
+            return section
+        runs = [_grid_replay(grid_class, cells, calls)
+                for _ in range(repeats)]
+        best[name] = min(seconds for seconds, _ in runs)
+        answers[name] = runs[0][1]
+        section[f"{name}_queries_per_second"] = round(
+            n_queries / best[name], 1)
+    section["same_answers"] = answers["accel"] == answers["reference"]
+    section["speedup"] = round(best["reference"] / best["accel"], 2)
+    return section
+
+
+def _grid_regressed(grid):
+    """Prints why, when the ``grid`` section fails its gate."""
+    floor = GATE_FRACTION * GRID_REFERENCE_SPEEDUP
+    if grid["speedup"] >= floor and grid["same_answers"]:
+        return False
+    print(f"REGRESSION: C point grid {grid['speedup']:.2f}x over the "
+          f"reference, gate {floor:.2f}x (80% of reference "
+          f"{GRID_REFERENCE_SPEEDUP}x); same answers: "
+          f"{grid['same_answers']}", file=sys.stderr)
+    return True
+
+
 def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     repeats = 3 if fast else 7
     points = _workload()
@@ -479,8 +576,11 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     # --- the surface oracle: a generation's rays at once --------------
     rays = _rays_section(fast)
 
+    # --- the δ-proximity grids: one refinement's calls, replayed ------
+    grid = _grid_section(fast)
+
     doc = {
-        "schema": 5,
+        "schema": 6,
         "cpus": os.cpu_count() or 1,
         "workload": {
             "name": "insert-uniform-box",
@@ -510,6 +610,7 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         "batch": batch,
         "voxel_face": voxel_face,
         "rays": rays,
+        "grid": grid,
     }
 
     output = pathlib.Path(output)
@@ -547,6 +648,11 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
           f"batched vs {rays['scalar_rays_per_second']:,.1f} scalar "
           f"({rays['speedup']:.2f}x, {rays['workload']['n_rays']} rays in "
           f"{rays['workload']['generations']} generations)")
+    if grid["speedup"] is not None:
+        print(f"grid        : {grid['accel_queries_per_second']:>10,.1f} "
+              f"queries/s C vs {grid['reference_queries_per_second']:,.1f} "
+              f"reference ({grid['speedup']:.2f}x, same answers: "
+              f"{grid['same_answers']})")
     print(f"wrote {output}")
 
     if not check_regression:
@@ -583,13 +689,17 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
                   f"{VOXEL_FACE_MAX_RETRY_SHARE}), same mesh on both "
                   f"kernels: {voxel_face['same_mesh']}", file=sys.stderr)
             failed = True
+        if grid["speedup"] is not None and _grid_regressed(grid):
+            failed = True
         if failed:
             return 1
         print(f"regression gate OK: insert {speedup:.2f}x >= {floor:.2f}x, "
               f"removal {rm_speedup:.2f}x >= {rm_floor:.2f}x, "
               f"batch {batch_speedup:.2f}x >= {batch_floor:.2f}x, "
               f"rays {rays['speedup']:.2f}x >= "
-              f"{GATE_FRACTION * RAYS_REFERENCE_SPEEDUP:.2f}x")
+              f"{GATE_FRACTION * RAYS_REFERENCE_SPEEDUP:.2f}x, "
+              f"grid {grid['speedup']:.2f}x >= "
+              f"{GATE_FRACTION * GRID_REFERENCE_SPEEDUP:.2f}x")
     else:
         if py_ips < PYTHON_FLOOR_INSERTS_PER_SECOND:
             print(f"REGRESSION: python path {py_ips:.1f} inserts/s is "

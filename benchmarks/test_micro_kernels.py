@@ -51,7 +51,7 @@ def test_bench_insertion_json_artifact(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     assert kernel_bench.run(fast=True, output=out) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert "thread_scaling" not in doc
     assert doc["cpus"] >= 1
     assert doc["python_path"]["inserts_per_second"] > 0
@@ -61,6 +61,13 @@ def test_bench_insertion_json_artifact(tmp_path):
     rays = doc["rays"]
     assert rays["same_answers"] and rays["workload"]["n_rays"] > 1000
     assert rays["batch_rays_per_second"] > rays["scalar_rays_per_second"]
+    grid = doc["grid"]
+    assert grid["workload"]["n_queries"] > 1000
+    assert grid["reference_queries_per_second"] > 0
+    if doc["accel_path"]["available"]:
+        assert grid["same_answers"]
+        assert grid["accel_queries_per_second"] > \
+            grid["reference_queries_per_second"]
 
 
 @pytest.mark.benchmark(group="kernel-remove")

@@ -89,6 +89,8 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
         "voxel_face_accel_retry_share": voxel_face.get("accel_retry_share"),
         # schema 5: batched closest-surface-point rays over the scalar loop
         "rays_speedup": doc.get("rays", {}).get("speedup"),
+        # schema 6: the replayed δ-grid calls, C grid over the reference
+        "grid_speedup": (doc.get("grid") or {}).get("speedup"),
     }
     history_path.parent.mkdir(parents=True, exist_ok=True)
     with open(history_path, "a", encoding="utf-8") as fh:
@@ -215,8 +217,9 @@ def render(history: list, drift_threshold: float) -> str:
         "kernel benchmark trend (insert-uniform-box)",
         "",
         f"{'label':<24} {'python ips':>12} {'accel ips':>12} "
-        f"{'speedup':>8} {'rm x':>7} {'batch x':>7} {'rays x':>7}  note",
-        "-" * 96,
+        f"{'speedup':>8} {'rm x':>7} {'batch x':>7} {'rays x':>7} "
+        f"{'grid x':>7}  note",
+        "-" * 104,
     ]
     window = _baseline_window(history)
     best = max((r.get("speedup") or 0.0 for r in window), default=0.0)
@@ -253,7 +256,8 @@ def render(history: list, drift_threshold: float) -> str:
             f"{_fmt(r.get('accel_inserts_per_second'), 12)} "
             f"{_fmt(speedup, 8, 2)} {_fmt(rm, 7, 2)} "
             f"{_fmt(r.get('batch_speedup'), 7, 2)} "
-            f"{_fmt(r.get('rays_speedup'), 7, 2)}  {note}"
+            f"{_fmt(r.get('rays_speedup'), 7, 2)} "
+            f"{_fmt(r.get('grid_speedup'), 7, 2)}  {note}"
         )
     if not history:
         lines.append("(no history recorded yet)")

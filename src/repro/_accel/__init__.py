@@ -20,6 +20,10 @@ decide it as the Python kernel does.  Every RETRY carries a reason
 (:data:`RETRY_REASONS`), counted per triangulation and published as
 ``kernel.accel_retry.<reason>``.
 
+The same library holds the refinement rules' proximity grid
+(``pointgrid.c``); :data:`grid` binds its entry points, or is ``None``
+and ``core.pointgrid`` keeps its dict-of-cells reference grid.
+
 Set ``REPRO_ACCEL=0`` to disable the accelerator (e.g. to benchmark
 the pure-Python kernel, or to rule it out while debugging).  Compile and load failures degrade silently to
 the Python path.
@@ -34,6 +38,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,7 +67,8 @@ RETRY_REASONS = (
 )
 _WHY_SCRATCH = RETRY_REASONS.index("scratch")
 
-_SRC = Path(__file__).with_name("bw_kernel.c")
+_SRCS = tuple(Path(__file__).with_name(name)
+              for name in ("bw_kernel.c", "pointgrid.c"))
 
 # Scratch sizing.  Cavities larger than _SCRATCH_CAP tets/faces (or
 # needing more than _FREE_CAP free-list pops) RETRY into the Python
@@ -95,7 +101,7 @@ def _load():
     if _disabled():
         return None
     try:
-        source = _SRC.read_bytes()
+        source = b"".join(src.read_bytes() for src in _SRCS)
     except OSError:
         return None
     cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
@@ -119,7 +125,7 @@ def _load():
             # reason.
             subprocess.run(
                 [cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                 "-fno-math-errno", str(_SRC), "-o", str(tmp)],
+                 "-fno-math-errno", *map(str, _SRCS), "-o", str(tmp)],
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(tmp, so)
@@ -149,6 +155,42 @@ bw_commit = _handle(_LIB, "bw_commit", 15)
 bw_insert_many = _handle(_LIB, "bw_insert_many", 20)
 bw_remove = _handle(_LIB, "bw_remove", 22)
 AVAILABLE = bw_insert is not None
+
+# The point grid's entry points (pointgrid.c, ``pg_<name>``): restype,
+# then argtypes.
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_GRID = {
+    "new": (_P, _D),
+    "free": (None, _P),
+    "len": (_I, _P),
+    "contains": (ctypes.c_bool, _P, _I),
+    "add": (_I, _P, _I, _D, _D, _D),
+    "remove": (None, _P, _I),
+    "any_within": (ctypes.c_bool, _P, _D, _D, _D, _D, _I),
+    "query_ball": (_I, _P, _D, _D, _D, _D, _P, _I),
+    "any_within_many": (None, _P, _P, _I, _D, _P),
+}
+
+
+def _grid(lib):
+    """The grid's entry points as attributes (``grid.add``, ...), or
+    None.  Bound through ``PyDLL`` on the loaded library: a call keeps
+    the interpreter lock from entry to return, so each one is atomic for
+    the refinement threads that share a grid."""
+    if lib is None:
+        return None
+    lib = ctypes.PyDLL(lib._name, handle=lib._handle)
+    try:
+        fns = {name: getattr(lib, "pg_" + name) for name in _GRID}
+    except AttributeError:
+        return None
+    for name, (restype, *argtypes) in _GRID.items():
+        fns[name].restype = restype
+        fns[name].argtypes = argtypes
+    return SimpleNamespace(**fns)
+
+
+grid = _grid(_LIB)
 
 
 class AccelScratch:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import _accel
 from repro.api import MeshRequest
 from repro.core.domain import RefineDomain
-from repro.core.pointgrid import PointGrid
+from repro.core.pointgrid import AccelGrid, ReferenceGrid
 from repro.core.refiner import SequentialRefiner
 from repro.delaunay.shard import mesh_sharded
 from repro.geometry.batch import circumballs_many, triangle_min_angles_many
@@ -277,6 +277,10 @@ class TestBatchKernels:
         assert batch[0] == 0.0 and scalar[0] == 0.0
 
 
+# The R1 grid's two implementations: the C grid when it is loaded.
+GRIDS = [ReferenceGrid] + ([AccelGrid] if _accel.grid is not None else [])
+
+
 def _coordinate(cell):
     """Multiples of a quarter cell: plenty of exact ties and of points
     exactly on cell faces."""
@@ -296,36 +300,38 @@ def test_any_within_many_is_the_scalar_query(data):
     radius = cell if data.draw(st.booleans()) else data.draw(
         st.floats(0.05 * cell, 2.5 * cell))
 
-    grid = PointGrid(cell)
-    for vid, p in enumerate(stored):
-        grid.add(vid, p)
-    expected = [grid.any_within(q, radius) for q in queries]
-    assert grid.any_within_many(np.array(queries).reshape(-1, 3),
-                                radius).tolist() == expected
-
-    # The table follows the grid: more points, then a removal.
     extra = data.draw(st.lists(point, min_size=1, max_size=5))
-    for vid, p in enumerate(extra, start=len(stored)):
-        grid.add(vid, p)
-    if stored:
-        grid.remove(0)
-    expected = [grid.any_within(q, radius) for q in queries]
-    assert grid.any_within_many(np.array(queries).reshape(-1, 3),
-                                radius).tolist() == expected
+    for Grid in GRIDS:
+        grid = Grid(cell)
+        for vid, p in enumerate(stored):
+            grid.add(vid, p)
+        expected = [grid.any_within(q, radius) for q in queries]
+        assert grid.any_within_many(np.array(queries).reshape(-1, 3),
+                                    radius).tolist() == expected
+
+        # The batch follows the grid: more points, then a removal.
+        for vid, p in enumerate(extra, start=len(stored)):
+            grid.add(vid, p)
+        if stored:
+            grid.remove(0)
+        expected = [grid.any_within(q, radius) for q in queries]
+        assert grid.any_within_many(np.array(queries).reshape(-1, 3),
+                                    radius).tolist() == expected
 
 
 def test_any_within_many_counts_a_tie_at_exactly_r():
-    grid = PointGrid(2.0)
-    grid.add(0, (2.0, 0.0, 0.0))
-    grid.add(1, (10.0, 10.0, 13.0))
     queries = np.array([(0.0, 0.0, 0.0),        # exactly r away, next cell
                         (0.0, 0.0, 1e-6),       # a hair farther
                         (10.0, 10.0, 11.0),     # exactly r, along z
                         (50.0, 50.0, 50.0)])
-    assert grid.any_within_many(queries, 2.0).tolist() == [
-        True, False, True, False]
-    assert [grid.any_within(q, 2.0) for q in queries.tolist()] == [
-        True, False, True, False]
+    for Grid in GRIDS:
+        grid = Grid(2.0)
+        grid.add(0, (2.0, 0.0, 0.0))
+        grid.add(1, (10.0, 10.0, 13.0))
+        assert grid.any_within_many(queries, 2.0).tolist() == [
+            True, False, True, False]
+        assert [grid.any_within(q, 2.0) for q in queries.tolist()] == [
+            True, False, True, False]
 
 
 _DIGEST_SNIPPET = """
