@@ -7,13 +7,15 @@ otherwise they are ``None`` and the pure-Python kernels run unchanged.
 The C routines drive whole operations (walk, cavity search, validation,
 commit; batched insertion; a sequential vertex removal from ball to
 commit) directly on the mesh's struct-of-arrays buffers.  A commit owns
-the tet rows, the adjacency and the ``v2t`` anchors; the vertex store,
-the free lists, the per-slot epochs and the vertex grid stay with the
-Python caller.  On any inconclusive floating point filter the routines
-return *without mutating anything* and the caller re-runs the Python
-filtered/exact path, so meshes are bit-identical with and without the
-accelerator — the C path is purely an execution strategy, never a
-semantic change.  One exact zero needs no exact arithmetic and is
+the tet rows, the adjacency, the ``v2t`` anchors and the tet allocator:
+it pops the mesh's free-slot stack, bumps the popped slots' epochs,
+takes fresh slots from the tail and pushes the slots it frees, in the
+order ``MeshArrays`` would.  The vertex store and the vertex grid stay
+with the Python caller.  On any inconclusive floating point filter the
+routines return *without mutating anything* and the caller re-runs the
+Python filtered/exact path, so meshes are bit-identical with and
+without the accelerator — the C path is purely an execution strategy,
+never a semantic change.  One exact zero needs no exact arithmetic and is
 concluded in C: four points sharing a coordinate bit for bit (samples
 on one axis-aligned voxel face) have orientation 0, and the C consumers
 decide it as the Python kernel does.  Every RETRY carries a reason
@@ -60,9 +62,8 @@ RETRY_REASONS = (
     "walk_filter",      # orientation filter during point location
     "insphere_filter",  # insphere filter (cavity search, apex sweep)
     "orient_filter",    # orientation filter (validation, fill)
-    "free_window",      # needs free-list entries below the window
-    "growth",           # needs array growth
-    "scratch",          # scratch, hash table or record overflow
+    "growth",           # needs array growth (a batch: passes its bound)
+    "scratch",          # scratch or hash table overflow
     "removal_tie",      # removal: degenerate sweep or refused fill
 )
 _WHY_SCRATCH = RETRY_REASONS.index("scratch")
@@ -70,19 +71,15 @@ _WHY_SCRATCH = RETRY_REASONS.index("scratch")
 _SRCS = tuple(Path(__file__).with_name(name)
               for name in ("bw_kernel.c", "pointgrid.c"))
 
-# Scratch sizing.  Cavities larger than _SCRATCH_CAP tets/faces (or
-# needing more than _FREE_CAP free-list pops) RETRY into the Python
-# path, which has no such limits; typical cavities are 20-60 faces.
+# Scratch sizing.  Cavities larger than _SCRATCH_CAP tets/faces RETRY
+# into the Python path, which has no such limits; typical cavities are
+# 20-60 faces.  Before each call the mesh is grown to _SCRATCH_CAP slots
+# past its tail, so no cavity or fill the kernel accepts needs growth.
 _SCRATCH_CAP = 4096
 _TABLE_CAP = 16384  # power of two; >= 2 * 3 * _SCRATCH_CAP for sparsity
-_FREE_CAP = 256
 
-# Batched insertion: points per ctypes crossing, internal free-stack
-# depth, and replay-record capacity (the batch stops early, with
-# progress, when a record would overflow).
+# Batched insertion: points per ctypes crossing.
 _BATCH_CAP = 512
-_FSTK_CAP = 8192
-_REC_CAP = 1 << 16
 
 # Vertex removal: advancing-front entry slots (9 ints each), fill-tet
 # capacity, and the largest link the C path accepts (its face keys pack
@@ -150,10 +147,10 @@ def _handle(lib, name: str, nargs: int):
 
 
 _LIB = _load()
-bw_insert = _handle(_LIB, "bw_insert", 17)
-bw_commit = _handle(_LIB, "bw_commit", 15)
-bw_insert_many = _handle(_LIB, "bw_insert_many", 20)
-bw_remove = _handle(_LIB, "bw_remove", 22)
+bw_insert = _handle(_LIB, "bw_insert", 18)
+bw_commit = _handle(_LIB, "bw_commit", 16)
+bw_insert_many = _handle(_LIB, "bw_insert_many", 18)
+bw_remove = _handle(_LIB, "bw_remove", 23)
 AVAILABLE = bw_insert is not None
 
 # The point grid's entry points (pointgrid.c, ``pg_<name>``): restype,
@@ -202,15 +199,17 @@ class AccelScratch:
     edge hash table are epoch-stamped by the caller's generation
     counter, so they are never cleared.  The batched-insertion and
     removal buffers are allocated lazily on first use.
+
+    Each call hands the kernel the mesh's allocator (free-slot stack,
+    its count, the epochs, the tail) and, after a commit, writes the
+    counts the kernel returns back into the mesh.
     """
 
     __slots__ = (
         "cav", "bnd", "newt", "stk", "ekey", "estamp", "eval_", "pairs",
-        "free_top", "in_f", "in_i", "out_i", "tag",
-        "fstk", "fwin", "rec", "pts",
+        "in_f", "in_i", "out_i", "tag", "pts",
         "faces", "link", "ents", "cand", "fill", "canon", "mate", "ext",
-        "_coords", "_tv", "_adj", "_v2t", "_args", "_args_commit",
-        "_args_many", "_args_remove",
+        "_arrays", "_args", "_args_commit", "_args_many", "_args_remove",
     )
 
     def __init__(self) -> None:
@@ -222,14 +221,10 @@ class AccelScratch:
         self.estamp = np.zeros(_TABLE_CAP, dtype=np.int64)
         self.eval_ = np.empty(_TABLE_CAP, dtype=np.int32)
         self.pairs = np.empty(3 * _SCRATCH_CAP, dtype=np.int32)
-        self.free_top = np.empty(_FREE_CAP, dtype=np.int32)
         self.in_f = np.empty(3, dtype=np.float64)
         self.in_i = np.zeros(16, dtype=np.int64)
         self.out_i = np.zeros(16, dtype=np.int64)
         self.tag = None
-        self.fstk = None
-        self.fwin = None
-        self.rec = None
         self.pts = None
         self.faces = None
         self.link = None
@@ -239,81 +234,77 @@ class AccelScratch:
         self.canon = None
         self.mate = None
         self.ext = None
-        self._coords = None
-        self._tv = None
-        self._adj = None
-        self._v2t = None
+        self._arrays = (None,) * 6
         self._args = None
         self._args_commit = None
         self._args_many = None
         self._args_remove = None
 
     def _bind(self, mesh) -> None:
-        coords = mesh.coords
-        tv = mesh.tet_verts_arr
-        adj = mesh.tet_adj
-        v2t = mesh.v2t
-        if (coords is self._coords and tv is self._tv and adj is self._adj
-                and v2t is self._v2t):
+        """Reserve the headroom a call can use, then (re)build the
+        pointer tuples if an array moved."""
+        mesh.reserve_tets(mesh.tet_top + _SCRATCH_CAP)
+        # Growth replaces the tet arrays together, and coords with v2t.
+        if mesh.coords is self._arrays[0] and mesh.tet_adj is self._arrays[2]:
             return
-        cap_t = adj.shape[0]
+        arrays = (mesh.coords, mesh.tet_verts_arr, mesh.tet_adj, mesh.v2t,
+                  mesh.tet_free, mesh.tet_epoch)
+        cap_t = mesh.tet_adj.shape[0]
         if self.tag is None or self.tag.shape[0] < cap_t:
             # Fresh zeros are fine: the generation counter only grows,
             # so stale stamps can never collide with a future call.
             self.tag = np.zeros(cap_t, dtype=np.int64)
-        self._coords = coords
-        self._tv = tv
-        self._adj = adj
-        self._v2t = v2t
-        p = ctypes.c_void_p
-        self._args = tuple(
-            p(arr.ctypes.data)
-            for arr in (coords, tv, adj, v2t, self.tag, self.free_top,
-                        self.cav, self.bnd, self.newt, self.stk,
-                        self.ekey, self.estamp, self.eval_, self.pairs,
-                        self.in_f, self.in_i, self.out_i)
-        )
-        self._args_commit = tuple(
-            p(arr.ctypes.data)
-            for arr in (coords, tv, adj, v2t, self.free_top, self.cav,
-                        self.bnd, self.newt, self.ekey, self.estamp,
-                        self.eval_, self.pairs, self.in_f, self.in_i,
-                        self.out_i)
-        )
+        self._arrays = arrays
+        self._args = _pointers(
+            *arrays, self.tag, self.cav, self.bnd, self.newt, self.stk,
+            self.ekey, self.estamp, self.eval_, self.pairs, self.in_f,
+            self.in_i, self.out_i)
+        self._args_commit = _pointers(
+            *arrays, self.cav, self.bnd, self.newt, self.ekey, self.estamp,
+            self.eval_, self.pairs, self.in_f, self.in_i, self.out_i)
         self._args_many = None  # rebuilt lazily (batch buffers)
         self._args_remove = None
 
-    def _fill_window(self, mesh, n_free_total: int) -> int:
-        n_avail = n_free_total if n_free_total < _FREE_CAP else _FREE_CAP
-        if n_avail:
-            self.free_top[:n_avail] = mesh._free_tets[-n_avail:][::-1]
-        return n_avail
+    def _alloc_in(self, mesh, at: int) -> None:
+        """The allocator's tail, capacity and free count, into
+        ``in_i[at:at + 3]``."""
+        in_i = self.in_i
+        in_i[at] = mesh.tet_top
+        in_i[at + 1] = mesh.tet_adj.shape[0]
+        in_i[at + 2] = mesh.n_free_tets
 
-    def insert(self, mesh, px, py, pz, seed_tet, rng_state, gen, vnew,
-               n_free_total) -> int:
+    @staticmethod
+    def _alloc_out(mesh, n_free, tail, born) -> None:
+        """Hand a commit's allocator counts back to the mesh."""
+        mesh.n_free_tets = int(n_free)
+        mesh.tet_top = int(tail)
+        mesh.n_live_tets += int(born)
+
+    def insert(self, mesh, px, py, pz, seed_tet, rng_state, gen,
+               vnew) -> int:
         """Run one C insert attempt; returns a BW_* status code."""
         self._bind(mesh)
         in_f = self.in_f
         in_f[0] = px
         in_f[1] = py
         in_f[2] = pz
-        n_avail = self._fill_window(mesh, n_free_total)
         in_i = self.in_i
         in_i[0] = seed_tet
         in_i[1] = rng_state
         in_i[2] = mesh.n_live_tets
         in_i[3] = gen
         in_i[4] = vnew
-        in_i[5] = mesh.tet_top
-        in_i[6] = self._adj.shape[0]
-        in_i[7] = n_avail
-        in_i[8] = n_free_total
-        in_i[9] = _SCRATCH_CAP
-        in_i[10] = _TABLE_CAP
-        return bw_insert(*self._args)
+        self._alloc_in(mesh, 5)
+        in_i[8] = _SCRATCH_CAP
+        in_i[9] = _TABLE_CAP
+        status = bw_insert(*self._args)
+        if status == OK:
+            out = self.out_i
+            self._alloc_out(mesh, out[2], out[3], out[1] - out[0])
+        return status
 
-    def commit(self, mesh, px, py, pz, gen, vnew, n_free_total,
-               cavity, boundary_codes) -> int:
+    def commit(self, mesh, px, py, pz, gen, vnew, cavity,
+               boundary_codes) -> int:
         """Commit a precomputed cavity (speculative path); BW_* status.
 
         ``cavity`` is the list of cavity tet ids, ``boundary_codes`` the
@@ -332,81 +323,56 @@ class AccelScratch:
         in_f[0] = px
         in_f[1] = py
         in_f[2] = pz
-        n_avail = self._fill_window(mesh, n_free_total)
         in_i = self.in_i
         in_i[0] = gen
         in_i[1] = vnew
-        in_i[2] = mesh.tet_top
-        in_i[3] = self._adj.shape[0]
-        in_i[4] = n_avail
-        in_i[5] = n_free_total
-        in_i[6] = _TABLE_CAP
-        in_i[7] = ncav
-        in_i[8] = nb
-        return bw_commit(*self._args_commit)
-
-    def _bind_many(self) -> None:
-        if self.fstk is None:
-            self.fstk = np.empty(_FSTK_CAP, dtype=np.int32)
-            self.fwin = np.empty(_SCRATCH_CAP, dtype=np.int32)
-            self.rec = np.empty(_REC_CAP, dtype=np.int32)
-            self.pts = np.empty((_BATCH_CAP, 3), dtype=np.float64)
-        if self._args_many is None:
-            p = ctypes.c_void_p
-            self._args_many = tuple(
-                p(arr.ctypes.data)
-                for arr in (self._coords, self._tv, self._adj, self._v2t,
-                            self.tag, self.free_top, self.cav, self.bnd,
-                            self.newt,
-                            self.stk, self.ekey, self.estamp, self.eval_,
-                            self.pairs, self.fstk, self.fwin, self.rec,
-                            self.pts, self.in_i, self.out_i)
-            )
+        self._alloc_in(mesh, 2)
+        in_i[5] = _TABLE_CAP
+        in_i[6] = ncav
+        in_i[7] = nb
+        status = bw_commit(*self._args_commit)
+        if status == OK:
+            out = self.out_i
+            self._alloc_out(mesh, out[0], out[1], nb - ncav)
+        return status
 
     def insert_many(self, mesh, points, seed_tet, rng_state, gen0,
-                    v_base, n_free_total) -> np.ndarray:
+                    v_base, slot_bound, vert_bound) -> np.ndarray:
         """Run one batched insertion crossing over ``points``.
 
         ``points`` is a sequence of (x, y, z); at most ``_BATCH_CAP``
-        are attempted.  Returns the ``out_i`` array (``n_done``,
-        ``n_gens``, rng state, last located tet, counter totals, record
-        length, live/tail totals, stop reason); replay records are in
-        ``self.rec``.
+        are attempted, and the batch stops before an insert that would
+        take a slot at or past ``slot_bound`` or a vertex id at or past
+        ``vert_bound`` (both within the arrays).  Returns the ``out_i``
+        array (``n_done``, ``n_gens``, rng state, last located tet,
+        counter totals, allocator counts, stop reason).
         """
-        self._bind(mesh)
-        self._bind_many()
         npts = min(len(points), _BATCH_CAP)
+        self._bind(mesh)
+        if self.pts is None:
+            self.pts = np.empty((_BATCH_CAP, 3), dtype=np.float64)
+        if self._args_many is None:
+            self._args_many = _pointers(
+                *self._arrays, self.tag, self.cav, self.bnd, self.newt,
+                self.stk, self.ekey, self.estamp, self.eval_, self.pairs,
+                self.pts, self.in_i, self.out_i)
         self.pts[:npts] = points[:npts]
-        n_avail = n_free_total if n_free_total < _FSTK_CAP else _FSTK_CAP
-        if n_avail > _FREE_CAP:
-            free = np.asarray(mesh._free_tets[-n_avail:], dtype=np.int32)
-            if self.free_top.shape[0] < n_avail:
-                self.free_top = np.empty(n_avail, dtype=np.int32)
-                self._args = None
-                self._coords = None  # force pointer rebuild
-                self._bind(mesh)
-                self._bind_many()
-            self.free_top[:n_avail] = free[::-1]
-        else:
-            n_avail = self._fill_window(mesh, n_free_total)
         in_i = self.in_i
         in_i[0] = seed_tet
         in_i[1] = rng_state
         in_i[2] = mesh.n_live_tets
         in_i[3] = gen0
         in_i[4] = v_base
-        in_i[5] = mesh.tet_top
-        in_i[6] = self._adj.shape[0]
-        in_i[7] = n_avail
-        in_i[8] = n_free_total
-        in_i[9] = _SCRATCH_CAP
-        in_i[10] = _TABLE_CAP
-        in_i[11] = npts
-        in_i[12] = mesh.coords.shape[0]
-        in_i[13] = _FSTK_CAP
-        in_i[14] = _REC_CAP
+        self._alloc_in(mesh, 5)
+        in_i[6] = slot_bound  # in place of the capacity
+        in_i[8] = _SCRATCH_CAP
+        in_i[9] = _TABLE_CAP
+        in_i[10] = npts
+        in_i[11] = vert_bound
         bw_insert_many(*self._args_many)
-        return self.out_i
+        out = self.out_i
+        self._alloc_out(mesh, out[8], out[10], out[9] - mesh.n_live_tets)
+        return out
 
     def _bind_remove(self, mesh) -> None:
         self._bind(mesh)
@@ -420,18 +386,13 @@ class AccelScratch:
             self.ext = np.empty(2 * _SCRATCH_CAP, dtype=np.int32)
             self.link = np.empty(_LINK_CAP, dtype=np.int32)
         if self._args_remove is None:
-            p = ctypes.c_void_p
-            self._args_remove = tuple(
-                p(arr.ctypes.data)
-                for arr in (self._coords, self._tv, self._adj, self._v2t,
-                            self.tag, self.free_top, self.cav, self.stk,
-                            self.faces, self.link, self.ents, self.cand,
-                            self.fill, self.canon, self.newt, self.mate,
-                            self.ext, self.ekey, self.estamp, self.eval_,
-                            self.in_i, self.out_i)
-            )
+            self._args_remove = _pointers(
+                *self._arrays, self.tag, self.cav, self.stk, self.faces,
+                self.link, self.ents, self.cand, self.fill, self.canon,
+                self.newt, self.mate, self.ext, self.ekey, self.estamp,
+                self.eval_, self.in_i, self.out_i)
 
-    def remove(self, mesh, v, gen, n_free_total) -> int:
+    def remove(self, mesh, v, gen) -> int:
         """Run one C vertex removal (sequential path).
 
         Returns the fill-tet count — the mesh arrays are committed, the
@@ -440,17 +401,22 @@ class AccelScratch:
         ``out_i[5]``.
         """
         self._bind_remove(mesh)
-        n_avail = self._fill_window(mesh, n_free_total)
         in_i = self.in_i
         in_i[0] = v
         in_i[1] = gen
-        in_i[2] = mesh.tet_top
-        in_i[3] = self._adj.shape[0]
-        in_i[4] = n_avail
-        in_i[5] = n_free_total
-        in_i[6] = _SCRATCH_CAP
-        in_i[7] = _LINK_CAP
-        in_i[8] = _ENT_CAP
-        in_i[9] = _FILL_CAP
-        in_i[10] = _TABLE_CAP
-        return bw_remove(*self._args_remove)
+        self._alloc_in(mesh, 2)
+        in_i[5] = _SCRATCH_CAP
+        in_i[6] = _LINK_CAP
+        in_i[7] = _ENT_CAP
+        in_i[8] = _FILL_CAP
+        in_i[9] = _TABLE_CAP
+        n_fill = bw_remove(*self._args_remove)
+        if n_fill >= 0:
+            out = self.out_i
+            self._alloc_out(mesh, out[1], out[2], n_fill - out[0])
+        return n_fill
+
+
+def _pointers(*arrays):
+    """The arrays' data pointers, as a ctypes argument tuple."""
+    return tuple(ctypes.c_void_p(a.ctypes.data) for a in arrays)

@@ -41,26 +41,29 @@
  * - Traversal orders replicate the Python implementation exactly — the
  *   walk's face order comes from the same inline LCG state, the cavity
  *   is enumerated by the same depth-first stack discipline, boundary
- *   faces are emitted in the same sequence, new tet slots are drawn
- *   from the free-list top (LIFO) before fresh tail slots, the removal
- *   ball is collected in incident_tets' stack order, and the removal
- *   front replicates dict popitem()/del semantics.  These orders
- *   determine new tet ids and therefore the entire downstream mesh, so
- *   they are part of the deterministic output contract
- *   (tests/test_kernel_parity.py, tests/test_kernel_ties.py).
+ *   faces are emitted in the same sequence, new tet slots are popped
+ *   from the mesh's free-slot stack (LIFO) before fresh tail slots are
+ *   taken and freed slots are pushed in cavity / ball order (as
+ *   MeshArrays does), the removal ball is collected in incident_tets'
+ *   stack order, and the removal front replicates dict popitem()/del
+ *   semantics.  These orders determine new tet ids and therefore the
+ *   entire downstream mesh, so they are part of the deterministic output
+ *   contract (tests/test_kernel_parity.py, tests/test_kernel_ties.py).
  * - Mutation is strictly deferred: the read phases (walk, cavity,
- *   validation, closure, ball, hole filling, fill verification, slot
- *   allocation) only read mesh arrays and write caller-owned scratch;
- *   the commit phase writes the mesh arrays and cannot fail.  Error
+ *   validation, closure, ball, hole filling, fill verification) only
+ *   read mesh arrays and write caller-owned scratch; slot allocation
+ *   and the commit phase write the mesh arrays and cannot fail.  Error
  *   returns (duplicate point / point on a cavity face / open boundary)
  *   are decided before any mutation, mirroring InsertionError
  *   semantics.
- * - What a commit owns: tet rows, adjacency, dead-row markers and the
- *   v2t anchors of every vertex of a new tet except the vertex being
- *   inserted (whose slot the caller allocates, and may have to grow
- *   v2t for).  The Python side keeps the vertex store, the free lists,
- *   the per-slot epoch / circumsphere-cache bump, the vertex grid and
- *   the counters.
+ * - What a commit owns: the tet allocator (the free-slot stack, its
+ *   count, the tail and the per-slot epochs, bumped when a popped slot
+ *   is handed out, before its row is written), tet rows, adjacency,
+ *   dead-row markers and the v2t anchors of every vertex of a new tet
+ *   except the vertex being inserted (whose slot the caller
+ *   allocates).  The Python side keeps the vertex store, the vertex
+ *   grid and the counters.  The caller reserves headroom before each
+ *   call; a cavity that would still outgrow the arrays RETRYs.
  *
  * The edge / face hash table and the per-tet tag array are
  * epoch-stamped with the caller's generation counter, so they are
@@ -83,10 +86,9 @@
 #define BW_WHY_WALK 1     /* orientation filter, point location */
 #define BW_WHY_INSPHERE 2 /* insphere filter */
 #define BW_WHY_ORIENT 3   /* orientation filter, validation or fill */
-#define BW_WHY_WINDOW 4   /* needs free-list entries below the window */
-#define BW_WHY_GROWTH 5   /* needs array growth */
-#define BW_WHY_SCRATCH 6  /* scratch, hash table or record overflow */
-#define BW_WHY_TIE 7      /* removal: degenerate sweep or refused fill */
+#define BW_WHY_GROWTH 4   /* needs array growth */
+#define BW_WHY_SCRATCH 5  /* scratch or hash table overflow */
+#define BW_WHY_TIE 6      /* removal: degenerate sweep or refused fill */
 #define RETRY_BECAUSE(why) (BW_RETRY | ((int64_t)(why) << 8))
 #define STATUS(code) ((code) & 0xff)
 #define REASON(code) ((code) >> 8)
@@ -196,6 +198,45 @@ static int insphere_tet(const double *coords, const int32_t *v,
                       coords + 3 * (int64_t)v[1],
                       coords + 3 * (int64_t)v[2],
                       coords + 3 * (int64_t)v[3], ex, ey, ez);
+}
+
+/* The mesh's tet allocator (MeshArrays.tet_free / n_free_tets /
+ * tet_top / tet_epoch): a stack of free slots, bottom first, and the
+ * tail of never-used slots below cap. */
+typedef struct {
+    int32_t *stack;
+    int32_t *epoch;
+    int64_t n_free, tail, cap;
+} slot_alloc;
+
+/* Can k slots be taken without growing the arrays? */
+static int slots_fit(const slot_alloc *al, int64_t k)
+{
+    return k <= al->n_free || al->tail + (k - al->n_free) <= al->cap;
+}
+
+/* Take k slots into out[]: LIFO pops, each bumping its slot's epoch,
+ * then fresh tail slots (MeshArrays.add_tets_batch).  Check slots_fit
+ * first. */
+static void take_slots(slot_alloc *al, int32_t *out, int64_t k)
+{
+    for (int64_t r = 0; r < k; r++) {
+        if (al->n_free > 0) {
+            const int32_t t = al->stack[--al->n_free];
+            al->epoch[t]++;
+            out[r] = t;
+        } else {
+            out[r] = (int32_t)al->tail++;
+        }
+    }
+}
+
+/* Push the k slots of ids[] in order (MeshArrays.kill_tets_batch).
+ * Every free slot lies below the tail, so the stack cannot overflow. */
+static void put_slots(slot_alloc *al, const int32_t *ids, int64_t k)
+{
+    for (int64_t r = 0; r < k; r++)
+        al->stack[al->n_free++] = ids[r];
 }
 
 /* ---- phase A1: remembering walk (read-only).  *t_io / *state_io are
@@ -328,25 +369,19 @@ static int64_t cavity_search(const double *coords, const int32_t *tv,
 
 /* ---- phases A3-B: validation, closure check, slot allocation, commit.
  * cav/bnd hold a precomputed cavity; nothing is mutated on a non-OK
- * return.  free_top holds the next n_avail free-list pops (top first)
- * out of n_free_total total entries; allocation beyond the visible
- * window (or past cap_t) RETRYs.  The commit anchors every vertex of a
- * new tet except vnew at that tet, in new-tet order (the last tet
- * naming a vertex wins); vnew's anchor is its caller's. ---- */
+ * return, and a cavity needing more slots than the arrays hold RETRYs.
+ * The commit anchors every vertex of a new tet except vnew at that tet,
+ * in new-tet order (the last tet naming a vertex wins); vnew's anchor
+ * is its caller's. ---- */
 static int64_t commit_cavity(const double *coords, int32_t *tv, int32_t *adj,
-                             int32_t *v2t,
-                             const int32_t *free_top, const int32_t *cav,
-                             const int32_t *bnd, int32_t *newt, int64_t *ekey,
-                             int64_t *estamp, int32_t *eval, int32_t *pairs,
-                             double px, double py, double pz, int64_t gen,
-                             int32_t vnew, int64_t tail, int64_t cap_t,
-                             int64_t n_avail, int64_t n_free_total,
+                             int32_t *v2t, slot_alloc *al,
+                             const int32_t *cav, const int32_t *bnd,
+                             int32_t *newt, int64_t *ekey, int64_t *estamp,
+                             int32_t *eval, int32_t *pairs, double px,
+                             double py, double pz, int64_t gen, int32_t vnew,
                              int64_t tcap, int64_t ncav, int64_t nb,
-                             int64_t *consumed_out, int64_t *nfresh_out,
                              int64_t *n_orient_io)
 {
-    int64_t consumed = 0, nfresh = 0;
-
     /* A3: every new tet (boundary face with the cavity-side vertex
      * replaced by p) must be strictly positively oriented, i.e. the
      * cavity is star-shaped around p. */
@@ -418,24 +453,11 @@ static int64_t commit_cavity(const double *coords, int32_t *tv, int32_t *adj,
     }
     if (npairs * 2 != 3 * nb)
         return BW_ERR_CLOSED; /* some edge only appeared once */
+    if (!slots_fit(al, nb)) /* arrays need growth: Python path */
+        return RETRY_BECAUSE(BW_WHY_GROWTH);
 
-    /* A5: slot allocation (scratch only; mirrors the free-list LIFO
-     * pops then fresh tail slots of add_tets_batch). */
-    for (int64_t r = 0; r < nb; r++) {
-        int32_t slot;
-        if (consumed < n_avail) {
-            slot = free_top[consumed++];
-        } else if (consumed < n_free_total) {
-            /* free-list window smaller than the cavity */
-            return RETRY_BECAUSE(BW_WHY_WINDOW);
-        } else {
-            if (tail + nfresh >= cap_t) /* arrays need growth: Python path */
-                return RETRY_BECAUSE(BW_WHY_GROWTH);
-            slot = (int32_t)(tail + nfresh);
-            nfresh++;
-        }
-        newt[r] = slot;
-    }
+    /* A5: slot allocation, the first write (add_tets_batch's order). */
+    take_slots(al, newt, nb);
 
     /* phase B: commit (cannot fail). */
     for (int64_t r = 0; r < nb; r++) {
@@ -473,38 +495,38 @@ static int64_t commit_cavity(const double *coords, int32_t *tv, int32_t *adj,
         int32_t *q = tv + 4 * (int64_t)cav[j];
         q[0] = q[1] = q[2] = q[3] = -1;
     }
-    *consumed_out = consumed;
-    *nfresh_out = nfresh;
+    put_slots(al, cav, ncav); /* kill_tets_batch(cavity) */
     return BW_OK;
 }
 
 /* One insertion attempt.
  *
+ * free_slots, epoch: the mesh's free-slot stack and slot epochs
  * in_f:  [px, py, pz]
  * in_i:  [seed_tet, rng_state, n_live_tets, gen, vnew, tail, cap_t,
- *         n_free_avail, n_free_total, scratch_cap, table_cap]
- * out_i: [ncav, nb, consumed_free, n_fresh, walk_steps, rng_state_out,
+ *         n_free, scratch_cap, table_cap]
+ * out_i: [ncav, nb, n_free_out, tail_out, walk_steps, rng_state_out,
  *         located_tet, n_orient, n_insphere, retry_reason]
  *
  * tag is an epoch-stamped per-tet scratch (>= cap_t entries); gen and
  * gen+1 mark in-cavity / checked-out for this call only.  ekey/estamp/
  * eval form the epoch-stamped edge hash table (table_cap a power of 2).
- * free_top holds the next n_free_avail free-list pops (top first) out
- * of n_free_total total entries.  On RETRY only out_i[9] is written.
+ * On RETRY only out_i[9] is written.
  */
 int64_t bw_insert(const double *coords, int32_t *tv, int32_t *adj,
-                  int32_t *v2t, int64_t *tag, const int32_t *free_top,
-                  int32_t *cav, int32_t *bnd, int32_t *newt, int32_t *stk,
-                  int64_t *ekey, int64_t *estamp, int32_t *eval,
-                  int32_t *pairs, const double *in_f, const int64_t *in_i,
-                  int64_t *out_i)
+                  int32_t *v2t, int32_t *free_slots, int32_t *epoch,
+                  int64_t *tag, int32_t *cav, int32_t *bnd, int32_t *newt,
+                  int32_t *stk, int64_t *ekey, int64_t *estamp,
+                  int32_t *eval, int32_t *pairs, const double *in_f,
+                  const int64_t *in_i, int64_t *out_i)
 {
     const double px = in_f[0], py = in_f[1], pz = in_f[2];
     int64_t t = in_i[0];
     uint64_t state = (uint64_t)in_i[1];
     const int64_t gen = in_i[3];
+    slot_alloc al = {free_slots, epoch, in_i[7], in_i[5], in_i[6]};
 
-    int64_t ncav = 0, nb = 0, consumed = 0, nfresh = 0;
+    int64_t ncav = 0, nb = 0;
     int64_t steps = 0, n_orient = 0, n_insphere = 0;
     int64_t code;
 
@@ -512,19 +534,17 @@ int64_t bw_insert(const double *coords, int32_t *tv, int32_t *adj,
                        &steps, &n_orient);
     if (code == BW_OK)
         code = cavity_search(coords, tv, adj, tag, cav, bnd, stk, px, py, pz,
-                             t, gen, in_i[9], &ncav, &nb, &n_insphere);
+                             t, gen, in_i[8], &ncav, &nb, &n_insphere);
     if (code == BW_OK)
-        code = commit_cavity(coords, tv, adj, v2t, free_top, cav, bnd, newt,
-                             ekey, estamp, eval, pairs, px, py, pz, gen,
-                             (int32_t)in_i[4], in_i[5], in_i[6], in_i[7],
-                             in_i[8], in_i[10], ncav, nb, &consumed, &nfresh,
-                             &n_orient);
+        code = commit_cavity(coords, tv, adj, v2t, &al, cav, bnd, newt, ekey,
+                             estamp, eval, pairs, px, py, pz, gen,
+                             (int32_t)in_i[4], in_i[9], ncav, nb, &n_orient);
     if (STATUS(code) == BW_RETRY) {
         out_i[9] = REASON(code);
         return BW_RETRY;
     }
     out_i[0] = ncav; out_i[1] = nb;
-    out_i[2] = consumed; out_i[3] = nfresh;
+    out_i[2] = al.n_free; out_i[3] = al.tail;
     out_i[4] = steps; out_i[5] = (int64_t)state;
     out_i[6] = t; out_i[7] = n_orient; out_i[8] = n_insphere;
     return code;
@@ -535,24 +555,24 @@ int64_t bw_insert(const double *coords, int32_t *tv, int32_t *adj,
  * nb boundary codes (tt*4+i) in Python's emission order.
  *
  * in_f:  [px, py, pz]
- * in_i:  [gen, vnew, tail, cap_t, n_avail, n_free_total, table_cap,
- *         ncav, nb]
- * out_i: [consumed_free, n_fresh, n_orient, retry_reason]
+ * in_i:  [gen, vnew, tail, cap_t, n_free, table_cap, ncav, nb]
+ * out_i: [n_free_out, tail_out, n_orient, retry_reason]
  */
 int64_t bw_commit(const double *coords, int32_t *tv, int32_t *adj,
-                  int32_t *v2t, const int32_t *free_top, const int32_t *cav,
-                  const int32_t *bnd, int32_t *newt, int64_t *ekey,
-                  int64_t *estamp, int32_t *eval, int32_t *pairs,
-                  const double *in_f, const int64_t *in_i, int64_t *out_i)
+                  int32_t *v2t, int32_t *free_slots, int32_t *epoch,
+                  const int32_t *cav, const int32_t *bnd, int32_t *newt,
+                  int64_t *ekey, int64_t *estamp, int32_t *eval,
+                  int32_t *pairs, const double *in_f, const int64_t *in_i,
+                  int64_t *out_i)
 {
-    int64_t consumed = 0, nfresh = 0, n_orient = 0;
+    slot_alloc al = {free_slots, epoch, in_i[4], in_i[2], in_i[3]};
+    int64_t n_orient = 0;
     int64_t code = commit_cavity(
-        coords, tv, adj, v2t, free_top, cav, bnd, newt, ekey, estamp, eval,
-        pairs, in_f[0], in_f[1], in_f[2], in_i[0], (int32_t)in_i[1], in_i[2],
-        in_i[3], in_i[4], in_i[5], in_i[6], in_i[7], in_i[8], &consumed,
-        &nfresh, &n_orient);
-    out_i[0] = consumed;
-    out_i[1] = nfresh;
+        coords, tv, adj, v2t, &al, cav, bnd, newt, ekey, estamp, eval, pairs,
+        in_f[0], in_f[1], in_f[2], in_i[0], (int32_t)in_i[1], in_i[5],
+        in_i[6], in_i[7], &n_orient);
+    out_i[0] = al.n_free;
+    out_i[1] = al.tail;
     out_i[2] = n_orient;
     out_i[3] = REASON(code);
     return STATUS(code);
@@ -563,69 +583,57 @@ int64_t bw_commit(const double *coords, int32_t *tv, int32_t *adj,
  * Caller guarantees the vertex free list is empty, so the k-th
  * committed point gets vertex id v_base + k; this routine writes the
  * new coords rows and v2t anchors itself so later points' predicates
- * and anchors see them.  The tet free list is maintained internally in
- * fstk (initialized from the top-first window free_top); the batch
- * stops — reporting progress — at the first point needing anything it
- * cannot do conclusively in-place (filter failure, growth, deep
- * free-list entries, scratch overflow, any error status).  The walk
- * seed for point k+1 is the tet located for point k (remembering walk).
+ * and anchors see them.  Each commit allocates through the mesh's
+ * free-slot stack as a scalar insert would; the batch stops — reporting
+ * progress — at the first point needing anything it cannot do
+ * conclusively in-place (filter failure, scratch overflow, any error
+ * status) or crossing one of its bounds (a slot at or past slot_bound,
+ * a vertex id at or past vert_bound: both lie within the arrays).  The
+ * walk seed for point k+1 is the tet located for point k (remembering
+ * walk).
  *
- * Per committed insert, rec receives
- *   [ncav, nb, consumed, cav ids..., new tet ids...]
- * which is exactly what the Python side needs to replay its own
- * bookkeeping (free lists, epochs) in order.
- *
+ * free_slots, epoch: the mesh's free-slot stack and slot epochs
  * in_f:  the (npts, 3) points
- * in_i:  [seed_tet, rng_state, n_live, gen0, v_base, tail, cap_t,
- *         n_avail, n_free_total, scratch_cap, table_cap, npts, cap_v,
- *         fstk_cap, rec_cap]
+ * in_i:  [seed_tet, rng_state, n_live, gen0, v_base, tail, slot_bound,
+ *         n_free, scratch_cap, table_cap, npts, vert_bound]
  * out_i: [n_done, n_gens, rng_state_out, last_located, walk_steps,
- *         n_orient, n_insphere, cavity_tets_total, rec_len, n_live_out,
- *         tail_out, stop_reason]
+ *         n_orient, n_insphere, cavity_tets_total, n_free_out,
+ *         n_live_out, tail_out, stop_reason]
  * stop_reason says why the batch stopped short of npts (an error
  * status of the stopping point reads BW_WHY_OTHER).
  */
 int64_t bw_insert_many(double *coords, int32_t *tv, int32_t *adj,
-                       int32_t *v2t, int64_t *tag, const int32_t *free_top,
-                       int32_t *cav, int32_t *bnd, int32_t *newt,
-                       int32_t *stk, int64_t *ekey, int64_t *estamp,
-                       int32_t *eval, int32_t *pairs, int32_t *fstk,
-                       int32_t *fwin, int32_t *rec, const double *in_f,
-                       const int64_t *in_i, int64_t *out_i)
+                       int32_t *v2t, int32_t *free_slots, int32_t *epoch,
+                       int64_t *tag, int32_t *cav, int32_t *bnd,
+                       int32_t *newt, int32_t *stk, int64_t *ekey,
+                       int64_t *estamp, int32_t *eval, int32_t *pairs,
+                       const double *in_f, const int64_t *in_i,
+                       int64_t *out_i)
 {
     int64_t t = in_i[0];
     uint64_t state = (uint64_t)in_i[1];
     int64_t n_live = in_i[2];
     int64_t gen = in_i[3];
     int64_t vnew = in_i[4];
-    int64_t tail = in_i[5];
-    const int64_t cap_t = in_i[6];
-    const int64_t n_avail = in_i[7];
-    const int64_t deep = in_i[8] - in_i[7]; /* free entries below window */
-    const int64_t scap = in_i[9];
-    const int64_t tcap = in_i[10];
-    const int64_t npts = in_i[11];
-    const int64_t cap_v = in_i[12];
-    const int64_t fstk_cap = in_i[13];
-    const int64_t rec_cap = in_i[14];
-
-    int64_t sp = 0;
-    for (int64_t j = 0; j < n_avail; j++) /* bottom-up: top ends last */
-        fstk[sp++] = free_top[n_avail - 1 - j];
+    slot_alloc al = {free_slots, epoch, in_i[7], in_i[5], in_i[6]};
+    const int64_t scap = in_i[8];
+    const int64_t tcap = in_i[9];
+    const int64_t npts = in_i[10];
+    const int64_t vert_bound = in_i[11];
 
     int64_t n_done = 0, n_gens = 0, steps = 0;
-    int64_t n_orient = 0, n_insphere = 0, cav_total = 0, rec_len = 0;
+    int64_t n_orient = 0, n_insphere = 0, cav_total = 0;
     int64_t why = BW_WHY_OTHER;
 
     for (int64_t k = 0; k < npts; k++) {
-        if (vnew >= cap_v) { /* coords need growth: Python path */
+        if (vnew >= vert_bound) {
             why = BW_WHY_GROWTH;
             break;
         }
         const double px = in_f[3 * k];
         const double py = in_f[3 * k + 1];
         const double pz = in_f[3 * k + 2];
-        int64_t ncav = 0, nb = 0, consumed = 0, nfresh = 0;
+        int64_t ncav = 0, nb = 0;
         int64_t t_try = t;
         uint64_t state_try = state;
         int64_t code;
@@ -636,43 +644,20 @@ int64_t bw_insert_many(double *coords, int32_t *tv, int32_t *adj,
             code = cavity_search(coords, tv, adj, tag, cav, bnd, stk, px, py,
                                  pz, t_try, gen, scap, &ncav, &nb,
                                  &n_insphere);
-        /* Visible free window for this insert: the top min(sp, nb)
-         * stack entries, top first. */
-        int64_t win = sp < nb ? sp : nb;
-        if (code == BW_OK
-            && (rec_len + 3 + ncav + nb > rec_cap || sp + ncav > fstk_cap))
-            code = RETRY_BECAUSE(BW_WHY_SCRATCH);
-        if (code == BW_OK) {
-            for (int64_t j = 0; j < win; j++)
-                fwin[j] = fstk[sp - 1 - j];
-            code = commit_cavity(coords, tv, adj, v2t, fwin, cav, bnd, newt,
+        if (code == BW_OK)
+            code = commit_cavity(coords, tv, adj, v2t, &al, cav, bnd, newt,
                                  ekey, estamp, eval, pairs, px, py, pz, gen,
-                                 (int32_t)vnew, tail, cap_t, win, sp + deep,
-                                 tcap, ncav, nb, &consumed, &nfresh,
-                                 &n_orient);
-        }
+                                 (int32_t)vnew, tcap, ncav, nb, &n_orient);
         if (code != BW_OK) { /* RETRYs and errors resolve on the scalar path */
             why = REASON(code);
             break;
         }
-        /* committed: update the local allocator state + replay record */
-        sp -= consumed;
-        for (int64_t j = 0; j < ncav; j++)
-            fstk[sp++] = cav[j];
-        rec[rec_len++] = (int32_t)ncav;
-        rec[rec_len++] = (int32_t)nb;
-        rec[rec_len++] = (int32_t)consumed;
-        for (int64_t j = 0; j < ncav; j++)
-            rec[rec_len++] = cav[j];
-        for (int64_t r = 0; r < nb; r++)
-            rec[rec_len++] = newt[r];
         double *cr = coords + 3 * vnew;
         cr[0] = px;
         cr[1] = py;
         cr[2] = pz;
         v2t[vnew] = newt[nb - 1]; /* every new tet names vnew; the last wins */
         vnew++;
-        tail += nfresh;
         n_live += nb - ncav;
         cav_total += ncav;
         /* The located tet just died with the cavity; seed the next walk
@@ -691,9 +676,9 @@ int64_t bw_insert_many(double *coords, int32_t *tv, int32_t *adj,
     out_i[5] = n_orient;
     out_i[6] = n_insphere;
     out_i[7] = cav_total;
-    out_i[8] = rec_len;
+    out_i[8] = al.n_free;
     out_i[9] = n_live;
-    out_i[10] = tail;
+    out_i[10] = al.tail;
     out_i[11] = why;
     return n_done;
 }
@@ -966,47 +951,44 @@ static int64_t link_index(const int32_t *link, int64_t nl, int32_t id)
  * every face lies in at most two fill tets, the faces lying in one are
  * exactly the hole boundary, and |fill volume - ball volume| <=
  * 1e-6 * max(1, ball volume).  The same pass pairs every fill face
- * with its mate (mate[]: a fill face code, or -1 - hole face).  Slots
- * are what kill_tet x ball followed by add_tet x fill would allocate:
- * the ball's own slots popped LIFO first, then the free-list window,
- * then the tail.
+ * with its mate (mate[]: a fill face code, or -1 - hole face).
  *
- * Commit (cannot fail): dead rows for the ball, rows + adjacency for
- * the fill (outside neighbours' back-pointers, resolved before any
- * write, redirected), v2t anchors of the link vertices in new-tet
- * order.  The caller keeps kill_vertex(v), the free lists, the
- * per-slot epoch / cache bump, the vertex grid and the counters.
+ * Commit (cannot fail): the slots kill_tet x ball followed by add_tet x
+ * fill allocate — the ball's slots pushed in ball order, the fill's
+ * popped LIFO (so the ball's own come back in reverse), then the tail —
+ * dead rows for the ball, rows + adjacency for the fill (outside
+ * neighbours' back-pointers, resolved before any write, redirected),
+ * v2t anchors of the link vertices in new-tet order.  The caller keeps
+ * kill_vertex(v), the vertex grid and the counters.
  *
+ * free_slots, epoch: the mesh's free-slot stack and slot epochs
  * ball:   ball tet ids (out), ball_cap ints; stk the same size.
  * mate:   4 * fill_cap ints; ext: 2 * ball_cap ints
  *         ([outside tet, its back slot] per hole face).
- * in_i:   [v, gen, tail, cap_t, n_avail, n_free_total, ball_cap,
- *          link_cap, ent_cap, fill_cap, table_cap]
- * out_i:  [n_ball, consumed_free, n_fresh, n_orient, n_insphere,
+ * in_i:   [v, gen, tail, cap_t, n_free, ball_cap, link_cap, ent_cap,
+ *          fill_cap, table_cap]
+ * out_i:  [n_ball, n_free_out, tail_out, n_orient, n_insphere,
  *          retry_reason]
  * Returns n_fill > 0 (new tet ids in newt, ball ids in ball), or
  * BW_REMOVE_RETRY with nothing mutated.
  */
 int64_t bw_remove(const double *coords, int32_t *tv, int32_t *adj,
-                  int32_t *v2t, int64_t *tag, const int32_t *free_top,
-                  int32_t *ball, int32_t *stk, int32_t *faces, int32_t *link,
-                  int32_t *ents, int32_t *cand, int32_t *fill, int32_t *canon,
-                  int32_t *newt, int32_t *mate, int32_t *ext, int64_t *ekey,
-                  int64_t *estamp, int32_t *eval, const int64_t *in_i,
-                  int64_t *out_i)
+                  int32_t *v2t, int32_t *free_slots, int32_t *epoch,
+                  int64_t *tag, int32_t *ball, int32_t *stk, int32_t *faces,
+                  int32_t *link, int32_t *ents, int32_t *cand, int32_t *fill,
+                  int32_t *canon, int32_t *newt, int32_t *mate, int32_t *ext,
+                  int64_t *ekey, int64_t *estamp, int32_t *eval,
+                  const int64_t *in_i, int64_t *out_i)
 {
     const int32_t v = (int32_t)in_i[0];
     const int64_t gen = in_i[1];
-    const int64_t tail = in_i[2];
-    const int64_t cap_t = in_i[3];
-    const int64_t n_avail = in_i[4];
-    const int64_t n_free_total = in_i[5];
-    const int64_t ball_cap = in_i[6];
-    const int64_t link_cap = in_i[7];
-    const int64_t ent_cap = in_i[8];
-    const int64_t fill_cap = in_i[9];
-    const int64_t tcap = in_i[10];
-    int64_t n_ball = 0, nl = 0, consumed = 0, nfresh = 0;
+    slot_alloc al = {free_slots, epoch, in_i[4], in_i[2], in_i[3]};
+    const int64_t ball_cap = in_i[5];
+    const int64_t link_cap = in_i[6];
+    const int64_t ent_cap = in_i[7];
+    const int64_t fill_cap = in_i[8];
+    const int64_t tcap = in_i[9];
+    int64_t n_ball = 0, nl = 0;
     int64_t n_orient = 0, n_insphere = 0;
 
 #define REMOVE_RETRY(why)                                                   \
@@ -1018,7 +1000,7 @@ int64_t bw_remove(const double *coords, int32_t *tv, int32_t *adj,
 
     /* ---- ball: incident_tets' traversal from the anchor ---- */
     const int64_t seed = v2t[v];
-    if (seed < 0 || seed >= tail || tv[4 * seed] < 0)
+    if (seed < 0 || seed >= al.tail || tv[4 * seed] < 0)
         REMOVE_RETRY(BW_WHY_OTHER); /* stale anchor: Python's slow scan */
     tag[seed] = gen;
     ball[n_ball++] = (int32_t)seed;
@@ -1154,21 +1136,8 @@ int64_t bw_remove(const double *coords, int32_t *tv, int32_t *adj,
             REMOVE_RETRY(BW_WHY_TIE);
     }
 
-    /* ---- slot allocation (scratch only) ---- */
-    for (int64_t r = 0; r < n_fill; r++) {
-        if (r < n_ball) {
-            newt[r] = ball[n_ball - 1 - r];
-        } else if (consumed < n_avail) {
-            newt[r] = free_top[consumed++];
-        } else if (consumed < n_free_total) {
-            REMOVE_RETRY(BW_WHY_WINDOW);
-        } else {
-            if (tail + nfresh >= cap_t)
-                REMOVE_RETRY(BW_WHY_GROWTH);
-            newt[r] = (int32_t)(tail + nfresh);
-            nfresh++;
-        }
-    }
+    if (n_fill > n_ball && !slots_fit(&al, n_fill - n_ball))
+        REMOVE_RETRY(BW_WHY_GROWTH);
 
     /* ---- outside neighbours and their back slots, before any write:
      * recycled ball ids would make a later search ambiguous ---- */
@@ -1188,7 +1157,9 @@ int64_t bw_remove(const double *coords, int32_t *tv, int32_t *adj,
         ext[2 * h + 1] = back;
     }
 
-    /* ---- commit (cannot fail) ---- */
+    /* ---- commit (cannot fail): slots first ---- */
+    put_slots(&al, ball, n_ball);
+    take_slots(&al, newt, n_fill);
     for (int64_t b = 0; b < n_ball; b++) {
         int32_t *q = tv + 4 * (int64_t)ball[b];
         q[0] = q[1] = q[2] = q[3] = -1;
@@ -1215,8 +1186,8 @@ int64_t bw_remove(const double *coords, int32_t *tv, int32_t *adj,
     }
 
     out_i[0] = n_ball;
-    out_i[1] = consumed;
-    out_i[2] = nfresh;
+    out_i[1] = al.n_free;
+    out_i[2] = al.tail;
     out_i[3] = n_orient;
     out_i[4] = n_insphere;
     out_i[5] = BW_WHY_OTHER;

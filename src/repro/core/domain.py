@@ -122,7 +122,7 @@ class CircumballStore:
     def ball(self, t: int) -> Tuple[Tuple[float, float, float], float]:
         """Circumcenter + circumradius of live tet ``t``."""
         mesh = self.mesh
-        epoch = mesh.tet_epoch[t]
+        epoch = mesh.tet_epoch.item(t)
         store = self.rows
         if t < len(store):
             cx, cy, cz, r, stored = store[t].tolist()
@@ -154,14 +154,16 @@ class CircumballStore:
         what :meth:`ball` would have stored.
         """
         mesh = self.mesh
-        epoch = mesh.tet_epochs()
+        # Epochs before rows: a commit bumps a slot before it writes it.
+        epoch = mesh.tet_epoch[tets]
         with self._lock:
             self.rows = store = _grown(self.rows, mesh.tet_top, -1.0)
-            stale = tets[store[tets, 4] != epoch[tets]]
+            is_stale = store[tets, 4] != epoch
+            stale = tets[is_stale]
             if stale.size:
                 quads = mesh.coords[mesh.tet_verts_arr[stale]]
                 store[stale, :3], store[stale, 3] = circumballs_many(quads)
-                store[stale, 4] = epoch[stale]
+                store[stale, 4] = epoch[is_stale]
         return store
 
     def centre_labels(self, image, tets: np.ndarray, adj: np.ndarray):

@@ -33,7 +33,7 @@ class PoorElementList:
 
     def push(self, t: int) -> None:
         """Queue live tet ``t`` for refinement."""
-        self._items.append((t, self._mesh.tet_epoch[t]))
+        self._items.append((t, self._mesh.tet_epoch.item(t)))
         self.live_count += 1
 
     def pop(self) -> Optional[int]:
@@ -46,7 +46,8 @@ class PoorElementList:
         mesh = self._mesh
         while items:
             t, epoch = items.popleft()
-            if mesh.tet_verts_arr[t, 0] >= 0 and mesh.tet_epoch[t] == epoch:
+            if (mesh.tet_verts_arr[t, 0] >= 0
+                    and mesh.tet_epoch.item(t) == epoch):
                 self.live_count -= 1
                 return t
         self.live_count = 0
@@ -66,7 +67,8 @@ class PoorElementList:
         mesh = self._mesh
         while items and len(out) < k:
             t, epoch = items.popleft()
-            if mesh.tet_verts_arr[t, 0] >= 0 and mesh.tet_epoch[t] == epoch:
+            if (mesh.tet_verts_arr[t, 0] >= 0
+                    and mesh.tet_epoch.item(t) == epoch):
                 out.append(t)
         self.live_count = max(0, self.live_count - len(out))
         return out

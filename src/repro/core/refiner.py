@@ -151,9 +151,10 @@ class SequentialRefiner:
                     )
 
             born = []
-            epoch = mesh_store.tet_epoch
-            for t, t_epoch in zip(maybe, [epoch[t] for t in maybe]):
-                if not mesh_store.is_live(t) or epoch[t] != t_epoch:
+            epochs = mesh_store.tet_epoch[maybe].tolist()
+            for t, t_epoch in zip(maybe, epochs):
+                if (not mesh_store.is_live(t)
+                        or mesh_store.tet_epoch.item(t) != t_epoch):
                     continue        # killed earlier in this generation
                 t_op0 = time.perf_counter()
                 result = domain.refine_tet(t)

@@ -1,6 +1,6 @@
 """Low-level tetrahedral mesh storage with face-to-face adjacency.
 
-Storage layout (struct-of-arrays, free-list recycled).  The NumPy
+Storage layout (struct-of-arrays, free-stack recycled).  The NumPy
 arrays are the *only* authority for tet connectivity since the mirror
 retirement: every consumer — the Python kernel, the vectorized batch
 predicates and the C accelerator — reads ``tet_verts_arr``/``tet_adj``
@@ -24,22 +24,44 @@ which is what the scalar hot paths index with).
                            vertex ``i``; ``HULL`` (-1) on the hull.
 * ``tet_top``            – one past the highest slot ever allocated
                            (the array tail; dead slots below it are on
-                           the free list).
+                           the free stack).
+* ``tet_free``           – ``(capacity,) int32`` free-slot stack, bottom
+                           first; ``tet_free[:n_free_tets]`` are the dead
+                           slots below ``tet_top`` and the next pop is
+                           the last of them.  A new tet takes a popped
+                           slot (LIFO) before a fresh one from the tail;
+                           a killed tet's slot is pushed.
+* ``n_free_tets``        – how many entries of ``tet_free`` are live.
+* ``tet_epoch``          – ``(capacity,) int32``; bumped every time a
+                           popped slot is handed out again, so a record
+                           kept by ``(tet, epoch)`` (Poor Element List
+                           entries, circumballs, ``tet_cc``) sees that
+                           "its" tet died even if the id was recycled.
+                           An allocation bumps it before the slot's row
+                           is written.
 * ``tet_cc[t]``          – cached circumsphere entry for the filtered
                            in-sphere fast path (see
-                           :func:`repro.geometry.predicates.circumsphere_entry`);
-                           ``None`` until first use, ``()`` for
-                           degenerate tets.
+                           :func:`repro.geometry.predicates.circumsphere_entry`)
+                           with the slot's epoch appended; ``(epoch,)``
+                           for degenerate tets, ``None`` until first
+                           use.  An entry whose epoch is not the slot's
+                           belongs to a previous owner.
 * ``v2t``                – ``int32`` array: one live incident tet per
                            vertex (point-location and ball-collection
                            anchor); ``HULL`` before the first incidence,
                            ``DEAD`` after vertex removal.
 
+The free stack, its count, the epochs and ``tet_top`` are the one tet
+allocator: :meth:`MeshArrays.add_tet` / :meth:`~MeshArrays.add_tets_batch`
+/ :meth:`~MeshArrays.kill_tet` / :meth:`~MeshArrays.kill_tets_batch`
+here, and the C kernels (``repro._accel``), which are handed the same
+arrays and pop, push and bump them in the same order.
+
 All tetrahedra are stored positively oriented (``orient3d > 0``), which
 the in-sphere predicate requires.  Growth doubles the NumPy capacity, so
-long-lived references to ``coords``/``tet_verts_arr``/``tet_adj``/``v2t``
-must be re-fetched from the mesh after any allocation (all in-tree
-callers hold them for at most one operation).
+long-lived references to the arrays must be re-fetched from the mesh
+after any allocation (all in-tree callers hold them for at most one
+operation).
 """
 
 from __future__ import annotations
@@ -63,6 +85,13 @@ _INIT_V_CAP = 256
 _INIT_T_CAP = 1024
 
 
+def _regrown(old: np.ndarray, cap: int, fill) -> np.ndarray:
+    """``old`` copied into a ``cap``-row array padded with ``fill``."""
+    grown = np.full((cap,) + old.shape[1:], fill, dtype=old.dtype)
+    grown[: old.shape[0]] = old
+    return grown
+
+
 @dataclass(frozen=True)
 class Tet:
     """Immutable view of a tetrahedron handed to callers."""
@@ -82,10 +111,11 @@ class MeshArrays:
         "tet_verts_arr",
         "tet_adj",
         "tet_top",
+        "tet_free",
+        "n_free_tets",
         "tet_epoch",
         "tet_cc",
         "v2t",
-        "_free_tets",
         "_free_verts",
         "_clock",
         "n_live_tets",
@@ -100,12 +130,10 @@ class MeshArrays:
         self.timestamps: List[int] = []
         self.alive_vertex: List[bool] = []
         self.tet_top = 0
-        # Epoch counter per slot: bumps every time the slot is reused, so
-        # stale references (e.g. Poor Element List entries) can detect
-        # that "their" tet died even if the id was recycled.
-        self.tet_epoch: List[int] = []
-        self.tet_cc: List[Optional[tuple]] = []
-        self._free_tets: List[int] = []
+        self.tet_free = np.zeros(_INIT_T_CAP, dtype=np.int32)
+        self.n_free_tets = 0
+        self.tet_epoch = np.zeros(_INIT_T_CAP, dtype=np.int32)
+        self.tet_cc: List[Optional[tuple]] = [None] * _INIT_T_CAP
         self._free_verts: List[int] = []
         self._clock = itertools.count(1)  # monotonic insertion clock
         self.n_live_tets = 0
@@ -113,26 +141,29 @@ class MeshArrays:
     # ------------------------------------------------------------------
     # growth
     # ------------------------------------------------------------------
-    def _grow_verts(self) -> None:
-        cap = self.coords.shape[0] * 2
-        old = self.coords
-        grown = np.zeros((cap, 3), dtype=np.float64)
-        grown[: old.shape[0]] = old
-        self.coords = grown
-        anchors = np.full(cap, HULL, dtype=np.int32)
-        anchors[: self.v2t.shape[0]] = self.v2t
-        self.v2t = anchors
-
-    def _grow_tets(self, need: int) -> None:
-        cap = self.tet_adj.shape[0]
+    def _grow_verts(self, need: int) -> None:
+        cap = self.coords.shape[0]
         while cap < need:
             cap *= 2
-        tv = np.full((cap, 4), -1, dtype=np.int32)
-        tv[: self.tet_verts_arr.shape[0]] = self.tet_verts_arr
-        self.tet_verts_arr = tv
-        ta = np.full((cap, 4), HULL, dtype=np.int32)
-        ta[: self.tet_adj.shape[0]] = self.tet_adj
-        self.tet_adj = ta
+        self.coords = _regrown(self.coords, cap, 0.0)
+        self.v2t = _regrown(self.v2t, cap, HULL)
+
+    def _grow_tets(self, need: int) -> None:
+        old = self.tet_adj.shape[0]
+        cap = old
+        while cap < need:
+            cap *= 2
+        self.tet_verts_arr = _regrown(self.tet_verts_arr, cap, -1)
+        self.tet_adj = _regrown(self.tet_adj, cap, HULL)
+        self.tet_free = _regrown(self.tet_free, cap, 0)
+        self.tet_epoch = _regrown(self.tet_epoch, cap, 0)
+        self.tet_cc.extend([None] * (cap - old))
+
+    def reserve_tets(self, n: int) -> None:
+        """Grow the tet arrays to at least ``n`` slots (the C kernels
+        cannot grow them)."""
+        if n > self.tet_adj.shape[0]:
+            self._grow_tets(n)
 
     # ------------------------------------------------------------------
     # vertices
@@ -149,7 +180,7 @@ class MeshArrays:
         else:
             v = len(self.points)
             if v >= self.coords.shape[0]:
-                self._grow_verts()
+                self._grow_verts(v + 1)
             self.points.append(pt)
             self.timestamps.append(ts)
             self.alive_vertex.append(True)
@@ -174,17 +205,17 @@ class MeshArrays:
     # ------------------------------------------------------------------
     def add_tet(self, verts: Tuple[int, int, int, int]) -> int:
         """Allocate a tet slot; adjacency starts as four HULL markers."""
-        if self._free_tets:
-            t = self._free_tets.pop()
+        n = self.n_free_tets
+        if n:
+            n -= 1
+            self.n_free_tets = n
+            t = int(self.tet_free[n])
             self.tet_epoch[t] += 1
-            self.tet_cc[t] = None
         else:
             t = self.tet_top
-            self.tet_top = t + 1
             if t >= self.tet_adj.shape[0]:
                 self._grow_tets(t + 1)
-            self.tet_epoch.append(0)
-            self.tet_cc.append(None)
+            self.tet_top = t + 1
         tv = self.tet_verts_arr[t]
         tv[0] = verts[0]
         tv[1] = verts[1]
@@ -203,75 +234,53 @@ class MeshArrays:
 
         ``verts_rows`` is a ``(k, 4)`` int array.  Slot assignment is
         identical to ``k`` successive :meth:`add_tet` calls (LIFO
-        free-list pops first, then fresh slots in order), so recycled
+        free-stack pops first, then fresh slots in order), so recycled
         ids — and therefore all downstream iteration orders — match the
         scalar path bit-for-bit.  ``v2t`` is *not* updated here; the
         caller owns anchor maintenance (the insertion commit rewrites
         anchors for every new tet anyway).
         """
         k = verts_rows.shape[0]
-        free = self._free_tets
-        epoch = self.tet_epoch
-        ccs = self.tet_cc
+        n = self.n_free_tets
+        popped = min(k, n)
         top = self.tet_top
-        tids: List[int] = []
-        for _ in range(k):
-            if free:
-                t = free.pop()
-                epoch[t] += 1
-                ccs[t] = None
-            else:
-                t = top
-                top += 1
-                epoch.append(0)
-                ccs.append(None)
-            tids.append(t)
-        self.tet_top = top
-        if top > self.tet_adj.shape[0]:
-            self._grow_tets(top)
-        idx = np.asarray(tids, dtype=np.intp)
-        self.tet_verts_arr[idx] = verts_rows
-        self.tet_adj[idx] = HULL
+        tail = top + k - popped
+        if tail > self.tet_adj.shape[0]:
+            self._grow_tets(tail)
+        tids = np.empty(k, dtype=np.intp)
+        tids[:popped] = self.tet_free[n - popped:n][::-1]
+        tids[popped:] = np.arange(top, tail)
+        self.n_free_tets = n - popped
+        self.tet_top = tail
+        self.tet_epoch[tids[:popped]] += 1
+        self.tet_verts_arr[tids] = verts_rows
+        self.tet_adj[tids] = HULL
         self.n_live_tets += k
-        return tids
-
-    def bump_slots(self, tids: Sequence[int]) -> None:
-        """The Python half of an allocation the C kernel committed on
-        the shared tail: every recycled slot in ``tids`` gets its epoch
-        bumped and its cached circumsphere dropped, every fresh one
-        (they arrive in tail order) an entry in both lists, and
-        ``tet_top`` follows."""
-        epoch = self.tet_epoch
-        ccs = self.tet_cc
-        top = len(epoch)
-        for t in tids:
-            if t < top:
-                epoch[t] += 1
-                ccs[t] = None
-            else:
-                epoch.append(0)
-                ccs.append(None)
-                top += 1
-        self.tet_top = top
+        return tids.tolist()
 
     def kill_tet(self, t: int) -> None:
         self.tet_verts_arr[t] = -1
-        self._free_tets.append(t)
+        n = self.n_free_tets
+        self.tet_free[n] = t
+        self.n_free_tets = n + 1
         self.n_live_tets -= 1
 
     def kill_tets_batch(self, ts: Sequence[int]) -> None:
-        """Kill several tets; free-list order matches per-tet kills."""
-        self._free_tets.extend(ts)
-        self.tet_verts_arr[np.asarray(ts, dtype=np.intp)] = -1
-        self.n_live_tets -= len(ts)
+        """Kill several tets; the stack order matches per-tet kills."""
+        k = len(ts)
+        n = self.n_free_tets
+        idx = np.asarray(ts, dtype=np.intp)
+        self.tet_free[n:n + k] = idx
+        self.n_free_tets = n + k
+        self.tet_verts_arr[idx] = -1
+        self.n_live_tets -= k
+
+    def free_tets(self) -> List[int]:
+        """The free-slot stack, bottom first (the next pop is the last)."""
+        return self.tet_free[:self.n_free_tets].tolist()
 
     def is_live(self, t: int) -> bool:
         return 0 <= t < self.tet_top and self.tet_verts_arr[t, 0] >= 0
-
-    def tet_epochs(self) -> np.ndarray:
-        """``tet_epoch`` as an int64 array (a snapshot, for batch
-        validation of ``(tet, epoch)`` references)."""
-        return np.fromiter(self.tet_epoch, np.int64, len(self.tet_epoch))
 
     def live_tets(self) -> Iterator[int]:
         """Iterate ids of all live tetrahedra (snapshot at call time)."""

@@ -18,13 +18,14 @@ three accelerations, none of which changes any mesh output:
 * **cavity search** replaces most in-sphere predicate evaluations with a
   cached circumsphere test: every tet carries a precomputed
   ``(center, r^2, error-band)`` record (built vectorized for the whole
-  commit batch) and the full robust predicate runs only inside the
+  commit batch, stamped with the slot's epoch so a recycled slot's
+  record is recomputed) and the full robust predicate runs only inside the
   rounding-error band, so the fast path is *guaranteed* to agree with
   exact arithmetic.  Visited/boundary bookkeeping uses epoch-tagged
   scratch arrays reused across operations instead of per-call sets.
 * **the commit phase** validates all boundary faces with one vectorized
   orientation batch, checks cavity closedness with packed edge keys and
-  ``np.unique``, allocates all new tets at once (free-list order
+  ``np.unique``, allocates all new tets at once (free-stack order
   identical to the scalar path) and wires internal adjacency by sorting
   edge keys — only the ``v2t`` anchor maintenance stays scalar, because
   its "last writer wins" semantics must match the historical loop.
@@ -62,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import _accel
-from repro.delaunay.mesh import HULL, MeshArrays
+from repro.delaunay.mesh import _INIT_T_CAP, _INIT_V_CAP, HULL, MeshArrays
 from repro.geometry.batch import insphere_many, new_tet_records
 from repro.geometry.predicates import (
     STATS,
@@ -83,6 +84,15 @@ _LCG_MASK = 0x7FFFFFFF
 # grid doubles its resolution whenever occupancy exceeds ~8 vertices per
 # cell so bucket lookups stay local as the mesh grows.
 _GRID_RES = 16
+
+_WHY_GROWTH = _accel.RETRY_REASONS.index("growth")
+
+
+def _doubling(n: int, size: int) -> int:
+    """The smallest ``size * 2**k`` (``k >= 0``) at or above ``n``."""
+    while size < n:
+        size *= 2
+    return size
 
 
 class RollbackSignal(Exception):
@@ -502,14 +512,16 @@ class Triangulation3D:
     def _cc_entry(self, t: int):
         """Compute and cache tet ``t``'s circumsphere record (scalar path).
 
-        Stored as ``()`` for degenerate tets so the cache distinguishes
-        "computed, no fast path" from "not computed yet" (``None``).
+        The record carries the slot's epoch as its last element, so a
+        reader can tell it from a previous owner's; it is ``(epoch,)``
+        for degenerate tets ("computed, no fast path").
         """
         mesh = self.mesh
         pts = mesh.points
+        epoch = mesh.tet_epoch.item(t)
         a, b, c, d = mesh.tet_verts_arr[t].tolist()
         e = circumsphere_entry(pts[a], pts[b], pts[c], pts[d])
-        e = e if e is not None else ()
+        e = (*e, epoch) if e is not None else (epoch,)
         mesh.tet_cc[t] = e
         self.counters.cc_computed += 1
         return e
@@ -543,7 +555,8 @@ class Triangulation3D:
         at a vertex) and raises :class:`InsertionError`.
 
         The in-sphere tests run through the cached circumsphere records
-        (exact-agreeing fast path, see module docstring); the depth-first
+        (exact-agreeing fast path, see module docstring), each taken only
+        while its epoch stamp is the slot's; the depth-first
         enumeration order is part of the deterministic output contract
         and must not change.
         """
@@ -575,6 +588,7 @@ class Triangulation3D:
         # Fetched under t0's locks: a growth that replaces the arrays
         # later copies every row this search reads unchanged.
         tva = mesh.tet_verts_arr
+        epoch = memoryview(mesh.tet_epoch)  # scalar reads as Python ints
         px = p[0]
         py = p[1]
         pz = p[2]
@@ -587,11 +601,11 @@ class Triangulation3D:
         cc_cached = 0
 
         ent = ccs[t0]
-        if ent is None:
+        if ent is None or ent[-1] != epoch[t0]:
             ent = self._cc_entry(t0)
         else:
             cc_cached += 1
-        if ent:
+        if len(ent) > 1:
             cc_tests += 1
             dx = px - ent[0]
             dy = py - ent[1]
@@ -653,11 +667,11 @@ class Triangulation3D:
                     for v in nverts:
                         touch(v)
                 ent = ccs[nbr]
-                if ent is None:
+                if ent is None or ent[-1] != epoch[nbr]:
                     ent = self._cc_entry(nbr)
                 else:
                     cc_cached += 1
-                if ent:
+                if len(ent) > 1:
                     cc_tests += 1
                     dx = px - ent[0]
                     dy = py - ent[1]
@@ -733,11 +747,10 @@ class Triangulation3D:
         """One C-kernel insert attempt; ``None`` means "retry in Python".
 
         The C routine does the walk, cavity search, validation and the
-        mesh-array commit (rows, adjacency, ``v2t`` anchors); this glue
-        reproduces the Python-side bookkeeping (scalar mirrors, free
-        lists, epochs, the new vertex's own anchor, counters, vertex
-        grid) in exactly the order the Python kernel would, so the two
-        paths are indistinguishable afterwards.
+        mesh-array commit (slots, epochs, rows, adjacency, ``v2t``
+        anchors); this glue stores the vertex and its own anchor and
+        keeps the counters and the vertex grid, as the Python kernel
+        would, so the two paths are indistinguishable afterwards.
         """
         mesh = self.mesh
         acc = self._acc
@@ -750,7 +763,6 @@ class Triangulation3D:
             seed = self._locate_seed(px, py, pz, hint)
         else:
             seed = self._locate_seed(px, py, pz)
-        free_t = mesh._free_tets
         free_v = mesh._free_verts
         # Prospective vertex id: what add_vertex will allocate after the
         # C kernel succeeds (it only writes the id into tet rows; the
@@ -758,7 +770,7 @@ class Triangulation3D:
         vnew = free_v[-1] if free_v else len(mesh.points)
         gen = next(self._cav_gen)
         status = acc.insert(mesh, px, py, pz, seed, self._walk_state, gen,
-                            vnew, len(free_t))
+                            vnew)
         counters = self.counters
         out = acc.out_i
         if status == _accel.RETRY:
@@ -793,20 +805,12 @@ class Triangulation3D:
                 "degenerate insertion: cavity boundary is not a closed surface"
             )
         counters.accel_inserts += 1
-        ncav = int(out[0])
-        nb = int(out[1])
-        consumed = int(out[2])
-        cavity = acc.cav[:ncav].tolist()
-        new_tets = acc.newt[:nb].tolist()
+        cavity = acc.cav[:int(out[0])].tolist()
+        new_tets = acc.newt[:int(out[1])].tolist()
         mesh.add_vertex((px, py, pz))  # allocates exactly vnew
         # Every new tet names vnew and the last one wins; the kernel
         # anchored the other vertices.
         mesh.v2t[vnew] = new_tets[-1]
-        if consumed:
-            del free_t[-consumed:]
-        mesh.bump_slots(new_tets)
-        free_t.extend(cavity)
-        mesh.n_live_tets += nb - ncav
         self._vgrid[self._grid_key(px, py, pz)] = vnew
         if len(mesh.points) > self._vgrid_cap:
             self._regrid()
@@ -858,7 +862,6 @@ class Triangulation3D:
         px = float(p[0])
         py = float(p[1])
         pz = float(p[2])
-        free_t = mesh._free_tets
         free_v = mesh._free_verts
         if free_v:
             # The kernel writes rows naming the new vertex before
@@ -873,7 +876,7 @@ class Triangulation3D:
             vnew = len(mesh.points)
         codes = [t * 4 + i for t, i in boundary]
         status = acc.commit(mesh, px, py, pz, next(self._cav_gen), vnew,
-                            len(free_t), cavity, codes)
+                            cavity, codes)
         counters = self.counters
         stats = STATS
         out = acc.out_i
@@ -896,12 +899,6 @@ class Triangulation3D:
         new_tets = acc.newt[:len(boundary)].tolist()
         mesh.add_vertex((px, py, pz))  # allocates exactly vnew
         mesh.v2t[vnew] = new_tets[-1]  # the kernel anchored the others
-        consumed = int(out[0])
-        if consumed:
-            del free_t[-consumed:]
-        mesh.bump_slots(new_tets)
-        free_t.extend(cavity)
-        mesh.n_live_tets += len(boundary) - len(cavity)
         self._vgrid[self._grid_key(px, py, pz)] = vnew
         if len(mesh.points) > self._vgrid_cap:
             self._regrid()
@@ -957,11 +954,10 @@ class Triangulation3D:
         Appends the committed vertex ids to ``results`` and returns how
         many points were committed (0 means the first point needs the
         scalar path).  The C kernel walks, carves and commits each point
-        directly on the mesh arrays, maintaining its own free-list
-        stack; this glue replays the per-insert records to bring the
-        Python-side bookkeeping (points, timestamps, epochs, free
-        lists, vertex grid, counters) to exactly the state a scalar loop
-        would have produced.  Batch and scalar paths may
+        directly on the mesh arrays, allocating through the mesh's free
+        stack; this glue stores the vertices (points, timestamps) and
+        keeps the vertex grid and the counters, as a scalar loop
+        would have.  Batch and scalar paths may
         locate through different seed tets, but cavity membership is
         predicate-determined, so the resulting topology is identical.
         """
@@ -971,12 +967,18 @@ class Triangulation3D:
             acc = self._acc = _accel.AccelScratch()
         p0 = points[start]
         seed = self._locate_seed(float(p0[0]), float(p0[1]), float(p0[2]))
-        free_t = mesh._free_tets
         gen0 = next(self._cav_gen)
         v_base = len(mesh.points)
+        # A batch ends where the slot tail or the vertex count would pass
+        # the next doubling of the arrays' initial sizes — where it ended
+        # when the arrays grew only on demand.  The point after a stop is
+        # walked to from the vertex grid, not from the chained hint, and
+        # for a point on a shared face that start picks the cavity's
+        # first tet, so where batches end is part of the id contract.
         out = acc.insert_many(mesh, points[start:start + _accel._BATCH_CAP],
                               seed, self._walk_state, gen0, v_base,
-                              len(free_t))
+                              _doubling(mesh.tet_top, _INIT_T_CAP),
+                              _doubling(v_base, _INIT_V_CAP))
         n_done = int(out[0])
         n_gens = int(out[1])
         # Keep the shared generation allocator ahead of every generation
@@ -996,8 +998,11 @@ class Triangulation3D:
         stats.insphere_filtered += n_i
         counters.walk_steps += int(out[4])
         if n_done == 0:
-            counters.accel_retries += 1
-            counters.note_retry(out[11])
+            # A first point past a bound goes to the scalar kernel, which
+            # has the headroom: no retry.
+            if out[11] != _WHY_GROWTH:
+                counters.accel_retries += 1
+                counters.note_retry(out[11])
             return 0
         self._last_located = int(out[3])
         counters.locate_calls += n_done
@@ -1006,8 +1011,6 @@ class Triangulation3D:
         counters.accel_inserts += n_done
         counters.accel_batch_calls += 1
         counters.accel_batch_inserts += n_done
-        rec = acc.rec
-        pos = 0
         gk = self._grid_key
         vgrid = self._vgrid
         # The kernel anchored every vertex, the batch's own included
@@ -1019,19 +1022,6 @@ class Triangulation3D:
             vnew = mesh.add_vertex(
                 (float(p[0]), float(p[1]), float(p[2]))
             )
-            ncav = int(rec[pos])
-            nb = int(rec[pos + 1])
-            consumed = int(rec[pos + 2])
-            pos += 3
-            cav = rec[pos:pos + ncav].tolist()
-            pos += ncav
-            newt = rec[pos:pos + nb].tolist()
-            pos += nb
-            if consumed:
-                del free_t[-consumed:]
-            mesh.bump_slots(newt)
-            free_t.extend(cav)
-            mesh.n_live_tets += nb - ncav
             vgrid[gk(p[0], p[1], p[2])] = vnew
             if len(mesh.points) > self._vgrid_cap:
                 self._regrid()
@@ -1159,11 +1149,14 @@ class Triangulation3D:
             v2t[row[3]] = nt
 
         # Store the circumsphere records computed during validation (the
-        # quads held exactly the new tets' coordinates: boundary face + p).
+        # quads held exactly the new tets' coordinates: boundary face + p),
+        # stamped with the epochs add_tets_batch left.
         ccs = mesh.tet_cc
+        epochs = mesh.tet_epoch[nt_arr].tolist()
         for r in range(nb):
             e = entries[r]
-            ccs[new_tets[r]] = e if e is not None else ()
+            ccs[new_tets[r]] = ((*e, epochs[r]) if e is not None
+                                else (epochs[r],))
 
         self._vgrid[self._grid_key(p[0], p[1], p[2])] = vnew
         if len(mesh.points) > self._vgrid_cap:
@@ -1272,8 +1265,8 @@ class Triangulation3D:
 
         # ---- commit ----
         # Under speculative execution the mutation burst must not
-        # interleave with another commit: the free lists, the epoch
-        # lists and array growth are not safe from two threads at once.
+        # interleave with another commit: the allocator and array
+        # growth are not safe from two threads at once.
         with self._commit_lock if touch is not None else nullcontext():
             if on_commit is not None:
                 on_commit()
@@ -1339,17 +1332,16 @@ class Triangulation3D:
         fill (face pairing, boundary equality, volume) and only then
         commits rows, adjacency and ``v2t`` anchors; any inconclusive
         filter, cospherical tie, refused fill or capacity limit returns
-        the retry sentinel with nothing mutated.  This glue keeps what
-        the Python commit would have done beside the arrays: the free
-        lists (the ball's slots pushed in ball order, the fill's popped
-        LIFO), the epochs, the vertex itself, the grid and the counters.
+        the retry sentinel with nothing mutated; a commit also pushes
+        the ball's slots and pops the fill's, as ``kill_tet`` and
+        ``add_tet`` would.  This glue keeps what the Python commit does
+        beside the arrays: the vertex itself, the grid and the counters.
         """
         mesh = self.mesh
         acc = self._acc
         if acc is None:
             acc = self._acc = _accel.AccelScratch()
-        free_t = mesh._free_tets
-        n_fill = acc.remove(mesh, v, next(self._cav_gen), len(free_t))
+        n_fill = acc.remove(mesh, v, next(self._cav_gen))
         out = acc.out_i
         n_o = int(out[3])
         n_i = int(out[4])
@@ -1364,16 +1356,8 @@ class Triangulation3D:
             counters.note_retry(out[5])
             return None
         counters.accel_removals += 1
-        n_ball = int(out[0])
-        ball = acc.cav[:n_ball].tolist()
+        ball = acc.cav[:int(out[0])].tolist()
         new_tets = acc.newt[:n_fill].tolist()
-        consumed = int(out[1])
-        if n_fill < n_ball:
-            free_t.extend(ball[:n_ball - n_fill])
-        elif consumed:
-            del free_t[-consumed:]
-        mesh.bump_slots(new_tets)
-        mesh.n_live_tets += n_fill - n_ball
         p = mesh.points[v]
         mesh.kill_vertex(v)
         gkey = self._grid_key(p[0], p[1], p[2])
@@ -1622,14 +1606,15 @@ class Triangulation3D:
         lv = np.asarray(live_verts, dtype=np.intp)
         pv = mesh.coords[lv]
         ccs = mesh.tet_cc
+        epoch = mesh.tet_epoch
         for t in mesh.live_tets():
             verts = mesh.tet_verts_arr[t].tolist()
             ent = ccs[t]
-            if ent is None:
+            if ent is None or ent[-1] != epoch.item(t):
                 ent = self._cc_entry(t)
             a, b, c, d = (pts[verts[0]], pts[verts[1]], pts[verts[2]],
                           pts[verts[3]])
-            if ent:
+            if len(ent) > 1:
                 diff = pv - ent[:3]
                 d2 = (diff * diff).sum(axis=1)
                 sv = d2 - ent[3]

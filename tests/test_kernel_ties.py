@@ -28,6 +28,7 @@ from repro.core import refiner as refiner_mod
 from repro.core.domain import RefineDomain
 from repro.delaunay import Triangulation3D
 from repro.delaunay.triangulation import InsertionError, RemovalError
+from repro.geometry.predicates import insphere
 from repro.imaging import abdominal_phantom, sphere_phantom
 from tests.test_kernel_parity import disable_accel, topo_hash
 
@@ -89,8 +90,8 @@ def store(tri):
         "tet_verts": m.tet_verts_arr[:top].copy(),
         "tet_adj": m.tet_adj[:top].copy(),
         "v2t": m.v2t[:nv].copy(),
-        "tet_epoch": list(m.tet_epoch),
-        "free_tets": list(m._free_tets),
+        "tet_epoch": m.tet_epoch[:top].copy(),
+        "free_tets": m.free_tets(),
         "free_verts": list(m._free_verts),
         "tet_top": top,
         "n_live_tets": m.n_live_tets,
@@ -101,13 +102,13 @@ def store(tri):
 
 def raw_arrays(tri):
     """The mesh arrays at full capacity, byte for byte, plus the lists
-    a kernel's glue could touch."""
+    and counts a kernel's glue could touch."""
     m = tri.mesh
     return (m.coords.tobytes(), m.tet_verts_arr.tobytes(),
-            m.tet_adj.tobytes(), m.v2t.tobytes(), list(m.tet_epoch),
-            list(m._free_tets), list(m._free_verts), m.tet_top,
-            m.n_live_tets, list(m.points), list(m.alive_vertex),
-            tri._walk_state, tri._last_located)
+            m.tet_adj.tobytes(), m.v2t.tobytes(), m.tet_epoch.tobytes(),
+            m.tet_free.tobytes(), m.n_free_tets, list(m._free_verts),
+            m.tet_top, m.n_live_tets, list(m.points),
+            list(m.alive_vertex), tri._walk_state, tri._last_located)
 
 
 def assert_same_store(a, b):
@@ -403,6 +404,118 @@ class TestNothingMutatedBeforeVerified:
         with pytest.raises(InsertionError, match="closed surface"):
             tri._commit_insertion(p, [t], boundary)
         assert raw_arrays(tri) == before
+
+
+# ----------------------------------------------------------------------
+# (d) one tet-slot allocator: both kernels pop, push and bump alike
+# ----------------------------------------------------------------------
+def allocator(tri):
+    """The tet allocator: the live part of the free stack, the epochs,
+    the tail and the live count."""
+    m = tri.mesh
+    return (m.free_tets(), m.tet_epoch[:m.tet_top].tolist(), m.tet_top,
+            m.n_live_tets)
+
+
+def skew_needles(n=6, half=0.5):
+    """Two rows of ``n`` points along skew segments a unit apart, bent
+    a little so that no four are coplanar, and a point between them.
+    Removing that point fills its ball with more tets than it had: the
+    tets spanning two skew rows grow with the square of their length,
+    the ball's faces with the length."""
+    rng = random.Random(n)
+    pts = []
+    for k in range(n):
+        t = -half + 2 * half * k / (n - 1) + rng.uniform(-.01, .01)
+        pts.append((4 + t, 4 + rng.uniform(-.003, .003),
+                    4.5 - 0.02 * t * t))
+        s = -half + 2 * half * k / (n - 1) + rng.uniform(-.01, .01)
+        pts.append((4 + rng.uniform(-.003, .003), 4 + s,
+                    3.5 + 0.02 * s * s))
+    return pts + [(4.0013, 3.9971, 4.0023)]
+
+
+def test_one_allocator_for_both_kernels():
+    """One seeded sequence through both kernels — scalar inserts, one
+    batch, a removal whose fill is smaller than its ball and one whose
+    fill is larger, speculative commits — leaves the same allocator
+    after every step."""
+    rng = random.Random(30)
+    far = [p for p in (tuple(rng.uniform(0.5, 7.5) for _ in range(3))
+                       for _ in range(200))
+           if max(abs(c - 4.0) for c in p) > 1.5]
+    tri, ref = Triangulation3D(LO, HI), Triangulation3D(LO, HI)
+
+    def on_both(op):
+        outcome = []
+        for side in (tri, ref):
+            with pytest.MonkeyPatch.context() as patch:
+                if side is ref:
+                    disable_accel(patch)
+                outcome.append(op(side))
+        assert allocator(tri) == allocator(ref)
+        return outcome[0]
+
+    hint = None
+    for p in skew_needles() + far[:20]:
+        v, new_tets, _ = on_both(lambda side: side.insert_point(p, hint))
+        hint = new_tets[0]
+    centre = v - 20
+    assert None not in on_both(lambda side: side.insert_many(far[20:80]))
+
+    shrink = next(w for w in live_vertices(tri)
+                  if w != centre and not tri.is_box_vertex(w))
+    grown = []
+    for w in (shrink, centre):
+        new_tets, ball = on_both(lambda side: side.remove_vertex(w))
+        grown.append(len(new_tets) > len(ball))
+    assert grown == [False, True]
+
+    c = tri.counters
+    accel_inserts = c.accel_inserts
+    for p in far[80:100]:
+        on_both(lambda side: side.insert_point(p, touch=lambda v: None))
+    tri.validate_topology()
+    assert topo_hash(tri.mesh) == topo_hash(ref.mesh)
+    assert c.commits == 20
+    if _accel.AVAILABLE:   # every step ran in C
+        assert c.accel_batch_calls >= 1
+        assert c.accel_removals == 2
+        assert c.accel_inserts == accel_inserts + 20
+
+
+@needs_accel
+def test_circumsphere_cache_answers_for_the_slot_owner_only():
+    """A record ``compute_cavity`` cached for a slot the C batch then
+    hands to a new tet is not that tet's: the next search recomputes it
+    and answers as ``insphere`` does."""
+    tri, _ = insert_all(voxel_face_points(3, n_groups=0, n_generic=30))
+    m = tri.mesh
+    p, q = (2.1, 3.3, 4.7), (2.3, 3.1, 4.4)
+    cavity, _ = tri.compute_cavity(p)
+    t = cavity[-1]        # the top of the free stack once p is in
+    stale = m.tet_cc[t]
+    assert stale is not None and stale[-1] == m.tet_epoch[t]
+    batches = tri.counters.accel_batch_calls
+    assert None not in tri.insert_many([p, q])
+    assert tri.counters.accel_batch_calls == batches + 1
+    assert m.is_live(t) and m.tet_epoch[t] == stale[-1] + 1
+    assert m.tet_cc[t] is stale   # the kernel left the record alone
+
+    rows = [m.points[w] for w in m.tet_verts_arr[t].tolist()]
+    inside = tuple(sum(r[i] for r in rows) / 4.0 for i in range(3))
+    computed = tri.counters.cc_computed
+    cavity, boundary = tri.compute_cavity(inside, hint=t)
+    assert tri.counters.cc_computed > computed
+    assert m.tet_cc[t][-1] == m.tet_epoch[t]
+
+    def conflict(s):
+        a, b, c, d = (m.points[w] for w in m.tet_verts_arr[s].tolist())
+        return insphere(a, b, c, d, inside) > 0
+
+    assert t in cavity and all(conflict(s) for s in cavity)
+    outside = [int(m.tet_adj[s, i]) for s, i in boundary]
+    assert not any(conflict(o) for o in outside if o >= 0)
 
 
 # ----------------------------------------------------------------------

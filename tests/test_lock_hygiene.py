@@ -115,7 +115,7 @@ class TestTwoPhaseLockHygiene:
                 == tri.mesh.tet_verts_arr[:top].tolist())
         assert (ref.mesh.tet_adj[:top].tolist()
                 == tri.mesh.tet_adj[:top].tolist())
-        assert ref.mesh._free_tets == tri.mesh._free_tets
+        assert ref.mesh.free_tets() == tri.mesh.free_tets()
 
     def test_walk_that_crossed_a_commit_is_repeated_with_commits_shut_out(
             self, monkeypatch):

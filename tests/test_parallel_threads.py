@@ -160,7 +160,7 @@ def _assert_no_leaked_slots(mesh):
     """The free lists must exactly equal the dead slots: no duplicates
     (double free), no dead slot missing (leak), no live slot present
     (would be recycled while alive)."""
-    free_t = list(mesh._free_tets)
+    free_t = mesh.free_tets()
     assert len(free_t) == len(set(free_t)), "duplicate tet free-list slot"
     dead_t = {t for t in range(mesh.tet_top)
               if mesh.tet_verts_arr[t, 0] < 0}
@@ -174,7 +174,7 @@ def _assert_no_leaked_slots(mesh):
     dead_v = {v for v in range(len(mesh.points))
               if not mesh.alive_vertex[v]}
     assert set(free_v) == dead_v, "vert free list diverges from dead set"
-    assert mesh.tet_top == len(mesh.tet_epoch)
+    assert not mesh.tet_epoch[mesh.tet_top:].any(), "epoch past the tail"
 
 
 class TestBallGridStress:
