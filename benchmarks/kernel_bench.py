@@ -23,12 +23,14 @@ workload replays its traffic:
   glue per second spent inside C.
 
 The fifth workload is the refiner's other per-tet cost, the surface
-oracle (numpy against Python, no C on either side):
+oracle (C against Python):
 
 * ``rays`` — the circumcenters one ``abdominal_phantom(32)`` refinement
-  hands to ``SurfaceOracle.closest_surface_points``, answered
-  generation by generation by the batched traversal and, one call a
-  ray, by the scalar ``closest_surface_point`` the judge keeps.
+  hands to ``SurfaceOracle.closest_surface_points``, answered one
+  ``closest_surface_point`` call a ray by the Python reference
+  traversal, and by the C traversal two ways: one call a ray (the
+  judge's) and one batch a generation (the screen's).  Every answer is
+  compared, on every run.
 
 The sixth is the refinement rules' δ-proximity queries (C against
 Python):
@@ -39,7 +41,7 @@ Python):
   and on the dict-of-cells reference, answers compared call for call.
 
 It writes ``BENCH_kernels.json`` (default:
-``benchmarks/results/BENCH_kernels.json``, schema 6) holding the
+``benchmarks/results/BENCH_kernels.json``, schema 7) holding the
 throughputs, the machine's CPU count, the committed pre-overhaul
 baseline, and the accel/python speedups for every workload.
 
@@ -48,9 +50,8 @@ throughput is machine-dependent, so the gate is ratio-based: the
 accel/python speedup measured *on this machine* must stay above 80% of
 the committed reference speedup (a >20% relative throughput drop of the
 fast path fails the job).  On machines without a C compiler the gate
-degrades to checking the pure-Python path against its own floor, and
-the ``rays`` ratio, which needs no compiler; the ``grid`` ratio is gated
-when the C grid is loaded.
+degrades to checking the pure-Python path against its own floor; the
+``grid`` and ``rays`` ratios are gated when the library is loaded.
 
 Usage::
 
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import random
@@ -139,9 +141,12 @@ PYTHON_FLOOR_INSERTS_PER_SECOND = 300.0
 REMOVAL_REFERENCE_SPEEDUP = 3.0
 # Batched insert_many vs the scalar accel loop on the reference machine.
 BATCH_REFERENCE_SPEEDUP = 1.2
-# Batched closest-surface-point rays vs one scalar call a ray, on the
-# reference machine when the batch landed.
-RAYS_REFERENCE_SPEEDUP = 2.0
+# One refinement's closest-surface-point rays on the C traversal vs the
+# Python reference (one call a ray), on the reference machine (2 vCPUs)
+# when the C traversal landed: the generation batch, and one C call a
+# ray (32.2-55.5x and 2.21-3.04x over eight runs).
+RAYS_REFERENCE_SPEEDUP = 32.0
+RAYS_SCALAR_REFERENCE_SPEEDUP = 2.4
 # The replayed δ-grid calls on the C grid vs the dict-of-cells
 # reference, on the reference machine (2 vCPUs) when the C grid landed
 # (7.7-8.3x over three runs).
@@ -375,46 +380,89 @@ def _ray_generations():
     return oracle, generations
 
 
+def _scalar_rays(oracle, generations):
+    """Seconds to ask every generation's rays one
+    ``closest_surface_point`` call a ray, and the answers."""
+    t0 = time.perf_counter()
+    answers = [list(map(oracle.closest_surface_point,
+                        map(tuple, centers.tolist())))
+               for centers in generations]
+    return time.perf_counter() - t0, answers
+
+
+def _batched_rays(oracle, generations):
+    """Seconds to ask them one ``closest_surface_points`` call a
+    generation, and the answers (a row as the scalar's ``None`` or
+    point)."""
+    t0 = time.perf_counter()
+    batched = [oracle.closest_surface_points(centers)
+               for centers in generations]
+    seconds = time.perf_counter() - t0
+    return seconds, [[tuple(row) if found else None
+                      for found, row in zip(hit.tolist(), z.tolist())]
+                     for hit, z in batched]
+
+
 def _rays_section(fast):
     oracle, generations = _ray_generations()
     repeats = 3 if fast else 7
-    best_scalar = best_batch = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scalar = [list(map(oracle.closest_surface_point,
-                           map(tuple, centers.tolist())))
-                  for centers in generations]
-        t1 = time.perf_counter()
-        batched = [oracle.closest_surface_points(centers)
-                   for centers in generations]
-        t2 = time.perf_counter()
-        best_scalar = min(best_scalar, t1 - t0)
-        best_batch = min(best_batch, t2 - t1)
     n_rays = sum(map(len, generations))
-    same = all(
-        (tuple(row) == expected if found else expected is None)
-        for (hit, z), answers in zip(batched, scalar)
-        for found, row, expected in zip(hit.tolist(), z.tolist(), answers))
-    return {
+    section = {
         "workload": {"image": f"abdominal_phantom({VOXEL_FACE_N})",
                      "generations": len(generations), "n_rays": n_rays,
                      "repeats": repeats},
-        "scalar_rays_per_second": round(n_rays / best_scalar, 1),
-        "batch_rays_per_second": round(n_rays / best_batch, 1),
-        "same_answers": same,
-        "speedup": round(best_scalar / best_batch, 2),
+        "reference_rays_per_second": None,
+        "accel_scalar_rays_per_second": None,
+        "accel_batch_rays_per_second": None,
+        "same_answers": None,
+        "scalar_speedup": None,
+        "speedup": None,
         "reference_speedup": RAYS_REFERENCE_SPEEDUP,
+        "reference_scalar_speedup": RAYS_SCALAR_REFERENCE_SPEEDUP,
     }
+    rays = _accel.rays
+    if rays is None:
+        return section
+    best = {"reference": math.inf, "scalar": math.inf, "batch": math.inf}
+    expected, same = None, True
+    for _ in range(repeats):
+        _accel.rays = None
+        try:
+            seconds, reference = _scalar_rays(oracle, generations)
+        finally:
+            _accel.rays = rays
+        best["reference"] = min(best["reference"], seconds)
+        seconds, scalar = _scalar_rays(oracle, generations)
+        best["scalar"] = min(best["scalar"], seconds)
+        seconds, batched = _batched_rays(oracle, generations)
+        best["batch"] = min(best["batch"], seconds)
+        # Every ray, every run: the reference, the C scalar and the C
+        # batch answer alike, and as on the first run.
+        if expected is None:
+            expected = reference
+        same = same and expected == reference == scalar == batched
+    section.update(
+        reference_rays_per_second=round(n_rays / best["reference"], 1),
+        accel_scalar_rays_per_second=round(n_rays / best["scalar"], 1),
+        accel_batch_rays_per_second=round(n_rays / best["batch"], 1),
+        same_answers=same,
+        scalar_speedup=round(best["reference"] / best["scalar"], 2),
+        speedup=round(best["reference"] / best["batch"], 2))
+    return section
 
 
 def _rays_regressed(rays):
     """Prints why, when the ``rays`` section fails its gate."""
     floor = GATE_FRACTION * RAYS_REFERENCE_SPEEDUP
-    if rays["speedup"] >= floor and rays["same_answers"]:
+    scalar_floor = GATE_FRACTION * RAYS_SCALAR_REFERENCE_SPEEDUP
+    if (rays["speedup"] >= floor and rays["scalar_speedup"] >= scalar_floor
+            and rays["same_answers"]):
         return False
-    print(f"REGRESSION: batched rays {rays['speedup']:.2f}x over the "
-          f"scalar loop, gate {floor:.2f}x (80% of reference "
-          f"{RAYS_REFERENCE_SPEEDUP}x); same answers: "
+    print(f"REGRESSION: C rays {rays['speedup']:.2f}x batched and "
+          f"{rays['scalar_speedup']:.2f}x one call a ray over the Python "
+          f"reference, gates {floor:.2f}x and {scalar_floor:.2f}x (80% of "
+          f"references {RAYS_REFERENCE_SPEEDUP}x and "
+          f"{RAYS_SCALAR_REFERENCE_SPEEDUP}x); same answers: "
           f"{rays['same_answers']}", file=sys.stderr)
     return True
 
@@ -573,14 +621,14 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     # --- the service's traffic: voxel-face points ---------------------
     voxel_face = _voxel_face_section(fast, accel_available)
 
-    # --- the surface oracle: a generation's rays at once --------------
+    # --- the surface oracle: C against the Python reference -----------
     rays = _rays_section(fast)
 
     # --- the δ-proximity grids: one refinement's calls, replayed ------
     grid = _grid_section(fast)
 
     doc = {
-        "schema": 6,
+        "schema": 7,
         "cpus": os.cpu_count() or 1,
         "workload": {
             "name": "insert-uniform-box",
@@ -644,10 +692,15 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         print(f"voxel faces : {vf['inserts_per_second']:>10,.1f} inserts/s "
               f"{vf['removals_per_second']:,.1f} removals/s ({kernel})"
               + extra)
-    print(f"rays        : {rays['batch_rays_per_second']:>10,.1f} rays/s "
-          f"batched vs {rays['scalar_rays_per_second']:,.1f} scalar "
-          f"({rays['speedup']:.2f}x, {rays['workload']['n_rays']} rays in "
-          f"{rays['workload']['generations']} generations)")
+    if rays["speedup"] is not None:
+        print(f"rays        : {rays['accel_batch_rays_per_second']:>10,.1f} "
+              f"rays/s C batched, "
+              f"{rays['accel_scalar_rays_per_second']:,.1f} C scalar vs "
+              f"{rays['reference_rays_per_second']:,.1f} reference "
+              f"({rays['speedup']:.2f}x / {rays['scalar_speedup']:.2f}x, "
+              f"{rays['workload']['n_rays']} rays in "
+              f"{rays['workload']['generations']} generations, same "
+              f"answers: {rays['same_answers']})")
     if grid["speedup"] is not None:
         print(f"grid        : {grid['accel_queries_per_second']:>10,.1f} "
               f"queries/s C vs {grid['reference_queries_per_second']:,.1f} "
@@ -658,7 +711,7 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
     if not check_regression:
         return 0
 
-    failed = _rays_regressed(rays)
+    failed = False
     if accel_available:
         floor = GATE_FRACTION * REFERENCE_SPEEDUP
         if speedup < floor:
@@ -691,13 +744,17 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
             failed = True
         if grid["speedup"] is not None and _grid_regressed(grid):
             failed = True
+        if rays["speedup"] is not None and _rays_regressed(rays):
+            failed = True
         if failed:
             return 1
         print(f"regression gate OK: insert {speedup:.2f}x >= {floor:.2f}x, "
               f"removal {rm_speedup:.2f}x >= {rm_floor:.2f}x, "
               f"batch {batch_speedup:.2f}x >= {batch_floor:.2f}x, "
               f"rays {rays['speedup']:.2f}x >= "
-              f"{GATE_FRACTION * RAYS_REFERENCE_SPEEDUP:.2f}x, "
+              f"{GATE_FRACTION * RAYS_REFERENCE_SPEEDUP:.2f}x (scalar "
+              f"{rays['scalar_speedup']:.2f}x >= "
+              f"{GATE_FRACTION * RAYS_SCALAR_REFERENCE_SPEEDUP:.2f}x), "
               f"grid {grid['speedup']:.2f}x >= "
               f"{GATE_FRACTION * GRID_REFERENCE_SPEEDUP:.2f}x")
     else:
@@ -708,8 +765,7 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
             failed = True
         if failed:
             return 1
-        print("regression gate OK (python path and rays only: accel "
-              "unavailable)")
+        print("regression gate OK (python path only: accel unavailable)")
     return 0
 
 

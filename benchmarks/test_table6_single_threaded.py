@@ -6,10 +6,8 @@ dihedral range and Hausdorff distance for the three meshers, with
 TetGen consuming the isosurface triangulation PI2M recovered.
 
 Expected shape: PI2M's rate beats the CGAL-like baseline on both
-inputs (the paper's claim, ``test_table6_rate_claim``: an expected
-failure on each input where this reproduction misses it, strict where
-it misses it every time, see EXPERIMENTS.md); PI2M/CGAL quality is
-comparable; the TetGen-like
+inputs (the paper's claim, ``test_table6_rate_claim``, see
+EXPERIMENTS.md); PI2M/CGAL quality is comparable; the TetGen-like
 baseline's boundary planar angles are worse (no boundary planar-angle
 control).
 Wall-clock times are real (this bench does not use the simulator):
@@ -151,27 +149,11 @@ def _assert_shape(rows, reports):
 
 # The paper's claim: PI2M's rate beats CGAL's (by 40-300 %) at similar
 # mesh sizes.  All three meshers run the same kernel, walk, circumball
-# store, ray traversal and extractor, so this compares rule sets
-# (EXPERIMENTS.md, Table 6, has every run; ROADMAP item 5 is the open
-# issue).  The assertion is the claim itself, not a fraction of it.
-# Since PR 24 PI2M's R1 rays are answered a generation at a time while
-# the CGAL-like facet rays are still one call each.  Knee: PI2M behind
-# in 16 of 16 runs (0.81-0.88x), so the marker is strict and the run
-# fails the day the input starts to hold.  Head-neck: PI2M ahead in 15
-# of 16, by 0-5 % -- level within the noise of the box, where a strict
-# marker and no marker would each fail the suite on a coin flip, so that
-# one is not strict.
-_MISSED = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="Table 6 rate claim not reproduced on the shared walk")
-_LEVEL = pytest.mark.xfail(
-    strict=False, raises=AssertionError,
-    reason="Table 6 rate claim level on head-neck: PI2M ahead in 15 of 16 "
-           "runs at PR 24, by 0-5 %")
-
-
-@pytest.mark.parametrize("name", [pytest.param("knee", marks=_MISSED),
-                                  pytest.param("head_neck", marks=_LEVEL)])
+# store, C ray traversal and extractor, so this compares rule sets
+# (EXPERIMENTS.md, Table 6, has every run).  The assertion is the claim
+# itself, not a fraction of it.  It held in 16 of 16 runs on both inputs
+# once both rule sets shot their rays through the one C traversal.
+@pytest.mark.parametrize("name", ["knee", "head_neck"])
 def test_table6_rate_claim(name, request):
     rows = _ROWS.get(name) or run_one_input(request.getfixturevalue(name), name)
     pi2m_rate = rows["PI2M"][0].n_tets / rows["PI2M"][1]

@@ -87,8 +87,12 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
         "voxel_face_removals_per_second":
             voxel_face.get("removals_per_second"),
         "voxel_face_accel_retry_share": voxel_face.get("accel_retry_share"),
-        # schema 5: batched closest-surface-point rays over the scalar loop
+        # schema 5: batched closest-surface-point rays over the scalar
+        # loop.  From schema 7 it means something else: the C batch over
+        # the Python reference traversal (one call a ray); the C scalar
+        # over the same reference is rays_scalar_speedup.
         "rays_speedup": doc.get("rays", {}).get("speedup"),
+        "rays_scalar_speedup": doc.get("rays", {}).get("scalar_speedup"),
         # schema 6: the replayed δ-grid calls, C grid over the reference
         "grid_speedup": (doc.get("grid") or {}).get("speedup"),
     }
@@ -262,6 +266,9 @@ def render(history: list, drift_threshold: float) -> str:
     if not history:
         lines.append("(no history recorded yet)")
     lines.append("")
+    lines.append("rays x: the numpy batch over the Python scalar loop up "
+                 "to schema 6; the C batch over the Python reference from "
+                 "schema 7")
     if best > 0:
         lines.append(f"best speedup in baseline window: {best:.2f}x; "
                      f"drift flagged beyond {drift_threshold:.0%} below "

@@ -24,7 +24,11 @@ decide it as the Python kernel does.  Every RETRY carries a reason
 
 The same library holds the refinement rules' proximity grid
 (``pointgrid.c``); :data:`grid` binds its entry points, or is ``None``
-and ``core.pointgrid`` keeps its dict-of-cells reference grid.
+and ``core.pointgrid`` keeps its dict-of-cells reference grid.  It also
+holds the surface oracle's Amanatides-Woo traversal (``rays.c``): the
+site lookup, the closest-point ray and the segment crossing, scalar and
+as one loop over a batch of rows.  :data:`rays` binds those, or is
+``None`` and ``imaging.isosurface`` runs its Python reference traversal.
 
 Set ``REPRO_ACCEL=0`` to disable the accelerator (e.g. to benchmark
 the pure-Python kernel, or to rule it out while debugging).  Compile and load failures degrade silently to
@@ -69,7 +73,7 @@ RETRY_REASONS = (
 _WHY_SCRATCH = RETRY_REASONS.index("scratch")
 
 _SRCS = tuple(Path(__file__).with_name(name)
-              for name in ("bw_kernel.c", "pointgrid.c"))
+              for name in ("bw_kernel.c", "pointgrid.c", "rays.c"))
 
 # Scratch sizing.  Cavities larger than _SCRATCH_CAP tets/faces RETRY
 # into the Python path, which has no such limits; typical cavities are
@@ -169,25 +173,37 @@ _GRID = {
 }
 
 
-def _grid(lib):
-    """The grid's entry points as attributes (``grid.add``, ...), or
-    None.  Bound through ``PyDLL`` on the loaded library: a call keeps
-    the interpreter lock from entry to return, so each one is atomic for
-    the refinement threads that share a grid."""
+# The surface oracle's entry points (rays.c, ``ray_<name>``), likewise.
+_RAYS = {
+    "crossing": (_I, _P, _P, _D, _D, _D, _D, _D, _D, _P),
+    "site": (_I, _P, _P, _D, _D, _D, _P),
+    "closest": (_I, _P, _P, _P, _D, _D, _D, _P),
+    "sites_many": (_I, _P, _P, _P, _I, _P),
+    "closest_many": (_I, _P, _P, _P, _P, _I, _P, _P),
+}
+
+
+def _entry_points(lib, prefix: str, table):
+    """The entry points ``prefix + name`` of ``table`` as attributes
+    (``grid.add``, ``rays.closest``, ...), or None.  Bound through
+    ``PyDLL`` on the loaded library: a call keeps the interpreter lock
+    from entry to return, so each one is atomic for the refinement
+    threads that share a grid."""
     if lib is None:
         return None
     lib = ctypes.PyDLL(lib._name, handle=lib._handle)
     try:
-        fns = {name: getattr(lib, "pg_" + name) for name in _GRID}
+        fns = {name: getattr(lib, prefix + name) for name in table}
     except AttributeError:
         return None
-    for name, (restype, *argtypes) in _GRID.items():
+    for name, (restype, *argtypes) in table.items():
         fns[name].restype = restype
         fns[name].argtypes = argtypes
     return SimpleNamespace(**fns)
 
 
-grid = _grid(_LIB)
+grid = _entry_points(_LIB, "pg_", _GRID)
+rays = _entry_points(_LIB, "ray_", _RAYS)
 
 
 class AccelScratch:

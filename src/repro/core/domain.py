@@ -292,12 +292,10 @@ class RefineDomain:
         masks; where the arithmetic differs in the last bit the
         comparison is widened (``_TIE``).  R1's closest-point rays are
         asked only for tets no other rule flags, and all of them in one
-        :meth:`SurfaceOracle.closest_surface_points` call: the batch
-        steps every ray of the generation together, keeps the judge's
-        rule that faces reached at one ``t`` are crossed together, drops
-        finished rays from the arrays, and returns the judge's floats.
-        Reads the mesh without locks, so it must not run while other
-        threads refine.
+        :meth:`SurfaceOracle.closest_surface_points` call: one C loop
+        over the rows that walks each ray with the judge's traversal, so
+        it returns the judge's floats.  Reads the mesh without locks, so
+        it must not run while other threads refine.
         """
         mesh = self.tri.mesh
         tets = np.asarray(tets, dtype=np.int64)

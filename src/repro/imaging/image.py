@@ -20,6 +20,15 @@ Point = Tuple[float, float, float]
 _MAX_LABEL = int(np.iinfo(np.int16).max)
 
 
+def require_finite(p: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless every coordinate of point ``p`` is
+    finite."""
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])
+            and math.isfinite(p[2])):
+        raise ValueError(
+            f"query point is not finite: {tuple(map(float, p))}")
+
+
 class SegmentedImage:
     """A 3D multi-label segmented image.
 
@@ -105,24 +114,22 @@ class SegmentedImage:
     # coordinate transforms
     # ------------------------------------------------------------------
     def voxel_of(self, p: Sequence[float]) -> Tuple[int, int, int]:
-        """Index of the voxel containing world point ``p`` (clamped)."""
+        """Index of the voxel containing world point ``p`` (clamped).
+
+        Raises ``ValueError`` when a coordinate of ``p`` is not finite.
+        """
+        require_finite(p)
         ox, oy, oz = self.origin
         sx, sy, sz = self.spacing
         nx, ny, nz = self.shape
-        # Relative coordinates are clamped at 0 first, so plain int()
-        # truncation equals floor on the surviving range.
+        # Relative coordinates are clamped to [0, n) first, so plain
+        # int() truncation equals floor on the surviving range.
         rx = (p[0] - ox) / sx
         ry = (p[1] - oy) / sy
         rz = (p[2] - oz) / sz
-        i = 0 if rx <= 0.0 else int(rx)
-        j = 0 if ry <= 0.0 else int(ry)
-        k = 0 if rz <= 0.0 else int(rz)
-        if i >= nx:
-            i = nx - 1
-        if j >= ny:
-            j = ny - 1
-        if k >= nz:
-            k = nz - 1
+        i = 0 if rx <= 0.0 else nx - 1 if rx >= nx else int(rx)
+        j = 0 if ry <= 0.0 else ny - 1 if ry >= ny else int(ry)
+        k = 0 if rz <= 0.0 else nz - 1 if rz >= nz else int(rz)
         return (i, j, k)
 
     def voxel_center(self, idx: Sequence[int]) -> Point:

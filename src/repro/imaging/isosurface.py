@@ -12,19 +12,48 @@ Implements the Section 3 machinery:
   crossing is the exact point where the ray pierces that face;
 * *surface centers* — the intersection of a Voronoi edge ``V(f)`` with
   the isosurface, computed by the same traversal along the edge.
+
+Every query — scalar or a batch of rows — runs the C traversal of
+``_accel/rays.c`` when the accelerator is loaded (:data:`_accel.rays`);
+a batch is one C loop over its rows.  The Python traversal
+(:meth:`LabelRays._first_crossing`) and site lookup
+(:meth:`SurfaceOracle._site`) are the reference: they answer when the
+handle is ``None``, float for float as the C does.  A query point that
+is not finite raises ``ValueError`` on both paths.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _accel
 from repro.imaging.edt import EDTResult, euclidean_feature_transform
-from repro.imaging.image import SegmentedImage
+from repro.imaging.image import SegmentedImage, require_finite
 
 Point = Tuple[float, float, float]
+
+# The C entry points' output point: a fresh one a call, so threads that
+# share an oracle never share a buffer.
+_Point3 = ctypes.c_double * 3
+
+
+def _pointer(array: np.ndarray, dtype, shape) -> ctypes.c_void_p:
+    """The data pointer of a C-ordered array of ``dtype`` and ``shape``,
+    the layout the C entry points index."""
+    if (array.dtype != dtype or array.shape != tuple(shape)
+            or not array.flags.c_contiguous):
+        raise ValueError(f"expected a C-ordered {np.dtype(dtype)} array "
+                         f"of shape {tuple(shape)}")
+    return ctypes.c_void_p(array.ctypes.data)
+
+
+def _rows(points) -> np.ndarray:
+    """``points`` as a C-ordered ``(n, 3)`` float64 array."""
+    return np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
 
 
 def surface_voxel_mask(image: SegmentedImage) -> np.ndarray:
@@ -58,10 +87,31 @@ def surface_voxel_mask(image: SegmentedImage) -> np.ndarray:
 class LabelRays:
     """Label-only ray traversal of a segmented image: where a segment
     first crosses an isosurface, read off the voxel labels alone (no
-    surface mask, no distance transform)."""
+    surface mask, no distance transform).
+
+    Holds the image and, for the C traversal, the ``_c_*`` binding:
+    pointers to its labels and geometry (``origin``, ``spacing``,
+    ``shape`` as nine doubles).  The binding is not pickled; it is
+    rebuilt on load, from the loaded arrays."""
 
     def __init__(self, image: SegmentedImage):
         self.image = image
+        self._bind()
+
+    def _bind(self) -> None:
+        image = self.image
+        self._c_geometry = np.array(
+            [*image.origin, *image.spacing, *image.shape], dtype=np.float64)
+        self._c_rays = (_pointer(image.labels, np.int16, image.shape),
+                        _pointer(self._c_geometry, np.float64, (9,)))
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_c_")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     def surface_crossing(self, a: Sequence[float], b: Sequence[float]
                          ) -> Optional[Point]:
@@ -70,8 +120,21 @@ class LabelRays:
         This is the primitive behind surface centers: the Voronoi edge of
         a facet is the segment between the circumcenters of its two
         tetrahedra, and its intersection with the isosurface is the
-        surface center ``c_surf(f)`` (rule R3).
+        surface center ``c_surf(f)`` (rule R3).  Raises ``ValueError``
+        when an end is not finite.
         """
+        rays = _accel.rays
+        if rays is not None:
+            out = _Point3()
+            found = rays.crossing(*self._c_rays, a[0], a[1], a[2],
+                                  b[0], b[1], b[2], out)
+            if found > 0:
+                return (out[0], out[1], out[2])
+            if found == 0:
+                return None
+        # The reference, which also raises for a non-finite end.
+        require_finite(a)
+        require_finite(b)
         d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
         if d == (0.0, 0.0, 0.0):
             return None
@@ -203,131 +266,6 @@ class LabelRays:
             pz = oz + (fz - stz) * sz
         return (px, py, pz)
 
-    def _first_crossings(self, a, d, t_max
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`_first_crossing` for ``n`` rays at once: ``(hit, z)``,
-        a bool per ray and an ``(n, 3)`` array whose ``hit`` rows are the
-        scalar's point, float for float (``None`` is ``hit False``, its
-        row NaN).
-
-        The scalar's state is one column per ray — the next-face times
-        ``T``, the next faces ``F``, the flat voxel index, the
-        left-the-box flag — held axis by axis (``(3, n)`` arrays, so
-        every operation runs along a ray-long row), and each iteration
-        steps every live ray across its own earliest face, ties broken
-        x, y, z as the scalar's branches do.  A ray with a second face
-        at that same ``t`` is *pending*: it skips the label test, as the
-        scalar's ``continue`` does, and steps again.  Rays that finish
-        are compacted out, so an iteration costs what the live rays
-        cost.  Only ``+ - * /``, ``floor`` / ``ceil`` and comparisons,
-        each in the scalar's operand order, so the floats are the
-        scalar's.
-        """
-        image = self.image
-        origin = np.array(image.origin)[:, None]
-        spacing = np.array(image.spacing)[:, None]
-        shape = np.array(image.shape, dtype=np.float64)[:, None]
-        strides = np.array([image.shape[1] * image.shape[2],
-                            image.shape[2], 1.0])
-        a = np.asarray(a, dtype=np.float64).reshape(-1, 3).T
-        d = np.asarray(d, dtype=np.float64).reshape(-1, 3).T
-        end = np.array(t_max, dtype=np.float64)
-        n = end.size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (a - origin) / spacing
-            v = d / spacing
-
-            # Clip to the box: an outside ray enters at t, or never
-            # does (and then ends at its first step, from where it is).
-            t = np.zeros(n)
-            entered = np.zeros(n, dtype=bool)
-            in_box = (r >= 0.0) & (r < shape)
-            out = np.flatnonzero(~(in_box[0] & in_box[1] & in_box[2]))
-            if out.size:
-                ro, vo = r[:, out], v[:, out]
-                lo, hi = -ro / vo, (shape - ro) / vo
-                t_in = np.where(vo > 0.0, lo, np.where(vo < 0.0, hi, -np.inf))
-                t_out = np.where(vo > 0.0, hi, np.where(vo < 0.0, lo, np.inf))
-                t_enter = np.zeros(out.size)
-                t_exit = np.full(out.size, np.inf)
-                for c in range(3):
-                    t_enter = np.where(t_in[c] > t_enter, t_in[c], t_enter)
-                    t_exit = np.where(t_out[c] < t_exit, t_out[c], t_exit)
-                beside = ((vo == 0.0) & ~in_box[:, out]).any(axis=0)
-                reaches = ~(beside | (t_enter >= t_exit)
-                            | (t_enter > end[out]))
-                entered[out] = reaches
-                t[out] = np.where(reaches, t_enter, 0.0)
-                end[out[~reaches]] = -np.inf
-
-            # The voxel each ray starts in; an entry point on a voxel
-            # face belongs to the voxel the ray is heading into.
-            up, down = v > 0.0, v < 0.0
-            x = r + t * v
-            voxel = np.where(down & entered, np.ceil(x) - 1.0, np.floor(x))
-            voxel = np.minimum(np.maximum(voxel, 0.0), shape - 1.0)
-            step = np.sign(v)
-            face = voxel + up
-            past = np.where(up, shape + 1.0, -1.0)
-            times = np.where(up | down, (face - r) / v, np.inf)
-            jump = (step * strides[:, None]).astype(np.int64)
-            at = (strides @ voxel).astype(np.int64)
-            labels = image.labels.reshape(-1)
-            label = labels[at]
-
-            # A ray that enters the box straight into foreground has its
-            # crossing at t; every other ray walks.  The per-ray
-            # constants stay whole and are read through ``live``.
-            crossed = entered & (label != 0)
-            live = np.flatnonzero(~crossed)
-            T, F = times[:, live].reshape(-1), face[:, live].reshape(-1)
-            at, end, start = at[live], end[live], label[live]
-            left_box = np.zeros(live.size, dtype=bool)
-            r_, v_, step_, jump_, past_ = (
-                rows.reshape(-1) for rows in (r, v, step, jump, past))
-            row = np.arange(live.size)
-            while live.size:
-                m = live.size
-                tx, ty, tz = by_axis = T.reshape(3, m)
-                axis = np.where((tx <= ty) & (tx <= tz), 0,
-                                np.where(ty <= tz, 1, 2))
-                mine = axis * m + row[:m]           # into T, F
-                theirs = axis * n + live            # into r, v, ...
-                t_now = T[mine]
-                x_now, y_now, z_now = by_axis == t_now
-                pending = (x_now & y_now) | (x_now & z_now) | (y_now & z_now)
-                ended = t_now > end
-                f = F[mine] + step_[theirs]
-                F[mine] = f
-                T[mine] = (f - r_[theirs]) / v_[theirs]
-                at += jump_[theirs]
-                left_box |= f == past_[theirs]
-                # (a ray outside the box reads some voxel: masked below)
-                stop = left_box | (labels.take(at, mode="clip") != start)
-                done = ended | (stop & ~pending)
-                if not done.any():
-                    continue
-                found = np.flatnonzero(
-                    done & ~ended & ~(left_box & (start == 0)))
-                into = live[found]
-                crossed[into] = True
-                t[into] = t_now[found]
-                faces = F.reshape(3, m)
-                face[:, into] = faces[:, found]
-                keep = np.flatnonzero(~done)
-                T = by_axis.take(keep, axis=1).reshape(-1)
-                F = faces.take(keep, axis=1).reshape(-1)
-                live, at, end, start, left_box = (
-                    col[keep] for col in (live, at, end, start, left_box))
-
-            # The crossing: a + t*d, exactly on every face reached at t.
-            on = face - step
-            snap = (step != 0.0) & ((on - r) / v == t)
-            p = np.where(snap, origin + on * spacing, a + t * d)
-        z = np.full((n, 3), np.nan)
-        z[crossed] = p.T[crossed]
-        return crossed, z
-
 
 class SurfaceOracle(LabelRays):
     """Answers closest-isosurface-point and surface-crossing queries.
@@ -338,18 +276,34 @@ class SurfaceOracle(LabelRays):
     """
 
     def __init__(self, image: SegmentedImage):
-        super().__init__(image)
         self.surface_mask = surface_voxel_mask(image)
         if not self.surface_mask.any():
             raise ValueError("image has no surface voxels (empty foreground?)")
         self.edt: EDTResult = euclidean_feature_transform(
             self.surface_mask, image.spacing
         )
+        super().__init__(image)
+
+    def _bind(self) -> None:
+        super()._bind()
+        labels, geometry = self._c_rays
+        feature = _pointer(self.edt.feature, np.int32, self.image.shape)
+        self._c_sites = (feature, geometry)
+        self._c_oracle = (labels, feature, geometry)
 
     # ------------------------------------------------------------------
     def nearest_surface_voxel(self, p: Sequence[float]) -> Point:
         """World center of the surface voxel nearest to ``p``: the site
         the EDT maps ``p``'s (clamped) voxel to."""
+        rays = _accel.rays
+        if rays is not None:
+            out = _Point3()
+            if rays.site(*self._c_sites, p[0], p[1], p[2], out) == 0:
+                return (out[0], out[1], out[2])
+        return self._site(p)
+
+    def _site(self, p: Sequence[float]) -> Point:
+        """The reference :meth:`nearest_surface_voxel`."""
         image = self.image
         return image.voxel_center(
             self.edt.nearest_site_index(image.voxel_of(p))
@@ -357,16 +311,16 @@ class SurfaceOracle(LabelRays):
 
     def nearest_surface_voxels(self, pts: np.ndarray) -> np.ndarray:
         """:meth:`nearest_surface_voxel` for an ``(n, 3)`` array of
-        points, row for row the same floats: one gather on the feature
-        transform."""
-        image = self.image
-        origin = np.array(image.origin)
-        spacing = np.array(image.spacing)
-        rel = (np.asarray(pts, dtype=np.float64) - origin) / spacing
-        idx = np.clip(rel, 0.0, np.array(image.shape) - 1.0).astype(np.int64)
-        flat = self.edt.feature[idx[:, 0], idx[:, 1], idx[:, 2]]
-        site = np.stack(np.unravel_index(flat, image.shape), axis=1)
-        return origin + (site + 0.5) * spacing
+        points, row for row the same floats."""
+        pts = _rows(pts)
+        out = np.empty_like(pts)
+        rays = _accel.rays
+        if rays is None or rays.sites_many(
+                *self._c_sites, pts.ctypes.data, len(pts),
+                out.ctypes.data) < 0:
+            for n, p in enumerate(pts.tolist()):
+                out[n] = self._site(p)
+        return out
 
     def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
         """A point on the isosurface close to ``p`` (Section 3's p-hat).
@@ -375,7 +329,19 @@ class SurfaceOracle(LabelRays):
         returns its first label crossing.  Returns ``None`` when no
         crossing is found (degenerate query far outside the image).
         """
-        q = self.nearest_surface_voxel(p)
+        rays = _accel.rays
+        if rays is not None:
+            out = _Point3()
+            found = rays.closest(*self._c_oracle, p[0], p[1], p[2], out)
+            if found > 0:
+                return (out[0], out[1], out[2])
+            if found == 0:
+                return None
+        return self._closest(p)
+
+    def _closest(self, p: Sequence[float]) -> Optional[Point]:
+        """The reference :meth:`closest_surface_point`."""
+        q = self._site(p)
         d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
         length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         sp = self.image.spacing
@@ -402,27 +368,20 @@ class SurfaceOracle(LabelRays):
                                ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`closest_surface_point` for an ``(n, 3)`` array of
         points: ``(hit, z)``, a bool per point and an ``(n, 3)`` array
-        whose ``hit`` rows are the scalar's answer, float for float.
-
-        One feature-transform gather and one batched traversal; a point
-        exactly on a surface voxel center (no direction to walk in) is
-        asked of the scalar.
+        whose ``hit`` rows are the scalar's answer, float for float (the
+        other rows are NaN).
         """
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        d = self.nearest_surface_voxels(p) - p
-        length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-                         + d[:, 2] * d[:, 2])
-        overshoot = 2.0 * max(self.image.spacing)
-        centered = np.flatnonzero(length == 0.0)
-        if not centered.size:
-            return self._first_crossings(p, d, 1.0 + overshoot / length)
-        rays = np.flatnonzero(length)
-        hit = np.zeros(len(p), dtype=bool)
-        z = np.full(p.shape, np.nan)
-        hit[rays], z[rays] = self._first_crossings(
-            p[rays], d[rays], 1.0 + overshoot / length[rays])
-        for i in centered.tolist():
-            at = self.closest_surface_point(p[i].tolist())
-            if at is not None:
-                hit[i], z[i] = True, at
+        p = _rows(points)
+        hit = np.empty(len(p), dtype=bool)
+        z = np.empty_like(p)
+        rays = _accel.rays
+        if rays is None or rays.closest_many(
+                *self._c_oracle, p.ctypes.data, len(p), hit.ctypes.data,
+                z.ctypes.data) < 0:
+            z.fill(np.nan)
+            for n, row in enumerate(p.tolist()):
+                at = self._closest(row)
+                hit[n] = at is not None
+                if at is not None:
+                    z[n] = at
         return hit, z

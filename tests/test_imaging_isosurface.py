@@ -1,5 +1,11 @@
-"""Tests for surface-voxel detection and the SurfaceOracle queries."""
+"""Tests for surface-voxel detection and the SurfaceOracle queries.
 
+Every query runs the C traversal when the accelerator is loaded; the
+Python traversal is the reference (``_accel.rays`` set to ``None``), and
+the parity cases hold the two equal float for float.
+"""
+
+import contextlib
 import copy
 import math
 import pickle
@@ -9,12 +15,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro import _accel
 from repro.api import MeshRequest, mesh
 from repro.core.domain import VertexKind
 from repro.imaging import (
     LabelRays,
     SegmentedImage,
     SurfaceOracle,
+    near_duplicate_phantom,
     shell_phantom,
     sphere_phantom,
     surface_voxel_mask,
@@ -22,6 +30,28 @@ from repro.imaging import (
 )
 from repro.metrics import hausdorff_distance
 from repro.metrics.validate import validate_extracted_mesh
+
+needs_accel = pytest.mark.skipif(_accel.rays is None,
+                                 reason="C accelerator unavailable")
+
+
+@contextlib.contextmanager
+def _reference():
+    """The Python traversal and site lookup answer while the block runs
+    (a context manager, not ``monkeypatch``: Hypothesis tests call it
+    once an example)."""
+    rays, _accel.rays = _accel.rays, None
+    try:
+        yield
+    finally:
+        _accel.rays = rays
+
+
+def _anisotropic():
+    """Two tissues, three spacings, an origin off zero."""
+    return SegmentedImage(near_duplicate_phantom(12).labels,
+                          spacing=(0.7, 1.25, 2.4),
+                          origin=(-3.5, 10.25, 0.125))
 
 
 class TestSurfaceVoxels:
@@ -199,13 +229,149 @@ class TestSurfaceOracle:
         assert oracle.closest_surface_point(p) == (4.0, p[1], p[2])
 
     def test_oracle_copies_and_pickles(self):
-        oracle = SurfaceOracle(sphere_phantom(12))
-        p = (2.25, 6.5, 7.0)
-        expected = oracle.closest_surface_point(p)
-        assert expected is not None
+        # The C entry points' pointers are not pickled; a copy binds its
+        # own arrays and answers every query as the original does.
+        oracle = SurfaceOracle(_anisotropic())
+        lo, hi = (np.array(b) for b in oracle.image.bounds())
+        pts = np.random.default_rng(3).uniform(lo - 4.0, hi + 4.0,
+                                               size=(300, 3))
+        expected = [oracle.closest_surface_point(p) for p in pts.tolist()]
+        hit, z = oracle.closest_surface_points(pts)
+        sites = oracle.nearest_surface_voxels(pts)
+        crossings = [oracle.surface_crossing(a, b)
+                     for a, b in zip(pts.tolist(), pts[::-1].tolist())]
+        assert sum(e is not None for e in expected) > 100
+        state = oracle.__getstate__()
+        assert not any(name.startswith("_c_") for name in state)
         for clone in (copy.deepcopy(oracle),
                       pickle.loads(pickle.dumps(oracle))):
-            assert clone.closest_surface_point(p) == expected
+            assert clone._c_oracle[0].value == clone.image.labels.ctypes.data
+            assert clone._c_oracle[1].value == clone.edt.feature.ctypes.data
+            assert [clone.closest_surface_point(p)
+                    for p in pts.tolist()] == expected
+            clone_hit, clone_z = clone.closest_surface_points(pts)
+            assert (clone_hit == hit).all()
+            assert np.array_equal(clone_z, z, equal_nan=True)
+            assert np.array_equal(clone.nearest_surface_voxels(pts), sites)
+            assert [clone.surface_crossing(a, b) for a, b in zip(
+                pts.tolist(), pts[::-1].tolist())] == crossings
+        rays = pickle.loads(pickle.dumps(LabelRays(oracle.image)))
+        assert [rays.surface_crossing(a, b) for a, b in zip(
+            pts.tolist(), pts[::-1].tolist())] == crossings
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_raises(self, bad):
+        # One ValueError on every path, C and reference, scalar and
+        # batch, for NaN, +inf and -inf alike (a C cast of any of them
+        # to an index is undefined).
+        oracle = SurfaceOracle(sphere_phantom(12))
+        p = (6.0, bad, 6.0)
+        for context in (contextlib.nullcontext, _reference):
+            with context():
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.image.voxel_of(p)
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.nearest_surface_voxel(p)
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.closest_surface_point(p)
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.surface_crossing(p, (6.0, 6.0, 6.0))
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.surface_crossing((6.0, 6.0, 6.0), p)
+                rows = np.array([(6.0, 6.0, 6.0), p])
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.nearest_surface_voxels(rows)
+                with pytest.raises(ValueError, match="not finite"):
+                    oracle.closest_surface_points(rows)
+
+
+# ----------------------------------------------------------------------
+# the C traversal against the Python reference
+# ----------------------------------------------------------------------
+def _assert_c_is_the_reference(oracle, segments=(), points=()):
+    """Every query answered by the C traversal — ``surface_crossing`` on
+    ``segments``, ``nearest_surface_voxel`` / ``closest_surface_point``
+    and their batches on ``points`` — is the Python reference's answer,
+    float for float (``None`` is ``hit False`` in a batch)."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    rows = points.tolist()
+
+    def answers():
+        return ([oracle.surface_crossing(a, b) for a, b in segments],
+                [oracle.nearest_surface_voxel(p) for p in rows],
+                [oracle.closest_surface_point(p) for p in rows],
+                oracle.nearest_surface_voxels(points),
+                oracle.closest_surface_points(points))
+
+    c = answers()
+    with _reference():
+        ref = answers()
+    assert c[:3] == ref[:3]
+    assert np.array_equal(c[3], ref[3])
+    hit, z = c[4]
+    assert hit.shape == (len(rows),) and z.shape == (len(rows), 3)
+    assert (hit == ref[4][0]).all()
+    assert np.array_equal(z, ref[4][1], equal_nan=True)
+    for found, row, expected in zip(hit.tolist(), z.tolist(), ref[2]):
+        assert (tuple(row) == expected if found else expected is None)
+    assert np.isnan(z[~hit]).all()
+
+
+@needs_accel
+class TestCTraversal:
+    """The C traversal against the Python reference, off the Hypothesis
+    lattice: random rays, every voxel centre, points far away."""
+
+    @pytest.mark.parametrize("image", [
+        sphere_phantom(12), shell_phantom(16), _anisotropic()],
+        ids=["sphere", "shell", "anisotropic"])
+    def test_random_queries(self, image):
+        oracle = SurfaceOracle(image)
+        lo, hi = (np.array(b) for b in image.bounds())
+        rng = np.random.default_rng(17)
+        points = np.concatenate([rng.uniform(lo, hi, size=(400, 3)),
+                                 rng.uniform(lo - 6.0, hi + 6.0,
+                                             size=(400, 3))])
+        ends = rng.uniform(lo - 3.0, hi + 3.0, size=(400, 3))
+        segments = list(zip(points[:400].tolist(), ends.tolist()))
+        segments += list(zip(ends.tolist(), points[400:].tolist()))
+        _assert_c_is_the_reference(oracle, segments, points)
+
+    def test_voxel_centres(self):
+        # A surface voxel's centre is its own site: the zero-length ray,
+        # answered by walking the six axis directions in turn.
+        image = _anisotropic()
+        oracle = SurfaceOracle(image)
+        centres = np.array([image.voxel_center(i)
+                            for i in np.ndindex(*image.shape)])
+        on_surface = oracle.surface_mask.reshape(-1)
+        assert on_surface.sum() > 50
+        _assert_c_is_the_reference(
+            oracle, list(zip(centres[:-1].tolist(), centres[1:].tolist())),
+            centres)
+        hit, _ = oracle.closest_surface_points(centres[on_surface])
+        assert hit.all()
+
+    def test_far_outside(self):
+        # 1e6 times the image's extent, and 1e300: the site is the
+        # clamped voxel's, the ray mostly clips to nothing — and every
+        # conversion to an index stays defined.
+        image = _anisotropic()
+        oracle = SurfaceOracle(image)
+        lo, hi = (np.array(b) for b in image.bounds())
+        centre, extent = 0.5 * (lo + hi), float((hi - lo).max())
+        rng = np.random.default_rng(23)
+        u = rng.normal(size=(200, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        far = np.concatenate([centre + 1e6 * extent * u, 1e300 * u,
+                              -1e300 * np.sign(u), [[1e300, -1e300, 1e300],
+                                                    [-1e300, 0.0, 0.0]]])
+        segments = [(a, tuple(centre)) for a in far.tolist()]
+        segments += [(tuple(centre), a) for a in far.tolist()]
+        segments += list(zip(far[:-1].tolist(), far[1:].tolist()))
+        _assert_c_is_the_reference(oracle, segments, far)
+        hit, _ = oracle.closest_surface_points(far[:200])
+        assert hit.any()
 
 
 # ----------------------------------------------------------------------
@@ -289,21 +455,6 @@ def _segment(spacing, origin, start, direction, quarters):
     return a, d
 
 
-def _assert_batch_is_the_scalar(rays, segments):
-    """``_first_crossings`` answers every segment as ``_first_crossing``
-    does: ``None`` is ``hit False``, a point is the same three floats."""
-    t_max = [(1.0, 0.5, 1.75)[n % 3] for n in range(len(segments))]
-    hit, z = rays._first_crossings([a for a, _ in segments],
-                                   [d for _, d in segments], t_max)
-    assert hit.shape == (len(segments),) and z.shape == (len(segments), 3)
-    for n, (a, d) in enumerate(segments):
-        expected = rays._first_crossing(a, d, t_max[n])
-        if expected is None:
-            assert not hit[n]
-        else:
-            assert hit[n] and tuple(z[n].tolist()) == expected
-
-
 @settings(max_examples=300, deadline=None)
 @given(_ray_cases())
 @_with_examples
@@ -314,15 +465,21 @@ def test_traversal_matches_dense_sampling(case):
     oracle = SurfaceOracle(img)
     a, d = _segment(spacing, origin, start, direction, quarters)
     b = tuple(a[c] + d[c] for c in range(3))
-    hit = oracle.surface_crossing(a, b)
-    # The batched traversal is the scalar one, bit for bit: on this
-    # segment alone, and with every example's segment laid over this
-    # image beside it (rays of all lengths in one batch, so finished
-    # rays are compacted out from under the ones still walking).
-    _assert_batch_is_the_scalar(oracle, [(a, d)])
-    _assert_batch_is_the_scalar(
-        oracle, [(a, d)] + [_segment(spacing, origin, *other[4:])
-                            for other in _EXAMPLES])
+    with _reference():
+        hit = oracle.surface_crossing(a, b)
+        # The reference's crossing is its traversal's, on any t_max.
+        assert hit == (None if a == b else oracle._first_crossing(a, d, 1.0))
+    # The C traversal is the reference, float for float: on this segment
+    # and every example's laid over this image, and for the site and
+    # closest-point queries (scalar and batch) from every end and voxel
+    # centre.
+    others = [_segment(spacing, origin, *other[4:]) for other in _EXAMPLES]
+    segments = [(a, b)] + [
+        (p, tuple(p[c] + e[c] for c in range(3))) for p, e in others]
+    centres = [img.voxel_center(i) for i in np.ndindex(*shape)]
+    if _accel.rays is not None:
+        _assert_c_is_the_reference(
+            oracle, segments, [p for s in segments for p in s] + centres)
     # The traversal reads labels only: the oracle inherits it from the
     # image-only base, which builds no surface mask and no transform.
     assert (SurfaceOracle.surface_crossing is LabelRays.surface_crossing

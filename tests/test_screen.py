@@ -233,7 +233,7 @@ class TestBatchKernels:
     def test_closest_surface_points_is_the_scalar_row_for_row(self):
         # Off the runs: starts inside, outside and on the faces of the
         # box, and every voxel center — a surface voxel's center has no
-        # direction to walk in and is asked of the scalar.
+        # direction to walk in and walks the six axis directions.
         image = anisotropic_phantom()
         oracle = SurfaceOracle(image)
         lo, hi = (np.array(b) for b in image.bounds())
