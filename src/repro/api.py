@@ -46,6 +46,7 @@ from typing import (
 import numpy as np
 
 from repro.core.extract import ExtractedMesh
+from repro.core.sizing import SizeSpec, finite_number
 from repro.imaging.image import SegmentedImage
 from repro.observability import Observability, ObservabilityConfig
 from repro.runtime import CM_NAMES, LB_NAMES
@@ -54,6 +55,59 @@ from repro.runtime import CM_NAMES, LB_NAMES
 MESHER_NAMES = (
     "sequential", "threaded", "simulated", "cgal_like", "tetgen_like",
 )
+
+_NUMBER = (float, int)
+_NULL = type(None)
+
+#: The request codec's one field table: each :class:`MeshRequest` field
+#: but the image and the observability config, with the JSON types its
+#: value may take (the first is its canonical form; ``size_function``
+#: travels as :meth:`SizeSpec.to_json`).  The cache key, the HTTP body
+#: and the worker payloads all read it.
+REQUEST_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "mesher": (str,),
+    "delta": _NUMBER + (_NULL,),
+    "radius_edge_bound": _NUMBER,
+    "planar_angle_bound_deg": _NUMBER,
+    "size_function": (dict, _NULL),
+    "n_threads": (int,),
+    "cm": (str,),
+    "lb": (str,),
+    "hyperthreading": (bool,),
+    "seed": (int,),
+    "shards": (int, str, _NULL),
+    "incremental": (bool,),
+    "max_operations": (int, _NULL),
+    "timeout": _NUMBER + (_NULL,),
+}
+
+
+def _encode(name: str, value: Any) -> Any:
+    """One field's value in its canonical JSON form."""
+    if value is None or isinstance(value, str):
+        return value
+    if name == "size_function":
+        return value.to_json()
+    return REQUEST_FIELDS[name][0](value)
+
+
+def _decode(name: str, value: Any) -> Any:
+    """One JSON value checked against the field table and brought to its
+    canonical form; ``ValueError`` naming the field otherwise."""
+    types = REQUEST_FIELDS.get(name)
+    if types is None:
+        raise ValueError(f"unknown param {name!r}")
+    if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types):
+        raise ValueError(f"param {name!r} has the wrong type: {value!r}")
+    if name == "size_function" and value is not None:
+        try:
+            return SizeSpec.from_json(value)
+        except ValueError as exc:
+            raise ValueError(f"param {name!r}: {exc}") from None
+    if float in types and value is not None:
+        return finite_number(f"param {name!r}", value)
+    return _encode(name, value)
 
 
 @dataclass
@@ -72,7 +126,8 @@ class MeshRequest:
     delta: Optional[float] = None
     radius_edge_bound: float = 2.0
     planar_angle_bound_deg: float = 30.0
-    size_function: Optional[Any] = None
+    #: rule R5's size function (:mod:`repro.core.sizing`), or ``None``
+    size_function: Optional[SizeSpec] = None
     # -- parallel configuration (paper Sections 4-6) --------------------
     n_threads: int = 1
     cm: str = "local"
@@ -119,36 +174,44 @@ class MeshRequest:
             return max(1, min(os.cpu_count() or 1, 8))
         return int(s)
 
-    def canonical_params(self) -> Dict[str, Any]:
-        """The request knobs that determine the output mesh, in a flat,
-        JSON-stable form (the second half of the service's cache key).
+    def domain_args(self) -> Dict[str, Any]:
+        """The request's :class:`~repro.core.domain.RefineDomain` args."""
+        return dict(delta=self.delta, size_function=self.size_function,
+                    radius_edge_bound=self.radius_edge_bound,
+                    planar_angle_bound_deg=self.planar_angle_bound_deg)
 
-        ``mesher`` is resolved (``auto`` never appears), floats pass
-        through ``repr`` untouched, and observability / timeout — which
-        change what gets *recorded*, not what gets *meshed* — are
-        excluded.  Requests carrying a live ``size_function`` have no
-        canonical form and raise ``ValueError`` (the service treats
-        them as uncacheable).
-        """
-        if self.size_function is not None:
-            raise ValueError(
-                "requests with a size_function are not canonicalizable"
-            )
-        return {
-            "mesher": self.resolved_mesher(),
-            "delta": self.delta,
-            "radius_edge_bound": float(self.radius_edge_bound),
-            "planar_angle_bound_deg": float(self.planar_angle_bound_deg),
-            "n_threads": int(self.n_threads),
-            "cm": self.cm,
-            "lb": self.lb,
-            "hyperthreading": bool(self.hyperthreading),
-            "seed": int(self.seed),
-            "max_operations": self.max_operations,
-            "shards": int(self.resolved_shards()),
-            "incremental": bool(self.incremental)
-            and self.resolved_shards() > 1,
-        }
+    def to_params(self, omit_defaults: bool = False) -> Dict[str, Any]:
+        """The request's :data:`REQUEST_FIELDS`, each in its canonical
+        JSON form; ``omit_defaults`` keeps only the non-default entries
+        (what an HTTP body's ``params`` carries)."""
+        params = {name: _encode(name, getattr(self, name))
+                  for name in REQUEST_FIELDS}
+        if omit_defaults:
+            fields = self.__dataclass_fields__
+            params = {name: value for name, value in params.items()
+                      if value != fields[name].default}
+        return params
+
+    @classmethod
+    def from_params(cls, image: Any, params: Dict[str, Any]
+                    ) -> "MeshRequest":
+        """Inverse of :meth:`to_params`.  ``ValueError`` naming the field
+        on an unknown name, a wrong JSON type (a boolean is not a
+        number), a non-finite number or a malformed size spec."""
+        return cls(image=image, **{name: _decode(name, value)
+                                   for name, value in params.items()})
+
+    def canonical_params(self) -> Dict[str, Any]:
+        """What determines the output mesh (the second half of the
+        service's cache key): :meth:`to_params` without ``timeout``,
+        which changes what is recorded, not what is meshed, and with
+        ``mesher``, ``shards`` and ``incremental`` resolved."""
+        params = self.to_params()
+        del params["timeout"]
+        shards = self.resolved_shards()
+        params.update(mesher=self.resolved_mesher(), shards=shards,
+                      incremental=bool(self.incremental) and shards > 1)
+        return params
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an unsatisfiable request."""
@@ -160,6 +223,11 @@ class MeshRequest:
             )
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
+        sf = self.size_function
+        if sf is not None and not isinstance(sf, SizeSpec):
+            raise ValueError("size_function must be a SizeSpec "
+                             f"(repro.core.sizing), got {sf!r}")
+        self.from_params(self.image, self.to_params())  # types, finiteness
         if self.delta is not None and self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         for knob, names in (("cm", CM_NAMES), ("lb", LB_NAMES)):
@@ -181,10 +249,11 @@ class MeshRequest:
                         f"(got {self.resolved_mesher()!r}); shards "
                         "parallelise across worker processes, not threads"
                     )
-                if self.size_function is not None:
+                if sf is not None:
                     raise ValueError(
-                        "sharded meshing does not support size_function"
-                    )
+                        "sharded meshing does not support size_function: "
+                        "a block's crop has its own surface distance, and "
+                        "the stitch re-judges only the seams")
 
 
 @dataclass
@@ -290,15 +359,8 @@ class SequentialMesher:
 
         obs = Observability.from_config(request.observability)
         t0 = time.perf_counter()
-        res = _mesh_image(
-            request.image,
-            delta=request.delta,
-            size_function=request.size_function,
-            radius_edge_bound=request.radius_edge_bound,
-            planar_angle_bound_deg=request.planar_angle_bound_deg,
-            max_operations=request.max_operations,
-            obs=obs,
-        )
+        res = _mesh_image(request.image, **request.domain_args(),
+                          max_operations=request.max_operations, obs=obs)
         wall = time.perf_counter() - t0
         s = res.stats
         return MeshResult(
@@ -331,10 +393,7 @@ class ThreadedMesher:
         res = _parallel_mesh_image(
             request.image,
             n_threads=request.n_threads,
-            delta=request.delta,
-            size_function=request.size_function,
-            radius_edge_bound=request.radius_edge_bound,
-            planar_angle_bound_deg=request.planar_angle_bound_deg,
+            **request.domain_args(),
             cm=request.cm,
             lb=request.lb,
             seed=request.seed,
@@ -379,13 +438,7 @@ class SimulatedMesher:
 
         obs = Observability.from_config(request.observability)
         t0 = time.perf_counter()
-        domain = RefineDomain(
-            request.image,
-            delta=request.delta,
-            size_function=request.size_function,
-            radius_edge_bound=request.radius_edge_bound,
-            planar_angle_bound_deg=request.planar_angle_bound_deg,
-        )
+        domain = RefineDomain(request.image, **request.domain_args())
         sim = _simulate_parallel_refinement(
             request.image,
             request.n_threads,
@@ -486,14 +539,8 @@ class TetGenLikeAdapter:
         obs = Observability.from_config(request.observability)
         t0 = time.perf_counter()
         with obs.tracer.span("tetgen_like.plc"):
-            plc = _mesh_image(
-                request.image,
-                delta=request.delta,
-                size_function=request.size_function,
-                radius_edge_bound=request.radius_edge_bound,
-                planar_angle_bound_deg=request.planar_angle_bound_deg,
-                max_operations=request.max_operations,
-            )
+            plc = _mesh_image(request.image, **request.domain_args(),
+                              max_operations=request.max_operations)
         plc_seconds = time.perf_counter() - t0
         seeds = _region_seeds(request.image)
         if plc.mesh.n_tets == 0 or not seeds:
@@ -590,6 +637,7 @@ def mesh(request: MeshRequest) -> MeshResult:
 
 __all__ = [
     "MESHER_NAMES",
+    "REQUEST_FIELDS",
     "MeshRequest",
     "MeshResult",
     "Mesher",

@@ -25,7 +25,7 @@ from repro.core.pel import PoorElementList
 from repro.core.pointgrid import PointGrid
 from repro.core.refiner import RefineStats, SequentialRefiner
 from repro.core.sizing import (
-    SizeFunction,
+    SizeSpec,
     constant,
     radial,
     surface_graded,
@@ -47,7 +47,7 @@ class MeshingResult:
 def _mesh_image(
     image: SegmentedImage,
     delta: Optional[float] = None,
-    size_function: Optional[SizeFunction] = None,
+    size_function: Optional[SizeSpec] = None,
     radius_edge_bound: float = 2.0,
     planar_angle_bound_deg: float = 30.0,
     max_operations: Optional[int] = None,
@@ -88,7 +88,7 @@ __all__ = [
     "extract_mesh",
     "_mesh_image",
     "MeshingResult",
-    "SizeFunction",
+    "SizeSpec",
     "constant",
     "radial",
     "surface_graded",

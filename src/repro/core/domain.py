@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.pointgrid import PointGrid
-from repro.core.sizing import SizeFunction, unconstrained
+from repro.core.sizing import SizeSpec, unconstrained
 from repro.delaunay import (
     HULL,
     InsertionError,
@@ -189,7 +189,7 @@ class RefineDomain:
         self,
         image: SegmentedImage,
         delta: Optional[float] = None,
-        size_function: Optional[SizeFunction] = None,
+        size_function: Optional[SizeSpec] = None,
         radius_edge_bound: float = 2.0,
         planar_angle_bound_deg: float = 30.0,
         oracle: Optional[SurfaceOracle] = None,
@@ -202,7 +202,8 @@ class RefineDomain:
         self.delta = float(delta) if delta is not None else 2.0 * image.min_spacing
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        self.sf = size_function if size_function is not None else unconstrained()
+        spec = size_function if size_function is not None else unconstrained()
+        self.sf = spec.bind(self)
         self.radius_edge_bound = float(radius_edge_bound)
         self.planar_angle_bound = float(planar_angle_bound_deg)
 

@@ -50,7 +50,7 @@ import contextlib
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -319,13 +319,17 @@ def crop_image(image: SegmentedImage, block: Block) -> SegmentedImage:
     return SegmentedImage(labels, spacing=image.spacing, origin=origin)
 
 
-def refine_block(sub: SegmentedImage, own_lo: Sequence[float],
-                 own_hi: Sequence[float], *, delta: float,
-                 radius_edge_bound: float = 2.0,
-                 planar_angle_bound_deg: float = 30.0,
-                 max_operations: Optional[int] = None
+def block_request(request, plan: "ShardPlan", block: Block):
+    """The request one block's refiner runs: ``request`` with the
+    block's crop as its image and the plan's resolved ``delta``."""
+    return replace(request, image=crop_image(request.image, block),
+                   delta=plan.delta)
+
+
+def refine_block(request, own_lo: Sequence[float], own_hi: Sequence[float]
                  ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Refine one (already cropped) sub-image and export owned points.
+    """Refine one block's request (:func:`block_request`) and export the
+    points its core owns.
 
     Returns ``(arrays, stats)`` where ``arrays`` holds ``points``
     (float64 ``(k, 3)``, insertion order) and ``kinds`` (int8 ``(k,)``,
@@ -336,12 +340,9 @@ def refine_block(sub: SegmentedImage, own_lo: Sequence[float],
     from repro.core.domain import RefineDomain, VertexKind
     from repro.core.refiner import SequentialRefiner
 
-    domain = RefineDomain(
-        sub, delta=delta, radius_edge_bound=radius_edge_bound,
-        planar_angle_bound_deg=planar_angle_bound_deg,
-    )
+    domain = RefineDomain(request.image, **request.domain_args())
     rstats = SequentialRefiner(
-        domain, max_operations=max_operations
+        domain, max_operations=request.max_operations
     ).refine()
     mesh = domain.tri.mesh
     alive = mesh.alive_vertex
@@ -386,20 +387,17 @@ def refine_block(sub: SegmentedImage, own_lo: Sequence[float],
 BLOCK_FORMAT_VERSION = 3
 
 
-def _params_blob(delta: float, radius_edge_bound: float,
-                 planar_angle_bound_deg: float,
-                 max_operations: Optional[int]) -> bytes:
+def _params_blob(request) -> bytes:
     return repr((
-        BLOCK_FORMAT_VERSION, float(delta), float(radius_edge_bound),
-        float(planar_angle_bound_deg), max_operations,
+        BLOCK_FORMAT_VERSION, float(request.delta),
+        float(request.radius_edge_bound),
+        float(request.planar_angle_bound_deg), request.max_operations,
     )).encode()
 
 
-def block_content_key(image: SegmentedImage, block: Block, *, delta: float,
-                      radius_edge_bound: float = 2.0,
-                      planar_angle_bound_deg: float = 30.0,
-                      max_operations: Optional[int] = None) -> str:
-    """Content address of one block's refined point set.
+def block_content_key(request, block: Block) -> str:
+    """Content address of one block's refined point set (``request``:
+    the whole image, the plan's ``delta``).
 
     Hashes exactly what :func:`refine_block` sees: the band-dilated
     label crop (dtype, shape, bytes), its world placement (crop origin,
@@ -408,11 +406,11 @@ def block_content_key(image: SegmentedImage, block: Block, *, delta: float,
     processes too (pure byte hashing, nothing derived from ``id()`` or
     randomized ``hash()``) — so equal keys imply bit-identical exports.
     """
+    image = request.image
     lo, hi = block.crop_lo, block.crop_hi
     crop = image.labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
     h = hashlib.blake2b(digest_size=20)
-    h.update(_params_blob(delta, radius_edge_bound,
-                          planar_angle_bound_deg, max_operations))
+    h.update(_params_blob(request))
     h.update(str(crop.dtype).encode())
     h.update(repr(crop.shape).encode())
     h.update(repr(tuple(image.spacing)).encode())
@@ -424,20 +422,18 @@ def block_content_key(image: SegmentedImage, block: Block, *, delta: float,
     return h.hexdigest()
 
 
-def plan_content_key(image: SegmentedImage, plan: ShardPlan, *,
-                     radius_edge_bound: float = 2.0,
-                     planar_angle_bound_deg: float = 30.0,
-                     max_operations: Optional[int] = None) -> str:
+def plan_content_key(request, plan: ShardPlan) -> str:
     """Address of the stitch-delta artifact for one decomposition.
 
     Hashes the decomposition *geometry* (grid placement, band, block
-    cores) plus the refinement parameters — image content deliberately
-    excluded, so a perturbed image that decomposes into the same block
-    layout finds the previous run's stitch delta to warm-start from.
+    cores) plus the refinement parameters of ``request`` (its ``delta``
+    the plan's) — image content deliberately excluded, so a perturbed
+    image that decomposes into the same block layout finds the previous
+    run's stitch delta to warm-start from.
     """
+    image = request.image
     h = hashlib.blake2b(digest_size=20)
-    h.update(_params_blob(plan.delta, radius_edge_bound,
-                          planar_angle_bound_deg, max_operations))
+    h.update(_params_blob(request))
     h.update(repr((
         tuple(image.shape), tuple(image.spacing), tuple(image.origin)
     )).encode())
@@ -703,17 +699,14 @@ def _retry_passes(domain, rstats, max_operations: Optional[int],
     return rounds
 
 
-def stitch(image: SegmentedImage, plan: ShardPlan,
-           shard_points: List[Dict[str, np.ndarray]], *,
-           radius_edge_bound: float = 2.0,
-           planar_angle_bound_deg: float = 30.0,
-           max_operations: Optional[int] = None,
-           obs=None,
+def stitch(request, plan: ShardPlan,
+           shard_points: List[Dict[str, np.ndarray]], *, obs=None,
            inc: Optional[IncrementalStitch] = None):
     """Merge shard point clouds into one refined global mesh.
 
-    ``shard_points[i]`` is block ``i``'s ``{"points", "kinds"}`` export.
-    Returns ``(MeshingResult, stitch_stats)``.
+    ``request`` carries the whole image and the plan's resolved
+    ``delta``; ``shard_points[i]`` is block ``i``'s ``{"points",
+    "kinds"}`` export.  Returns ``(MeshingResult, stitch_stats)``.
 
     Every stitch is seam-seeded.  The block exports are bulk-loaded —
     together with the previous delta's Steiner points outside the
@@ -731,10 +724,8 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
     from repro.core.refiner import SequentialRefiner
 
     t0 = time.perf_counter()
-    domain = RefineDomain(
-        image, delta=plan.delta, radius_edge_bound=radius_edge_bound,
-        planar_angle_bound_deg=planar_angle_bound_deg,
-    )
+    image, max_operations = request.image, request.max_operations
+    domain = RefineDomain(image, **request.domain_args())
 
     block_pts = np.concatenate([
         np.asarray(out["points"], dtype=np.float64).reshape(-1, 3)
@@ -783,7 +774,8 @@ def stitch(image: SegmentedImage, plan: ShardPlan,
     # seams, the previous image's); assert the radius-edge bound
     # globally and run unrestricted passes if anything slipped through.
     mode = "seam_local"
-    offenders = len(_radius_edge_offenders(domain, radius_edge_bound))
+    offenders = len(_radius_edge_offenders(domain,
+                                           request.radius_edge_bound))
     if offenders:
         mode = "seam_local+repair"
         # skipped=1: the first unrestricted pass is owed to the screen.
@@ -874,12 +866,8 @@ def in_process_runner(request, hook: Optional[ShardHook] = None
                 hook("start", block, {"attempt": 1})
             t0 = time.perf_counter()
             arrays, stats = refine_block(
-                crop_image(request.image, block), block.own_lo,
-                block.own_hi, delta=plan.delta,
-                radius_edge_bound=request.radius_edge_bound,
-                planar_angle_bound_deg=request.planar_angle_bound_deg,
-                max_operations=request.max_operations,
-            )
+                block_request(request, plan, block), block.own_lo,
+                block.own_hi)
             if hook is not None:
                 hook("done", block, {
                     "seconds": time.perf_counter() - t0, "stats": stats,
@@ -947,12 +935,10 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
             f"decomposition produced {plan.n_blocks} occupied block(s)"
         )
     t_dec = time.perf_counter() - t0
+    # From here on the request carries the plan's resolved delta, which
+    # every block, content key and the stitch domain share.
+    request = replace(request, delta=plan.delta)
 
-    params = dict(
-        radius_edge_bound=request.radius_edge_bound,
-        planar_angle_bound_deg=request.planar_angle_bound_deg,
-        max_operations=request.max_operations,
-    )
     if not request.incremental:
         block_cache = None
 
@@ -961,10 +947,7 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
     hits = 0
     memory_hits = 0
     if block_cache is not None:
-        keys = [
-            block_content_key(request.image, b, delta=plan.delta, **params)
-            for b in plan.blocks
-        ]
+        keys = [block_content_key(request, b) for b in plan.blocks]
         for i, key in enumerate(keys):
             arrays, tier = block_cache.get_block_tiered(key)
             if arrays is not None:
@@ -987,7 +970,7 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
     inc: Optional[IncrementalStitch] = None
     pkey: Optional[str] = None
     if block_cache is not None:
-        pkey = plan_content_key(request.image, plan, **params)
+        pkey = plan_content_key(request, plan)
         inc = IncrementalStitch(block_keys=keys)
         prev = block_cache.get_stitch(pkey)
         prev_keys = ([str(k) for k in prev["block_keys"]]
@@ -999,10 +982,7 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
             ]
 
     result, stitch_stats = stitch(
-        request.image, plan, [o["arrays"] for o in outs],
-        radius_edge_bound=request.radius_edge_bound,
-        planar_angle_bound_deg=request.planar_angle_bound_deg,
-        max_operations=request.max_operations, obs=obs, inc=inc,
+        request, plan, [o["arrays"] for o in outs], obs=obs, inc=inc,
     )
     if inc is not None:
         export = dict(inc.export)
@@ -1059,6 +1039,7 @@ __all__ = [
     "ShardingUnavailable",
     "band_width_voxels",
     "block_content_key",
+    "block_request",
     "crop_image",
     "decompose",
     "in_process_runner",

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.domain import RefineDomain
 from repro.core.extract import ExtractedMesh, extract_mesh
-from repro.core.sizing import SizeFunction
+from repro.core.sizing import SizeSpec
 from repro.imaging.image import SegmentedImage
 from repro.runtime.context import ExecutionContext
 from repro.runtime.placement import Placement, flat_placement
@@ -115,7 +115,7 @@ def _parallel_mesh_image(
     image: SegmentedImage,
     n_threads: int = 4,
     delta: Optional[float] = None,
-    size_function: Optional[SizeFunction] = None,
+    size_function: Optional[SizeSpec] = None,
     radius_edge_bound: float = 2.0,
     planar_angle_bound_deg: float = 30.0,
     cm: str = "local",

@@ -46,10 +46,12 @@ Versioning: every response carries ``X-Repro-Protocol``
 rejected with 400 on a mismatch.  :class:`HttpClient` checks it once,
 on connect.
 
-The request schema lives here and nowhere else: the params a body may
-set and their JSON types (:data:`REQUEST_PARAMS`), the three ways to
-name the image, the version check.  Whatever a client got wrong —
-unknown or wrong-typed param, a value :meth:`MeshRequest.validate
+A body's ``params`` are the request codec's (:data:`repro.api
+.REQUEST_FIELDS`): the client sends the non-default entries, the
+gateway decodes them with ``MeshRequest.from_params``; only the
+envelope lives here (the three ways to name the image, the version
+check).  Whatever a client got wrong — unknown, wrong-typed or
+non-finite param, a value :meth:`MeshRequest.validate
 <repro.api.MeshRequest.validate>` refuses, a malformed image, a
 non-numeric ``deadline`` — raises :class:`ProtocolError` and answers
 400 with the field named; 500 is kept for server faults and for a job
@@ -101,28 +103,6 @@ PROTOCOL_VERSION = 1
 #: Request/response header carrying the protocol version.
 PROTOCOL_HEADER = "X-Repro-Protocol"
 
-_NUMBER = (int, float)
-_NULL = type(None)
-
-#: The :class:`~repro.api.MeshRequest` knobs a body's ``params`` may
-#: set, each with the JSON types it accepts (``null`` where the knob's
-#: default is ``None``).
-REQUEST_PARAMS = {
-    "mesher": str,
-    "delta": _NUMBER + (_NULL,),
-    "radius_edge_bound": _NUMBER,
-    "planar_angle_bound_deg": _NUMBER,
-    "n_threads": int,
-    "cm": str,
-    "lb": str,
-    "hyperthreading": bool,
-    "seed": int,
-    "max_operations": (int, _NULL),
-    "timeout": _NUMBER + (_NULL,),
-    "shards": (int, str, _NULL),
-    "incremental": bool,
-}
-
 #: HTTP status answering each job state.
 STATE_STATUS = {
     JobState.QUEUED: 202,
@@ -149,26 +129,6 @@ IMAGE_STORE_BYTES = 256 * 1024 * 1024
 
 class ProtocolError(ValueError):
     """A request the client got wrong; answered 400, never 500."""
-
-
-def request_wire_params(request: MeshRequest) -> Dict[str, Any]:
-    """The request's non-default :data:`REQUEST_PARAMS` as a body's
-    ``params`` object.
-
-    Raises :class:`ServiceError` for requests that cannot cross a
-    process boundary (live ``size_function`` callables).
-    """
-    if request.size_function is not None:
-        raise ServiceError(
-            "size_function requests cannot cross the wire"
-        )
-    params: Dict[str, Any] = {}
-    defaults = MeshRequest.__dataclass_fields__
-    for key in REQUEST_PARAMS:
-        value = getattr(request, key)
-        if value != defaults[key].default:
-            params[key] = value
-    return params
 
 
 def _seconds(fields: Dict[str, Any], name: str) -> Optional[float]:
@@ -337,7 +297,7 @@ class MeshGateway:
         if mesh_job is None:
             return payload
         # ``out`` is never empty here, so the envelope ends in "}".
-        if mesh_job.keys is None:  # uncacheable, or coalescing is off
+        if mesh_job.keys is None:  # coalescing is off
             mesh = mesh_json_bytes(mesh_job.result)
         else:
             mesh = self.service.cache.mesh_wire_bytes(
@@ -412,16 +372,10 @@ class MeshGateway:
         params = body.get("params") or {}
         if not isinstance(params, dict):
             raise ProtocolError("'params' must be an object")
-        unknown = set(params) - set(REQUEST_PARAMS)
-        if unknown:
-            raise ProtocolError(
-                f"unknown params: {', '.join(sorted(unknown))}"
-            )
-        for name, value in params.items():
-            if not isinstance(value, REQUEST_PARAMS[name]):
-                raise ProtocolError(
-                    f"param {name!r} has the wrong type: {value!r}"
-                )
+        try:  # the image joins below, once the params are known good
+            request = MeshRequest.from_params(None, params)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         # 0 is a value here, not an absence: a zero deadline has already
         # passed and a zero wait_timeout does not block.
         deadline = _seconds(body, "deadline")
@@ -433,9 +387,9 @@ class MeshGateway:
                 "error": f"unknown image key {body.get('image_key')!r}",
                 "unknown_image_key": True,
             }, {}, None
+        request.image = image
         try:
-            job = self.service.submit(MeshRequest(image=image, **params),
-                                      deadline=deadline)
+            job = self.service.submit(request, deadline=deadline)
         except ValueError as exc:  # MeshRequest.validate said no
             raise ProtocolError(f"bad params: {exc}") from None
         if body.get("wait", True) and not job.done:
@@ -815,7 +769,7 @@ class HttpClient(Client):
                    wait_timeout: Optional[float] = None,
                    return_mesh: bool = False,
                    ) -> Tuple[int, Dict[str, Any]]:
-        params = request_wire_params(request)
+        params = request.to_params(omit_defaults=True)
         body: Dict[str, Any] = {
             "image_key": image_content_key(request.image),
             "wait": wait,
@@ -843,10 +797,8 @@ __all__ = [
     "PROTOCOL_HEADER",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "REQUEST_PARAMS",
     "STATE_STATUS",
     "decode_image_b64",
     "encode_image_b64",
     "etag_matches",
-    "request_wire_params",
 ]

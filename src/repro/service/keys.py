@@ -11,16 +11,16 @@ Two keys:
   .canonical_params`) and a format version — it addresses finished
   meshes.
 
-Both are plain hex digests, safe as file names.  Requests that cannot
-be canonicalized (live ``size_function`` callables) have no request
-key and bypass the mesh cache entirely.
+Both are plain hex digests, safe as file names.  Every request has
+both: the canonical form is the request codec's (size functions
+included, as data), so no request bypasses the mesh cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.api import MeshRequest
 from repro.imaging.image import SegmentedImage
@@ -32,7 +32,9 @@ from repro.imaging.image import SegmentedImage
 #: v4: the refiner judges a generation at a time behind the screen and
 #: R1 lost its near-site shortcut — ``operations`` counts tets judged,
 #: and meshes move where delta exceeds the voxel diagonal.
-CACHE_FORMAT_VERSION = 4
+#: v5: the params are the request codec's — ``size_function`` joined
+#: them as data, and float fields are floats (``delta`` 3 is 3.0).
+CACHE_FORMAT_VERSION = 5
 
 
 def image_content_key(image: SegmentedImage) -> str:
@@ -55,12 +57,7 @@ def request_key(image_key: str, params: Dict[str, object]) -> str:
     return hashlib.blake2b(doc.encode(), digest_size=20).hexdigest()
 
 
-def cache_keys(request: MeshRequest) -> Optional[Tuple[str, str]]:
-    """``(image_key, request_key)`` for ``request``, or ``None`` when
-    the request is uncacheable."""
-    try:
-        params = request.canonical_params()
-    except ValueError:
-        return None
+def cache_keys(request: MeshRequest) -> Tuple[str, str]:
+    """``(image_key, request_key)`` for ``request``."""
     ikey = image_content_key(request.image)
-    return ikey, request_key(ikey, params)
+    return ikey, request_key(ikey, request.canonical_params())

@@ -273,20 +273,16 @@ class ProcessWorkerPool:
     def remotable(self, request, overlays=()) -> bool:
         """Can this request run in a worker process?
 
-        Not remotable: requests carrying a live ``size_function``
-        (unpicklable by contract) and requests routed at a mesher
-        overlaid parent-side (tests' fakes live only in this process).
-        Those fall back to inline execution on the claiming thread —
-        exactly the thread executor's semantics.
+        Not remotable: requests routed at a mesher overlaid parent-side
+        (tests' fakes live only in this process).  Those fall back to
+        inline execution on the claiming thread — exactly the thread
+        executor's semantics.
         """
         from repro.api import MESHER_NAMES
 
-        if request.size_function is not None:
-            return False
         name = request.resolved_mesher()
-        if name in overlays:
-            return False
-        return name in MESHER_NAMES or name in self._plugin_names
+        return name not in overlays and (
+            name in MESHER_NAMES or name in self._plugin_names)
 
     # -- execution -----------------------------------------------------
     def run(self, request, deadline: Optional[float] = None):

@@ -2,8 +2,10 @@
 
 :func:`worker_main` is the entry point a spawned worker runs: a loop
 over a duplex pipe, one ``("run", body)`` message per job.  For each
-job the worker rebuilds the :class:`~repro.api.MeshRequest` (or the
-block crop) from the picklable payload, meshes on its own heap, and
+job the worker decodes the :class:`~repro.api.MeshRequest` — the
+block's, for a shard job — from the payload's image arrays and codec
+params (:meth:`MeshRequest.from_params
+<repro.api.MeshRequest.from_params>`), meshes on its own heap, and
 answers ``("ok", {"meta", "arrays"})`` over the same pipe: ``meta`` is
 the JSON-safe part of the result (mesher, stats, metrics, timings),
 ``arrays`` the result's ndarrays, pickled — 0.8 ms for a 0.26 MB mesh,
@@ -66,75 +68,43 @@ def plugin_specs_from_env(environ=None) -> Tuple[str, ...]:
 
 
 def build_payload(request) -> Dict[str, Any]:
-    """Parent side: the picklable job body for one request.
-
-    Only remotable requests reach this (no ``size_function``, no
-    parent-local overlay mesher), so everything here round-trips
-    through pickle by construction.
+    """Parent side: the picklable job body for one request — the image
+    arrays beside the request codec's params (:meth:`MeshRequest
+    .to_params <repro.api.MeshRequest.to_params>`).  Only remotable
+    requests reach this (no parent-local overlay mesher).
     """
     image = request.image
     return {
         "labels": np.ascontiguousarray(image.labels),
         "spacing": tuple(image.spacing),
         "origin": tuple(image.origin),
-        "params": {
-            "mesher": request.resolved_mesher(),
-            "delta": request.delta,
-            "radius_edge_bound": request.radius_edge_bound,
-            "planar_angle_bound_deg": request.planar_angle_bound_deg,
-            "n_threads": request.n_threads,
-            "cm": request.cm,
-            "lb": request.lb,
-            "hyperthreading": request.hyperthreading,
-            "seed": request.seed,
-            "max_operations": request.max_operations,
-            "timeout": request.timeout,
-        },
+        "params": request.to_params(),
     }
 
 
 def build_shard_payload(request, plan, block) -> Dict[str, Any]:
-    """Parent side: the picklable body for one decomposition block.
-
-    The label crop happens here (only the block's sub-volume crosses
-    the pipe) and every parameter the shard needs arrives resolved —
-    ``delta`` in particular, so all shards and the stitch domain agree
-    even when the request left it defaulted.  ``params`` is exactly
-    ``refine_block``'s keyword arguments.
+    """Parent side: the picklable body for one decomposition block —
+    :func:`build_payload` of the block's request
+    (:func:`repro.delaunay.shard.block_request`: the crop as the image,
+    so only the block's sub-volume crosses the pipe, and ``delta``
+    resolved by the plan, so all shards and the stitch domain agree even
+    when the request left it defaulted) plus its ownership box.
     """
-    from repro.delaunay.shard import crop_image
+    from repro.delaunay.shard import block_request
 
-    sub = crop_image(request.image, block)
-    return {
-        "kind": "shard",
-        "labels": sub.labels,
-        "spacing": sub.spacing,
-        "origin": sub.origin,
-        "own_lo": tuple(block.own_lo),
-        "own_hi": tuple(block.own_hi),
-        "params": {
-            "delta": plan.delta,
-            "radius_edge_bound": request.radius_edge_bound,
-            "planar_angle_bound_deg": request.planar_angle_bound_deg,
-            "max_operations": request.max_operations,
-        },
-    }
+    body = build_payload(block_request(request, plan, block))
+    body.update(kind="shard", own_lo=tuple(block.own_lo),
+                own_hi=tuple(block.own_hi))
+    return body
 
 
-def _image(body: Dict[str, Any]):
+def _request(body: Dict[str, Any]):
+    from repro.api import MeshRequest
     from repro.imaging.image import SegmentedImage
 
-    return SegmentedImage(
-        body["labels"],
-        spacing=tuple(body["spacing"]),
-        origin=tuple(body["origin"]),
-    )
-
-
-def rebuild_request(body: Dict[str, Any]):
-    from repro.api import MeshRequest
-
-    return MeshRequest(image=_image(body), **body["params"])
+    image = SegmentedImage(body["labels"], spacing=tuple(body["spacing"]),
+                           origin=tuple(body["origin"]))
+    return MeshRequest.from_params(image, body["params"])
 
 
 def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
@@ -145,7 +115,7 @@ def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
         import os
         os._exit(3)
     arrays, stats = refine_block(
-        _image(body), body["own_lo"], body["own_hi"], **body["params"]
+        _request(body), body["own_lo"], body["own_hi"]
     )
     return {"meta": {"kind": "shard", "stats": stats}, "arrays": arrays}
 
@@ -154,7 +124,7 @@ def _run_mesh(body: Dict[str, Any], meshers: Dict[str, Any]
               ) -> Dict[str, Any]:
     from repro.api import get_mesher
 
-    request = rebuild_request(body)
+    request = _request(body)
     name = request.resolved_mesher()
     mesher = meshers.get(name)
     if mesher is None:
@@ -212,6 +182,5 @@ __all__ = [
     "build_shard_payload",
     "load_plugins",
     "plugin_specs_from_env",
-    "rebuild_request",
     "worker_main",
 ]

@@ -476,28 +476,22 @@ class MeshingService:
         # Reuse the keys submit computed for coalescing, if any — the
         # image hash is the expensive half of the key.
         keys = job.keys if job.keys is not None else cache_keys(request)
-        if keys is None:
-            reg.counter("service.jobs.uncacheable").inc()
-        else:
-            # Pin across the whole attempt: the stored result must
-            # still be resident when the waiter reads it, even under a
-            # byte-bounded LRU squeezed by concurrent jobs.
-            self.cache.pin_mesh(keys[1])
+        # Pin across the whole attempt: the stored result must still be
+        # resident when the waiter reads it, even under a byte-bounded
+        # LRU squeezed by concurrent jobs.
+        self.cache.pin_mesh(keys[1])
         try:
-            if keys is not None:
-                t0 = time.perf_counter()
-                cached, tier = self.cache.get_mesh_tiered(keys[1])
-                reg.histogram("service.stage.cache_seconds").observe(
-                    time.perf_counter() - t0
-                )
-                if cached is not None:
-                    reg.counter("service.cache.hit").inc()
-                    job.cache_hit = True
-                    job.tier = (
-                        "memory_hit" if tier == "memory" else "disk_hit"
-                    )
-                    return cached
-                reg.counter("service.cache.miss").inc()
+            t0 = time.perf_counter()
+            cached, tier = self.cache.get_mesh_tiered(keys[1])
+            reg.histogram("service.stage.cache_seconds").observe(
+                time.perf_counter() - t0
+            )
+            if cached is not None:
+                reg.counter("service.cache.hit").inc()
+                job.cache_hit = True
+                job.tier = "memory_hit" if tier == "memory" else "disk_hit"
+                return cached
+            reg.counter("service.cache.miss").inc()
             t0 = time.perf_counter()
             result = self._run_mesher(job, request)
             # A service result is the five plain fields whichever path
@@ -513,23 +507,21 @@ class MeshingService:
             reg.histogram("service.stage.mesh_seconds").observe(
                 time.perf_counter() - t0
             )
-            if keys is not None:
-                t0 = time.perf_counter()
-                self.cache.put_mesh(keys[1], result)
-                reg.histogram("service.stage.cache_seconds").observe(
-                    time.perf_counter() - t0
-                )
+            t0 = time.perf_counter()
+            self.cache.put_mesh(keys[1], result)
+            reg.histogram("service.stage.cache_seconds").observe(
+                time.perf_counter() - t0
+            )
             return result
         finally:
-            if keys is not None:
-                self.cache.unpin_mesh(keys[1])
+            self.cache.unpin_mesh(keys[1])
 
     def _run_mesher(self, job: Job, request: MeshRequest) -> MeshResult:
         """Dispatch one mesher run to the active executor.
 
-        Requests the process pool cannot carry (``size_function``,
-        parent-side overlay meshers) run inline on the claiming thread
-        — thread-executor semantics, per job instead of per service.
+        Requests routed at a parent-side overlay mesher, which the
+        process pool cannot carry, run inline on the claiming thread —
+        thread-executor semantics, per job instead of per service.
         """
         if (request.resolved_shards() > 1
                 and request.resolved_mesher() not in self._meshers):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.domain import OperationResult, RefineDomain
-from repro.core.sizing import SizeFunction
+from repro.core.sizing import SizeSpec
 from repro.imaging.image import SegmentedImage
 from repro.runtime.stats import ThreadStats, aggregate
 from repro.runtime.worker import assemble_fleet, refinement_worker
@@ -54,7 +54,7 @@ def _simulate_parallel_refinement(
     image: SegmentedImage,
     n_threads: int,
     delta: Optional[float] = None,
-    size_function: Optional[SizeFunction] = None,
+    size_function: Optional[SizeSpec] = None,
     cm: str = "local",
     lb: str = "hws",
     machine: MachineSpec = BLACKLIGHT,

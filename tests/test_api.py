@@ -1,7 +1,13 @@
 """Tests for repro.api: protocol conformance, shims, round-trips."""
 
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     MESHER_NAMES,
@@ -11,8 +17,10 @@ from repro.api import (
     get_mesher,
     mesh,
 )
+from repro.core.sizing import constant, radial, surface_graded, unconstrained
 from repro.imaging import sphere_phantom
 from repro.observability import Observability, ObservabilityConfig
+from repro.runtime import CM_NAMES, LB_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +79,6 @@ class TestMeshRequest:
         assert MeshRequest(image=image).resolved_mesher() == "sequential"
         auto = MeshRequest(image=image, n_threads=4)
         assert auto.resolved_mesher() == "sequential"
-        assert auto.canonical_params()["mesher"] == "sequential"
         for name in ("threaded", "simulated"):
             assert MeshRequest(image=image, mesher=name,
                                n_threads=4).resolved_mesher() == name
@@ -83,6 +90,12 @@ class TestMeshRequest:
             mesh(MeshRequest(image=image, n_threads=0))
         with pytest.raises(ValueError):
             mesh(MeshRequest(image=image, delta=-1.0))
+        for knob in ("delta", "radius_edge_bound", "planar_angle_bound_deg"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"'{knob}' must be a finite"):
+                    MeshRequest(image=image, **{knob: bad}).validate()
+        with pytest.raises(ValueError, match="SizeSpec"):
+            MeshRequest(image=image, size_function=lambda p: 3.0).validate()
         for knob in ("cm", "lb"):
             with pytest.raises(ValueError, match=f"{knob} must be one of"):
                 mesh(MeshRequest(image=image, mesher="threaded",
@@ -91,6 +104,76 @@ class TestMeshRequest:
     def test_observability_config_defaults_off(self, image):
         req = MeshRequest(image=image)
         assert req.observability.tracing is False
+
+
+_CODEC_IMAGE = sphere_phantom(4)
+_NUMBERS = st.one_of(
+    st.floats(0.25, 64.0, allow_nan=False), st.integers(1, 64))
+_SPECS = st.one_of(
+    st.none(),
+    st.just(unconstrained()),
+    _NUMBERS.map(constant),
+    st.builds(radial, st.tuples(_NUMBERS, _NUMBERS, _NUMBERS),
+              _NUMBERS, _NUMBERS, _NUMBERS),
+    st.builds(lambda near, extra, growth: surface_graded(
+        near, near + extra, growth), _NUMBERS, _NUMBERS, _NUMBERS),
+)
+#: One strategy per field: every field a request has but its image.
+_FIELDS = {
+    "mesher": st.sampled_from(("auto",) + MESHER_NAMES),
+    "delta": st.none() | _NUMBERS,
+    "radius_edge_bound": _NUMBERS,
+    "planar_angle_bound_deg": _NUMBERS,
+    "size_function": _SPECS,
+    "n_threads": st.integers(1, 8),
+    "cm": st.sampled_from(CM_NAMES),
+    "lb": st.sampled_from(LB_NAMES),
+    "hyperthreading": st.booleans(),
+    "seed": st.integers(0, 2**31),
+    "shards": st.none() | st.integers(1, 4) | st.just("auto"),
+    "incremental": st.booleans(),
+    "max_operations": st.none() | st.integers(1, 10**6),
+    "timeout": st.none() | _NUMBERS,
+    "observability": st.sampled_from(
+        (ObservabilityConfig(), ObservabilityConfig(tracing=True))),
+}
+_REQUESTS = st.fixed_dictionaries(_FIELDS).map(
+    lambda kw: MeshRequest(image=_CODEC_IMAGE, **kw))
+
+
+def _meshed(r):
+    """What determines the mesh, resolved by hand: everything but the
+    timeout and the observability config."""
+    shards = r.resolved_shards()
+    return (r.resolved_mesher(),
+            None if r.delta is None else float(r.delta),
+            float(r.radius_edge_bound), float(r.planar_angle_bound_deg),
+            r.size_function, r.n_threads, r.cm, r.lb, r.hyperthreading,
+            r.seed, shards, r.incremental and shards > 1, r.max_operations)
+
+
+class TestRequestCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(_REQUESTS)
+    def test_json_and_wire_round_trip(self, r):
+        params = r.to_params()
+        text = json.dumps(params, allow_nan=False)
+        decoded = MeshRequest.from_params(_CODEC_IMAGE, json.loads(text))
+        assert decoded.to_params() == params
+        wire = json.dumps(r.to_params(omit_defaults=True), allow_nan=False)
+        assert MeshRequest.from_params(
+            _CODEC_IMAGE, json.loads(wire)).to_params() == params
+
+    @settings(max_examples=300, deadline=None)
+    @given(_REQUESTS, st.data())
+    def test_canonical_params_ignore_only_what_is_recorded(self, r, data):
+        names = data.draw(st.sets(st.sampled_from(sorted(_FIELDS))))
+        other = replace(r, **{n: data.draw(_FIELDS[n]) for n in names})
+        same = r.canonical_params() == other.canonical_params()
+        assert same == (_meshed(r) == _meshed(other))
+        canonical = r.canonical_params()
+        assert canonical["mesher"] == r.resolved_mesher()
+        assert canonical["shards"] == r.resolved_shards()
 
 
 class TestMeshResultRoundTrip:

@@ -53,13 +53,13 @@ class TestSizing:
 
         from repro.core.sizing import unconstrained
 
-        sf = unconstrained()
+        sf = unconstrained().bind(None)
         assert sf((0, 0, 0)) == math.inf
 
     def test_constant(self):
         from repro.core.sizing import constant
 
-        sf = constant(2.5)
+        sf = constant(2.5).bind(None)
         assert sf((1, 2, 3)) == 2.5
         with pytest.raises(ValueError):
             constant(0.0)
@@ -67,7 +67,7 @@ class TestSizing:
     def test_radial_grading(self):
         from repro.core.sizing import radial
 
-        sf = radial((0, 0, 0), near=1.0, far=5.0, radius=10.0)
+        sf = radial((0, 0, 0), near=1.0, far=5.0, radius=10.0).bind(None)
         assert sf((0, 0, 0)) == pytest.approx(1.0)
         assert sf((10, 0, 0)) == pytest.approx(5.0)
         assert sf((100, 0, 0)) == pytest.approx(5.0)

@@ -129,14 +129,32 @@ class TestArtifactCacheRoundTrip:
             assert snap["counters"]["service.cache.miss"] == 2
             assert snap["counters"].get("service.cache.hit", 0) == 0
 
-    def test_size_function_requests_are_uncacheable(self, image):
-        req = MeshRequest(image=image, delta=3.0, mesher="sequential",
-                          size_function=lambda p: 3.0)
-        with connect(config=ServiceConfig(n_workers=1)) as client:
-            client.mesh(req)
-            snap = client.metrics()
-            assert snap["counters"]["service.jobs.uncacheable"] == 1
-            assert "service.cache.miss" not in snap["counters"]
+    def test_size_function_requests_are_cached(self, image):
+        """A size function is data: a ``surface_graded`` request meshes
+        on the thread executor as ``api.mesh`` meshes it, its repeat is
+        a memory hit, and a sharded one is refused at the door."""
+        from repro.api import mesh
+        from repro.core import surface_graded
+        from repro.service.procworker import RESULT_FIELDS
+
+        def sized(**kw):
+            return MeshRequest(image=image, delta=3.0, size_function=(
+                surface_graded(near=2.0, far=6.0, growth=1.5)), **kw)
+
+        want = mesh(sized()).mesh
+        with MeshingService(ServiceConfig(
+                n_workers=1, executor="thread")) as svc:
+            jobs = []
+            for _ in range(2):  # one after the other: no coalescing
+                jobs.append(svc.submit(sized()))
+                jobs[-1].wait(240.0)
+            assert [j.tier for j in jobs] == ["full_mesh", "memory_hit"]
+            with pytest.raises(ValueError, match="size_function"):
+                svc.submit(sized(shards=2))
+        for field in RESULT_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(jobs[1].result.mesh, field), getattr(want, field),
+                err_msg=field)
 
 
 class TestArtifactCacheByteBudget:

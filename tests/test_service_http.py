@@ -173,6 +173,24 @@ class TestGatewayRoutes:
         # FAILED job on the simulator and a silent ``rws`` on threads.
         ("cm", {"params": {"mesher": "threaded", "cm": "bogus"}}),
         ("lb", {"params": {"mesher": "simulated", "lb": "bogus"}}),
+        # A boolean is not a number, and json reads NaN / Infinity: the
+        # codec refuses both, a size spec's numbers included.
+        ("delta", {"params": {"delta": True}}),
+        ("max_operations", {"params": {"max_operations": False}}),
+        ("delta", {"params": {"delta": float("nan")}}),
+        ("radius_edge_bound", {"params": {"radius_edge_bound": float("inf")}}),
+        ("size_function", {"params": {"size_function": {
+            "kind": "constant", "value": float("nan")}}}),
+        ("size_function", {"params": {"size_function": {
+            "kind": "surface_graded", "near": 1.0, "far": 2.0}}}),
+        # Past float's range, or not a kind: still the client's mistake.
+        ("delta", {"params": {"delta": 10 ** 400}}),
+        ("size_function", {"params": {"size_function": {
+            "kind": "constant", "value": 10 ** 400}}}),
+        ("size_function", {"params": {"size_function": {"kind": []}}}),
+        # Sized and sharded: a block's crop would size by its own EDT.
+        ("size_function", {"params": {"shards": 2, "size_function": {
+            "kind": "constant", "value": 3.0}}}),
     ])
     def test_malformed_request_is_400_not_500(
             self, service, image, field, body):

@@ -95,18 +95,63 @@ class TestProcessExecutorBasics:
                       "rule_counts"):
             assert got.stats[count] == want.stats[count], count
 
-    def test_size_function_falls_back_inline(self, tmp_path):
-        from repro.core import radial
+    def test_size_function_runs_in_a_worker(self, tmp_path):
+        """A size function is data: a ``surface_graded`` request runs
+        remotely under the process executor and meshes there, and over
+        HTTP, as ``api.mesh`` meshes it; its repeat is a memory hit on
+        both, and a sharded one is answered 400."""
+        import json
+        import urllib.error
+        import urllib.request
+
+        from repro.api import mesh
+        from repro.core import surface_graded
+        from repro.service import HttpClient, MeshHTTPServer
+        from repro.service.http import encode_image_b64
 
         img = sphere_phantom(12)
-        sf = radial((6.0, 6.0, 6.0), near=2.5, far=6.0, radius=6.0)
+
+        def sized(**kw):
+            return MeshRequest(image=img, delta=3.0, size_function=(
+                surface_graded(near=2.0, far=6.0, growth=1.5)), **kw)
+
+        want = mesh(sized()).mesh
+        got = {}
         with MeshingService(_config(tmp_path)) as svc:
-            job = svc.submit(MeshRequest(image=img, delta=3.0,
-                                         mesher="sequential",
-                                         size_function=sf))
-            job.wait(240.0)
-            assert job.state is JobState.DONE
-            assert svc.registry.counter("service.jobs.inline").value >= 1
+            jobs = []
+            for _ in range(2):  # one after the other: no coalescing
+                jobs.append(svc.submit(sized()))
+                jobs[-1].wait(240.0)
+            assert [j.tier for j in jobs] == ["full_mesh", "memory_hit"]
+            got["process"] = jobs[1].result.mesh
+            counters = svc.metrics_snapshot()["counters"]
+            assert counters["service.jobs.remote"] >= 1
+            assert "service.jobs.inline" not in counters
+            with pytest.raises(ValueError, match="size_function"):
+                svc.submit(sized(shards=2))
+        with MeshingService(_config(tmp_path, executor="thread",
+                                    cache_dir=None)) as svc:
+            with MeshHTTPServer(svc) as server:
+                with HttpClient(*server.address) as client:
+                    got["http"] = client.mesh(sized()).mesh
+                    job_id = client.submit(sized())
+                    assert client.wait(job_id, 240.0)["tier"] == "memory_hit"
+                body = {"image_b64": encode_image_b64(img),
+                        "params": sized(shards=2).to_params(
+                            omit_defaults=True)}
+                req = urllib.request.Request(
+                    server.url + "/v1/mesh", method="POST",
+                    data=json.dumps(body).encode())
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(req, timeout=30)
+                assert err.value.code == 400
+                assert "size_function" in json.loads(
+                    err.value.read())["error"]
+        for path, result in got.items():
+            for field in RESULT_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(result, field), getattr(want, field),
+                    err_msg=f"{path} {field}")
 
 
 class TestProcessExecutorSoak:

@@ -242,8 +242,8 @@ def _edited_ball_grid(img):
 
 class TestBlockContentKeys:
     def _keys(self, img, plan):
-        return [block_content_key(img, b, delta=plan.delta)
-                for b in plan.blocks]
+        request = MeshRequest(image=img, delta=plan.delta)
+        return [block_content_key(request, b) for b in plan.blocks]
 
     def test_stable_across_decomposition_runs(self):
         img = ball_grid_phantom(24)
@@ -263,12 +263,14 @@ class TestBlockContentKeys:
 
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         script = (
+            "from repro.api import MeshRequest\n"
             "from repro.imaging import ball_grid_phantom\n"
             "from repro.delaunay.shard import block_content_key, "
             "decompose\n"
             "img = ball_grid_phantom(24)\n"
             "plan = decompose(img, 2, delta=2.0)\n"
-            "print(','.join(block_content_key(img, b, delta=plan.delta)"
+            "request = MeshRequest(image=img, delta=plan.delta)\n"
+            "print(','.join(block_content_key(request, b)"
             " for b in plan.blocks))\n"
         )
         env = dict(os.environ)
@@ -636,13 +638,6 @@ class TestShardRequest:
         img = sphere_phantom(10)
         with pytest.raises(ValueError):
             MeshRequest(image=img, mesher="threaded", shards=4).validate()
-
-    def test_shards_in_canonical_params(self):
-        img = sphere_phantom(10)
-        p1 = MeshRequest(image=img, shards=2).canonical_params()
-        p2 = MeshRequest(image=img).canonical_params()
-        assert p1["shards"] == 2
-        assert p2["shards"] == 1
 
 
 # ---------------------------------------------------------------------------
