@@ -4,10 +4,12 @@ Two halves, both one-line CI gates:
 
 * **Workload replay** (default): boots a real
   :class:`~repro.service.MeshingService`, replays a mixed workload —
-  cache hits, cache misses, a poisoned request, an over-capacity
-  burst — and asserts on the resulting ``service.*`` metrics.  The
-  executor comes from ``ServiceConfig`` resolution, so CI runs the
-  same replay under ``REPRO_EXECUTOR=thread`` and ``=process``.
+  cache hits, cache misses, poisoned requests, a transient fault, an
+  over-capacity burst — and asserts on the resulting ``service.*``
+  metrics.  The executor comes from ``ServiceConfig`` resolution, so
+  CI runs the same replay under ``REPRO_EXECUTOR=thread`` and ``=process``; the
+  faulty meshers are served from the service's table, so under the
+  process executor they fail inside the worker processes.
 * **Executor comparison** (``--executor-bench``): meshes the same
   CPU-bound batch of cache misses through a thread-executor service
   and a process-executor service (separate cache dirs — no
@@ -36,7 +38,7 @@ import sys
 import tempfile
 import time
 
-from repro.api import MeshRequest
+from repro.api import MeshRequest, SequentialMesher
 from repro.imaging import sphere_phantom
 from repro.service import (
     JobState,
@@ -62,19 +64,31 @@ def check(name, cond, detail=""):
 
 
 class FlakyOnce:
-    """Transient failure on the first call, then delegates."""
+    """Transient failure on the first call, then delegates.  The first
+    call is the one that creates ``marker``, so it stays the first
+    across every worker process that holds a copy."""
 
     name = "flaky"
 
-    def __init__(self, inner):
+    def __init__(self, inner, marker):
         self.inner = inner
-        self.calls = 0
+        self.marker = marker
 
     def mesh(self, request):
-        self.calls += 1
-        if self.calls == 1:
-            raise TransientMeshError("injected transient fault")
-        return self.inner.mesh(request)
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return self.inner.mesh(request)
+        raise TransientMeshError("injected transient fault")
+
+
+class Poisoned:
+    """Fails every run with a non-transient error."""
+
+    name = "poisoned"
+
+    def mesh(self, request):
+        raise RuntimeError("injected mesher fault")
 
 
 def usable_cpus() -> int:
@@ -88,11 +102,15 @@ def replay() -> None:
     image = sphere_phantom(12)
     tmp = tempfile.mkdtemp(prefix="repro-service-workload-")
     cfg = ServiceConfig(n_workers=4, queue_capacity=8,
-                        cache_dir=tmp, max_retries=2, retry_backoff=0.01)
-    service = MeshingService(cfg).start()
+                        cache_dir=os.path.join(tmp, "cache"),
+                        max_retries=2, retry_backoff=0.01)
+    service = MeshingService(cfg, meshers={
+        "sequential": SequentialMesher(),
+        "flaky": FlakyOnce(SequentialMesher(),
+                           os.path.join(tmp, "flaky-once")),
+        "poisoned": Poisoned(),
+    }).start()
     print(f"executor: {service.executor}")
-    from repro.api import get_mesher
-    service.register_mesher("flaky", FlakyOnce(get_mesher("sequential")))
 
     print("phase 1: cold misses (two param sets, one image)")
     r1 = service.mesh(MeshRequest(image=image, delta=3.0,
@@ -107,9 +125,15 @@ def replay() -> None:
     check("warm mesh topology-identical",
           w1.n_tets == r1.n_tets and w1.n_vertices == r1.n_vertices)
 
-    print("phase 3: poisoned request (unknown mesher)")
+    print("phase 3: poisoned requests (unknown mesher, failing mesher)")
     try:
-        service.mesh(MeshRequest(image=image, delta=3.0, mesher="no-such"))
+        service.submit(MeshRequest(image=image, delta=3.0, mesher="no-such"))
+        unknown_refused = False
+    except ValueError:
+        unknown_refused = True
+    check("unknown mesher refused at submit", unknown_refused)
+    try:
+        service.mesh(MeshRequest(image=image, delta=3.0, mesher="poisoned"))
         poisoned_rejected = False
     except Exception:
         poisoned_rejected = True

@@ -51,7 +51,9 @@ from repro.imaging.image import SegmentedImage
 from repro.observability import Observability, ObservabilityConfig
 from repro.runtime import CM_NAMES, LB_NAMES
 
-#: Mesher names accepted by :class:`MeshRequest` / :func:`get_mesher`.
+#: Mesher names :func:`mesh` runs (:func:`get_mesher`); a
+#: default :class:`~repro.service.MeshingService` serves ``sequential``
+#: alone.
 MESHER_NAMES = (
     "sequential", "threaded", "simulated", "cgal_like", "tetgen_like",
 )
@@ -60,21 +62,17 @@ _NUMBER = (float, int)
 _NULL = type(None)
 
 #: The request codec's one field table: each :class:`MeshRequest` field
-#: but the image and the observability config, with the JSON types its
-#: value may take (the first is its canonical form; ``size_function``
-#: travels as :meth:`SizeSpec.to_json`).  The cache key, the HTTP body
-#: and the worker payloads all read it.
+#: the service serves, with the JSON types its value may take (the
+#: first is its canonical form; ``size_function`` travels as
+#: :meth:`SizeSpec.to_json`).  The cache key, the HTTP body and the
+#: worker payloads all read it.  The image, the observability config
+#: and the parallel knobs only :func:`mesh` reads are not in it.
 REQUEST_FIELDS: Dict[str, Tuple[type, ...]] = {
     "mesher": (str,),
     "delta": _NUMBER + (_NULL,),
     "radius_edge_bound": _NUMBER,
     "planar_angle_bound_deg": _NUMBER,
     "size_function": (dict, _NULL),
-    "n_threads": (int,),
-    "cm": (str,),
-    "lb": (str,),
-    "hyperthreading": (bool,),
-    "seed": (int,),
     "shards": (int, str, _NULL),
     "incremental": (bool,),
     "max_operations": (int, _NULL),
@@ -116,8 +114,10 @@ class MeshRequest:
 
     ``mesher='auto'`` resolves to ``'sequential'`` whatever
     ``n_threads`` is (real threads measure 0.21-0.31x of it under one
-    interpreter lock); ``n_threads`` configures the ``'threaded'`` and
-    ``'simulated'`` meshers, which are served when named.
+    interpreter lock).  The parallel knobs configure the ``'threaded'``
+    and ``'simulated'`` meshers, which only :func:`mesh` runs: they are
+    library fields, outside the codec (:data:`REQUEST_FIELDS`), so no
+    cache key, wire body or worker payload carries them.
     """
 
     image: SegmentedImage
@@ -128,7 +128,7 @@ class MeshRequest:
     planar_angle_bound_deg: float = 30.0
     #: rule R5's size function (:mod:`repro.core.sizing`), or ``None``
     size_function: Optional[SizeSpec] = None
-    # -- parallel configuration (paper Sections 4-6) --------------------
+    # -- parallel configuration (paper Sections 4-6; library only) -------
     n_threads: int = 1
     cm: str = "local"
     lb: str = "hws"
@@ -214,13 +214,9 @@ class MeshRequest:
         return params
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on an unsatisfiable request."""
-        name = self.mesher
-        if name != "auto" and name not in MESHER_NAMES:
-            raise ValueError(
-                f"unknown mesher {name!r}; pick from "
-                f"{('auto',) + MESHER_NAMES}"
-            )
+        """Raise ``ValueError`` on an unsatisfiable request.  The mesher
+        name is checked by whoever runs it: :func:`get_mesher` for
+        :func:`mesh`, the service's table for a service."""
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
         sf = self.size_function
@@ -624,6 +620,7 @@ def mesh(request: MeshRequest) -> MeshResult:
     resolves to 1 — the plain mesher runs, bit-identical to an
     unsharded request.
     """
+    mesher = get_mesher(request.resolved_mesher())
     request.validate()
     if request.resolved_shards() > 1:
         from repro.delaunay.shard import ShardingUnavailable, mesh_sharded
@@ -632,7 +629,7 @@ def mesh(request: MeshRequest) -> MeshResult:
             return mesh_sharded(request, block_cache=_block_cache())
         except ShardingUnavailable:
             pass
-    return get_mesher(request.resolved_mesher()).mesh(request)
+    return mesher.mesh(request)
 
 
 __all__ = [

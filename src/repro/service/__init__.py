@@ -13,7 +13,7 @@ follow-on work — I2M inside clinical pipelines — makes explicit):
   spawned worker processes that take a payload and answer with the
   result over one pipe, with crash detection and deadline kills;
 * :mod:`repro.service.procworker` — the worker-process side (payload
-  rebuild, the reply, plugin meshers);
+  rebuild, the served table it was spawned with, the reply);
 * :mod:`repro.service.cache` / :mod:`repro.service.keys` —
   content-addressed artifact store (meshes by
   ``hash(image, canonical params)``, block exports and stitch deltas

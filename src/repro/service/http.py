@@ -51,11 +51,11 @@ A body's ``params`` are the request codec's (:data:`repro.api
 gateway decodes them with ``MeshRequest.from_params``; only the
 envelope lives here (the three ways to name the image, the version
 check).  Whatever a client got wrong — unknown, wrong-typed or
-non-finite param, a value :meth:`MeshRequest.validate
-<repro.api.MeshRequest.validate>` refuses, a malformed image, a
-non-numeric ``deadline`` — raises :class:`ProtocolError` and answers
-400 with the field named; 500 is kept for server faults and for a job
-that ran and ``FAILED``.
+non-finite param, a mesher the service does not serve, a value
+:meth:`MeshRequest.validate <repro.api.MeshRequest.validate>` refuses,
+a malformed image, a non-numeric ``deadline`` — raises
+:class:`ProtocolError` and answers 400 with the field named; 500 is
+kept for server faults and for a job that ran and ``FAILED``.
 
 A response that carries a mesh does not serialise it again: the disk
 artifact is already the ``"result"`` member byte for byte
@@ -390,7 +390,7 @@ class MeshGateway:
         request.image = image
         try:
             job = self.service.submit(request, deadline=deadline)
-        except ValueError as exc:  # MeshRequest.validate said no
+        except ValueError as exc:  # not served, or validate said no
             raise ProtocolError(f"bad params: {exc}") from None
         if body.get("wait", True) and not job.done:
             job.wait(MAX_WAIT if timeout is None

@@ -34,7 +34,10 @@ from repro.imaging.image import SegmentedImage
 #: and meshes move where delta exceeds the voxel diagonal.
 #: v5: the params are the request codec's — ``size_function`` joined
 #: them as data, and float fields are floats (``delta`` 3 is 3.0).
-CACHE_FORMAT_VERSION = 5
+#: v6: the parallel knobs (``n_threads``, ``cm``, ``lb``,
+#: ``hyperthreading``, ``seed``) left them: the served mesher never
+#: read them.
+CACHE_FORMAT_VERSION = 6
 
 
 def image_content_key(image: SegmentedImage) -> str:

@@ -11,11 +11,13 @@ one poisoned request cannot take a worker slot out of service.
 same thread pool: the claiming thread checks out a worker *slot* — a
 lazily-spawned OS process paired over a duplex pipe — ships the job's
 payload, and blocks on the reply while the child meshes; the result
-comes back over the same pipe (:mod:`repro.service.procworker`).  The
-parent keeps everything stateful (cache lookups, the CAS claim,
-retry/backoff, metrics); the child holds no job state a crash could
-lose and nothing outside its own address space, so a dead worker
-leaves nothing to clean up.
+comes back over the same pipe (:mod:`repro.service.procworker`).  Each
+worker is spawned with the service's table of served meshers, so the
+payload names a mesher and never carries one.  The parent keeps
+everything stateful (cache lookups, the CAS claim, retry/backoff,
+metrics); the child holds no job state a crash could lose and nothing
+outside its own address space, so a dead worker leaves nothing to
+clean up.
 
 Failure taxonomy seen by the service:
 
@@ -37,7 +39,7 @@ import multiprocessing
 import threading
 import time
 import traceback
-from typing import Callable, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.service import procworker
 from repro.service.jobs import Job, JobState, TransientMeshError
@@ -95,13 +97,11 @@ class WorkerPool:
         """Wait for every worker to exit (requires a closed queue)."""
         deadline = None
         if timeout is not None:
-            import time
             deadline = time.monotonic() + timeout
         for t in self._threads:
             if deadline is None:
                 t.join()
             else:
-                import time
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -152,7 +152,7 @@ class _WorkerSlot:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=procworker.worker_main,
-            args=(child_conn, self.pool._worker_init),
+            args=(child_conn, self.pool.meshers),
             name=f"{self.pool.name}-{self.idx}",
             daemon=True,
         )
@@ -244,45 +244,24 @@ class _WorkerSlot:
 class ProcessWorkerPool:
     """N worker-process slots checked out by the service's threads.
 
-    Slots spawn lazily (a thread-only workload never pays process
-    startup) and respawn lazily after a crash or deadline kill.
+    ``meshers`` is the service's table of served meshers; every worker
+    is spawned with a pickled copy of it.  Slots spawn lazily (a
+    thread-only workload never pays process startup) and respawn lazily
+    after a crash or deadline kill.
     """
 
-    def __init__(self, n_workers: int, plugins: Optional[tuple] = None,
+    def __init__(self, n_workers: int, meshers: Dict[str, Any],
                  name: str = "mesh-procworker"):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
+        self.meshers = meshers
         self.name = name
         self._ctx = multiprocessing.get_context("spawn")
-        specs = (plugins if plugins is not None
-                 else procworker.plugin_specs_from_env())
-        self._worker_init = {"plugins": specs}
-        #: mesher names the plugins provide — loaded parent-side only
-        #: to learn the *names* (remotability); the instances run in
-        #: the workers.
-        self._plugin_names: FrozenSet[str] = frozenset(
-            procworker.load_plugins(specs)
-        )
         self._slots = [_WorkerSlot(self, i) for i in range(n_workers)]
         self._free: List[_WorkerSlot] = list(self._slots)
         self._cond = threading.Condition()
         self._closed = False
-
-    # -- routing -------------------------------------------------------
-    def remotable(self, request, overlays=()) -> bool:
-        """Can this request run in a worker process?
-
-        Not remotable: requests routed at a mesher overlaid parent-side
-        (tests' fakes live only in this process).  Those fall back to
-        inline execution on the claiming thread — exactly the thread
-        executor's semantics.
-        """
-        from repro.api import MESHER_NAMES
-
-        name = request.resolved_mesher()
-        return name not in overlays and (
-            name in MESHER_NAMES or name in self._plugin_names)
 
     # -- execution -----------------------------------------------------
     def run(self, request, deadline: Optional[float] = None):

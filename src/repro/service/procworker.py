@@ -1,21 +1,19 @@
 """Worker-process side of the process executor.
 
 :func:`worker_main` is the entry point a spawned worker runs: a loop
-over a duplex pipe, one ``("run", body)`` message per job.  For each
-job the worker decodes the :class:`~repro.api.MeshRequest` — the
-block's, for a shard job — from the payload's image arrays and codec
-params (:meth:`MeshRequest.from_params
-<repro.api.MeshRequest.from_params>`), meshes on its own heap, and
-answers ``("ok", {"meta", "arrays"})`` over the same pipe: ``meta`` is
-the JSON-safe part of the result (mesher, stats, metrics, timings),
-``arrays`` the result's ndarrays, pickled — 0.8 ms for a 0.26 MB mesh,
-linear in its size like the meshing itself.  Live objects (the domain,
-the ``Observability`` bundle) never leave the worker.
-
-Extra meshers come from the ``REPRO_WORKER_PLUGINS`` environment
-variable: a comma-separated list of ``module:callable`` specs, each
-callable returning ``{name: mesher}``.  Tests use this to install
-crashing/sleeping meshers *inside* the worker process.
+over a duplex pipe, one ``("run", body)`` message per job.  The worker
+is spawned with the service's table of served meshers (pickled once, at
+spawn); a mesh job names its mesher in that table, and a shard job
+runs the sequential block refiner.  For each job the worker decodes
+the :class:`~repro.api.MeshRequest` — the block's, for a shard job —
+from the payload's image arrays and codec params
+(:meth:`MeshRequest.from_params <repro.api.MeshRequest.from_params>`),
+meshes on its own heap, and answers ``("ok", {"meta", "arrays"})`` over
+the same pipe: ``meta`` is the JSON-safe part of the result (mesher,
+stats, metrics, timings), ``arrays`` the result's ndarrays, pickled —
+0.8 ms for a 0.26 MB mesh, linear in its size like the meshing itself.
+Live objects (the domain, the ``Observability`` bundle) never leave the
+worker.
 
 Failure taxonomy on the wire: ``("transient", str)`` for
 :class:`~repro.service.jobs.TransientMeshError` (the parent re-raises
@@ -25,9 +23,8 @@ anything else.
 
 from __future__ import annotations
 
-import importlib
 import traceback
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -37,41 +34,12 @@ RESULT_FIELDS = (
     "vertices", "tets", "tet_labels", "boundary_faces", "boundary_labels",
 )
 
-PLUGIN_ENV = "REPRO_WORKER_PLUGINS"
-
-
-def load_plugins(specs) -> Dict[str, Any]:
-    """Import each ``module:callable`` spec → merged ``{name: mesher}``.
-
-    Bad specs are skipped (a worker must come up even if a plugin is
-    broken; the job routed at the missing mesher fails cleanly).
-    """
-    meshers: Dict[str, Any] = {}
-    for spec in specs or ():
-        spec = spec.strip()
-        if not spec or ":" not in spec:
-            continue
-        mod_name, _, fn_name = spec.partition(":")
-        try:
-            registry = getattr(importlib.import_module(mod_name), fn_name)()
-            meshers.update(registry)
-        except Exception:
-            continue
-    return meshers
-
-
-def plugin_specs_from_env(environ=None) -> Tuple[str, ...]:
-    import os
-
-    raw = (environ or os.environ).get(PLUGIN_ENV, "")
-    return tuple(s for s in (p.strip() for p in raw.split(",")) if s)
-
 
 def build_payload(request) -> Dict[str, Any]:
     """Parent side: the picklable job body for one request — the image
     arrays beside the request codec's params (:meth:`MeshRequest
-    .to_params <repro.api.MeshRequest.to_params>`).  Only remotable
-    requests reach this (no parent-local overlay mesher).
+    .to_params <repro.api.MeshRequest.to_params>`), whose ``mesher``
+    names an entry of the worker's table.
     """
     image = request.image
     return {
@@ -122,14 +90,8 @@ def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
 
 def _run_mesh(body: Dict[str, Any], meshers: Dict[str, Any]
               ) -> Dict[str, Any]:
-    from repro.api import get_mesher
-
     request = _request(body)
-    name = request.resolved_mesher()
-    mesher = meshers.get(name)
-    if mesher is None:
-        mesher = get_mesher(name)
-    result = mesher.mesh(request)
+    result = meshers[request.resolved_mesher()].mesh(request)
     return {
         "meta": {
             "mesher": result.mesher,
@@ -155,9 +117,9 @@ def _run_one(body: Dict[str, Any], meshers: Dict[str, Any]) -> tuple:
         return ("error", traceback.format_exc())
 
 
-def worker_main(conn, init: Dict[str, Any]) -> None:
-    """Run jobs from ``conn`` until ``("exit",)`` or pipe EOF."""
-    meshers = load_plugins(init.get("plugins"))
+def worker_main(conn, meshers: Dict[str, Any]) -> None:
+    """Run jobs from ``conn`` on the served ``meshers`` until
+    ``("exit",)`` or pipe EOF."""
     while True:
         try:
             msg = conn.recv()
@@ -176,11 +138,8 @@ def worker_main(conn, init: Dict[str, Any]) -> None:
 
 
 __all__ = [
-    "PLUGIN_ENV",
     "RESULT_FIELDS",
     "build_payload",
     "build_shard_payload",
-    "load_plugins",
-    "plugin_specs_from_env",
     "worker_main",
 ]

@@ -1,8 +1,13 @@
 """The meshing service: queue + worker pool + artifact cache + metrics.
 
-:class:`MeshingService` turns the one-shot meshers of :mod:`repro.api`
+:class:`MeshingService` turns one-shot meshers of :mod:`repro.api`
 into a long-running, observable system:
 
+* what it runs is one table of served meshers, fixed when the service
+  is built (by default ``{"sequential": SequentialMesher()}``, the
+  path that carries the paper's guarantees); any other name is
+  refused at :meth:`~MeshingService.submit`, and both executors run
+  the same table;
 * requests are admitted into a bounded :class:`JobQueue` (full queue →
   ``REJECTED``, an explicit outcome, never silent drop);
 * a :class:`WorkerPool` of N threads claims jobs via the
@@ -26,9 +31,9 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Mapping, Optional
 
-from repro.api import MESHER_NAMES, MeshRequest, MeshResult, get_mesher
+from repro.api import Mesher, MeshRequest, MeshResult, SequentialMesher
 from repro.observability import Observability, ObservabilityConfig
 from repro.service.cache import ArtifactCache
 from repro.service.coalesce import CoalesceRegistry
@@ -69,7 +74,9 @@ RETRY_BACKOFF_CAP = 2.0
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one service instance."""
+    """Tunables of one service instance.  Which meshers it serves is
+    not a tunable: that is the table :class:`MeshingService` is built
+    with."""
 
     n_workers: int = 4
     queue_capacity: int = 64
@@ -110,15 +117,24 @@ class ServiceConfig:
 
 
 class MeshingService:
-    """Long-running meshing service over the :mod:`repro.api` meshers.
+    """Long-running meshing service over one table of served meshers.
 
-    Start with :meth:`start` (or use as a context manager), feed it
+    ``meshers`` maps each served name to its mesher (default
+    ``{"sequential": SequentialMesher()}``; ``"auto"`` resolves to
+    ``"sequential"``).  The thread executor calls the table in-process;
+    the process executor pickles it into every worker it spawns, so a
+    fake a test passes here runs in the workers too.  Start with
+    :meth:`start` (or use as a context manager), feed it
     :class:`~repro.api.MeshRequest` objects through :meth:`submit` /
     :meth:`mesh`, and stop with :meth:`shutdown`.  Thread-safe.
     """
 
-    def __init__(self, config: Optional[ServiceConfig] = None):
+    def __init__(self, config: Optional[ServiceConfig] = None,
+                 meshers: Optional[Mapping[str, Mesher]] = None):
         self.config = config or ServiceConfig()
+        self.meshers: Dict[str, Mesher] = (
+            {"sequential": SequentialMesher()} if meshers is None
+            else dict(meshers))
         cfg = self.config
         self.obs = Observability.from_config(
             ObservabilityConfig(tracing=cfg.tracing)
@@ -147,7 +163,6 @@ class MeshingService:
         self._retired: Deque[Job] = deque()
         self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._meshers: Dict[str, object] = {}
         self._started = False
         self._closed = False
 
@@ -158,7 +173,8 @@ class MeshingService:
         self._started = True
         self.registry.gauge("service.workers").set(self.config.n_workers)
         if self.executor == "process":
-            self._proc_pool = ProcessWorkerPool(self.config.n_workers)
+            self._proc_pool = ProcessWorkerPool(self.config.n_workers,
+                                                self.meshers)
         self.pool.start()
         return self
 
@@ -187,21 +203,6 @@ class MeshingService:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # -- mesher registry -----------------------------------------------
-    def register_mesher(self, name: str, mesher: object) -> None:
-        """Overlay a mesher (tests inject fakes; plugins add backends).
-
-        Overlay names win over the built-in :func:`repro.api.get_mesher`
-        registry for this service only.
-        """
-        self._meshers[name] = mesher
-
-    def _mesher(self, name: str):
-        overlay = self._meshers.get(name)
-        if overlay is not None:
-            return overlay
-        return get_mesher(name)
-
     # -- submission ----------------------------------------------------
     def submit(self, request: MeshRequest,
                deadline: Optional[float] = None) -> Job:
@@ -210,13 +211,16 @@ class MeshingService:
         ``deadline`` is seconds-from-now; it covers queue wait *and*
         run time.  A full (or shut-down) queue yields a ``REJECTED``
         job, not an exception — admission control is an outcome the
-        caller inspects, and the metrics count it.
+        caller inspects, and the metrics count it.  A request the
+        service cannot run — a mesher outside its table, or one
+        :meth:`MeshRequest.validate <repro.api.MeshRequest.validate>`
+        refuses — raises ``ValueError`` before any job or key exists.
         """
-        if request.mesher == "auto" or (
-            request.mesher in MESHER_NAMES
-            and request.mesher not in self._meshers
-        ):
-            request.validate()
+        if request.resolved_mesher() not in self.meshers:
+            raise ValueError(
+                f"unknown mesher {request.mesher!r}; this service serves "
+                f"{tuple(self.meshers)}")
+        request.validate()
         if request.shards is not None:
             # Normalise to a resolved, capped integer *before* any
             # cache key is computed, so the key reflects what will run.
@@ -517,14 +521,9 @@ class MeshingService:
             self.cache.unpin_mesh(keys[1])
 
     def _run_mesher(self, job: Job, request: MeshRequest) -> MeshResult:
-        """Dispatch one mesher run to the active executor.
-
-        Requests routed at a parent-side overlay mesher, which the
-        process pool cannot carry, run inline on the claiming thread —
-        thread-executor semantics, per job instead of per service.
-        """
-        if (request.resolved_shards() > 1
-                and request.resolved_mesher() not in self._meshers):
+        """Dispatch one mesher run to the active executor: a worker
+        process, or the served table on the claiming thread."""
+        if request.resolved_shards() > 1:
             from repro.delaunay.shard import ShardingUnavailable
             from repro.service.shards import run_sharded_job
 
@@ -533,12 +532,10 @@ class MeshingService:
             except ShardingUnavailable:
                 pass  # the plain path below is equivalent
         pool = self._proc_pool
-        if pool is not None and pool.remotable(request, self._meshers):
+        if pool is not None:
             self.registry.counter("service.jobs.remote").inc()
             return pool.run(request, deadline=job.deadline)
-        if pool is not None:
-            self.registry.counter("service.jobs.inline").inc()
-        return self._mesher(request.resolved_mesher()).mesh(request)
+        return self.meshers[request.resolved_mesher()].mesh(request)
 
     # -- reporting -----------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:

@@ -1,8 +1,9 @@
-"""Worker-process plugin meshers for the process-executor tests.
+"""Picklable fake meshers for the process-executor tests.
 
-Loaded *inside* spawned workers through the ``REPRO_WORKER_PLUGINS``
-environment variable (``procplugins:register``), which is the only way
-to install a misbehaving mesher in a process the test does not own.
+They reach spawned workers through the service's table of served
+meshers (:data:`MESHERS`, passed as ``MeshingService(config,
+meshers=MESHERS)``), which every worker is spawned with — so a
+misbehaving mesher runs in a process the test does not own.
 ``crashy`` kills the worker without cleanup (the hardest failure the
 pool must survive); ``sleepy`` blocks long enough to trip any deadline;
 ``big`` answers with a mesh many pipe buffers long; ``replybomb``
@@ -13,6 +14,8 @@ import os
 import time
 
 import numpy as np
+
+from repro.api import SequentialMesher
 
 
 class _CrashyMesher:
@@ -71,6 +74,7 @@ class _ReplyBombMesher:
                           timings={"wall_seconds": 0.0})
 
 
-def register():
-    return {"crashy": _CrashyMesher(), "sleepy": _SleepyMesher(),
-            "big": _BigMesher(), "replybomb": _ReplyBombMesher()}
+#: The fault tests' served table: the real mesher beside the fakes.
+MESHERS = {"sequential": SequentialMesher(), "crashy": _CrashyMesher(),
+           "sleepy": _SleepyMesher(), "big": _BigMesher(),
+           "replybomb": _ReplyBombMesher()}

@@ -101,6 +101,18 @@ class TestMeshRequest:
                 mesh(MeshRequest(image=image, mesher="threaded",
                                  **{knob: "bogus"}))
 
+    def test_parallel_knobs_are_library_fields(self, image, results):
+        """The codec does not carry them; :func:`mesh` still reads them."""
+        with pytest.raises(ValueError, match="unknown param 'n_threads'"):
+            MeshRequest.from_params(image, {"n_threads": 2})
+        request = MeshRequest(image=image, delta=3.0, mesher="threaded",
+                              n_threads=2)
+        request.validate()
+        assert "n_threads" not in request.to_params()
+        # the ``results`` fixture meshed this very request
+        assert results["threaded"].ok
+        assert results["threaded"].stats["n_threads"] == 2
+
     def test_observability_config_defaults_off(self, image):
         req = MeshRequest(image=image)
         assert req.observability.tracing is False
@@ -142,14 +154,15 @@ _REQUESTS = st.fixed_dictionaries(_FIELDS).map(
 
 
 def _meshed(r):
-    """What determines the mesh, resolved by hand: everything but the
-    timeout and the observability config."""
+    """What determines a served mesh, resolved by hand: everything but
+    the timeout, the observability config and the parallel knobs only
+    :func:`repro.api.mesh` reads."""
     shards = r.resolved_shards()
     return (r.resolved_mesher(),
             None if r.delta is None else float(r.delta),
             float(r.radius_edge_bound), float(r.planar_angle_bound_deg),
-            r.size_function, r.n_threads, r.cm, r.lb, r.hyperthreading,
-            r.seed, shards, r.incremental and shards > 1, r.max_operations)
+            r.size_function, shards, r.incremental and shards > 1,
+            r.max_operations)
 
 
 class TestRequestCodec:

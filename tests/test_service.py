@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import MeshRequest
+from repro.api import MESHER_NAMES, MeshRequest, SequentialMesher
 from repro.imaging import sphere_phantom
 from repro.service import (
     InProcessClient,
@@ -30,6 +30,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     TransientMeshError,
+    cache_keys,
     connect,
 )
 
@@ -47,7 +48,7 @@ def template_result(image):
 
 
 class FakeMesher:
-    """Scriptable mesher for overlay injection."""
+    """Scriptable mesher served as ``fake`` (see :func:`fake_service`)."""
 
     name = "fake"
 
@@ -74,9 +75,20 @@ class FakeMesher:
         return self.result
 
 
-def fake_request(image, seed=0, delta=3.0):
-    """A request routed to the 'fake' overlay mesher."""
-    return MeshRequest(image=image, delta=delta, mesher="fake", seed=seed)
+def fake_request(image, variant=0):
+    """A request routed to the 'fake' mesher; each ``variant`` is its
+    own request key."""
+    return MeshRequest(image=image, delta=3.0 + 0.001 * variant,
+                       mesher="fake")
+
+
+def fake_service(mesher, **cfg):
+    """A started service serving ``sequential`` and ``mesher`` as
+    ``fake``.  The fakes hold locks and events, which do not pickle
+    into a worker process, so it runs the thread executor."""
+    cfg.setdefault("executor", "thread")
+    return MeshingService(ServiceConfig(**cfg), meshers={
+        "sequential": SequentialMesher(), "fake": mesher}).start()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +223,59 @@ class TestArtifactCacheByteBudget:
 
 
 # ---------------------------------------------------------------------------
+# the served table
+# ---------------------------------------------------------------------------
+
+class TestServedTable:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_default_table_serves_sequential_alone(self, image, executor):
+        """``sequential`` is the one served mesher and ``auto`` resolves
+        to it; every other name is refused at submit, before any job or
+        key exists, on either executor."""
+        with MeshingService(ServiceConfig(
+                n_workers=1, executor=executor)) as service:
+            assert list(service.meshers) == ["sequential"]
+            for name in [n for n in MESHER_NAMES if n != "sequential"] + [
+                    "bogus"]:
+                with pytest.raises(ValueError,
+                                   match=r"serves \('sequential',\)"):
+                    service.submit(MeshRequest(image=image, delta=3.0,
+                                               mesher=name))
+            assert service.job("job-000001") is None
+            counters = service.metrics_snapshot()["counters"]
+            assert "service.jobs.submitted" not in counters
+            job = service.submit(MeshRequest(image=image, delta=3.0))
+            assert job.wait(120.0) and job.state is JobState.DONE
+            assert job.result.mesher == "sequential"
+
+    def test_parallel_knobs_do_not_split_the_key(self, image,
+                                                 template_result):
+        """``seed`` and ``n_threads`` are not served: requests that
+        differ only there share one request key, so a concurrent
+        duplicate coalesces and a later one is a memory hit."""
+        base = MeshRequest(image=image, delta=3.0)
+        seeded = MeshRequest(image=image, delta=3.0, seed=7)
+        threaded = MeshRequest(image=image, delta=3.0, n_threads=4)
+        assert cache_keys(seeded) == cache_keys(base)
+        assert cache_keys(threaded) == cache_keys(base)
+        gate = threading.Event()
+        mesher = FakeMesher(template_result, block_event=gate)
+        with MeshingService(ServiceConfig(n_workers=2, executor="thread"),
+                            meshers={"sequential": mesher}) as service:
+            try:
+                leader = service.submit(base)
+                follower = service.submit(seeded)
+            finally:
+                gate.set()
+            assert leader.wait(30.0) and follower.wait(30.0)
+            assert (leader.tier, follower.tier) == ("full_mesh",
+                                                    "coalesced")
+            later = service.submit(threaded)
+            assert later.wait(30.0) and later.tier == "memory_hit"
+            assert mesher.calls == 1
+
+
+# ---------------------------------------------------------------------------
 # concurrency soak
 # ---------------------------------------------------------------------------
 
@@ -222,17 +287,15 @@ class TestConcurrentMixedWorkload:
         # coalesce off: this test is about queue overflow, and the 6
         # distinct request keys would otherwise absorb all 36 jobs
         # into 6 runs with nothing left to reject.
-        cfg = ServiceConfig(n_workers=4, queue_capacity=16,
-                            max_retries=2, retry_backoff=0.001,
-                            coalesce=False)
-        service = MeshingService(cfg).start()
         flaky = FakeMesher(template_result, delay=0.01, fail_first=3)
-        service.register_mesher("fake", flaky)
+        service = fake_service(flaky, n_workers=4, queue_capacity=16,
+                               max_retries=2, retry_backoff=0.001,
+                               coalesce=False)
         try:
             jobs = []
             for i in range(36):
                 jobs.append(service.submit(
-                    fake_request(image, seed=i % 6)))
+                    fake_request(image, variant=i % 6)))
             for job in jobs:
                 assert job.wait(30.0), f"{job.id} not terminal (deadlock?)"
             states = [j.state for j in jobs]
@@ -255,14 +318,13 @@ class TestConcurrentMixedWorkload:
 
     def test_submissions_from_many_threads(self, image, template_result):
         """Admission itself is thread-safe: parallel submitters."""
-        service = MeshingService(ServiceConfig(
-            n_workers=4, queue_capacity=64)).start()
-        service.register_mesher("fake", FakeMesher(template_result))
+        service = fake_service(FakeMesher(template_result),
+                               n_workers=4, queue_capacity=64)
         jobs, lock = [], threading.Lock()
 
         def submitter(k):
             for i in range(8):
-                j = service.submit(fake_request(image, seed=k * 100 + i))
+                j = service.submit(fake_request(image, variant=k * 100 + i))
                 with lock:
                     jobs.append(j)
 
@@ -293,11 +355,9 @@ class TestCancelRace:
         job cancelled before pickup must never run."""
         gate = threading.Event()
         blocking = FakeMesher(template_result, block_event=gate)
-        service = MeshingService(ServiceConfig(
-            n_workers=1, queue_capacity=8)).start()
-        service.register_mesher("fake", blocking)
+        service = fake_service(blocking, n_workers=1, queue_capacity=8)
         try:
-            wedge = service.submit(fake_request(image, seed=1))
+            wedge = service.submit(fake_request(image, variant=1))
             # Wait until the worker has actually claimed the wedge job.
             for _ in range(200):
                 if wedge.state is JobState.RUNNING:
@@ -305,7 +365,7 @@ class TestCancelRace:
                 time.sleep(0.005)
             assert wedge.state is JobState.RUNNING
 
-            victim = service.submit(fake_request(image, seed=2))
+            victim = service.submit(fake_request(image, variant=2))
             assert victim.state is JobState.QUEUED
             calls_before = blocking.calls
             assert service.cancel(victim.id) is True
@@ -325,9 +385,8 @@ class TestCancelRace:
 
     def test_cancel_loses_to_running_job(self, image, template_result):
         gate = threading.Event()
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
-        service.register_mesher(
-            "fake", FakeMesher(template_result, block_event=gate))
+        service = fake_service(
+            FakeMesher(template_result, block_event=gate), n_workers=1)
         try:
             job = service.submit(fake_request(image))
             for _ in range(200):
@@ -410,9 +469,8 @@ class TestJobRetention:
         from repro.service.service import RETAINED_TERMINAL_JOBS
 
         gate = threading.Event()
-        service = MeshingService(ServiceConfig(n_workers=2)).start()
-        service.register_mesher(
-            "fake", FakeMesher(template_result, block_event=gate))
+        service = fake_service(
+            FakeMesher(template_result, block_event=gate), n_workers=2)
         try:
             parent = service.submit(fake_request(image))
             sub = service._register_subjob(f"{parent.id}/s0", parent)
@@ -442,10 +500,9 @@ class TestJobRetention:
 class TestInProcessClientFacade:
     def test_mesh_raises_service_error_on_failure(self, image,
                                                   template_result):
-        service = MeshingService(ServiceConfig(
-            n_workers=1, max_retries=0)).start()
-        service.register_mesher("fake", FakeMesher(
-            template_result, fail_first=99, exc_type=ValueError))
+        service = fake_service(FakeMesher(
+            template_result, fail_first=99, exc_type=ValueError),
+            n_workers=1, max_retries=0)
         client = InProcessClient(service=service)
         try:
             with pytest.raises(ServiceError) as exc_info:

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import MeshRequest
+from repro.api import MeshRequest, SequentialMesher
 from repro.imaging import sphere_phantom
 from repro.service import (
     JobState,
@@ -68,8 +68,11 @@ class GatedMesher:
         return self.result
 
 
-def fake_request(image, seed=0):
-    return MeshRequest(image=image, delta=3.0, mesher="fake", seed=seed)
+def fake_request(image, variant=0):
+    """A request routed to the 'fake' mesher; each ``variant`` is its
+    own request key."""
+    return MeshRequest(image=image, delta=3.0 + 0.001 * variant,
+                       mesher="fake")
 
 
 def wait_running(job, timeout=5.0):
@@ -82,11 +85,16 @@ def wait_running(job, timeout=5.0):
 
 
 def make_service(template_result, mesher=None, **cfg):
+    """A started service serving ``sequential`` and ``mesher`` as
+    ``fake``.  A :class:`GatedMesher` holds a lock and an event, which
+    do not pickle into a worker process, so it runs the thread
+    executor."""
     cfg.setdefault("n_workers", 2)
-    service = MeshingService(ServiceConfig(**cfg)).start()
+    cfg.setdefault("executor", "thread")
+    meshers = {"sequential": SequentialMesher()}
     if mesher is not None:
-        service.register_mesher("fake", mesher)
-    return service
+        meshers["fake"] = mesher
+    return MeshingService(ServiceConfig(**cfg), meshers=meshers).start()
 
 
 class TestColdBurst:
@@ -158,8 +166,8 @@ class TestColdBurst:
         service = make_service(template_result,
                                GatedMesher(template_result))
         try:
-            a = service.submit(fake_request(image, seed=1))
-            b = service.submit(fake_request(image, seed=2))
+            a = service.submit(fake_request(image, variant=1))
+            b = service.submit(fake_request(image, variant=2))
             assert a.wait(30.0) and b.wait(30.0)
             counters = service.metrics_snapshot()["counters"]
             assert counters.get("service.coalesce.followers", 0) == 0
@@ -274,7 +282,7 @@ class TestLeaderCancelPromotion:
         mesher = GatedMesher(template_result, gate=gate)
         service = make_service(template_result, mesher, n_workers=1)
         try:
-            wedge = service.submit(fake_request(image, seed=99))
+            wedge = service.submit(fake_request(image, variant=99))
             wait_running(wedge)
             leader = service.submit(fake_request(image))
             waiters = [service.submit(fake_request(image))
@@ -324,7 +332,7 @@ class TestShutdownFanout:
         gate = threading.Event()
         mesher = GatedMesher(template_result, gate=gate)
         service = make_service(template_result, mesher, n_workers=1)
-        wedge = service.submit(fake_request(image, seed=99))
+        wedge = service.submit(fake_request(image, variant=99))
         wait_running(wedge)
         leader = service.submit(fake_request(image))
         waiters = [service.submit(fake_request(image)) for _ in range(2)]

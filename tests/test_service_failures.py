@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import MeshRequest, mesh
+from repro.api import MeshRequest, SequentialMesher, mesh
 from repro.imaging import sphere_phantom
 from repro.service import (
     ArtifactCache,
@@ -63,16 +63,28 @@ class SlowMesher:
         return self.result
 
 
-def overlay_request(image, name, seed=0):
-    return MeshRequest(image=image, delta=3.0, mesher=name, seed=seed)
+def fake_request(image, name, variant=0):
+    """A request routed to the fake mesher ``name``; each ``variant``
+    is its own request key."""
+    return MeshRequest(image=image, delta=3.0 + 0.001 * variant,
+                       mesher=name)
+
+
+def fake_service(name, mesher, **cfg):
+    """A started service serving ``sequential`` and ``mesher`` as
+    ``name``, on the thread executor: a fake defined in a test body
+    does not pickle into a worker process."""
+    cfg.setdefault("n_workers", 1)
+    cfg.setdefault("executor", "thread")
+    return MeshingService(ServiceConfig(**cfg), meshers={
+        "sequential": SequentialMesher(), name: mesher}).start()
 
 
 class TestWorkerCrash:
     def test_crash_fails_job_with_traceback(self, image):
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
-        service.register_mesher("crash", CrashingMesher())
+        service = fake_service("crash", CrashingMesher())
         try:
-            job = service.submit(overlay_request(image, "crash"))
+            job = service.submit(fake_request(image, "crash"))
             assert job.wait(10.0)
             assert job.state is JobState.FAILED
             assert "synthetic mesher explosion" in job.error
@@ -97,11 +109,10 @@ class TestWorkerCrash:
                 AlwaysTransient.calls += 1
                 raise TransientMeshError("still flaky")
 
-        service = MeshingService(ServiceConfig(
-            n_workers=1, max_retries=2, retry_backoff=0.001)).start()
-        service.register_mesher("flaky", AlwaysTransient())
+        service = fake_service("flaky", AlwaysTransient(), max_retries=2,
+                               retry_backoff=0.001)
         try:
-            job = service.submit(overlay_request(image, "flaky"))
+            job = service.submit(fake_request(image, "flaky"))
             assert job.wait(10.0)
             assert job.state is JobState.FAILED
             assert "still flaky" in job.error
@@ -116,13 +127,11 @@ class TestWorkerCrash:
 class TestDeadlines:
     def test_deadline_expires_while_queued(self, image, template_result):
         """A job whose deadline passes in the queue is never run."""
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
-        slow = SlowMesher(template_result, 0.3)
-        service.register_mesher("slow", slow)
+        service = fake_service("slow", SlowMesher(template_result, 0.3))
         try:
-            wedge = service.submit(overlay_request(image, "slow", seed=1))
+            wedge = service.submit(fake_request(image, "slow", variant=1))
             victim = service.submit(
-                overlay_request(image, "slow", seed=2), deadline=0.05)
+                fake_request(image, "slow", variant=2), deadline=0.05)
             assert victim.wait(10.0)
             assert victim.state is JobState.TIMED_OUT
             assert "queued" in victim.error
@@ -133,10 +142,9 @@ class TestDeadlines:
             service.shutdown()
 
     def test_deadline_expires_during_run(self, image, template_result):
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
-        service.register_mesher("slow", SlowMesher(template_result, 0.2))
+        service = fake_service("slow", SlowMesher(template_result, 0.2))
         try:
-            job = service.submit(overlay_request(image, "slow"),
+            job = service.submit(fake_request(image, "slow"),
                                  deadline=0.05)
             assert job.wait(10.0)
             assert job.state is JobState.TIMED_OUT
@@ -152,12 +160,11 @@ class TestDeadlines:
 class TestAdmissionControl:
     def test_overflow_is_rejected_not_dropped(self, image, template_result):
         gate_seconds = 0.3
-        service = MeshingService(ServiceConfig(
-            n_workers=1, queue_capacity=2)).start()
-        service.register_mesher(
-            "slow", SlowMesher(template_result, gate_seconds))
+        service = fake_service(
+            "slow", SlowMesher(template_result, gate_seconds),
+            queue_capacity=2)
         try:
-            jobs = [service.submit(overlay_request(image, "slow", seed=i))
+            jobs = [service.submit(fake_request(image, "slow", variant=i))
                     for i in range(6)]
             rejected = [j for j in jobs if j.state is JobState.REJECTED]
             # 1 claimed (or about to be) + 2 queued; at least 3 spill.

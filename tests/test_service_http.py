@@ -19,7 +19,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.api import MeshRequest, MeshResult
+from repro.api import MeshRequest, MeshResult, SequentialMesher
 from repro.core.extract import ExtractedMesh
 from repro.imaging import sphere_phantom
 from repro.service import (
@@ -54,6 +54,27 @@ def service():
     svc = MeshingService(ServiceConfig(n_workers=2)).start()
     yield svc
     svc.shutdown()
+
+
+@pytest.fixture()
+def serving():
+    """Start services that serve ``sequential`` beside the given fakes.
+    The fakes close over events, which do not pickle into a worker
+    process, so each runs the thread executor; all are shut down after
+    the test."""
+    started = []
+
+    def start(fakes, **cfg):
+        cfg.setdefault("n_workers", 2)
+        cfg.setdefault("executor", "thread")
+        svc = MeshingService(ServiceConfig(**cfg), meshers=dict(
+            sequential=SequentialMesher(), **fakes)).start()
+        started.append(svc)
+        return svc
+
+    yield start
+    for svc in started:
+        svc.shutdown()
 
 
 @pytest.fixture()
@@ -169,8 +190,8 @@ class TestGatewayRoutes:
         ("image", {"image": {"labels": [[[0, -1]]]}}),
         ("image_b64", {"image_b64": npz_b64(
             np.full((4, 4, 4), 40000, dtype=np.uint16))}),
-        # Names the runtime does not know: refused at the door, not a
-        # FAILED job on the simulator and a silent ``rws`` on threads.
+        # Parallel knobs are not on the wire: an unknown param, refused
+        # at the door.
         ("cm", {"params": {"mesher": "threaded", "cm": "bogus"}}),
         ("lb", {"params": {"mesher": "simulated", "lb": "bogus"}}),
         # A boolean is not a number, and json reads NaN / Infinity: the
@@ -191,6 +212,10 @@ class TestGatewayRoutes:
         # Sized and sharded: a block's crop would size by its own EDT.
         ("size_function", {"params": {"shards": 2, "size_function": {
             "kind": "constant", "value": 3.0}}}),
+        # A mesher the service does not serve: refused before any job,
+        # key or pin exists, not a FAILED job.
+        ("mesher", {"params": {"mesher": "bogus"}}),
+        ("mesher", {"params": {"mesher": "threaded"}}),
     ])
     def test_malformed_request_is_400_not_500(
             self, service, image, field, body):
@@ -279,7 +304,7 @@ class TestGatewayRoutes:
         status, out, _ = gw.handle(
             "POST", "/v1/mesh",
             body=mesh_body(image, wait=False,
-                           params={"mesher": "fake", "seed": 1}))
+                           params={"mesher": "fake", "delta": 3.001}))
         wedge = service.job(out["id"])
         # The victim must land in the 1-slot queue, not be rejected
         # from it — wait until the worker has claimed the wedge.
@@ -291,7 +316,7 @@ class TestGatewayRoutes:
         status, out, _ = gw.handle(
             "POST", "/v1/mesh",
             body=mesh_body(image, wait=False,
-                           params={"mesher": "fake", "seed": 2}))
+                           params={"mesher": "fake", "delta": 3.002}))
         victim = out["id"]
         status, out, _ = gw.handle("DELETE", f"/v1/jobs/{victim}")
         assert status == 200 and out["ok"] is True
@@ -303,7 +328,8 @@ class TestGatewayRoutes:
         service, gate = template_block
         gw = MeshGateway(service)
         bodies = [mesh_body(image, wait=False,
-                            params={"mesher": "fake", "seed": s})
+                            params={"mesher": "fake",
+                                    "delta": 3.0 + 0.001 * s})
                   for s in range(1, 5)]
         results = [gw.handle("POST", "/v1/mesh", body=b) for b in bodies]
         gate.set()
@@ -421,7 +447,7 @@ class TestResultETag:
 
 
 @pytest.fixture()
-def template_block(image):
+def template_block(image, serving):
     """A 1-worker/1-slot service wedged on a gated fake mesher."""
     from repro.api import mesh as run_mesh
     template = run_mesh(MeshRequest(image=image, delta=3.0,
@@ -433,12 +459,10 @@ def template_block(image):
             gate.wait(10.0)
             return template
 
-    svc = MeshingService(ServiceConfig(
-        n_workers=1, queue_capacity=1, coalesce=False)).start()
-    svc.register_mesher("fake", Gated())
+    svc = serving({"fake": Gated()}, n_workers=1, queue_capacity=1,
+                  coalesce=False)
     yield svc, gate
     gate.set()
-    svc.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +505,12 @@ class TestHttpServerAndClient:
                 metrics = client.metrics()
                 assert "slo" in metrics
 
-    def test_mesh_failure_raises_service_error(self, service, image):
+    def test_mesh_failure_raises_service_error(self, serving, image):
         class Broken:
             def mesh(self, request):
                 raise ValueError("kaput")
 
-        service.register_mesher("fake", Broken())
+        service = serving({"fake": Broken()})
         with MeshHTTPServer(service) as server:
             with connect(server.url) as client:
                 with pytest.raises(ServiceError, match="FAILED"):
@@ -585,7 +609,7 @@ class TestHttpServerAndClient:
         assert counters["service.cache.hit"] == 2
         assert counters["service.cache.miss"] == 1
 
-    def test_concurrent_http_duplicates_coalesce(self, service, image):
+    def test_concurrent_http_duplicates_coalesce(self, serving, image):
         """The burst crosses the real transport: identical concurrent
         POSTs still share one run."""
         gate = threading.Event()
@@ -600,7 +624,7 @@ class TestHttpServerAndClient:
                                             delta=3.0,
                                             mesher="sequential"))
 
-        service.register_mesher("fake", Gated())
+        service = serving({"fake": Gated()})
         with MeshHTTPServer(service) as server:
             clients = [HttpClient(*server.address) for _ in range(4)]
             try:
@@ -648,7 +672,7 @@ def big_result(n_vertices=4000):
 
 
 class Canned:
-    """Overlay mesher returning one prepared result, maybe late."""
+    """Fake mesher returning one prepared result, maybe late."""
 
     def __init__(self, result, delay=0.0):
         self.result = result
@@ -700,8 +724,8 @@ class CountingClient(HttpClient):
 
 class TestTransport:
     def test_nodelay_and_a_single_write_per_response(
-            self, service, image, wire_log):
-        service.register_mesher("big", Canned(big_result()))
+            self, serving, image, wire_log):
+        service = serving({"big": Canned(big_result())})
         with MeshHTTPServer(service) as server:
             with urllib.request.urlopen(server.url + "/healthz",
                                         timeout=10) as resp:
@@ -738,7 +762,7 @@ class TestTransport:
                 assert time.monotonic() - t0 < 5.0
 
     def test_slow_job_falls_back_to_the_wait_loop(
-            self, service, image, monkeypatch):
+            self, serving, image, monkeypatch):
         """A POST cut short by the long-poll cap hands over to
         ``wait()`` + ``?result=1``; the mesh still arrives."""
         from repro.api import mesh as run_mesh
@@ -747,7 +771,7 @@ class TestTransport:
         template = run_mesh(MeshRequest(image=image, delta=3.0,
                                         mesher="sequential"))
         monkeypatch.setattr(http_mod, "MAX_WAIT", 0.1)
-        service.register_mesher("fake", Canned(template, delay=0.5))
+        service = serving({"fake": Canned(template, delay=0.5)})
         with MeshHTTPServer(service) as server:
             with CountingClient(*server.address) as client:
                 result = client.mesh(
@@ -808,9 +832,7 @@ class TestWireBytes:
         assert len(serialisations) == 1
 
     def test_coalesced_follower_answers_the_leaders_result(
-            self, image, tmp_path):
-        service = MeshingService(ServiceConfig(
-            n_workers=2, cache_dir=str(tmp_path))).start()
+            self, image, tmp_path, serving):
         started, gate = threading.Event(), threading.Event()
 
         class Gated:
@@ -822,7 +844,7 @@ class TestWireBytes:
                                             delta=3.0,
                                             mesher="sequential"))
 
-        service.register_mesher("fake", Gated())
+        service = serving({"fake": Gated()}, cache_dir=str(tmp_path))
         body = mesh_body(image, return_mesh=True,
                          params={"mesher": "fake"})
         bodies = []

@@ -12,7 +12,8 @@ These are the end-to-end guarantees of the process executor:
 * nothing is left in ``/dev/shm``, whatever happened.
 
 Workers are spawned processes, so the misbehaving meshers live in
-``tests/procplugins.py`` and travel via ``REPRO_WORKER_PLUGINS``.
+``tests/procplugins.py`` and reach them through the service's table of
+served meshers, which every worker is spawned with.
 """
 
 import os
@@ -29,18 +30,12 @@ from repro.service import (
     ServiceConfig,
     connect,
 )
-from repro.service.procworker import PLUGIN_ENV, RESULT_FIELDS
+from repro.service.procworker import RESULT_FIELDS
+from tests.procplugins import MESHERS, big_mesh
 
 
 def _my_arena_prefix():
     return f"{arena_mod.ARENA_PREFIX}{os.getpid()}-"
-
-
-@pytest.fixture
-def plugin_env(monkeypatch):
-    """Expose tests/procplugins.py to spawned workers."""
-    monkeypatch.syspath_prepend(os.path.dirname(__file__))
-    monkeypatch.setenv(PLUGIN_ENV, "procplugins:register")
 
 
 def _config(tmp_path, **kw):
@@ -125,8 +120,8 @@ class TestProcessExecutorBasics:
             assert [j.tier for j in jobs] == ["full_mesh", "memory_hit"]
             got["process"] = jobs[1].result.mesh
             counters = svc.metrics_snapshot()["counters"]
-            assert counters["service.jobs.remote"] >= 1
-            assert "service.jobs.inline" not in counters
+            # One run, in a worker; the repeat was a hit.
+            assert counters["service.jobs.remote"] == 1
             with pytest.raises(ValueError, match="size_function"):
                 svc.submit(sized(shards=2))
         with MeshingService(_config(tmp_path, executor="thread",
@@ -169,9 +164,10 @@ class TestProcessExecutorSoak:
 
 
 class TestWorkerCrash:
-    def test_crash_fails_job_and_pool_recovers(self, tmp_path, plugin_env):
+    def test_crash_fails_job_and_pool_recovers(self, tmp_path):
         img = sphere_phantom(12)
-        with MeshingService(_config(tmp_path, n_workers=1)) as svc:
+        with MeshingService(_config(tmp_path, n_workers=1),
+                            meshers=MESHERS) as svc:
             crash = svc.submit(MeshRequest(image=img, delta=3.0,
                                            mesher="crashy"))
             crash.wait(240.0)
@@ -186,13 +182,13 @@ class TestWorkerCrash:
             assert ok.state is JobState.DONE
         assert arena_mod.orphaned(_my_arena_prefix()) == []
 
-    def test_worker_dying_while_it_replies_is_a_crash(self, tmp_path,
-                                                      plugin_env):
+    def test_worker_dying_while_it_replies_is_a_crash(self, tmp_path):
         """The mesher returned; the worker dies pickling the reply.
         The parent sees the pipe close, not a reply: FAILED, counted,
         respawned — never a hang."""
         img = sphere_phantom(12)
-        with MeshingService(_config(tmp_path, n_workers=1)) as svc:
+        with MeshingService(_config(tmp_path, n_workers=1),
+                            meshers=MESHERS) as svc:
             bomb = svc.submit(MeshRequest(image=img, mesher="replybomb"))
             assert bomb.wait(240.0)
             assert bomb.state is JobState.FAILED
@@ -206,16 +202,14 @@ class TestWorkerCrash:
 
 
 class TestLongReply:
-    def test_40mb_reply_arrives_intact_under_a_deadline(self, tmp_path,
-                                                        plugin_env):
+    def test_40mb_reply_arrives_intact_under_a_deadline(self, tmp_path):
         """A reply hundreds of pipe buffers long, received while
         ``_await_reply`` polls against a deadline."""
-        from procplugins import big_mesh
-
         want = big_mesh()
         assert sum(getattr(want, f).nbytes for f in RESULT_FIELDS) > 40e6
         with MeshingService(_config(tmp_path, n_workers=1,
-                                    cache_dir=None)) as svc:
+                                    cache_dir=None),
+                            meshers=MESHERS) as svc:
             job = svc.submit(MeshRequest(image=sphere_phantom(12),
                                          mesher="big"), deadline=200.0)
             job.wait(240.0)
@@ -226,9 +220,10 @@ class TestLongReply:
 
 
 class TestDeadline:
-    def test_deadline_kills_worker(self, tmp_path, plugin_env):
+    def test_deadline_kills_worker(self, tmp_path):
         img = sphere_phantom(12)
-        with MeshingService(_config(tmp_path, n_workers=1)) as svc:
+        with MeshingService(_config(tmp_path, n_workers=1),
+                            meshers=MESHERS) as svc:
             job = svc.submit(MeshRequest(image=img, delta=3.0,
                                          mesher="sleepy"),
                              deadline=3.0)
@@ -252,8 +247,7 @@ class TestShmHygiene:
             svc.shutdown()
         assert arena_mod.orphaned(_my_arena_prefix()) == []
 
-    def test_faults_and_shutdown_leave_dev_shm_as_found(self, tmp_path,
-                                                        plugin_env):
+    def test_faults_and_shutdown_leave_dev_shm_as_found(self, tmp_path):
         """A crashed job, a deadline kill and a shutdown: no segment
         of ours, and no other entry either, appears under /dev/shm."""
         try:
@@ -261,7 +255,8 @@ class TestShmHygiene:
         except OSError:
             pytest.skip("no /dev/shm on this platform")
         img = sphere_phantom(12)
-        with MeshingService(_config(tmp_path, n_workers=1)) as svc:
+        with MeshingService(_config(tmp_path, n_workers=1),
+                            meshers=MESHERS) as svc:
             crash = svc.submit(MeshRequest(image=img, mesher="crashy"))
             crash.wait(240.0)
             late = svc.submit(MeshRequest(image=img, mesher="sleepy"),
