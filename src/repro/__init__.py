@@ -17,7 +17,7 @@ EDT, isosurface oracle), :mod:`repro.core` (rules R1-R6 and the
 sequential refiner), :mod:`repro.runtime` (contention managers, begging
 lists), :mod:`repro.parallel` (real threads), :mod:`repro.simnuma`
 (cc-NUMA simulator), :mod:`repro.baselines`, :mod:`repro.metrics`,
-:mod:`repro.postprocess`, :mod:`repro.io`, :mod:`repro.reporting`.
+:mod:`repro.io`, :mod:`repro.reporting`.
 """
 
 __version__ = "1.0.0"

@@ -99,10 +99,11 @@ static const double ORIENT3D_BOUND = (16.0 + 128.0 * EPSILON) * EPSILON;
 static const double INSPHERE_BOUND = (64.0 + 512.0 * EPSILON) * EPSILON;
 
 /* Sign of orient3d(a, b, c, d), or 2 when the filter is inconclusive.
- * Mirrors predicates._orient3d_float term for term; the one exact zero
- * it concludes is four points sharing a coordinate (a zero column: the
- * differences are exact zeros, so the determinant is 0 with no bound to
- * trust).  Every other exact zero stays inconclusive. */
+ * Mirrors the stage-2 permanent bound of predicates.orient3d term for
+ * term; the one exact zero it concludes is four points sharing a
+ * coordinate (a zero column: the differences are exact zeros, so the
+ * determinant is 0 with no bound to trust).  Every other exact zero
+ * stays inconclusive. */
 static int orient3d_f(const double *a, const double *b, const double *c,
                       const double *d)
 {

@@ -192,9 +192,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracing=bool(getattr(args, "trace_out", None)),
         executor=args.executor,
         max_shards=args.max_shards,
-        shard_retries=args.shard_retries,
         memory_cache_bytes=args.memory_cache_bytes,
-        coalesce=not args.no_coalesce,
     )
     service = MeshingService(config).start()
     try:
@@ -353,18 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="where the HTTP gateway listens (POST /v1/mesh, "
                         "GET /v1/jobs/<id>, /healthz, /metricsz); "
                         "default %(default)s, port 0 picks a free one")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="run identical concurrent requests as "
-                        "independent jobs instead of coalescing them "
-                        "onto one mesh run")
     p.add_argument("--retries", type=int, default=2,
                    help="retry budget for transient job failures")
     p.add_argument("--max-shards", type=int, default=None,
                    metavar="N",
                    help="cap the shard count any one job may request")
-    p.add_argument("--shard-retries", type=int, default=1, metavar="N",
-                   help="re-runs granted to a crashed/transient shard "
-                        "(default 1)")
     p.add_argument("--memory-cache-bytes", type=int, default=None,
                    metavar="BYTES",
                    help="bound the in-memory artifact cache by total "

@@ -247,11 +247,6 @@ class RefineDomain:
     # ------------------------------------------------------------------
     # geometric helpers
     # ------------------------------------------------------------------
-    @property
-    def _cc(self) -> np.ndarray:
-        """The circumball store's rows (see :class:`CircumballStore`)."""
-        return self._balls.rows
-
     def surface_distance(self, p: Sequence[float]) -> float:
         """Approximate distance from ``p`` to the isosurface.
 

@@ -44,9 +44,6 @@ class ExtractedMesh:
     def tet_points(self, i: int):
         return [tuple(self.vertices[v]) for v in self.tets[i]]
 
-    def face_points(self, i: int):
-        return [tuple(self.vertices[v]) for v in self.boundary_faces[i]]
-
 
 def extract_mesh(domain) -> ExtractedMesh:
     """Collect the tetrahedra whose circumcenter lies inside the object,

@@ -72,7 +72,3 @@ class PoorElementList:
                 out.append(t)
         self.live_count = max(0, self.live_count - len(out))
         return out
-
-    def note_invalidated(self, n: int = 1) -> None:
-        """Another actor invalidated ``n`` of our entries (counter only)."""
-        self.live_count = max(0, self.live_count - n)

@@ -13,7 +13,7 @@ can lock every vertex an operation reads or writes and roll back on
 conflict, exactly as Section 4.2 of the paper describes.
 """
 
-from repro.delaunay.mesh import DEAD, HULL, MeshArrays, Tet
+from repro.delaunay.mesh import DEAD, HULL, MeshArrays
 from repro.delaunay.triangulation import (
     InsertionError,
     PointLocationError,
@@ -25,7 +25,6 @@ from repro.delaunay.triangulation import (
 __all__ = [
     "Triangulation3D",
     "MeshArrays",
-    "Tet",
     "HULL",
     "DEAD",
     "RollbackSignal",

@@ -67,7 +67,6 @@ operation).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,14 +89,6 @@ def _regrown(old: np.ndarray, cap: int, fill) -> np.ndarray:
     grown = np.full((cap,) + old.shape[1:], fill, dtype=old.dtype)
     grown[: old.shape[0]] = old
     return grown
-
-
-@dataclass(frozen=True)
-class Tet:
-    """Immutable view of a tetrahedron handed to callers."""
-
-    id: int
-    verts: Tuple[int, int, int, int]
 
 
 class MeshArrays:

@@ -170,11 +170,6 @@ class KernelCounters:
         return self.walk_steps / self.locate_calls if self.locate_calls else 0.0
 
     @property
-    def commit_seconds(self) -> float:
-        """Total commit time (wait + work); kept for back-compat."""
-        return self.commit_wait_seconds + self.commit_work_seconds
-
-    @property
     def mean_commit_seconds(self) -> float:
         return self.commit_work_seconds / self.commits if self.commits else 0.0
 

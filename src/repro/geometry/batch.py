@@ -26,59 +26,12 @@ from repro.geometry.predicates import (
     STATS,
     _EPS,
     _INSPHERE_BOUND,
-    _ORIENT3D_BOUND,
     insphere,
     orient3d,
 )
 
 _CC_NUM_ERR = 32.0 * _EPS
 _CC_TEST_ERR = 16.0 * _EPS
-
-
-def orient3d_signs(quads: np.ndarray) -> np.ndarray:
-    """Signs of ``orient3d`` for a batch of point quadruples.
-
-    ``quads`` is ``(k, 4, 3)`` float64; lane ``j`` holds the four points
-    ``a, b, c, d`` of one orientation test.  Returns an ``(k,)`` int
-    array of signs in ``{-1, 0, +1}``, identical to calling the scalar
-    :func:`repro.geometry.predicates.orient3d` per lane.
-    """
-    k = quads.shape[0]
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    STATS.batch_calls += 1
-    STATS.batch_items += k
-    d = quads[:, 3]
-    ad = quads[:, 0] - d
-    bd = quads[:, 1] - d
-    cd = quads[:, 2] - d
-    adx, ady, adz = ad[:, 0], ad[:, 1], ad[:, 2]
-    bdx, bdy, bdz = bd[:, 0], bd[:, 1], bd[:, 2]
-    cdx, cdy, cdz = cd[:, 0], cd[:, 1], cd[:, 2]
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-
-    det = (adz * (bdxcdy - cdxbdy)
-           + bdz * (cdxady - adxcdy)
-           + cdz * (adxbdy - bdxady))
-    permanent = ((np.abs(bdxcdy) + np.abs(cdxbdy)) * np.abs(adz)
-                 + (np.abs(cdxady) + np.abs(adxcdy)) * np.abs(bdz)
-                 + (np.abs(adxbdy) + np.abs(bdxady)) * np.abs(cdz))
-    bound = _ORIENT3D_BOUND * permanent
-    signs = np.where(det > bound, 1, np.where(det < -bound, -1, 0))
-    unsure = np.flatnonzero(np.abs(det) <= bound)
-    if unsure.size:
-        STATS.batch_exact += int(unsure.size)
-        rows = quads[unsure].tolist()
-        for idx, row in zip(unsure.tolist(), rows):
-            signs[idx] = orient3d(tuple(row[0]), tuple(row[1]),
-                                  tuple(row[2]), tuple(row[3]))
-    return signs
 
 
 def insphere_many(
@@ -441,14 +394,3 @@ def quality_screen(
     quads = coords[tet_verts_arr[tet_ids].ravel()].reshape(-1, 4, 3)
     return radius_edge_many(quads), shortest_edges_many(quads)
 
-
-def circumsphere_entries(quads: np.ndarray) -> List[Optional[tuple]]:
-    """Vectorized :func:`repro.geometry.predicates.circumsphere_entry`.
-
-    ``quads`` is ``(k, 4, 3)`` float64 (tet vertex coordinates).
-    Returns one entry tuple — or ``None`` for (near-)degenerate lanes —
-    per tet.  Thin delegate of :func:`new_tet_records` (the orientation
-    byproduct is discarded) so there is exactly one implementation of
-    the record error model.
-    """
-    return new_tet_records(quads)[1]

@@ -119,38 +119,6 @@ class PredicateStats:
 STATS = PredicateStats()
 
 
-def _orient3d_float(ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz):
-    """Float orient3d determinant together with its error permanent."""
-    adx = ax - dx
-    ady = ay - dy
-    adz = az - dz
-    bdx = bx - dx
-    bdy = by - dy
-    bdz = bz - dz
-    cdx = cx - dx
-    cdy = cy - dy
-    cdz = cz - dz
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-
-    det = (
-        adz * (bdxcdy - cdxbdy)
-        + bdz * (cdxady - adxcdy)
-        + cdz * (adxbdy - bdxady)
-    )
-    permanent = (
-        (abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
-        + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
-        + (abs(adxbdy) + abs(bdxady)) * abs(cdz)
-    )
-    return det, permanent
-
-
 def _orient3d_exact(a: Point, b: Point, c: Point, d: Point) -> int:
     adx = Fraction(a[0]) - Fraction(d[0])
     ady = Fraction(a[1]) - Fraction(d[1])

@@ -16,14 +16,7 @@ provides everything the refinement needs from the imaging side:
 from repro.imaging.edt import EDTResult, euclidean_feature_transform
 from repro.imaging.image import SegmentedImage
 from repro.imaging.isosurface import LabelRays, SurfaceOracle, surface_voxel_mask
-from repro.imaging.labelmaps import (
-    compactify_labels,
-    crop_to_foreground,
-    fill_label_holes,
-    relabel,
-    remove_small_components,
-    resample_isotropic,
-)
+from repro.imaging.labelmaps import relabel
 from repro.imaging.synthetic import (
     abdominal_phantom,
     ball_grid_phantom,
@@ -53,9 +46,4 @@ __all__ = [
     "head_neck_phantom",
     "vascular_phantom",
     "relabel",
-    "compactify_labels",
-    "crop_to_foreground",
-    "remove_small_components",
-    "fill_label_holes",
-    "resample_isotropic",
 ]

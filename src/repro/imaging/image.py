@@ -161,10 +161,6 @@ class SegmentedImage:
             return 0
         return self.labels[int(rx), int(ry), int(rz)]
 
-    def is_inside(self, p: Sequence[float]) -> bool:
-        """True when ``p`` falls in a foreground (non-zero label) voxel."""
-        return self.label_at(p) != 0
-
     def labels_at_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`label_at` for an ``(n, 3)`` array of points."""
         pts = np.asarray(pts, dtype=float)

@@ -1,19 +1,8 @@
-"""Segmentation preprocessing utilities.
-
-Clinical label maps rarely arrive mesh-ready: they carry stray islands
-of mislabeled voxels (the paper's Table 6 discussion blames its
-imperfect Hausdorff numbers on "isolated clusters of voxels which seem
-to be artifacts of the segmentation"), non-contiguous label ids, excess
-background margins, and anisotropic spacing.  These helpers cover that
-pre-meshing cleanup.
-"""
+"""Label-map editing: merge, drop or renumber tissues of a segmentation."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy import ndimage
+from typing import Dict
 
 from repro.imaging.image import SegmentedImage
 
@@ -30,113 +19,3 @@ def relabel(image: SegmentedImage, mapping: Dict[int, int]) -> SegmentedImage:
     for src, dst in mapping.items():
         out[image.labels == src] = dst
     return SegmentedImage(out, image.spacing, image.origin)
-
-
-def compactify_labels(image: SegmentedImage) -> SegmentedImage:
-    """Renumber tissues to 1..n in order of first appearance."""
-    out = np.zeros_like(image.labels)
-    next_id = 1
-    for lab in np.unique(image.labels):
-        if lab == 0:
-            continue
-        out[image.labels == lab] = next_id
-        next_id += 1
-    return SegmentedImage(out, image.spacing, image.origin)
-
-
-def crop_to_foreground(image: SegmentedImage, margin_voxels: int = 2
-                       ) -> SegmentedImage:
-    """Trim background borders down to ``margin_voxels`` around tissue.
-
-    Keeps world coordinates consistent by shifting the origin.
-    """
-    fg = np.argwhere(image.labels > 0)
-    if fg.size == 0:
-        raise ValueError("image has no foreground to crop to")
-    lo = np.maximum(fg.min(axis=0) - margin_voxels, 0)
-    hi = np.minimum(fg.max(axis=0) + 1 + margin_voxels, image.shape)
-    cropped = image.labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
-    origin = tuple(
-        image.origin[i] + lo[i] * image.spacing[i] for i in range(3)
-    )
-    return SegmentedImage(cropped, image.spacing, origin)
-
-
-def remove_small_components(image: SegmentedImage, min_voxels: int
-                            ) -> SegmentedImage:
-    """Delete connected tissue components smaller than ``min_voxels``.
-
-    Exactly the "isolated clusters of voxels" cleanup the paper wishes
-    its inputs had; per-label 6-connectivity.
-    """
-    if min_voxels <= 0:
-        raise ValueError("min_voxels must be positive")
-    out = image.labels.copy()
-    structure = ndimage.generate_binary_structure(3, 1)
-    for lab in np.unique(image.labels):
-        if lab == 0:
-            continue
-        comp, n = ndimage.label(image.labels == lab, structure=structure)
-        if n <= 1:
-            continue
-        sizes = ndimage.sum_labels(
-            np.ones_like(comp), comp, index=np.arange(1, n + 1)
-        )
-        for cid, size in enumerate(sizes, start=1):
-            if size < min_voxels:
-                out[comp == cid] = 0
-    return SegmentedImage(out, image.spacing, image.origin)
-
-
-def fill_label_holes(image: SegmentedImage) -> SegmentedImage:
-    """Fill background cavities fully enclosed inside a single tissue.
-
-    Background components that do not touch the image border and whose
-    entire voxel neighborhood is one tissue get that tissue's label
-    (segmentation pinholes); multi-tissue cavities are left alone.
-    """
-    lab = image.labels
-    out = lab.copy()
-    structure = ndimage.generate_binary_structure(3, 1)
-    comp, n = ndimage.label(lab == 0, structure=structure)
-    border_ids = set(np.unique(comp[0, :, :])) | set(np.unique(comp[-1, :, :]))
-    border_ids |= set(np.unique(comp[:, 0, :])) | set(np.unique(comp[:, -1, :]))
-    border_ids |= set(np.unique(comp[:, :, 0])) | set(np.unique(comp[:, :, -1]))
-    dilated = {}
-    for cid in range(1, n + 1):
-        if cid in border_ids:
-            continue
-        mask = comp == cid
-        ring = ndimage.binary_dilation(mask, structure=structure) & ~mask
-        neighbors = set(np.unique(lab[ring])) - {0}
-        if len(neighbors) == 1:
-            out[mask] = neighbors.pop()
-    return SegmentedImage(out, image.spacing, image.origin)
-
-
-def resample_isotropic(image: SegmentedImage,
-                       voxel: Optional[float] = None) -> SegmentedImage:
-    """Nearest-neighbor resample onto an isotropic grid.
-
-    ``voxel`` defaults to the finest input spacing.  Useful before
-    meshing CT stacks whose slice spacing dwarfs the in-plane spacing
-    (the paper's abdominal atlas is 0.96 x 0.96 x 2.4 mm).
-    """
-    if voxel is None:
-        voxel = image.min_spacing
-    if voxel <= 0:
-        raise ValueError("voxel size must be positive")
-    new_shape = tuple(
-        max(1, int(round(image.shape[i] * image.spacing[i] / voxel)))
-        for i in range(3)
-    )
-    idx = [
-        np.minimum(
-            ((np.arange(new_shape[i]) + 0.5) * voxel / image.spacing[i])
-            .astype(np.int64),
-            image.shape[i] - 1,
-        )
-        for i in range(3)
-    ]
-    out = image.labels[np.ix_(idx[0], idx[1], idx[2])]
-    return SegmentedImage(out, (voxel, voxel, voxel), image.origin)

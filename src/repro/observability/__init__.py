@@ -13,7 +13,7 @@ capability of *every* run instead of a per-benchmark re-implementation:
   simulator feed instead of bypass;
 * :mod:`repro.observability.export` — Chrome-trace JSON
   (``chrome://tracing`` / Perfetto loadable) and flat metrics
-  JSON / ASCII table renderers used by ``benchmarks/`` and the CLI.
+  JSON renderers used by ``benchmarks/`` and the CLI.
 
 Usage::
 
@@ -33,7 +33,6 @@ from typing import Dict, Optional
 from repro.observability.export import (
     chrome_trace,
     metrics_json,
-    metrics_table,
     write_chrome_trace,
     write_metrics_json,
 )
@@ -54,12 +53,6 @@ class ObservabilityConfig:
     """What a run should record (carried inside a ``MeshRequest``)."""
 
     tracing: bool = False
-    trace_capacity: int = 65536
-    metrics: bool = True
-
-    @classmethod
-    def off(cls) -> "ObservabilityConfig":
-        return cls(tracing=False, metrics=False)
 
 
 class Observability:
@@ -72,10 +65,7 @@ class Observability:
                  config: Optional[ObservabilityConfig] = None):
         self.config = config or ObservabilityConfig()
         if tracer is None:
-            tracer = (
-                Tracer(capacity=self.config.trace_capacity)
-                if self.config.tracing else NULL_TRACER
-            )
+            tracer = Tracer() if self.config.tracing else NULL_TRACER
         self.tracer = tracer
         self.registry = registry if registry is not None else MetricsRegistry()
 
@@ -83,10 +73,6 @@ class Observability:
     def from_config(cls, config: Optional[ObservabilityConfig]
                     ) -> "Observability":
         return cls(config=config or ObservabilityConfig())
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        return cls(config=ObservabilityConfig.off())
 
     # -- convenience ----------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -118,5 +104,4 @@ __all__ = [
     "write_chrome_trace",
     "metrics_json",
     "write_metrics_json",
-    "metrics_table",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: Chrome-trace JSON and flat metrics JSON / ASCII table.
+"""Exporters: Chrome-trace JSON and flat metrics JSON.
 
 ``chrome://tracing`` (and Perfetto) load the JSON object format::
 
@@ -63,49 +63,3 @@ def write_metrics_json(registry: MetricsRegistry, path: str,
     with open(path, "w") as fh:
         json.dump(metrics_json(registry, extra), fh, indent=2, sort_keys=True)
 
-
-def metrics_table(registry: MetricsRegistry) -> str:
-    """Human-readable ASCII rendering of a metrics snapshot."""
-    snap = registry.snapshot()
-    lines: List[str] = []
-    if snap["counters"]:
-        lines.append("counters")
-        for name, value in sorted(snap["counters"].items()):
-            lines.append(f"  {name:<44} {_fmt(value)}")
-    if snap["gauges"]:
-        lines.append("gauges")
-        for name, value in sorted(snap["gauges"].items()):
-            lines.append(f"  {name:<44} {_fmt(value)}")
-    if snap["histograms"]:
-        lines.append("histograms")
-        for name, h in sorted(snap["histograms"].items()):
-            mean = h["sum"] / h["count"] if h["count"] else 0.0
-            lines.append(
-                f"  {name:<44} count={h['count']} mean={mean:.4g}"
-            )
-            bar = _bucket_bar(h["buckets"], h["counts"])
-            if bar:
-                lines.append(f"    {bar}")
-    return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return f"{value:,}"
-
-
-def _bucket_bar(buckets: List[float], counts: List[int],
-                width: int = 40) -> str:
-    total = sum(counts)
-    if not total:
-        return ""
-    peak = max(counts)
-    cells = []
-    blocks = " .:-=+*#%@"
-    for c in counts:
-        level = 0 if peak == 0 else int((len(blocks) - 1) * c / peak)
-        cells.append(blocks[level])
-    lo = f"<= {buckets[0]:.3g}"
-    hi = f"> {buckets[-1]:.3g}"
-    return f"[{''.join(cells[:width])}] {lo} .. {hi}"

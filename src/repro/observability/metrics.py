@@ -92,10 +92,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        with self._lock:
-            self.value -= amount
-
 
 class Histogram:
     """Fixed-boundary histogram (cumulative-free, per-bucket counts).

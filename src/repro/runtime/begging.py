@@ -86,9 +86,6 @@ class BeggingList:
             obs.registry.counter("lb.work_received").inc()
         return got or not self.shared.done
 
-    def describe(self) -> str:
-        return self.name
-
     # -- giver side -----------------------------------------------------
     def pop_beggar(self, giver: int) -> Optional[int]:
         """Pick the beggar the giver should serve (FIFO for RWS)."""

@@ -39,10 +39,6 @@ class Placement:
         return tid // self.threads_per_blade
 
     @property
-    def n_sockets(self) -> int:
-        return (self.n_threads + self.threads_per_socket - 1) // self.threads_per_socket
-
-    @property
     def n_blades(self) -> int:
         return (self.n_threads + self.threads_per_blade - 1) // self.threads_per_blade
 
@@ -56,13 +52,3 @@ def flat_placement(n_threads: int) -> Placement:
         sockets_per_blade=1,
     )
 
-
-def blacklight_placement(n_threads: int, hyperthreading: bool = False
-                         ) -> Placement:
-    """Blacklight's topology from Table 2 (Intel Xeon X7560)."""
-    return Placement(
-        n_threads=n_threads,
-        cores_per_socket=8,
-        sockets_per_blade=2,
-        threads_per_core=2 if hyperthreading else 1,
-    )

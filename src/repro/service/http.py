@@ -297,7 +297,7 @@ class MeshGateway:
         if mesh_job is None:
             return payload
         # ``out`` is never empty here, so the envelope ends in "}".
-        if mesh_job.keys is None:  # coalescing is off
+        if mesh_job.keys is None:  # submit could not key the job
             mesh = mesh_json_bytes(mesh_job.result)
         else:
             mesh = self.service.cache.mesh_wire_bytes(
@@ -364,7 +364,6 @@ class MeshGateway:
             "ok": not closed,
             "v": PROTOCOL_VERSION,
             "executor": self.service.executor,
-            "coalesce": self.service._coalesce is not None,
             "image_store": self.images.stats_snapshot(),
         }, {}, None
 

@@ -95,12 +95,6 @@ class ServiceConfig:
     #: resolved value stands); applied at submit time, before cache
     #: keys are computed.
     max_shards: Optional[int] = None
-    #: re-runs granted to a crashed / transiently-failed shard.
-    shard_retries: int = 1
-    #: coalesce identical in-flight requests onto one mesh run
-    #: (:mod:`repro.service.coalesce`); keyed on the content-addressed
-    #: request key, so only provably-identical requests join.
-    coalesce: bool = True
     #: ``"thread"`` or ``"process"``; ``None`` reads the
     #: ``REPRO_EXECUTOR`` environment variable and defaults to
     #: ``"thread"``.  ``"process"`` runs CPU-bound meshing in spawned
@@ -155,9 +149,7 @@ class MeshingService:
         self.executor = cfg.resolved_executor()
         self._proc_pool: Optional[ProcessWorkerPool] = None
         self.slo = SLOTracker(self.registry)
-        self._coalesce: Optional[CoalesceRegistry] = (
-            CoalesceRegistry(self) if cfg.coalesce else None
-        )
+        self._coalesce = CoalesceRegistry(self)
         self._jobs: Dict[str, Job] = {}
         #: terminal submitted jobs, oldest first (see :meth:`_retire`)
         self._retired: Deque[Job] = deque()
@@ -223,11 +215,12 @@ class MeshingService:
         request.validate()
         if request.shards is not None:
             # Normalise to a resolved, capped integer *before* any
-            # cache key is computed, so the key reflects what will run.
+            # cache key is computed, so the key reflects what will run;
+            # on a copy, so the caller's request keeps its own value.
             n = request.resolved_shards()
             if self.config.max_shards is not None:
                 n = min(n, self.config.max_shards)
-            request.shards = max(1, n)
+            request = replace(request, shards=max(1, n))
         if deadline is None:
             deadline = self.config.default_deadline
         abs_deadline = (
@@ -240,7 +233,7 @@ class MeshingService:
         job.add_done_callback(self._retire)
         reg = self.registry
         reg.counter("service.jobs.submitted").inc()
-        if self._coalesce is not None and not self._closed:
+        if not self._closed:
             try:
                 job.keys = cache_keys(request)
             except Exception:

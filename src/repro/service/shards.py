@@ -7,7 +7,7 @@ the service's side of it:
 * :func:`pool_runner` — the runner that fans blocks out over a
   :class:`~repro.service.pool.ProcessWorkerPool`, each bounded by the
   parent job's deadline, with crash isolation: a dead shard re-runs up
-  to the configured retry budget while the other shards keep their
+  to :data:`SHARD_RETRIES` times while the other shards keep their
   results.
 * :func:`run_sharded_job` — one sharded job of a
   :class:`~repro.service.service.MeshingService`: the pool runner when
@@ -32,9 +32,12 @@ from repro.delaunay import shard as shard_mod
 from repro.service.jobs import JobState, TransientMeshError
 from repro.service.pool import ProcessWorkerPool, WorkerCrashed
 
+#: re-runs granted to a crashed / transiently-failed shard.
+SHARD_RETRIES = 1
+
 
 def _run_one_shard(pool: ProcessWorkerPool, request, plan, block,
-                   deadline: Optional[float], retries: int,
+                   deadline: Optional[float],
                    hook: Optional[shard_mod.ShardHook]) -> dict:
     """One block through the pool, with bounded crash/transient re-runs.
 
@@ -52,7 +55,7 @@ def _run_one_shard(pool: ProcessWorkerPool, request, plan, block,
             out = pool.run_shard(request, plan, block, deadline=deadline)
         except (WorkerCrashed, TransientMeshError) as exc:
             crashed = isinstance(exc, WorkerCrashed)
-            if attempt > retries:
+            if attempt > SHARD_RETRIES:
                 if hook is not None:
                     hook("fail", block, {"error": str(exc),
                                          "crashed": crashed})
@@ -74,7 +77,7 @@ def _run_one_shard(pool: ProcessWorkerPool, request, plan, block,
 
 
 def pool_runner(pool: ProcessWorkerPool, request,
-                deadline: Optional[float] = None, retries: int = 1,
+                deadline: Optional[float] = None,
                 hook: Optional[shard_mod.ShardHook] = None
                 ) -> shard_mod.ShardRunner:
     """A :data:`~repro.delaunay.shard.ShardRunner` over ``pool``.
@@ -104,7 +107,7 @@ def pool_runner(pool: ProcessWorkerPool, request,
                 try:
                     outs[pos] = _run_one_shard(
                         pool, request, plan, plan.blocks[i],
-                        deadline, retries, hook)
+                        deadline, hook)
                 except BaseException as exc:
                     with lock:
                         errors.append(exc)
@@ -138,8 +141,7 @@ def run_sharded_job(service, job, request):
     hook = _hook(service, job)
     pool = service._proc_pool
     if pool is not None:
-        runner = pool_runner(pool, request, deadline=job.deadline,
-                             retries=service.config.shard_retries, hook=hook)
+        runner = pool_runner(pool, request, deadline=job.deadline, hook=hook)
     else:
         runner = shard_mod.in_process_runner(request, hook=hook)
     result = shard_mod.mesh_sharded(request, runner=runner,

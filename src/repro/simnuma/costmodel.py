@@ -38,10 +38,6 @@ class MachineSpec:
             threads_per_core=2 if hyperthreading else 1,
         )
 
-    @property
-    def total_cores(self) -> int:
-        return self.cores_per_socket * self.sockets_per_blade * self.n_blades
-
 
 BLACKLIGHT = MachineSpec(
     name="Blacklight",

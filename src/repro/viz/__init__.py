@@ -1,10 +1,10 @@
 """Terminal visualization helpers.
 
-A headless library still needs eyes: these render segmented-image
-slices and mesh cross-sections as ASCII/ANSI text, so users can sanity-
-check inputs and outputs over SSH without a VTK viewer.
+A headless library still needs eyes: this renders segmented-image
+slices as ASCII text, so users can sanity-check inputs over SSH without
+a VTK viewer.
 """
 
-from repro.viz.ascii import render_image_slice, render_mesh_slice
+from repro.viz.ascii import render_image_slice
 
-__all__ = ["render_image_slice", "render_mesh_slice"]
+__all__ = ["render_image_slice"]

@@ -1,4 +1,4 @@
-"""ASCII renderings of image slices and mesh cross-sections."""
+"""ASCII renderings of segmented-image slices."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.extract import ExtractedMesh
 from repro.imaging.image import SegmentedImage
 
 # Distinct glyphs per label; background is '.'.
@@ -45,41 +44,3 @@ def render_image_slice(image: SegmentedImage, k: Optional[int] = None,
         lines.append("".join(_glyph(int(v)) for v in row))
     return "\n".join(lines)
 
-
-def render_mesh_slice(mesh: ExtractedMesh, z: float, width: int = 72,
-                      height: int = 36) -> str:
-    """Render the mesh cross-section at plane ``z`` as text.
-
-    Each character cell shows the label of a tetrahedron whose bounding
-    box straddles the plane and covers the cell center — a quick look at
-    tissue layout, not an exact slice.
-    """
-    if mesh.n_tets == 0:
-        raise ValueError("cannot render an empty mesh")
-    verts = mesh.vertices
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    if not (lo[2] <= z <= hi[2]):
-        raise ValueError(f"z={z} outside mesh range [{lo[2]}, {hi[2]}]")
-
-    grid = np.zeros((height, width), dtype=np.int32)
-    xs = np.linspace(lo[0], hi[0], width)
-    ys = np.linspace(lo[1], hi[1], height)
-
-    for tet, lab in zip(mesh.tets, mesh.tet_labels):
-        pts = verts[tet]
-        zmin, zmax = pts[:, 2].min(), pts[:, 2].max()
-        if not (zmin <= z <= zmax):
-            continue
-        x0, x1 = pts[:, 0].min(), pts[:, 0].max()
-        y0, y1 = pts[:, 1].min(), pts[:, 1].max()
-        ci = np.searchsorted(xs, [x0, x1])
-        cj = np.searchsorted(ys, [y0, y1])
-        grid[cj[0]:cj[1] + 1, ci[0]:ci[1] + 1] = int(lab)
-
-    lines = [f"mesh cross-section at z={z:.2f} "
-             f"({mesh.n_tets} tets, bounds x[{lo[0]:.1f},{hi[0]:.1f}] "
-             f"y[{lo[1]:.1f},{hi[1]:.1f}])"]
-    for row in grid[::-1]:
-        lines.append("".join(_glyph(int(v)) for v in row))
-    return "\n".join(lines)

@@ -1,7 +1,7 @@
 """Full-workflow integration test: the path a downstream user takes.
 
 phantom -> simulated parallel meshing -> extraction -> validation ->
-smoothing -> export -> reload -> re-validate.
+export -> reload -> re-validate.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.imaging import SurfaceOracle, shell_phantom
 from repro.io import load_tetgen, save_tetgen, save_vtk
 from repro.metrics import hausdorff_distance, quality_report
 from repro.metrics.validate import validate_extracted_mesh
-from repro.postprocess import smooth_mesh
 from repro.simnuma import _simulate_parallel_refinement as simulate_parallel_refinement
 
 
@@ -43,18 +42,11 @@ def test_full_workflow(tmp_path, n_threads):
     d = hausdorff_distance(mesh, image, oracle)
     assert d < 3 * 2.5
 
-    # 5. smoothing (fidelity-preserving)
-    smoothed, stats = smooth_mesh(mesh, oracle, iterations=2)
-    assert stats.moves_accepted > 0
-    assert validate_extracted_mesh(smoothed) == []
-    q2 = quality_report(smoothed)
-    assert q2.min_dihedral_deg >= q.min_dihedral_deg - 1e-9
-
-    # 6. export + reload round trip
+    # 5. export + reload round trip
     base = str(tmp_path / "final")
-    save_tetgen(smoothed, base)
-    save_vtk(smoothed, base + ".vtk")
+    save_tetgen(mesh, base)
+    save_vtk(mesh, base + ".vtk")
     verts, tets, labels = load_tetgen(base)
-    np.testing.assert_allclose(verts, smoothed.vertices)
-    np.testing.assert_array_equal(tets, smoothed.tets)
-    np.testing.assert_array_equal(labels, smoothed.tet_labels)
+    np.testing.assert_allclose(verts, mesh.vertices)
+    np.testing.assert_array_equal(tets, mesh.tets)
+    np.testing.assert_array_equal(labels, mesh.tet_labels)

@@ -59,8 +59,3 @@ class TestExamples:
         out = run_example("mesher_comparison.py", ["20"], tmp_path,
                           timeout=400)
         assert "PI2M" in out and "CGAL-like" in out and "TetGen-like" in out
-
-    def test_smoothing_cfd(self, tmp_path):
-        out = run_example("smoothing_cfd.py", ["24"], tmp_path, timeout=400)
-        assert "Smoothing" in out
-        assert (tmp_path / "vascular_smoothed.vtk").exists()

@@ -1,17 +1,9 @@
-"""Tests for segmentation preprocessing utilities."""
+"""Tests for label-map editing."""
 
 import numpy as np
 import pytest
 
-from repro.imaging import SegmentedImage, shell_phantom
-from repro.imaging.labelmaps import (
-    compactify_labels,
-    crop_to_foreground,
-    fill_label_holes,
-    relabel,
-    remove_small_components,
-    resample_isotropic,
-)
+from repro.imaging import SegmentedImage, relabel
 
 
 def block_image():
@@ -39,102 +31,3 @@ class TestRelabel:
         assert img.spacing == (1, 1, 2)
         assert img.origin == (5, 0, -3)
 
-
-class TestCompactify:
-    def test_renumbers(self):
-        base = relabel(block_image(), {1: 7, 2: 12})
-        img = compactify_labels(base)
-        assert set(np.unique(img.labels)) == {0, 1, 2}
-        # geometric layout preserved
-        assert (img.labels > 0).sum() == (base.labels > 0).sum()
-
-
-class TestCrop:
-    def test_crop_shifts_origin(self):
-        img = crop_to_foreground(block_image(), margin_voxels=1)
-        assert img.shape == (8, 8, 8)
-        assert img.origin == (5 + 2, 2, -3 + 2 * 2)
-        # foreground preserved exactly
-        assert (img.labels > 0).sum() == 6 ** 3
-
-    def test_world_coordinates_stable(self):
-        base = block_image()
-        img = crop_to_foreground(base, margin_voxels=2)
-        # a world point inside the inner block keeps its label
-        p = base.voxel_center((5, 5, 5))
-        assert base.label_at(p) == img.label_at(p) == 2
-
-    def test_empty_raises(self):
-        empty = SegmentedImage(np.zeros((4, 4, 4), dtype=np.int16))
-        with pytest.raises(ValueError):
-            crop_to_foreground(empty)
-
-
-class TestRemoveSmallComponents:
-    def test_removes_islands(self):
-        lab = np.zeros((16, 16, 16), dtype=np.int16)
-        lab[2:10, 2:10, 2:10] = 1     # big block (512 voxels)
-        lab[13, 13, 13] = 1            # island
-        img = remove_small_components(SegmentedImage(lab), min_voxels=8)
-        assert img.labels[13, 13, 13] == 0
-        assert (img.labels == 1).sum() == 512
-
-    def test_keeps_large_components(self):
-        lab = np.zeros((16, 16, 16), dtype=np.int16)
-        lab[2:6, 2:6, 2:6] = 1
-        lab[10:14, 10:14, 10:14] = 1
-        img = remove_small_components(SegmentedImage(lab), min_voxels=8)
-        assert (img.labels == 1).sum() == 2 * 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            remove_small_components(block_image(), min_voxels=0)
-
-
-class TestFillHoles:
-    def test_fills_single_tissue_cavity(self):
-        lab = np.zeros((12, 12, 12), dtype=np.int16)
-        lab[2:10, 2:10, 2:10] = 1
-        lab[5:7, 5:7, 5:7] = 0  # pinhole
-        img = fill_label_holes(SegmentedImage(lab))
-        assert (img.labels[5:7, 5:7, 5:7] == 1).all()
-
-    def test_leaves_multi_tissue_cavity(self):
-        lab = np.zeros((14, 14, 14), dtype=np.int16)
-        lab[2:12, 2:12, 2:12] = 1
-        lab[2:12, 2:12, 7:12] = 2
-        lab[5:9, 5:9, 6:8] = 0  # cavity touching both tissues
-        img = fill_label_holes(SegmentedImage(lab))
-        assert (img.labels[5:9, 5:9, 6:8] == 0).any()
-
-    def test_outside_background_untouched(self):
-        img = fill_label_holes(block_image())
-        assert img.labels[0, 0, 0] == 0
-
-
-class TestResample:
-    def test_isotropic_output(self):
-        img = resample_isotropic(block_image())
-        assert img.spacing == (1.0, 1.0, 1.0)
-        assert img.shape == (12, 12, 24)
-
-    def test_volume_approximately_preserved(self):
-        base = block_image()
-        vol_base = (base.labels > 0).sum() * np.prod(base.spacing)
-        img = resample_isotropic(base, voxel=0.5)
-        vol_new = (img.labels > 0).sum() * np.prod(img.spacing)
-        assert abs(vol_new - vol_base) / vol_base < 0.1
-
-    def test_meshable_after_cleanup(self):
-        from repro.core import _mesh_image as mesh_image
-
-        img = shell_phantom(16)
-        cleaned = crop_to_foreground(
-            remove_small_components(img, min_voxels=4)
-        )
-        res = mesh_image(cleaned, delta=3.0, max_operations=200_000)
-        assert res.mesh.n_tets > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            resample_isotropic(block_image(), voxel=-1.0)

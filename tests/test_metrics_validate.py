@@ -118,11 +118,3 @@ class TestValidator:
         )
         issues = validate_extracted_mesh(broken)
         assert any("tet_labels" in s for s in issues)
-
-    def test_smoothed_mesh_stays_valid(self, good_mesh):
-        from repro.imaging import SurfaceOracle, sphere_phantom
-        from repro.postprocess import smooth_mesh
-
-        oracle = SurfaceOracle(sphere_phantom(20))
-        smoothed, _ = smooth_mesh(good_mesh, oracle, iterations=2)
-        assert validate_extracted_mesh(smoothed) == []

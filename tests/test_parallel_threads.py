@@ -218,12 +218,9 @@ class TestBallGridStress:
                                   seed=3, timeout=240.0)
         c = res.domain.tri.counters
         assert c.commits > 0
-        # split timers: both halves move, and the legacy total is the sum
+        # split timers: both halves move
         assert c.commit_work_seconds > 0.0
         assert c.commit_wait_seconds >= 0.0
-        assert c.commit_seconds == pytest.approx(
-            c.commit_wait_seconds + c.commit_work_seconds
-        )
         snap = c.snapshot()
         assert "commit_wait_seconds" in snap
         assert "commit_work_seconds" in snap

@@ -21,10 +21,8 @@ from hypothesis import strategies as st
 from repro import _accel
 
 from repro.geometry.batch import (
-    circumsphere_entries,
     insphere_many,
     new_tet_records,
-    orient3d_signs,
 )
 from repro.geometry.predicates import (
     STATS,
@@ -186,14 +184,6 @@ class TestBatchKernelsMatchScalar:
             quads[j] = pts
         return quads
 
-    def test_orient3d_signs_lane_by_lane(self):
-        rng = random.Random(7)
-        quads = self._random_quads(rng, 64)
-        signs = orient3d_signs(quads)
-        for j in range(quads.shape[0]):
-            a, b, c, d = (tuple(quads[j, i]) for i in range(4))
-            assert signs[j] == orient3d(a, b, c, d), f"lane {j}"
-
     def test_insphere_many_lane_by_lane(self):
         rng = random.Random(11)
         tets = []
@@ -234,20 +224,7 @@ class TestBatchKernelsMatchScalar:
                 assert insphere_via_entry(e_batch, *quad, q) == \
                     insphere(*quad, q)
 
-    def test_circumsphere_entries_delegate(self):
-        rng = random.Random(17)
-        quads = self._random_quads(rng, 16, degenerate_every=3)
-        entries = circumsphere_entries(quads)
-        assert len(entries) == 16
-        # Degenerate lanes must be None (no fast path), healthy lanes
-        # must carry a finite record.
-        assert any(e is None for e in entries)
-        for e in entries:
-            if e is not None:
-                assert all(np.isfinite(x) for x in e)
-
     def test_empty_batches(self):
-        assert orient3d_signs(np.empty((0, 4, 3))).size == 0
         ok, entries = new_tet_records(np.empty((0, 4, 3)))
         assert ok is True and entries == []
 

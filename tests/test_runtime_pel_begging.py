@@ -9,13 +9,10 @@ from repro.runtime.begging import (
     BeggingList,
     HierarchicalBeggingList,
 )
-from repro.runtime.placement import (
-    Placement,
-    blacklight_placement,
-    flat_placement,
-)
+from repro.runtime.placement import Placement, flat_placement
 from repro.runtime.shared import SharedState
 from repro.runtime.stats import OverheadKind, ThreadStats
+from repro.simnuma.costmodel import BLACKLIGHT
 
 
 def tiny_mesh(n_tets=5):
@@ -71,10 +68,6 @@ class TestPEL:
         assert pel.live_count == 4
         pel.pop()
         assert pel.live_count == 3
-        pel.note_invalidated(2)
-        assert pel.live_count == 1
-        pel.note_invalidated(5)
-        assert pel.live_count == 0
 
     def test_empty_pop(self):
         mesh, _ = tiny_mesh(1)
@@ -83,7 +76,7 @@ class TestPEL:
 
 class TestPlacement:
     def test_blacklight_mapping(self):
-        pl = blacklight_placement(64)
+        pl = BLACKLIGHT.placement(64)
         assert pl.socket_of(0) == 0
         assert pl.socket_of(7) == 0
         assert pl.socket_of(8) == 1
@@ -92,7 +85,7 @@ class TestPlacement:
         assert pl.n_blades == 4
 
     def test_hyperthreading_mapping(self):
-        pl = blacklight_placement(32, hyperthreading=True)
+        pl = BLACKLIGHT.placement(32, hyperthreading=True)
         assert pl.threads_per_core == 2
         assert pl.core_of(0) == pl.core_of(1) == 0
         assert pl.threads_per_socket == 16

@@ -202,9 +202,9 @@ class TestBatchKernels:
         ))
         live = mesh.live_tet_ids()
         assert flat in live
-        domain._cc[:] = -1.0
+        domain._balls.rows[:] = -1.0
         batch = domain.circumballs(live)[live].copy()
-        domain._cc[:] = -1.0
+        domain._balls.rows[:] = -1.0
         for row, t in zip(batch, live.tolist()):
             c, r = domain.circumball(t)
             assert (*c, r) == tuple(row[:4].tolist())
@@ -222,10 +222,10 @@ class TestBatchKernels:
         domain = RefineDomain(image, delta=delta)
         SequentialRefiner(domain).refine()
         live = domain.tri.mesh.live_tet_ids()
-        domain._cc[:] = -1.0
+        domain._balls.rows[:] = -1.0
         t = int(live[0])
         domain.circumball(t)
-        row = domain._cc[t].copy()
+        row = domain._balls.rows[t].copy()
         store = domain.circumballs(live)
         assert store[t].tobytes() == row.tobytes()
         assert (store[live, 4] >= 0).all()

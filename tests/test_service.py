@@ -274,6 +274,24 @@ class TestServedTable:
             assert later.wait(30.0) and later.tier == "memory_hit"
             assert mesher.calls == 1
 
+    @pytest.mark.parametrize("shards", [4, "auto"])
+    def test_submit_caps_a_copy_of_the_request(self, image, shards):
+        """The service's shard cap lands on the job's request and key,
+        never on the caller's object, which may go to another service
+        or to ``api.mesh`` next."""
+        service = MeshingService(ServiceConfig(max_shards=1,
+                                               executor="thread"))
+        try:
+            request = MeshRequest(image=image, delta=3.0, shards=shards)
+            job = service.submit(request)   # not started: stays QUEUED
+            assert request.shards == shards
+            assert job.request is not request
+            assert job.request.shards == 1
+            assert job.keys == cache_keys(
+                MeshRequest(image=image, delta=3.0, shards=1))
+        finally:
+            service.shutdown(wait=False)
+
 
 # ---------------------------------------------------------------------------
 # concurrency soak
@@ -284,18 +302,16 @@ class TestConcurrentMixedWorkload:
         """32+ concurrent mixed requests over 4 workers: every job ends
         terminal, overflow is REJECTED (never silently dropped), and
         transient failures recover within the retry budget."""
-        # coalesce off: this test is about queue overflow, and the 6
-        # distinct request keys would otherwise absorb all 36 jobs
-        # into 6 runs with nothing left to reject.
+        # 36 distinct request keys: this test is about queue overflow,
+        # and repeated keys would coalesce into a few runs with nothing
+        # left to reject.
         flaky = FakeMesher(template_result, delay=0.01, fail_first=3)
         service = fake_service(flaky, n_workers=4, queue_capacity=16,
-                               max_retries=2, retry_backoff=0.001,
-                               coalesce=False)
+                               max_retries=2, retry_backoff=0.001)
         try:
             jobs = []
             for i in range(36):
-                jobs.append(service.submit(
-                    fake_request(image, variant=i % 6)))
+                jobs.append(service.submit(fake_request(image, variant=i)))
             for job in jobs:
                 assert job.wait(30.0), f"{job.id} not terminal (deadlock?)"
             states = [j.state for j in jobs]

@@ -12,8 +12,7 @@ The acceptance criteria of the coalescing subsystem:
 * one waiter's cancel concludes only that waiter;
 * cancelling a queued *leader* promotes a waiter instead of
   cancelling the crowd;
-* a coalesced hit never double-pins the cache key;
-* ``ServiceConfig(coalesce=False)`` reproduces K independent jobs.
+* a coalesced hit never double-pins the cache key.
 """
 
 from __future__ import annotations
@@ -130,33 +129,6 @@ class TestColdBurst:
             slo = snap["slo"]
             assert slo["tiers"]["coalesced"]["requests"] == K - 1
             assert slo["tiers"]["full_mesh"]["requests"] == 1
-        finally:
-            gate.set()
-            service.shutdown()
-
-    def test_disabled_coalescing_runs_k_jobs(self, image, template_result):
-        """coalesce=False: the same burst is K independent mesh runs."""
-        K = 4
-        gate = threading.Event()
-        mesher = GatedMesher(template_result, gate=gate)
-        service = make_service(template_result, mesher,
-                               n_workers=K, coalesce=False)
-        try:
-            jobs = [service.submit(fake_request(image)) for _ in range(K)]
-            # All K claimed (none can finish before the gate opens), so
-            # the cache cannot absorb any of them.
-            end = time.monotonic() + 5.0
-            while mesher.calls < K and time.monotonic() < end:
-                time.sleep(0.005)
-            assert mesher.calls == K
-            gate.set()
-            for job in jobs:
-                assert job.wait(30.0)
-                assert job.state is JobState.DONE
-            counters = service.metrics_snapshot()["counters"]
-            assert counters.get("service.coalesce.followers", 0) == 0
-            assert counters.get("service.coalesce.leaders", 0) == 0
-            assert not any(j.coalesced for j in jobs)
         finally:
             gate.set()
             service.shutdown()

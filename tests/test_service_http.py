@@ -138,7 +138,6 @@ class TestGatewayRoutes:
         status, out, _ = gateway.handle("GET", "/healthz")
         assert status == 200 and out["ok"] is True
         assert out["v"] == PROTOCOL_VERSION
-        assert out["coalesce"] is True
 
     def test_healthz_reports_shutdown(self, image):
         svc = MeshingService(ServiceConfig(n_workers=1)).start()
@@ -459,8 +458,7 @@ def template_block(image, serving):
             gate.wait(10.0)
             return template
 
-    svc = serving({"fake": Gated()}, n_workers=1, queue_capacity=1,
-                  coalesce=False)
+    svc = serving({"fake": Gated()}, n_workers=1, queue_capacity=1)
     yield svc, gate
     gate.set()
 

@@ -735,7 +735,7 @@ class TestServiceShardedJobs:
         monkeypatch.setattr(procworker, "build_shard_payload",
                             always_crash)
         with MeshingService(
-            _service_config(tmp_path, shard_retries=1, max_retries=0)
+            _service_config(tmp_path, max_retries=0)
         ) as svc:
             job = svc.submit(
                 MeshRequest(image=img, mesher="sequential", shards=4)

@@ -11,7 +11,7 @@ from repro.metrics.histograms import (
 )
 from repro.simnuma import _simulate_parallel_refinement as simulate_parallel_refinement
 from repro.simnuma.trace import utilization_report
-from repro.viz import render_image_slice, render_mesh_slice
+from repro.viz import render_image_slice
 
 
 @pytest.fixture(scope="module")
@@ -50,33 +50,6 @@ class TestImageSlice:
         out = render_image_slice(img, max_width=20)
         body_lines = out.splitlines()[1:]
         assert all(len(line) <= 32 for line in body_lines)
-
-
-class TestMeshSlice:
-    def test_renders_cross_section(self, mesh):
-        z = float(mesh.vertices[:, 2].mean())
-        out = render_mesh_slice(mesh, z)
-        assert "cross-section" in out
-        assert "#" in out
-
-    def test_out_of_range_z(self, mesh):
-        with pytest.raises(ValueError):
-            render_mesh_slice(mesh, 1e9)
-
-    def test_empty_mesh(self):
-        import numpy as np
-
-        from repro.core.extract import ExtractedMesh
-
-        empty = ExtractedMesh(
-            vertices=np.zeros((0, 3)),
-            tets=np.zeros((0, 4), dtype=np.int64),
-            tet_labels=np.zeros(0, dtype=np.int32),
-            boundary_faces=np.zeros((0, 3), dtype=np.int64),
-            boundary_labels=np.zeros((0, 2), dtype=np.int32),
-        )
-        with pytest.raises(ValueError):
-            render_mesh_slice(empty, 0.0)
 
 
 class TestHistograms:
