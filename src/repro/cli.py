@@ -150,14 +150,12 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
           f"({result.mesh.n_tets / dt:,.0f} tets/s){extra}")
     print(q.row())
 
-    if getattr(args, "kernel_stats", False):
-        domain = result.extras.get("domain")
-        if domain is not None:
-            from repro.geometry.predicates import STATS
-            from repro.runtime.stats import kernel_report
+    gauges = result.metrics.get("gauges", {})
+    if getattr(args, "kernel_stats", False) and "kernel.locate_calls" in gauges:
+        from repro.runtime.stats import kernel_report
 
-            print()
-            print(kernel_report(domain.tri.counters, STATS.snapshot()))
+        print()
+        print(kernel_report(gauges))
 
     if args.output:
         if args.output.endswith(".vtk"):

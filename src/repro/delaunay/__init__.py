@@ -4,9 +4,10 @@ This is the substrate the paper's refinement runs on: an incremental
 Bowyer-Watson triangulation of a virtual bounding box, supporting
 
 * point insertion (cavity carving + star re-triangulation), and
-* vertex removal (ball re-triangulation through a local Delaunay
-  triangulation of the link, inserting link vertices in global insertion
-  order — the paper's Section 4.2 technique for degenerate cases).
+* vertex removal (the ball refilled by boundary-conforming Delaunay
+  gift-wrapping, verified to tile the hole before anything mutates;
+  the paper's Section 4.2 uses a local Delaunay triangulation of the
+  link instead — DESIGN.md §4 says why this one fill replaces it).
 
 The kernel exposes *touch hooks* so that the speculative parallel refiner
 can lock every vertex an operation reads or writes and roll back on

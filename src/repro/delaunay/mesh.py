@@ -13,9 +13,9 @@ which is what the scalar hot paths index with).
                            kept because pulling ``np.float64`` scalars
                            out of an ndarray is 2-5x slower than native
                            float arithmetic).
-* ``timestamps[v]``      – global insertion counter, used by vertex
-                           removal to replay link vertices in insertion
-                           order (paper Section 4.2).
+* ``timestamps[v]``      – global insertion counter; the shard layer
+                           exports a block's vertices in this order (no
+                           removal reads it).
 * ``alive_vertex[v]``    – False once a vertex has been removed.
 * ``tet_verts_arr``      – ``(capacity, 4) int32`` vertex ids per tet;
                            ``-1`` rows for dead/recycled slots.

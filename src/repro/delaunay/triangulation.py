@@ -1,8 +1,9 @@
 """Incremental 3D Delaunay triangulation with insertions and removals.
 
-The triangulation always lives inside a *virtual box* (paper Figure 1):
-the box is triangulated into 6 tetrahedra and every subsequent point is
-inserted strictly inside it, so no ghost/infinite elements are needed.
+The triangulation always lives inside a *virtual box* (paper Figure 1),
+here one enclosing tetrahedron: every point is inserted strictly inside
+it, so no ghost/infinite elements are needed.  A removed vertex's ball is
+refilled by boundary-conforming gift-wrapping (:meth:`remove_vertex`).
 
 Hot-path kernel design
 ----------------------
@@ -24,11 +25,11 @@ three accelerations, none of which changes any mesh output:
   exact arithmetic.  Visited/boundary bookkeeping uses epoch-tagged
   scratch arrays reused across operations instead of per-call sets.
 * **the commit phase** validates all boundary faces with one vectorized
-  orientation batch, checks cavity closedness with packed edge keys and
-  ``np.unique``, allocates all new tets at once (free-stack order
-  identical to the scalar path) and wires internal adjacency by sorting
-  edge keys — only the ``v2t`` anchor maintenance stays scalar, because
-  its "last writer wins" semantics must match the historical loop.
+  orientation batch, allocates all new tets at once (free-stack order
+  identical to the scalar path), and checks cavity closedness and wires
+  internal adjacency with one stable sort of packed edge keys — only the
+  ``v2t`` anchor maintenance stays scalar, because its "last writer
+  wins" semantics must match the historical loop.
 
 Crucially the depth-first cavity *enumeration order* is untouched:
 cavity membership is predicate-determined (traversal-invariant), but the
@@ -64,7 +65,7 @@ import numpy as np
 
 from repro import _accel
 from repro.delaunay.mesh import _INIT_T_CAP, _INIT_V_CAP, HULL, MeshArrays
-from repro.geometry.batch import insphere_many, new_tet_records
+from repro.geometry.batch import new_tet_records
 from repro.geometry.predicates import (
     STATS,
     circumsphere_entry,
@@ -123,6 +124,32 @@ class RemovalError(Exception):
     triangulation is left untouched and the caller skips the removal."""
 
 
+#: The :class:`InsertionError` text for each degenerate insertion, by the
+#: C kernel's status code; the Python path raises the same text.
+_DEGENERATE = {
+    _accel.ERR_DUP: "point {} duplicates an existing vertex",
+    _accel.ERR_FACE: "degenerate insertion: point lies on a cavity face",
+    _accel.ERR_CLOSED:
+        "degenerate insertion: cavity boundary is not a closed surface",
+}
+
+
+def _degenerate(status: int, p: Sequence[float]) -> InsertionError:
+    return InsertionError(_DEGENERATE[status].format(tuple(p)))
+
+
+def _credit_filtered(n_orient, n_insphere) -> None:
+    """Credit a C call's predicate decisions to :data:`STATS`; the
+    kernel decides only what its floating-point filter concludes."""
+    n_o = int(n_orient)
+    n_i = int(n_insphere)
+    stats = STATS
+    stats.orient3d_calls += n_o
+    stats.orient3d_filtered += n_o
+    stats.insphere_calls += n_i
+    stats.insphere_filtered += n_i
+
+
 class KernelCounters:
     """Per-triangulation kernel statistics (advisory; races tolerated).
 
@@ -154,8 +181,13 @@ class KernelCounters:
         #: the kernel gave
         self.accel_retry_reasons = dict.fromkeys(_accel.RETRY_REASONS, 0)
 
-    def note_retry(self, why) -> None:
-        """Count one RETRY under the kernel's ``BW_WHY_*`` code."""
+    def note_retry(self, why, removal: bool = False) -> None:
+        """Count one RETRY of an insert (with ``removal``, of a removal)
+        and its reason, the kernel's ``BW_WHY_*`` code."""
+        if removal:
+            self.accel_remove_retries += 1
+        else:
+            self.accel_retries += 1
         self.accel_retry_reasons[_accel.RETRY_REASONS[int(why)]] += 1
 
     def snapshot(self) -> dict:
@@ -355,6 +387,31 @@ class Triangulation3D:
                 grid[gk(pt[0], pt[1], pt[2])] = v
         self._vgrid = grid
 
+    def _store_vertex(self, p: Sequence[float]) -> int:
+        """Store a committed insertion's vertex and register its grid
+        cell; returns the id ``add_vertex`` handed out."""
+        mesh = self.mesh
+        v = mesh.add_vertex(p)
+        self._vgrid[self._grid_key(p[0], p[1], p[2])] = v
+        if len(mesh.points) > self._vgrid_cap:
+            self._regrid()
+        return v
+
+    def _drop_vertex(self, v: int) -> None:
+        """Free a removed vertex's slot and its grid cell."""
+        p = self.mesh.points[v]
+        self.mesh.kill_vertex(v)
+        gkey = self._grid_key(p[0], p[1], p[2])
+        if self._vgrid.get(gkey) == v:
+            del self._vgrid[gkey]
+
+    def _scratch(self):
+        """The C kernels' scratch, built on first use."""
+        acc = self._acc
+        if acc is None:
+            acc = self._acc = _accel.AccelScratch()
+        return acc
+
     def _locate_seed(self, x: float, y: float, z: float,
                      hint: Optional[int] = None) -> int:
         """Pick the walk's starting tet.
@@ -363,9 +420,12 @@ class Triangulation3D:
         the query's grid neighborhood, the caller's hint, the last
         located tet, a linear scan — whichever of the first two is
         closer to the query wins (the caller's hint is excellent during
-        refinement but arbitrary for scattered insertion workloads).
+        refinement but arbitrary for scattered insertion workloads).  A
+        hint that is no longer live is ignored.
         """
         mesh = self.mesh
+        if hint is not None and not mesh.is_live(hint):
+            hint = None
         counters = self.counters
         pts = mesh.points
         grid = self._vgrid
@@ -447,10 +507,7 @@ class Triangulation3D:
         py = p[1]
         pz = p[2]
         pq = (px, py, pz)
-        if hint is not None and mesh.is_live(hint):
-            t = self._locate_seed(px, py, pz, hint)
-        else:
-            t = self._locate_seed(px, py, pz)
+        t = self._locate_seed(px, py, pz, hint)
         max_steps = mesh.n_live_tets * 2 + 64
         state = self._walk_state
         steps = 0
@@ -624,9 +681,7 @@ class Triangulation3D:
             stats.cc_tests += cc_tests
             stats.cc_fast += cc_fast
             stats.cc_fallback += cc_fallback
-            raise InsertionError(
-                f"point {tuple(p)} duplicates an existing vertex"
-            )
+            raise _degenerate(_accel.ERR_DUP, p)
 
         # Epoch-tagged scratch instead of per-call sets.
         tag = self._cav_tag
@@ -748,16 +803,11 @@ class Triangulation3D:
         would, so the two paths are indistinguishable afterwards.
         """
         mesh = self.mesh
-        acc = self._acc
-        if acc is None:
-            acc = self._acc = _accel.AccelScratch()
+        acc = self._scratch()
         px = float(p[0])
         py = float(p[1])
         pz = float(p[2])
-        if hint is not None and mesh.is_live(hint):
-            seed = self._locate_seed(px, py, pz, hint)
-        else:
-            seed = self._locate_seed(px, py, pz)
+        seed = self._locate_seed(px, py, pz, hint)
         free_v = mesh._free_verts
         # Prospective vertex id: what add_vertex will allocate after the
         # C kernel succeeds (it only writes the id into tet rows; the
@@ -769,7 +819,6 @@ class Triangulation3D:
         counters = self.counters
         out = acc.out_i
         if status == _accel.RETRY:
-            counters.accel_retries += 1
             counters.note_retry(out[9])
             return None
         # The walk succeeded for every non-RETRY status: commit its
@@ -778,37 +827,20 @@ class Triangulation3D:
         counters.walk_steps += int(out[4])
         self._walk_state = int(out[5])
         self._last_located = int(out[6])
-        stats = STATS
-        n_o = int(out[7])
-        n_i = int(out[8])
-        stats.orient3d_calls += n_o
-        stats.orient3d_filtered += n_o
-        stats.insphere_calls += n_i
-        stats.insphere_filtered += n_i
+        _credit_filtered(out[7], out[8])
         if status == _accel.ERR_DUP:
-            raise InsertionError(
-                f"point {tuple(p)} duplicates an existing vertex"
-            )
+            raise _degenerate(status, p)
         counters.cavity_calls += 1
         counters.cavity_tets += int(out[0])
-        if status == _accel.ERR_FACE:
-            raise InsertionError(
-                "degenerate insertion: point lies on a cavity face"
-            )
-        if status == _accel.ERR_CLOSED:
-            raise InsertionError(
-                "degenerate insertion: cavity boundary is not a closed surface"
-            )
+        if status != _accel.OK:
+            raise _degenerate(status, p)
         counters.accel_inserts += 1
         cavity = acc.cav[:int(out[0])].tolist()
         new_tets = acc.newt[:int(out[1])].tolist()
-        mesh.add_vertex((px, py, pz))  # allocates exactly vnew
+        self._store_vertex((px, py, pz))  # allocates exactly vnew
         # Every new tet names vnew and the last one wins; the kernel
         # anchored the other vertices.
         mesh.v2t[vnew] = new_tets[-1]
-        self._vgrid[self._grid_key(px, py, pz)] = vnew
-        if len(mesh.points) > self._vgrid_cap:
-            self._regrid()
         return vnew, new_tets, cavity
 
     # ------------------------------------------------------------------
@@ -851,20 +883,18 @@ class Triangulation3D:
         :meth:`_commit_insertion`, still under the same locks.
         """
         mesh = self.mesh
-        acc = self._acc
-        if acc is None:
-            acc = self._acc = _accel.AccelScratch()
+        acc = self._scratch()
         px = float(p[0])
         py = float(p[1])
         pz = float(p[2])
         free_v = mesh._free_verts
         if free_v:
             # The kernel writes rows naming the new vertex before
-            # add_vertex below stores it, and the walks of other threads
-            # read rows without a lock.  A recycled slot must not show
-            # them its last owner's coordinates; a fresh one is past the
-            # end of ``points`` until then, which compute_cavity turns
-            # into a rollback.
+            # _store_vertex below stores it, and the walks of other
+            # threads read rows without a lock.  A recycled slot must not
+            # show them its last owner's coordinates; a fresh one is past
+            # the end of ``points`` until then, which compute_cavity
+            # turns into a rollback.
             vnew = free_v[-1]
             mesh.points[vnew] = mesh.coords[vnew] = (px, py, pz)
         else:
@@ -872,31 +902,17 @@ class Triangulation3D:
         codes = [t * 4 + i for t, i in boundary]
         status = acc.commit(mesh, px, py, pz, next(self._cav_gen), vnew,
                             cavity, codes)
-        counters = self.counters
-        stats = STATS
         out = acc.out_i
-        n_o = int(out[2])
-        stats.orient3d_calls += n_o
-        stats.orient3d_filtered += n_o
+        _credit_filtered(out[2], 0)
         if status == _accel.RETRY:
-            counters.accel_retries += 1
-            counters.note_retry(out[3])
+            self.counters.note_retry(out[3])
             return None
-        if status == _accel.ERR_FACE:
-            raise InsertionError(
-                "degenerate insertion: point lies on a cavity face"
-            )
-        if status == _accel.ERR_CLOSED:
-            raise InsertionError(
-                "degenerate insertion: cavity boundary is not a closed surface"
-            )
-        counters.accel_inserts += 1
+        if status != _accel.OK:
+            raise _degenerate(status, p)
+        self.counters.accel_inserts += 1
         new_tets = acc.newt[:len(boundary)].tolist()
-        mesh.add_vertex((px, py, pz))  # allocates exactly vnew
+        self._store_vertex((px, py, pz))  # allocates exactly vnew
         mesh.v2t[vnew] = new_tets[-1]  # the kernel anchored the others
-        self._vgrid[self._grid_key(px, py, pz)] = vnew
-        if len(mesh.points) > self._vgrid_cap:
-            self._regrid()
         return vnew, new_tets, cavity
 
     # ------------------------------------------------------------------
@@ -957,9 +973,7 @@ class Triangulation3D:
         predicate-determined, so the resulting topology is identical.
         """
         mesh = self.mesh
-        acc = self._acc
-        if acc is None:
-            acc = self._acc = _accel.AccelScratch()
+        acc = self._scratch()
         p0 = points[start]
         seed = self._locate_seed(float(p0[0]), float(p0[1]), float(p0[2]))
         gen0 = next(self._cav_gen)
@@ -984,19 +998,12 @@ class Triangulation3D:
             next(cav_gen)
         self._walk_state = int(out[2])
         counters = self.counters
-        stats = STATS
-        n_o = int(out[5])
-        n_i = int(out[6])
-        stats.orient3d_calls += n_o
-        stats.orient3d_filtered += n_o
-        stats.insphere_calls += n_i
-        stats.insphere_filtered += n_i
+        _credit_filtered(out[5], out[6])
         counters.walk_steps += int(out[4])
         if n_done == 0:
             # A first point past a bound goes to the scalar kernel, which
             # has the headroom: no retry.
             if out[11] != _WHY_GROWTH:
-                counters.accel_retries += 1
                 counters.note_retry(out[11])
             return 0
         self._last_located = int(out[3])
@@ -1006,21 +1013,12 @@ class Triangulation3D:
         counters.accel_inserts += n_done
         counters.accel_batch_calls += 1
         counters.accel_batch_inserts += n_done
-        gk = self._grid_key
-        vgrid = self._vgrid
         # The kernel anchored every vertex, the batch's own included
         # (later inserts re-anchor earlier ones); add_vertex resets the
         # anchor of the slot it hands out, so those are put back after.
         anchors = mesh.v2t[v_base:v_base + n_done].copy()
-        for k in range(n_done):
-            p = points[start + k]
-            vnew = mesh.add_vertex(
-                (float(p[0]), float(p[1]), float(p[2]))
-            )
-            vgrid[gk(p[0], p[1], p[2])] = vnew
-            if len(mesh.points) > self._vgrid_cap:
-                self._regrid()
-            results.append(vnew)
+        for p in points[start:start + n_done]:
+            results.append(self._store_vertex(p))
         mesh.v2t[v_base:v_base + n_done] = anchors
         return n_done
 
@@ -1061,9 +1059,7 @@ class Triangulation3D:
         quads[rows, bi] = p
         all_positive, entries = new_tet_records(quads)
         if not all_positive:
-            raise InsertionError(
-                "degenerate insertion: point lies on a cavity face"
-            )
+            raise _degenerate(_accel.ERR_FACE, p)
         # Closed-surface check: every edge of the boundary triangles must
         # be shared by exactly two of them.
         keep = np.arange(4)[None, :] != bi[:, None]
@@ -1078,9 +1074,7 @@ class Triangulation3D:
         keys = (edges.min(axis=2) << 32) | edges.max(axis=2)   # (nb, 3)
         flat = keys.ravel()
         if flat.size & 1:
-            raise InsertionError(
-                "degenerate insertion: cavity boundary is not a closed surface"
-            )
+            raise _degenerate(_accel.ERR_CLOSED, p)
         # One stable sort serves two purposes: the closed-surface check
         # (every edge key must appear exactly twice: consecutive sorted
         # pairs equal, adjacent pairs distinct) and, later, the internal
@@ -1090,12 +1084,10 @@ class Triangulation3D:
         first = order[0::2]
         second = order[1::2]
         if (sf[0::2] != sf[1::2]).any() or (sf[1:-1:2] == sf[2::2]).any():
-            raise InsertionError(
-                "degenerate insertion: cavity boundary is not a closed surface"
-            )
+            raise _degenerate(_accel.ERR_CLOSED, p)
 
         # ---- commit phase (no predicate can fail from here on) ----
-        vnew = mesh.add_vertex(p)
+        vnew = self._store_vertex(p)
         # Record external adjacency before killing cavity tets.
         ext = mesh.tet_adj[bt, bi].astype(np.intp)
 
@@ -1152,10 +1144,6 @@ class Triangulation3D:
             e = entries[r]
             ccs[new_tets[r]] = ((*e, epochs[r]) if e is not None
                                 else (epochs[r],))
-
-        self._vgrid[self._grid_key(p[0], p[1], p[2])] = vnew
-        if len(mesh.points) > self._vgrid_cap:
-            self._regrid()
         return vnew, new_tets, cavity
 
     # ------------------------------------------------------------------
@@ -1166,13 +1154,14 @@ class Triangulation3D:
                       ) -> Tuple[List[int], List[int]]:
         """Remove vertex ``v`` and re-triangulate its ball.
 
-        Returns ``(new_tets, killed_tets)``.  The ball is filled with the
-        tetrahedra of a *local* Delaunay triangulation of the link
-        vertices, built by inserting them in global insertion-timestamp
-        order (paper Section 4.2), selecting the local tets whose
-        circumsphere contains ``v``; the selection is verified to tile the
-        hole exactly before any mutation happens, and
-        :class:`RemovalError` is raised otherwise.
+        Returns ``(new_tets, killed_tets)``.  The ball is filled by
+        boundary-conforming Delaunay gift-wrapping
+        (:meth:`_fill_hole_giftwrap`), and the fill is verified to tile
+        the hole exactly (:meth:`_verify_fill`) before any mutation
+        happens; where either cannot, :class:`RemovalError` is raised
+        with nothing mutated.  The paper (Section 4.2) fills the ball
+        with a local Delaunay triangulation of the link replayed in
+        insertion order; DESIGN.md §4 says why one fill replaces it.
 
         ``on_commit`` is called once the removal can no longer fail.  In
         a speculative removal that is inside the commit lock, before
@@ -1200,7 +1189,6 @@ class Triangulation3D:
                     on_commit()
                 return result
         pts = mesh.points
-        p = pts[v]
 
         # Lock the vertex itself before walking its star: any concurrent
         # operation that would create or destroy a tet incident to ``v``
@@ -1219,44 +1207,18 @@ class Triangulation3D:
         # Hole boundary: the face opposite v in each ball tet, plus its
         # outside neighbor.
         hole_faces: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        link: List[int] = []
-        link_seen: Set[int] = set()
+        link: Set[int] = set()
         for t in ball:
             li = mesh.local_index(t, v)
             face = mesh.face_opposite(t, li)
-            key = tuple(sorted(face))
-            hole_faces[key] = (t, li)
-            for w in face:
-                if w not in link_seen:
-                    link_seen.add(w)
-                    link.append(w)
+            hole_faces[tuple(sorted(face))] = (t, li)
+            link.update(face)
 
         ball_volume = self._abs_volume_sum(
             mesh.tet_verts_arr[np.asarray(ball, dtype=np.int64)]
         )
-        # Fill strategies, both verified against the hole boundary
-        # before any mutation:
-        #  1. boundary-conforming Delaunay gift-wrapping (advancing front
-        #     seeded with the hole's own boundary faces, min-id tie-break);
-        #  2. fallback: local Delaunay triangulation of the link replayed
-        #     in global insertion-timestamp order (the paper's approach).
-        fill = None
-        errors = []
-        for strategy in (self._fill_hole_giftwrap,
-                         self._fill_hole_local_dt):
-            try:
-                candidate = strategy(p, link, hole_faces, ball)
-                self._verify_fill(candidate, hole_faces, ball_volume)
-            except RemovalError as exc:
-                errors.append(f"{strategy.__name__}: {exc}")
-                continue
-            fill = candidate
-            break
-        if fill is None:
-            raise RemovalError(
-                "ball re-triangulation failed (" + "; ".join(errors) + ")"
-            )
-        boundary_faces = set(hole_faces.keys())
+        fill = self._fill_hole_giftwrap(link, hole_faces, ball)
+        self._verify_fill(fill, hole_faces, ball_volume)
 
         # ---- commit ----
         # Under speculative execution the mutation burst must not
@@ -1277,10 +1239,7 @@ class Triangulation3D:
 
             for t in ball:
                 mesh.kill_tet(t)
-            mesh.kill_vertex(v)
-            gkey = self._grid_key(p[0], p[1], p[2])
-            if self._vgrid.get(gkey) == v:
-                del self._vgrid[gkey]
+            self._drop_vertex(v)
 
             new_tets: List[int] = []
             face_map: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
@@ -1294,7 +1253,7 @@ class Triangulation3D:
                 for i, f3 in enumerate(((b, c, d), (a, c, d),
                                         (a, b, d), (a, b, c))):
                     f = tuple(sorted(f3))
-                    if f in boundary_faces:
+                    if f in hole_faces:
                         o, j = ext[f]
                         mesh.tet_adj[nt][i] = o
                         if o != HULL:
@@ -1317,7 +1276,7 @@ class Triangulation3D:
         return new_tets, ball
 
     # ------------------------------------------------------------------
-    # hole-filling strategies for vertex removal
+    # vertex removal: the C kernel's glue, the ball fill and its check
     # ------------------------------------------------------------------
     def _remove_vertex_c(self, v: int
                          ) -> Optional[Tuple[List[int], List[int]]]:
@@ -1332,35 +1291,20 @@ class Triangulation3D:
         ``add_tet`` would.  This glue keeps what the Python commit does
         beside the arrays: the vertex itself, the grid and the counters.
         """
-        mesh = self.mesh
-        acc = self._acc
-        if acc is None:
-            acc = self._acc = _accel.AccelScratch()
-        n_fill = acc.remove(mesh, v, next(self._cav_gen))
+        acc = self._scratch()
+        n_fill = acc.remove(self.mesh, v, next(self._cav_gen))
         out = acc.out_i
-        n_o = int(out[3])
-        n_i = int(out[4])
-        stats = STATS
-        stats.orient3d_calls += n_o
-        stats.orient3d_filtered += n_o
-        stats.insphere_calls += n_i
-        stats.insphere_filtered += n_i
-        counters = self.counters
+        _credit_filtered(out[3], out[4])
         if n_fill < 0:
-            counters.accel_remove_retries += 1
-            counters.note_retry(out[5])
+            self.counters.note_retry(out[5], removal=True)
             return None
-        counters.accel_removals += 1
+        self.counters.accel_removals += 1
         ball = acc.cav[:int(out[0])].tolist()
         new_tets = acc.newt[:n_fill].tolist()
-        p = mesh.points[v]
-        mesh.kill_vertex(v)
-        gkey = self._grid_key(p[0], p[1], p[2])
-        if self._vgrid.get(gkey) == v:
-            del self._vgrid[gkey]
+        self._drop_vertex(v)
         return new_tets, ball
 
-    def _fill_hole_giftwrap(self, p, link, hole_faces, ball):
+    def _fill_hole_giftwrap(self, link, hole_faces, ball):
         """Delaunay gift-wrapping of the removal ball.
 
         Advancing front seeded with the hole's own boundary faces, so the
@@ -1472,43 +1416,6 @@ class Triangulation3D:
                         flipped[others[1]], flipped[others[0]],
                     )
                     front[fkey] = (flipped, j)
-        return fill
-
-    def _fill_hole_local_dt(self, p, link, hole_faces, ball):
-        """The paper's strategy: local DT of the link replayed in global
-        insertion-timestamp order; keep the local tets whose circumsphere
-        strictly contains the removed point."""
-        mesh = self.mesh
-        pts = mesh.points
-        order = sorted(link, key=lambda w: mesh.timestamps[w])
-        lo = [min(pts[w][i] for w in link) for i in range(3)]
-        hi = [max(pts[w][i] for w in link) for i in range(3)]
-        extent = max(hi[i] - lo[i] for i in range(3))
-        local = Triangulation3D(lo, hi, margin=2.0 * extent)
-        l2g: Dict[int, int] = {}
-        hint = None
-        try:
-            for w in order:
-                lv, ntets, _ = local.insert_point(pts[w], hint)
-                l2g[lv] = w
-                hint = ntets[0]
-        except (InsertionError, PointLocationError) as exc:
-            raise RemovalError(f"link re-triangulation failed: {exc}") from exc
-
-        fill: List[Tuple[int, int, int, int]] = []
-        lmesh = local.mesh
-        lids = lmesh.live_tet_ids()
-        signs = insphere_many(lmesh.coords, lmesh.tet_verts_arr, lids, p,
-                              lmesh.points)
-        for lt, s in zip(lids.tolist(), signs.tolist()):
-            if s <= 0:
-                continue
-            lverts = lmesh.tet_verts_arr[lt].tolist()
-            if any(lw not in l2g for lw in lverts):
-                continue
-            fill.append(tuple(l2g[lw] for lw in lverts))
-        if not fill:
-            raise RemovalError("no local tetrahedra conflict with the vertex")
         return fill
 
     def _verify_fill(self, fill, hole_faces, ball_volume: float) -> None:

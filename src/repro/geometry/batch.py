@@ -1,126 +1,33 @@
-"""Vectorized batch versions of the filtered geometric predicates.
+"""Vectorized batch kernels over ``(k, 4, 3)`` tet coordinates.
 
-Each kernel mirrors its scalar counterpart in
-:mod:`repro.geometry.predicates` *term for term*, so the same forward
-error bound applies to every lane and inconclusive lanes can be resolved
-by the scalar exact path with identical semantics.  (This is also why
+The commit's fused orientation check, :func:`new_tet_records`, mirrors
+its scalar counterparts in :mod:`repro.geometry.predicates` *term for
+term*, so the same forward error bound applies to every lane and
+inconclusive lanes can be resolved by the scalar exact path with
+identical semantics.  (This is also why
 ``np.linalg.det`` is not used: an LU factorisation has a different — and
 much harder to bound — error structure than the explicit cofactor
 expansion the filter constants were derived for.)
 
-The kernels operate on the mesh's struct-of-arrays storage
-(``coords``/``tet_verts_arr``) and return small integer sign arrays.
-Overhead is ~20 numpy calls per batch, so they pay off from roughly ten
-lanes upward; the Bowyer-Watson commit phase (one orientation test per
-boundary face, typically 20-50 faces) and the removal ball selection are
-the intended consumers.
+Overhead is ~20 numpy calls per batch, so it pays off from roughly ten
+lanes upward; its consumer is the Bowyer-Watson commit phase (one
+orientation test per boundary face, typically 20-50 faces).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.predicates import (
     STATS,
     _EPS,
-    _INSPHERE_BOUND,
-    insphere,
     orient3d,
 )
 
 _CC_NUM_ERR = 32.0 * _EPS
 _CC_TEST_ERR = 16.0 * _EPS
-
-
-def insphere_many(
-    coords: np.ndarray,
-    tet_verts_arr: np.ndarray,
-    tet_ids: np.ndarray,
-    p: Sequence[float],
-    points: Sequence,
-) -> np.ndarray:
-    """Signs of ``insphere(tet, p)`` for many tets in one vectorized call.
-
-    ``coords``/``tet_verts_arr`` are the mesh's struct-of-arrays;
-    ``tet_ids`` selects the (live, positively oriented) tets to test and
-    ``points`` is the scalar tuple mirror used for exact fallbacks.
-    Returns an int sign array aligned with ``tet_ids``.
-    """
-    k = len(tet_ids)
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    STATS.batch_calls += 1
-    STATS.batch_items += k
-    tv = tet_verts_arr[tet_ids]
-    q = coords[tv.ravel()].reshape(k, 4, 3)
-    pe = np.asarray(p, dtype=np.float64)
-    d = q - pe
-    aex, aey, aez = d[:, 0, 0], d[:, 0, 1], d[:, 0, 2]
-    bex, bey, bez = d[:, 1, 0], d[:, 1, 1], d[:, 1, 2]
-    cex, cey, cez = d[:, 2, 0], d[:, 2, 1], d[:, 2, 2]
-    dex, dey, dez = d[:, 3, 0], d[:, 3, 1], d[:, 3, 2]
-
-    aexbey = aex * bey
-    bexaey = bex * aey
-    ab = aexbey - bexaey
-    bexcey = bex * cey
-    cexbey = cex * bey
-    bc = bexcey - cexbey
-    cexdey = cex * dey
-    dexcey = dex * cey
-    cd = cexdey - dexcey
-    dexaey = dex * aey
-    aexdey = aex * dey
-    da = dexaey - aexdey
-    aexcey = aex * cey
-    cexaey = cex * aey
-    ac = aexcey - cexaey
-    bexdey = bex * dey
-    dexbey = dex * bey
-    bd = bexdey - dexbey
-
-    abc = aez * bc - bez * ac + cez * ab
-    bcd = bez * cd - cez * bd + dez * bc
-    cda = cez * da + dez * ac + aez * cd
-    dab = dez * ab + aez * bd + bez * da
-
-    lifts = (d * d).sum(axis=2)
-    alift, blift, clift, dlift = (lifts[:, 0], lifts[:, 1],
-                                  lifts[:, 2], lifts[:, 3])
-    det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
-
-    aezp = np.abs(aez)
-    bezp = np.abs(bez)
-    cezp = np.abs(cez)
-    dezp = np.abs(dez)
-    permanent = (
-        ((np.abs(cexdey) + np.abs(dexcey)) * bezp
-         + (np.abs(dexbey) + np.abs(bexdey)) * cezp
-         + (np.abs(bexcey) + np.abs(cexbey)) * dezp) * alift
-        + ((np.abs(dexaey) + np.abs(aexdey)) * cezp
-           + (np.abs(aexcey) + np.abs(cexaey)) * dezp
-           + (np.abs(cexdey) + np.abs(dexcey)) * aezp) * blift
-        + ((np.abs(aexbey) + np.abs(bexaey)) * dezp
-           + (np.abs(bexdey) + np.abs(dexbey)) * aezp
-           + (np.abs(dexaey) + np.abs(aexdey)) * bezp) * clift
-        + ((np.abs(bexcey) + np.abs(cexbey)) * aezp
-           + (np.abs(cexaey) + np.abs(aexcey)) * bezp
-           + (np.abs(aexbey) + np.abs(bexaey)) * cezp) * dlift
-    )
-    bound = _INSPHERE_BOUND * permanent
-    signs = np.where(det > bound, 1, np.where(det < -bound, -1, 0))
-    unsure = np.flatnonzero(np.abs(det) <= bound)
-    if unsure.size:
-        STATS.batch_exact += int(unsure.size)
-        pt = (float(pe[0]), float(pe[1]), float(pe[2]))
-        verts_rows = tv[unsure].tolist()
-        for idx, verts in zip(unsure.tolist(), verts_rows):
-            signs[idx] = insphere(points[verts[0]], points[verts[1]],
-                                  points[verts[2]], points[verts[3]], pt)
-    return signs
-
 
 # Error coefficient for the orientation sign extracted from the Cramer
 # denominator 2 * (ba . (ca x da)): term depth ~4 roundings, padded 2x.

@@ -104,16 +104,6 @@ class PredicateStats:
             for name in self.__slots__
         }
 
-    @property
-    def exact_fraction(self) -> float:
-        """Fraction of all predicate decisions that needed exact math."""
-        total = (self.orient3d_calls + self.insphere_calls + self.cc_tests
-                 + self.batch_items)
-        if total == 0:
-            return 0.0
-        exact = self.orient3d_exact + self.insphere_exact + self.batch_exact
-        return exact / total
-
 
 #: Process-wide predicate statistics (reset per run by the drivers).
 STATS = PredicateStats()

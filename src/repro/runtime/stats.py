@@ -141,49 +141,51 @@ def publish_kernel_stats(registry: "MetricsRegistry", counters,
     )
 
 
-def kernel_report(counters, predicate_delta: Dict[str, int]) -> str:
-    """ASCII summary of the kernel statistics (mesh --kernel-stats)."""
-    pd = predicate_delta
-    o_calls = pd.get("orient3d_calls", 0)
-    i_calls = pd.get("insphere_calls", 0)
-    cc = pd.get("cc_tests", 0)
-    batch = pd.get("batch_items", 0)
+def kernel_report(gauges: Dict[str, float]) -> str:
+    """ASCII summary of a run's published ``kernel.*`` gauges (see
+    :func:`publish_kernel_stats`), for ``mesh --kernel-stats``."""
+
+    def g(name):
+        return gauges.get(f"kernel.{name}", 0)
+
+    o_calls = g("predicates.orient3d_calls")
+    i_calls = g("predicates.insphere_calls")
+    cc = g("predicates.cc_tests")
+    batch = g("predicates.batch_items")
     decisions = o_calls + i_calls + cc + batch
-    exact = (pd.get("orient3d_exact", 0) + pd.get("insphere_exact", 0)
-             + pd.get("batch_exact", 0))
-    fast = decisions - exact - pd.get("cc_fallback", 0)
-    mean_cavity = (counters.cavity_tets / counters.cavity_calls
-                   if counters.cavity_calls else 0.0)
+    exact = (g("predicates.orient3d_exact") + g("predicates.insphere_exact")
+             + g("predicates.batch_exact"))
+    fast = decisions - exact - g("predicates.cc_fallback")
+    prefix = "kernel.accel_retry."
+    retried = ", ".join(f"{name[len(prefix):]} {n}"
+                        for name, n in gauges.items()
+                        if name.startswith(prefix) and n)
     lines = [
         "kernel hot-path statistics",
         "--------------------------",
-        f"locate calls            {counters.locate_calls:>10}",
-        f"  mean walk length      {counters.mean_walk_length:>10.2f}",
-        f"  seed: grid/hint/scan  {counters.seed_grid_hits:>6}"
-        f"/{counters.seed_hint_hits}/{counters.seed_scans}",
-        f"cavity searches         {counters.cavity_calls:>10}",
-        f"  mean cavity size      {mean_cavity:>10.2f}",
-        f"accelerated inserts     {counters.accel_inserts:>10}"
-        f"  (retries {counters.accel_retries})",
-        f"  batched               {counters.accel_batch_inserts:>10}"
-        f"  ({counters.accel_batch_calls} crossings)",
-        f"accelerated removals    {counters.accel_removals:>10}"
-        f"  (retries {counters.accel_remove_retries})",
-        "  retried because       " + (", ".join(
-            f"{reason} {n}"
-            for reason, n in counters.accel_retry_reasons.items() if n
-        ) or "-"),
-        f"locked commits          {counters.commits:>10}"
-        f"  (work {counters.mean_commit_seconds * 1e6:.1f} us"
-        f", wait {counters.mean_commit_wait_seconds * 1e6:.1f} us)",
+        f"locate calls            {g('locate_calls'):>10}",
+        f"  mean walk length      {g('mean_walk_length'):>10.2f}",
+        f"  seed: grid/hint/scan  {g('seed_grid_hits'):>6}"
+        f"/{g('seed_hint_hits')}/{g('seed_scans')}",
+        f"cavity searches         {g('cavity_calls'):>10}",
+        f"  mean cavity size      {g('mean_cavity_size'):>10.2f}",
+        f"accelerated inserts     {g('accel_inserts'):>10}"
+        f"  (retries {g('accel_retries')})",
+        f"  batched               {g('accel_batch_inserts'):>10}"
+        f"  ({g('accel_batch_calls')} crossings)",
+        f"accelerated removals    {g('accel_removals'):>10}"
+        f"  (retries {g('accel_remove_retries')})",
+        f"  retried because       {retried or '-'}",
+        f"locked commits          {g('commits'):>10}"
+        f"  (work {g('mean_commit_seconds') * 1e6:.1f} us"
+        f", wait {g('mean_commit_wait_seconds') * 1e6:.1f} us)",
         f"predicate decisions     {decisions:>10}",
         f"  orient3d/insphere     {o_calls:>6}/{i_calls}"
         f"  cc-entry {cc}  batch {batch}",
         f"  filter hit rate       {fast / decisions:>10.4f}"
         if decisions else "  filter hit rate              n/a",
         f"  exact fallbacks       {exact:>10}"
-        f"  ({exact / decisions:.5f} of decisions)"
-        if decisions else f"  exact fallbacks       {exact:>10}",
+        f"  ({g('predicates.exact_fraction'):.5f} of decisions)",
     ]
     return "\n".join(lines)
 

@@ -164,3 +164,40 @@ class TestObservabilityFlags:
     def test_missing_image_exits_2(self, tmp_path):
         assert main(["mesh", str(tmp_path / "nope.npz"),
                      "--delta", "3.0"]) == 2
+
+
+class TestKernelStats:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_report_is_the_runs_published_gauges(self, tmp_path, capsys,
+                                                 shards):
+        # The report reads the run's kernel.* gauges, not the process's
+        # predicate totals: a sharded run's blocks, and anything meshed
+        # before it in the process, are not in it.
+        import json
+
+        img = str(tmp_path / "grid.npz")
+        mpath = str(tmp_path / "metrics.json")
+        assert main(["phantom", "ball-grid", "-n", "24", "-o", img]) == 0
+        capsys.readouterr()
+        assert main(["mesh", img, "--delta", "2.0", "--shards", str(shards),
+                     "--kernel-stats", "--metrics-out", mpath]) == 0
+        report = capsys.readouterr().out.split("kernel hot-path")[1]
+        g = json.load(open(mpath))["gauges"]
+
+        def row(label):
+            line = next(ln for ln in report.splitlines() if label in ln)
+            return line.split(label, 1)[1].split()
+
+        p = "kernel.predicates."
+        decisions = sum(g[p + n] for n in ("orient3d_calls", "insphere_calls",
+                                           "cc_tests", "batch_items"))
+        exact = sum(g[p + n] for n in ("orient3d_exact", "insphere_exact",
+                                       "batch_exact"))
+        assert int(row("locate calls")[0]) == g["kernel.locate_calls"]
+        assert int(row("cavity searches")[0]) == g["kernel.cavity_calls"]
+        assert int(row("accelerated removals")[0]) == \
+            g["kernel.accel_removals"]
+        assert int(row("predicate decisions")[0]) == decisions
+        assert row("orient3d/insphere")[0] == (
+            f"{g[p + 'orient3d_calls']}/{g[p + 'insphere_calls']}")
+        assert int(row("exact fallbacks")[0]) == exact

@@ -109,7 +109,7 @@ class TestDegenerateRemovals:
         tri.validate_topology()
         assert tri.is_delaunay()
         assert removed + failed == 14
-        assert removed >= 7  # the strategies handle most grid cases
+        assert removed >= 7  # the gift-wrap fills most grid balls
 
     def test_remove_collinear_cluster_member(self):
         tri = Triangulation3D((0, 0, 0), (1, 1, 1))

@@ -10,9 +10,12 @@ Points on axis-aligned voxel faces — what the isosurface oracle hands
 the kernel — are not in general position: where they are cocircular or
 cospherical the triangulation is not unique, so there the comparison is
 what makes a triangulation Delaunay (no point strictly inside a
-circumsphere, by the exact predicates) and the volume it covers.
+circumsphere, by the exact predicates) and the volume it covers.  The
+same holds for exactly cospherical shells and near-coplanar slabs, whose
+removal balls are the gift-wrap fill's hardest inputs.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -22,7 +25,13 @@ from scipy.spatial import Delaunay as ScipyDelaunay
 from repro.delaunay import Triangulation3D
 from repro.delaunay.triangulation import InsertionError, RemovalError
 from repro.geometry.predicates import insphere, orient3d
-from tests.test_kernel_ties import HI, LO, live_vertices, voxel_face_points
+from tests.test_kernel_ties import (
+    HI,
+    LO,
+    live_vertices,
+    remove_on_both,
+    voxel_face_points,
+)
 
 
 def our_tet_set(tri):
@@ -135,7 +144,7 @@ def test_voxel_face_sets_are_as_delaunay_as_qhulls(seed, lattice):
         try:
             tri.remove_vertex(v)
         except RemovalError:
-            pass                    # a tie neither strategy resolves
+            pass                    # a tie the gift-wrap refuses
     tri.validate_topology()
     index_of = {tri.mesh.points[v]: v for v in [0, 1, 2, 3]
                 + live_vertices(tri)}
@@ -150,3 +159,46 @@ def test_voxel_face_sets_are_as_delaunay_as_qhulls(seed, lattice):
     assert vol_ours == pytest.approx(vol_qhull, rel=1e-9)
     if not lattice:     # coplanar groups alone leave it unique
         assert our_tet_set(tri) == scipy_tet_set(points, index_of)
+
+
+def cospherical_shells():
+    """The integer points on three spheres about the box's centre
+    (squared radii 2, 3 and 9), shuffled: each shell is exactly
+    cospherical, and its axis planes are exactly coplanar."""
+    pts = [(4.0 + dx, 4.0 + dy, 4.0 + dz)
+           for dx, dy, dz in itertools.product(range(-3, 4), repeat=3)
+           if dx * dx + dy * dy + dz * dz in (2, 3, 9)]
+    random.Random(0).shuffle(pts)
+    return pts
+
+
+def near_coplanar_slab(seed):
+    """Points on the tilted plane x + y + z = 12, rounded to it or lifted
+    off it by 2^-48 either way, and a few generic points: four slab
+    points' orientation falls inside the filters' band, so most balls
+    go to the exact predicates."""
+    rng = random.Random(seed)
+    lifts = (0.0, 2.0 ** -48, -(2.0 ** -48))
+    pts = []
+    for _ in range(36):
+        x, y = rng.uniform(2.5, 4.75), rng.uniform(2.5, 4.75)
+        pts.append((x, y, 12.0 - x - y + rng.choice(lifts)))
+    pts += [tuple(rng.uniform(0.5, 7.5) for _ in range(3))
+            for _ in range(4)]
+    return pts
+
+
+@pytest.mark.parametrize("points", [cospherical_shells(),
+                                    near_coplanar_slab(3)],
+                         ids=["cospherical-shells", "near-coplanar-slab"])
+def test_degenerate_removal_balls_on_both_kernels(points):
+    # every other vertex goes through both kernels; each removal commits
+    # or is refused with the store untouched (remove_on_both checks both)
+    tri, removed = remove_on_both(points, lambda t: live_vertices(t)[::2])
+    assert removed
+    tri.validate_topology()
+    assert tri.is_delaunay(tol_exhaustive=1_000_000)
+    live = tri.mesh.live_tet_ids()
+    box = np.asarray([tri.box_vertices])
+    assert tri._abs_volume_sum(tri.mesh.tet_verts_arr[live]) == \
+        pytest.approx(tri._abs_volume_sum(box), rel=1e-9)

@@ -166,7 +166,7 @@ class TestBatchedInsertGoldens:
 
 
 class TestRemovalParity:
-    """The C removal kernel and the Python strategies must agree."""
+    """The C removal kernel and the Python gift-wrap fill must agree."""
 
     def test_python_path_reproduces_golden(self, monkeypatch):
         disable_accel(monkeypatch)

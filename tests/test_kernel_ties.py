@@ -234,13 +234,15 @@ def test_any_voxel_face_set_inserts_the_same_on_both_kernels(points):
 def remove_on_both(points, pick):
     """Build the set twice, remove ``pick(tri)``'s vertices from one
     through ``remove_vertex`` as it dispatches (the C removal when
-    built) and from the other through the Python strategies; the stores
-    must agree after every removal.  Returns the first triangulation
-    and what was removed."""
+    built) and from the other through the Python gift-wrap fill; the
+    stores must agree after every removal, and a refused removal must
+    leave them as they were.  Returns the first triangulation and what
+    was removed."""
     tri, _ = insert_all(points)
     ref, _ = insert_all(points)
     removed = []
     for v in pick(tri):
+        before = store(tri)
         outcome = []
         for side in (tri, ref):
             with pytest.MonkeyPatch.context() as patch:
@@ -253,7 +255,9 @@ def remove_on_both(points, pick):
         assert outcome[0] == outcome[1]
         assert_same_store(store(tri), store(ref))
         tri.validate_topology()
-        if not isinstance(outcome[0], str):
+        if isinstance(outcome[0], str):
+            assert_same_store(store(tri), before)
+        else:
             removed.append(v)
     return tri, removed
 
@@ -291,8 +295,8 @@ class TestRemoveParity:
             assert tri.counters.accel_remove_retries == 0
 
     def test_lattice_sets(self):
-        # cospherical links: the C fill gives up, the Python tie
-        # handling (or its refusal) is what both sides end with
+        # cospherical links: the C fill gives up, the Python gift-wrap's
+        # tie handling (or its refusal) is what both sides end with
         points = voxel_face_points(1, n_groups=10, lattice=True)
         tri, _ = remove_on_both(
             points, lambda tri: live_vertices(tri)[:10])

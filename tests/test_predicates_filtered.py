@@ -20,10 +20,7 @@ from hypothesis import strategies as st
 
 from repro import _accel
 
-from repro.geometry.batch import (
-    insphere_many,
-    new_tet_records,
-)
+from repro.geometry.batch import new_tet_records
 from repro.geometry.predicates import (
     STATS,
     _insphere_exact,
@@ -183,25 +180,6 @@ class TestBatchKernelsMatchScalar:
                           + (eps if i == 1 else 0.0) for i in range(3)]
             quads[j] = pts
         return quads
-
-    def test_insphere_many_lane_by_lane(self):
-        rng = random.Random(11)
-        tets = []
-        while len(tets) < 32:
-            pts = [tuple(rng.uniform(-1, 1) for _ in range(3))
-                   for _ in range(4)]
-            quad = oriented(*pts)
-            if _orient3d_exact(*quad) > 0:
-                tets.append(quad)
-        points = [v for quad in tets for v in quad]
-        coords = np.asarray(points)
-        tet_verts = np.arange(len(points), dtype=np.int64).reshape(-1, 4)
-        tet_ids = np.arange(len(tets))
-        # One well-inside query, one vertex-cospherical query.
-        for p in ((0.0, 0.0, 0.0), tets[0][2]):
-            signs = insphere_many(coords, tet_verts, tet_ids, p, points)
-            for j, quad in enumerate(tets):
-                assert signs[j] == insphere(*quad, p), f"lane {j} p={p}"
 
     def test_new_tet_records_orientation_and_entries(self):
         rng = random.Random(13)
