@@ -10,9 +10,9 @@ Run:  python examples/parallel_scaling_demo.py [n] [delta]
 
 import sys
 
-from repro.api import MeshRequest, mesh
 from repro.imaging import sphere_phantom
 from repro.reporting import Table
+from repro.simnuma import _simulate_parallel_refinement
 
 
 def main() -> None:
@@ -29,9 +29,7 @@ def main() -> None:
          "rollbacks", "contention s", "load-bal s", "rollback s"],
     )
     for threads in (1, 2, 4, 8, 16, 32):
-        res = mesh(MeshRequest(image=image, delta=delta,
-                               mesher="simulated", n_threads=threads))
-        r = res.extras["raw"]  # the SimulationResult behind the facade
+        r = _simulate_parallel_refinement(image, threads, delta=delta)
         if base is None:
             base = r.virtual_time
         table.add_row([

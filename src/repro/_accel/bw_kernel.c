@@ -688,7 +688,7 @@ int64_t bw_insert_many(double *coords, int32_t *tv, int32_t *adj,
  *
  * bw_remove is the sequential removal of one vertex.  Everything up to
  * the commit is read-only on the mesh; a RETRY leaves it untouched and
- * the caller runs the pure-Python strategies (which have the exact
+ * the caller runs the Python gift-wrap (the same fill, with the exact
  * arithmetic and the cospherical-tie handling).
  */
 #define BW_REMOVE_RETRY (-1)
@@ -807,10 +807,10 @@ static int64_t giftwrap_fill(const double *coords, const int32_t *faces,
             if (s > 0)
                 best = cv;
         }
-        if (best < 0) /* no apex: Python raises -> strategy fallback */
+        if (best < 0) /* no apex: Python raises RemovalError */
             GIVE_UP(BW_WHY_TIE);
         /* Dominance re-check.  A conclusive s > 0 makes Python raise
-         * (strategy fallback); an exact zero (cospherical tie) is never
+         * RemovalError; an exact zero (cospherical tie) is never
          * conclusive here, so the tie handling stays in Python. */
         {
             const double *bq[4];

@@ -1,9 +1,7 @@
-"""Unified mesher API: one request shape, one result shape, any mesher.
+"""Unified mesher API: one request shape, one result shape.
 
-Every mesher in this repository — the PI2M sequential refiner, the
-real-thread speculative refiner, the simulated cc-NUMA runs and the two
-baselines (CGAL-like, TetGen-like) — is reachable through the same
-three-step protocol::
+The PI2M sequential refiner and the real-thread speculative refiner
+are reachable through the same three-step protocol::
 
     from repro.api import MeshRequest, mesh
 
@@ -12,20 +10,19 @@ three-step protocol::
     result.mesh.n_tets, result.timings["wall_seconds"], result.metrics
 
 A :class:`MeshRequest` bundles the image, the paper's quality knobs,
-the parallel configuration (thread count, contention manager, load
-balancer) and the run's
-:class:`~repro.observability.ObservabilityConfig`; a
+the threaded mesher's thread count and contention manager and the
+run's :class:`~repro.observability.ObservabilityConfig`; a
 :class:`MeshResult` bundles the extracted mesh, flat statistics, the
 metrics-registry snapshot and timings, plus non-serialisable extras
-(domain, thread stats, the live ``Observability`` bundle) for callers
-that need them.  ``MeshResult.to_dict`` / ``from_dict`` round-trip the
+(the domain and the live ``Observability`` bundle) for callers that
+need them.  ``MeshResult.to_dict`` / ``from_dict`` round-trip the
 serialisable portion.
 
-This module is the only supported entry point: the classic PR-1
-functions (``repro.core.mesh_image``, ``repro.parallel.
-parallel_mesh_image``, ``repro.simnuma.simulate_parallel_refinement``)
-have been removed; their implementations live on as the underscore
-functions this facade calls.
+The simulated cc-NUMA runs (paper Sections 5-6) and the Table 6
+baselines are experiments, not served meshers: call
+``repro.simnuma._simulate_parallel_refinement`` and
+``repro.baselines.{CGALLike,TetGenLike}Mesher`` directly, as the paper
+tables do.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    List,
     Optional,
     Protocol,
     Tuple,
@@ -49,14 +45,12 @@ from repro.core.extract import ExtractedMesh
 from repro.core.sizing import SizeSpec, finite_number
 from repro.imaging.image import SegmentedImage
 from repro.observability import Observability, ObservabilityConfig
-from repro.runtime import CM_NAMES, LB_NAMES
+from repro.runtime import CM_NAMES
 
 #: Mesher names :func:`mesh` runs (:func:`get_mesher`); a
 #: default :class:`~repro.service.MeshingService` serves ``sequential``
 #: alone.
-MESHER_NAMES = (
-    "sequential", "threaded", "simulated", "cgal_like", "tetgen_like",
-)
+MESHER_NAMES = ("sequential", "threaded")
 
 _NUMBER = (float, int)
 _NULL = type(None)
@@ -66,7 +60,8 @@ _NULL = type(None)
 #: first is its canonical form; ``size_function`` travels as
 #: :meth:`SizeSpec.to_json`).  The cache key, the HTTP body and the
 #: worker payloads all read it.  The image, the observability config
-#: and the parallel knobs only :func:`mesh` reads are not in it.
+#: and the threaded mesher's knobs only :func:`mesh` reads are not in
+#: it.
 REQUEST_FIELDS: Dict[str, Tuple[type, ...]] = {
     "mesher": (str,),
     "delta": _NUMBER + (_NULL,),
@@ -114,8 +109,8 @@ class MeshRequest:
 
     ``mesher='auto'`` resolves to ``'sequential'`` whatever
     ``n_threads`` is (real threads measure 0.21-0.31x of it under one
-    interpreter lock).  The parallel knobs configure the ``'threaded'``
-    and ``'simulated'`` meshers, which only :func:`mesh` runs: they are
+    interpreter lock).  ``n_threads`` and ``cm`` configure the
+    ``'threaded'`` mesher, which only :func:`mesh` runs: they are
     library fields, outside the codec (:data:`REQUEST_FIELDS`), so no
     cache key, wire body or worker payload carries them.
     """
@@ -128,12 +123,9 @@ class MeshRequest:
     planar_angle_bound_deg: float = 30.0
     #: rule R5's size function (:mod:`repro.core.sizing`), or ``None``
     size_function: Optional[SizeSpec] = None
-    # -- parallel configuration (paper Sections 4-6; library only) -------
+    # -- threaded mesher (paper Section 4; library only) -----------------
     n_threads: int = 1
     cm: str = "local"
-    lb: str = "hws"
-    hyperthreading: bool = False
-    seed: int = 0
     #: domain sharding: ``None``/1 = off, ``"auto"`` = one shard per
     #: CPU (capped), N = split the image into up to N blocks, meshed
     #: one after another by :func:`mesh` or over a service's worker
@@ -226,11 +218,9 @@ class MeshRequest:
         self.from_params(self.image, self.to_params())  # types, finiteness
         if self.delta is not None and self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        for knob, names in (("cm", CM_NAMES), ("lb", LB_NAMES)):
-            value = getattr(self, knob)
-            if not isinstance(value, str) or value.lower() not in names:
-                raise ValueError(
-                    f"{knob} must be one of {names}, got {value!r}")
+        if not isinstance(self.cm, str) or self.cm.lower() not in CM_NAMES:
+            raise ValueError(
+                f"cm must be one of {CM_NAMES}, got {self.cm!r}")
         s = self.shards
         if s is not None:
             if s != "auto" and (not isinstance(s, int)
@@ -257,11 +247,10 @@ class MeshResult:
     """Uniform outcome of any mesher run.
 
     ``stats`` holds flat, JSON-safe counters specific to the mesher
-    (operations, rollbacks, rule counts, livelock, ...); ``metrics`` is
-    the run's metrics-registry snapshot; ``timings`` always contains
-    ``wall_seconds`` and, for simulated runs, ``virtual_seconds``.
-    ``extras`` carries live objects (domain, thread stats, the
-    ``Observability`` bundle) on what :func:`mesh` returns; it is
+    (operations, rollbacks, rule counts, ...); ``metrics`` is the run's
+    metrics-registry snapshot; ``timings`` always contains
+    ``wall_seconds``.  ``extras`` carries live objects (``domain`` and
+    the ``obs`` bundle) on what :func:`mesh` returns; it is
     dropped by :meth:`to_dict`, and a result a
     :class:`~repro.service.MeshingService` hands out or stores has none.
     """
@@ -283,8 +272,8 @@ class MeshResult:
 
     @property
     def ok(self) -> bool:
-        """A usable (non-empty, non-livelocked) mesh came out."""
-        return self.mesh.n_tets > 0 and not self.stats.get("livelock", False)
+        """A usable (non-empty) mesh came out."""
+        return self.mesh.n_tets > 0
 
     @property
     def observability(self) -> Optional[Observability]:
@@ -372,7 +361,7 @@ class SequentialMesher:
             },
             metrics=obs.snapshot(),
             timings={"wall_seconds": wall, "refine_seconds": s.wall_time},
-            extras={"obs": obs, "domain": res.domain, "raw": res},
+            extras={"obs": obs, "domain": res.domain},
         )
 
 
@@ -391,8 +380,6 @@ class ThreadedMesher:
             n_threads=request.n_threads,
             **request.domain_args(),
             cm=request.cm,
-            lb=request.lb,
-            seed=request.seed,
             timeout=request.timeout,
             obs=obs,
         )
@@ -408,173 +395,8 @@ class ThreadedMesher:
             stats=stats,
             metrics=obs.snapshot(),
             timings={"wall_seconds": wall, "refine_seconds": res.wall_time},
-            extras={
-                "obs": obs,
-                "domain": res.domain,
-                "thread_stats": res.thread_stats,
-                "raw": res,
-            },
+            extras={"obs": obs, "domain": res.domain},
         )
-
-
-class SimulatedMesher:
-    """PI2M refinement on the simulated cc-NUMA machine (Sections 5-6).
-
-    Unlike the classic ``_simulate_parallel_refinement`` (which reports
-    counts only), the unified path also extracts the final mesh so the
-    result shape matches every other mesher.
-    """
-
-    name = "simulated"
-
-    def mesh(self, request: MeshRequest) -> MeshResult:
-        from repro.core.domain import RefineDomain
-        from repro.core.extract import extract_mesh
-        from repro.simnuma.simrefiner import _simulate_parallel_refinement
-
-        obs = Observability.from_config(request.observability)
-        t0 = time.perf_counter()
-        domain = RefineDomain(request.image, **request.domain_args())
-        sim = _simulate_parallel_refinement(
-            request.image,
-            request.n_threads,
-            cm=request.cm,
-            lb=request.lb,
-            hyperthreading=request.hyperthreading,
-            seed=request.seed,
-            domain=domain,
-            obs=obs,
-        )
-        mesh = extract_mesh(domain)
-        wall = time.perf_counter() - t0
-        stats = dict(sim.totals)
-        stats.update(
-            n_threads=sim.n_threads,
-            cm=sim.cm_name,
-            lb=sim.lb_name,
-            hyperthreading=sim.hyperthreading,
-            livelock=sim.livelock,
-            elements_per_second=sim.elements_per_second,
-        )
-        return MeshResult(
-            mesh=mesh,
-            mesher=self.name,
-            stats=stats,
-            metrics=obs.snapshot(),
-            timings={
-                "wall_seconds": wall,
-                "virtual_seconds": sim.virtual_time,
-            },
-            extras={
-                "obs": obs,
-                "domain": domain,
-                "thread_stats": sim.thread_stats,
-                "raw": sim,
-            },
-        )
-
-
-def _run_baseline(name: str, obs: Observability, mesher, t0: float) -> MeshResult:
-    """Refine ``mesher`` and build its ``MeshResult``: rate over the
-    mesher's own ``stats.wall_time``, ``wall_seconds`` since ``t0``."""
-    with obs.tracer.span(f"{name}.refine"):
-        extracted = mesher.refine()
-    wall = time.perf_counter() - t0
-    s = mesher.stats
-    rate = extracted.n_tets / s.wall_time if s.wall_time > 0 else 0.0
-    reg = obs.registry
-    reg.counter("refine.operations").inc(s.n_operations)
-    reg.counter("refine.insertions").inc(s.n_insertions)
-    reg.gauge("run.elements").set(extracted.n_tets)
-    reg.gauge("run.wall_seconds").set(wall)
-    reg.gauge("run.elements_per_second").set(rate)
-    return MeshResult(
-        mesh=extracted,
-        mesher=name,
-        stats={"operations": s.n_operations, "insertions": s.n_insertions,
-               "elements_per_second": rate},
-        metrics=obs.snapshot(),
-        timings={"wall_seconds": wall, "refine_seconds": s.wall_time},
-        extras={"obs": obs, "raw": mesher},
-    )
-
-
-class CGALLikeAdapter:
-    """The isosurface-based CGAL-Mesh_3-style baseline (Table 6)."""
-
-    name = "cgal_like"
-
-    def mesh(self, request: MeshRequest) -> MeshResult:
-        from repro.baselines.cgal_like import CGALLikeMesher
-
-        obs = Observability.from_config(request.observability)
-        t0 = time.perf_counter()
-        return _run_baseline(self.name, obs, CGALLikeMesher(
-            request.image,
-            facet_angle_deg=request.planar_angle_bound_deg,
-            cell_radius_edge=request.radius_edge_bound,
-        ), t0)
-
-
-class TetGenLikeAdapter:
-    """The PLC-based TetGen-style baseline (Table 6).
-
-    TetGen receives *the surface PI2M recovers* as its PLC (the paper's
-    exact setup), so this adapter first runs a sequential PI2M pass to
-    produce the boundary triangulation (``timings["plc_seconds"]``, not
-    charged to the filler's rate), then fills and refines the volume.
-    Region seeds are label centroids of the input image.
-    """
-
-    name = "tetgen_like"
-
-    def mesh(self, request: MeshRequest) -> MeshResult:
-        from repro.baselines.tetgen_like import TetGenLikeMesher
-        from repro.core import _mesh_image
-
-        obs = Observability.from_config(request.observability)
-        t0 = time.perf_counter()
-        with obs.tracer.span("tetgen_like.plc"):
-            plc = _mesh_image(request.image, **request.domain_args(),
-                              max_operations=request.max_operations)
-        plc_seconds = time.perf_counter() - t0
-        seeds = _region_seeds(request.image)
-        if plc.mesh.n_tets == 0 or not seeds:
-            return MeshResult(
-                mesh=plc.mesh,
-                mesher=self.name,
-                stats={"operations": 0, "insertions": 0,
-                       "plc_elements": plc.mesh.n_tets},
-                metrics=obs.snapshot(),
-                timings={"wall_seconds": plc_seconds, "plc_seconds": plc_seconds},
-                extras={"obs": obs},
-            )
-        result = _run_baseline(self.name, obs, TetGenLikeMesher(
-            plc.mesh.vertices,
-            plc.mesh.boundary_faces,
-            seeds,
-            radius_edge_bound=request.radius_edge_bound,
-        ), t0)
-        result.stats["plc_vertices"] = int(len(plc.mesh.vertices))
-        result.timings["plc_seconds"] = plc_seconds
-        result.extras["plc"] = plc
-        return result
-
-
-def _region_seeds(image: SegmentedImage
-                  ) -> List[Tuple[Tuple[float, float, float], int]]:
-    """One interior seed point per tissue label: the centroid voxel of
-    the label's mask, snapped to the nearest voxel actually carrying the
-    label (centroids of non-convex tissues can fall outside)."""
-    seeds: List[Tuple[Tuple[float, float, float], int]] = []
-    for lab in np.unique(image.labels):
-        if lab == 0:
-            continue
-        idx = np.argwhere(image.labels == lab)
-        centroid = idx.mean(axis=0)
-        nearest = idx[np.argmin(((idx - centroid) ** 2).sum(axis=1))]
-        seeds.append((image.voxel_center(nearest), int(lab)))
-    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +406,6 @@ def _region_seeds(image: SegmentedImage
 _MESHERS: Dict[str, Mesher] = {
     "sequential": SequentialMesher(),
     "threaded": ThreadedMesher(),
-    "simulated": SimulatedMesher(),
-    "cgal_like": CGALLikeAdapter(),
-    "tetgen_like": TetGenLikeAdapter(),
 }
 
 
@@ -640,9 +459,6 @@ __all__ = [
     "Mesher",
     "SequentialMesher",
     "ThreadedMesher",
-    "SimulatedMesher",
-    "CGALLikeAdapter",
-    "TetGenLikeAdapter",
     "get_mesher",
     "mesh",
 ]

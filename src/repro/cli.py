@@ -3,17 +3,19 @@
 Commands
 --------
 ``phantom``   generate a synthetic segmented image (.npz)
-``mesh``      image-to-mesh conversion (any mesher, via ``repro.api``)
+``mesh``      image-to-mesh conversion (sequential or threaded, via
+              ``repro.api``)
 ``serve``     long-running meshing service behind the HTTP gateway
               (see ``repro.service``)
 ``simulate``  parallel refinement on the simulated cc-NUMA machine
+              (``repro.simnuma``, called directly)
 ``report``    quality/fidelity report of a stored image + parameters
 ``show``      ASCII view of an image slice
 
-Every meshing command runs through the unified :mod:`repro.api` path
-and accepts ``--trace-out`` (Chrome-trace JSON, loadable in
-``chrome://tracing`` / Perfetto) and ``--metrics-out`` (flat metrics
-JSON) flags.
+``mesh`` and ``report`` run through the unified :mod:`repro.api` path.
+Every meshing command accepts ``--trace-out`` (Chrome-trace JSON,
+loadable in ``chrome://tracing`` / Perfetto) and ``--metrics-out``
+(flat metrics JSON) flags.
 
 Exit codes: 0 success, 1 empty/invalid mesh (or simulated livelock),
 2 bad arguments.
@@ -40,8 +42,7 @@ PHANTOMS = {
     "vascular": "vascular_phantom",
 }
 
-MESHER_CHOICES = ["auto", "sequential", "threaded", "cgal-like",
-                  "tetgen-like"]
+MESHER_CHOICES = ["auto", "sequential", "threaded"]
 
 
 def _cmd_phantom(args: argparse.Namespace) -> int:
@@ -93,30 +94,25 @@ def _build_request(args: argparse.Namespace, image, mesher: str):
         shards=getattr(args, "shards", None),
         n_threads=getattr(args, "threads", 1),
         cm=getattr(args, "cm", "local"),
-        lb=getattr(args, "lb", "hws"),
-        hyperthreading=getattr(args, "hyperthreading", False),
-        seed=getattr(args, "seed", 0),
         observability=ObservabilityConfig(
             tracing=bool(getattr(args, "trace_out", None)),
         ),
     )
 
 
-def _export_observability(result, args: argparse.Namespace) -> None:
-    obs = result.observability
-    if obs is None:
-        return
+def _export_observability(args: argparse.Namespace, obs, mesher: str,
+                          stats, timings) -> None:
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
-        obs.write_trace(trace_out, process_name=f"repro-{result.mesher}")
+        obs.write_trace(trace_out, process_name=f"repro-{mesher}")
         print(f"wrote trace {trace_out}")
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
         obs.write_metrics(metrics_out, extra={
-            "mesher": result.mesher,
-            "stats": {k: v for k, v in result.stats.items()
+            "mesher": mesher,
+            "stats": {k: v for k, v in stats.items()
                       if not isinstance(v, dict)},
-            "timings": result.timings,
+            "timings": timings,
         })
         print(f"wrote metrics {metrics_out}")
 
@@ -134,17 +130,16 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
     image = _load_image(args.image)
     mesher = args.mesher.replace("-", "_")
     result = mesh(_build_request(args, image, mesher))
-    _export_observability(result, args)
+    _export_observability(args, result.observability, result.mesher,
+                          result.stats, result.timings)
 
     if result.mesh.n_tets == 0:
         return _empty_mesh_error()
     dt = result.timings["wall_seconds"]
     if result.mesher == "threaded":
         extra = f" rollbacks={int(result.stats.get('rollbacks', 0))}"
-    elif result.mesher == "sequential":
-        extra = f" rules={result.stats.get('rule_counts', {})}"
     else:
-        extra = f" mesher={result.mesher}"
+        extra = f" rules={result.stats.get('rule_counts', {})}"
     q = quality_report(result.mesh)
     print(f"{result.mesh.n_tets} tets in {dt:.2f}s "
           f"({result.mesh.n_tets / dt:,.0f} tets/s){extra}")
@@ -218,13 +213,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.api import mesh
+    import time
+
+    from repro.core.domain import RefineDomain
+    from repro.core.extract import extract_mesh
+    from repro.observability import Observability, ObservabilityConfig
+    from repro.simnuma import _simulate_parallel_refinement
 
     image = _load_image(args.image)
-    result = mesh(_build_request(args, image, "simulated"))
-    _export_observability(result, args)
+    obs = Observability.from_config(
+        ObservabilityConfig(tracing=bool(args.trace_out)))
+    t0 = time.perf_counter()
+    domain = RefineDomain(image, delta=args.delta)
+    r = _simulate_parallel_refinement(
+        image, args.threads, cm=args.cm, lb=args.lb,
+        hyperthreading=args.hyperthreading, seed=args.seed,
+        domain=domain, obs=obs)
+    n_tets = extract_mesh(domain).n_tets
+    stats = dict(r.totals, n_threads=r.n_threads, cm=r.cm_name,
+                 lb=r.lb_name, hyperthreading=r.hyperthreading,
+                 livelock=r.livelock,
+                 elements_per_second=r.elements_per_second)
+    _export_observability(args, obs, "simulated", stats, {
+        "wall_seconds": time.perf_counter() - t0,
+        "virtual_seconds": r.virtual_time})
 
-    r = result.extras["raw"]
     status = "LIVELOCK" if r.livelock else "ok"
     print(f"[{status}] {r.n_elements} elements in {r.virtual_time:.4f} "
           f"simulated seconds = {r.elements_per_second:,.0f} elements/s")
@@ -237,8 +250,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         print()
         print(utilization_report(r))
-    if r.livelock or result.mesh.n_tets == 0:
-        if result.mesh.n_tets == 0 and not r.livelock:
+    if r.livelock or n_tets == 0:
+        if n_tets == 0 and not r.livelock:
             return _empty_mesh_error()
         return EXIT_INVALID_MESH
     return EXIT_OK
@@ -255,7 +268,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     image = _load_image(args.image)
     result = mesh(_build_request(args, image, "sequential"))
-    _export_observability(result, args)
+    _export_observability(args, result.observability, result.mesher,
+                          result.stats, result.timings)
     if result.mesh.n_tets == 0:
         return _empty_mesh_error()
 

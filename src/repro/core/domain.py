@@ -241,9 +241,6 @@ class RefineDomain:
         self.n_removals = 0
         self.n_skipped = 0
 
-        # vertex id -> creating thread (cost-model locality; worker sets it)
-        self.vertex_creator: Dict[int, int] = {}
-
     # ------------------------------------------------------------------
     # geometric helpers
     # ------------------------------------------------------------------

@@ -1026,7 +1026,7 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
             "shard_seconds": shard_seconds,
             "stitch_seconds": stitch_stats["seconds"],
         },
-        extras={"obs": obs, "domain": result.domain, "plan": plan},
+        extras={"obs": obs, "domain": result.domain},
     )
 
 

@@ -119,7 +119,7 @@ def _parallel_mesh_image(
     radius_edge_bound: float = 2.0,
     planar_angle_bound_deg: float = 30.0,
     cm: str = "local",
-    lb: str = "rws",
+    lb: str = "hws",
     placement: Optional[Placement] = None,
     seed: int = 0,
     timeout: Optional[float] = None,

@@ -126,11 +126,6 @@ def refinement_worker(ctx: ExecutionContext, env: WorkerEnv) -> None:
             continue
 
         elapsed = _time.perf_counter() - t_real0
-        if result.inserted_vertex is not None:
-            # Locality bookkeeping for the NUMA cost model: the inserting
-            # thread is the vertex's home.
-            domain.vertex_creator[result.inserted_vertex] = ctx.thread_id
-
         # Every live new element is a candidate; refine_tet judges it
         # when it is popped.  Liveness is read while the operation's
         # locks are still held (commit releases them), so no peer can

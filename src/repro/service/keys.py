@@ -36,7 +36,9 @@ from repro.imaging.image import SegmentedImage
 #: them as data, and float fields are floats (``delta`` 3 is 3.0).
 #: v6: the parallel knobs (``n_threads``, ``cm``, ``lb``,
 #: ``hyperthreading``, ``seed``) left them: the served mesher never
-#: read them.
+#: read them.  ``lb``, ``hyperthreading`` and ``seed`` have since left
+#: ``MeshRequest`` as well (they are the simulator's own arguments);
+#: no key moved, so the version stays.
 CACHE_FORMAT_VERSION = 6
 
 

@@ -1,8 +1,9 @@
 """Parallel refinement under the simulated cc-NUMA machine.
 
 :func:`_simulate_parallel_refinement` is the single entry point the
-scaling and contention-manager benchmarks use (fronted publicly by
-``repro.api.mesh`` with a ``simulated`` mesher).  It assembles the real
+scaling and contention-manager benchmarks, ``repro simulate`` and the
+examples call directly (it is an experiment, not a served mesher, so
+``repro.api.mesh`` does not front it).  It assembles the real
 production components — :class:`RefineDomain`, PELs, a contention
 manager, a begging list and the shared worker loop — and runs them on
 the discrete-event engine with the Blacklight cost model.
@@ -67,7 +68,7 @@ def _simulate_parallel_refinement(
     domain: Optional[RefineDomain] = None,
     obs=None,
 ) -> SimulationResult:
-    """Simulated cc-NUMA refinement behind ``repro.api.mesh``.
+    """Simulated cc-NUMA refinement of ``image`` on ``n_threads`` threads.
 
     Returns a :class:`SimulationResult`; on a livelock (possible for the
     aggressive / random contention managers, exactly as in Table 1) the
@@ -77,13 +78,17 @@ def _simulate_parallel_refinement(
     carry *virtual* timestamps, so the exported Chrome trace shows the
     simulated machine's timeline.
     """
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     if domain is None:
         domain = RefineDomain(image, delta=delta, size_function=size_function)
     model = cost_model if cost_model is not None else NumaCostModel(machine=machine)
     placement = machine.placement(n_threads, hyperthreading)
     mesh = domain.tri.mesh
 
-    creators = domain.vertex_creator
+    # vertex id -> creating thread: the inserting thread is the vertex's
+    # home for the cost model's locality.
+    creators: Dict[int, int] = {}
     service_rate = model.switch_service_rate
     softcap = model.congestion_softcap
 
@@ -99,10 +104,12 @@ def _simulate_parallel_refinement(
     cache_capacity = model.vertex_cache_capacity
 
     def cost_of(result: Optional[OperationResult], elapsed: float, ctx) -> float:
+        tid = ctx.thread_id
+        if result is not None and result.inserted_vertex is not None:
+            creators[result.inserted_vertex] = tid
         comm_cycles = 0.0
         n_remote = 0
         congestion = engine.congestion_multiplier(softcap)
-        tid = ctx.thread_id
         my_blade = placement.blade_of(tid)
         cache = caches[placement.core_of(tid) % n_cores]
         for vid in ctx.op_locks:

@@ -20,7 +20,7 @@ from repro.api import (
 from repro.core.sizing import constant, radial, surface_graded, unconstrained
 from repro.imaging import sphere_phantom
 from repro.observability import Observability, ObservabilityConfig
-from repro.runtime import CM_NAMES, LB_NAMES
+from repro.runtime import CM_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,7 @@ def results(image):
     out = {}
     for name in MESHER_NAMES:
         req = MeshRequest(image=image, delta=3.0, mesher=name,
-                          n_threads=2 if name in ("threaded", "simulated")
-                          else 1)
+                          n_threads=2 if name == "threaded" else 1)
         out[name] = mesh(req)
     return out
 
@@ -51,6 +50,15 @@ class TestProtocolConformance:
         with pytest.raises(ValueError, match="unknown mesher"):
             get_mesher("voronoi")
 
+    @pytest.mark.parametrize("name",
+                             ["simulated", "cgal_like", "tetgen_like"])
+    def test_experiments_are_not_meshers(self, image, name):
+        """The simulator and the Table 6 baselines are called directly
+        (``repro.simnuma``, ``repro.baselines``); :func:`mesh` refuses
+        their names before it meshes anything."""
+        with pytest.raises(ValueError, match=f"unknown mesher '{name}'"):
+            mesh(MeshRequest(image=image, delta=3.0, mesher=name))
+
     @pytest.mark.parametrize("name", MESHER_NAMES)
     def test_mesher_returns_meshresult(self, results, name):
         r = results[name]
@@ -65,9 +73,6 @@ class TestProtocolConformance:
         assert isinstance(r.stats, dict) and r.stats
         assert set(r.metrics) == {"counters", "gauges", "histograms"}
 
-    def test_simulated_reports_virtual_time(self, results):
-        assert results["simulated"].timings["virtual_seconds"] > 0
-
     def test_observability_bundle_attached(self, results):
         for name in MESHER_NAMES:
             obs = results[name].observability
@@ -79,9 +84,8 @@ class TestMeshRequest:
         assert MeshRequest(image=image).resolved_mesher() == "sequential"
         auto = MeshRequest(image=image, n_threads=4)
         assert auto.resolved_mesher() == "sequential"
-        for name in ("threaded", "simulated"):
-            assert MeshRequest(image=image, mesher=name,
-                               n_threads=4).resolved_mesher() == name
+        assert MeshRequest(image=image, mesher="threaded",
+                           n_threads=4).resolved_mesher() == "threaded"
 
     def test_validate_rejects_bad_requests(self, image):
         with pytest.raises(ValueError):
@@ -96,10 +100,8 @@ class TestMeshRequest:
                     MeshRequest(image=image, **{knob: bad}).validate()
         with pytest.raises(ValueError, match="SizeSpec"):
             MeshRequest(image=image, size_function=lambda p: 3.0).validate()
-        for knob in ("cm", "lb"):
-            with pytest.raises(ValueError, match=f"{knob} must be one of"):
-                mesh(MeshRequest(image=image, mesher="threaded",
-                                 **{knob: "bogus"}))
+        with pytest.raises(ValueError, match="cm must be one of"):
+            mesh(MeshRequest(image=image, mesher="threaded", cm="bogus"))
 
     def test_parallel_knobs_are_library_fields(self, image, results):
         """The codec does not carry them; :func:`mesh` still reads them."""
@@ -139,9 +141,6 @@ _FIELDS = {
     "size_function": _SPECS,
     "n_threads": st.integers(1, 8),
     "cm": st.sampled_from(CM_NAMES),
-    "lb": st.sampled_from(LB_NAMES),
-    "hyperthreading": st.booleans(),
-    "seed": st.integers(0, 2**31),
     "shards": st.none() | st.integers(1, 4) | st.just("auto"),
     "incremental": st.booleans(),
     "max_operations": st.none() | st.integers(1, 10**6),
@@ -155,8 +154,8 @@ _REQUESTS = st.fixed_dictionaries(_FIELDS).map(
 
 def _meshed(r):
     """What determines a served mesh, resolved by hand: everything but
-    the timeout, the observability config and the parallel knobs only
-    :func:`repro.api.mesh` reads."""
+    the timeout, the observability config and the threaded mesher's
+    knobs only :func:`repro.api.mesh` reads."""
     shards = r.resolved_shards()
     return (r.resolved_mesher(),
             None if r.delta is None else float(r.delta),
@@ -262,22 +261,9 @@ class TestImplAndApiAgree:
 
         default = mesh(MeshRequest(image=image, delta=3.0,
                                    mesher="threaded", n_threads=1))
-        impl = _parallel_mesh_image(image, n_threads=1, delta=3.0, lb="hws")
+        impl = _parallel_mesh_image(image, n_threads=1, delta=3.0)
         np.testing.assert_array_equal(default.mesh.tets, impl.mesh.tets)
         assert quality_report(default.mesh).max_radius_edge > 1.6
-
-    def test_simulated_impl_matches_api(self, image, results):
-        from repro.simnuma import _simulate_parallel_refinement
-
-        old = _simulate_parallel_refinement(
-            image, n_threads=2, delta=3.0, seed=0
-        )
-        new = results["simulated"]
-        # the simulator is deterministic for a fixed seed
-        assert old.virtual_time == pytest.approx(
-            new.timings["virtual_seconds"]
-        )
-        assert old.rollbacks == new.stats["rollbacks"]
 
 
 class TestTracingThroughApi:

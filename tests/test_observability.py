@@ -241,20 +241,18 @@ class TestInstrumentedRuns:
         assert any(e.ph == PH_COMPLETE for e in evs)
 
     def test_simulated_run_has_virtual_timeline(self):
-        from repro.api import MeshRequest, mesh
         from repro.imaging import sphere_phantom
+        from repro.simnuma import _simulate_parallel_refinement
 
-        req = MeshRequest(image=sphere_phantom(14), delta=3.0,
-                          mesher="simulated", n_threads=4,
-                          observability=ObservabilityConfig(tracing=True))
-        result = mesh(req)
-        assert result.metrics["counters"]["runtime.rollbacks"] >= 0
-        assert "runtime.overhead.contention_seconds" in (
-            result.metrics["counters"]
-        )
-        evs = result.observability.tracer.events()
+        obs = Observability.from_config(ObservabilityConfig(tracing=True))
+        sim = _simulate_parallel_refinement(sphere_phantom(14), 4,
+                                            delta=3.0, obs=obs)
+        counters = obs.snapshot()["counters"]
+        assert counters["runtime.rollbacks"] >= 0
+        assert "runtime.overhead.contention_seconds" in counters
+        evs = obs.tracer.events()
         # virtual timestamps: all within the simulated clock range
-        vmax = result.timings["virtual_seconds"]
+        vmax = sim.virtual_time
         op_events = [e for e in evs if e.ph == PH_COMPLETE]
         assert op_events
         assert all(0.0 <= e.ts <= vmax + 1e-9 for e in op_events)

@@ -64,6 +64,13 @@ class TestParallelThreads:
                                   placement=placement, timeout=240.0)
         assert res.mesh.n_tets > 50
 
+    def test_rws_balancer(self, img):
+        # hws is the default; random work stealing stays a working choice.
+        res = parallel_mesh_image(img, n_threads=4, delta=3.0, lb="rws",
+                                  timeout=240.0)
+        res.domain.tri.validate_topology()
+        assert res.mesh.n_tets > 50
+
     def test_multi_tissue_parallel(self):
         res = parallel_mesh_image(shell_phantom(20), n_threads=4, delta=3.0,
                                   timeout=240.0)

@@ -75,7 +75,6 @@ class ScriptedDomain:
         self.tri.mesh = mesh
         self.script = list(script)
         self.refined = []
-        self.vertex_creator = {}
 
     def refine_tet(self, t, touch=None):
         self.refined.append(t)

@@ -235,8 +235,9 @@ class TestServedTable:
         with MeshingService(ServiceConfig(
                 n_workers=1, executor=executor)) as service:
             assert list(service.meshers) == ["sequential"]
-            for name in [n for n in MESHER_NAMES if n != "sequential"] + [
-                    "bogus"]:
+            refused = [n for n in MESHER_NAMES if n != "sequential"] + [
+                "simulated", "cgal_like", "tetgen_like", "bogus"]
+            for name in refused:
                 with pytest.raises(ValueError,
                                    match=r"serves \('sequential',\)"):
                     service.submit(MeshRequest(image=image, delta=3.0,
@@ -250,13 +251,13 @@ class TestServedTable:
 
     def test_parallel_knobs_do_not_split_the_key(self, image,
                                                  template_result):
-        """``seed`` and ``n_threads`` are not served: requests that
-        differ only there share one request key, so a concurrent
-        duplicate coalesces and a later one is a memory hit."""
+        """``cm`` and ``n_threads`` are not served: requests that differ
+        only there share one request key, so a concurrent duplicate
+        coalesces and a later one is a memory hit."""
         base = MeshRequest(image=image, delta=3.0)
-        seeded = MeshRequest(image=image, delta=3.0, seed=7)
+        managed = MeshRequest(image=image, delta=3.0, cm="global")
         threaded = MeshRequest(image=image, delta=3.0, n_threads=4)
-        assert cache_keys(seeded) == cache_keys(base)
+        assert cache_keys(managed) == cache_keys(base)
         assert cache_keys(threaded) == cache_keys(base)
         gate = threading.Event()
         mesher = FakeMesher(template_result, block_event=gate)
@@ -264,7 +265,7 @@ class TestServedTable:
                             meshers={"sequential": mesher}) as service:
             try:
                 leader = service.submit(base)
-                follower = service.submit(seeded)
+                follower = service.submit(managed)
             finally:
                 gate.set()
             assert leader.wait(30.0) and follower.wait(30.0)
