@@ -279,8 +279,9 @@ def _voxel_face_workload():
         return RefineDomain(image, delta=domain.delta,
                             oracle=domain.oracle).tri
 
+    kinds = domain.kinds(len(store.points))[live]
     return (new_tri, [store.points[v] for v in live],
-            [domain.vertex_kind[v] == VertexKind.CIRCUMCENTER for v in live])
+            (kinds == VertexKind.CIRCUMCENTER).tolist())
 
 
 def _voxel_face_pass(workload):

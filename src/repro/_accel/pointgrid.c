@@ -1,9 +1,10 @@
 /* Uniform hash grid over vertex ids: core/pointgrid.py's PointGrid when
  * the accelerator is loaded, answering as the dict-of-cells reference
  * does, order included.  A point p lives in cell floor(p / cell); a
- * query of radius r visits the cells floor((p -+ r) / cell), x then y
- * then z ascending, and a cell's ids in insertion order (a doubly linked
- * list per cell: a re-add moves the id to the end); the test is
+ * query of radius r visits the cells floor((p -+ s) / cell), s = r +
+ * 1e-9 * (|x| + |y| + |z| + r), x then y then z ascending, and a cell's
+ * ids in insertion order (a doubly linked list per cell: a re-add moves
+ * the id to the end); the test is
  * dx*dx + dy*dy + dz*dz <= r*r, d = q - p, left to right (built with
  * -ffp-contract=off, as bw_kernel.c is).  Ids are non-negative and index
  * dense arrays (they are vertex-store slots); an emptied cell stays in
@@ -174,9 +175,13 @@ static int64_t pg_scan(const pg_grid *g, double x, double y, double z,
     const double cell = g->cell, r2 = r * r;
     int64_t n = 0;
     if (g->n == 0) return 0;
-    int64_t x0 = pg_floor((x - r) / cell), x1 = pg_floor((x + r) / cell);
-    int64_t y0 = pg_floor((y - r) / cell), y1 = pg_floor((y + r) / cell);
-    int64_t z0 = pg_floor((z - r) / cell), z1 = pg_floor((z + r) / cell);
+    /* The distance test is rounded, so a point a hair past r can pass
+     * it from a cell just outside floor((p -+ r) / cell); padding r by
+     * far more than that rounding widens a side only there. */
+    const double s = r + 1e-9 * (fabs(x) + fabs(y) + fabs(z) + r);
+    int64_t x0 = pg_floor((x - s) / cell), x1 = pg_floor((x + s) / cell);
+    int64_t y0 = pg_floor((y - s) / cell), y1 = pg_floor((y + s) / cell);
+    int64_t z0 = pg_floor((z - s) / cell), z1 = pg_floor((z + s) / cell);
     for (int64_t ix = x0; ix <= x1; ix++)
         for (int64_t iy = y0; iy <= y1; iy++)
             for (int64_t iz = z0; iz <= z1; iz++) {

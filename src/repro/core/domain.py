@@ -218,11 +218,10 @@ class RefineDomain:
             sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]
         )
 
-        # Vertex bookkeeping — the kind of every vertex (as a dict and,
-        # for the screen's face tests, an int8 array indexed by vertex
-        # id) and the two proximity grids.  ``register_vertex`` and
-        # ``forget_vertex`` are the only writers.
-        self.vertex_kind: Dict[int, VertexKind] = {}
+        # Vertex bookkeeping — the kind of every vertex, one int8 array
+        # indexed by vertex id (:meth:`kinds`), and the two proximity
+        # grids.  ``register_vertex`` and ``forget_vertex`` are the only
+        # writers.
         self._kind_arr = np.full(256, VertexKind.CIRCUMCENTER, dtype=np.int8)
         self._array_lock = threading.Lock()
         self.iso_grid = PointGrid(cell=self.delta)
@@ -322,7 +321,7 @@ class RefineDomain:
         ti, fi = np.nonzero(has_nbr & (slot_label[adj] != label[:, None]))
         if ti.size:
             face = verts[ti[:, None], FACE_OPPOSITE[fi]]
-            kinds = self._kinds(mesh.coords.shape[0])
+            kinds = self.kinds(len(mesh.points))
             wanted = (kinds[face] != VertexKind.ISOSURFACE).any(axis=1)
             rest = np.flatnonzero(~wanted)
             wanted[rest] = triangle_min_angles_many(
@@ -346,11 +345,22 @@ class RefineDomain:
             maybe[rows[~blocked]] = True
         return maybe
 
-    def _kinds(self, n: int) -> np.ndarray:
-        """The int8 vertex-kind array with at least ``n`` entries; a
-        vertex nobody registered reads as a circumcenter."""
-        self._kind_arr = _grown(self._kind_arr, n, VertexKind.CIRCUMCENTER)
-        return self._kind_arr
+    def kinds(self, n: int) -> np.ndarray:
+        """The int8 kinds of vertices ``0 .. n-1``, a view of the one
+        record (a padded copy while it is shorter).  A vertex nobody
+        registered, or a dead one, reads as a circumcenter."""
+        kinds = self._kind_arr
+        if len(kinds) < n:
+            kinds = _grown(kinds, n, VertexKind.CIRCUMCENTER)
+        return kinds[:n]
+
+    @property
+    def vertex_kind(self) -> Dict[int, VertexKind]:
+        """``{vertex: kind}`` over the live vertices, built from
+        :meth:`kinds` on every read; writing to it changes nothing."""
+        alive = self.tri.mesh.alive_vertex
+        kinds = self.kinds(len(alive)).tolist()
+        return {v: VertexKind(k) for v, k in enumerate(kinds) if alive[v]}
 
     def _restricted_facet_needing_refinement(
         self, t: int, touch: TouchFn = None
@@ -379,9 +389,13 @@ class RefineDomain:
             face = mesh.face_opposite(t, i)
             fa, fb, fc = (pts[w] for w in face)
             bad_angle = triangle_min_angle(fa, fb, fc) < self.planar_angle_bound
+            # A vertex a peer committed but has not registered yet may
+            # lie past the array's end: it reads as a circumcenter.
+            # ``item`` gives a Python int; a numpy scalar compares ~9x
+            # slower, on the judge's path.
+            kinds = self._kind_arr
             non_iso = any(
-                self.vertex_kind.get(w, VertexKind.CIRCUMCENTER)
-                != VertexKind.ISOSURFACE
+                w >= len(kinds) or kinds.item(w) != VertexKind.ISOSURFACE
                 for w in face
             )
             if bad_angle or non_iso:
@@ -544,19 +558,19 @@ class RefineDomain:
         """Record vertex ``v`` at ``p`` as ``kind``: isosurface samples
         join the R1 grid, circumcenters the R6 grid."""
         kind = VertexKind(kind)
-        self.vertex_kind[v] = kind
         with self._array_lock:
-            self._kinds(v + 1)[v] = kind
+            self._kind_arr = _grown(self._kind_arr, v + 1,
+                                    VertexKind.CIRCUMCENTER)
+            self._kind_arr[v] = kind
         if kind == VertexKind.ISOSURFACE:
             self.iso_grid.add(v, p)
         elif kind == VertexKind.CIRCUMCENTER:
             self.cc_grid.add(v, p)
 
     def forget_vertex(self, v: int) -> None:
-        """Drop every record of vertex ``v`` (removed, or its slot about
-        to be reused)."""
-        self.vertex_kind.pop(v, None)
+        """Drop every record of registered vertex ``v`` (removed, or its
+        slot about to be reused)."""
         with self._array_lock:
-            self._kinds(v + 1)[v] = VertexKind.CIRCUMCENTER
+            self._kind_arr[v] = VertexKind.CIRCUMCENTER
         self.iso_grid.remove(v)
         self.cc_grid.remove(v)

@@ -6,9 +6,9 @@ circumcenter vertices lie within 2*delta of z?" in O(1) per query.
 :data:`PointGrid` is the C grid of ``_accel/pointgrid.c`` when the
 accelerator is loaded, else :class:`ReferenceGrid`, a dict of cells.
 Both answer alike, order included: a point lives in cell ``floor(p /
-cell)``; a query visits the cells ``floor((p -+ r) / cell)`` x, y, z
-ascending and a cell's ids in insertion order (a re-add moves the id to
-the end), and tests ``dx*dx + dy*dy + dz*dz <= r*r``.  R6 removes its
+cell)``; a query visits the cells ``floor((p -+ s) / cell)``, ``s = r +
+1e-9 * (|px| + |py| + |pz| + r)``, x, y, z ascending and a cell's ids in
+insertion order (a re-add moves the id to the end), and tests ``dx*dx + dy*dy + dz*dz <= r*r``.  R6 removes its
 victims in that order.  Threads share the grids: a C call runs whole
 under the interpreter lock, and the reference copies each cell it reads.
 """
@@ -64,8 +64,12 @@ class ReferenceGrid:
         """Ids other than ``exclude`` within ``radius`` of ``p``."""
         c = self.cell
         r2 = radius * radius
-        box = [range(math.floor((p[i] - radius) / c),
-                     math.floor((p[i] + radius) / c) + 1) for i in range(3)]
+        # The distance test is rounded, so a point a hair past r can
+        # pass it from a cell just outside floor((p -+ r) / c); padding
+        # r by far more than that rounding widens a side only there.
+        s = radius + 1e-9 * (abs(p[0]) + abs(p[1]) + abs(p[2]) + radius)
+        box = [range(math.floor((p[i] - s) / c),
+                     math.floor((p[i] + s) / c) + 1) for i in range(3)]
         for key in itertools.product(*box):
             cell = self._cells.get(key)
             if not cell:

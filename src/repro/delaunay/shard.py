@@ -326,6 +326,27 @@ def block_request(request, plan: "ShardPlan", block: Block):
                    delta=plan.delta)
 
 
+def _live_vertices(domain, own_lo: Optional[Sequence[float]] = None,
+                   own_hi: Optional[Sequence[float]] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(points, kinds)`` of the domain's alive non-box vertices in
+    insertion (timestamp) order — only those in the half-open ownership
+    box ``[own_lo, own_hi)`` when one is given.  Vertex ids are recycled
+    slots, so id order is not insertion order."""
+    from repro.core.domain import VertexKind
+
+    mesh = domain.tri.mesh
+    n = len(mesh.points)
+    coords = mesh.coords[:n]
+    kinds = domain.kinds(n)
+    keep = (kinds != VertexKind.BOX) & np.array(mesh.alive_vertex, bool)
+    if own_lo is not None:
+        keep &= _in_boxes(coords, [(own_lo, own_hi)])
+    ids = np.flatnonzero(keep)
+    ids = ids[np.argsort(np.array(mesh.timestamps)[ids], kind="stable")]
+    return coords[ids], kinds[ids]
+
+
 def refine_block(request, own_lo: Sequence[float], own_hi: Sequence[float]
                  ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """Refine one block's request (:func:`block_request`) and export the
@@ -337,35 +358,20 @@ def refine_block(request, own_lo: Sequence[float], own_hi: Sequence[float]
     in-process and inside a worker process (the service's shard job
     kind calls straight into this).
     """
-    from repro.core.domain import RefineDomain, VertexKind
+    from repro.core.domain import RefineDomain
     from repro.core.refiner import SequentialRefiner
 
     domain = RefineDomain(request.image, **request.domain_args())
     rstats = SequentialRefiner(
         domain, max_operations=request.max_operations
     ).refine()
-    mesh = domain.tri.mesh
-    alive = mesh.alive_vertex
-    rows: List[Tuple[int, int, int]] = []  # (timestamp, vertex, kind)
-    for v, kind in domain.vertex_kind.items():
-        if kind == VertexKind.BOX or not alive[v]:
-            continue
-        p = mesh.points[v]
-        if (own_lo[0] <= p[0] < own_hi[0]
-                and own_lo[1] <= p[1] < own_hi[1]
-                and own_lo[2] <= p[2] < own_hi[2]):
-            rows.append((mesh.timestamps[v], v, int(kind)))
-    rows.sort()
-    pts = np.array(
-        [mesh.points[v] for _, v, _ in rows], dtype=np.float64
-    ).reshape(-1, 3)
-    kinds = np.array([k for _, _, k in rows], dtype=np.int8)
+    pts, kinds = _live_vertices(domain, own_lo, own_hi)
     stats = {
         "operations": rstats.n_operations,
         "insertions": rstats.n_insertions,
         "removals": rstats.n_removals,
         "tets": rstats.final_tets,
-        "owned_points": int(len(rows)),
+        "owned_points": len(pts),
         "refine_seconds": rstats.wall_time,
     }
     return {"points": pts, "kinds": kinds}, stats
@@ -531,9 +537,15 @@ def _in_shell(pts: np.ndarray, boxes, holes) -> np.ndarray:
     return _in_boxes(pts, boxes) & ~_in_boxes(pts, holes)
 
 
-def _row_bytes(arr: np.ndarray) -> List[bytes]:
-    a = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1, 3)
-    return [a[i].tobytes() for i in range(len(a))]
+def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row mask: which rows of the ``(k, 3)`` points ``a`` equal some
+    row of ``b`` byte for byte.  Exports are bit-deterministic and
+    vertex ids are recycled, so coordinate bytes are the identity that
+    holds across runs; ``-0.0`` and ``0.0`` are different rows."""
+    def rows(x):
+        x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, 3)
+        return x.view(np.dtype((np.void, 3 * 8))).ravel()
+    return np.isin(rows(a), rows(b))
 
 
 def _radius_edge_offenders(domain, bound: float) -> List[int]:
@@ -569,35 +581,11 @@ def _export_delta(domain, block_pts: np.ndarray) -> Dict[str, np.ndarray]:
     bit-deterministic, and vertex ids are recycled so they cannot
     serve as identities across runs.
     """
-    from repro.core.domain import VertexKind
-
-    mesh = domain.tri.mesh
-    rows = []
-    for v, kind in domain.vertex_kind.items():
-        if kind == VertexKind.BOX or not mesh.alive_vertex[v]:
-            continue
-        rows.append((mesh.timestamps[v], v, int(kind)))
-    rows.sort()
-    pts = np.array([mesh.points[v] for _, v, _ in rows],
-                   dtype=np.float64).reshape(-1, 3)
-    kinds = np.array([k for _, _, k in rows], dtype=np.int8)
-    block_rows = _row_bytes(block_pts)
-    loaded = set(block_rows)
-    alive = set()
-    extra_rows = []
-    for i, b in enumerate(_row_bytes(pts)):
-        alive.add(b)
-        if b not in loaded:
-            extra_rows.append(i)
-    removed = np.array(
-        [block_pts[i] for i, b in enumerate(block_rows) if b not in alive],
-        dtype=np.float64,
-    ).reshape(-1, 3)
-    return {
-        "points": pts[extra_rows].reshape(-1, 3),
-        "kinds": kinds[extra_rows],
-        "removed": removed,
-    }
+    pts, kinds = _live_vertices(domain)
+    block_pts = np.asarray(block_pts, dtype=np.float64).reshape(-1, 3)
+    extra = ~_rows_in(pts, block_pts)
+    return {"points": pts[extra], "kinds": kinds[extra],
+            "removed": block_pts[~_rows_in(block_pts, pts)]}
 
 
 def _load_set(block_pts: np.ndarray, block_kinds: np.ndarray,
@@ -617,20 +605,11 @@ def _load_set(block_pts: np.ndarray, block_kinds: np.ndarray,
     keep = ~_in_boxes(prev_pts, boxes)
     extra_pts = prev_pts[keep]
     extra_kinds = np.asarray(prev["kinds"], dtype=np.int8).reshape(-1)[keep]
-    removed_pts = np.asarray(
-        prev["removed"], dtype=np.float64).reshape(-1, 3)
-    removed_set = set(_row_bytes(removed_pts[~_in_boxes(removed_pts, boxes)]))
-    dropped = 0
-    if removed_set:
-        keep_rows = np.array(
-            [b not in removed_set for b in _row_bytes(block_pts)],
-            dtype=bool,
-        )
-        dropped = int((~keep_rows).sum())
-        block_pts, block_kinds = block_pts[keep_rows], block_kinds[keep_rows]
-    return (np.concatenate([block_pts, extra_pts]),
-            np.concatenate([block_kinds, extra_kinds]),
-            len(extra_pts), dropped)
+    removed = np.asarray(prev["removed"], dtype=np.float64).reshape(-1, 3)
+    kept = ~_rows_in(block_pts, removed[~_in_boxes(removed, boxes)])
+    return (np.concatenate([block_pts[kept], extra_pts]),
+            np.concatenate([block_kinds[kept], extra_kinds]),
+            len(extra_pts), int((~kept).sum()))
 
 
 def _bulk_load(domain, load_pts: np.ndarray, load_kinds: np.ndarray):
@@ -639,23 +618,17 @@ def _bulk_load(domain, load_pts: np.ndarray, load_kinds: np.ndarray):
     ``(vertex, point)`` pairs of the isosurface samples."""
     from repro.core.domain import VertexKind
 
-    points: List[Tuple[float, float, float]] = list(
-        map(tuple, load_pts.tolist())
-    )
+    points = list(map(tuple, load_pts.tolist()))
     vids = domain.tri.insert_many(points)
-    inserted = 0
-    duplicates = 0
     iso_loaded: List[Tuple[int, Tuple[float, float, float]]] = []
     for vid, kind, p in zip(vids, load_kinds.tolist(), points):
-        if vid is None:
-            duplicates += 1
-            continue
-        inserted += 1
-        domain.register_vertex(vid, p, kind)
-        if kind == VertexKind.ISOSURFACE:
-            iso_loaded.append((vid, p))
-    domain.n_insertions += inserted
-    return inserted, duplicates, iso_loaded
+        if vid is not None:
+            domain.register_vertex(vid, p, kind)
+            if kind == VertexKind.ISOSURFACE:
+                iso_loaded.append((vid, p))
+    duplicates = vids.count(None)
+    domain.n_insertions += len(vids) - duplicates
+    return len(vids) - duplicates, duplicates, iso_loaded
 
 
 def _seed_filter(tri, boxes, holes):

@@ -123,6 +123,17 @@ class TestPointGrid:
         g.add(1, (1.0, 0.0, 0.0))
         assert g.query_ball((0, 0, 0), 1.0) == [1]
 
+    def test_rounded_distance_at_a_cell_edge(self):
+        """``-8.2e-210`` is at distance exactly 1.0 from ``1.0`` once
+        rounded, but lies in cell -1, left of ``floor((1 - 1) / 1)``:
+        the scanned range must still reach it."""
+        g = self.Grid(1.0)
+        g.add(0, (1.0, 0.0, 0.0))
+        g.add(1, (-8.2e-210, 0.0, 0.0))
+        assert math.dist((1.0, 0.0, 0.0), (-8.2e-210, 0.0, 0.0)) == 1.0
+        assert g.query_ball((1.0, 0.0, 0.0), 1.0) == [1, 0]
+        assert g.any_within((1.0, 0.0, 0.0), 1.0, exclude=0)
+
     def test_query_ball_order_is_cell_then_insertion(self):
         """Cells x, y, z ascending; a cell's ids in insertion order, a
         re-add moving the id to the end; more ids than one call's

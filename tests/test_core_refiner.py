@@ -155,21 +155,52 @@ class TestDomainInternals:
         domain = RefineDomain(sphere_phantom(16), delta=2.5)
         refiner = SequentialRefiner(domain, max_operations=100_000)
         refiner.refine()
-        kinds = set(domain.vertex_kind.values())
-        assert VertexKind.BOX in kinds
-        assert VertexKind.ISOSURFACE in kinds
+        n = len(domain.tri.mesh.points)
+        kinds = domain.kinds(n)
+        assert kinds.dtype == np.int8
+        assert VertexKind.BOX in set(kinds.tolist())
         # Grids mirror the kinds bookkeeping.
-        iso = [v for v, k in domain.vertex_kind.items()
-               if k == VertexKind.ISOSURFACE]
+        iso = np.flatnonzero(kinds == VertexKind.ISOSURFACE).tolist()
+        assert iso
         assert all(v in domain.iso_grid for v in iso)
+        assert [v for v in range(n) if v in domain.iso_grid] == iso
+
+    def test_kinds_array_is_the_one_record(self):
+        """No dict of kinds beside the array: ``vertex_kind`` is a view
+        built from it, over the live vertices."""
+        domain = RefineDomain(sphere_phantom(16), delta=2.0)
+        SequentialRefiner(domain, max_operations=100_000).refine()
+        assert "vertex_kind" not in vars(domain)
+        assert domain.n_removals > 0
+        mesh = domain.tri.mesh
+        n = len(mesh.points)
+        # A dead slot: it reads as a circumcenter and is not in the view.
+        dead = max(domain.vertex_kind, key=lambda v: (
+            domain.vertex_kind[v] == VertexKind.CIRCUMCENTER, v))
+        domain.tri.remove_vertex(
+            dead, on_commit=lambda: domain.forget_vertex(dead))
+        assert not mesh.alive_vertex[dead]
+        assert dead not in domain.vertex_kind
+        kinds = domain.kinds(n).tolist()
+        assert kinds[dead] == VertexKind.CIRCUMCENTER
+        assert domain.vertex_kind == {
+            v: VertexKind(kinds[v]) for v in range(n)
+            if mesh.alive_vertex[v]}
+        assert all(type(k) is VertexKind
+                   for k in domain.vertex_kind.values())
+        # A read past the record's end pads, and never grows the record.
+        record = domain._kind_arr
+        tail = domain.kinds(len(record) + 5)
+        assert tail[len(record):].tolist() == [VertexKind.CIRCUMCENTER] * 5
+        assert domain._kind_arr is record
 
     def test_iso_vertices_delta_separated(self):
         domain = RefineDomain(sphere_phantom(16), delta=3.0)
         SequentialRefiner(domain, max_operations=100_000).refine()
+        kinds = domain.kinds(len(domain.tri.mesh.points))
         iso = [
             (v, domain.tri.point(v))
-            for v, k in domain.vertex_kind.items()
-            if k == VertexKind.ISOSURFACE
+            for v in np.flatnonzero(kinds == VertexKind.ISOSURFACE).tolist()
         ]
         # R1 never inserts a sample within delta of an existing one; R3
         # surface-centers may land closer, so only check R1-style spacing

@@ -544,9 +544,10 @@ def test_thin_diagonal_plate_meshes():
     oracle = SurfaceOracle(img)
     assert hausdorff_distance(res.mesh, img, oracle) < 3.0
     domain = res.extras["domain"]
-    samples = np.array([domain.tri.point(v)
-                        for v, kind in domain.vertex_kind.items()
-                        if kind == VertexKind.ISOSURFACE])
+    kinds = domain.kinds(len(domain.tri.mesh.points))
+    samples = domain.tri.mesh.coords[: len(kinds)][
+        kinds == VertexKind.ISOSURFACE]
+    assert len(samples)
     for idx in np.argwhere(oracle.surface_mask)[::7]:
         z = oracle.closest_surface_point(img.voxel_center(idx))
         assert z is not None

@@ -289,8 +289,10 @@ class TestRecycledVertexSlot:
         domain = RefineDomain(sphere_phantom(12), delta=3.0)
         SequentialRefiner(domain).refine()
         mesh = domain.tri.mesh
-        victim = next(v for v, kind in domain.vertex_kind.items()
-                      if kind == VertexKind.CIRCUMCENTER)
+        assert "vertex_kind" not in vars(domain)
+        kinds = domain.kinds(len(mesh.points))
+        victim = next(v for v in range(len(kinds)) if mesh.alive_vertex[v]
+                      and kinds[v] == VertexKind.CIRCUMCENTER)
         z = mesh.points[victim]
         remove = Triangulation3D.remove_vertex
         peers = []
@@ -310,5 +312,5 @@ class TestRecycledVertexSlot:
         domain.apply_r6(z, -1, result)
         assert victim in result.removed_vertices and peers
         for w in peers:
-            assert domain.vertex_kind[w] == VertexKind.ISOSURFACE
+            assert domain.kinds(w + 1)[w] == VertexKind.ISOSURFACE
             assert w in domain.iso_grid and w not in domain.cc_grid

@@ -48,10 +48,10 @@ class TestTheorem1:
         delta = 2.5
         res = mesh_image(img, delta=delta, max_operations=500_000)
         domain = res.domain
+        kinds = domain.kinds(len(domain.tri.mesh.points))
         iso_pts = [
             domain.tri.point(v)
-            for v, k in domain.vertex_kind.items()
-            if k == VertexKind.ISOSURFACE
+            for v in np.flatnonzero(kinds == VertexKind.ISOSURFACE).tolist()
         ]
         assert iso_pts
         iso = np.asarray(iso_pts)
