@@ -40,10 +40,12 @@ Python):
   ``any_within``, R6's ``query_ball``), replayed in order on the C grid
   and on the dict-of-cells reference, answers compared call for call.
 
-It writes ``BENCH_kernels.json`` (default:
-``benchmarks/results/BENCH_kernels.json``, schema 7) holding the
-throughputs, the machine's CPU count, the committed pre-overhaul
-baseline, and the accel/python speedups for every workload.
+It writes ``BENCH_kernels.json`` (schema 7) holding the throughputs,
+the machine's CPU count, the committed pre-overhaul baseline, and the
+accel/python speedups for every workload: to ``-o PATH``, else — for a
+full run only — to the committed record
+``benchmarks/results/BENCH_kernels.json``.  A ``--fast`` run without
+``-o`` writes nothing, so a gate run never replaces the record.
 
 ``--check-regression`` turns the run into a CI gate.  Absolute
 throughput is machine-dependent, so the gate is ratio-based: the
@@ -549,7 +551,7 @@ def _grid_regressed(grid):
     return True
 
 
-def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
+def run(fast=False, check_regression=False, output=None):
     repeats = 3 if fast else 7
     points = _workload()
     accel_available = _accel.bw_insert is not None
@@ -662,9 +664,10 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
         "grid": grid,
     }
 
-    output = pathlib.Path(output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(doc, indent=2) + "\n")
+    if output is not None:
+        output = pathlib.Path(output)
+        output.parent.mkdir(parents=True, exist_ok=True)
+        output.write_text(json.dumps(doc, indent=2) + "\n")
 
     print(f"python path : {py_ips:>10,.1f} inserts/s")
     if accel_available:
@@ -707,7 +710,8 @@ def run(fast=False, check_regression=False, output=DEFAULT_OUTPUT):
               f"queries/s C vs {grid['reference_queries_per_second']:,.1f} "
               f"reference ({grid['speedup']:.2f}x, same answers: "
               f"{grid['same_answers']})")
-    print(f"wrote {output}")
+    print(f"wrote {output}" if output is not None else
+          "wrote nothing (a --fast run writes only to -o PATH)")
 
     if not check_regression:
         return 0
@@ -776,11 +780,15 @@ def main(argv=None):
                         help="3 repeats instead of 7 (CI setting)")
     parser.add_argument("--check-regression", action="store_true",
                         help="exit 1 on a >20% relative throughput drop")
-    parser.add_argument("-o", "--output", default=str(DEFAULT_OUTPUT),
-                        help="where to write BENCH_kernels.json")
+    parser.add_argument("-o", "--output", default=None,
+                        help="where to write BENCH_kernels.json (default: "
+                        "the committed record, full runs only)")
     args = parser.parse_args(argv)
+    output = args.output
+    if output is None and not args.fast:
+        output = DEFAULT_OUTPUT
     return run(fast=args.fast, check_regression=args.check_regression,
-               output=args.output)
+               output=output)
 
 
 if __name__ == "__main__":

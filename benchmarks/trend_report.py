@@ -19,9 +19,10 @@ CI records with ``--label "$GITHUB_SHA"`` after the bench run, so the
 uploaded artifact carries the full table; locally, run it after
 ``kernel_bench.py`` to see where your branch stands::
 
-    PYTHONPATH=src python benchmarks/kernel_bench.py --fast
+    PYTHONPATH=src python benchmarks/kernel_bench.py --fast \
+        -o BENCH_kernels.json
     PYTHONPATH=src python benchmarks/trend_report.py \
-        --record benchmarks/results/BENCH_kernels.json --label my-branch
+        --record BENCH_kernels.json --label my-branch
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ run's :class:`~repro.observability.ObservabilityConfig`; a
 :class:`MeshResult` bundles the extracted mesh, flat statistics, the
 metrics-registry snapshot and timings, plus non-serialisable extras
 (the domain and the live ``Observability`` bundle) for callers that
-need them.  ``MeshResult.to_dict`` / ``from_dict`` round-trip the
-serialisable portion.
+need them.  ``MeshResult.to_dict`` / ``from_dict`` are the one result
+codec (disk artifact, HTTP body): a JSON document whose mesh arrays
+are base64 of their raw little-endian bytes (:data:`MESH_ARRAYS`).
 
 The simulated cc-NUMA runs (paper Sections 5-6) and the Table 6
 baselines are experiments, not served meshers: call
@@ -27,6 +28,7 @@ tables do.
 
 from __future__ import annotations
 
+import base64
 import functools
 import time
 from dataclasses import dataclass, field
@@ -281,16 +283,12 @@ class MeshResult:
 
     # -- serialisation --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict (mesh arrays as nested lists, extras dropped)."""
+        """JSON-safe dict, extras dropped; each mesh array is
+        ``{"dtype", "shape", "b64"}`` (:data:`MESH_ARRAYS`)."""
         return {
             "mesher": self.mesher,
-            "mesh": {
-                "vertices": self.mesh.vertices.tolist(),
-                "tets": self.mesh.tets.tolist(),
-                "tet_labels": self.mesh.tet_labels.tolist(),
-                "boundary_faces": self.mesh.boundary_faces.tolist(),
-                "boundary_labels": self.mesh.boundary_labels.tolist(),
-            },
+            "mesh": {name: _encode_array(name, getattr(self.mesh, name))
+                     for name in MESH_ARRAYS},
             "stats": dict(self.stats),
             "metrics": dict(self.metrics),
             "timings": dict(self.timings),
@@ -298,25 +296,67 @@ class MeshResult:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "MeshResult":
-        m = doc["mesh"]
-        mesh = ExtractedMesh(
-            vertices=np.asarray(m["vertices"], dtype=np.float64).reshape(-1, 3),
-            tets=np.asarray(m["tets"], dtype=np.int64).reshape(-1, 4),
-            tet_labels=np.asarray(m["tet_labels"], dtype=np.int32),
-            boundary_faces=np.asarray(
-                m["boundary_faces"], dtype=np.int64
-            ).reshape(-1, 3),
-            boundary_labels=np.asarray(
-                m["boundary_labels"], dtype=np.int32
-            ).reshape(-1, 2),
-        )
+        """Inverse of :meth:`to_dict`: every array comes back writable
+        with its dtype, shape and bytes.  ``ValueError`` naming the
+        field on a malformed document."""
+        arrays = _member(doc, "mesh", dict)
         return cls(
-            mesh=mesh,
-            mesher=doc["mesher"],
-            stats=dict(doc.get("stats", {})),
-            metrics=dict(doc.get("metrics", {})),
-            timings=dict(doc.get("timings", {})),
+            mesh=ExtractedMesh(**{
+                name: _decode_array(name, _member(arrays, name, dict))
+                for name in MESH_ARRAYS}),
+            mesher=_member(doc, "mesher", str),
+            stats=dict(_member(doc, "stats", dict)),
+            metrics=dict(_member(doc, "metrics", dict)),
+            timings=dict(_member(doc, "timings", dict)),
         )
+
+
+#: The result codec's array table: each :class:`ExtractedMesh` field
+#: with the little-endian dtype it travels as and its shape after the
+#: row count.  :meth:`MeshResult.to_dict` writes a field as base64 of
+#: its raw bytes beside that dtype and its full shape.
+MESH_ARRAYS: Dict[str, Tuple[str, Tuple[int, ...]]] = {
+    "vertices": ("<f8", (3,)),
+    "tets": ("<i8", (4,)),
+    "tet_labels": ("<i4", ()),
+    "boundary_faces": ("<i8", (3,)),
+    "boundary_labels": ("<i4", (2,)),
+}
+
+
+def _encode_array(name: str, array: np.ndarray) -> Dict[str, Any]:
+    dtype, tail = MESH_ARRAYS[name]
+    array = np.ascontiguousarray(array, dtype=dtype).reshape((-1,) + tail)
+    return {"dtype": dtype, "shape": list(array.shape),
+            "b64": base64.b64encode(array.data).decode("ascii")}
+
+
+def _decode_array(name: str, doc: Dict[str, Any]) -> np.ndarray:
+    dtype, tail = MESH_ARRAYS[name]
+    try:
+        if doc["dtype"] != dtype:
+            raise ValueError(f"dtype {doc['dtype']!r:.40} is not {dtype!r}")
+        shape = doc["shape"]
+        if (not isinstance(shape, list) or len(shape) != 1 + len(tail)
+                or tuple(shape[1:]) != tail
+                or not all(type(n) is int and n >= 0 for n in shape)):
+            want = str(["n", *tail]).replace("'", "")
+            raise ValueError(f"shape {shape!r:.40} is not {want}")
+        raw = base64.b64decode(doc["b64"], validate=True)
+        return np.frombuffer(raw, dtype).reshape(shape).copy()
+    except KeyError as exc:
+        raise ValueError(f"mesh field {name!r} lacks {exc}") from None
+    except (TypeError, ValueError) as exc:  # binascii.Error included
+        raise ValueError(f"mesh field {name!r}: {exc}") from None
+
+
+def _member(doc: Any, name: str, kind: type) -> Any:
+    """``doc[name]``, which must be a ``kind``; ``ValueError`` otherwise."""
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"result field {name!r} is not a {kind.__name__}: "
+                         f"{value!r:.40}")
+    return value
 
 
 @runtime_checkable
@@ -453,6 +493,7 @@ def mesh(request: MeshRequest) -> MeshResult:
 
 __all__ = [
     "MESHER_NAMES",
+    "MESH_ARRAYS",
     "REQUEST_FIELDS",
     "MeshRequest",
     "MeshResult",

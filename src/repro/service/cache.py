@@ -4,12 +4,9 @@ Three artifact kinds live here, addressed by the keys of
 :mod:`repro.service.keys` and :mod:`repro.delaunay.shard`:
 
 * **meshes** — a finished :class:`~repro.api.MeshResult`, stored as the
-  JSON document of ``MeshResult.to_dict`` (exact round-trip of the
-  float64 coordinates and all topology arrays, so a cached mesh is
-  topology-identical to the run that produced it).  The stored file
-  *is* the wire body: :func:`mesh_json_bytes` is the only producer of
-  mesh JSON bytes, and :meth:`ArtifactCache.mesh_wire_bytes` hands the
-  HTTP gateway the file itself instead of serialising the mesh again;
+  JSON document of ``MeshResult.to_dict`` (its arrays as base64 of
+  their raw bytes, so a cached mesh is byte-identical to the run that
+  produced it);
 * **block exports** and **stitch deltas** — the shard layer's dicts of
   arrays, stored as compressed ``.npz``.
 
@@ -24,7 +21,6 @@ caller recomputes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -35,18 +31,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api import MeshResult
-
-
-def mesh_json_bytes(result: MeshResult) -> bytes:
-    """The one producer of mesh JSON bytes: the disk artifact and the
-    ``"result"`` member of an HTTP response are both exactly this."""
-    return json.dumps(result.to_dict()).encode("utf-8")
-
-
-def _stamp(raw: bytes) -> Tuple[int, bytes]:
-    """Length + digest that re-identify an artifact's bytes later."""
-    return len(raw), hashlib.blake2b(raw, digest_size=16).digest()
+from repro.api import MESH_ARRAYS, MeshResult
 
 
 class ArtifactCache:
@@ -79,10 +64,6 @@ class ArtifactCache:
         self.max_bytes = max_bytes
         self._mem: "OrderedDict[str, Any]" = OrderedDict()
         self._sizes: Dict[str, int] = {}
-        #: slot -> stamp of the disk file holding exactly the resident
-        #: object's JSON (meshes under a disk root only); dropped with
-        #: the slot, so it costs the memory tier no payload bytes.
-        self._stamps: Dict[str, Tuple[int, bytes]] = {}
         self._pins: Dict[str, int] = {}
         self._bytes_held = 0
         self._lock = threading.Lock()
@@ -121,8 +102,7 @@ class ArtifactCache:
         for holder in (value, mesh):
             if holder is None:
                 continue
-            for field in ("vertices", "tets", "tet_labels",
-                          "boundary_faces", "boundary_labels"):
+            for field in MESH_ARRAYS:
                 arr = getattr(holder, field, None)
                 nbytes = getattr(arr, "nbytes", None)
                 if nbytes is not None:
@@ -132,7 +112,6 @@ class ArtifactCache:
     def _drop_slot(self, slot: str) -> None:
         """Lock held: remove ``slot`` and settle the byte ledger."""
         self._mem.pop(slot, None)
-        self._stamps.pop(slot, None)
         self._bytes_held -= self._sizes.pop(slot, 0)
         self.stats["evictions"] += 1
 
@@ -153,16 +132,11 @@ class ArtifactCache:
                 return
             self._drop_slot(victim)
 
-    def _mem_put(self, slot: str, value: Any,
-                 stamp: Optional[Tuple[int, bytes]] = None) -> None:
+    def _mem_put(self, slot: str, value: Any) -> None:
         with self._lock:
             if slot in self._mem:
                 self._bytes_held -= self._sizes.pop(slot, 0)
             self._mem[slot] = value
-            if stamp is None:
-                self._stamps.pop(slot, None)
-            else:
-                self._stamps[slot] = stamp
             self._mem.move_to_end(slot)
             size = self._sizeof(value)
             self._sizes[slot] = size
@@ -242,59 +216,22 @@ class ArtifactCache:
         path = self._path("mesh", key, ".json")
         if path is not None and path.exists():
             try:
-                raw = path.read_bytes()
-                result = MeshResult.from_dict(json.loads(raw))
+                result = MeshResult.from_dict(json.loads(path.read_bytes()))
             except Exception:
                 self._discard_corrupt(path)
             else:
                 self._bump("hits")
-                self._mem_put(slot, result, _stamp(raw))
+                self._mem_put(slot, result)
                 return result, "disk"
         self._bump("misses")
         return None, None
 
     def put_mesh(self, key: str, result: MeshResult) -> None:
-        slot = f"mesh:{key}"
         path = self._path("mesh", key, ".json")
-        if path is None:
-            self._mem_put(slot, result)
-            return
-        doc = mesh_json_bytes(result)
-        # File first: once the stamp is visible the file it names exists.
-        self._publish(path, lambda fh: fh.write(doc))
-        self._mem_put(slot, result, _stamp(doc))
-
-    def mesh_wire_bytes(self, key: str, result: MeshResult) -> bytes:
-        """``mesh_json_bytes(result)`` without the serialisation, when
-        the disk artifact can stand in for it.
-
-        It can when ``result`` is the very object resident under
-        ``key`` and the file still matches the stamp taken when this
-        cache wrote or loaded it.  A file that does not (truncated,
-        overwritten, gone) is counted and unlinked as corrupt and the
-        mesh is serialised instead, as it is with no disk root or for a
-        result the memory tier no longer holds.
-        """
-        slot = f"mesh:{key}"
-        with self._lock:
-            stamp = (self._stamps.get(slot)
-                     if self._mem.get(slot) is result else None)
-        if stamp is not None:
-            path = self._path("mesh", key, ".json")
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                raw = b""
-            if _stamp(raw) == stamp:
-                return raw
-            with self._lock:
-                # Unless a concurrent put has just replaced the file.
-                stale = self._stamps.get(slot) == stamp
-                if stale:
-                    del self._stamps[slot]
-            if stale:
-                self._discard_corrupt(path)
-        return mesh_json_bytes(result)
+        if path is not None:
+            doc = json.dumps(result.to_dict()).encode("utf-8")
+            self._publish(path, lambda fh: fh.write(doc))
+        self._mem_put(f"mesh:{key}", result)
 
     # -- shard artifacts: block exports + stitch deltas ----------------
     # Both are plain dicts of ndarrays, stored as compressed npz.  A

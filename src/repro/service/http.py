@@ -57,12 +57,26 @@ a malformed image, a non-numeric ``deadline`` — raises
 :class:`ProtocolError` and answers 400 with the field named; 500 is
 kept for server faults and for a job that ran and ``FAILED``.
 
-A response that carries a mesh does not serialise it again: the disk
-artifact is already the ``"result"`` member byte for byte
-(:func:`~repro.service.cache.mesh_json_bytes` produces both), so the
-socket handler splices the cached file into the envelope
-(:meth:`MeshGateway.handle_wire`) and writes status line, headers and
-body to a ``TCP_NODELAY`` socket in one ``send``.
+A response that carries a mesh holds it as ``"result"``: the JSON
+document of :meth:`MeshResult.to_dict <repro.api.MeshResult.to_dict>`,
+the disk artifact's format too::
+
+    {"mesher": "sequential", "stats": {...}, "metrics": {...},
+     "timings": {"wall_seconds": ...},
+     "mesh": {"vertices":        {"dtype": "<f8", "shape": [nv, 3], "b64": ...},
+              "tets":            {"dtype": "<i8", "shape": [nt, 4], "b64": ...},
+              "tet_labels":      {"dtype": "<i4", "shape": [nt],    "b64": ...},
+              "boundary_faces":  {"dtype": "<i8", "shape": [nf, 3], "b64": ...},
+              "boundary_labels": {"dtype": "<i4", "shape": [nf, 2], "b64": ...}}}
+
+``b64`` is standard base64 of the array's raw little-endian bytes in
+C (row-major) order, so any client decodes one with its base64 and a
+typed-array view (``np.frombuffer(base64.b64decode(b64), dtype)
+.reshape(shape)``).  ``tets`` and ``boundary_faces`` index
+``vertices`` rows; ``boundary_labels`` holds the labels on the kept
+and the discarded side of each boundary face.  The socket handler
+writes status line, headers and body to a ``TCP_NODELAY`` socket in
+one ``send``.
 
 The **image store** makes repeat traffic cheap: every uploaded image
 is retained in a byte-bounded LRU under its content key
@@ -91,14 +105,14 @@ import numpy as np
 from repro.api import MeshRequest, MeshResult
 from repro.imaging.image import SegmentedImage
 from repro.observability.metrics import REQUEST_LATENCY_BUCKETS
-from repro.service.cache import mesh_json_bytes
 from repro.service.client import Client
 from repro.service.jobs import Job, JobState, ServiceError, TERMINAL_STATES
 from repro.service.keys import image_content_key
 from repro.service.service import MeshingService
 
 #: Version of the request/response schema this build speaks.
-PROTOCOL_VERSION = 1
+#: v2: a result's mesh arrays are base64 of their raw bytes, not lists.
+PROTOCOL_VERSION = 2
 
 #: Request/response header carrying the protocol version.
 PROTOCOL_HEADER = "X-Repro-Protocol"
@@ -243,11 +257,8 @@ def etag_matches(header: str, etag: str) -> bool:
 
 
 # -- gateway (transport-free request handling) -------------------------
-#: What a route answers: status, JSON-safe body, extra headers and — when
-#: the body is to carry a mesh — the ``DONE`` job whose result the
-#: caller attaches as ``"result"``: a dict from :meth:`MeshGateway.handle`,
-#: the cached wire bytes from :meth:`MeshGateway.handle_wire`.
-Answer = Tuple[int, Dict[str, Any], Dict[str, str], Optional[Job]]
+#: What a route answers: status, JSON-safe body and extra headers.
+Answer = Tuple[int, Dict[str, Any], Dict[str, str]]
 
 
 class MeshGateway:
@@ -255,8 +266,8 @@ class MeshGateway:
 
     Deliberately transport-free — ``handle`` maps (method, path,
     query, body) to (status, body, headers) — so tests exercise every
-    route and status code without opening a socket.  ``handle_wire``
-    is the same call with the body already encoded, for the socket.
+    route and status code without opening a socket; the socket handler
+    sends ``json.dumps`` of the same body.
     """
 
     def __init__(self, service: MeshingService,
@@ -264,74 +275,32 @@ class MeshGateway:
         self.service = service
         self.images = image_store or ImageStore()
 
-    # -- entry points --------------------------------------------------
+    # -- entry point ---------------------------------------------------
     def handle(self, method: str, path: str,
                query: Optional[Dict[str, str]] = None,
                body: Optional[Dict[str, Any]] = None,
                version: Optional[str] = None,
-               if_none_match: Optional[str] = None,
-               ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        return self._answer(self._as_dict, method, path, query, body,
-                            version, if_none_match)
-
-    def handle_wire(self, method: str, path: str,
-                    query: Optional[Dict[str, str]] = None,
-                    body: Optional[Dict[str, Any]] = None,
-                    version: Optional[str] = None,
-                    if_none_match: Optional[str] = None,
-                    ) -> Tuple[int, bytes, Dict[str, str]]:
-        """:meth:`handle`, with the body as the UTF-8 JSON to send."""
-        return self._answer(self._as_bytes, method, path, query, body,
-                            version, if_none_match)
-
-    @staticmethod
-    def _as_dict(out: Dict[str, Any],
-                 mesh_job: Optional[Job]) -> Dict[str, Any]:
-        if mesh_job is not None:
-            out["result"] = mesh_job.result.to_dict()
-        return out
-
-    def _as_bytes(self, out: Dict[str, Any],
-                  mesh_job: Optional[Job]) -> bytes:
-        payload = json.dumps(out).encode("utf-8")
-        if mesh_job is None:
-            return payload
-        # ``out`` is never empty here, so the envelope ends in "}".
-        if mesh_job.keys is None:  # submit could not key the job
-            mesh = mesh_json_bytes(mesh_job.result)
-        else:
-            mesh = self.service.cache.mesh_wire_bytes(
-                mesh_job.keys[1], mesh_job.result)
-        return b'%s, "result": %s}' % (payload[:-1], mesh)
-
-    def _answer(self, render, method: str, path: str,
-                query: Optional[Dict[str, str]],
-                body: Optional[Dict[str, Any]],
-                version: Optional[str], if_none_match: Optional[str]):
+               if_none_match: Optional[str] = None) -> Answer:
         reg = self.service.registry
         reg.counter("service.http.requests").inc()
         t0 = time.perf_counter()
         try:
-            status, out, headers, mesh_job = self._route(
+            status, out, headers = self._route(
                 method, path, query or {}, body or {}, version,
                 if_none_match,
             )
-            rendered = render(out, mesh_job)
         except ProtocolError as exc:
-            status, headers = 400, {}
-            rendered = render({"ok": False, "error": str(exc)}, None)
+            status, out, headers = 400, {"ok": False, "error": str(exc)}, {}
         except Exception as exc:  # never kill the connection thread
             status, headers = 500, {}
-            rendered = render(
-                {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
-                None)
+            out = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         reg.histogram("service.http.request_seconds",
                       REQUEST_LATENCY_BUCKETS).observe(
             time.perf_counter() - t0
         )
         if status >= 400:
             reg.counter("service.http.errors").inc()
-        return status, rendered, headers
+        return status, out, headers
 
     def _route(self, method: str, path: str, query: Dict[str, str],
                body: Dict[str, Any], version: Optional[str],
@@ -341,11 +310,11 @@ class MeshGateway:
                 "ok": False, "v": PROTOCOL_VERSION,
                 "error": (f"unsupported protocol version {version!r}; "
                           f"server speaks {PROTOCOL_VERSION}"),
-            }, {}, None
+            }, {}
         if path == "/healthz" and method == "GET":
             return self._healthz()
         if path == "/metricsz" and method == "GET":
-            return 200, self.service.metrics_snapshot(), {}, None
+            return 200, self.service.metrics_snapshot(), {}
         if path == "/v1/mesh" and method == "POST":
             return self._mesh(body)
         if path.startswith("/v1/jobs/"):
@@ -355,7 +324,7 @@ class MeshGateway:
             if method == "DELETE":
                 return self._job_cancel(job_id)
         return 404, {"ok": False,
-                     "error": f"no route {method} {path}"}, {}, None
+                     "error": f"no route {method} {path}"}, {}
 
     # -- routes --------------------------------------------------------
     def _healthz(self) -> Answer:
@@ -365,7 +334,7 @@ class MeshGateway:
             "v": PROTOCOL_VERSION,
             "executor": self.service.executor,
             "image_store": self.images.stats_snapshot(),
-        }, {}, None
+        }, {}
 
     def _mesh(self, body: Dict[str, Any]) -> Answer:
         params = body.get("params") or {}
@@ -385,7 +354,7 @@ class MeshGateway:
                 "ok": False,
                 "error": f"unknown image key {body.get('image_key')!r}",
                 "unknown_image_key": True,
-            }, {}, None
+            }, {}
         request.image = image
         try:
             job = self.service.submit(request, deadline=deadline)
@@ -428,7 +397,7 @@ class MeshGateway:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"ok": False,
-                         "error": f"unknown job {job_id!r}"}, {}, None
+                         "error": f"unknown job {job_id!r}"}, {}
         wait = _seconds(query, "wait")
         if wait is not None and not job.done:
             job.wait(min(max(wait, 0.0), MAX_WAIT))
@@ -440,10 +409,10 @@ class MeshGateway:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"ok": False,
-                         "error": f"unknown job {job_id!r}"}, {}, None
+                         "error": f"unknown job {job_id!r}"}, {}
         cancelled = self.service.cancel(job_id)
         return 200, {"ok": cancelled, "id": job_id,
-                     "state": job.state.value}, {}, None
+                     "state": job.state.value}, {}
 
     def _job_answer(self, job: Job, return_mesh: bool,
                     if_none_match: Optional[str] = None) -> Answer:
@@ -451,7 +420,6 @@ class MeshGateway:
         out["ok"] = job.state in (JobState.QUEUED, JobState.RUNNING,
                                   JobState.DONE)
         headers: Dict[str, str] = {}
-        mesh_job: Optional[Job] = None
         if (return_mesh and job.state is JobState.DONE
                 and job.result is not None):
             etag = job.keys[1] if job.keys is not None else None
@@ -463,15 +431,15 @@ class MeshGateway:
                 if if_none_match and etag_matches(if_none_match, etag):
                     self.service.registry.counter(
                         "service.http.not_modified").inc()
-                    return 304, {}, headers, None
-            mesh_job = job
+                    return 304, {}, headers
+            out["result"] = job.result.to_dict()
         status = STATE_STATUS[job.state]
         if job.state is JobState.REJECTED:
             if self.service._closed:
                 status = 503  # shutting down: back off for good
             else:
                 headers["Retry-After"] = "1"
-        return status, out, headers, mesh_job
+        return status, out, headers
 
 
 # -- the server --------------------------------------------------------
@@ -516,14 +484,18 @@ class _Handler(BaseHTTPRequestHandler):
                     refusal = (400, f"bad JSON body: {exc}")
         if refusal is not None:
             status, error = refusal
-            payload = json.dumps({"ok": False, "error": error}).encode()
-            headers: Dict[str, str] = {}
+            out, headers = {"ok": False, "error": error}, {}
         else:
-            status, payload, headers = gateway.handle_wire(
+            status, out, headers = gateway.handle(
                 method, parsed.path, query, body,
                 version=self.headers.get(PROTOCOL_HEADER),
                 if_none_match=self.headers.get("If-None-Match"),
             )
+        try:
+            payload = json.dumps(out).encode("utf-8")
+        except (TypeError, ValueError) as exc:  # e.g. a non-JSON stat
+            status, headers = 500, {}
+            payload = json.dumps({"ok": False, "error": str(exc)}).encode()
         # A 304 must not carry a body (RFC 7232); everything else is
         # JSON.
         self._send(status, b"" if status == 304 else payload, headers)
@@ -712,7 +684,10 @@ class HttpClient(Client):
                 raise ServiceError(
                     f"{job_id} result unavailable (status {status})"
                 )
-        return MeshResult.from_dict(out["result"])
+        try:
+            return MeshResult.from_dict(out["result"])
+        except ValueError as exc:
+            raise ServiceError(f"{job_id} malformed result: {exc}") from None
 
     def submit(self, request: MeshRequest,
                deadline: Optional[float] = None) -> str:

@@ -39,7 +39,8 @@ from repro.imaging.image import SegmentedImage
 #: read them.  ``lb``, ``hyperthreading`` and ``seed`` have since left
 #: ``MeshRequest`` as well (they are the simulator's own arguments);
 #: no key moved, so the version stays.
-CACHE_FORMAT_VERSION = 6
+#: v7: a mesh artifact's arrays are base64 of their raw bytes, not lists.
+CACHE_FORMAT_VERSION = 7
 
 
 def image_content_key(image: SegmentedImage) -> str:

@@ -178,7 +178,7 @@ class _WorkerSlot:
         self.discard()
 
     def run(self, payload: dict, deadline: Optional[float]):
-        """Ship one job, await the reply, materialise the result."""
+        """Ship one job and await its reply."""
         self.ensure_started()
         try:
             self.conn.send(("run", payload))
@@ -187,7 +187,7 @@ class _WorkerSlot:
             raise WorkerCrashed(f"worker pipe broken at send: {exc}")
         kind, reply = self._await_reply(deadline)
         if kind == "ok":
-            return self._collect(reply)
+            return reply
         if kind == "transient":
             raise TransientMeshError(reply)
         raise RemoteMeshError(reply)
@@ -223,22 +223,6 @@ class _WorkerSlot:
                 raise WorkerCrashed(
                     f"worker process died mid-job (exit code {code})"
                 )
-
-    @staticmethod
-    def _collect(reply: dict):
-        from repro.api import MeshResult
-        from repro.core.extract import ExtractedMesh
-
-        meta, arrays = reply["meta"], reply["arrays"]
-        if meta.get("kind") == "shard":
-            return {"arrays": arrays, "stats": meta["stats"]}
-        return MeshResult(
-            mesh=ExtractedMesh(**arrays),
-            mesher=meta["mesher"],
-            stats=meta["stats"],
-            metrics=meta["metrics"],
-            timings=meta["timings"],
-        )
 
 
 class ProcessWorkerPool:

@@ -8,12 +8,11 @@ runs the sequential block refiner.  For each job the worker decodes
 the :class:`~repro.api.MeshRequest` — the block's, for a shard job —
 from the payload's image arrays and codec params
 (:meth:`MeshRequest.from_params <repro.api.MeshRequest.from_params>`),
-meshes on its own heap, and answers ``("ok", {"meta", "arrays"})`` over
-the same pipe: ``meta`` is the JSON-safe part of the result (mesher,
-stats, metrics, timings), ``arrays`` the result's ndarrays, pickled —
-0.8 ms for a 0.26 MB mesh, linear in its size like the meshing itself.
-Live objects (the domain, the ``Observability`` bundle) never leave the
-worker.
+meshes on its own heap, and answers over the same pipe: a mesh job
+with its :class:`~repro.api.MeshResult` minus ``extras`` (both ends are
+the same build, and pickle carries the ndarrays as raw bytes), a shard
+job with ``{"arrays", "stats"}``.  Live objects (the domain, the
+``Observability`` bundle) never leave the worker.
 
 Failure taxonomy on the wire: ``("transient", str)`` for
 :class:`~repro.service.jobs.TransientMeshError` (the parent re-raises
@@ -24,15 +23,10 @@ anything else.
 from __future__ import annotations
 
 import traceback
+from dataclasses import replace
 from typing import Any, Dict
 
 import numpy as np
-
-#: the :class:`~repro.core.extract.ExtractedMesh` arrays a mesh reply
-#: carries.
-RESULT_FIELDS = (
-    "vertices", "tets", "tet_labels", "boundary_faces", "boundary_labels",
-)
 
 
 def build_payload(request) -> Dict[str, Any]:
@@ -85,23 +79,13 @@ def _run_shard(body: Dict[str, Any]) -> Dict[str, Any]:
     arrays, stats = refine_block(
         _request(body), body["own_lo"], body["own_hi"]
     )
-    return {"meta": {"kind": "shard", "stats": stats}, "arrays": arrays}
+    return {"arrays": arrays, "stats": stats}
 
 
-def _run_mesh(body: Dict[str, Any], meshers: Dict[str, Any]
-              ) -> Dict[str, Any]:
+def _run_mesh(body: Dict[str, Any], meshers: Dict[str, Any]):
     request = _request(body)
     result = meshers[request.resolved_mesher()].mesh(request)
-    return {
-        "meta": {
-            "mesher": result.mesher,
-            "stats": dict(result.stats),
-            "metrics": dict(result.metrics),
-            "timings": dict(result.timings),
-        },
-        "arrays": {f: np.ascontiguousarray(getattr(result.mesh, f))
-                   for f in RESULT_FIELDS},
-    }
+    return replace(result, extras={})
 
 
 def _run_one(body: Dict[str, Any], meshers: Dict[str, Any]) -> tuple:
@@ -138,7 +122,6 @@ def worker_main(conn, meshers: Dict[str, Any]) -> None:
 
 
 __all__ = [
-    "RESULT_FIELDS",
     "build_payload",
     "build_shard_payload",
     "worker_main",

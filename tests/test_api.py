@@ -1,15 +1,19 @@
 """Tests for repro.api: protocol conformance, shims, round-trips."""
 
+import dataclasses
 import json
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.api import (
+    MESH_ARRAYS,
     MESHER_NAMES,
     Mesher,
     MeshRequest,
@@ -17,6 +21,7 @@ from repro.api import (
     get_mesher,
     mesh,
 )
+from repro.core.extract import ExtractedMesh
 from repro.core.sizing import constant, radial, surface_graded, unconstrained
 from repro.imaging import sphere_phantom
 from repro.observability import Observability, ObservabilityConfig
@@ -188,6 +193,31 @@ class TestRequestCodec:
         assert canonical["shards"] == r.resolved_shards()
 
 
+_SCALARS = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                    st.text(max_size=4))
+_DOCS = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(_SCALARS, st.dictionaries(st.text(max_size=4), _SCALARS,
+                                        max_size=3)),
+    max_size=4)
+
+
+@st.composite
+def _mesh_results(draw):
+    """Results with arbitrary array bytes (any float64 bit pattern, any
+    integer) and row counts down to zero, and stats, metrics and
+    timings holding NaN and infinities among other JSON values."""
+    arrays = {}
+    for name, (dtype, tail) in MESH_ARRAYS.items():
+        shape = (draw(st.integers(0, 5)),) + tail
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        raw = draw(st.binary(min_size=size, max_size=size))
+        arrays[name] = np.frombuffer(raw, dtype).reshape(shape)
+    return MeshResult(mesh=ExtractedMesh(**arrays),
+                      mesher=draw(st.text(max_size=8)), stats=draw(_DOCS),
+                      metrics=draw(_DOCS), timings=draw(_DOCS))
+
+
 class TestMeshResultRoundTrip:
     @pytest.mark.parametrize("name", MESHER_NAMES)
     def test_to_dict_from_dict(self, results, name):
@@ -206,9 +236,94 @@ class TestMeshResultRoundTrip:
         assert r2.extras == {}  # live objects are not serialised
 
     def test_dict_is_json_safe(self, results):
-        import json
-
         json.dumps(results["sequential"].to_dict())
+
+    def test_arrays_travel_as_base64_not_lists(self, results):
+        doc = results["sequential"].to_dict()["mesh"]
+        assert list(doc) == [f.name for f in dataclasses.fields(ExtractedMesh)]
+        for name, member in doc.items():
+            assert set(member) == {"dtype", "shape", "b64"}, name
+            assert member["dtype"] == MESH_ARRAYS[name][0]
+            assert all(type(n) is int for n in member["shape"]), name
+            assert isinstance(member["b64"], str), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mesh_results())
+    @example(MeshResult(ExtractedMesh(**{
+        name: np.zeros((0,) + tail, dtype)
+        for name, (dtype, tail) in MESH_ARRAYS.items()}), "sequential"))
+    def test_json_round_trip_is_bit_exact(self, r):
+        """Every array, empty ones too, comes back with its dtype, shape
+        and bytes (NaN payloads, -0.0 and infinities included) and
+        writable; the non-finite numbers in stats, metrics and timings
+        survive; and the document encodes to the same JSON every time."""
+        text = json.dumps(r.to_dict())
+        assert json.dumps(r.to_dict()) == text
+        back = MeshResult.from_dict(json.loads(text))
+        for field in dataclasses.fields(ExtractedMesh):
+            got, want = getattr(back.mesh, field.name), getattr(r.mesh,
+                                                                field.name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), field.name
+            assert got.flags.writeable, field.name
+        assert back.mesher == r.mesher
+        assert json.dumps(back.to_dict()) == text
+
+    @pytest.mark.parametrize("field, damage", [
+        ("vertices", {"dtype": "<f4"}),
+        ("tets", {"dtype": "|O"}),
+        ("tets", {"dtype": None}),
+        ("tets", {"shape": [3, 3]}),
+        ("tet_labels", {"shape": [-1]}),
+        ("tet_labels", {"shape": [1.0]}),
+        ("vertices", {"shape": [99, 3]}),
+        ("boundary_faces", {"shape": "[0, 3]"}),
+        ("boundary_faces", {"b64": "not base64!"}),
+        ("boundary_faces", {"b64": "QUJD"}),
+        ("boundary_labels", {"b64": 7}),
+        ("boundary_labels", "drop b64"),
+        ("vertices", "not a member"),
+        ("vertices", "old list format"),
+        ("tets", "missing"),
+    ])
+    def test_malformed_mesh_member_names_the_field(self, results, field,
+                                                   damage):
+        doc = json.loads(json.dumps(results["sequential"].to_dict()))
+        arrays = doc["mesh"]
+        if damage == "drop b64":
+            del arrays[field]["b64"]
+        elif damage == "not a member":
+            arrays[field] = "AAAA"
+        elif damage == "old list format":
+            arrays[field] = results["sequential"].mesh.vertices.tolist()
+        elif damage == "missing":
+            del arrays[field]
+        else:
+            arrays[field].update(damage)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            MeshResult.from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mesh", None), ("mesh", []), ("mesher", 3), ("stats", []),
+        ("metrics", None), ("timings", "fast")])
+    def test_malformed_document_names_the_field(self, results, field, value):
+        doc = results["sequential"].to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            MeshResult.from_dict(doc)
+        with pytest.raises(ValueError, match="'mesh'"):
+            MeshResult.from_dict([doc])
+
+    def test_the_list_codec_workarounds_are_gone(self):
+        """The codec made the disk-bytes splice, its stamps and the
+        pipe's own result shape unnecessary; they must not come back."""
+        names = ("mesh_json_bytes", "mesh_wire_bytes", "handle_wire",
+                 "RESULT_FIELDS")
+        src = pathlib.Path(repro.__file__).parent
+        found = [(str(path.relative_to(src)), name)
+                 for path in sorted(src.rglob("*.py"))
+                 for name in names if name in path.read_text()]
+        assert found == []
 
 
 class TestClassicEntryPointsRemoved:

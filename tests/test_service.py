@@ -14,6 +14,7 @@ These exercise the PR's acceptance criteria end to end:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -147,7 +148,7 @@ class TestArtifactCacheRoundTrip:
         a memory hit, and a sharded one is refused at the door."""
         from repro.api import mesh
         from repro.core import surface_graded
-        from repro.service.procworker import RESULT_FIELDS
+        from repro.core.extract import ExtractedMesh
 
         def sized(**kw):
             return MeshRequest(image=image, delta=3.0, size_function=(
@@ -163,10 +164,10 @@ class TestArtifactCacheRoundTrip:
             assert [j.tier for j in jobs] == ["full_mesh", "memory_hit"]
             with pytest.raises(ValueError, match="size_function"):
                 svc.submit(sized(shards=2))
-        for field in RESULT_FIELDS:
+        for field in dataclasses.fields(ExtractedMesh):
             np.testing.assert_array_equal(
-                getattr(jobs[1].result.mesh, field), getattr(want, field),
-                err_msg=field)
+                getattr(jobs[1].result.mesh, field.name),
+                getattr(want, field.name), err_msg=field.name)
 
 
 class TestArtifactCacheByteBudget:

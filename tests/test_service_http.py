@@ -781,7 +781,7 @@ class TestTransport:
 
 
 # ---------------------------------------------------------------------------
-# wire bytes: the disk artifact is the response's "result"
+# result bodies: every tier answers the job's own result
 # ---------------------------------------------------------------------------
 
 def assert_body_is_job_result(service, raw):
@@ -793,22 +793,7 @@ def assert_body_is_job_result(service, raw):
 
 
 class TestWireBytes:
-    @pytest.fixture()
-    def serialisations(self, monkeypatch):
-        """Every call of the one mesh-JSON producer, by the cache."""
-        from repro.service import cache as cache_mod
-        calls = []
-        plain = cache_mod.mesh_json_bytes
-
-        def counted(result):
-            calls.append(result)
-            return plain(result)
-
-        monkeypatch.setattr(cache_mod, "mesh_json_bytes", counted)
-        return calls
-
-    def test_every_tier_answers_the_jobs_own_result(
-            self, image, tmp_path, serialisations):
+    def test_every_tier_answers_the_jobs_own_result(self, image, tmp_path):
         body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
         config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
         with MeshingService(config) as service:
@@ -826,8 +811,6 @@ class TestWireBytes:
                     service, post(server.url, body)[1])
         assert (disk.tier, again.tier) == ("disk_hit", "memory_hit")
         assert disk.result.to_dict() == fresh.result.to_dict()
-        # Serialised once, by the put; each hit sent the file instead.
-        assert len(serialisations) == 1
 
     def test_coalesced_follower_answers_the_leaders_result(
             self, image, tmp_path, serving):
@@ -874,33 +857,65 @@ class TestWireBytes:
     @pytest.mark.parametrize("damage", ["truncate", "overwrite"])
     def test_damaged_artifact_is_caught_not_served(
             self, image, tmp_path, damage):
+        """A mesh file that no longer decodes is counted corrupt,
+        unlinked and meshed again; the re-mesh's put restores it."""
         body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
         config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
         with MeshingService(config) as service:
             with MeshHTTPServer(service) as server:
                 job = assert_body_is_job_result(
                     service, post(server.url, body)[1])
-                path = service.cache._path("mesh", job.keys[1], ".json")
-                good = path.read_bytes()
-                if damage == "truncate":
-                    path.write_bytes(good[:len(good) // 2])
-                else:  # same length, still JSON, another mesh
-                    path.write_bytes(good.replace(b"1", b"2"))
-                # The mesh is memory-resident: only the file is bad.
-                hit = assert_body_is_job_result(
+        path = service.cache._path("mesh", job.keys[1], ".json")
+        good = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(good[:len(good) // 2])
+        else:  # same length, still JSON, not a mesh document
+            path.write_bytes(good.replace(b'"<f8"', b'"<f4"'))
+        with MeshingService(config) as service:  # cold memory, bad disk
+            with MeshHTTPServer(service) as server:
+                again = assert_body_is_job_result(
                     service, post(server.url, body)[1])
-                assert hit.tier == "memory_hit"
+                assert again.tier == "full_mesh"
                 assert service.cache.stats["corrupt"] == 1
-                assert not path.exists()
-                # Later hits serialise; they do not count it again.
-                assert_body_is_job_result(
-                    service, post(server.url, body)[1])
-                assert service.cache.stats["corrupt"] == 1
-                # The next put restores the artifact, byte for byte.
-                service.cache.put_mesh(job.keys[1], job.result)
-                assert path.read_bytes() == good
-                assert post(server.url, body)[1].endswith(
-                    b', "result": ' + good + b"}")
+        restored = MeshResult.from_dict(json.loads(path.read_bytes()))
+        assert restored.to_dict()["mesh"] == job.result.to_dict()["mesh"]
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:len(raw) // 2],
+        lambda raw: raw.replace(b'"b64": "', b'"b64": "*', 1),
+    ], ids=["truncated", "garbled"])
+    def test_malformed_result_body_is_a_service_error(
+            self, service, image, monkeypatch, damage):
+        """A result body cut short, or one whose arrays do not decode,
+        surfaces from ``HttpClient.mesh`` as :class:`ServiceError`."""
+        plain = _Handler._send
+
+        def send(handler, status, payload, headers):
+            if b'"result"' in payload:
+                payload = damage(payload)
+            plain(handler, status, payload, headers)
+
+        monkeypatch.setattr(_Handler, "_send", send)
+        with MeshHTTPServer(service) as server:
+            with HttpClient(*server.address) as client:
+                with pytest.raises(ServiceError):
+                    client.mesh(MeshRequest(image=image, delta=3.0))
+
+    def test_unencodable_result_answers_500(self, serving, image):
+        """A served result JSON cannot hold is a server fault: a 500
+        with a JSON body, and the server answers the next request."""
+        odd = MeshResult(mesh=big_result(8).mesh, mesher="fake",
+                         stats={"odd": object()})
+        service = serving({"fake": Canned(odd)})
+        with MeshHTTPServer(service) as server:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(server.url, mesh_body(image, return_mesh=True,
+                                           params={"mesher": "fake"}))
+            assert err.value.code == 500
+            assert json.loads(err.value.read())["ok"] is False
+            with urllib.request.urlopen(server.url + "/healthz",
+                                        timeout=10) as resp:
+                assert resp.status == 200
 
     def test_memory_only_cache_serves_correctly(self, service, image):
         assert service.cache.root is None

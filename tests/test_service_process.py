@@ -16,12 +16,14 @@ Workers are spawned processes, so the misbehaving meshers live in
 served meshers, which every worker is spawned with.
 """
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from repro.api import MeshRequest
+from repro.core.extract import ExtractedMesh
 from repro.delaunay import arena as arena_mod
 from repro.imaging import sphere_phantom, two_spheres_phantom
 from repro.service import (
@@ -30,8 +32,10 @@ from repro.service import (
     ServiceConfig,
     connect,
 )
-from repro.service.procworker import RESULT_FIELDS
 from tests.procplugins import MESHERS, big_mesh
+
+#: the mesh arrays a result carries
+MESH_FIELDS = [f.name for f in dataclasses.fields(ExtractedMesh)]
 
 
 def _my_arena_prefix():
@@ -83,7 +87,7 @@ class TestProcessExecutorBasics:
                 assert job.result.extras == {}, (executor, job.tier)
             fresh[executor] = jobs[0].result
         got, want = fresh["process"], fresh["thread"]
-        for field in RESULT_FIELDS:
+        for field in MESH_FIELDS:
             np.testing.assert_array_equal(getattr(got.mesh, field),
                                           getattr(want.mesh, field))
         for count in ("operations", "insertions", "removals", "skipped",
@@ -143,7 +147,7 @@ class TestProcessExecutorBasics:
                 assert "size_function" in json.loads(
                     err.value.read())["error"]
         for path, result in got.items():
-            for field in RESULT_FIELDS:
+            for field in MESH_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(result, field), getattr(want, field),
                     err_msg=f"{path} {field}")
@@ -206,7 +210,7 @@ class TestLongReply:
         """A reply hundreds of pipe buffers long, received while
         ``_await_reply`` polls against a deadline."""
         want = big_mesh()
-        assert sum(getattr(want, f).nbytes for f in RESULT_FIELDS) > 40e6
+        assert sum(getattr(want, f).nbytes for f in MESH_FIELDS) > 40e6
         with MeshingService(_config(tmp_path, n_workers=1,
                                     cache_dir=None),
                             meshers=MESHERS) as svc:
@@ -214,7 +218,7 @@ class TestLongReply:
                                          mesher="big"), deadline=200.0)
             job.wait(240.0)
             assert job.state is JobState.DONE, job.error
-            for field in RESULT_FIELDS:
+            for field in MESH_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(job.result.mesh, field), getattr(want, field))
 

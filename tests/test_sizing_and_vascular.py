@@ -128,13 +128,14 @@ def _sized_request(kind):
 
 @pytest.mark.parametrize("kind", sorted(SIZED_MESH_DIGESTS))
 def test_sized_mesh_is_pinned(kind):
+    import dataclasses
     import hashlib
 
     from repro.api import mesh
-    from repro.service.procworker import RESULT_FIELDS
+    from repro.core.extract import ExtractedMesh
 
     result = mesh(_sized_request(kind))
-    got = {f: hashlib.blake2b(getattr(result.mesh, f).tobytes(),
-                              digest_size=16).hexdigest()
-           for f in RESULT_FIELDS}
+    got = {f.name: hashlib.blake2b(getattr(result.mesh, f.name).tobytes(),
+                                   digest_size=16).hexdigest()
+           for f in dataclasses.fields(ExtractedMesh)}
     assert got == SIZED_MESH_DIGESTS[kind]
