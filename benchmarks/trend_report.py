@@ -7,10 +7,7 @@ makes the drift visible:
 * ``--record BENCH_kernels.json`` appends one compact record (label,
   python/accel inserts-per-second, speedup) to the history file
   ``benchmarks/results/BENCH_kernels_history.jsonl``;
-* ``--record-service BENCH_service.json`` does the same for the
-  service executor benchmark (thread vs process jobs-per-second) into
-  ``benchmarks/results/BENCH_service_history.jsonl``;
-* the default invocation renders both histories as fixed-width tables
+* the default invocation renders the history as a fixed-width table
   in ``benchmarks/results/BENCH_trend.txt`` (and to stdout), flagging
   any entry whose speedup dropped more than ``--drift-threshold``
   (default 10%) against the best ever seen.
@@ -34,7 +31,6 @@ import sys
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 DEFAULT_HISTORY = RESULTS_DIR / "BENCH_kernels_history.jsonl"
-DEFAULT_SERVICE_HISTORY = RESULTS_DIR / "BENCH_service_history.jsonl"
 DEFAULT_REPORT = RESULTS_DIR / "BENCH_trend.txt"
 
 
@@ -101,80 +97,6 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
     with open(history_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(rec) + "\n")
     return rec
-
-
-def record_service(bench_path: pathlib.Path, history_path: pathlib.Path,
-                   label: str):
-    """Append one history record distilled from a BENCH_service.json."""
-    if not bench_path.exists():
-        print(f"warning: no service benchmark results at {bench_path}; "
-              "nothing recorded", file=sys.stderr)
-        return None
-    try:
-        doc = json.loads(bench_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"warning: unreadable service benchmark {bench_path}: {exc}",
-              file=sys.stderr)
-        return None
-    if not isinstance(doc, dict) or not doc:
-        print(f"warning: empty service benchmark {bench_path}; "
-              "nothing recorded", file=sys.stderr)
-        return None
-    gate = doc.get("gate", {})
-    rec = {
-        "label": label,
-        "schema": doc.get("schema"),
-        "cpus": doc.get("cpus"),
-        "thread_jobs_per_second":
-            doc.get("thread", {}).get("jobs_per_second"),
-        "process_jobs_per_second":
-            doc.get("process", {}).get("jobs_per_second"),
-        "speedup": doc.get("speedup_process_over_thread"),
-        "gate_enforced": bool(gate.get("enforced")),
-        "gate_passed": bool(gate.get("passed")),
-    }
-    history_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(history_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec) + "\n")
-    return rec
-
-
-def render_service(history: list, drift_threshold: float) -> str:
-    """Second report section: the executor benchmark trend."""
-    lines = [
-        "service executor trend (thread vs process, jobs/s)",
-        "",
-        f"{'label':<24} {'cpus':>5} {'thread j/s':>11} "
-        f"{'process j/s':>12} {'speedup':>8} {'gate':>9}  note",
-        "-" * 88,
-    ]
-    enforced = [r for r in history if r.get("gate_enforced")]
-    best = max((r.get("speedup") or 0.0 for r in enforced), default=0.0)
-    for r in history:
-        speedup = r.get("speedup")
-        if not r.get("gate_enforced"):
-            note = "single CPU: advisory"
-        elif len(enforced) == 1:
-            note = "n=1 (no baseline)"
-        elif best > 0 and speedup is not None:
-            drop = 1.0 - speedup / best
-            note = (f"DRIFT -{drop:.0%} vs best {best:.2f}x"
-                    if drop > drift_threshold else "")
-        else:
-            note = ""
-        gate = ("pass" if r.get("gate_passed") else "FAIL") \
-            if r.get("gate_enforced") else "n/a"
-        lines.append(
-            f"{str(r.get('label', '?')):<24.24} "
-            f"{_fmt(r.get('cpus'), 5, 0)} "
-            f"{_fmt(r.get('thread_jobs_per_second'), 11, 2)} "
-            f"{_fmt(r.get('process_jobs_per_second'), 12, 2)} "
-            f"{_fmt(speedup, 8, 2)} {gate:>9}  {note}"
-        )
-    if not history:
-        lines.append("(no service history recorded yet)")
-    lines.append("")
-    return "\n".join(lines) + "\n"
 
 
 def load_history(history_path: pathlib.Path) -> list:
@@ -281,9 +203,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", metavar="BENCH_JSON",
                         help="append this BENCH_kernels.json to the history")
-    parser.add_argument("--record-service", metavar="BENCH_SERVICE_JSON",
-                        help="append this BENCH_service.json to the "
-                             "service history")
     parser.add_argument("--label", default="local",
                         help="history label for --record (branch, SHA, ...)")
     parser.add_argument("--rebaseline", default="", metavar="REASON",
@@ -291,8 +210,6 @@ def main(argv=None) -> int:
                              "baseline (drift compares against the best "
                              "speedup since the latest marker)")
     parser.add_argument("--history", default=str(DEFAULT_HISTORY))
-    parser.add_argument("--service-history",
-                        default=str(DEFAULT_SERVICE_HISTORY))
     parser.add_argument("-o", "--output", default=str(DEFAULT_REPORT))
     parser.add_argument("--drift-threshold", type=float, default=0.10,
                         help="flag entries this far below the best speedup")
@@ -309,20 +226,7 @@ def main(argv=None) -> int:
             print(f"recorded {rec['label']}: speedup "
                   f"{rec['speedup'] if rec['speedup'] is not None else 'n/a'}")
 
-    service_history_path = pathlib.Path(args.service_history)
-    if args.record_service:
-        rec = record_service(pathlib.Path(args.record_service),
-                             service_history_path, args.label)
-        if rec is not None:
-            sp = rec["speedup"]
-            print(f"recorded service {rec['label']}: speedup "
-                  f"{sp if sp is not None else 'n/a'}")
-
     report = render(load_history(history_path), args.drift_threshold)
-    service_history = load_history(service_history_path)
-    if service_history:
-        report += "\n" + render_service(service_history,
-                                        args.drift_threshold)
     out = pathlib.Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report)

@@ -349,10 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=4,
                    help="worker threads/processes (default 4)")
     p.add_argument("--executor", choices=("thread", "process"),
-                   default=None,
+                   default="thread",
                    help="run meshing in worker threads (default) or in "
-                        "spawned processes that answer over a pipe; "
-                        "also settable via REPRO_EXECUTOR")
+                        "spawned processes that answer over a pipe")
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="admission queue bound; overflow is REJECTED")
     p.add_argument("--cache-dir", default=None, metavar="DIR",

@@ -20,7 +20,8 @@ follow-on work — I2M inside clinical pipelines — makes explicit):
   by content) with an in-memory LRU over an atomic-write disk layout;
 * :mod:`repro.service.service` — :class:`MeshingService`, the
   orchestrator, feeding ``service.*`` metrics and per-job trace spans;
-  pick the executor with ``ServiceConfig(executor="thread"|"process")``;
+  ``ServiceConfig(executor="thread"|"process")`` is the one way to pick
+  the executor (default ``"thread"``);
 * :mod:`repro.service.coalesce` — in-flight request coalescing: K
   identical concurrent submissions share one mesh run, with leader
   promotion on cancel and failure fan-out;

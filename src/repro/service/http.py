@@ -140,6 +140,10 @@ MAX_BODY_BYTES = 128 * 1024 * 1024
 #: Default byte budget of the gateway image store.
 IMAGE_STORE_BYTES = 256 * 1024 * 1024
 
+#: How often a background server checks for :meth:`MeshHTTPServer.close`
+#: (seconds); ``close`` waits up to this long for the serve loop.
+CLOSE_POLL_SECONDS = 0.05
+
 
 class ProtocolError(ValueError):
     """A request the client got wrong; answered 400, never 500."""
@@ -565,6 +569,7 @@ class MeshHTTPServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever,
+                kwargs={"poll_interval": CLOSE_POLL_SECONDS},
                 name="repro-http", daemon=True,
             )
             self._thread.start()

@@ -25,7 +25,6 @@ into a long-running, observable system:
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 import traceback
@@ -95,19 +94,9 @@ class ServiceConfig:
     #: resolved value stands); applied at submit time, before cache
     #: keys are computed.
     max_shards: Optional[int] = None
-    #: ``"thread"`` or ``"process"``; ``None`` reads the
-    #: ``REPRO_EXECUTOR`` environment variable and defaults to
-    #: ``"thread"``.  ``"process"`` runs CPU-bound meshing in spawned
-    #: worker processes that answer over a pipe.
-    executor: Optional[str] = None
-
-    def resolved_executor(self) -> str:
-        name = self.executor or os.environ.get("REPRO_EXECUTOR") or "thread"
-        if name not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {name!r}; pick from {EXECUTORS}"
-            )
-        return name
+    #: ``"thread"`` or ``"process"``.  ``"process"`` runs CPU-bound
+    #: meshing in spawned worker processes that answer over a pipe.
+    executor: str = "thread"
 
 
 class MeshingService:
@@ -130,6 +119,10 @@ class MeshingService:
             {"sequential": SequentialMesher()} if meshers is None
             else dict(meshers))
         cfg = self.config
+        if cfg.executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {cfg.executor!r}; pick from {EXECUTORS}"
+            )
         self.obs = Observability.from_config(
             ObservabilityConfig(tracing=cfg.tracing)
         )
@@ -146,7 +139,7 @@ class MeshingService:
         )
         # The claiming threads above always exist; "process" adds
         # worker processes underneath them (see :meth:`start`).
-        self.executor = cfg.resolved_executor()
+        self.executor = cfg.executor
         self._proc_pool: Optional[ProcessWorkerPool] = None
         self.slo = SLOTracker(self.registry)
         self._coalesce = CoalesceRegistry(self)

@@ -34,6 +34,7 @@ from repro.service import (
     cache_keys,
     connect,
 )
+from tests.executors import on_process
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +98,8 @@ def fake_service(mesher, **cfg):
 # ---------------------------------------------------------------------------
 
 class TestArtifactCacheRoundTrip:
-    def test_warm_hit_is_topology_identical_and_fast(self, image, tmp_path):
+    def test_warm_hit_is_topology_identical_and_fast(self, image, tmp_path,
+                                                     executor):
         """Cold run, then same request against a *fresh* service sharing
         only the disk cache: the mesh must round-trip through JSON
         byte-identically and come back >=10x faster."""
@@ -105,7 +107,8 @@ class TestArtifactCacheRoundTrip:
         req = MeshRequest(image=image, delta=3.0, mesher="sequential")
 
         with connect(config=ServiceConfig(
-                n_workers=1, cache_dir=cache_dir)) as client:
+                n_workers=1, cache_dir=cache_dir,
+                executor=executor)) as client:
             t0 = time.perf_counter()
             cold = client.mesh(req)
             cold_seconds = time.perf_counter() - t0
@@ -115,7 +118,8 @@ class TestArtifactCacheRoundTrip:
         # Fresh service, empty memory LRU: the hit must come from disk,
         # proving the serialization round-trip (not object identity).
         with connect(config=ServiceConfig(
-                n_workers=1, cache_dir=cache_dir)) as client:
+                n_workers=1, cache_dir=cache_dir,
+                executor=executor)) as client:
             t0 = time.perf_counter()
             warm = client.mesh(MeshRequest(
                 image=image, delta=3.0, mesher="sequential"))
@@ -132,8 +136,9 @@ class TestArtifactCacheRoundTrip:
                                       cold.mesh.boundary_faces)
         assert warm_seconds < cold_seconds / 10.0
 
-    def test_different_params_miss(self, image):
-        with connect(config=ServiceConfig(n_workers=1)) as client:
+    def test_different_params_miss(self, image, executor):
+        with connect(config=ServiceConfig(
+                n_workers=1, executor=executor)) as client:
             client.mesh(MeshRequest(image=image, delta=3.0,
                                     mesher="sequential"))
             client.mesh(MeshRequest(image=image, delta=4.0,
@@ -211,9 +216,10 @@ class TestArtifactCacheByteBudget:
         assert cache.get_block("mine") is not None
         cache.unpin("block:mine")
 
-    def test_service_exposes_cache_gauges(self, image):
+    def test_service_exposes_cache_gauges(self, image, executor):
         with connect(config=ServiceConfig(
-                n_workers=1, memory_cache_bytes=1)) as client:
+                n_workers=1, memory_cache_bytes=1,
+                executor=executor)) as client:
             client.mesh(MeshRequest(image=image, delta=3.0,
                                     mesher="sequential"))
             snap = client.metrics()
@@ -420,8 +426,9 @@ class TestCancelRace:
             gate.set()
             service.shutdown()
 
-    def test_cancel_unknown_job(self):
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
+    def test_cancel_unknown_job(self, executor):
+        service = MeshingService(ServiceConfig(
+            n_workers=1, executor=executor)).start()
         try:
             assert service.cancel("job-999999") is False
         finally:
@@ -433,11 +440,12 @@ class TestCancelRace:
 # ---------------------------------------------------------------------------
 
 class TestJobRetention:
-    def test_thousand_hits_leave_a_bounded_registry(self, image):
+    def test_thousand_hits_leave_a_bounded_registry(self, image, executor):
         from repro.service.service import RETAINED_TERMINAL_JOBS
 
         request = MeshRequest(image=image, delta=3.0, mesher="sequential")
-        with MeshingService(ServiceConfig(n_workers=2)) as service:
+        with MeshingService(ServiceConfig(
+                n_workers=2, executor=executor)) as service:
             first = service.submit(request)
             assert first.wait(60.0)
             for _ in range(1000):
@@ -531,8 +539,9 @@ class TestInProcessClientFacade:
         finally:
             service.shutdown()
 
-    def test_borrowed_service_survives_client_close(self, image):
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
+    def test_borrowed_service_survives_client_close(self, image, executor):
+        service = MeshingService(ServiceConfig(
+            n_workers=1, executor=executor)).start()
         try:
             client = InProcessClient(service=service)
             client.close()
@@ -543,9 +552,10 @@ class TestInProcessClientFacade:
         finally:
             service.shutdown()
 
-    def test_job_summary_is_json_safe(self, image):
+    def test_job_summary_is_json_safe(self, image, executor):
         import json
-        with connect(config=ServiceConfig(n_workers=1)) as client:
+        with connect(config=ServiceConfig(
+                n_workers=1, executor=executor)) as client:
             job_id = client.submit(MeshRequest(
                 image=image, delta=3.0, mesher="sequential"))
             summary = client.wait(job_id, 30.0)
@@ -558,10 +568,11 @@ class TestInProcessClientFacade:
 # ---------------------------------------------------------------------------
 
 class TestConnect:
-    def test_connect_config_owns_service(self, image):
+    def test_connect_config_owns_service(self, image, executor):
         from repro.service import InProcessClient, connect
 
-        with connect(config=ServiceConfig(n_workers=1)) as client:
+        with connect(config=ServiceConfig(
+                n_workers=1, executor=executor)) as client:
             assert isinstance(client, InProcessClient)
             job_id = client.submit(MeshRequest(
                 image=image, delta=3.0, mesher="sequential"))
@@ -572,10 +583,11 @@ class TestConnect:
         # owned service is shut down with the client
         assert client.service._closed
 
-    def test_connect_borrows_running_service(self, image):
+    def test_connect_borrows_running_service(self, image, executor):
         from repro.service import connect
 
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
+        service = MeshingService(ServiceConfig(
+            n_workers=1, executor=executor)).start()
         try:
             with connect(service=service) as client:
                 result = client.mesh(MeshRequest(
@@ -593,3 +605,16 @@ class TestConnect:
     def test_connect_rejects_malformed_http_target(self):
         with pytest.raises(ValueError):
             connect("http://no-port-here")
+
+
+TestOnProcessExecutor = on_process(
+    TestArtifactCacheRoundTrip.test_warm_hit_is_topology_identical_and_fast,
+    TestArtifactCacheRoundTrip.test_different_params_miss,
+    TestArtifactCacheByteBudget.test_service_exposes_cache_gauges,
+    TestCancelRace.test_cancel_unknown_job,
+    TestJobRetention.test_thousand_hits_leave_a_bounded_registry,
+    TestInProcessClientFacade.test_borrowed_service_survives_client_close,
+    TestInProcessClientFacade.test_job_summary_is_json_safe,
+    TestConnect.test_connect_config_owns_service,
+    TestConnect.test_connect_borrows_running_service,
+)

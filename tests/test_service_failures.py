@@ -9,12 +9,17 @@ request, or a dead worker:
 * deadline expiry (queued or mid-run) → ``TIMED_OUT``;
 * queue overflow → ``REJECTED``;
 * a corrupt / truncated cache artifact → a miss (recompute), not a
-  crash.
+  crash;
+* a mixed workload — hits, misses, a poisoned request, a transient
+  fault, an over-capacity burst — on either executor leaves books that
+  balance: every submitted job is counted in exactly one terminal
+  counter.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -23,15 +28,18 @@ import pytest
 from repro.api import MeshRequest, SequentialMesher, mesh
 from repro.imaging import sphere_phantom
 from repro.service import (
+    EXECUTORS,
     ArtifactCache,
     JobState,
     MeshingService,
     ServiceConfig,
+    ServiceError,
     TransientMeshError,
     cache_keys,
     image_content_key,
     request_key,
 )
+from tests.executors import on_process
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +69,34 @@ class SlowMesher:
     def mesh(self, request):
         time.sleep(self.seconds)
         return self.result
+
+
+class FlakyOnce:
+    """Transient failure on the first call, then delegates.  The first
+    call is the one that creates ``marker``, so it stays the first
+    across every worker process that holds a copy."""
+
+    name = "flaky"
+
+    def __init__(self, inner, marker):
+        self.inner = inner
+        self.marker = marker
+
+    def mesh(self, request):
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return self.inner.mesh(request)
+        raise TransientMeshError("injected transient fault")
+
+
+class Poisoned:
+    """Fails every run with a non-transient error."""
+
+    name = "poisoned"
+
+    def mesh(self, request):
+        raise RuntimeError("injected mesher fault")
 
 
 def fake_request(image, name, variant=0):
@@ -181,8 +217,9 @@ class TestAdmissionControl:
         finally:
             service.shutdown()
 
-    def test_submit_after_shutdown_rejects(self, image):
-        service = MeshingService(ServiceConfig(n_workers=1)).start()
+    def test_submit_after_shutdown_rejects(self, image, executor):
+        service = MeshingService(ServiceConfig(
+            n_workers=1, executor=executor)).start()
         service.shutdown()
         job = service.submit(MeshRequest(
             image=image, delta=3.0, mesher="sequential"))
@@ -194,11 +231,12 @@ class TestCorruptArtifacts:
         _, rkey = cache_keys(req)
         return cache_dir / "mesh" / rkey[:2] / f"{rkey}.json"
 
-    def test_truncated_mesh_json_is_a_miss(self, image, tmp_path):
+    def test_truncated_mesh_json_is_a_miss(self, image, tmp_path, executor):
         cache_dir = tmp_path / "cache"
+        config = ServiceConfig(n_workers=1, cache_dir=str(cache_dir),
+                               executor=executor)
         req = MeshRequest(image=image, delta=3.0, mesher="sequential")
-        with MeshingService(ServiceConfig(
-                n_workers=1, cache_dir=str(cache_dir))) as service:
+        with MeshingService(config) as service:
             service.mesh(req)
         path = self._mesh_artifact_path(cache_dir, req)
         assert path.exists()
@@ -206,8 +244,7 @@ class TestCorruptArtifacts:
 
         # Fresh service (cold LRU): the truncated artifact must read as
         # a miss, be discarded, and the mesh recomputed.
-        with MeshingService(ServiceConfig(
-                n_workers=1, cache_dir=str(cache_dir))) as service:
+        with MeshingService(config) as service:
             result = service.mesh(MeshRequest(
                 image=image, delta=3.0, mesher="sequential"))
             assert result.n_tets > 0
@@ -283,3 +320,69 @@ class TestCacheKeyHygiene:
         p1 = {"delta": 3.0, "mesher": "sequential"}
         p2 = {"mesher": "sequential", "delta": 3.0}
         assert request_key(ikey, p1) == request_key(ikey, p2)
+
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_mixed_workload_books_balance(image, tmp_path, executor):
+    """Cold misses, a warm hit, an unknown and a poisoned mesher, a
+    transient fault and a burst past the queue's capacity, through one
+    service whose fakes pickle, so under ``process`` they fail inside
+    the workers.  Every job ends in one terminal state and the
+    ``service.*`` counters account for each."""
+    service = MeshingService(ServiceConfig(
+        n_workers=4, queue_capacity=8, cache_dir=str(tmp_path / "cache"),
+        max_retries=2, retry_backoff=0.01, executor=executor), meshers={
+        "sequential": SequentialMesher(),
+        "flaky": FlakyOnce(SequentialMesher(), str(tmp_path / "flaky-once")),
+        "poisoned": Poisoned(),
+    }).start()
+    try:
+        cold = service.mesh(MeshRequest(image=image, delta=3.0))
+        assert cold.n_tets > 0
+        assert service.mesh(MeshRequest(image=image, delta=4.0)).n_tets > 0
+        warm = service.mesh(MeshRequest(image=image, delta=3.0))
+        assert (warm.n_tets, warm.n_vertices) == (cold.n_tets,
+                                                  cold.n_vertices)
+
+        with pytest.raises(ValueError):
+            service.submit(MeshRequest(image=image, mesher="no-such"))
+        with pytest.raises(ServiceError, match="FAILED"):
+            service.mesh(MeshRequest(image=image, mesher="poisoned"))
+        assert service.mesh(MeshRequest(image=image, delta=5.0,
+                                        mesher="flaky")).n_tets > 0
+
+        burst = [service.submit(MeshRequest(image=image,
+                                            delta=3.0 + 0.1 * i))
+                 for i in range(20)]
+        for job in burst:
+            assert job.wait(120.0) and job.done, job.state
+        assert {j.state for j in burst} <= {JobState.DONE,
+                                            JobState.REJECTED}
+        n_rejected = sum(j.state is JobState.REJECTED for j in burst)
+        assert n_rejected >= 1  # the 8-slot queue overflowed
+
+        snap = service.metrics_snapshot()
+        c, g = snap["counters"], snap["gauges"]
+        assert c["service.cache.hit"] >= 1
+        assert c["service.cache.miss"] >= 2
+        assert c["service.jobs.retries"] == 1
+        assert c["service.jobs.rejected"] == n_rejected
+        assert c["service.jobs.failed"] == 1  # the poisoned request
+        assert g["service.workers.alive"] == 4
+        if executor == "process":
+            assert c["service.jobs.remote"] >= 1
+            assert c.get("service.worker.crashes", 0) == 0
+        terminal = sum(c.get(f"service.jobs.{state}", 0) for state in (
+            "completed", "failed", "rejected", "cancelled", "timed_out"))
+        assert c["service.jobs.submitted"] == terminal
+    finally:
+        service.shutdown()
+    assert service.pool.alive_workers == 0
+
+
+TestOnProcessExecutor = on_process(
+    TestAdmissionControl.test_submit_after_shutdown_rejects,
+    TestCorruptArtifacts.test_truncated_mesh_json_is_a_miss,
+    TestCorruptArtifacts._mesh_artifact_path,
+)

@@ -23,6 +23,7 @@ from repro.api import MeshRequest, MeshResult, SequentialMesher
 from repro.core.extract import ExtractedMesh
 from repro.imaging import sphere_phantom
 from repro.service import (
+    EXECUTORS,
     HttpClient,
     JobState,
     MeshHTTPServer,
@@ -42,6 +43,7 @@ from repro.service.http import (
     encode_image_b64,
     etag_matches,
 )
+from tests.executors import on_process
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +52,9 @@ def image():
 
 
 @pytest.fixture()
-def service():
-    svc = MeshingService(ServiceConfig(n_workers=2)).start()
+def service(executor):
+    svc = MeshingService(ServiceConfig(
+        n_workers=2, executor=executor)).start()
     yield svc
     svc.shutdown()
 
@@ -139,8 +142,9 @@ class TestGatewayRoutes:
         assert status == 200 and out["ok"] is True
         assert out["v"] == PROTOCOL_VERSION
 
-    def test_healthz_reports_shutdown(self, image):
-        svc = MeshingService(ServiceConfig(n_workers=1)).start()
+    def test_healthz_reports_shutdown(self, image, executor):
+        svc = MeshingService(ServiceConfig(
+            n_workers=1, executor=executor)).start()
         gw = MeshGateway(svc)
         svc.shutdown()
         status, out, _ = gw.handle("GET", "/healthz")
@@ -793,9 +797,11 @@ def assert_body_is_job_result(service, raw):
 
 
 class TestWireBytes:
-    def test_every_tier_answers_the_jobs_own_result(self, image, tmp_path):
+    def test_every_tier_answers_the_jobs_own_result(self, image, tmp_path,
+                                                    executor):
         body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
-        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
+        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path),
+                               executor=executor)
         with MeshingService(config) as service:
             with MeshHTTPServer(service) as server:
                 fresh = assert_body_is_job_result(
@@ -856,11 +862,12 @@ class TestWireBytes:
 
     @pytest.mark.parametrize("damage", ["truncate", "overwrite"])
     def test_damaged_artifact_is_caught_not_served(
-            self, image, tmp_path, damage):
+            self, image, tmp_path, damage, executor):
         """A mesh file that no longer decodes is counted corrupt,
         unlinked and meshed again; the re-mesh's put restores it."""
         body = mesh_body(image, return_mesh=True, params={"delta": 3.0})
-        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
+        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path),
+                               executor=executor)
         with MeshingService(config) as service:
             with MeshHTTPServer(service) as server:
                 job = assert_body_is_job_result(
@@ -926,8 +933,10 @@ class TestWireBytes:
                     service, post(server.url, body)[1])
                 assert job.tier == tier
 
-    def test_post_etag_revalidates_with_empty_304(self, image, tmp_path):
-        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path))
+    def test_post_etag_revalidates_with_empty_304(self, image, tmp_path,
+                                                  executor):
+        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path),
+                               executor=executor)
         with MeshingService(config) as service:
             with MeshHTTPServer(service) as server:
                 _, raw, headers = post(server.url, mesh_body(
@@ -949,7 +958,8 @@ class TestWireBytes:
 # ---------------------------------------------------------------------------
 
 class TestCliServeHttp:
-    def test_serve_http_subprocess(self, image, tmp_path):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_serve_http_subprocess(self, image, tmp_path, executor):
         import os
         import socket
         import subprocess
@@ -962,13 +972,15 @@ class TestCliServeHttp:
         env["PYTHONPATH"] = "src"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--http", f"127.0.0.1:{port}", "--workers", "2"],
+             "--http", f"127.0.0.1:{port}", "--workers", "2",
+             "--executor", executor],
             env=env, stderr=subprocess.PIPE, text=True,
             cwd=os.path.dirname(os.path.dirname(__file__)),
         )
         try:
             banner = proc.stderr.readline()
             assert f"http://127.0.0.1:{port}" in banner
+            assert f"{executor} workers" in banner
             with connect(f"http://127.0.0.1:{port}",
                          timeout=60.0) as client:
                 result = client.mesh(MeshRequest(
@@ -978,3 +990,43 @@ class TestCliServeHttp:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+TestOnProcessExecutor = on_process(
+    TestGatewayRoutes.test_healthz,
+    TestGatewayRoutes.test_healthz_reports_shutdown,
+    TestGatewayRoutes.test_unknown_route_404,
+    TestGatewayRoutes.test_version_mismatch_400,
+    TestGatewayRoutes.test_matching_version_passes,
+    TestGatewayRoutes.test_mesh_done_200,
+    TestGatewayRoutes.test_mesh_inline_image_200,
+    TestGatewayRoutes.test_malformed_request_is_400_not_500,
+    TestGatewayRoutes.test_non_finite_inline_geometry_is_400,
+    TestGatewayRoutes.test_mesh_unknown_params_400,
+    TestGatewayRoutes.test_mesh_no_image_400,
+    TestGatewayRoutes.test_unknown_image_key_404_with_flag,
+    TestGatewayRoutes.test_image_by_key_after_upload,
+    TestGatewayRoutes.test_job_lifecycle_and_codes,
+    TestGatewayRoutes.test_unknown_job_404,
+    TestGatewayRoutes.test_zero_deadline_has_already_passed,
+    TestGatewayRoutes.test_metricsz_has_slo_section,
+    TestResultETag._done_job,
+    TestResultETag.test_result_carries_stable_quoted_etag,
+    TestResultETag.test_if_none_match_hit_304_no_body,
+    TestResultETag.test_if_none_match_variants,
+    TestHttpServerAndClient.test_connect_returns_http_client,
+    TestHttpServerAndClient.test_image_travels_by_key_on_repeat,
+    TestHttpServerAndClient.test_submit_wait_status_cancel,
+    TestHttpServerAndClient.test_if_none_match_over_the_wire_304_empty_body,
+    TestHttpServerAndClient.test_protocol_header_on_every_response,
+    TestHttpServerAndClient.test_wrong_version_header_rejected,
+    TestHttpServerAndClient.test_bad_json_body_400,
+    TestHttpServerAndClient.test_bad_content_length_refused_not_raised,
+    TestHttpServerAndClient.test_bad_body_leaves_the_connection_usable,
+    TestHttpServerAndClient.test_second_client_is_a_cache_hit_with_the_same_mesh,
+    TestTransport.test_memory_hit_is_one_request,
+    TestWireBytes.test_every_tier_answers_the_jobs_own_result,
+    TestWireBytes.test_damaged_artifact_is_caught_not_served,
+    TestWireBytes.test_malformed_result_body_is_a_service_error,
+    TestWireBytes.test_memory_only_cache_serves_correctly,
+    TestWireBytes.test_post_etag_revalidates_with_empty_304,
+)

