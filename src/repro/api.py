@@ -9,9 +9,13 @@ are reachable through the same three-step protocol::
     result = mesh(request)          # -> MeshResult
     result.mesh.n_tets, result.timings["wall_seconds"], result.metrics
 
-A :class:`MeshRequest` bundles the image, the paper's quality knobs,
-the threaded mesher's thread count and contention manager and the
-run's :class:`~repro.observability.ObservabilityConfig`; a
+A :class:`MeshRequest` bundles the image, the sampling parameter
+``delta`` and size function, the shard count, a guard rail, the
+threaded mesher's thread count and contention manager and the run's
+:class:`~repro.observability.ObservabilityConfig`; the paper's quality
+bounds are constants of the rule engine
+(:data:`repro.core.domain.RADIUS_EDGE_BOUND`,
+:data:`~repro.core.domain.PLANAR_ANGLE_BOUND_DEG`), not settings.  A
 :class:`MeshResult` bundles the extracted mesh, flat statistics, the
 metrics-registry snapshot and timings, plus non-serialisable extras
 (the domain and the live ``Observability`` bundle) for callers that
@@ -29,7 +33,6 @@ tables do.
 from __future__ import annotations
 
 import base64
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -67,13 +70,9 @@ _NULL = type(None)
 REQUEST_FIELDS: Dict[str, Tuple[type, ...]] = {
     "mesher": (str,),
     "delta": _NUMBER + (_NULL,),
-    "radius_edge_bound": _NUMBER,
-    "planar_angle_bound_deg": _NUMBER,
     "size_function": (dict, _NULL),
     "shards": (int, str, _NULL),
-    "incremental": (bool,),
     "max_operations": (int, _NULL),
-    "timeout": _NUMBER + (_NULL,),
 }
 
 
@@ -119,10 +118,8 @@ class MeshRequest:
 
     image: SegmentedImage
     mesher: str = "auto"
-    # -- fidelity / quality targets (paper Section 3) -------------------
+    # -- fidelity target (paper Section 3) -------------------------------
     delta: Optional[float] = None
-    radius_edge_bound: float = 2.0
-    planar_angle_bound_deg: float = 30.0
     #: rule R5's size function (:mod:`repro.core.sizing`), or ``None``
     size_function: Optional[SizeSpec] = None
     # -- threaded mesher (paper Section 4; library only) -----------------
@@ -133,13 +130,6 @@ class MeshRequest:
     #: one after another by :func:`mesh` or over a service's worker
     #: processes, and stitched (:mod:`repro.delaunay.shard`).
     shards: Optional[Any] = None
-    #: incremental meshing for sharded requests: content-address each
-    #: block's refined point set and warm-start the stitch from the
-    #: previous run's delta, so near-duplicate images only pay for the
-    #: blocks whose crop bytes changed.  The one switch: ``False`` keeps
-    #: the request away from every block cache.  No effect when
-    #: ``shards <= 1``.
-    incremental: bool = True
     # -- guard rails ----------------------------------------------------
     #: upper bound on refinement *pops*; exceeding it raises.  Every tet
     #: a cavity creates is queued and judged once when popped, so pops
@@ -147,7 +137,6 @@ class MeshRequest:
     #: ``rule_counts["none"]``): a mesh needs about 20-50 % more
     #: operations than when new tets were screened at birth.
     max_operations: Optional[int] = None
-    timeout: Optional[float] = None
     # -- observability --------------------------------------------------
     observability: ObservabilityConfig = field(
         default_factory=ObservabilityConfig
@@ -170,9 +159,7 @@ class MeshRequest:
 
     def domain_args(self) -> Dict[str, Any]:
         """The request's :class:`~repro.core.domain.RefineDomain` args."""
-        return dict(delta=self.delta, size_function=self.size_function,
-                    radius_edge_bound=self.radius_edge_bound,
-                    planar_angle_bound_deg=self.planar_angle_bound_deg)
+        return dict(delta=self.delta, size_function=self.size_function)
 
     def to_params(self, omit_defaults: bool = False) -> Dict[str, Any]:
         """The request's :data:`REQUEST_FIELDS`, each in its canonical
@@ -197,14 +184,11 @@ class MeshRequest:
 
     def canonical_params(self) -> Dict[str, Any]:
         """What determines the output mesh (the second half of the
-        service's cache key): :meth:`to_params` without ``timeout``,
-        which changes what is recorded, not what is meshed, and with
-        ``mesher``, ``shards`` and ``incremental`` resolved."""
+        service's cache key): :meth:`to_params` with ``mesher`` and
+        ``shards`` resolved."""
         params = self.to_params()
-        del params["timeout"]
-        shards = self.resolved_shards()
-        params.update(mesher=self.resolved_mesher(), shards=shards,
-                      incremental=bool(self.incremental) and shards > 1)
+        params.update(mesher=self.resolved_mesher(),
+                      shards=self.resolved_shards())
         return params
 
     def validate(self) -> None:
@@ -420,7 +404,6 @@ class ThreadedMesher:
             n_threads=request.n_threads,
             **request.domain_args(),
             cm=request.cm,
-            timeout=request.timeout,
             obs=obs,
         )
         wall = time.perf_counter() - t0
@@ -459,23 +442,16 @@ def get_mesher(name: str) -> Mesher:
         ) from None
 
 
-@functools.cache
-def _block_cache():
-    """The process-wide, memory-only block/stitch cache of :func:`mesh`:
-    repeated calls on near-duplicate images in one process get the
-    incremental treatment the service gives, without any disk state."""
-    from repro.service.cache import ArtifactCache
-
-    return ArtifactCache(root=None)
-
-
 def mesh(request: MeshRequest) -> MeshResult:
     """The unified entry point: validate, dispatch, run.
 
     Requests with ``shards`` > 1 route through the domain-sharded path
     (:func:`repro.delaunay.shard.mesh_sharded`), whose blocks are meshed
-    in this process — no worker process is ever started here.  When
-    the image decomposes into a single occupied block — or ``shards``
+    in this process — no worker process is ever started here — with
+    no block cache, so the same request always meshes the same bytes.
+    Incremental reuse is a service's (its artifact cache) or the
+    caller's (``mesh_sharded(request, block_cache=...)``).  When the
+    image decomposes into a single occupied block — or ``shards``
     resolves to 1 — the plain mesher runs, bit-identical to an
     unsharded request.
     """
@@ -485,7 +461,7 @@ def mesh(request: MeshRequest) -> MeshResult:
         from repro.delaunay.shard import ShardingUnavailable, mesh_sharded
 
         try:
-            return mesh_sharded(request, block_cache=_block_cache())
+            return mesh_sharded(request)
         except ShardingUnavailable:
             pass
     return mesher.mesh(request)

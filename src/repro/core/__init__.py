@@ -48,8 +48,6 @@ def _mesh_image(
     image: SegmentedImage,
     delta: Optional[float] = None,
     size_function: Optional[SizeSpec] = None,
-    radius_edge_bound: float = 2.0,
-    planar_angle_bound_deg: float = 30.0,
     max_operations: Optional[int] = None,
     obs=None,
 ) -> MeshingResult:
@@ -61,13 +59,8 @@ def _mesh_image(
     """
     tracer = obs.tracer if obs is not None else NULL_TRACER
     with tracer.span("domain_init"):
-        domain = RefineDomain(
-            image,
-            delta=delta,
-            size_function=size_function,
-            radius_edge_bound=radius_edge_bound,
-            planar_angle_bound_deg=planar_angle_bound_deg,
-        )
+        domain = RefineDomain(image, delta=delta,
+                              size_function=size_function)
     refiner = SequentialRefiner(domain, max_operations=max_operations,
                                 obs=obs)
     stats = refiner.refine()

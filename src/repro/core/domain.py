@@ -63,6 +63,13 @@ from repro.imaging.isosurface import SurfaceOracle
 
 TouchFn = Optional[Callable[[int], None]]
 
+#: The paper's quality contract (Section 3): R4 splits a tet whose
+#: radius-edge ratio exceeds this bound ...
+RADIUS_EDGE_BOUND = 2.0
+#: ... and R3 a restricted facet with a planar angle below this one
+#: (degrees).  The baselines carry their own knobs.
+PLANAR_ANGLE_BOUND_DEG = 30.0
+
 # Room the screen leaves wherever its float arithmetic is not the
 # judge's own (numpy's root of a sum of squares against ``math.dist``,
 # its arc cosine against ``math.acos``): a tie goes to "maybe" and
@@ -190,8 +197,6 @@ class RefineDomain:
         image: SegmentedImage,
         delta: Optional[float] = None,
         size_function: Optional[SizeSpec] = None,
-        radius_edge_bound: float = 2.0,
-        planar_angle_bound_deg: float = 30.0,
         oracle: Optional[SurfaceOracle] = None,
         enable_r6: bool = True,
     ):
@@ -204,8 +209,6 @@ class RefineDomain:
             raise ValueError("delta must be positive")
         spec = size_function if size_function is not None else unconstrained()
         self.sf = spec.bind(self)
-        self.radius_edge_bound = float(radius_edge_bound)
-        self.planar_angle_bound = float(planar_angle_bound_deg)
 
         lo, hi = image.foreground_bounds()
         margin = max(6.0 * self.delta, 2.0 * max(image.spacing))
@@ -315,7 +318,7 @@ class RefineDomain:
         rows = np.flatnonzero(inside & ~maybe)
         se = shortest_edges_many(mesh.coords[verts[rows]])
         maybe[rows[(se == 0.0) | (
-            r[rows] >= self.radius_edge_bound * se * (1.0 - _TIE))]] = True
+            r[rows] >= RADIUS_EDGE_BOUND * se * (1.0 - _TIE))]] = True
 
         # ---- R3 ----
         ti, fi = np.nonzero(has_nbr & (slot_label[adj] != label[:, None]))
@@ -326,7 +329,7 @@ class RefineDomain:
             rest = np.flatnonzero(~wanted)
             wanted[rest] = triangle_min_angles_many(
                 mesh.coords[face[rest]]
-            ) < self.planar_angle_bound + _ANGLE_TIE_DEG
+            ) < PLANAR_ANGLE_BOUND_DEG + _ANGLE_TIE_DEG
             maybe[ti[wanted]] = True
 
         # ---- R5 ----
@@ -388,7 +391,8 @@ class RefineDomain:
                 continue
             face = mesh.face_opposite(t, i)
             fa, fb, fc = (pts[w] for w in face)
-            bad_angle = triangle_min_angle(fa, fb, fc) < self.planar_angle_bound
+            bad_angle = (triangle_min_angle(fa, fb, fc)
+                         < PLANAR_ANGLE_BOUND_DEG)
             # A vertex a peer committed but has not registered yet may
             # lie past the array's end: it reads as a circumcenter.
             # ``item`` gives a Python int; a numpy scalar compares ~9x
@@ -460,7 +464,7 @@ class RefineDomain:
         if self.point_inside_object(c):
             # ---- R4 ----
             se = shortest_edge(*self.tri.tet_points(t))
-            if se == 0.0 or r / se > self.radius_edge_bound:
+            if se == 0.0 or r / se > RADIUS_EDGE_BOUND:
                 return self._insert_circumcenter(t, c, "R4", touch=touch)
             # ---- R5 ----
             if r > self.sf(c):

@@ -390,14 +390,13 @@ def refine_block(request, own_lo: Sequence[float], own_hi: Sequence[float]
 #: 3: R1 is blocked only by a sample within delta of its own candidate
 #: (the near-site shortcut is gone) and the stitch's R6 replay purges in
 #: the domain's order, so a block or delta may hold other points.
-BLOCK_FORMAT_VERSION = 3
+#: 4: the quality bounds are constants and left the hashed parameters.
+BLOCK_FORMAT_VERSION = 4
 
 
 def _params_blob(request) -> bytes:
     return repr((
-        BLOCK_FORMAT_VERSION, float(request.delta),
-        float(request.radius_edge_bound),
-        float(request.planar_angle_bound_deg), request.max_operations,
+        BLOCK_FORMAT_VERSION, float(request.delta), request.max_operations,
     )).encode()
 
 
@@ -548,11 +547,12 @@ def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.isin(rows(a), rows(b))
 
 
-def _radius_edge_offenders(domain, bound: float) -> List[int]:
+def _radius_edge_offenders(domain) -> List[int]:
     """Live tets violating the radius-edge bound with an inside-object
     circumcenter — the post-stitch acceptance screen.  The ratio pass
     is vectorized; the scalar inside-object test runs only on the
     flagged tail."""
+    from repro.core.domain import RADIUS_EDGE_BOUND
     from repro.geometry.batch import quality_screen
 
     mesh = domain.tri.mesh
@@ -560,7 +560,7 @@ def _radius_edge_offenders(domain, bound: float) -> List[int]:
     if len(live) == 0:
         return []
     ratios, _ = quality_screen(mesh.coords, mesh.tet_verts_arr, live)
-    flagged = live[(ratios > bound) | ~np.isfinite(ratios)]
+    flagged = live[(ratios > RADIUS_EDGE_BOUND) | ~np.isfinite(ratios)]
     poor = []
     for t in flagged.tolist():
         c, _ = domain.circumball(t)
@@ -747,8 +747,7 @@ def stitch(request, plan: ShardPlan,
     # seams, the previous image's); assert the radius-edge bound
     # globally and run unrestricted passes if anything slipped through.
     mode = "seam_local"
-    offenders = len(_radius_edge_offenders(domain,
-                                           request.radius_edge_bound))
+    offenders = len(_radius_edge_offenders(domain))
     if offenders:
         mode = "seam_local+repair"
         # skipped=1: the first unrestricted pass is owed to the screen.
@@ -884,12 +883,12 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
     ``None`` is :func:`in_process_runner`.
 
     With a ``block_cache`` (an :class:`repro.service.cache
-    .ArtifactCache`) and ``request.incremental`` set, block exports are
-    content-addressed by :func:`block_content_key`: only blocks whose
-    crop bytes changed reach the runner, the rest load from the cache,
-    and the stitch warm-starts from the previous run's delta artifact —
-    see :func:`stitch`.  ``request.incremental`` False leaves the cache
-    alone.
+    .ArtifactCache`), block exports are content-addressed by
+    :func:`block_content_key`: only blocks whose crop bytes changed
+    reach the runner, the rest load from the cache, and the stitch
+    warm-starts from the previous run's delta artifact — see
+    :func:`stitch`.  Without one every block is meshed and the stitch
+    is cold.
     """
     from repro.api import MeshResult
     from repro.observability import Observability
@@ -911,9 +910,6 @@ def mesh_sharded(request, runner: Optional[ShardRunner] = None,
     # From here on the request carries the plan's resolved delta, which
     # every block, content key and the stitch domain share.
     request = replace(request, delta=plan.delta)
-
-    if not request.incremental:
-        block_cache = None
 
     keys: Optional[List[str]] = None
     outs: List[Optional[dict]] = [None] * plan.n_blocks

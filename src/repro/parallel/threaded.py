@@ -116,8 +116,6 @@ def _parallel_mesh_image(
     n_threads: int = 4,
     delta: Optional[float] = None,
     size_function: Optional[SizeSpec] = None,
-    radius_edge_bound: float = 2.0,
-    planar_angle_bound_deg: float = 30.0,
     cm: str = "local",
     lb: str = "hws",
     placement: Optional[Placement] = None,
@@ -132,9 +130,7 @@ def _parallel_mesh_image(
     :class:`repro.observability.Observability` bundle shared by every
     worker thread (the tracer's ring buffer takes GIL-atomic appends).
     """
-    domain = RefineDomain(image, delta=delta, size_function=size_function,
-                          radius_edge_bound=radius_edge_bound,
-                          planar_angle_bound_deg=planar_angle_bound_deg)
+    domain = RefineDomain(image, delta=delta, size_function=size_function)
     if placement is None:
         placement = flat_placement(n_threads)
     # The real backend charges measured wall time.

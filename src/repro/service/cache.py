@@ -199,9 +199,6 @@ class ArtifactCache:
             pass
 
     # -- meshes --------------------------------------------------------
-    def get_mesh(self, key: str) -> Optional[MeshResult]:
-        return self.get_mesh_tiered(key)[0]
-
     def get_mesh_tiered(
             self, key: str) -> Tuple[Optional[MeshResult], Optional[str]]:
         """``(result, tier)`` where tier is ``"memory"``, ``"disk"``,
@@ -243,14 +240,13 @@ class ArtifactCache:
     # fail to parse (counted, unlinked, miss).
 
     def _get_arrays(self, kind: str, key: str, *, hit_field: str,
-                    miss_field: str, count: bool = True
+                    miss_field: str
                     ) -> Tuple[Optional[Dict[str, np.ndarray]],
                                Optional[str]]:
         slot = f"{kind}:{key}"
         hit = self._mem_get(slot)
         if hit is not None:
-            if count:
-                self._bump(hit_field)
+            self._bump(hit_field)
             return hit, "memory"
         path = self._path(kind, key, ".npz")
         if path is not None and path.exists():
@@ -260,12 +256,10 @@ class ArtifactCache:
             except Exception:
                 self._discard_corrupt(path)
             else:
-                if count:
-                    self._bump(hit_field)
+                self._bump(hit_field)
                 self._mem_put(slot, arrays)
                 return arrays, "disk"
-        if count:
-            self._bump(miss_field)
+        self._bump(miss_field)
         return None, None
 
     def _put_arrays(self, kind: str, key: str,
@@ -277,16 +271,6 @@ class ArtifactCache:
             self._publish(
                 path, lambda fh: np.savez_compressed(fh, **arrays)
             )
-
-    def get_block(self, key: str,
-                  count: bool = True) -> Optional[Dict[str, np.ndarray]]:
-        """One block's refined point export.  ``count=False`` reads
-        without touching the hit/miss ledgers (bookkeeping lookups,
-        e.g. fetching the *previous* export to diff against, must not
-        masquerade as workload hits)."""
-        return self._get_arrays("block", key, hit_field="block_hits",
-                                miss_field="block_misses",
-                                count=count)[0]
 
     def get_block_tiered(
             self, key: str) -> Tuple[Optional[Dict[str, np.ndarray]],

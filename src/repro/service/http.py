@@ -13,10 +13,9 @@ Routes
 ``POST /v1/mesh``                 submit a request; body is JSON with
                                   ``params`` plus the image as
                                   ``image_b64`` (base64 of the
-                                  compressed ``.npz`` container),
-                                  inline ``image`` labels, or
+                                  compressed ``.npz`` container) or
                                   ``image_key`` against the gateway's
-                                  image store; ``wait``/
+                                  image store; ``deadline``; ``wait``/
                                   ``wait_timeout`` long-poll,
                                   ``return_mesh`` inlines the result
                                   (both together answer a cache hit in
@@ -24,10 +23,6 @@ Routes
                                   :meth:`HttpClient.mesh` sends)
 ``GET /v1/jobs/<id>``             job status; ``?wait=S`` long-polls,
                                   ``?result=1`` inlines a DONE mesh
-                                  (the response carries an ``ETag`` —
-                                  the request's content key — and
-                                  ``If-None-Match`` answers 304 with
-                                  no body when it still matches)
 ``DELETE /v1/jobs/<id>``          cancel a queued job
 ``GET /healthz``                  liveness + negotiated protocol
 ``GET /metricsz``                 metrics snapshot incl. the SLO
@@ -44,12 +39,15 @@ always carry ``ok``.
 Versioning: every response carries ``X-Repro-Protocol``
 (:data:`PROTOCOL_VERSION`); a request may send the same header and is
 rejected with 400 on a mismatch.  :class:`HttpClient` checks it once,
-on connect.
+on connect.  That is the one request header the gateway reads besides
+``Content-Length``; a body's members are ``params``, ``image_b64``,
+``image_key``, ``deadline``, ``wait``, ``wait_timeout`` and
+``return_mesh``.
 
 A body's ``params`` are the request codec's (:data:`repro.api
 .REQUEST_FIELDS`): the client sends the non-default entries, the
 gateway decodes them with ``MeshRequest.from_params``; only the
-envelope lives here (the three ways to name the image, the version
+envelope lives here (the two ways to name the image, the version
 check).  Whatever a client got wrong — unknown, wrong-typed or
 non-finite param, a mesher the service does not serve, a value
 :meth:`MeshRequest.validate <repro.api.MeshRequest.validate>` refuses,
@@ -112,7 +110,9 @@ from repro.service.service import MeshingService
 
 #: Version of the request/response schema this build speaks.
 #: v2: a result's mesh arrays are base64 of their raw bytes, not lists.
-PROTOCOL_VERSION = 2
+#: v3: ``incremental``, ``timeout`` and the quality bounds are unknown
+#: params, the inline ``image`` member and ETag revalidation are gone.
+PROTOCOL_VERSION = 3
 
 #: Request/response header carrying the protocol version.
 PROTOCOL_HEADER = "X-Repro-Protocol"
@@ -238,28 +238,6 @@ class ImageStore:
             return snap
 
 
-def etag_matches(header: str, etag: str) -> bool:
-    """RFC 7232 ``If-None-Match`` against one entity-tag value.
-
-    ``*`` matches anything; otherwise the header is a comma-separated
-    list of (possibly ``W/``-prefixed, possibly quoted) entity-tags,
-    compared by opaque value — a weak validator is good enough for a
-    cache answer, which is exactly what ``If-None-Match`` asks about.
-    """
-    header = header.strip()
-    if header == "*":
-        return True
-    for token in header.split(","):
-        token = token.strip()
-        if token.startswith("W/"):
-            token = token[2:].strip()
-        if len(token) >= 2 and token[0] == '"' and token[-1] == '"':
-            token = token[1:-1]
-        if token == etag:
-            return True
-    return False
-
-
 # -- gateway (transport-free request handling) -------------------------
 #: What a route answers: status, JSON-safe body and extra headers.
 Answer = Tuple[int, Dict[str, Any], Dict[str, str]]
@@ -274,25 +252,21 @@ class MeshGateway:
     sends ``json.dumps`` of the same body.
     """
 
-    def __init__(self, service: MeshingService,
-                 image_store: Optional[ImageStore] = None):
+    def __init__(self, service: MeshingService):
         self.service = service
-        self.images = image_store or ImageStore()
+        self.images = ImageStore()
 
     # -- entry point ---------------------------------------------------
     def handle(self, method: str, path: str,
                query: Optional[Dict[str, str]] = None,
                body: Optional[Dict[str, Any]] = None,
-               version: Optional[str] = None,
-               if_none_match: Optional[str] = None) -> Answer:
+               version: Optional[str] = None) -> Answer:
         reg = self.service.registry
         reg.counter("service.http.requests").inc()
         t0 = time.perf_counter()
         try:
             status, out, headers = self._route(
-                method, path, query or {}, body or {}, version,
-                if_none_match,
-            )
+                method, path, query or {}, body or {}, version)
         except ProtocolError as exc:
             status, out, headers = 400, {"ok": False, "error": str(exc)}, {}
         except Exception as exc:  # never kill the connection thread
@@ -307,8 +281,7 @@ class MeshGateway:
         return status, out, headers
 
     def _route(self, method: str, path: str, query: Dict[str, str],
-               body: Dict[str, Any], version: Optional[str],
-               if_none_match: Optional[str] = None) -> Answer:
+               body: Dict[str, Any], version: Optional[str]) -> Answer:
         if version is not None and version != str(PROTOCOL_VERSION):
             return 400, {
                 "ok": False, "v": PROTOCOL_VERSION,
@@ -324,7 +297,7 @@ class MeshGateway:
         if path.startswith("/v1/jobs/"):
             job_id = path[len("/v1/jobs/"):]
             if method == "GET":
-                return self._job_get(job_id, query, if_none_match)
+                return self._job_get(job_id, query)
             if method == "DELETE":
                 return self._job_cancel(job_id)
         return 404, {"ok": False,
@@ -375,29 +348,13 @@ class MeshGateway:
             image = decode_image_b64(body["image_b64"])
             self.images.put(image)
             return image
-        inline = body.get("image")
-        if inline is not None:
-            if not isinstance(inline, dict) or "labels" not in inline:
-                raise ProtocolError("inline image needs a 'labels' array")
-            try:
-                image = SegmentedImage(
-                    inline["labels"],
-                    spacing=tuple(inline.get("spacing", (1.0, 1.0, 1.0))),
-                    origin=tuple(inline.get("origin", (0.0, 0.0, 0.0))),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(f"bad inline 'image': {exc}") from None
-            self.images.put(image)
-            return image
         key = body.get("image_key")
         if not key or not isinstance(key, str):
             raise ProtocolError(
-                "body needs one of image_b64 / image / image_key (a string)"
-            )
+                "body needs one of image_b64 / image_key (a string)")
         return self.images.get(key)
 
-    def _job_get(self, job_id: str, query: Dict[str, str],
-                 if_none_match: Optional[str] = None) -> Answer:
+    def _job_get(self, job_id: str, query: Dict[str, str]) -> Answer:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"ok": False,
@@ -406,8 +363,7 @@ class MeshGateway:
         if wait is not None and not job.done:
             job.wait(min(max(wait, 0.0), MAX_WAIT))
         want_result = query.get("result") in ("1", "true", "yes")
-        return self._job_answer(job, want_result,
-                                if_none_match=if_none_match)
+        return self._job_answer(job, want_result)
 
     def _job_cancel(self, job_id: str) -> Answer:
         job = self.service.job(job_id)
@@ -418,24 +374,13 @@ class MeshGateway:
         return 200, {"ok": cancelled, "id": job_id,
                      "state": job.state.value}, {}
 
-    def _job_answer(self, job: Job, return_mesh: bool,
-                    if_none_match: Optional[str] = None) -> Answer:
+    def _job_answer(self, job: Job, return_mesh: bool) -> Answer:
         out = job.summary()
         out["ok"] = job.state in (JobState.QUEUED, JobState.RUNNING,
                                   JobState.DONE)
         headers: Dict[str, str] = {}
         if (return_mesh and job.state is JobState.DONE
                 and job.result is not None):
-            etag = job.keys[1] if job.keys is not None else None
-            if etag is not None:
-                # The request key already names the exact (image,
-                # params) pair, and a DONE job's result never changes:
-                # the key is a perfect validator for the result body.
-                headers["ETag"] = f'"{etag}"'
-                if if_none_match and etag_matches(if_none_match, etag):
-                    self.service.registry.counter(
-                        "service.http.not_modified").inc()
-                    return 304, {}, headers
             out["result"] = job.result.to_dict()
         status = STATE_STATUS[job.state]
         if job.state is JobState.REJECTED:
@@ -493,24 +438,20 @@ class _Handler(BaseHTTPRequestHandler):
             status, out, headers = gateway.handle(
                 method, parsed.path, query, body,
                 version=self.headers.get(PROTOCOL_HEADER),
-                if_none_match=self.headers.get("If-None-Match"),
             )
         try:
             payload = json.dumps(out).encode("utf-8")
         except (TypeError, ValueError) as exc:  # e.g. a non-JSON stat
             status, headers = 500, {}
             payload = json.dumps({"ok": False, "error": str(exc)}).encode()
-        # A 304 must not carry a body (RFC 7232); everything else is
-        # JSON.
-        self._send(status, b"" if status == 304 else payload, headers)
+        self._send(status, payload, headers)
 
     def _send(self, status: int, payload: bytes,
               headers: Dict[str, str]) -> None:
         """Status line, headers and body in a single socket write."""
         self.send_response(status)
         self.send_header(PROTOCOL_HEADER, str(PROTOCOL_VERSION))
-        if payload:
-            self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         for name, value in headers.items():
             self.send_header(name, value)
@@ -547,9 +488,8 @@ class MeshHTTPServer:
     """
 
     def __init__(self, service: MeshingService,
-                 host: str = "127.0.0.1", port: int = 0,
-                 image_store: Optional[ImageStore] = None):
-        self.gateway = MeshGateway(service, image_store=image_store)
+                 host: str = "127.0.0.1", port: int = 0):
+        self.gateway = MeshGateway(service)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.gateway = self.gateway  # type: ignore[attr-defined]
@@ -605,24 +545,19 @@ class HttpClient(Client):
     """
 
     def __init__(self, host: str, port: int,
-                 timeout: Optional[float] = None,
-                 negotiate: bool = True):
-        self._host = host
-        self._port = port
-        self._timeout = timeout
+                 timeout: Optional[float] = None):
         self._conn = httpclient.HTTPConnection(host, port,
                                                timeout=timeout)
         self._lock = threading.Lock()
-        if negotiate:
-            status, out, headers = self._request("GET", "/healthz")
-            spoken = headers.get(PROTOCOL_HEADER.lower())
-            if status != 200 or spoken != str(PROTOCOL_VERSION):
-                self.close()
-                raise ServiceError(
-                    f"protocol version mismatch: client speaks "
-                    f"{PROTOCOL_VERSION}, server answered "
-                    f"status={status} {PROTOCOL_HEADER}={spoken!r}"
-                )
+        status, out, headers = self._request("GET", "/healthz")
+        spoken = headers.get(PROTOCOL_HEADER.lower())
+        if status != 200 or spoken != str(PROTOCOL_VERSION):
+            self.close()
+            raise ServiceError(
+                f"protocol version mismatch: client speaks "
+                f"{PROTOCOL_VERSION}, server answered "
+                f"status={status} {PROTOCOL_HEADER}={spoken!r}"
+            )
 
     # -- raw access ----------------------------------------------------
     def _request(self, method: str, path: str,
@@ -779,5 +714,4 @@ __all__ = [
     "STATE_STATUS",
     "decode_image_b64",
     "encode_image_b64",
-    "etag_matches",
 ]

@@ -40,7 +40,9 @@ from repro.imaging.image import SegmentedImage
 #: ``MeshRequest`` as well (they are the simulator's own arguments);
 #: no key moved, so the version stays.
 #: v7: a mesh artifact's arrays are base64 of their raw bytes, not lists.
-CACHE_FORMAT_VERSION = 7
+#: v8: ``incremental``, ``timeout`` and the two quality bounds left them
+#: (the bounds are constants; the block cache is used whenever given).
+CACHE_FORMAT_VERSION = 8
 
 
 def image_content_key(image: SegmentedImage) -> str:

@@ -99,10 +99,9 @@ class TestMeshRequest:
             mesh(MeshRequest(image=image, n_threads=0))
         with pytest.raises(ValueError):
             mesh(MeshRequest(image=image, delta=-1.0))
-        for knob in ("delta", "radius_edge_bound", "planar_angle_bound_deg"):
-            for bad in (math.nan, math.inf):
-                with pytest.raises(ValueError, match=f"'{knob}' must be a finite"):
-                    MeshRequest(image=image, **{knob: bad}).validate()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="'delta' must be a finite"):
+                MeshRequest(image=image, delta=bad).validate()
         with pytest.raises(ValueError, match="SizeSpec"):
             MeshRequest(image=image, size_function=lambda p: 3.0).validate()
         with pytest.raises(ValueError, match="cm must be one of"):
@@ -141,15 +140,11 @@ _SPECS = st.one_of(
 _FIELDS = {
     "mesher": st.sampled_from(("auto",) + MESHER_NAMES),
     "delta": st.none() | _NUMBERS,
-    "radius_edge_bound": _NUMBERS,
-    "planar_angle_bound_deg": _NUMBERS,
     "size_function": _SPECS,
     "n_threads": st.integers(1, 8),
     "cm": st.sampled_from(CM_NAMES),
     "shards": st.none() | st.integers(1, 4) | st.just("auto"),
-    "incremental": st.booleans(),
     "max_operations": st.none() | st.integers(1, 10**6),
-    "timeout": st.none() | _NUMBERS,
     "observability": st.sampled_from(
         (ObservabilityConfig(), ObservabilityConfig(tracing=True))),
 }
@@ -159,14 +154,11 @@ _REQUESTS = st.fixed_dictionaries(_FIELDS).map(
 
 def _meshed(r):
     """What determines a served mesh, resolved by hand: everything but
-    the timeout, the observability config and the threaded mesher's
-    knobs only :func:`repro.api.mesh` reads."""
-    shards = r.resolved_shards()
+    the observability config and the threaded mesher's knobs only
+    :func:`repro.api.mesh` reads."""
     return (r.resolved_mesher(),
             None if r.delta is None else float(r.delta),
-            float(r.radius_edge_bound), float(r.planar_angle_bound_deg),
-            r.size_function, shards, r.incremental and shards > 1,
-            r.max_operations)
+            r.size_function, r.resolved_shards(), r.max_operations)
 
 
 class TestRequestCodec:
@@ -360,25 +352,13 @@ class TestImplAndApiAgree:
         assert old.mesh.n_tets == new.mesh.n_tets
         np.testing.assert_array_equal(old.mesh.tets, new.mesh.tets)
 
-    def test_threaded_request_carries_its_quality_bounds(self, image):
-        """A threaded request is meshed at the bounds its cache key
-        names; the default request is the mesh it always was."""
-        from repro.metrics import quality_report
+    def test_threaded_impl_matches_api(self, image):
         from repro.parallel import _parallel_mesh_image
 
-        tight = mesh(MeshRequest(image=image, delta=3.0, mesher="threaded",
-                                 n_threads=1, radius_edge_bound=1.6,
-                                 planar_angle_bound_deg=25.0))
-        domain = tight.extras["domain"]
-        assert domain.radius_edge_bound == 1.6
-        assert domain.planar_angle_bound == 25.0
-        assert quality_report(tight.mesh).max_radius_edge <= 1.6 + 1e-6
-
-        default = mesh(MeshRequest(image=image, delta=3.0,
-                                   mesher="threaded", n_threads=1))
+        api = mesh(MeshRequest(image=image, delta=3.0, mesher="threaded",
+                               n_threads=1))
         impl = _parallel_mesh_image(image, n_threads=1, delta=3.0)
-        np.testing.assert_array_equal(default.mesh.tets, impl.mesh.tets)
-        assert quality_report(default.mesh).max_radius_edge > 1.6
+        np.testing.assert_array_equal(api.mesh.tets, impl.mesh.tets)
 
 
 class TestTracingThroughApi:

@@ -4,8 +4,8 @@ Each row of :data:`GUARDS` names what a simplification removed, where
 it must not reappear, the commit that removed it and why.  A row's pattern
 is a regular expression matched line by line, as ``grep -E`` would;
 ``word`` rows match whole words only, as ``grep -w`` does.  A row may
-allow ``most`` matching lines: the quoted names of the quality bounds
-appear once in ``src/``, in the request codec's field table.
+allow ``most`` matching lines: the quoted name of ``max_operations``
+appears once in ``src/``, in the request codec's field table.
 
 The scan reads every file under a row's paths except ``__pycache__``
 and this module, which holds the patterns.  ``benchmarks/*.py`` is the
@@ -71,8 +71,8 @@ GUARDS = (
     Guard("one-shard-coordinator",
           "serial_runner|run_local|ServiceShardRunner|no.incremental|shard_bench",
           EVERYWHERE, "84ec7bb",
-          "mesh_sharded is the one coordinator with one incremental "
-          "switch; the ledger replaced the shard bench"),
+          "mesh_sharded is the one coordinator and uses a block cache "
+          "whenever one is given; the ledger replaced the shard bench"),
     Guard("one-point-grid",
           "_sorted_table|_KEY_BITS|_KEY_BIAS|searchsorted",
           ("src/repro/core/pointgrid.py",), "d49bbea",
@@ -93,11 +93,15 @@ GUARDS = (
           SRC_BENCH_EXAMPLES, "e65e32c",
           "the cache key, HTTP body, pool and shard payloads read one "
           "field table; no request is refused them"),
-    *(Guard(f"{name}-quoted-once", f'"{name}"', ("src",), "e65e32c",
-            "a quality bound's quoted name appears once in src/: in the "
-            "request codec's field table", most=1)
-      for name in ("radius_edge_bound", "planar_angle_bound_deg",
-                   "max_operations")),
+    *(Guard(f"{name}-is-a-constant", f'"{name}"', ("src",), "after 531ed9f",
+            "the paper's quality bounds are constants of the rule engine "
+            "(repro.core.domain), not request params: no quoted name in "
+            "src/")
+      for name in ("radius_edge_bound", "planar_angle_bound_deg")),
+    Guard("max_operations-quoted-once", '"max_operations"', ("src",),
+          "e65e32c",
+          "a quality bound's quoted name appears once in src/: in the "
+          "request codec's field table", most=1),
     Guard("one-served-mesher",
           r"register_mesher|load_plugins|plugin_specs_from_env|REPRO_WORKER_PLUGINS|PLUGIN_ENV|remotable|jobs\.inline|SimulatedMesher|CGALLikeAdapter|TetGenLikeAdapter|_run_baseline|_region_seeds|vertex_creator",
           EVERYWHERE, "73c3362 740d6c6",
@@ -108,6 +112,11 @@ GUARDS = (
           EVERYWHERE, "7ee59a1",
           "names without a caller from the served path, a paper table or "
           "a contract test were deleted", word=True),
+    Guard("only-what-a-caller-sets",
+          r"etag_matches|If-None-Match|not_modified|_block_cache|\b(negotiate|image_store)\s*[:=]",
+          EVERYWHERE, "after 531ed9f",
+          "no ETag revalidation, no process-wide block cache in api.mesh, "
+          "and no gateway or client keyword nothing passed"),
     Guard("one-removal-fill",
           "_fill_hole_local_dt|insphere_many|ball re-triangulation failed",
           EVERYWHERE, "f46068b",
@@ -159,10 +168,17 @@ def test_parallel_and_simulator_knobs_stay_off_the_request():
     from repro.api import MESHER_NAMES, REQUEST_FIELDS, MeshRequest
 
     assert MESHER_NAMES == ("sequential", "threaded")
+    # Settings no caller set: the quality bounds are constants, the
+    # block cache is used whenever one is given, and the service's
+    # deadline is the served time limit.
+    unset = {"incremental", "timeout", "radius_edge_bound",
+             "planar_angle_bound_deg"}
     assert not {"n_threads", "cm", "lb", "hyperthreading",
                 "seed"} & set(REQUEST_FIELDS)
+    assert not unset & set(REQUEST_FIELDS)
     fields = {f.name for f in dataclasses.fields(MeshRequest)}
     assert not {"hyperthreading", "lb", "seed"} & fields
+    assert not unset & fields
 
 
 def test_config_knobs_nothing_set_stay_gone():

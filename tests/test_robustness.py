@@ -90,13 +90,6 @@ class TestDomainParameterValidation:
         d = RefineDomain(self.make_img(), delta=None)
         assert d.delta == pytest.approx(2.0)
 
-    def test_custom_bounds(self):
-        d = RefineDomain(self.make_img(), delta=2.0,
-                         radius_edge_bound=1.5,
-                         planar_angle_bound_deg=25.0)
-        assert d.radius_edge_bound == 1.5
-        assert d.planar_angle_bound == 25.0
-
 
 class TestOracleRobustness:
     def test_query_far_outside_image(self):

@@ -190,8 +190,8 @@ class TestArtifactCacheByteBudget:
         snap = cache.stats_snapshot()
         assert snap["bytes_held"] <= 4_000_000
         assert snap["evictions"] > 0
-        assert cache.get_block("k0") is None      # coldest: evicted
-        assert cache.get_block("k9") is not None  # hottest: resident
+        assert cache.get_block_tiered("k0")[0] is None      # coldest: evicted
+        assert cache.get_block_tiered("k9")[0] is not None  # hottest: resident
 
     def test_pinned_entries_survive_pressure(self):
         from repro.service.cache import ArtifactCache
@@ -201,7 +201,7 @@ class TestArtifactCacheByteBudget:
         cache.pin("block:keep")
         for i in range(10):
             cache.put_block(f"x{i}", self._block(32))
-        assert cache.get_block("keep") is not None
+        assert cache.get_block_tiered("keep")[0] is not None
         cache.unpin("block:keep")
         snap = cache.stats_snapshot()
         assert snap["pinned"] == 0
@@ -213,7 +213,7 @@ class TestArtifactCacheByteBudget:
         cache.pin("block:mine")
         cache.put_block("other", self._block(32))
         cache.put_block("mine", self._block(32))  # over budget on arrival
-        assert cache.get_block("mine") is not None
+        assert cache.get_block_tiered("mine")[0] is not None
         cache.unpin("block:mine")
 
     def test_service_exposes_cache_gauges(self, image, executor):

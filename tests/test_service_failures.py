@@ -260,7 +260,7 @@ class TestCorruptArtifacts:
         path = tmp_path / "c" / "mesh" / "ab" / f"{key}.json"
         path.parent.mkdir(parents=True)
         path.write_text("{not json at all")
-        assert cache.get_mesh(key) is None
+        assert cache.get_mesh_tiered(key)[0] is None
         assert cache.stats_snapshot()["corrupt"] == 1
         assert not path.exists()  # corrupt artifact unlinked
 
@@ -274,7 +274,7 @@ class TestCorruptArtifacts:
         path.write_bytes(path.read_bytes()[:20])
 
         cold = ArtifactCache(str(tmp_path / "c"))  # bypass the LRU
-        assert cold.get_block(key) is None
+        assert cold.get_block_tiered(key)[0] is None
         assert cold.stats_snapshot()["corrupt"] == 1
         assert not path.exists()
 
@@ -284,7 +284,7 @@ class TestCorruptArtifacts:
         path = tmp_path / "c" / "mesh" / "ef" / f"{key}.json"
         path.parent.mkdir(parents=True)
         path.write_bytes(b"")
-        assert cache.get_mesh(key) is None
+        assert cache.get_mesh_tiered(key)[0] is None
         assert cache.stats_snapshot()["corrupt"] == 1
 
 
@@ -306,8 +306,7 @@ class TestCacheKeyHygiene:
         from repro.observability import ObservabilityConfig
         base = MeshRequest(image=image, delta=3.0, mesher="sequential")
         traced = MeshRequest(image=image, delta=3.0, mesher="sequential",
-                             observability=ObservabilityConfig(tracing=True),
-                             timeout=99.0)
+                             observability=ObservabilityConfig(tracing=True))
         assert self._rkey(base) == self._rkey(traced)
 
     def test_auto_mesher_resolves_in_key(self, image):

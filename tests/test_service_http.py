@@ -41,7 +41,6 @@ from repro.service.http import (
     _Handler,
     decode_image_b64,
     encode_image_b64,
-    etag_matches,
 )
 from tests.executors import on_process
 
@@ -85,15 +84,15 @@ def gateway(service):
     return MeshGateway(service)
 
 
-def npz_b64(labels):
-    """An ``image_b64`` payload around any label array — what a client
-    that never built a :class:`SegmentedImage` can send."""
+def npz_b64(labels, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
+    """An ``image_b64`` payload around any label array and geometry —
+    what a client that never built a :class:`SegmentedImage` can send."""
     import base64
     import io
 
     buf = io.BytesIO()
-    np.savez_compressed(buf, labels=labels, spacing=np.ones(3),
-                        origin=np.zeros(3))
+    np.savez_compressed(buf, labels=labels, spacing=np.asarray(spacing),
+                        origin=np.asarray(origin))
     return base64.b64encode(buf.getvalue()).decode("ascii")
 
 
@@ -172,16 +171,12 @@ class TestGatewayRoutes:
         assert out["state"] == "DONE" and out["ok"] is True
         assert out["result"]["mesh"]["tets"]
 
-    def test_mesh_inline_image_200(self, gateway, image):
-        status, out, _ = gateway.handle("POST", "/v1/mesh", body={
-            "image": {"labels": image.labels.tolist(),
-                      "spacing": list(image.spacing)},
-            "params": {"mesher": "sequential", "delta": 3.0}})
-        assert status == 200 and out["ok"] is True
-        assert out["state"] == "DONE" and out["n_tets"] > 0
-
     @pytest.mark.parametrize("field,body", [
-        ("image", {"image": {"labels": [[[0, 1], [1]]]}}),
+        # "image" rows: the error names the image_b64 payload.  Ragged
+        # labels reach an npz only as an object array, which does not
+        # load.
+        ("image", {"image_b64": npz_b64(
+            np.array([[[0, 1], [1]]], dtype=object))}),
         ("delta", {"params": {"delta": "x"}}),
         ("delta", {"params": {"delta": -1.0}}),
         ("deadline", {"deadline": "soon"}),
@@ -189,8 +184,8 @@ class TestGatewayRoutes:
         ("image_key", {"image_key": [1]}),
         # A label int16 cannot hold is refused, never wrapped into
         # another tissue (70000 -> 4464, uint16 40000 -> -25536).
-        ("image", {"image": {"labels": [[[0, 70000]]]}}),
-        ("image", {"image": {"labels": [[[0, -1]]]}}),
+        ("image", {"image_b64": npz_b64(np.array([[[0, 70000]]]))}),
+        ("image", {"image_b64": npz_b64(np.array([[[0, -1]]]))}),
         ("image_b64", {"image_b64": npz_b64(
             np.full((4, 4, 4), 40000, dtype=np.uint16))}),
         # Parallel knobs are not on the wire: an unknown param, refused
@@ -202,7 +197,7 @@ class TestGatewayRoutes:
         ("delta", {"params": {"delta": True}}),
         ("max_operations", {"params": {"max_operations": False}}),
         ("delta", {"params": {"delta": float("nan")}}),
-        ("radius_edge_bound", {"params": {"radius_edge_bound": float("inf")}}),
+        ("delta", {"params": {"delta": float("inf")}}),
         ("size_function", {"params": {"size_function": {
             "kind": "constant", "value": float("nan")}}}),
         ("size_function", {"params": {"size_function": {
@@ -219,6 +214,12 @@ class TestGatewayRoutes:
         # key or pin exists, not a FAILED job.
         ("mesher", {"params": {"mesher": "bogus"}}),
         ("mesher", {"params": {"mesher": "threaded"}}),
+        # Settings no caller sets are not params: refused as unknown.
+        ("incremental", {"params": {"incremental": False}}),
+        ("timeout", {"params": {"timeout": 30.0}}),
+        ("radius_edge_bound", {"params": {"radius_edge_bound": 1.5}}),
+        ("planar_angle_bound_deg", {"params": {
+            "planar_angle_bound_deg": 25.0}}),
     ])
     def test_malformed_request_is_400_not_500(
             self, service, image, field, body):
@@ -239,18 +240,17 @@ class TestGatewayRoutes:
 
     @pytest.mark.parametrize("field", ["spacing", "origin"])
     def test_non_finite_inline_geometry_is_400(self, service, field):
-        """``json.loads`` reads the bare NaN a client's ``json.dumps``
-        writes; it is refused at the door, not failed in the kernel."""
-        raw = (b'{"image": {"labels": [[[0, 1]]], "%s": [NaN, 1, 1]},'
-               b' "params": {"mesher": "sequential"}}' % field.encode())
+        """An npz carries NaN geometry as easily as JSON does; it is
+        refused at the door, not failed in the kernel."""
+        geometry = {field: (np.nan, 1.0, 1.0)}
+        body = {"image_b64": npz_b64(np.array([[[0, 1]]]), **geometry),
+                "params": {"mesher": "sequential"}}
         with MeshHTTPServer(service) as server:
-            req = urllib.request.Request(
-                server.url + "/v1/mesh", data=raw, method="POST")
             with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req, timeout=10)
+                post(server.url, body)
         assert err.value.code == 400
         error = json.loads(err.value.read())["error"]
-        assert error.startswith("bad inline 'image': " + field)
+        assert error.startswith("bad image_b64 payload: " + field)
         assert "nan" in error
         assert service.job("job-000001") is None  # nothing was queued
 
@@ -381,74 +381,6 @@ class TestGatewayRoutes:
         assert json.dumps(out)  # whole document is JSON-safe
 
 
-# ---------------------------------------------------------------------------
-# ETag / If-None-Match on job results
-# ---------------------------------------------------------------------------
-
-class TestResultETag:
-    def _done_job(self, gateway, image):
-        status, out, _ = gateway.handle(
-            "POST", "/v1/mesh", body=mesh_body(image, wait=False))
-        job_id = out["id"]
-        status, out, _ = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"wait": "30"})
-        assert status == 200 and out["state"] == "DONE"
-        return job_id
-
-    def test_result_carries_stable_quoted_etag(self, gateway, image):
-        job_id = self._done_job(gateway, image)
-        status, out, headers = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"result": "1"})
-        assert status == 200 and "result" in out
-        etag = headers["ETag"]
-        assert etag.startswith('"') and etag.endswith('"')
-        # Stable across polls: the validator is the request key.
-        _, _, again = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"result": "1"})
-        assert again["ETag"] == etag
-        # A plain status poll carries no result and no validator.
-        _, out, headers = gateway.handle("GET", f"/v1/jobs/{job_id}")
-        assert "result" not in out and "ETag" not in headers
-
-    def test_if_none_match_hit_304_no_body(self, gateway, image):
-        job_id = self._done_job(gateway, image)
-        _, _, headers = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"result": "1"})
-        etag = headers["ETag"]
-        status, out, headers = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"result": "1"},
-            if_none_match=etag)
-        assert status == 304
-        assert out == {}  # no body on a validator hit
-        assert headers["ETag"] == etag
-        snap = gateway.service.registry.snapshot()
-        assert snap["counters"]["service.http.not_modified"] == 1
-
-    def test_if_none_match_variants(self, gateway, image):
-        job_id = self._done_job(gateway, image)
-        _, _, headers = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"result": "1"})
-        etag = headers["ETag"]
-        for header in (etag, f"W/{etag}", f'"other", {etag}', "*"):
-            status, out, _ = gateway.handle(
-                "GET", f"/v1/jobs/{job_id}", query={"result": "1"},
-                if_none_match=header)
-            assert status == 304, header
-        # Mismatch: full 200 with the result payload.
-        status, out, _ = gateway.handle(
-            "GET", f"/v1/jobs/{job_id}", query={"result": "1"},
-            if_none_match='"nope"')
-        assert status == 200 and "result" in out
-
-    def test_etag_matches_parser(self):
-        assert etag_matches("*", "abc")
-        assert etag_matches('"abc"', "abc")
-        assert etag_matches('W/"abc"', "abc")
-        assert etag_matches('"x", "y" , "abc"', "abc")
-        assert not etag_matches('"x", "y"', "abc")
-        assert not etag_matches("", "abc")
-
-
 @pytest.fixture()
 def template_block(image, serving):
     """A 1-worker/1-slot service wedged on a gated fake mesher."""
@@ -517,28 +449,6 @@ class TestHttpServerAndClient:
             with connect(server.url) as client:
                 with pytest.raises(ServiceError, match="FAILED"):
                     client.mesh(MeshRequest(image=image, mesher="fake"))
-
-    def test_if_none_match_over_the_wire_304_empty_body(
-            self, service, image):
-        with MeshHTTPServer(service) as server:
-            body = json.dumps(mesh_body(image, wait=False)).encode()
-            req = urllib.request.Request(
-                server.url + "/v1/mesh", data=body, method="POST")
-            with urllib.request.urlopen(req, timeout=10) as resp:
-                job_id = json.loads(resp.read())["id"]
-            url = server.url + f"/v1/jobs/{job_id}?wait=30&result=1"
-            with urllib.request.urlopen(url, timeout=60) as resp:
-                etag = resp.headers["ETag"]
-                assert "result" in json.loads(resp.read())
-            req = urllib.request.Request(
-                url, headers={"If-None-Match": etag})
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req, timeout=10)
-            # urllib surfaces 304 as an HTTPError; the body must be
-            # empty and the validator echoed back.
-            assert err.value.code == 304
-            assert err.value.headers["ETag"] == etag
-            assert err.value.read() == b""
 
     def test_protocol_header_on_every_response(self, service):
         with MeshHTTPServer(service) as server:
@@ -933,25 +843,6 @@ class TestWireBytes:
                     service, post(server.url, body)[1])
                 assert job.tier == tier
 
-    def test_post_etag_revalidates_with_empty_304(self, image, tmp_path,
-                                                  executor):
-        config = ServiceConfig(n_workers=2, cache_dir=str(tmp_path),
-                               executor=executor)
-        with MeshingService(config) as service:
-            with MeshHTTPServer(service) as server:
-                _, raw, headers = post(server.url, mesh_body(
-                    image, return_mesh=True, params={"delta": 3.0}))
-                etag = headers["ETag"]
-                req = urllib.request.Request(
-                    server.url + f"/v1/jobs/{json.loads(raw)['id']}"
-                    "?result=1", headers={"If-None-Match": etag})
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    urllib.request.urlopen(req, timeout=10)
-                assert err.value.code == 304
-                assert err.value.headers["ETag"] == etag
-                assert err.value.headers["Content-Length"] == "0"
-                assert err.value.read() == b""
-
 
 # ---------------------------------------------------------------------------
 # the CLI entry point
@@ -998,7 +889,6 @@ TestOnProcessExecutor = on_process(
     TestGatewayRoutes.test_version_mismatch_400,
     TestGatewayRoutes.test_matching_version_passes,
     TestGatewayRoutes.test_mesh_done_200,
-    TestGatewayRoutes.test_mesh_inline_image_200,
     TestGatewayRoutes.test_malformed_request_is_400_not_500,
     TestGatewayRoutes.test_non_finite_inline_geometry_is_400,
     TestGatewayRoutes.test_mesh_unknown_params_400,
@@ -1009,14 +899,9 @@ TestOnProcessExecutor = on_process(
     TestGatewayRoutes.test_unknown_job_404,
     TestGatewayRoutes.test_zero_deadline_has_already_passed,
     TestGatewayRoutes.test_metricsz_has_slo_section,
-    TestResultETag._done_job,
-    TestResultETag.test_result_carries_stable_quoted_etag,
-    TestResultETag.test_if_none_match_hit_304_no_body,
-    TestResultETag.test_if_none_match_variants,
     TestHttpServerAndClient.test_connect_returns_http_client,
     TestHttpServerAndClient.test_image_travels_by_key_on_repeat,
     TestHttpServerAndClient.test_submit_wait_status_cancel,
-    TestHttpServerAndClient.test_if_none_match_over_the_wire_304_empty_body,
     TestHttpServerAndClient.test_protocol_header_on_every_response,
     TestHttpServerAndClient.test_wrong_version_header_rejected,
     TestHttpServerAndClient.test_bad_json_body_400,
@@ -1028,5 +913,4 @@ TestOnProcessExecutor = on_process(
     TestWireBytes.test_damaged_artifact_is_caught_not_served,
     TestWireBytes.test_malformed_result_body_is_a_service_error,
     TestWireBytes.test_memory_only_cache_serves_correctly,
-    TestWireBytes.test_post_etag_revalidates_with_empty_304,
 )

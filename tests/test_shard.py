@@ -15,8 +15,9 @@ The guarantees under test, in rough dependency order:
   the process pool and re-runs a crashed shard without failing the
   job;
 * ``repro.api.mesh`` and the service, under either executor, mesh the
-  same bytes through the one coordinator, and ``api.mesh`` starts no
-  process.
+  same bytes through the one coordinator; ``api.mesh`` starts no
+  process and keeps no block cache, so a repeat request meshes the
+  same bytes whatever was meshed in between.
 """
 
 import json
@@ -346,23 +347,29 @@ class TestIncrementalStitching:
         _, warm = warm_runs
         assert quality_report(warm.mesh).max_radius_edge <= 2.0 + 1e-9
 
-    def test_incremental_false_disables_block_cache(self):
-        edited = _edited_ball_grid(ball_grid_phantom(24))
-        res = mesh(MeshRequest(image=edited, mesher="sequential",
-                               delta=2.0, shards=2, incremental=False))
-        assert "block_cache" not in res.stats
-        assert res.stats["stitch"]["mode"] == "seam_local"
-        assert res.stats["stitch"]["reused_points"] == 0
+    def test_api_mesh_is_a_function_of_its_request(self):
+        # api.mesh keeps no block cache between calls: a near-duplicate
+        # meshed in between does not warm-start the repeat, which
+        # meshes the same bytes cold.
+        img = ball_grid_phantom(24)
 
-    def test_shards_one_identical_to_unsharded_either_flag(self):
+        def run(image):
+            return mesh(MeshRequest(image=image, mesher="sequential",
+                                    delta=2.0, shards=2))
+        first = run(img)
+        run(_edited_ball_grid(img))
+        third = run(img)
+        for res in (first, third):
+            assert "block_cache" not in res.stats
+            assert res.stats["stitch"]["reused_points"] == 0
+        assert third.to_dict()["mesh"] == first.to_dict()["mesh"]
+
+    def test_shards_one_identical_to_unsharded(self):
         img = sphere_phantom(16)
         plain = mesh(MeshRequest(image=img, mesher="sequential"))
-        for incremental in (True, False):
-            one = mesh(MeshRequest(image=img, mesher="sequential",
-                                   shards=1, incremental=incremental))
-            assert one.mesh.vertices.tobytes() == \
-                plain.mesh.vertices.tobytes()
-            assert one.mesh.tets.tobytes() == plain.mesh.tets.tobytes()
+        one = mesh(MeshRequest(image=img, mesher="sequential", shards=1))
+        assert one.mesh.vertices.tobytes() == plain.mesh.vertices.tobytes()
+        assert one.mesh.tets.tobytes() == plain.mesh.tets.tobytes()
 
 
 class TestServiceIncrementalCounters:
@@ -387,23 +394,6 @@ class TestServiceIncrementalCounters:
             assert counters["shard.cache.block_hits"] == 1
             assert counters["shard.cache.block_misses"] == 3
             assert counters["shard.cache.incremental_stitches"] == 1
-
-    def test_service_incremental_off_never_hits(self, tmp_path):
-        img = ball_grid_phantom(24)
-        edited = _edited_ball_grid(img)
-        config = ServiceConfig(n_workers=1, executor="thread",
-                               cache_dir=str(tmp_path / "cache"))
-        with MeshingService(config) as svc:
-            for image in (img, edited):
-                job = svc.submit(MeshRequest(image=image,
-                                             mesher="sequential",
-                                             delta=2.0, shards=2,
-                                             incremental=False))
-                job.wait(300)
-                assert job.state is JobState.DONE, job.error
-                assert job.tier == "full_mesh"
-            counters = svc.metrics_snapshot()["counters"]
-            assert counters.get("shard.cache.block_hits", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +559,11 @@ class TestOneCoordinator:
         phantom, n, delta, shards = _case(row)
         image = getattr(imaging, phantom)(n)
 
-        def request(**kw):
+        def request():
             return MeshRequest(image=image, mesher="sequential",
-                               delta=delta, shards=shards, **kw)
+                               delta=delta, shards=shards)
 
-        # incremental=False: a warm process-wide block cache would
-        # warm-start the stitch, and a warm mesh is not the cold bytes.
-        via_api = mesh(request(incremental=False))
+        via_api = mesh(request())
         with MeshingService(_service_config(tmp_path,
                                             executor=executor)) as svc:
             job = svc.submit(request())
