@@ -40,7 +40,18 @@ Python):
   ``any_within``, R6's ``query_ball``), replayed in order on the C grid
   and on the dict-of-cells reference, answers compared call for call.
 
-It writes ``BENCH_kernels.json`` (schema 7) holding the throughputs,
+The seventh and eighth are the per-tet rule check and the walk's seed
+(C against Python), on one ``abdominal_phantom(32)`` refinement:
+
+* ``judge`` — the refinement run twice, once judged by the C judge
+  (with its deferrals answered by the Python judge, as in production)
+  and once by the Python judge alone; it is one mesh, so the two runs
+  make the same calls, and every answer is compared call for call.
+* ``seed`` — every vertex-grid call of the refinement (stores, drops,
+  seed probes) made on the C grid and on the dict reference side by
+  side, answers compared call for call.
+
+It writes ``BENCH_kernels.json`` (schema 8) holding the throughputs,
 the machine's CPU count, the committed pre-overhaul baseline, and the
 accel/python speedups for every workload: to ``-o PATH``, else — for a
 full run only — to the committed record
@@ -53,7 +64,8 @@ accel/python speedup measured *on this machine* must stay above 80% of
 the committed reference speedup (a >20% relative throughput drop of the
 fast path fails the job).  On machines without a C compiler the gate
 degrades to checking the pure-Python path against its own floor; the
-``grid`` and ``rays`` ratios are gated when the library is loaded.
+``grid``, ``rays``, ``judge`` and ``seed`` ratios, and their
+``same_answers``, are gated when the library is loaded.
 
 Usage::
 
@@ -81,6 +93,7 @@ from repro.core.domain import RefineDomain, VertexKind
 from repro.core.pointgrid import AccelGrid, ReferenceGrid
 from repro.core.refiner import SequentialRefiner
 from repro.delaunay import RemovalError, Triangulation3D
+from repro.delaunay.triangulation import DictSeedGrid
 from repro.imaging import SurfaceOracle, abdominal_phantom
 
 # Every ctypes entry point the kernel dispatches on.  Disabling the
@@ -153,6 +166,13 @@ RAYS_SCALAR_REFERENCE_SPEEDUP = 2.4
 # reference, on the reference machine (2 vCPUs) when the C grid landed
 # (7.7-8.3x over three runs).
 GRID_REFERENCE_SPEEDUP = 7.5
+# One refinement's judged tets on the C judge (ctypes glue and the
+# deferred tets' Python verdicts included) vs the Python judge, and its
+# vertex-grid calls on the C grid vs the dict reference, on the
+# reference machine (2 vCPUs) when both landed (3.4-4.2x and 1.55-1.62x
+# over four runs).
+JUDGE_REFERENCE_SPEEDUP = 3.4
+SEED_REFERENCE_SPEEDUP = 1.5
 GRID_METHODS = ("add", "remove", "any_within", "query_ball",
                 "any_within_many")
 N_POINTS = 400
@@ -551,6 +571,152 @@ def _grid_regressed(grid):
     return True
 
 
+def _judged_refine(use_c):
+    """One ``abdominal_phantom(VOXEL_FACE_N)`` refinement judged by the C
+    judge (``use_c``) or the Python one: seconds spent judging, every
+    decision in call order, and the deferral count."""
+    domain = RefineDomain(abdominal_phantom(VOXEL_FACE_N))
+    decisions = []
+    spent = [0.0]
+    c_judge, python_judge = domain._judge_c, domain.judge
+
+    def timed(t):
+        t0 = time.perf_counter()
+        decision = c_judge(t) if use_c else None
+        if decision is None:
+            decision = python_judge(t)
+        spent[0] += time.perf_counter() - t0
+        decisions.append(decision)
+        return decision
+
+    # refine_tet asks _judge_c first and judge where it says None.
+    domain._judge_c = lambda t: None
+    domain.judge = timed
+    SequentialRefiner(domain).refine()
+    deferred = sum(domain.tri.counters.judge_deferrals.values())
+    return spent[0], decisions, deferred
+
+
+def _judge_section(fast):
+    repeats = 3 if fast else 7
+    section = {
+        "workload": {"image": f"abdominal_phantom({VOXEL_FACE_N})",
+                     "repeats": repeats},
+        "reference_judged_per_second": None,
+        "accel_judged_per_second": None,
+        "deferred_share": None,
+        "same_answers": None,
+        "speedup": None,
+        "reference_speedup": JUDGE_REFERENCE_SPEEDUP,
+    }
+    if _accel.judge is None:
+        return section
+    best = {True: math.inf, False: math.inf}
+    answers = {}
+    for _ in range(repeats):
+        for use_c in (True, False):
+            seconds, decisions, deferred = _judged_refine(use_c)
+            best[use_c] = min(best[use_c], seconds)
+            answers.setdefault(use_c, decisions)
+            if use_c:
+                n_deferred = deferred
+    n = len(answers[True])
+    section["workload"]["n_judged"] = n
+    section.update(
+        reference_judged_per_second=round(n / best[False], 1),
+        accel_judged_per_second=round(n / best[True], 1),
+        deferred_share=round(n_deferred / n, 5),
+        same_answers=answers[True] == answers[False],
+        speedup=round(best[False] / best[True], 2))
+    return section
+
+
+class SeedTwins:
+    """A triangulation's C seed grid with the dict reference beside it:
+    every store, drop and probe goes to both, timed apart, and their
+    answers compared (:attr:`same`).  With ``kernels_probe`` the insert
+    kernels still probe the C grid themselves (through :attr:`handle`);
+    without it they take the probe's seed instead, so every probe comes
+    through :meth:`seed`."""
+
+    def __init__(self, tri, kernels_probe=False):
+        lo, hi = tri._lo, tri._hi
+        self.grids = {
+            "accel": tri._seeds,
+            "reference": DictSeedGrid(tri.mesh, lo,
+                                      max(h - l for l, h in zip(lo, hi))),
+        }
+        self.handle = tri._seeds.handle if kernels_probe else None
+        self.seconds = dict.fromkeys(self.grids, 0.0)
+        self.calls = {"store": 0, "drop": 0, "seed": 0}
+        self.same = True
+
+    def _both(self, method, *args):
+        self.calls[method] += 1
+        answers = []
+        for name, grid in self.grids.items():
+            t0 = time.perf_counter()
+            answers.append(getattr(grid, method)(*args))
+            self.seconds[name] += time.perf_counter() - t0
+        self.same = self.same and answers[0] == answers[1]
+        return answers[0]
+
+    def store(self, v, p):
+        self._both("store", v, p)
+
+    def drop(self, v):
+        self._both("drop", v)
+
+    def seed(self, x, y, z, hint, last):
+        return self._both("seed", x, y, z, hint, last)
+
+
+def _seed_section(fast):
+    repeats = 3 if fast else 7
+    section = {
+        "workload": {"image": f"abdominal_phantom({VOXEL_FACE_N})",
+                     "repeats": repeats},
+        "reference_calls_per_second": None,
+        "accel_calls_per_second": None,
+        "same_answers": None,
+        "speedup": None,
+        "reference_speedup": SEED_REFERENCE_SPEEDUP,
+    }
+    if _accel.vgrid is None:
+        return section
+    best = {"accel": math.inf, "reference": math.inf}
+    same = True
+    for _ in range(repeats):
+        domain = RefineDomain(abdominal_phantom(VOXEL_FACE_N))
+        tri = domain.tri
+        twins = tri._seeds = SeedTwins(tri)
+        SequentialRefiner(domain).refine()
+        same = (same and twins.same
+                and twins.grids["accel"].cells()
+                == twins.grids["reference"].cells())
+        for name, seconds in twins.seconds.items():
+            best[name] = min(best[name], seconds)
+    n = sum(twins.calls.values())
+    section["workload"]["calls"] = twins.calls
+    section.update(
+        reference_calls_per_second=round(n / best["reference"], 1),
+        accel_calls_per_second=round(n / best["accel"], 1),
+        same_answers=same,
+        speedup=round(best["reference"] / best["accel"], 2))
+    return section
+
+
+def _ratio_regressed(name, section, reference):
+    """Prints why, when a C-against-reference section fails its gate."""
+    floor = GATE_FRACTION * reference
+    if section["speedup"] >= floor and section["same_answers"]:
+        return False
+    print(f"REGRESSION: C {name} {section['speedup']:.2f}x over the "
+          f"reference, gate {floor:.2f}x (80% of reference {reference}x); "
+          f"same answers: {section['same_answers']}", file=sys.stderr)
+    return True
+
+
 def run(fast=False, check_regression=False, output=None):
     repeats = 3 if fast else 7
     points = _workload()
@@ -630,8 +796,12 @@ def run(fast=False, check_regression=False, output=None):
     # --- the δ-proximity grids: one refinement's calls, replayed ------
     grid = _grid_section(fast)
 
+    # --- the rule check and the walk's seed: C against Python ---------
+    judge = _judge_section(fast)
+    seed = _seed_section(fast)
+
     doc = {
-        "schema": 7,
+        "schema": 8,
         "cpus": os.cpu_count() or 1,
         "workload": {
             "name": "insert-uniform-box",
@@ -662,6 +832,8 @@ def run(fast=False, check_regression=False, output=None):
         "voxel_face": voxel_face,
         "rays": rays,
         "grid": grid,
+        "judge": judge,
+        "seed": seed,
     }
 
     if output is not None:
@@ -710,6 +882,17 @@ def run(fast=False, check_regression=False, output=None):
               f"queries/s C vs {grid['reference_queries_per_second']:,.1f} "
               f"reference ({grid['speedup']:.2f}x, same answers: "
               f"{grid['same_answers']})")
+    if judge["speedup"] is not None:
+        print(f"judge       : {judge['accel_judged_per_second']:>10,.1f} "
+              f"tets/s C vs {judge['reference_judged_per_second']:,.1f} "
+              f"reference ({judge['speedup']:.2f}x, deferred share "
+              f"{judge['deferred_share']}, same answers: "
+              f"{judge['same_answers']})")
+    if seed["speedup"] is not None:
+        print(f"seed        : {seed['accel_calls_per_second']:>10,.1f} "
+              f"calls/s C vs {seed['reference_calls_per_second']:,.1f} "
+              f"reference ({seed['speedup']:.2f}x, same answers: "
+              f"{seed['same_answers']})")
     print(f"wrote {output}" if output is not None else
           "wrote nothing (a --fast run writes only to -o PATH)")
 
@@ -751,6 +934,12 @@ def run(fast=False, check_regression=False, output=None):
             failed = True
         if rays["speedup"] is not None and _rays_regressed(rays):
             failed = True
+        if judge["speedup"] is not None and _ratio_regressed(
+                "judge", judge, JUDGE_REFERENCE_SPEEDUP):
+            failed = True
+        if seed["speedup"] is not None and _ratio_regressed(
+                "seed grid", seed, SEED_REFERENCE_SPEEDUP):
+            failed = True
         if failed:
             return 1
         print(f"regression gate OK: insert {speedup:.2f}x >= {floor:.2f}x, "
@@ -761,7 +950,11 @@ def run(fast=False, check_regression=False, output=None):
               f"{rays['scalar_speedup']:.2f}x >= "
               f"{GATE_FRACTION * RAYS_SCALAR_REFERENCE_SPEEDUP:.2f}x), "
               f"grid {grid['speedup']:.2f}x >= "
-              f"{GATE_FRACTION * GRID_REFERENCE_SPEEDUP:.2f}x")
+              f"{GATE_FRACTION * GRID_REFERENCE_SPEEDUP:.2f}x, "
+              f"judge {judge['speedup']:.2f}x >= "
+              f"{GATE_FRACTION * JUDGE_REFERENCE_SPEEDUP:.2f}x, "
+              f"seed {seed['speedup']:.2f}x >= "
+              f"{GATE_FRACTION * SEED_REFERENCE_SPEEDUP:.2f}x")
     else:
         if py_ips < PYTHON_FLOOR_INSERTS_PER_SECOND:
             print(f"REGRESSION: python path {py_ips:.1f} inserts/s is "

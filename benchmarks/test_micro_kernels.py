@@ -51,7 +51,7 @@ def test_bench_insertion_json_artifact(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     assert kernel_bench.run(fast=True, output=out) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 7
+    assert doc["schema"] == 8
     assert "thread_scaling" not in doc
     assert doc["cpus"] >= 1
     assert doc["python_path"]["inserts_per_second"] > 0
@@ -72,6 +72,11 @@ def test_bench_insertion_json_artifact(tmp_path):
         assert grid["same_answers"]
         assert grid["accel_queries_per_second"] > \
             grid["reference_queries_per_second"]
+        for name in ("judge", "seed"):
+            section = doc[name]
+            assert section["same_answers"], name
+            assert section["speedup"] > 1.0, name
+        assert doc["judge"]["deferred_share"] < 0.01
 
 
 @pytest.mark.benchmark(group="kernel-remove")

@@ -92,6 +92,10 @@ def record(bench_path: pathlib.Path, history_path: pathlib.Path,
         "rays_scalar_speedup": doc.get("rays", {}).get("scalar_speedup"),
         # schema 6: the replayed δ-grid calls, C grid over the reference
         "grid_speedup": (doc.get("grid") or {}).get("speedup"),
+        # schema 8: the C judge over the Python judge, and the C vertex
+        # grid and seed probe over the dict reference
+        "judge_speedup": (doc.get("judge") or {}).get("speedup"),
+        "seed_speedup": (doc.get("seed") or {}).get("speedup"),
     }
     history_path.parent.mkdir(parents=True, exist_ok=True)
     with open(history_path, "a", encoding="utf-8") as fh:
@@ -145,8 +149,8 @@ def render(history: list, drift_threshold: float) -> str:
         "",
         f"{'label':<24} {'python ips':>12} {'accel ips':>12} "
         f"{'speedup':>8} {'rm x':>7} {'batch x':>7} {'rays x':>7} "
-        f"{'grid x':>7}  note",
-        "-" * 104,
+        f"{'grid x':>7} {'judge x':>7} {'seed x':>7}  note",
+        "-" * 120,
     ]
     window = _baseline_window(history)
     best = max((r.get("speedup") or 0.0 for r in window), default=0.0)
@@ -184,7 +188,9 @@ def render(history: list, drift_threshold: float) -> str:
             f"{_fmt(speedup, 8, 2)} {_fmt(rm, 7, 2)} "
             f"{_fmt(r.get('batch_speedup'), 7, 2)} "
             f"{_fmt(r.get('rays_speedup'), 7, 2)} "
-            f"{_fmt(r.get('grid_speedup'), 7, 2)}  {note}"
+            f"{_fmt(r.get('grid_speedup'), 7, 2)} "
+            f"{_fmt(r.get('judge_speedup'), 7, 2)} "
+            f"{_fmt(r.get('seed_speedup'), 7, 2)}  {note}"
         )
     if not history:
         lines.append("(no history recorded yet)")
@@ -192,6 +198,8 @@ def render(history: list, drift_threshold: float) -> str:
     lines.append("rays x: the numpy batch over the Python scalar loop up "
                  "to schema 6; the C batch over the Python reference from "
                  "schema 7")
+    lines.append("judge x / seed x (schema 8): the C judge over the Python "
+                 "judge, the C vertex grid and seed probe over the dict")
     if best > 0:
         lines.append(f"best speedup in baseline window: {best:.2f}x; "
                      f"drift flagged beyond {drift_threshold:.0%} below "

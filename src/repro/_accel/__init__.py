@@ -10,10 +10,11 @@ commit) directly on the mesh's struct-of-arrays buffers.  A commit owns
 the tet rows, the adjacency, the ``v2t`` anchors and the tet allocator:
 it pops the mesh's free-slot stack, bumps the popped slots' epochs,
 takes fresh slots from the tail and pushes the slots it frees, in the
-order ``MeshArrays`` would.  The vertex store and the vertex grid stay
-with the Python caller.  On any inconclusive floating point filter the
-routines return *without mutating anything* and the caller re-runs the
-Python filtered/exact path, so meshes are bit-identical with and
+order ``MeshArrays`` would.  The vertex store, and the stores into the
+vertex grid, stay with the Python caller.  On any inconclusive floating
+point filter the routines return *without mutating anything* and the
+caller re-runs the Python filtered/exact path, so meshes are
+bit-identical with and
 without the accelerator — the C path is purely an execution strategy,
 never a semantic change.  One exact zero needs no exact arithmetic and is
 concluded in C: four points sharing a coordinate bit for bit (samples
@@ -29,6 +30,15 @@ holds the surface oracle's Amanatides-Woo traversal (``rays.c``): the
 site lookup, the closest-point ray and the segment crossing, scalar and
 as one loop over a batch of rows.  :data:`rays` binds those, or is
 ``None`` and ``imaging.isosurface`` runs its Python reference traversal.
+The triangulation's vertex grid and the walk's seed probe are
+``vgrid.c`` (:data:`vgrid`, else ``DictSeedGrid``); ``bw_insert`` and
+``bw_insert_many`` run the probe themselves when handed the grid.  The
+rule check of one tet is ``judge.c`` (:data:`judge`, reading a
+:class:`JudgeContext`): it returns the rule R1-R5 and its point as
+``RefineDomain.judge`` would, or a defer code (:data:`DEFER_REASONS`)
+where its arithmetic may differ from the reference's, and then the
+Python judge decides.  Every entry point but the four ``bw_*`` is bound
+through ``PyDLL`` and runs whole under the interpreter lock.
 
 Set ``REPRO_ACCEL=0`` to disable the accelerator (e.g. to benchmark
 the pure-Python kernel, or to rule it out while debugging).  Compile and load failures degrade silently to
@@ -73,7 +83,8 @@ RETRY_REASONS = (
 _WHY_SCRATCH = RETRY_REASONS.index("scratch")
 
 _SRCS = tuple(Path(__file__).with_name(name)
-              for name in ("bw_kernel.c", "pointgrid.c", "rays.c"))
+              for name in ("bw_kernel.c", "pointgrid.c", "rays.c",
+                           "vgrid.c", "judge.c"))
 
 # Scratch sizing.  Cavities larger than _SCRATCH_CAP tets/faces RETRY
 # into the Python path, which has no such limits; typical cavities are
@@ -151,9 +162,9 @@ def _handle(lib, name: str, nargs: int):
 
 
 _LIB = _load()
-bw_insert = _handle(_LIB, "bw_insert", 18)
+bw_insert = _handle(_LIB, "bw_insert", 19)
 bw_commit = _handle(_LIB, "bw_commit", 16)
-bw_insert_many = _handle(_LIB, "bw_insert_many", 18)
+bw_insert_many = _handle(_LIB, "bw_insert_many", 19)
 bw_remove = _handle(_LIB, "bw_remove", 23)
 AVAILABLE = bw_insert is not None
 
@@ -202,8 +213,53 @@ def _entry_points(lib, prefix: str, table):
     return SimpleNamespace(**fns)
 
 
+# The triangulation's vertex grid and seed probe (vgrid.c, ``vg_<name>``).
+_VGRID = {
+    "new": (_P, _D, _D, _D, _D, _I),
+    "free": (None, _P),
+    "add": (_I, _P, _P, _P, _I, _I),
+    "drop": (None, _P, _P, _I, _I),
+    "cells": (_I, _P, _P, _I),
+    "seed": (_I, _P, _P, _P, _I, _P, _I, _D, _D, _D, _I, _I),
+}
+
+
+class JudgeContext(ctypes.Structure):
+    """What ``judge`` reads (judge.c's ``judge_ctx``): the mesh arrays,
+    the circumball store's rows, the vertex kinds, the image, R1's point
+    grid and the rules' numbers.  The caller rewrites a pointer when its
+    array moves."""
+
+    _fields_ = [
+        ("coords", _P), ("tv", _P), ("adj", _P), ("epoch", _P),
+        ("rows", _P), ("n_rows", _I), ("kinds", _P), ("n_kinds", _I),
+        ("labels", _P), ("feature", _P), ("geometry", _P), ("iso", _P),
+        ("delta", _D), ("slack", _D), ("re_bound", _D), ("cos_bound", _D),
+        ("size", _D), ("hull", _D * 16), ("hull_margin", _D),
+    ]
+
+
+# judge's verdicts (keep in sync with judge.c): 0 no rule, 1-5 the rule
+# R1-R5 with its point (| JUDGE_MIDPOINT: the longest edge's midpoint
+# replaced the circumcentre), JUDGE_SIZE when Python's size function
+# decides R5, and JUDGE_DEFER - k when Python judges the tet for
+# DEFER_REASONS[k].
+JUDGE_SIZE = 6
+JUDGE_MIDPOINT = 8
+JUDGE_DEFER = -1
+DEFER_REASONS = (
+    "reach_tie",   # R1's reach test within math.dist's rounding
+    "angle_tie",   # R3's planar angle within math.acos's rounding of 30
+    "edge_tie",    # R4's radius-edge ratio within math.dist's rounding
+    "midpoint",    # two longest edges within math.dist's rounding
+    "nonfinite",   # a centre that is not finite (the reference raises)
+)
+
 grid = _entry_points(_LIB, "pg_", _GRID)
 rays = _entry_points(_LIB, "ray_", _RAYS)
+vgrid = _entry_points(_LIB, "vg_", _VGRID)
+_judge = _entry_points(_LIB, "", {"judge": (_I, _P, _I, _P)})
+judge = None if _judge is None else _judge.judge
 
 
 class AccelScratch:
@@ -296,16 +352,21 @@ class AccelScratch:
         mesh.tet_top = int(tail)
         mesh.n_live_tets += int(born)
 
-    def insert(self, mesh, px, py, pz, seed_tet, rng_state, gen,
-               vnew) -> int:
-        """Run one C insert attempt; returns a BW_* status code."""
+    def insert(self, mesh, px, py, pz, seed, rng_state, gen, vnew,
+               last_located, vgrid) -> int:
+        """Run one C insert attempt; returns a BW_* status code.
+
+        With ``vgrid`` (a ``vg_*`` handle) ``seed`` is the caller's hint
+        (-1: none) and the kernel probes the grid for the walk's first
+        tet, leaving which candidate it took in ``out_i[10]``; with
+        ``None``, ``seed`` is that tet."""
         self._bind(mesh)
         in_f = self.in_f
         in_f[0] = px
         in_f[1] = py
         in_f[2] = pz
         in_i = self.in_i
-        in_i[0] = seed_tet
+        in_i[0] = seed
         in_i[1] = rng_state
         in_i[2] = mesh.n_live_tets
         in_i[3] = gen
@@ -313,7 +374,9 @@ class AccelScratch:
         self._alloc_in(mesh, 5)
         in_i[8] = _SCRATCH_CAP
         in_i[9] = _TABLE_CAP
-        status = bw_insert(*self._args)
+        in_i[10] = last_located
+        in_i[11] = mesh.coords.shape[0]
+        status = bw_insert(*self._args, vgrid)
         if status == OK:
             out = self.out_i
             self._alloc_out(mesh, out[2], out[3], out[1] - out[0])
@@ -353,15 +416,18 @@ class AccelScratch:
         return status
 
     def insert_many(self, mesh, points, seed_tet, rng_state, gen0,
-                    v_base, slot_bound, vert_bound) -> np.ndarray:
+                    v_base, slot_bound, vert_bound, last_located,
+                    vgrid) -> np.ndarray:
         """Run one batched insertion crossing over ``points``.
 
         ``points`` is a sequence of (x, y, z); at most ``_BATCH_CAP``
         are attempted, and the batch stops before an insert that would
         take a slot at or past ``slot_bound`` or a vertex id at or past
-        ``vert_bound`` (both within the arrays).  Returns the ``out_i``
-        array (``n_done``, ``n_gens``, rng state, last located tet,
-        counter totals, allocator counts, stop reason).
+        ``vert_bound`` (both within the arrays).  With ``vgrid`` the
+        kernel probes it for the first walk's seed (``seed_tet`` unused).
+        Returns the ``out_i`` array (``n_done``, ``n_gens``, rng state,
+        last located tet, counter totals, allocator counts, stop reason,
+        the probe's candidate).
         """
         npts = min(len(points), _BATCH_CAP)
         self._bind(mesh)
@@ -385,7 +451,8 @@ class AccelScratch:
         in_i[9] = _TABLE_CAP
         in_i[10] = npts
         in_i[11] = vert_bound
-        bw_insert_many(*self._args_many)
+        in_i[12] = last_located
+        bw_insert_many(*self._args_many, vgrid)
         out = self.out_i
         self._alloc_out(mesh, out[8], out[10], out[9] - mesh.n_live_tets)
         return out

@@ -61,9 +61,11 @@
  *   is handed out, before its row is written), tet rows, adjacency,
  *   dead-row markers and the v2t anchors of every vertex of a new tet
  *   except the vertex being inserted (whose slot the caller
- *   allocates).  The Python side keeps the vertex store, the vertex
- *   grid and the counters.  The caller reserves headroom before each
- *   call; a cavity that would still outgrow the arrays RETRYs.
+ *   allocates).  The Python side keeps the vertex store and the
+ *   counters, and stores into the vertex grid (vgrid.c), which
+ *   bw_insert and bw_insert_many only probe for their first walk's
+ *   seed.  The caller reserves headroom before each call; a cavity
+ *   that would still outgrow the arrays RETRYs.
  *
  * The edge / face hash table and the per-tet tag array are
  * epoch-stamped with the caller's generation counter, so they are
@@ -71,7 +73,15 @@
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+
+/* The vertex grid's seed probe (vgrid.c). */
+struct vg_grid;
+int64_t vg_probe(const struct vg_grid *g, const double *coords,
+                 const int32_t *v2t, int64_t nv, const int32_t *tv,
+                 int64_t nt, double x, double y, double z, int64_t hint,
+                 int64_t last, int64_t *which);
 
 #define BW_OK 0
 #define BW_RETRY 1
@@ -504,22 +514,26 @@ static int64_t commit_cavity(const double *coords, int32_t *tv, int32_t *adj,
  *
  * free_slots, epoch: the mesh's free-slot stack and slot epochs
  * in_f:  [px, py, pz]
- * in_i:  [seed_tet, rng_state, n_live_tets, gen, vnew, tail, cap_t,
- *         n_free, scratch_cap, table_cap]
+ * in_i:  [seed, rng_state, n_live_tets, gen, vnew, tail, cap_t,
+ *         n_free, scratch_cap, table_cap, last_located, cap_v]
  * out_i: [ncav, nb, n_free_out, tail_out, walk_steps, rng_state_out,
- *         located_tet, n_orient, n_insphere, retry_reason]
+ *         located_tet, n_orient, n_insphere, retry_reason, seed_kind]
  *
- * tag is an epoch-stamped per-tet scratch (>= cap_t entries); gen and
- * gen+1 mark in-cavity / checked-out for this call only.  ekey/estamp/
- * eval form the epoch-stamped edge hash table (table_cap a power of 2).
- * On RETRY only out_i[9] is written.
+ * With a vertex grid, seed is the caller's hint (-1: none) and the walk
+ * starts where vg_probe says (seed_kind: which candidate; cap_v is the
+ * rows of coords and v2t); without one, seed is the walk's first tet.  tag is an epoch-stamped per-tet scratch
+ * (>= cap_t entries); gen and gen+1 mark in-cavity / checked-out for
+ * this call only.  ekey/estamp/eval form the epoch-stamped edge hash
+ * table (table_cap a power of 2).  On RETRY only out_i[9] and out_i[10]
+ * are written.
  */
 int64_t bw_insert(const double *coords, int32_t *tv, int32_t *adj,
                   int32_t *v2t, int32_t *free_slots, int32_t *epoch,
                   int64_t *tag, int32_t *cav, int32_t *bnd, int32_t *newt,
                   int32_t *stk, int64_t *ekey, int64_t *estamp,
                   int32_t *eval, int32_t *pairs, const double *in_f,
-                  const int64_t *in_i, int64_t *out_i)
+                  const int64_t *in_i, int64_t *out_i,
+                  const struct vg_grid *grid)
 {
     const double px = in_f[0], py = in_f[1], pz = in_f[2];
     int64_t t = in_i[0];
@@ -531,6 +545,9 @@ int64_t bw_insert(const double *coords, int32_t *tv, int32_t *adj,
     int64_t steps = 0, n_orient = 0, n_insphere = 0;
     int64_t code;
 
+    if (grid != NULL)
+        t = vg_probe(grid, coords, v2t, in_i[11], tv, al.tail, px, py, pz,
+                     t, in_i[10], &out_i[10]);
     code = walk_locate(coords, tv, adj, px, py, pz, in_i[2], &t, &state,
                        &steps, &n_orient);
     if (code == BW_OK)
@@ -595,13 +612,16 @@ int64_t bw_commit(const double *coords, int32_t *tv, int32_t *adj,
  *
  * free_slots, epoch: the mesh's free-slot stack and slot epochs
  * in_f:  the (npts, 3) points
- * in_i:  [seed_tet, rng_state, n_live, gen0, v_base, tail, slot_bound,
- *         n_free, scratch_cap, table_cap, npts, vert_bound]
+ * in_i:  [seed, rng_state, n_live, gen0, v_base, tail, slot_bound,
+ *         n_free, scratch_cap, table_cap, npts, vert_bound, last_located]
  * out_i: [n_done, n_gens, rng_state_out, last_located, walk_steps,
  *         n_orient, n_insphere, cavity_tets_total, n_free_out,
- *         n_live_out, tail_out, stop_reason]
+ *         n_live_out, tail_out, stop_reason, seed_kind]
  * stop_reason says why the batch stopped short of npts (an error
- * status of the stopping point reads BW_WHY_OTHER).
+ * status of the stopping point reads BW_WHY_OTHER).  With a vertex
+ * grid the first walk starts where vg_probe says for the first point
+ * (no hint; seed_kind: which candidate; every stored vertex is below
+ * vert_bound, the rows it may read), else at seed.
  */
 int64_t bw_insert_many(double *coords, int32_t *tv, int32_t *adj,
                        int32_t *v2t, int32_t *free_slots, int32_t *epoch,
@@ -609,9 +629,12 @@ int64_t bw_insert_many(double *coords, int32_t *tv, int32_t *adj,
                        int32_t *newt, int32_t *stk, int64_t *ekey,
                        int64_t *estamp, int32_t *eval, int32_t *pairs,
                        const double *in_f, const int64_t *in_i,
-                       int64_t *out_i)
+                       int64_t *out_i, const struct vg_grid *grid)
 {
     int64_t t = in_i[0];
+    if (grid != NULL && in_i[10] > 0)
+        t = vg_probe(grid, coords, v2t, in_i[11], tv, in_i[5], in_f[0],
+                     in_f[1], in_f[2], -1, in_i[12], &out_i[12]);
     uint64_t state = (uint64_t)in_i[1];
     int64_t n_live = in_i[2];
     int64_t gen = in_i[3];

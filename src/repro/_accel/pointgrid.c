@@ -17,7 +17,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-typedef struct {
+typedef struct pg_grid {
     double cell;
     int64_t n;                  /* ids stored */
     /* cells: key (ix, iy, iz) and the first / last id of the list */

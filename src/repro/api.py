@@ -296,27 +296,35 @@ class MeshResult:
 
 
 #: The result codec's array table: each :class:`ExtractedMesh` field
-#: with the little-endian dtype it travels as and its shape after the
-#: row count.  :meth:`MeshResult.to_dict` writes a field as base64 of
-#: its raw bytes beside that dtype and its full shape.
-MESH_ARRAYS: Dict[str, Tuple[str, Tuple[int, ...]]] = {
-    "vertices": ("<f8", (3,)),
-    "tets": ("<i8", (4,)),
-    "tet_labels": ("<i4", ()),
-    "boundary_faces": ("<i8", (3,)),
-    "boundary_labels": ("<i4", (2,)),
+#: with the little-endian dtype it travels as, its shape after the row
+#: count, and the field's own dtype, which :meth:`MeshResult.from_dict`
+#: hands back.  :meth:`MeshResult.to_dict` writes a field as base64 of
+#: its raw bytes beside the travelling dtype and its full shape; vertex
+#: indices travel as int32, half the bytes of the int64 they are held in.
+MESH_ARRAYS: Dict[str, Tuple[str, Tuple[int, ...], type]] = {
+    "vertices": ("<f8", (3,), np.float64),
+    "tets": ("<i4", (4,), np.int64),
+    "tet_labels": ("<i4", (), np.int32),
+    "boundary_faces": ("<i4", (3,), np.int64),
+    "boundary_labels": ("<i4", (2,), np.int32),
 }
 
 
 def _encode_array(name: str, array: np.ndarray) -> Dict[str, Any]:
-    dtype, tail = MESH_ARRAYS[name]
-    array = np.ascontiguousarray(array, dtype=dtype).reshape((-1,) + tail)
-    return {"dtype": dtype, "shape": list(array.shape),
-            "b64": base64.b64encode(array.data).decode("ascii")}
+    dtype, tail, _ = MESH_ARRAYS[name]
+    array = np.asarray(array)
+    wire = np.ascontiguousarray(array, dtype=dtype).reshape((-1,) + tail)
+    if wire.dtype.kind == "i" and array.size:
+        info = np.iinfo(wire.dtype)
+        if array.min() < info.min or array.max() > info.max:
+            raise ValueError(f"mesh field {name!r}: a value does not fit "
+                             f"{dtype}")
+    return {"dtype": dtype, "shape": list(wire.shape),
+            "b64": base64.b64encode(wire.data).decode("ascii")}
 
 
 def _decode_array(name: str, doc: Dict[str, Any]) -> np.ndarray:
-    dtype, tail = MESH_ARRAYS[name]
+    dtype, tail, held = MESH_ARRAYS[name]
     try:
         if doc["dtype"] != dtype:
             raise ValueError(f"dtype {doc['dtype']!r:.40} is not {dtype!r}")
@@ -327,7 +335,7 @@ def _decode_array(name: str, doc: Dict[str, Any]) -> np.ndarray:
             want = str(["n", *tail]).replace("'", "")
             raise ValueError(f"shape {shape!r:.40} is not {want}")
         raw = base64.b64decode(doc["b64"], validate=True)
-        return np.frombuffer(raw, dtype).reshape(shape).copy()
+        return np.frombuffer(raw, dtype).reshape(shape).astype(held)
     except KeyError as exc:
         raise ValueError(f"mesh field {name!r} lacks {exc}") from None
     except (TypeError, ValueError) as exc:  # binascii.Error included

@@ -29,6 +29,7 @@ Rule summary (priority order):
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _accel
 from repro.core.pointgrid import PointGrid
 from repro.core.sizing import SizeSpec, unconstrained
 from repro.delaunay import (
@@ -189,6 +191,20 @@ class CircumballStore:
         return store, slot_label
 
 
+#: :meth:`RefineDomain.judge`'s answer when no rule applies.
+_NO_RULE = ("none", None, None)
+
+#: The C judge's verdicts 1-5: the rule and the kind of vertex it inserts.
+_C_RULES = (
+    None,
+    ("R1", VertexKind.ISOSURFACE),
+    ("R2", VertexKind.CIRCUMCENTER),
+    ("R3", VertexKind.ISOSURFACE),
+    ("R4", VertexKind.CIRCUMCENTER),
+    ("R5", VertexKind.CIRCUMCENTER),
+)
+
+
 class RefineDomain:
     """Shared refinement state + the rule engine."""
 
@@ -209,6 +225,7 @@ class RefineDomain:
             raise ValueError("delta must be positive")
         spec = size_function if size_function is not None else unconstrained()
         self.sf = spec.bind(self)
+        self._size_spec = spec
 
         lo, hi = image.foreground_bounds()
         margin = max(6.0 * self.delta, 2.0 * max(image.spacing))
@@ -237,6 +254,10 @@ class RefineDomain:
         self._balls = CircumballStore(self.tri.mesh)
         self.circumball = self._balls.ball
         self.circumballs = self._balls.balls
+        # The C judge's context (None: the Python judge decides alone).
+        self._judge_ctx = None
+        if _accel.judge is not None:
+            self._init_c_judge()
 
         # counters consumed by benchmarks / EXPERIMENTS.md
         self.n_insertions = 0
@@ -419,14 +440,19 @@ class RefineDomain:
         applies (``rule="none"``) or a degenerate insertion had to be
         abandoned.  Rollback signals from ``touch``
         propagate to the caller before any mutation.
+
+        Without ``touch`` (the sequential path) the C judge decides when
+        the accelerator is loaded, and :meth:`judge` only where it
+        defers.
         """
         mesh = self.tri.mesh
-        # Lock the element's own vertices first.  Beyond protocol
-        # correctness this pins the whole 1-ring: any neighbor shares
-        # three of these vertices, so neither ``t`` nor its neighbors can
-        # be invalidated while we classify and compute (real-thread
-        # safety for the lock-free classification reads below).
+        decision = None
         if touch is not None:
+            # Lock the element's own vertices first.  Beyond protocol
+            # correctness this pins the whole 1-ring: any neighbor shares
+            # three of these vertices, so neither ``t`` nor its neighbors
+            # can be invalidated while we classify and compute (real-thread
+            # safety for the lock-free classification reads below).
             verts = mesh.tet_verts_arr[t].tolist()
             if verts[0] < 0:
                 return OperationResult(rule="none", skipped=True,
@@ -435,6 +461,25 @@ class RefineDomain:
                 touch(w)
             if mesh.tet_verts_arr[t].tolist() != verts:
                 raise RollbackSignal(owner=-1)
+        elif self._judge_ctx is not None:
+            decision = self._judge_c(t)
+        if decision is None:
+            decision = self.judge(t)
+        rule, p, kind = decision
+        if p is None:
+            return OperationResult(rule="none", skipped=True,
+                                   skip_reason="no rule applies")
+        return self._insert_point(p, kind, rule, hint=t, touch=touch)
+
+    def judge(self, t: int
+              ) -> Tuple[str, Optional[tuple], Optional[VertexKind]]:
+        """The first rule that applies to live tet ``t``: ``(rule, point,
+        kind)``, the point to insert and its vertex kind, or ``("none",
+        None, None)``.  Reads the mesh without locks and changes nothing
+        but the circumball store (Section 4.3).
+
+        The reference judge: the C judge (``_accel/judge.c``) answers as
+        it does, or defers to it."""
         c, r = self.circumball(t)
         site = self.oracle.nearest_surface_voxel(c)
 
@@ -442,48 +487,124 @@ class RefineDomain:
         if self._ball_reaches_site(c, r, site):
             z = self.oracle.closest_surface_point(c)
             if z is not None and not self.iso_grid.any_within(z, self.delta):
-                return self._insert_point(
-                    z, VertexKind.ISOSURFACE, "R1", hint=t, touch=touch
-                )
+                return ("R1", z, VertexKind.ISOSURFACE)
             # ---- R2 ----
             if r > 2.0 * self.delta:
-                return self._insert_circumcenter(t, c, "R2", touch=touch)
+                return self._circumcenter_rule(t, c, "R2")
 
-        # ---- R3 ---- (classification reads are lock-free, Section 4.3)
+        # ---- R3 ----
         facet = self._restricted_facet_needing_refinement(t)
         if facet is not None:
             ft, fi = facet
-            nbr = mesh.tet_adj[ft][fi]
+            nbr = self.tri.mesh.tet_adj[ft][fi]
             c_n, _ = self.circumball(nbr)
             c_surf = self.oracle.surface_crossing(c, c_n)
             if c_surf is not None:
-                return self._insert_point(
-                    c_surf, VertexKind.ISOSURFACE, "R3", hint=t, touch=touch
-                )
+                return ("R3", c_surf, VertexKind.ISOSURFACE)
 
         if self.point_inside_object(c):
             # ---- R4 ----
             se = shortest_edge(*self.tri.tet_points(t))
             if se == 0.0 or r / se > RADIUS_EDGE_BOUND:
-                return self._insert_circumcenter(t, c, "R4", touch=touch)
+                return self._circumcenter_rule(t, c, "R4")
             # ---- R5 ----
             if r > self.sf(c):
-                return self._insert_circumcenter(t, c, "R5", touch=touch)
-
-        return OperationResult(rule="none", skipped=True,
-                               skip_reason="no rule applies")
+                return self._circumcenter_rule(t, c, "R5")
+        return _NO_RULE
 
     # ------------------------------------------------------------------
-    def _insert_circumcenter(self, t: int, c, rule: str,
-                             touch: TouchFn) -> OperationResult:
-        """Insert ``c(t)``, falling back to the longest-edge midpoint when
-        the circumcenter escapes the virtual bounding volume (possible for
-        elements hugging the hull; midpoints always stay inside)."""
+    # the judge in C (``_accel/judge.c``)
+    # ------------------------------------------------------------------
+    def _init_c_judge(self) -> None:
+        """Build the C judge's context: the image, R1's grid, the rules'
+        numbers (read now) and an output buffer; the array pointers are
+        taken at the first call."""
+        tri = self.tri
+        ctx = self._judge_ctx = _accel.JudgeContext()
+        labels, feature, geometry = self.oracle._c_oracle
+        ctx.labels = labels.value
+        ctx.feature = feature.value
+        ctx.geometry = geometry.value
+        ctx.iso = self.iso_grid._h
+        ctx.delta = self.delta
+        ctx.slack = self._surface_slack
+        ctx.re_bound = RADIUS_EDGE_BOUND
+        ctx.cos_bound = math.cos(math.radians(PLANAR_ANGLE_BOUND_DEG))
+        spec = self._size_spec
+        # R5's bound as a number, or NaN: Python evaluates sf(c).
+        ctx.size = (math.inf if spec.kind == "unconstrained"
+                    else spec.args[0] if spec.kind == "constant"
+                    else math.nan)
+        ctx.hull[:] = [x for n, off in tri._hull_planes for x in (*n, off)]
+        ctx.hull_margin = tri._hull_margin
+        self._judge_address = ctypes.addressof(ctx)
+        self._judge_out = (ctypes.c_double * 4)()
+        self._judge_arrays = (None,) * 4
+        self._judge_rows = 0
+
+    def _bind_c_judge(self) -> None:
+        """Point the context at the current arrays, the circumball store
+        grown to the tet tail first so C can write every row it
+        computes."""
+        mesh = self.tri.mesh
+        balls = self._balls
+        if len(balls.rows) < mesh.tet_top:
+            with balls._lock:
+                balls.rows = _grown(balls.rows, mesh.tet_top, -1.0)
+        self._judge_arrays = (mesh.tet_adj, mesh.coords, balls.rows,
+                              self._kind_arr)
+        self._judge_rows = len(balls.rows)
+        ctx = self._judge_ctx
+        ctx.coords = mesh.coords.ctypes.data
+        ctx.tv = mesh.tet_verts_arr.ctypes.data
+        ctx.adj = mesh.tet_adj.ctypes.data
+        ctx.epoch = mesh.tet_epoch.ctypes.data
+        ctx.rows = balls.rows.ctypes.data
+        ctx.n_rows = self._judge_rows
+        ctx.kinds = self._kind_arr.ctypes.data
+        ctx.n_kinds = len(self._kind_arr)
+
+    def _judge_c(self, t: int):
+        """:meth:`judge` in C, or ``None`` where C defers to it.  R5
+        under a size function that is not a constant is evaluated here,
+        with the centre and radius C hands back."""
+        mesh = self.tri.mesh
+        arrays = self._judge_arrays
+        # The tet arrays are replaced together, coords with v2t.
+        if (mesh.tet_adj is not arrays[0] or mesh.coords is not arrays[1]
+                or self._balls.rows is not arrays[2]
+                or self._kind_arr is not arrays[3]
+                or mesh.tet_top > self._judge_rows):
+            self._bind_c_judge()
+        out = self._judge_out
+        code = _accel.judge(self._judge_address, t, out)
+        counters = self.tri.counters
+        counters.judge_calls += 1
+        if code > 0:
+            p = (out[0], out[1], out[2])
+            if code == _accel.JUDGE_SIZE:
+                if out[3] > self.sf(p):
+                    return self._circumcenter_rule(t, p, "R5")
+                return _NO_RULE
+            rule, kind = _C_RULES[code & ~_accel.JUDGE_MIDPOINT]
+            if code & _accel.JUDGE_MIDPOINT:
+                rule += "-midpoint"
+            return (rule, p, kind)
+        if code == 0:
+            return _NO_RULE
+        counters.note_deferral(_accel.JUDGE_DEFER - code)
+        return None
+
+    # ------------------------------------------------------------------
+    def _circumcenter_rule(self, t: int, c, rule: str):
+        """``rule``'s decision to insert ``c(t)``, falling back to the
+        longest-edge midpoint when the circumcenter escapes the virtual
+        bounding volume (possible for elements hugging the hull;
+        midpoints always stay inside)."""
         if not self.tri.inside_domain(c):
-            c = self._longest_edge_midpoint(t)
-            rule = rule + "-midpoint"
-        return self._insert_point(c, VertexKind.CIRCUMCENTER, rule,
-                                  hint=t, touch=touch)
+            return (rule + "-midpoint", self._longest_edge_midpoint(t),
+                    VertexKind.CIRCUMCENTER)
+        return (rule, c, VertexKind.CIRCUMCENTER)
 
     def _longest_edge_midpoint(self, t: int):
         pts = self.tri.tet_points(t)

@@ -153,9 +153,12 @@ class SequentialRefiner:
             born = []
             epochs = mesh_store.tet_epoch[maybe].tolist()
             for t, t_epoch in zip(maybe, epochs):
-                if (not mesh_store.is_live(t)
+                # Killed earlier in this generation (slot dead or handed
+                # out again); the arrays are re-read, an insertion may
+                # grow them.
+                if (mesh_store.tet_verts_arr.item(t, 0) < 0
                         or mesh_store.tet_epoch.item(t) != t_epoch):
-                    continue        # killed earlier in this generation
+                    continue
                 t_op0 = time.perf_counter()
                 result = domain.refine_tet(t)
                 self._record(result.rule)

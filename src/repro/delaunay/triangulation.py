@@ -58,6 +58,7 @@ import itertools
 import math
 import threading
 import time
+import weakref
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -168,7 +169,8 @@ class KernelCounters:
         "accel_batch_calls", "accel_batch_inserts",
         "accel_removals", "accel_remove_retries",
         "commits", "commit_wait_seconds", "commit_work_seconds",
-        "accel_retry_reasons",
+        "judge_calls",
+        "accel_retry_reasons", "judge_deferrals",
     )
 
     def __init__(self) -> None:
@@ -180,6 +182,9 @@ class KernelCounters:
         #: (``accel_retries`` + ``accel_remove_retries``), by the reason
         #: the kernel gave
         self.accel_retry_reasons = dict.fromkeys(_accel.RETRY_REASONS, 0)
+        #: the C judge's verdicts that Python took over
+        #: (``judge_calls`` counts them all), by reason
+        self.judge_deferrals = dict.fromkeys(_accel.DEFER_REASONS, 0)
 
     def note_retry(self, why, removal: bool = False) -> None:
         """Count one RETRY of an insert (with ``removal``, of a removal)
@@ -190,11 +195,19 @@ class KernelCounters:
             self.accel_retries += 1
         self.accel_retry_reasons[_accel.RETRY_REASONS[int(why)]] += 1
 
+    def note_deferral(self, why: int) -> None:
+        """Count one C judge verdict deferred to Python, by the reason
+        code it gave (an index into ``DEFER_REASONS``)."""
+        self.judge_deferrals[_accel.DEFER_REASONS[why]] += 1
+
     def snapshot(self) -> dict:
-        """Flat name -> number; reasons read ``accel_retry.<reason>``."""
+        """Flat name -> number; reasons read ``accel_retry.<reason>``
+        and ``judge_deferrals.<reason>``."""
         snap = {name: getattr(self, name) for name in self.__slots__}
         for reason, n in snap.pop("accel_retry_reasons").items():
             snap[f"accel_retry.{reason}"] = n
+        for reason, n in snap.pop("judge_deferrals").items():
+            snap[f"judge_deferrals.{reason}"] = n
         return snap
 
     @property
@@ -208,6 +221,207 @@ class KernelCounters:
     @property
     def mean_commit_wait_seconds(self) -> float:
         return self.commit_wait_seconds / self.commits if self.commits else 0.0
+
+
+class DictSeedGrid:
+    """The vertex grid behind point location, and its seed probe.
+
+    A uniform grid over the box (``_GRID_RES`` cells along its longest
+    axis to start) maps a cell to the vertex most recently stored there:
+    a store overwrites, a drop empties the cell only if the vertex owns
+    it.  Once the vertex store has more than ``res**3 // 8`` slots, the
+    resolution doubles and every live vertex is re-binned in id order.
+    Entries are hints: the walk verifies containment, so a stale one
+    costs steps, never correctness.
+
+    This dict is the reference; :class:`CSeedGrid` is the same grid and
+    probe in C (``_accel/vgrid.c``), answering tie for tie.  Both read
+    the mesh they serve.
+    """
+
+    handle = None  # no C grid for the kernels to probe
+
+    def __init__(self, mesh: MeshArrays, lo: Sequence[float],
+                 extent: float):
+        self._mesh = mesh
+        self._lo = lo
+        self._extent = extent
+        self._res = _GRID_RES
+        self._inv = _GRID_RES / extent
+        self._cap = _GRID_RES ** 3 // 8
+        self._cells: Dict[Tuple[int, int, int], int] = {}
+
+    def _key(self, x: float, y: float, z: float) -> Tuple[int, int, int]:
+        lo = self._lo
+        inv = self._inv
+        return (int((x - lo[0]) * inv), int((y - lo[1]) * inv),
+                int((z - lo[2]) * inv))
+
+    def _regrid(self) -> None:
+        """Double the resolution and re-bin the live vertices."""
+        self._res *= 2
+        self._inv = self._res / self._extent
+        self._cap = self._res ** 3 // 8
+        alive = self._mesh.alive_vertex
+        key = self._key
+        cells: Dict[Tuple[int, int, int], int] = {}
+        for v, pt in enumerate(self._mesh.points):
+            if alive[v]:
+                cells[key(pt[0], pt[1], pt[2])] = v
+        self._cells = cells
+
+    def store(self, v: int, p: Sequence[float]) -> None:
+        """Vertex ``v``, just stored at ``p``, owns its cell."""
+        self._cells[self._key(p[0], p[1], p[2])] = v
+        if len(self._mesh.points) > self._cap:
+            self._regrid()
+
+    def drop(self, v: int) -> None:
+        """Vertex ``v`` died: its cell loses it if it owns it."""
+        p = self._mesh.points[v]
+        key = self._key(p[0], p[1], p[2])
+        if self._cells.get(key) == v:
+            del self._cells[key]
+
+    def cells(self) -> Dict[Tuple[int, int, int], int]:
+        """``{cell: owner}``."""
+        return dict(self._cells)
+
+    def seed(self, x: float, y: float, z: float, hint: int,
+             last: int) -> Tuple[int, int]:
+        """The walk's starting tet for ``(x, y, z)`` and which candidate
+        it is: 0 the grid's, 1 the hint or the last located tet, 2 a
+        scan's.
+
+        Candidates: a tet incident to the nearest vertex registered in
+        the query's grid neighborhood, the hint (``-1``: none), the last
+        located tet ``last``, a linear scan — whichever of the first two
+        is closer to the query wins (the hint is excellent during
+        refinement but arbitrary for scattered insertion workloads).  A
+        hint that is no longer live is ignored.
+        """
+        mesh = self._mesh
+        if hint >= 0 and not mesh.is_live(hint):
+            hint = -1
+        pts = mesh.points
+        grid = self._cells
+        kx, ky, kz = self._key(x, y, z)
+        best_v = grid.get((kx, ky, kz))
+        if best_v is not None:
+            q = pts[best_v]
+            dx = q[0] - x
+            dy = q[1] - y
+            dz = q[2] - z
+            best_d = dx * dx + dy * dy + dz * dz
+        elif grid:
+            # Probe the 26 surrounding buckets for the nearest registered
+            # vertex (the grid keeps occupancy low, so the home bucket is
+            # often empty while the neighborhood rarely is).
+            best_d = math.inf
+            for nk in (
+                (kx - 1, ky - 1, kz - 1), (kx - 1, ky - 1, kz),
+                (kx - 1, ky - 1, kz + 1), (kx - 1, ky, kz - 1),
+                (kx - 1, ky, kz), (kx - 1, ky, kz + 1),
+                (kx - 1, ky + 1, kz - 1), (kx - 1, ky + 1, kz),
+                (kx - 1, ky + 1, kz + 1), (kx, ky - 1, kz - 1),
+                (kx, ky - 1, kz), (kx, ky - 1, kz + 1),
+                (kx, ky, kz - 1), (kx, ky, kz + 1),
+                (kx, ky + 1, kz - 1), (kx, ky + 1, kz),
+                (kx, ky + 1, kz + 1), (kx + 1, ky - 1, kz - 1),
+                (kx + 1, ky - 1, kz), (kx + 1, ky - 1, kz + 1),
+                (kx + 1, ky, kz - 1), (kx + 1, ky, kz),
+                (kx + 1, ky, kz + 1), (kx + 1, ky + 1, kz - 1),
+                (kx + 1, ky + 1, kz), (kx + 1, ky + 1, kz + 1),
+            ):
+                v = grid.get(nk)
+                if v is None:
+                    continue
+                q = pts[v]
+                dx = q[0] - x
+                dy = q[1] - y
+                dz = q[2] - z
+                d = dx * dx + dy * dy + dz * dz
+                if d < best_d:
+                    best_d = d
+                    best_v = v
+        if best_v is not None:
+            t = int(mesh.v2t[best_v])
+            if t >= 0 and mesh.tet_verts_arr[t, 0] >= 0:
+                if hint >= 0:
+                    h = pts[mesh.tet_verts_arr[hint, 0]]
+                    dx = h[0] - x
+                    dy = h[1] - y
+                    dz = h[2] - z
+                    if dx * dx + dy * dy + dz * dz < best_d:
+                        return hint, 1
+                return t, 0
+        if hint >= 0:
+            return hint, 1
+        if mesh.is_live(last):
+            return last, 1
+        return next(mesh.live_tets()), 2
+
+
+class CSeedGrid:
+    """:class:`DictSeedGrid` in C: the grid holds its cells only and
+    reads each vertex from the mesh (its ``coords`` row; live unless its
+    ``v2t`` anchor is ``DEAD``), every method is one library call, and
+    :attr:`handle` lets the insert kernels probe it themselves."""
+
+    def __init__(self, mesh: MeshArrays, lo: Sequence[float],
+                 extent: float):
+        vg = _accel.vgrid
+        self._mesh = mesh
+        self.handle = vg.new(lo[0], lo[1], lo[2], extent, _GRID_RES)
+        if not self.handle:
+            raise MemoryError("vertex grid")
+        # Not at exit: a daemon thread may still be locating.
+        weakref.finalize(self, vg.free, self.handle).atexit = False
+        self._bound = None
+
+    def _arrays(self):
+        """``(coords, v2t, tet rows, their three pointers, the vertex
+        rows, the tet rows)``: one tuple, swapped whole when an array
+        moves and held across a call, so a thread that re-binds
+        meanwhile cannot free what the call reads.  Each array is
+        checked, and the counts are its own: a walk on another thread
+        may see one array grown and not yet another, and C reads no row
+        past a count."""
+        mesh = self._mesh
+        bound = self._bound
+        if (bound is None or mesh.coords is not bound[0]
+                or mesh.v2t is not bound[1]
+                or mesh.tet_verts_arr is not bound[2]):
+            arrays = (mesh.coords, mesh.v2t, mesh.tet_verts_arr)
+            bound = self._bound = (
+                *arrays, *(a.ctypes.data for a in arrays),
+                min(len(arrays[0]), len(arrays[1])), len(arrays[2]))
+        return bound
+
+    def store(self, v: int, p: Sequence[float]) -> None:
+        bound = self._arrays()
+        if _accel.vgrid.add(self.handle, bound[3], bound[4],
+                            len(self._mesh.points), v):
+            raise MemoryError("vertex grid")
+
+    def drop(self, v: int) -> None:
+        bound = self._arrays()
+        _accel.vgrid.drop(self.handle, bound[3], bound[6], v)
+
+    def cells(self) -> Dict[Tuple[int, int, int], int]:
+        vg = _accel.vgrid
+        n = vg.cells(self.handle, None, 0)
+        out = np.empty((n, 4), dtype=np.int64)
+        vg.cells(self.handle, out.ctypes.data, n)
+        return {(kx, ky, kz): v for kx, ky, kz, v in out.tolist()}
+
+    def seed(self, x: float, y: float, z: float, hint: int,
+             last: int) -> Tuple[int, int]:
+        bound = self._arrays()
+        code = _accel.vgrid.seed(self.handle, bound[3], bound[4], bound[6],
+                                 bound[5], min(self._mesh.tet_top, bound[7]),
+                                 x, y, z, hint, last)
+        return code >> 2, code & 3
 
 
 class Triangulation3D:
@@ -302,11 +516,8 @@ class Triangulation3D:
         # containment, so stale entries cost steps, never correctness —
         # which also makes unsynchronized concurrent access benign.
         self._last_located = 0
-        self._vgrid: Dict[Tuple[int, int, int], int] = {}
-        self._extent = extent
-        self._vgrid_res = _GRID_RES
-        self._vgrid_inv = _GRID_RES / extent
-        self._vgrid_cap = _GRID_RES ** 3 // 8
+        self._seeds = (DictSeedGrid if _accel.vgrid is None else CSeedGrid)(
+            self.mesh, self._lo, extent)
         # Epoch-tagged scratch for the cavity search (reused across
         # operations; values: gen = in cavity, gen+1 = checked out).
         # Generations come from an itertools.count: next() is a single
@@ -366,44 +577,17 @@ class Triangulation3D:
     # ------------------------------------------------------------------
     # point location
     # ------------------------------------------------------------------
-    def _grid_key(self, x: float, y: float, z: float) -> Tuple[int, int, int]:
-        lo = self._lo
-        inv = self._vgrid_inv
-        return (int((x - lo[0]) * inv), int((y - lo[1]) * inv),
-                int((z - lo[2]) * inv))
-
-    def _regrid(self) -> None:
-        """Double the vertex grid's resolution and re-bin live vertices."""
-        res = self._vgrid_res * 2
-        self._vgrid_res = res
-        self._vgrid_inv = res / self._extent
-        self._vgrid_cap = res ** 3 // 8
-        mesh = self.mesh
-        alive = mesh.alive_vertex
-        gk = self._grid_key
-        grid: Dict[Tuple[int, int, int], int] = {}
-        for v, pt in enumerate(mesh.points):
-            if alive[v]:
-                grid[gk(pt[0], pt[1], pt[2])] = v
-        self._vgrid = grid
-
     def _store_vertex(self, p: Sequence[float]) -> int:
         """Store a committed insertion's vertex and register its grid
         cell; returns the id ``add_vertex`` handed out."""
-        mesh = self.mesh
-        v = mesh.add_vertex(p)
-        self._vgrid[self._grid_key(p[0], p[1], p[2])] = v
-        if len(mesh.points) > self._vgrid_cap:
-            self._regrid()
+        v = self.mesh.add_vertex(p)
+        self._seeds.store(v, p)
         return v
 
     def _drop_vertex(self, v: int) -> None:
         """Free a removed vertex's slot and its grid cell."""
-        p = self.mesh.points[v]
         self.mesh.kill_vertex(v)
-        gkey = self._grid_key(p[0], p[1], p[2])
-        if self._vgrid.get(gkey) == v:
-            del self._vgrid[gkey]
+        self._seeds.drop(v)
 
     def _scratch(self):
         """The C kernels' scratch, built on first use."""
@@ -412,88 +596,24 @@ class Triangulation3D:
             acc = self._acc = _accel.AccelScratch()
         return acc
 
+    def _count_seed(self, which: int) -> None:
+        """Count the seed candidate a probe took (``DictSeedGrid.seed``'s
+        code)."""
+        counters = self.counters
+        if which == 0:
+            counters.seed_grid_hits += 1
+        elif which == 1:
+            counters.seed_hint_hits += 1
+        else:
+            counters.seed_scans += 1
+
     def _locate_seed(self, x: float, y: float, z: float,
                      hint: Optional[int] = None) -> int:
-        """Pick the walk's starting tet.
-
-        Candidates: a tet incident to the nearest vertex registered in
-        the query's grid neighborhood, the caller's hint, the last
-        located tet, a linear scan — whichever of the first two is
-        closer to the query wins (the caller's hint is excellent during
-        refinement but arbitrary for scattered insertion workloads).  A
-        hint that is no longer live is ignored.
-        """
-        mesh = self.mesh
-        if hint is not None and not mesh.is_live(hint):
-            hint = None
-        counters = self.counters
-        pts = mesh.points
-        grid = self._vgrid
-        lo = self._lo
-        inv = self._vgrid_inv
-        kx = int((x - lo[0]) * inv)
-        ky = int((y - lo[1]) * inv)
-        kz = int((z - lo[2]) * inv)
-        best_v = grid.get((kx, ky, kz))
-        if best_v is not None:
-            q = pts[best_v]
-            dx = q[0] - x
-            dy = q[1] - y
-            dz = q[2] - z
-            best_d = dx * dx + dy * dy + dz * dz
-        elif grid:
-            # Probe the 26 surrounding buckets for the nearest registered
-            # vertex (the grid keeps occupancy low, so the home bucket is
-            # often empty while the neighborhood rarely is).
-            best_d = math.inf
-            for nk in (
-                (kx - 1, ky - 1, kz - 1), (kx - 1, ky - 1, kz),
-                (kx - 1, ky - 1, kz + 1), (kx - 1, ky, kz - 1),
-                (kx - 1, ky, kz), (kx - 1, ky, kz + 1),
-                (kx - 1, ky + 1, kz - 1), (kx - 1, ky + 1, kz),
-                (kx - 1, ky + 1, kz + 1), (kx, ky - 1, kz - 1),
-                (kx, ky - 1, kz), (kx, ky - 1, kz + 1),
-                (kx, ky, kz - 1), (kx, ky, kz + 1),
-                (kx, ky + 1, kz - 1), (kx, ky + 1, kz),
-                (kx, ky + 1, kz + 1), (kx + 1, ky - 1, kz - 1),
-                (kx + 1, ky - 1, kz), (kx + 1, ky - 1, kz + 1),
-                (kx + 1, ky, kz - 1), (kx + 1, ky, kz),
-                (kx + 1, ky, kz + 1), (kx + 1, ky + 1, kz - 1),
-                (kx + 1, ky + 1, kz), (kx + 1, ky + 1, kz + 1),
-            ):
-                v = grid.get(nk)
-                if v is None:
-                    continue
-                q = pts[v]
-                dx = q[0] - x
-                dy = q[1] - y
-                dz = q[2] - z
-                d = dx * dx + dy * dy + dz * dz
-                if d < best_d:
-                    best_d = d
-                    best_v = v
-        if best_v is not None:
-            t = int(mesh.v2t[best_v])
-            if t >= 0 and mesh.tet_verts_arr[t, 0] >= 0:
-                if hint is not None:
-                    h = pts[mesh.tet_verts_arr[hint, 0]]
-                    dx = h[0] - x
-                    dy = h[1] - y
-                    dz = h[2] - z
-                    if dx * dx + dy * dy + dz * dz < best_d:
-                        counters.seed_hint_hits += 1
-                        return hint
-                counters.seed_grid_hits += 1
-                return t
-        if hint is not None:
-            counters.seed_hint_hits += 1
-            return hint
-        t = self._last_located
-        if mesh.is_live(t):
-            counters.seed_hint_hits += 1
-            return t
-        counters.seed_scans += 1
-        return next(mesh.live_tets())
+        """Pick the walk's starting tet (:meth:`DictSeedGrid.seed`)."""
+        t, which = self._seeds.seed(x, y, z, -1 if hint is None else hint,
+                                    self._last_located)
+        self._count_seed(which)
+        return t
 
     def locate(self, p: Sequence[float],
                hint: Optional[int] = None) -> int:
@@ -807,7 +927,11 @@ class Triangulation3D:
         px = float(p[0])
         py = float(p[1])
         pz = float(p[2])
-        seed = self._locate_seed(px, py, pz, hint)
+        # With the C grid the kernel probes it for the walk's seed.
+        vgrid = self._seeds.handle
+        seed = -1 if hint is None else hint
+        if vgrid is None:
+            seed = self._locate_seed(px, py, pz, hint)
         free_v = mesh._free_verts
         # Prospective vertex id: what add_vertex will allocate after the
         # C kernel succeeds (it only writes the id into tet rows; the
@@ -815,28 +939,30 @@ class Triangulation3D:
         vnew = free_v[-1] if free_v else len(mesh.points)
         gen = next(self._cav_gen)
         status = acc.insert(mesh, px, py, pz, seed, self._walk_state, gen,
-                            vnew)
+                            vnew, self._last_located, vgrid)
         counters = self.counters
-        out = acc.out_i
+        out = acc.out_i.tolist()  # Python ints, read once
+        if vgrid is not None:
+            self._count_seed(out[10])
         if status == _accel.RETRY:
             counters.note_retry(out[9])
             return None
         # The walk succeeded for every non-RETRY status: commit its
         # state and counters exactly as locate() would have.
         counters.locate_calls += 1
-        counters.walk_steps += int(out[4])
-        self._walk_state = int(out[5])
-        self._last_located = int(out[6])
+        counters.walk_steps += out[4]
+        self._walk_state = out[5]
+        self._last_located = out[6]
         _credit_filtered(out[7], out[8])
         if status == _accel.ERR_DUP:
             raise _degenerate(status, p)
         counters.cavity_calls += 1
-        counters.cavity_tets += int(out[0])
+        counters.cavity_tets += out[0]
         if status != _accel.OK:
             raise _degenerate(status, p)
         counters.accel_inserts += 1
-        cavity = acc.cav[:int(out[0])].tolist()
-        new_tets = acc.newt[:int(out[1])].tolist()
+        cavity = acc.cav[:out[0]].tolist()
+        new_tets = acc.newt[:out[1]].tolist()
         self._store_vertex((px, py, pz))  # allocates exactly vnew
         # Every new tet names vnew and the last one wins; the kernel
         # anchored the other vertices.
@@ -974,8 +1100,12 @@ class Triangulation3D:
         """
         mesh = self.mesh
         acc = self._scratch()
-        p0 = points[start]
-        seed = self._locate_seed(float(p0[0]), float(p0[1]), float(p0[2]))
+        vgrid = self._seeds.handle
+        seed = -1
+        if vgrid is None:
+            p0 = points[start]
+            seed = self._locate_seed(float(p0[0]), float(p0[1]),
+                                     float(p0[2]))
         gen0 = next(self._cav_gen)
         v_base = len(mesh.points)
         # A batch ends where the slot tail or the vertex count would pass
@@ -987,7 +1117,10 @@ class Triangulation3D:
         out = acc.insert_many(mesh, points[start:start + _accel._BATCH_CAP],
                               seed, self._walk_state, gen0, v_base,
                               _doubling(mesh.tet_top, _INIT_T_CAP),
-                              _doubling(v_base, _INIT_V_CAP))
+                              _doubling(v_base, _INIT_V_CAP),
+                              self._last_located, vgrid)
+        if vgrid is not None:
+            self._count_seed(out[12])
         n_done = int(out[0])
         n_gens = int(out[1])
         # Keep the shared generation allocator ahead of every generation

@@ -112,7 +112,9 @@ def publish_kernel_stats(registry: "MetricsRegistry", counters,
     rate, the exact-fallback fraction, mean walk length and mean cavity
     size alongside the run-level gauges — and, beside
     ``kernel.accel_retries``, why the C kernels handed work back
-    (``kernel.accel_retry.<reason>``).
+    (``kernel.accel_retry.<reason>``), and beside ``kernel.judge_calls``
+    why the C judge left a tet to the Python one
+    (``kernel.judge_deferrals.<reason>``).
     """
     for name, value in counters.snapshot().items():
         registry.gauge(f"kernel.{name}").set(value)
@@ -156,10 +158,14 @@ def kernel_report(gauges: Dict[str, float]) -> str:
     exact = (g("predicates.orient3d_exact") + g("predicates.insphere_exact")
              + g("predicates.batch_exact"))
     fast = decisions - exact - g("predicates.cc_fallback")
-    prefix = "kernel.accel_retry."
-    retried = ", ".join(f"{name[len(prefix):]} {n}"
-                        for name, n in gauges.items()
-                        if name.startswith(prefix) and n)
+    def reasons(prefix):
+        prefix = f"kernel.{prefix}."
+        return ", ".join(f"{name[len(prefix):]} {n}"
+                         for name, n in gauges.items()
+                         if name.startswith(prefix) and n)
+
+    retried = reasons("accel_retry")
+    deferred = reasons("judge_deferrals")
     lines = [
         "kernel hot-path statistics",
         "--------------------------",
@@ -167,6 +173,8 @@ def kernel_report(gauges: Dict[str, float]) -> str:
         f"  mean walk length      {g('mean_walk_length'):>10.2f}",
         f"  seed: grid/hint/scan  {g('seed_grid_hits'):>6}"
         f"/{g('seed_hint_hits')}/{g('seed_scans')}",
+        f"C judge calls           {g('judge_calls'):>10}"
+        f"  (deferred: {deferred or '-'})",
         f"cavity searches         {g('cavity_calls'):>10}",
         f"  mean cavity size      {g('mean_cavity_size'):>10.2f}",
         f"accelerated inserts     {g('accel_inserts'):>10}"

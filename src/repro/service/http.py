@@ -112,7 +112,9 @@ from repro.service.service import MeshingService
 #: v2: a result's mesh arrays are base64 of their raw bytes, not lists.
 #: v3: ``incremental``, ``timeout`` and the quality bounds are unknown
 #: params, the inline ``image`` member and ETag revalidation are gone.
-PROTOCOL_VERSION = 3
+#: v4: a result's vertex indices (``tets``, ``boundary_faces``) are
+#: int32 bytes (``"<i4"``), not int64.
+PROTOCOL_VERSION = 4
 
 #: Request/response header carrying the protocol version.
 PROTOCOL_HEADER = "X-Repro-Protocol"

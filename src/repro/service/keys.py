@@ -42,7 +42,8 @@ from repro.imaging.image import SegmentedImage
 #: v7: a mesh artifact's arrays are base64 of their raw bytes, not lists.
 #: v8: ``incremental``, ``timeout`` and the two quality bounds left them
 #: (the bounds are constants; the block cache is used whenever given).
-CACHE_FORMAT_VERSION = 8
+#: v9: a mesh artifact's vertex indices are int32 bytes, not int64.
+CACHE_FORMAT_VERSION = 9
 
 
 def image_content_key(image: SegmentedImage) -> str:

@@ -197,14 +197,15 @@ _DOCS = st.dictionaries(
 @st.composite
 def _mesh_results(draw):
     """Results with arbitrary array bytes (any float64 bit pattern, any
-    integer) and row counts down to zero, and stats, metrics and
-    timings holding NaN and infinities among other JSON values."""
+    integer the field travels as, held in the field's own dtype) and row
+    counts down to zero, and stats, metrics and timings holding NaN and
+    infinities among other JSON values."""
     arrays = {}
-    for name, (dtype, tail) in MESH_ARRAYS.items():
+    for name, (dtype, tail, held) in MESH_ARRAYS.items():
         shape = (draw(st.integers(0, 5)),) + tail
         size = math.prod(shape) * np.dtype(dtype).itemsize
         raw = draw(st.binary(min_size=size, max_size=size))
-        arrays[name] = np.frombuffer(raw, dtype).reshape(shape)
+        arrays[name] = np.frombuffer(raw, dtype).reshape(shape).astype(held)
     return MeshResult(mesh=ExtractedMesh(**arrays),
                       mesher=draw(st.text(max_size=8)), stats=draw(_DOCS),
                       metrics=draw(_DOCS), timings=draw(_DOCS))
@@ -242,8 +243,8 @@ class TestMeshResultRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(_mesh_results())
     @example(MeshResult(ExtractedMesh(**{
-        name: np.zeros((0,) + tail, dtype)
-        for name, (dtype, tail) in MESH_ARRAYS.items()}), "sequential"))
+        name: np.zeros((0,) + tail, held)
+        for name, (_, tail, held) in MESH_ARRAYS.items()}), "sequential"))
     def test_json_round_trip_is_bit_exact(self, r):
         """Every array, empty ones too, comes back with its dtype, shape
         and bytes (NaN payloads, -0.0 and infinities included) and
@@ -260,6 +261,29 @@ class TestMeshResultRoundTrip:
             assert got.flags.writeable, field.name
         assert back.mesher == r.mesher
         assert json.dumps(back.to_dict()) == text
+
+    @pytest.mark.parametrize("field", ["tets", "boundary_faces"])
+    @pytest.mark.parametrize("value", [2 ** 31, -2 ** 31 - 1])
+    def test_an_index_past_int32_is_refused(self, results, field, value):
+        """Vertex indices travel as int32: one that does not fit is a
+        ``ValueError`` naming the field, never a wrapped index."""
+        mesh = results["sequential"].mesh
+        arrays = {f.name: getattr(mesh, f.name).copy()
+                  for f in dataclasses.fields(ExtractedMesh)}
+        arrays[field][0, 0] = value
+        bad = MeshResult(ExtractedMesh(**arrays), "sequential")
+        with pytest.raises(ValueError, match=field):
+            bad.to_dict()
+
+    def test_indices_travel_as_int32_and_return_as_int64(self, results):
+        r = results["sequential"]
+        doc = r.to_dict()
+        back = MeshResult.from_dict(doc)
+        for field in ("tets", "boundary_faces"):
+            assert doc["mesh"][field]["dtype"] == "<i4"
+            got = getattr(back.mesh, field)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, getattr(r.mesh, field))
 
     @pytest.mark.parametrize("field, damage", [
         ("vertices", {"dtype": "<f4"}),

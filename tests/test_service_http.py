@@ -568,7 +568,7 @@ def post(url, body, timeout=60.0):
         return resp.status, resp.read(), resp.headers
 
 
-def big_result(n_vertices=4000):
+def big_result(n_vertices=5000):
     """A MeshResult whose JSON is over 200 KB (content is arbitrary)."""
     rng = np.random.default_rng(0)
     n_tets = n_vertices // 2
